@@ -22,6 +22,7 @@ __all__ = [
     "flip_vector",
     "reverse_tensor",
     "apply",
+    "contract_trailing",
     "poly_eval",
     "power_vector",
     "hadamard",
@@ -31,6 +32,8 @@ __all__ = [
     "scale",
     "max_abs",
     "entry_scale",
+    "check_tolerance",
+    "check_count",
 ]
 
 
@@ -136,14 +139,37 @@ def reverse_tensor(a: DenseTensor) -> DenseTensor:
 
 
 def apply(a: DenseTensor, x) -> np.ndarray:
-    """Contract all trailing slots with x: result_i = sum a[i,i2..im] x_i2...x_im."""
+    """Contract all trailing slots with x: result_i = sum a[i,i2..im] x_i2...x_im.
+
+    x may also be a stack of vectors of shape (S, n); row s of the result
+    is then A x_s^{m-1}.
+    """
     if a.order < 2:
         raise ValueError("apply requires tensor order >= 2")
-    x = _check_vector(a, x)
-    out = a.data
-    for _ in range(a.order - 1):
-        out = out.dot(x)
-    return out
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != a.dim:
+        raise ValueError(f"vector of length {a.dim} required, got shape {x.shape}")
+    if x.ndim == 1:
+        return contract_trailing(a.data, x[None, :], a.order - 1)[0]
+    return contract_trailing(a.data, x, a.order - 1)
+
+
+def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarray:
+    """Contract the last `count` slots of data with each row of the stack xs.
+
+    data has shape (n,)*k and xs shape (S, n); the result has shape
+    (S,) + (n,)*(k-count).  The shared tensor is contracted one slot at a
+    time against the whole stack (one matrix product, then batched
+    matrix-vector products on partial results), so it is never copied per
+    row.  With count 0 the result is a read-only broadcast view of data.
+    """
+    s, n = xs.shape
+    if count == 0:
+        return np.broadcast_to(data, (s,) + data.shape)
+    out = xs @ data.reshape(-1, n).T
+    for k in range(count - 1):
+        out = np.matmul(out.reshape(s, n ** (data.ndim - 2 - k), n), xs[:, :, None])
+    return out.reshape((s,) + data.shape[: data.ndim - count])
 
 
 def poly_eval(a: DenseTensor, x) -> float:
@@ -192,3 +218,23 @@ def max_abs(a: DenseTensor) -> float:
 def entry_scale(a: DenseTensor) -> float:
     """Tolerance scale: max(1, largest entry magnitude)."""
     return max(1.0, max_abs(a))
+
+
+def check_tolerance(value, name: str = "tol") -> float:
+    """Return a tolerance as a float, raising ValueError unless it is finite and >= 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not np.isfinite(tol) or tol < 0:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def check_count(value, name: str) -> int:
+    """Return a count as an int, raising ValueError unless it is an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)

@@ -12,7 +12,14 @@ Contents:
 * closed-form pairs for centrosymmetric tensors of dimension 2 (both
   the all-ones and the alternating-sign eigenvector) and of dimension 3
   with even order (the (1, 0, -1) eigenvector),
-* a multistart damped-Newton solver for general desk-scale tensors,
+* a multistart damped-Newton solver for general desk-scale tensors.  All
+  starts are drawn in one (starts, n) normal draw (the same stream as one
+  size-n draw per start) and step together on stacked arrays: the shared
+  tensor is contracted one slot at a time against the whole stack, the
+  Jacobians come from one tensor summed once per solve, and each Newton
+  step is one stacked linear solve.  Damping stays per start, and starts
+  leave the active stack as they converge, stall, take a non-finite step
+  or run out of iterations; SolverStats counts each way,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
@@ -28,7 +35,16 @@ from functools import reduce
 
 import numpy as np
 
-from .core import ConsistencyError, DenseTensor, apply, flip_vector, power_vector
+from .core import (
+    ConsistencyError,
+    DenseTensor,
+    apply,
+    check_count,
+    check_tolerance,
+    contract_trailing,
+    flip_vector,
+    power_vector,
+)
 from .structure import NEITHER, check_structure
 
 __all__ = [
@@ -85,15 +101,35 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """Start accounting of one solve.
+
+    Every start ends exactly one way: converged (reached tol and passed
+    the residual re-check), rejected (reached tol but failed the
+    re-check), stalled (no damped step reduced max|F|), non_finite (the
+    Newton step was not finite) or max_iter (still running after
+    max_iter steps).  iterations is the number of Newton steps taken,
+    summed over starts.
+    """
+
     attempted: int
     converged: int
     deduplicated: int
+    rejected: int
+    stalled: int
+    non_finite: int
+    max_iter: int
+    iterations: int
 
     def as_dict(self) -> dict:
         return {
             "attempted": self.attempted,
             "converged": self.converged,
             "deduplicated": self.deduplicated,
+            "rejected": self.rejected,
+            "stalled": self.stalled,
+            "non_finite": self.non_finite,
+            "max_iter": self.max_iter,
+            "iterations": self.iterations,
         }
 
 
@@ -207,24 +243,45 @@ def closed_form_dim3_even(a: DenseTensor, class_tol: float = DEFAULT_CLASS_TOL) 
     return _make_pair(a, lam, np.array([1.0, 0.0, -1.0]), class_tol)
 
 
-def _apply_raw(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    out = data
-    for _ in range(order - 1):
-        out = out.dot(x)
-    return out
+def _jacobian_tensor(data: np.ndarray) -> np.ndarray:
+    """Tensor B whose contraction B x^{m-2} on its last m-2 slots is the
+    Jacobian of x -> A x^{m-1}.
+
+    The Jacobian sums, over which trailing slot of A stays free, the
+    contraction of A with x on all the other trailing slots.  Moving each
+    free slot to position 2 and summing once per solve leaves one
+    contraction per Jacobian instead of m-1.
+    """
+    return sum(np.moveaxis(data, p, 1) for p in range(1, data.ndim))
 
 
-def _apply_jacobian(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    """Jacobian of x -> A x^{m-1}: sum over which trailing slot stays free."""
-    total = None
-    for t in range(1, order):
-        part = data
-        for _ in range(order - 1 - t):
-            part = part.dot(x)
-        for _ in range(t - 1):
-            part = np.tensordot(part, x, axes=(1, 0))
-        total = part if total is None else total + part
-    return total
+def _stacked_residual(data: np.ndarray, xs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """F(x, lambda) = (A x^{m-1} - lambda x^{[m-1]}, |x|^2 - 1) for each row."""
+    m = data.ndim
+    g = contract_trailing(data, xs, m - 1)
+    return np.concatenate(
+        [g - lams[:, None] * xs ** (m - 1), (np.sum(xs * xs, axis=1) - 1.0)[:, None]], axis=1
+    )
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each system of the stack; a singular one falls back to least squares."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.empty_like(rhs)
+    for k in range(len(rhs)):
+        try:
+            steps[k] = np.linalg.solve(jac[k], rhs[k])
+        except np.linalg.LinAlgError:
+            steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
+    return steps
+
+
+# How a start ended, in SolverStats terms.
+_RUNNING, _REACHED, _STALLED, _NON_FINITE = 0, 1, 2, 3
+_MIN_DAMP = 2.0**-16
 
 
 def solve_eigen(
@@ -240,9 +297,10 @@ def solve_eigen(
     """Multistart damped Newton on the eigenpair system.
 
     Solves F(x, lambda) = (A x^{m-1} - lambda x^{[m-1]}, |x|^2 - 1) = 0
-    from `starts` random unit starting vectors.  Steps are halved while
-    they fail to decrease the sup-norm of F; convergence is declared at
-    max|F| <= tol.  Converged pairs are canonicalized, re-verified
+    from `starts` random unit starting vectors, stepping all starts
+    together on stacked arrays.  Each start's step is halved while it
+    fails to decrease that start's sup-norm of F; convergence is declared
+    at max|F| <= tol.  Converged pairs are canonicalized, re-verified
     against the residual bound, sorted by (value, components) and
     deduplicated: two pairs merge when their values differ by at most
     value_tol and their vectors agree up to sign within vector_tol.
@@ -256,81 +314,109 @@ def solve_eigen(
         raise ValueError(
             f"solver is desk-scale only (dim <= {MAX_SOLVER_DIM}, order <= {MAX_SOLVER_ORDER})"
         )
+    starts = check_count(starts, "starts")
+    max_iter = check_count(max_iter, "max_iter")
+    tol = check_tolerance(tol, "tol")
+    class_tol = check_tolerance(class_tol, "class_tol")
+    value_tol = check_tolerance(value_tol, "value_tol")
+    vector_tol = check_tolerance(vector_tol, "vector_tol")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     data = a.data
+    jac_tensor = _jacobian_tensor(data)
 
-    def residual_vec(x, lam):
-        return np.append(_apply_raw(data, x, m) - lam * x ** (m - 1), x @ x - 1.0)
+    # One draw of shape (starts, n) consumes the same stream as `starts`
+    # draws of size n, so a seed means the same starts as a per-start loop.
+    xs = rng.normal(size=(starts, n))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    xp = xs ** (m - 1)
+    lams = np.sum(xp * contract_trailing(data, xs, m - 1), axis=1) / np.sum(xp * xp, axis=1)
+    fs = _stacked_residual(data, xs, lams)
+    best = np.max(np.abs(fs), axis=1)
+    state = np.where(best <= tol, _REACHED, _RUNNING)
+    iterations = 0
+    for _ in range(max_iter):
+        live = np.flatnonzero(state == _RUNNING)
+        if not live.size:
+            break
+        iterations += live.size
+        x, lam = xs[live], lams[live]
+        jac = np.zeros((live.size, n + 1, n + 1))
+        jac[:, :n, :n] = contract_trailing(jac_tensor, x, m - 2)
+        diag = np.arange(n)
+        jac[:, diag, diag] -= lam[:, None] * (m - 1) * x ** (m - 2)
+        jac[:, :n, n] = -(x ** (m - 1))
+        jac[:, n, :n] = 2.0 * x
+        step = _newton_steps(jac, -fs[live])
+        finite = np.all(np.isfinite(step), axis=1)
+        state[live[~finite]] = _NON_FINITE
+        pending, x, lam, step = live[finite], x[finite], lam[finite], step[finite]
+        damp = 1.0
+        while pending.size and damp >= _MIN_DAMP:
+            x_new = x + damp * step[:, :n]
+            lam_new = lam + damp * step[:, n]
+            f_new = _stacked_residual(data, x_new, lam_new)
+            norm_new = np.max(np.abs(f_new), axis=1)
+            better = norm_new < best[pending]
+            won = pending[better]
+            xs[won], lams[won], fs[won], best[won] = (
+                x_new[better], lam_new[better], f_new[better], norm_new[better]
+            )
+            state[won[best[won] <= tol]] = _REACHED
+            keep = ~better
+            pending, x, lam, step = pending[keep], x[keep], lam[keep], step[keep]
+            damp *= 0.5
+        state[pending] = _STALLED
 
-    raw = []
-    converged = 0
-    for _ in range(starts):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        xp = x ** (m - 1)
-        lam = float(xp @ _apply_raw(data, x, m)) / float(xp @ xp)
-        f = residual_vec(x, lam)
-        best = float(np.max(np.abs(f)))
-        ok = best <= tol
-        for _ in range(max_iter):
-            if ok:
-                break
-            jac = np.zeros((n + 1, n + 1))
-            jac[:n, :n] = _apply_jacobian(data, x, m)
-            jac[:n, :n] -= lam * (m - 1) * np.diag(x ** (m - 2))
-            jac[:n, n] = -(x ** (m - 1))
-            jac[n, :n] = 2.0 * x
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-            if not np.all(np.isfinite(step)):
-                break
-            damp = 1.0
-            accepted = False
-            while damp >= 2.0**-16:
-                x_new = x + damp * step[:n]
-                lam_new = lam + damp * step[n]
-                f_new = residual_vec(x_new, lam_new)
-                norm_new = float(np.max(np.abs(f_new)))
-                if norm_new < best:
-                    x, lam, f, best = x_new, lam_new, f_new, norm_new
-                    accepted = True
-                    break
-                damp *= 0.5
-            if not accepted:
-                break
-            ok = best <= tol
-        if not ok:
+    reached = np.flatnonzero(state == _REACHED)
+    xs, lams = xs[reached], lams[reached]
+    # normalize_eigenvector's rule on the stack: unit rows, first
+    # significant component positive (a unit row always has one)
+    norms = np.linalg.norm(xs, axis=1)
+    nonzero = norms > 0.0
+    xs, lams = xs[nonzero] / norms[nonzero, None], lams[nonzero]
+    lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
+    xs[lead < 0] *= -1.0
+    res = np.max(np.abs(apply(a, xs) - lams[:, None] * xs ** (m - 1)), axis=1)
+    ok = res <= tol
+    xs, lams, res = xs[ok], lams[ok], res[ok]
+    converged = len(lams)
+
+    order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
+    kept_lams = np.empty(converged)
+    kept_xs = np.empty((converged, n))
+    kept_res = np.empty(converged)
+    count = 0
+    for i in order:
+        lam, x = lams[i], xs[i]
+        close = (np.abs(lam - kept_lams[:count]) <= value_tol) & (
+            np.minimum(
+                np.linalg.norm(x - kept_xs[:count], axis=1),
+                np.linalg.norm(x + kept_xs[:count], axis=1),
+            )
+            <= vector_tol
+        )
+        match = np.flatnonzero(close)
+        if not match.size:
+            match = [count]
+            count += 1
+        elif res[i] >= kept_res[match[0]]:
             continue
-        try:
-            x = normalize_eigenvector(x)
-        except ValueError:
-            continue
-        res = residual(a, lam, x)
-        if res <= tol:
-            converged += 1
-            raw.append((float(lam), x, res))
-
-    raw.sort(key=lambda item: (item[0], tuple(item[1])))
-    kept = []
-    for lam, x, res in raw:
-        merged = False
-        for i, (klam, kx, kres) in enumerate(kept):
-            if abs(lam - klam) <= value_tol and (
-                min(np.linalg.norm(x - kx), np.linalg.norm(x + kx)) <= vector_tol
-            ):
-                if res < kres:
-                    kept[i] = (lam, x, res)
-                merged = True
-                break
-        if not merged:
-            kept.append((lam, x, res))
+        kept_lams[match[0]], kept_xs[match[0]], kept_res[match[0]] = lam, x, res[i]
 
     pairs = [
-        EigenPair(lam, x, res, classify_vector(x, class_tol)) for lam, x, res in kept
+        EigenPair(float(lam), x, float(r), classify_vector(x, class_tol))
+        for lam, x, r in zip(kept_lams[:count], kept_xs[:count], kept_res[:count])
     ]
-    stats = SolverStats(attempted=starts, converged=converged, deduplicated=converged - len(kept))
+    stats = SolverStats(
+        attempted=starts,
+        converged=converged,
+        deduplicated=converged - count,
+        rejected=len(reached) - converged,
+        stalled=int(np.sum(state == _STALLED)),
+        non_finite=int(np.sum(state == _NON_FINITE)),
+        max_iter=int(np.sum(state == _RUNNING)),
+        iterations=iterations,
+    )
     return EigenSet(pairs=pairs, stats=stats)
 
 

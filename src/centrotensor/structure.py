@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DenseTensor,
     add,
+    check_tolerance,
     entry_scale,
     flip_vector,
     poly_eval,
@@ -125,10 +126,7 @@ def _report(centro_dev: np.ndarray, skew_dev: np.ndarray, tol: float) -> Structu
 
 def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify by direct comparison against the index-reversed tensor."""
-    if tol is None:
-        tol = default_tolerance(a)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
     rev = reverse_tensor(a).data
     return _report(np.abs(a.data - rev), np.abs(a.data + rev), tol)
 
@@ -142,10 +140,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """
     if a.order < 2:
         raise ValueError("sandwich check requires tensor order >= 2")
-    if tol is None:
-        tol = default_tolerance(a)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
     j = exchange_matrix(a.dim)
     jaj = shao_product(j, shao_product(a, j)).data
     return _report(np.abs(jaj - a.data), np.abs(jaj + a.data), tol)
@@ -155,10 +150,7 @@ def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureRepo
     """Classify by whether A commutes (centro) or anticommutes (skew) with J."""
     if a.order < 2:
         raise ValueError("commutation check requires tensor order >= 2")
-    if tol is None:
-        tol = default_tolerance(a)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
     j = exchange_matrix(a.dim)
     aj = shao_product(a, j).data
     ja = shao_product(j, a).data

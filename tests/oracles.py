@@ -1,7 +1,8 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here walks index tuples explicitly and never calls into the
-library's vectorized paths, so agreement is meaningful.
+Everything here walks index tuples explicitly or loops one vector at a
+time, and never calls into the library's vectorized paths, so agreement
+is meaningful.
 """
 
 import itertools
@@ -65,3 +66,120 @@ def brute_row_sums(data: np.ndarray) -> np.ndarray:
     for idx in itertools.product(range(n), repeat=data.ndim):
         out[idx[0]] += data[idx]
     return out
+
+
+def _apply_raw(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    out = data
+    for _ in range(order - 1):
+        out = out.dot(x)
+    return out
+
+
+def _apply_jacobian(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """Jacobian of x -> A x^{m-1}: sum over which trailing slot stays free."""
+    total = None
+    for t in range(1, order):
+        part = data
+        for _ in range(order - 1 - t):
+            part = part.dot(x)
+        for _ in range(t - 1):
+            part = np.tensordot(part, x, axes=(1, 0))
+        total = part if total is None else total + part
+    return total
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    x = x / float(np.linalg.norm(x))
+    for comp in x:
+        if abs(comp) > 1e-10:
+            if comp < 0:
+                x = -x
+            break
+    return x
+
+
+def loop_solve_eigen(
+    data: np.ndarray,
+    starts: int = 100,
+    seed=0,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+    value_tol: float = 1e-8,
+    vector_tol: float = 1e-6,
+):
+    """Multistart damped Newton, one start at a time.
+
+    The per-start loop the library solver replaced: same starts, damping
+    rule, residual re-check and deduplication.  Returns the kept
+    (value, unit vector, residual) triples and the converged count.
+    """
+    n, m = data.shape[0], data.ndim
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+    def residual_vec(x, lam):
+        return np.append(_apply_raw(data, x, m) - lam * x ** (m - 1), x @ x - 1.0)
+
+    raw = []
+    converged = 0
+    for _ in range(starts):
+        x = rng.normal(size=n)
+        x /= np.linalg.norm(x)
+        xp = x ** (m - 1)
+        lam = float(xp @ _apply_raw(data, x, m)) / float(xp @ xp)
+        f = residual_vec(x, lam)
+        best = float(np.max(np.abs(f)))
+        ok = best <= tol
+        for _ in range(max_iter):
+            if ok:
+                break
+            jac = np.zeros((n + 1, n + 1))
+            jac[:n, :n] = _apply_jacobian(data, x, m)
+            jac[:n, :n] -= lam * (m - 1) * np.diag(x ** (m - 2))
+            jac[:n, n] = -(x ** (m - 1))
+            jac[n, :n] = 2.0 * x
+            try:
+                step = np.linalg.solve(jac, -f)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            if not np.all(np.isfinite(step)):
+                break
+            damp = 1.0
+            accepted = False
+            while damp >= 2.0**-16:
+                x_new = x + damp * step[:n]
+                lam_new = lam + damp * step[n]
+                f_new = residual_vec(x_new, lam_new)
+                norm_new = float(np.max(np.abs(f_new)))
+                if norm_new < best:
+                    x, lam, f, best = x_new, lam_new, f_new, norm_new
+                    accepted = True
+                    break
+                damp *= 0.5
+            if not accepted:
+                break
+            ok = best <= tol
+        if not ok:
+            continue
+        if not np.any(x):
+            continue
+        x = _normalize(x)
+        res = float(np.max(np.abs(_apply_raw(data, x, m) - lam * x ** (m - 1))))
+        if res <= tol:
+            converged += 1
+            raw.append((float(lam), x, res))
+
+    raw.sort(key=lambda item: (item[0], tuple(item[1])))
+    kept = []
+    for lam, x, res in raw:
+        merged = False
+        for i, (klam, kx, kres) in enumerate(kept):
+            if abs(lam - klam) <= value_tol and (
+                min(np.linalg.norm(x - kx), np.linalg.norm(x + kx)) <= vector_tol
+            ):
+                if res < kres:
+                    kept[i] = (lam, x, res)
+                merged = True
+                break
+        if not merged:
+            kept.append((lam, x, res))
+    return kept, converged

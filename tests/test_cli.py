@@ -69,6 +69,14 @@ class TestCheck:
         assert code == 2
         assert "entries" in err or "expected" in err
 
+    @pytest.mark.parametrize("method", ["direct", "sandwich", "commutation"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, method, tol, sym_file, capsys):
+        code, out, err = run(capsys, ["check", sym_file, "--method", method, "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, ["check", "/does/not/exist.json"])
         assert code == 2
@@ -153,6 +161,15 @@ class TestEig:
         values = sorted(p["value"] for p in obj["pairs"])
         assert np.allclose(values, [1.0, 3.0], atol=1e-9)
         assert obj["stats"]["attempted"] == 50
+
+    @pytest.mark.parametrize(
+        "flags", [["--starts", "-5"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]]
+    )
+    def test_invalid_solver_input_exits_2(self, flags, sym_file, capsys):
+        code, out, err = run(capsys, ["eig", sym_file, "--seed", "1"] + flags)
+        assert code == 2
+        assert out == ""
+        assert "starts" in err or "tol" in err
 
     def test_byte_identical_reruns(self, sym_file, capsys):
         _, out1, _ = run(capsys, ["eig", sym_file, "--starts", "20", "--seed", "3"])

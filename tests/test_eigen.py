@@ -21,7 +21,8 @@ from centrotensor import (
     residual,
     solve_eigen,
 )
-from centrotensor.eigen import _apply_jacobian
+from centrotensor import core, eigen
+from oracles import loop_solve_eigen
 
 
 class TestResidual:
@@ -139,8 +140,8 @@ class TestJacobian:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 3), (5, 2)])
     def test_matches_central_differences(self, m, n, rng):
         data = rng.uniform(-1, 1, size=(n,) * m)
-        x = rng.uniform(0.3, 1.0, size=n)
-        jac = _apply_jacobian(data, x, m)
+        xs = rng.uniform(0.3, 1.0, size=(3, n))
+        jacs = core.contract_trailing(eigen._jacobian_tensor(data), xs, m - 2)
         h = 1e-6
 
         def contract(v):
@@ -149,11 +150,12 @@ class TestJacobian:
                 out = out.dot(v)
             return out
 
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            numeric = (contract(x + e) - contract(x - e)) / (2 * h)
-            assert np.max(np.abs(jac[:, j] - numeric)) <= 1e-7
+        for x, jac in zip(xs, jacs):
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                numeric = (contract(x + e) - contract(x - e)) / (2 * h)
+                assert np.max(np.abs(jac[:, j] - numeric)) <= 1e-7
 
 
 class TestSolveEigen:
@@ -219,6 +221,79 @@ class TestSolveEigen:
             solve_eigen(DenseTensor.zeros(2, 9))
         with pytest.raises(ValueError):
             solve_eigen(DenseTensor.zeros(6, 2))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"starts": -1},
+            {"starts": 2.5},
+            {"starts": "3"},
+            {"max_iter": -1},
+            {"max_iter": 10.0},
+            *(
+                {name: bad}
+                for name in ("tol", "class_tol", "value_tol", "vector_tol")
+                for bad in (float("nan"), float("inf"), -1e-3)
+            ),
+        ],
+    )
+    def test_rejects_invalid_counts_and_tolerances(self, kwargs, sym_matrix):
+        with pytest.raises(ValueError):
+            solve_eigen(sym_matrix, **kwargs)
+
+    def test_zero_starts_is_empty(self, sym_matrix):
+        result = solve_eigen(sym_matrix, starts=0)
+        assert result.pairs == []
+        assert result.stats.as_dict()["attempted"] == 0
+
+    @pytest.mark.parametrize("kind", ["centro", "skew", "general"])
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 2), (5, 3)])
+    def test_every_start_ends_one_way(self, kind, m, n):
+        stats = solve_eigen(random_structured(m, n, kind, seed=m * n), starts=40, seed=m).stats
+        ends = stats.converged + stats.rejected + stats.stalled + stats.non_finite
+        assert ends + stats.max_iter == stats.attempted == 40
+        assert stats.iterations <= 40 * 100
+
+    def test_max_iter_end_is_counted(self):
+        stats = solve_eigen(random_structured(3, 4, "centro", seed=1), starts=30, max_iter=1).stats
+        assert stats.max_iter > 0
+        assert stats.iterations <= 30
+
+    def test_non_finite_end_is_counted(self):
+        # entries near the float maximum overflow F, so every Newton step is NaN
+        with np.errstate(all="ignore"):
+            stats = solve_eigen(DenseTensor(np.full((2, 2, 2), 1e308)), starts=5).stats
+        assert (stats.non_finite, stats.iterations) == (5, 5)
+
+    def test_failed_recheck_counts_as_rejected(self, sym_matrix, monkeypatch):
+        reached = solve_eigen(sym_matrix, starts=30, seed=0).stats.converged
+        assert reached > 0
+        # skew the residual re-check alone, so every start that reached tol fails it
+        monkeypatch.setattr(eigen, "apply", lambda a, xs: core.apply(a, xs) + 1.0)
+        stats = solve_eigen(sym_matrix, starts=30, seed=0).stats
+        assert (stats.converged, stats.rejected) == (0, reached)
+
+    def test_stats_dict_keeps_key_order(self, sym_matrix):
+        keys = list(solve_eigen(sym_matrix, starts=5).stats.as_dict())
+        assert keys == [
+            "attempted",
+            "converged",
+            "deduplicated",
+            "rejected",
+            "stalled",
+            "non_finite",
+            "max_iter",
+            "iterations",
+        ]
+
+    @pytest.mark.parametrize("starts", [0, 1, 7])
+    def test_generator_state_matches_per_start_draws(self, starts):
+        a = random_structured(3, 4, "centro", seed=5)
+        used, reference = np.random.default_rng(9), np.random.default_rng(9)
+        solve_eigen(a, starts=starts, seed=used)
+        for _ in range(starts):
+            reference.normal(size=a.dim)
+        assert used.bit_generator.state == reference.bit_generator.state
 
     def test_deterministic_per_seed(self, sym_matrix):
         r1 = solve_eigen(sym_matrix, starts=20, seed=42)
@@ -317,3 +392,26 @@ class TestMatrixDichotomy:
                 vec = np.real(vectors[:, idx])
                 vec = vec / np.linalg.norm(vec)
                 assert classify_vector(vec, tol=1e-8) in (SYMMETRIC, SKEW_SYMMETRIC)
+
+
+class TestAgainstLoopOracle:
+    """The batched solver against the per-start loop it replaced."""
+
+    @staticmethod
+    def _matches(pair_value, pair_vector, value, vector):
+        gap = min(np.linalg.norm(pair_vector - vector), np.linalg.norm(pair_vector + vector))
+        return abs(pair_value - value) <= 1e-8 and gap <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_same_pair_set_and_converged_count(self, m, n, kind):
+        a = random_structured(m, n, kind, seed=100 * m + n)
+        result = solve_eigen(a, starts=20, seed=10 * m + n)
+        kept, converged = loop_solve_eigen(a.data, starts=20, seed=10 * m + n)
+        assert result.stats.converged == converged
+        assert len(result.pairs) == len(kept)
+        for value, vector, _ in kept:
+            assert any(self._matches(p.value, p.vector, value, vector) for p in result.pairs)
+        for p in result.pairs:
+            assert any(self._matches(p.value, p.vector, value, vector) for value, vector, _ in kept)
