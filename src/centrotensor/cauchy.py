@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -71,16 +70,36 @@ def _component_scale(c: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(c))))
 
 
-def validate_spec(spec: CauchySpec) -> None:
-    """Scan all multisets of m components; reject any near-zero sum.
+def _index_sums(spec: CauchySpec) -> np.ndarray:
+    """All m-fold component sums as an order-m array."""
+    return reduce(np.add.outer, [spec.generating] * spec.order)
 
-    The sum of an index tuple depends only on its multiset, so scanning
-    combinations with replacement covers every entry.
+
+def _scan_sums(spec: CauchySpec, sums: np.ndarray) -> None:
+    """Reject the first multiset (in combinations order) with a near-zero sum.
+
+    The decision and the reported sum are those of ``c[combo].sum()`` over
+    the multiset's sorted indices.  numpy adds eight or more terms
+    pairwise while `sums` was built left to right, so the two can differ
+    by a few ulps; the vectorized pass therefore only selects candidates:
+    every entry within a rounding margin of the threshold, or non-finite
+    (a partial sum that overflowed).  Sorted index tuples of candidates in
+    row-major order are the multisets in combinations-with-replacement
+    order, and each gets the exact test.
     """
     c = spec.generating
-    threshold = NEAR_ZERO_FACTOR * _component_scale(c)
-    for combo in combinations_with_replacement(range(spec.dim), spec.order):
-        s = float(c[list(combo)].sum())
+    scale = _component_scale(c)
+    threshold = NEAR_ZERO_FACTOR * scale
+    # without overflow, any m-term float sum is within (m-1) (eps/2) sum|c_i|
+    # of the exact one, so two of them differ by less than m^2 eps scale;
+    # the margin is four times that
+    bound = threshold + 4 * spec.order**2 * np.finfo(float).eps * scale
+    candidates = ((sums < bound) & (sums > -bound)) | ~np.isfinite(sums)
+    if not candidates.any():
+        return
+    index = np.stack(np.nonzero(candidates), axis=1)
+    for combo in index[np.all(np.diff(index, axis=1) >= 0, axis=1)].tolist():
+        s = float(c[combo].sum())
         if abs(s) < threshold:
             ones_based = tuple(i + 1 for i in combo)
             raise CauchySpecError(
@@ -89,14 +108,24 @@ def validate_spec(spec: CauchySpec) -> None:
             )
 
 
+def validate_spec(spec: CauchySpec) -> None:
+    """Reject a spec with a near-zero m-fold index sum.
+
+    The sum of an index tuple depends only on its multiset, so the first
+    offending multiset (1-based) is named in the error.  Builds all n^m
+    sums, as materialize does.
+    """
+    _scan_sums(spec, _index_sums(spec))
+
+
 def materialize(spec: CauchySpec) -> DenseTensor:
     """Build the dense tensor of reciprocals of m-fold component sums.
 
     The result is fully symmetric (invariant under any index
     permutation) since each entry depends only on the index multiset.
     """
-    validate_spec(spec)
-    sums = reduce(np.add.outer, [spec.generating] * spec.order)
+    sums = _index_sums(spec)
+    _scan_sums(spec, sums)
     return DenseTensor(1.0 / sums)
 
 

@@ -88,9 +88,16 @@ class DenseTensor:
     @classmethod
     def from_entries(cls, order: int, dim: int, entries) -> "DenseTensor":
         flat = np.asarray(entries, dtype=float).reshape(-1)
-        if flat.size != dim**order:
+        # For dim >= 2, dim**order has at least order * bit_length / 2 bits,
+        # so past 4096 it exceeds any entry count; an absurd order read from
+        # JSON would otherwise build (and print) a huge integer.
+        if dim > 1 and order * dim.bit_length() > 4096:
+            expected = f"{dim}**{order}"
+        else:
+            expected = dim**order
+        if flat.size != expected:
             raise ValueError(
-                f"expected {dim**order} entries for order {order} dim {dim}, got {flat.size}"
+                f"expected {expected} entries for order {order} dim {dim}, got {flat.size}"
             )
         return cls(flat.reshape((dim,) * order))
 

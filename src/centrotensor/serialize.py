@@ -9,6 +9,17 @@ Formats:
 
 Output numbers are printed with 17 significant digits, which is
 round-trip safe for float64 and makes repeated runs byte-identical.
+
+Both directions work on whole float lists at C level, since tensors are
+long flat lists.  The writer formats a list whose items are all exactly
+``float`` in one ``%`` pass ("%.17g" gives the same bytes as
+``format(v, ".17g")`` for every float64, -0.0, inf and nan included);
+anything else (mixed lists, bools, ints, numpy scalars, arrays, dicts)
+is formatted item by item.  The reader validates a number list by the
+set of its item types, not item by item: each type must be an ``int`` or
+``float`` subclass and not ``bool``.  It then converts the list to a
+float64 array once, so an integer literal too large for a float is a
+``ValueError`` like any other malformed input.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ def _format_value(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, list) and set(map(type, value)) == {float}:
+            return "[" + ", ".join(["%.17g"] * len(value)) % tuple(value) + "]"
         items = ", ".join(_format_value(v) for v in value)
         return f"[{items}]"
     if isinstance(value, dict):
@@ -71,15 +84,19 @@ def _require_int(obj: dict, key: str) -> int:
     return value
 
 
-def _require_numbers(obj: dict, key: str) -> list:
+def _require_numbers(obj: dict, key: str) -> np.ndarray:
     if key not in obj:
         raise ValueError(f"missing key {key!r}")
     values = obj[key]
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        issubclass(t, (int, float)) and not issubclass(t, bool)
+        for t in set(map(type, values))
     ):
         raise ValueError(f"key {key!r} must be a list of numbers")
-    return values
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"key {key!r} holds an integer too large for a float") from None
 
 
 def tensor_from_obj(obj) -> DenseTensor:
@@ -103,7 +120,7 @@ def vector_from_obj(obj) -> np.ndarray:
     components = _require_numbers(obj, "components")
     if len(components) != dim:
         raise ValueError(f"expected {dim} components, got {len(components)}")
-    return np.asarray(components, dtype=float)
+    return components
 
 
 def spec_to_obj(spec: CauchySpec) -> dict:
@@ -115,4 +132,4 @@ def spec_from_obj(obj) -> CauchySpec:
         raise ValueError("cauchy spec JSON must be an object")
     order = _require_int(obj, "order")
     generating = _require_numbers(obj, "generating")
-    return CauchySpec(np.asarray(generating, dtype=float), order)
+    return CauchySpec(generating, order)

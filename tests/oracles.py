@@ -6,8 +6,11 @@ is meaningful.
 """
 
 import itertools
+import json
 
 import numpy as np
+
+from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError, _component_scale
 
 
 def brute_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,3 +186,46 @@ def loop_solve_eigen(
         if not merged:
             kept.append((lam, x, res))
     return kept, converged
+
+
+def loop_validate_spec(spec) -> None:
+    """Scan all multisets of m components; reject any near-zero sum.
+
+    The per-multiset loop the library's vectorized Cauchy scan replaced.
+    """
+    c = spec.generating
+    threshold = NEAR_ZERO_FACTOR * _component_scale(c)
+    for combo in itertools.combinations_with_replacement(range(spec.dim), spec.order):
+        s = float(c[list(combo)].sum())
+        if abs(s) < threshold:
+            ones_based = tuple(i + 1 for i in combo)
+            raise CauchySpecError(
+                f"index sum {s!r} for multiset {ones_based} is below "
+                f"threshold {threshold!r}; entries do not exist"
+            )
+
+
+def format_value_oracle(value) -> str:
+    """The JSON writer formatting one value per call, recursively.
+
+    The per-item formatter the library's float-list pass replaced.
+    """
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = ", ".join(format_value_oracle(v) for v in value)
+        return f"[{items}]"
+    if isinstance(value, dict):
+        items = ", ".join(
+            f"{json.dumps(str(k))}: {format_value_oracle(v)}" for k, v in value.items()
+        )
+        return "{" + items + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

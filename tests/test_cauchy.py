@@ -15,6 +15,17 @@ from centrotensor import (
     validate_spec,
 )
 
+from oracles import loop_validate_spec
+
+
+def scan_outcome(check, spec):
+    """None if the spec passes, else the CauchySpecError message."""
+    try:
+        check(spec)
+    except CauchySpecError as exc:
+        return str(exc)
+    return None
+
 
 class TestSpecValidation:
     def test_rejects_vanishing_pair_sum(self):
@@ -43,6 +54,57 @@ class TestSpecValidation:
             CauchySpec(np.array([1.0, np.nan]), 2)
         with pytest.raises(ValueError):
             CauchySpec(np.array([1.0, 2.0]), 0)
+
+
+class TestScanAgainstLoopOracle:
+    @pytest.mark.parametrize(
+        "c,m",
+        [
+            ([1.0, -1.0], 2),
+            ([1.0, -1.0 + 1e-16], 2),
+            ([0.5, 1.5, 2.5], 3),
+            ([1.0, 2.0, -2.0, -1.0], 2),
+            ([1.0, -1.0], 3),
+            # numpy sums 8 or more terms pairwise, so the tensor's left-to-right
+            # sum straddles the threshold against the loop's: here it falls
+            # below while the loop's does not, and then the other way round
+            ([-0.4780985174267056, 0.15936617247557022], 8),
+            ([1.7878315731128867, -0.4469578932782239], 10),
+            ([1e308, 1e308, -1e308, -1e308], 4),
+            # the loop's sum of (1, 1, 1, 2, 2, 2, 2, 3) is 0.0; the tensor's overflows
+            ([6e307, -6e307, 6e307], 8),
+            ([1e308, -1e308], 2),
+        ],
+    )
+    def test_hand_cases(self, c, m):
+        spec = CauchySpec(np.array(c), m)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 partial sums overflow
+            assert scan_outcome(validate_spec, spec) == scan_outcome(loop_validate_spec, spec)
+
+    def test_random_and_planted_specs(self, rng):
+        rejected = 0
+        for trial in range(600):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            if trial % 3 == 0:
+                c = rng.uniform(-2.0, 2.0, size=n)
+            elif trial % 3 == 1:
+                # small grid values: many exact and near-exact zero sums
+                c = rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0], size=n)
+                c *= rng.choice([-1.0, 1.0], size=n)
+            else:
+                # plant a zero sum on one multiset, nudged by 0 to a few ulps
+                c = rng.uniform(-2.0, 2.0, size=n)
+                combo = np.sort(rng.integers(0, n, size=m))
+                last = combo[-1]
+                rest = float(c[combo[combo != last]].sum())
+                c[last] = -rest / np.count_nonzero(combo == last)
+                c[last] += rng.choice([0.0, 1e-16, -1e-16, 1e-15, -3e-15])
+            spec = CauchySpec(c, m)
+            expected = scan_outcome(loop_validate_spec, spec)
+            rejected += expected is not None
+            assert scan_outcome(validate_spec, spec) == expected, (c, m)
+            assert scan_outcome(materialize, spec) == expected, (c, m)
+        assert 100 < rejected < 500
 
 
 class TestMaterialize:

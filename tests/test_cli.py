@@ -69,6 +69,22 @@ class TestCheck:
         assert code == 2
         assert "entries" in err or "expected" in err
 
+    def test_huge_integer_entry_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"order": 1, "dim": 1, "entries": [' + "9" * 400 + "]}")
+        code, out, err = run(capsys, ["check", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "too large for a float" in err and "Traceback" not in err
+
+    def test_absurd_order_exits_2_as_count_mismatch(self, tmp_path, capsys):
+        bad = tmp_path / "absurd.json"
+        bad.write_text('{"order": 10000000, "dim": 2, "entries": [1.0]}')
+        code, out, err = run(capsys, ["check", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "expected 2**10000000 entries" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["direct", "sandwich", "commutation"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_2(self, method, tol, sym_file, capsys):
@@ -200,6 +216,14 @@ class TestCauchyVerb:
         code, _, err = run(capsys, ["cauchy", str(spec_path)])
         assert code == 1
         assert "sum" in err
+
+    def test_huge_integer_component_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 2, "generating": [1, ' + "9" * 400 + "]}")
+        code, out, err = run(capsys, ["cauchy", str(spec_path), "--mode", "check"])
+        assert code == 2
+        assert out == ""
+        assert "too large for a float" in err and "Traceback" not in err
 
 
 class TestInverseVerb:
