@@ -10,7 +10,6 @@ from .core import (
     entry_scale,
     flip_vector,
     hadamard,
-    max_abs,
     poly_eval,
     power_vector,
     reverse_tensor,
@@ -38,10 +37,8 @@ from .product import (
     ProductShape,
     chain_product,
     exchange_matrix,
-    matrix_times_tensor,
     product_parity,
     shao_product,
-    tensor_times_matrix,
 )
 from .cauchy import (
     CauchySpec,

@@ -18,9 +18,16 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, entry_scale, flip_vector
-from .product import exchange_matrix, shao_product
-from .structure import DEFAULT_TOL_FACTOR
+from .core import (
+    DenseTensor,
+    DomainError,
+    ResourceLimitError,
+    check_order,
+    check_tolerance,
+    flip_vector,
+)
+from .product import DEFAULT_ENTRY_CAP, exchange_matrix, shao_product
+from .structure import DEFAULT_TOL_FACTOR, default_tolerance
 
 __all__ = [
     "CauchySpecError",
@@ -71,7 +78,18 @@ def _component_scale(c: np.ndarray) -> float:
 
 
 def _index_sums(spec: CauchySpec) -> np.ndarray:
-    """All m-fold component sums as an order-m array."""
+    """All m-fold component sums as an order-m array.
+
+    The order and the n^m entry count are checked before anything is
+    built: past numpy's axis limit is a ValueError, past
+    DEFAULT_ENTRY_CAP (the product cap) a ResourceLimitError.
+    """
+    check_order(spec.order)
+    if spec.dim**spec.order > DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"Cauchy tensor of order {spec.order} dim {spec.dim} has "
+            f"{spec.dim**spec.order} entries, exceeding the cap {DEFAULT_ENTRY_CAP}"
+        )
     return reduce(np.add.outer, [spec.generating] * spec.order)
 
 
@@ -129,12 +147,15 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     return DenseTensor(1.0 / sums)
 
 
+def _is_palindrome(c: np.ndarray, sign: float, tol: float | None) -> bool:
+    """max |c - sign * Jc| <= tol; tol defaults to 1e-12 * max(1, max |c_i|)."""
+    tol = DEFAULT_TOL_FACTOR * _component_scale(c) if tol is None else check_tolerance(tol)
+    return float(np.max(np.abs(c - sign * flip_vector(c)))) <= tol
+
+
 def cauchy_is_centro(spec: CauchySpec, tol: float | None = None) -> bool:
     """Vector-level test: the tensor is centro iff c is a palindrome."""
-    c = spec.generating
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * _component_scale(c)
-    return float(np.max(np.abs(c - flip_vector(c)))) <= tol
+    return _is_palindrome(spec.generating, 1.0, tol)
 
 
 def cauchy_is_skew(spec: CauchySpec, tol: float | None = None) -> bool:
@@ -144,12 +165,7 @@ def cauchy_is_skew(spec: CauchySpec, tol: float | None = None) -> bool:
     would have to vanish).  A passing vector test does not guarantee the
     tensor exists; materialize() still scans for vanishing sums.
     """
-    c = spec.generating
-    if spec.dim % 2 == 1:
-        return False
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * _component_scale(c)
-    return float(np.max(np.abs(c + flip_vector(c)))) <= tol
+    return _is_palindrome(spec.generating, -1.0, tol) and spec.dim % 2 == 0
 
 
 def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
@@ -159,8 +175,7 @@ def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
     with cauchy_is_centro on every valid spec.
     """
     c_tensor = materialize(spec)
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * entry_scale(c_tensor)
+    tol = default_tolerance(c_tensor) if tol is None else check_tolerance(tol)
     j = exchange_matrix(spec.dim)
     jc = shao_product(j, c_tensor)
     cj = shao_product(c_tensor, j)

@@ -24,7 +24,10 @@ from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed if given, else CT_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("CT_SEED")
     return int(env) if env is not None else 0
 
@@ -57,8 +60,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "exchange":
         tensor = exchange_matrix(args.dim)
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
-        tensor = random_structured(args.order, args.dim, args.kind, seed)
+        tensor = random_structured(args.order, args.dim, args.kind, _seed(args))
     _emit(serialize.tensor_to_obj(tensor), args.output)
     return 0
 
@@ -104,8 +106,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_eig(args) -> int:
     tensor = _load_tensor(args.tensor)
-    seed = args.seed if args.seed is not None else _default_seed()
-    result = eigen.solve_eigen(tensor, starts=args.starts, seed=seed, tol=args.tol)
+    result = eigen.solve_eigen(tensor, starts=args.starts, seed=_seed(args), tol=args.tol)
     _emit(result.as_dict(), args.output)
     return 0
 
@@ -148,8 +149,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = suite.verify_all(seed=seed, trials=args.trials, corrupt=args.corrupt)
+    report = suite.verify_all(seed=_seed(args), trials=args.trials, corrupt=args.corrupt)
     _emit(report.as_dict(), args.output)
     return 0 if report.all_passed else 1
 

@@ -30,11 +30,15 @@ __all__ = [
     "add",
     "sub",
     "scale",
-    "max_abs",
     "entry_scale",
     "check_tolerance",
     "check_count",
+    "check_order",
+    "as_generator",
 ]
+
+# numpy arrays have at most 64 axes
+MAX_ORDER = 64
 
 
 class DomainError(Exception):
@@ -99,6 +103,7 @@ class DenseTensor:
             raise ValueError(
                 f"expected {expected} entries for order {order} dim {dim}, got {flat.size}"
             )
+        check_order(order)
         return cls(flat.reshape((dim,) * order))
 
     @classmethod
@@ -106,11 +111,17 @@ class DenseTensor:
         return cls(np.zeros((dim,) * order))
 
     @classmethod
+    def diagonal(cls, order: int, diag) -> "DenseTensor":
+        """diag[i] where all indices equal i, 0 elsewhere; dim is len(diag)."""
+        dim = len(diag)
+        data = np.zeros((dim,) * order)
+        data[(np.arange(dim),) * order] = diag
+        return cls(data)
+
+    @classmethod
     def identity(cls, order: int, dim: int) -> "DenseTensor":
         """Delta tensor: 1 where all indices coincide, 0 elsewhere."""
-        data = np.zeros((dim,) * order)
-        data[(np.arange(dim),) * order] = 1.0
-        return cls(data)
+        return cls.diagonal(order, np.ones(dim))
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
@@ -218,13 +229,9 @@ def scale(a: DenseTensor, t: float) -> DenseTensor:
     return DenseTensor(a.data * float(t))
 
 
-def max_abs(a: DenseTensor) -> float:
-    return float(np.max(np.abs(a.data)))
-
-
 def entry_scale(a: DenseTensor) -> float:
     """Tolerance scale: max(1, largest entry magnitude)."""
-    return max(1.0, max_abs(a))
+    return max(1.0, float(np.max(np.abs(a.data))))
 
 
 def check_tolerance(value, name: str = "tol") -> float:
@@ -245,3 +252,14 @@ def check_count(value, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
     return int(value)
+
+
+def check_order(order: int) -> None:
+    """Raise ValueError for an order with more axes than a numpy array can hold."""
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER} axes")
+
+
+def as_generator(seed) -> np.random.Generator:
+    """A numpy Generator, or a fresh one seeded with `seed` (int, SeedSequence or None)."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

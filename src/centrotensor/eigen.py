@@ -30,7 +30,7 @@ phrase coverage as a success-rate floor rather than totality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -39,13 +39,14 @@ from .core import (
     ConsistencyError,
     DenseTensor,
     apply,
+    as_generator,
     check_count,
     check_tolerance,
     contract_trailing,
     flip_vector,
     power_vector,
 )
-from .structure import NEITHER, check_structure
+from .structure import reflection_sign, require_centro
 
 __all__ = [
     "SYMMETRIC",
@@ -121,16 +122,7 @@ class SolverStats:
     iterations: int
 
     def as_dict(self) -> dict:
-        return {
-            "attempted": self.attempted,
-            "converged": self.converged,
-            "deduplicated": self.deduplicated,
-            "rejected": self.rejected,
-            "stalled": self.stalled,
-            "non_finite": self.non_finite,
-            "max_iter": self.max_iter,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +187,6 @@ def _make_pair(a: DenseTensor, value: float, x: np.ndarray, class_tol: float) ->
     return EigenPair(float(value), x, residual(a, value, x), classify_vector(x, class_tol))
 
 
-def _require_centro(a: DenseTensor):
-    if not check_structure(a).is_centro:
-        raise ValueError("tensor is not centrosymmetric")
-
-
 def _sign_weights(u: np.ndarray, count: int) -> np.ndarray:
     return reduce(np.multiply.outer, [u] * count)
 
@@ -215,7 +202,7 @@ def closed_form_dim2(a: DenseTensor, class_tol: float = DEFAULT_CLASS_TOL):
         raise ValueError("closed form requires dimension 2")
     if a.order < 2:
         raise ValueError("tensor order must be >= 2")
-    _require_centro(a)
+    require_centro(a)
     lead = a.data[0]
     lam_e = float(lead.sum())
     alt = _sign_weights(np.array([1.0, -1.0]), a.order - 1)
@@ -237,7 +224,7 @@ def closed_form_dim3_even(a: DenseTensor, class_tol: float = DEFAULT_CLASS_TOL) 
         raise ValueError("closed form requires dimension 3")
     if a.order < 2 or a.order % 2 == 1:
         raise ValueError("closed form requires even tensor order")
-    _require_centro(a)
+    require_centro(a)
     weights = _sign_weights(np.array([1.0, 0.0, -1.0]), a.order - 1)
     lam = float((a.data[0] * weights).sum())
     return _make_pair(a, lam, np.array([1.0, 0.0, -1.0]), class_tol)
@@ -320,7 +307,7 @@ def solve_eigen(
     class_tol = check_tolerance(class_tol, "class_tol")
     value_tol = check_tolerance(value_tol, "value_tol")
     vector_tol = check_tolerance(vector_tol, "vector_tol")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
 
@@ -428,15 +415,12 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     re-verified, and a failure raises ConsistencyError since it would
     contradict an identity that holds exactly in real arithmetic.
     """
-    report = check_structure(a)
-    if report.verdict == NEITHER:
-        raise ValueError("tensor is neither centro nor skew")
-    value = pair.value if report.is_centro else -pair.value
-    jx = normalize_eigenvector(flip_vector(pair.vector))
-    res = residual(a, value, jx)
-    if res > tol:
+    tol = check_tolerance(tol)
+    value = reflection_sign(a) * pair.value
+    mirrored = _make_pair(a, value, flip_vector(pair.vector), DEFAULT_CLASS_TOL)
+    if mirrored.residual > tol:
         raise ConsistencyError(
-            f"reflected pair has residual {res:.3e} > tol {tol:.3e}; "
+            f"reflected pair has residual {mirrored.residual:.3e} > tol {tol:.3e}; "
             "the structure reflection identity failed"
         )
-    return EigenPair(float(value), jx, res, classify_vector(jx))
+    return mirrored

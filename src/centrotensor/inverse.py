@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, entry_scale
+from .core import DenseTensor, DomainError, check_tolerance, entry_scale
 from .product import shao_product
-from .structure import check_structure
+from .structure import check_structure, require_centro
 
 __all__ = [
     "NoInverseError",
@@ -107,42 +107,13 @@ def verify_inverse(a: DenseTensor, b: DenseTensor, side: str) -> float:
     return float(np.max(np.abs(prod.data - ident.data)))
 
 
-def _diagonal_of(a: DenseTensor) -> np.ndarray:
-    return a.data[(np.arange(a.dim),) * a.order].copy()
-
-
-def _require_diagonal_centro(a: DenseTensor) -> np.ndarray:
-    diag = _diagonal_of(a)
-    off = a.data.copy()
-    off[(np.arange(a.dim),) * a.order] = 0.0
-    if float(np.max(np.abs(off))) > _DIAGONAL_TOL_FACTOR * entry_scale(a):
-        raise ValueError("tensor is not diagonal")
-    if not check_structure(a).is_centro:
-        raise ValueError("tensor is not centrosymmetric")
-    return diag
-
-
-def _diagonal_tensor(order: int, dim: int, diag: np.ndarray) -> DenseTensor:
-    data = np.zeros((dim,) * order)
-    data[(np.arange(dim),) * order] = diag
-    return DenseTensor(data)
-
-
 def diagonal_left_inverse(a: DenseTensor, k: int = 2) -> InverseResult:
     """Order-k diagonal B with B*A = identity, for diagonal centro A.
 
     The product's diagonal entries are b_i * a_i^(k-1), so B's diagonal
     is 1 / a_i^(k-1); every diagonal entry of A must be nonzero.
     """
-    if k < 2:
-        raise ValueError("inverse order must be >= 2")
-    diag = _require_diagonal_centro(a)
-    zero = np.nonzero(diag == 0.0)[0]
-    if zero.size:
-        raise NoInverseError(f"diagonal entry at index {int(zero[0]) + 1} is zero")
-    b = _diagonal_tensor(k, a.dim, 1.0 / diag ** (k - 1))
-    residual = verify_inverse(a, b, "left")
-    return InverseResult(b, "left", k, residual, check_structure(b).is_centro)
+    return _diagonal_inverse(a, k, "left")
 
 
 def diagonal_right_inverse(a: DenseTensor, k: int = 2) -> InverseResult:
@@ -152,24 +123,34 @@ def diagonal_right_inverse(a: DenseTensor, k: int = 2) -> InverseResult:
     and a real root of either sign exists whenever a_i != 0; for odd m
     the diagonal must be strictly positive.
     """
+    return _diagonal_inverse(a, k, "right")
+
+
+def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
     if k < 2:
         raise ValueError("inverse order must be >= 2")
-    m = a.order
-    diag = _require_diagonal_centro(a)
+    diag = a.data[(np.arange(a.dim),) * a.order]
+    off = a.data - DenseTensor.diagonal(a.order, diag).data
+    if float(np.max(np.abs(off))) > _DIAGONAL_TOL_FACTOR * entry_scale(a):
+        raise ValueError("tensor is not diagonal")
+    require_centro(a)
     zero = np.nonzero(diag == 0.0)[0]
     if zero.size:
         raise NoInverseError(f"diagonal entry at index {int(zero[0]) + 1} is zero")
-    if m % 2 == 1:
-        neg = np.nonzero(diag <= 0.0)[0]
-        if neg.size:
-            raise NoInverseError(
-                f"no real inverse: diagonal entry at index {int(neg[0]) + 1} "
-                "is not positive and the required root has even degree"
-            )
-    b_diag = _signed_root(1.0 / diag, m - 1)
-    b = _diagonal_tensor(k, a.dim, b_diag)
-    residual = verify_inverse(a, b, "right")
-    return InverseResult(b, "right", k, residual, check_structure(b).is_centro)
+    if side == "left":
+        b_diag = 1.0 / diag ** (k - 1)
+    else:
+        if a.order % 2 == 1:
+            neg = np.nonzero(diag <= 0.0)[0]
+            if neg.size:
+                raise NoInverseError(
+                    f"no real inverse: diagonal entry at index {int(neg[0]) + 1} "
+                    "is not positive and the required root has even degree"
+                )
+        b_diag = _signed_root(1.0 / diag, a.order - 1)
+    b = DenseTensor.diagonal(k, b_diag)
+    residual = verify_inverse(a, b, side)
+    return InverseResult(b, side, k, residual, check_structure(b).is_centro)
 
 
 def _signed_root(values: np.ndarray, degree: int) -> np.ndarray:
@@ -195,10 +176,7 @@ def recover_order2_left_inverse(
     as the slice a[i, j, j, ..., j]; inverting that slice gives the only
     possible candidate, which is then confirmed by multiplying out.
     """
-    if not check_structure(a).is_centro:
-        raise ValueError("tensor is not centrosymmetric")
-    if tol is None:
-        tol = _RESIDUAL_TOL_FACTOR * entry_scale(a)
+    require_centro(a)
     return _recover(a, _leading_slice(a), "left", tol, cond_threshold)
 
 
@@ -215,10 +193,7 @@ def recover_order2_right_inverse(
     """
     if a.order % 2 == 1:
         raise ValueError("right-inverse recovery requires even tensor order")
-    if not check_structure(a).is_centro:
-        raise ValueError("tensor is not centrosymmetric")
-    if tol is None:
-        tol = _RESIDUAL_TOL_FACTOR * entry_scale(a)
+    require_centro(a)
     candidate_inv = _signed_root(_leading_slice(a), a.order - 1)
     return _recover(a, candidate_inv, "right", tol, cond_threshold)
 
@@ -227,9 +202,10 @@ def _recover(
     a: DenseTensor,
     candidate_inv: np.ndarray,
     side: str,
-    tol: float,
+    tol: float | None,
     cond_threshold: float,
 ) -> InverseResult | NoInverse:
+    tol = _RESIDUAL_TOL_FACTOR * entry_scale(a) if tol is None else check_tolerance(tol)
     cond = float(np.linalg.cond(candidate_inv))
     if not np.isfinite(cond) or cond > cond_threshold:
         return NoInverse(

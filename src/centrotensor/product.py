@@ -18,14 +18,12 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, ResourceLimitError
+from .core import DenseTensor, ResourceLimitError, check_count
 
 __all__ = [
     "ProductShape",
     "DEFAULT_ENTRY_CAP",
     "shao_product",
-    "matrix_times_tensor",
-    "tensor_times_matrix",
     "chain_product",
     "product_parity",
     "exchange_matrix",
@@ -71,6 +69,7 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     entry_cap entries; the order formula grows multiplicatively, so this
     is a real risk for chained products.
     """
+    entry_cap = check_count(entry_cap, "entry_cap")
     shape = product_shape(a, b)
     if shape.entry_count > entry_cap:
         raise ResourceLimitError(
@@ -85,20 +84,6 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     for _ in range(a.order - 1):
         out = np.tensordot(out, b_flat, axes=(1, 0))
     return DenseTensor(out.reshape((n,) * shape.result_order))
-
-
-def matrix_times_tensor(b: DenseTensor, a: DenseTensor) -> DenseTensor:
-    """Left matrix action B*A on the leading slot of A."""
-    if b.order != 2:
-        raise ValueError("left operand must be a matrix (order 2)")
-    return shao_product(b, a)
-
-
-def tensor_times_matrix(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Right matrix action A*B on every trailing slot of A."""
-    if b.order != 2:
-        raise ValueError("right operand must be a matrix (order 2)")
-    return shao_product(a, b)
 
 
 def chain_product(tensors, entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseTensor:

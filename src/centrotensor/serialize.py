@@ -1,10 +1,9 @@
-"""JSON interchange for tensors, vectors and generating-vector specs.
+"""JSON interchange for tensors and generating-vector specs.
 
 Formats:
 
 * tensor  {"order": m, "dim": n, "entries": [n^m reals, row-major,
   last index fastest]}
-* vector  {"dim": n, "components": [n reals]}
 * cauchy spec  {"order": m, "generating": [n reals]}
 
 Output numbers are printed with 17 significant digits, which is
@@ -35,8 +34,6 @@ __all__ = [
     "dumps",
     "tensor_to_obj",
     "tensor_from_obj",
-    "vector_to_obj",
-    "vector_from_obj",
     "spec_to_obj",
     "spec_from_obj",
 ]
@@ -106,21 +103,6 @@ def tensor_from_obj(obj) -> DenseTensor:
     dim = _require_int(obj, "dim")
     entries = _require_numbers(obj, "entries")
     return DenseTensor.from_entries(order, dim, entries)
-
-
-def vector_to_obj(x) -> dict:
-    x = np.asarray(x, dtype=float)
-    return {"dim": int(x.size), "components": x.tolist()}
-
-
-def vector_from_obj(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError("vector JSON must be an object")
-    dim = _require_int(obj, "dim")
-    components = _require_numbers(obj, "components")
-    if len(components) != dim:
-        raise ValueError(f"expected {dim} components, got {len(components)}")
-    return components
 
 
 def spec_to_obj(spec: CauchySpec) -> dict:

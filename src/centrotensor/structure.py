@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DenseTensor,
     add,
+    as_generator,
     check_tolerance,
     entry_scale,
     flip_vector,
@@ -44,6 +45,8 @@ __all__ = [
     "check_commutation",
     "decompose",
     "random_structured",
+    "require_centro",
+    "reflection_sign",
     "verify_row_sum_symmetry",
     "verify_poly_reflection",
 ]
@@ -102,6 +105,13 @@ def default_tolerance(a: DenseTensor) -> float:
     return DEFAULT_TOL_FACTOR * entry_scale(a)
 
 
+def _tolerance(a: DenseTensor, tol, path: str | None = None) -> float:
+    """The checked tolerance, or the default one; a named path needs order >= 2."""
+    if path is not None and a.order < 2:
+        raise ValueError(f"{path} check requires tensor order >= 2")
+    return default_tolerance(a) if tol is None else check_tolerance(tol)
+
+
 def _argmax_index(dev: np.ndarray) -> tuple[int, ...]:
     flat = int(np.argmax(dev))
     return tuple(int(i) + 1 for i in np.unravel_index(flat, dev.shape))
@@ -126,7 +136,7 @@ def _report(centro_dev: np.ndarray, skew_dev: np.ndarray, tol: float) -> Structu
 
 def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify by direct comparison against the index-reversed tensor."""
-    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
+    tol = _tolerance(a, tol)
     rev = reverse_tensor(a).data
     return _report(np.abs(a.data - rev), np.abs(a.data + rev), tol)
 
@@ -138,9 +148,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     sandwiching with J realizes the full index reversal through the
     product operation instead of direct entry permutation.
     """
-    if a.order < 2:
-        raise ValueError("sandwich check requires tensor order >= 2")
-    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
+    tol = _tolerance(a, tol, "sandwich")
     j = exchange_matrix(a.dim)
     jaj = shao_product(j, shao_product(a, j)).data
     return _report(np.abs(jaj - a.data), np.abs(jaj + a.data), tol)
@@ -148,9 +156,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
 
 def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify by whether A commutes (centro) or anticommutes (skew) with J."""
-    if a.order < 2:
-        raise ValueError("commutation check requires tensor order >= 2")
-    tol = default_tolerance(a) if tol is None else check_tolerance(tol)
+    tol = _tolerance(a, tol, "commutation")
     j = exchange_matrix(a.dim)
     aj = shao_product(a, j).data
     ja = shao_product(j, a).data
@@ -182,7 +188,7 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
         raise ValueError("order and dim must be positive")
     if kind not in ("centro", "skew", "general"):
         raise ValueError(f"unknown kind {kind!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     count = dim**order
     draw = rng.uniform(-1.0, 1.0, size=count)
     if kind == "general":
@@ -199,6 +205,25 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
     return DenseTensor.from_entries(order, dim, flat)
 
 
+def require_centro(a: DenseTensor) -> None:
+    """Raise ValueError unless A classifies centrosymmetric at the default tolerance."""
+    if not check_structure(a).is_centro:
+        raise ValueError("tensor is not centrosymmetric")
+
+
+def reflection_sign(a: DenseTensor) -> float:
+    """1.0 for a centro tensor (the zero tensor included), -1.0 for a skew one.
+
+    Reversing every index multiplies A by this sign, so f(Jx) = sign * f(x)
+    and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  A
+    tensor that is neither raises ValueError.
+    """
+    report = check_structure(a)
+    if report.verdict == NEITHER:
+        raise ValueError("tensor is neither centro nor skew")
+    return 1.0 if report.is_centro else -1.0
+
+
 def verify_row_sum_symmetry(
     a: DenseTensor, tol: float | None = None, assume: str | None = None
 ) -> tuple[bool, int | None]:
@@ -210,8 +235,7 @@ def verify_row_sum_symmetry(
     check_structure unless `assume` forces "centro" or "skew".  Returns
     (ok, witness) where witness is the first failing 1-based row index.
     """
-    if tol is None:
-        tol = default_tolerance(a)
+    tol = _tolerance(a, tol)
     if assume is None:
         verdict = check_structure(a, tol).verdict
         if verdict == NEITHER:
@@ -246,11 +270,9 @@ def verify_poly_reflection(
     Per-sample bound is tol * max(1, |f(x)|).  The tensor must classify
     centro or skew.
     """
-    report = check_structure(a)
-    if report.verdict == NEITHER:
-        raise ValueError("tensor is neither centro nor skew")
-    sign = 1.0 if report.is_centro else -1.0
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    tol = check_tolerance(tol)
+    sign = reflection_sign(a)
+    rng = as_generator(seed)
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, size=a.dim)
         fx = poly_eval(a, x)

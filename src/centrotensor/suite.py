@@ -15,7 +15,7 @@ and propagated rather than silently swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,8 @@ __all__ = ["CheckResult", "SuiteReport", "CHECK_NAMES", "verify_all"]
 
 DEFAULT_TRIALS = 40
 
+_KINDS = ("centro", "skew")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -70,13 +72,7 @@ class CheckResult:
     counterexample: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,114 +94,101 @@ class SuiteReport:
         }
 
 
-def _fail(detail: str, **payload) -> tuple[bool, str, dict]:
-    return False, detail, payload
+class _Failed(Exception):
+    """A trial's identity failed: the detail, and the counterexample with
+    its tensors as JSON objects."""
 
-
-def _counterexample_tensor(a: DenseTensor) -> dict:
-    return {"tensor": tensor_to_obj(a)}
-
-
-def _check_structure_agreement(rng, trials):
-    kinds = ("centro", "skew", "general")
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 6))
-        a = random_structured(order, dim, kinds[t % 3], rng)
-        verdicts = {
-            "direct": check_structure(a).verdict,
-            "sandwich": check_via_J(a).verdict,
-            "commutation": check_commutation(a).verdict,
+    def __init__(self, detail: str, **payload):
+        super().__init__(detail)
+        self.detail = detail
+        self.payload = {
+            key: tensor_to_obj(value) if isinstance(value, DenseTensor) else value
+            for key, value in payload.items()
         }
-        if len(set(verdicts.values())) != 1:
-            return _fail(f"verdicts disagree: {verdicts}", **_counterexample_tensor(a))
-    return True, "", None
 
 
-def _check_product_parity(rng, trials):
-    kinds = ("centro", "skew")
-    for t in range(trials):
-        kind_a = kinds[int(rng.integers(0, 2))]
-        kind_b = kinds[int(rng.integers(0, 2))]
-        m = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 4))
-        n = int(rng.integers(2, 5))
-        a = random_structured(m, n, kind_a, rng)
-        b = random_structured(k, n, kind_b, rng)
-        prod = shao_product(a, b)
-        expected = product_parity(kind_a, kind_b, m)
-        report = check_structure(prod, 1e-10 * entry_scale(prod))
-        got_ok = report.is_centro if expected == "centro" else report.is_skew
-        if not got_ok:
-            return _fail(
-                f"product of {kind_a}(m={m}) and {kind_b}(k={k}) expected {expected}, "
-                f"verdict {report.verdict}",
-                left=tensor_to_obj(a),
-                right=tensor_to_obj(b),
-            )
-    return True, "", None
+def _draw_structured(rng, kind: str) -> DenseTensor:
+    order = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 6))
+    return random_structured(order, dim, kind, rng)
 
 
-def _check_hadamard_parity(rng, trials):
-    kinds = ("centro", "skew")
-    for t in range(trials):
-        kind_a = kinds[int(rng.integers(0, 2))]
-        kind_b = kinds[int(rng.integers(0, 2))]
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 6))
-        a = random_structured(order, dim, kind_a, rng)
-        b = random_structured(order, dim, kind_b, rng)
-        expected = "centro" if kind_a == kind_b else "skew"
-        report = check_structure(hadamard(a, b))
-        got_ok = report.is_centro if expected == "centro" else report.is_skew
-        if not got_ok:
-            return _fail(
-                f"entrywise product of {kind_a} and {kind_b} expected {expected}, "
-                f"verdict {report.verdict}",
-                left=tensor_to_obj(a),
-                right=tensor_to_obj(b),
-            )
-    return True, "", None
+def _structure_agreement(rng, t):
+    a = _draw_structured(rng, ("centro", "skew", "general")[t % 3])
+    verdicts = {
+        "direct": check_structure(a).verdict,
+        "sandwich": check_via_J(a).verdict,
+        "commutation": check_commutation(a).verdict,
+    }
+    if len(set(verdicts.values())) != 1:
+        raise _Failed(f"verdicts disagree: {verdicts}", tensor=a)
 
 
-def _check_decomposition(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 6))
-        a = random_structured(order, dim, "general", rng)
-        parts = decompose(a)
-        scale_a = entry_scale(a)
-        if not check_structure(parts.centro, 1e-13 * scale_a).is_centro:
-            return _fail("centro part fails its check", **_counterexample_tensor(a))
-        if not check_structure(parts.skew, 1e-13 * scale_a).is_skew:
-            return _fail("skew part fails its check", **_counterexample_tensor(a))
-        err = float(np.max(np.abs(parts.reconstruct().data - a.data)))
-        if err > 1e-14 * scale_a:
-            return _fail(f"reconstruction error {err:.3e}", **_counterexample_tensor(a))
-    return True, "", None
+def _product_parity(rng, t):
+    kind_a = _KINDS[int(rng.integers(0, 2))]
+    kind_b = _KINDS[int(rng.integers(0, 2))]
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 4))
+    n = int(rng.integers(2, 5))
+    a = random_structured(m, n, kind_a, rng)
+    b = random_structured(k, n, kind_b, rng)
+    prod = shao_product(a, b)
+    expected = product_parity(kind_a, kind_b, m)
+    report = check_structure(prod, 1e-10 * entry_scale(prod))
+    got_ok = report.is_centro if expected == "centro" else report.is_skew
+    if not got_ok:
+        raise _Failed(
+            f"product of {kind_a}(m={m}) and {kind_b}(k={k}) expected {expected}, "
+            f"verdict {report.verdict}",
+            left=a,
+            right=b,
+        )
 
 
-def _check_row_sums(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 6))
-        kind = "centro" if t % 2 == 0 else "skew"
-        a = random_structured(order, dim, kind, rng)
-        ok, witness = verify_row_sum_symmetry(a, assume=kind)
-        if not ok:
-            return _fail(f"row-sum reflection failed at row {witness}", **_counterexample_tensor(a))
-    return True, "", None
+def _hadamard_parity(rng, t):
+    kind_a = _KINDS[int(rng.integers(0, 2))]
+    kind_b = _KINDS[int(rng.integers(0, 2))]
+    order = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 6))
+    a = random_structured(order, dim, kind_a, rng)
+    b = random_structured(order, dim, kind_b, rng)
+    expected = "centro" if kind_a == kind_b else "skew"
+    report = check_structure(hadamard(a, b))
+    got_ok = report.is_centro if expected == "centro" else report.is_skew
+    if not got_ok:
+        raise _Failed(
+            f"entrywise product of {kind_a} and {kind_b} expected {expected}, "
+            f"verdict {report.verdict}",
+            left=a,
+            right=b,
+        )
 
 
-def _check_poly_reflection(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 6))
-        kind = "centro" if t % 2 == 0 else "skew"
-        a = random_structured(order, dim, kind, rng)
-        if not verify_poly_reflection(a, trials=10, seed=rng):
-            return _fail("polynomial reflection failed", **_counterexample_tensor(a))
-    return True, "", None
+def _decomposition(rng, t):
+    a = _draw_structured(rng, "general")
+    parts = decompose(a)
+    scale_a = entry_scale(a)
+    if not check_structure(parts.centro, 1e-13 * scale_a).is_centro:
+        raise _Failed("centro part fails its check", tensor=a)
+    if not check_structure(parts.skew, 1e-13 * scale_a).is_skew:
+        raise _Failed("skew part fails its check", tensor=a)
+    err = float(np.max(np.abs(parts.reconstruct().data - a.data)))
+    if err > 1e-14 * scale_a:
+        raise _Failed(f"reconstruction error {err:.3e}", tensor=a)
+
+
+def _row_sums(rng, t):
+    kind = _KINDS[t % 2]
+    a = _draw_structured(rng, kind)
+    ok, witness = verify_row_sum_symmetry(a, assume=kind)
+    if not ok:
+        raise _Failed(f"row-sum reflection failed at row {witness}", tensor=a)
+
+
+def _poly_reflection(rng, t):
+    a = _draw_structured(rng, _KINDS[t % 2])
+    if not verify_poly_reflection(a, trials=10, seed=rng):
+        raise _Failed("polynomial reflection failed", tensor=a)
 
 
 def _random_spec(rng, flavor: str):
@@ -223,57 +206,43 @@ def _random_spec(rng, flavor: str):
     return CauchySpec(c, order)
 
 
-def _check_cauchy_equivalence(rng, trials):
-    flavors = ("centro", "general", "skew")
-    for t in range(trials):
-        spec = _random_spec(rng, flavors[t % 3])
-        p_centro = cauchy_is_centro(spec)
-        p_skew = cauchy_is_skew(spec)
-        if spec.dim % 2 == 1 and p_skew:
-            return _fail("odd-dimension spec classified skew", generating=spec.generating.tolist())
-        try:
-            tensor = materialize(spec)
-        except CauchySpecError:
-            continue
-        report = check_structure(tensor)
-        if p_centro != report.is_centro or p_skew != report.is_skew:
-            return _fail(
-                f"vector predicates (centro={p_centro}, skew={p_skew}) disagree "
-                f"with tensor verdict {report.verdict}",
-                generating=spec.generating.tolist(),
-                order=spec.order,
-            )
-        if cauchy_check_JC(spec) != p_centro:
-            return _fail(
-                "exchange-product test disagrees with the vector predicate",
-                generating=spec.generating.tolist(),
-                order=spec.order,
-            )
-    return True, "", None
+def _cauchy_equivalence(rng, t):
+    spec = _random_spec(rng, ("centro", "general", "skew")[t % 3])
+    p_centro = cauchy_is_centro(spec)
+    p_skew = cauchy_is_skew(spec)
+    if spec.dim % 2 == 1 and p_skew:
+        raise _Failed("odd-dimension spec classified skew", generating=spec.generating.tolist())
+    try:
+        tensor = materialize(spec)
+    except CauchySpecError:
+        return
+    report = check_structure(tensor)
+    if p_centro != report.is_centro or p_skew != report.is_skew:
+        raise _Failed(
+            f"vector predicates (centro={p_centro}, skew={p_skew}) disagree "
+            f"with tensor verdict {report.verdict}",
+            generating=spec.generating.tolist(),
+            order=spec.order,
+        )
+    if cauchy_check_JC(spec) != p_centro:
+        raise _Failed(
+            "exchange-product test disagrees with the vector predicate",
+            generating=spec.generating.tolist(),
+            order=spec.order,
+        )
 
 
-def _diagonal_centro(rng, order, dim):
-    diag = palindromize(rng.uniform(0.5, 4.0, size=dim))
-    data = np.zeros((dim,) * order)
-    data[(np.arange(dim),) * order] = diag
-    return DenseTensor(data)
-
-
-def _check_diagonal_inverse(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 4))
-        a = _diagonal_centro(rng, order, dim)
-        left = diagonal_left_inverse(a, k)
-        right = diagonal_right_inverse(a, k)
-        for result in (left, right):
-            if result.residual > 1e-13 or not result.centro_verdict:
-                return _fail(
-                    f"{result.side} diagonal inverse residual {result.residual:.3e}",
-                    **_counterexample_tensor(a),
-                )
-    return True, "", None
+def _diagonal_inverse(rng, t):
+    order = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 4))
+    a = DenseTensor.diagonal(order, palindromize(rng.uniform(0.5, 4.0, size=dim)))
+    left = diagonal_left_inverse(a, k)
+    right = diagonal_right_inverse(a, k)
+    for result in (left, right):
+        if result.residual > 1e-13 or not result.centro_verdict:
+            detail = f"{result.side} diagonal inverse residual {result.residual:.3e}"
+            raise _Failed(detail, tensor=a)
 
 
 def _well_conditioned_centro_matrix(rng, dim):
@@ -284,107 +253,96 @@ def _well_conditioned_centro_matrix(rng, dim):
     raise ConsistencyError("could not draw a well-conditioned centro matrix")
 
 
-def _check_matrix_recovery(rng, trials):
-    for t in range(trials):
-        dim = int(rng.integers(2, 5))
-        c = _well_conditioned_centro_matrix(rng, dim)
-        c_inv = np.linalg.inv(c.data)
-
-        m_left = int(rng.integers(2, 5))
-        planted = shao_product(c, DenseTensor.identity(m_left, dim))
-        result = recover_order2_left_inverse(planted)
-        if not isinstance(result, InverseResult):
-            return _fail(f"left recovery reported no inverse: {result.reason}",
-                         **_counterexample_tensor(planted))
-        err = float(np.max(np.abs(result.inverse.data - c_inv)))
-        if err > 1e-9 or not result.centro_verdict:
-            return _fail(f"left recovery error {err:.3e}", **_counterexample_tensor(planted))
-
-        m_right = 2 * int(rng.integers(1, 3))
-        planted = shao_product(DenseTensor.identity(m_right, dim), DenseTensor(c_inv))
-        result = recover_order2_right_inverse(planted)
-        if not isinstance(result, InverseResult):
-            return _fail(f"right recovery reported no inverse: {result.reason}",
-                         **_counterexample_tensor(planted))
-        err = float(np.max(np.abs(result.inverse.data - c.data)))
-        if err > 1e-9 or not result.centro_verdict:
-            return _fail(f"right recovery error {err:.3e}", **_counterexample_tensor(planted))
-    return True, "", None
+def _check_recovery(side, recover, planted, expected):
+    result = recover(planted)
+    if not isinstance(result, InverseResult):
+        raise _Failed(f"{side} recovery reported no inverse: {result.reason}", tensor=planted)
+    err = float(np.max(np.abs(result.inverse.data - expected)))
+    if err > 1e-9 or not result.centro_verdict:
+        raise _Failed(f"{side} recovery error {err:.3e}", tensor=planted)
 
 
-def _check_closed_form_eigen(rng, trials):
-    for t in range(trials):
-        m2 = int(rng.integers(2, 6))
-        a = random_structured(m2, 2, "centro", rng)
-        bound = 1e-12 * entry_scale(a)
-        pair_e, pair_u = closed_form_dim2(a)
-        if pair_e.residual > bound or pair_u.residual > bound:
-            return _fail("dimension-2 closed form residual too large", **_counterexample_tensor(a))
-        m3 = 2 * int(rng.integers(1, 3))
-        b = random_structured(m3, 3, "centro", rng)
-        pair = closed_form_dim3_even(b)
-        if pair.residual > 1e-12 * entry_scale(b) or pair.vector[1] != 0.0:
-            return _fail("dimension-3 closed form residual too large", **_counterexample_tensor(b))
-    return True, "", None
+def _matrix_recovery(rng, t):
+    dim = int(rng.integers(2, 5))
+    c = _well_conditioned_centro_matrix(rng, dim)
+    c_inv = np.linalg.inv(c.data)
+    m_left = int(rng.integers(2, 5))
+    planted = shao_product(c, DenseTensor.identity(m_left, dim))
+    _check_recovery("left", recover_order2_left_inverse, planted, c_inv)
+    m_right = 2 * int(rng.integers(1, 3))
+    planted = shao_product(DenseTensor.identity(m_right, dim), DenseTensor(c_inv))
+    _check_recovery("right", recover_order2_right_inverse, planted, c.data)
 
 
-def _check_eigen_reflection(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 5))
-        kind = "centro" if t % 2 == 0 else "skew"
-        a = random_structured(order, dim, kind, rng)
-        pairs = solve_eigen(a, starts=12, seed=rng).pairs
-        for pair in pairs:
-            if kind == "skew" and abs(pair.value) <= 1e-8:
-                continue
-            try:
-                mirrored = reflect_pair(a, pair)
-            except ConsistencyError as exc:
-                return _fail(str(exc), **_counterexample_tensor(a))
-            expected = pair.value if kind == "centro" else -pair.value
-            if abs(mirrored.value - expected) > 1e-9:
-                return _fail("reflected eigenvalue mismatch", **_counterexample_tensor(a))
-    return True, "", None
+def _closed_form_eigen(rng, t):
+    m2 = int(rng.integers(2, 6))
+    a = random_structured(m2, 2, "centro", rng)
+    bound = 1e-12 * entry_scale(a)
+    pair_e, pair_u = closed_form_dim2(a)
+    if pair_e.residual > bound or pair_u.residual > bound:
+        raise _Failed("dimension-2 closed form residual too large", tensor=a)
+    m3 = 2 * int(rng.integers(1, 3))
+    b = random_structured(m3, 3, "centro", rng)
+    pair = closed_form_dim3_even(b)
+    if pair.residual > 1e-12 * entry_scale(b) or pair.vector[1] != 0.0:
+        raise _Failed("dimension-3 closed form residual too large", tensor=b)
 
 
-def _check_cauchy_eigen_symmetry(rng, trials):
-    for t in range(trials):
-        order = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 5))
-        spec = CauchySpec(palindromize(rng.uniform(0.2, 3.0, size=dim)), order)
-        tensor = materialize(spec)
-        for pair in solve_eigen(tensor, starts=12, seed=rng).pairs:
-            if abs(pair.value) <= 1e-8:
-                continue
-            if order % 2 == 0 and pair.classification != SYMMETRIC:
-                return _fail(
-                    f"even-order pair classified {pair.classification}",
-                    generating=spec.generating.tolist(),
-                    value=pair.value,
-                )
-            if order % 2 == 1 and pair.classification == NEITHER_CLASS:
-                return _fail(
-                    "odd-order pair has non-symmetric magnitude vector",
-                    generating=spec.generating.tolist(),
-                    value=pair.value,
-                )
-    return True, "", None
+def _eigen_reflection(rng, t):
+    order = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 5))
+    kind = _KINDS[t % 2]
+    a = random_structured(order, dim, kind, rng)
+    pairs = solve_eigen(a, starts=12, seed=rng).pairs
+    for pair in pairs:
+        if kind == "skew" and abs(pair.value) <= 1e-8:
+            continue
+        try:
+            mirrored = reflect_pair(a, pair)
+        except ConsistencyError as exc:
+            raise _Failed(str(exc), tensor=a) from exc
+        expected = pair.value if kind == "centro" else -pair.value
+        if abs(mirrored.value - expected) > 1e-9:
+            raise _Failed("reflected eigenvalue mismatch", tensor=a)
 
 
+def _cauchy_eigen_symmetry(rng, t):
+    order = int(rng.integers(2, 5))
+    dim = int(rng.integers(2, 5))
+    spec = CauchySpec(palindromize(rng.uniform(0.2, 3.0, size=dim)), order)
+    tensor = materialize(spec)
+    for pair in solve_eigen(tensor, starts=12, seed=rng).pairs:
+        if abs(pair.value) <= 1e-8:
+            continue
+        if order % 2 == 0 and pair.classification != SYMMETRIC:
+            raise _Failed(
+                f"even-order pair classified {pair.classification}",
+                generating=spec.generating.tolist(),
+                value=pair.value,
+            )
+        if order % 2 == 1 and pair.classification == NEITHER_CLASS:
+            raise _Failed(
+                "odd-order pair has non-symmetric magnitude vector",
+                generating=spec.generating.tolist(),
+                value=pair.value,
+            )
+
+
+# (name, trial, divisor): trial(rng, t) draws instance t and raises _Failed
+# if an identity fails on it; a check runs trials // divisor trials.
 _CHECKS = (
-    ("structure-check-agreement", _check_structure_agreement, 1),
-    ("product-parity", _check_product_parity, 1),
-    ("hadamard-parity", _check_hadamard_parity, 1),
-    ("decomposition-roundtrip", _check_decomposition, 1),
-    ("row-sum-reflection", _check_row_sums, 1),
-    ("poly-reflection", _check_poly_reflection, 1),
-    ("cauchy-equivalence", _check_cauchy_equivalence, 1),
-    ("diagonal-inverse-roundtrip", _check_diagonal_inverse, 1),
-    ("matrix-inverse-recovery", _check_matrix_recovery, 1),
-    ("closed-form-eigen", _check_closed_form_eigen, 1),
-    ("eigen-reflection", _check_eigen_reflection, 8),
-    ("cauchy-eigen-symmetry", _check_cauchy_eigen_symmetry, 8),
+    ("structure-check-agreement", _structure_agreement, 1),
+    ("product-parity", _product_parity, 1),
+    ("hadamard-parity", _hadamard_parity, 1),
+    ("decomposition-roundtrip", _decomposition, 1),
+    ("row-sum-reflection", _row_sums, 1),
+    ("poly-reflection", _poly_reflection, 1),
+    ("cauchy-equivalence", _cauchy_equivalence, 1),
+    ("diagonal-inverse-roundtrip", _diagonal_inverse, 1),
+    ("matrix-inverse-recovery", _matrix_recovery, 1),
+    ("closed-form-eigen", _closed_form_eigen, 1),
+    ("eigen-reflection", _eigen_reflection, 8),
+    ("cauchy-eigen-symmetry", _cauchy_eigen_symmetry, 8),
 )
 
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
@@ -404,10 +362,15 @@ def verify_all(seed: int = 0, trials: int = DEFAULT_TRIALS, corrupt: str | None 
     checks = []
     if trials > 0:
         streams = np.random.SeedSequence(seed).spawn(len(_CHECKS))
-        for (name, func, divisor), stream in zip(_CHECKS, streams):
+        for (name, trial, divisor), stream in zip(_CHECKS, streams):
             count = max(1, trials // divisor)
             rng = np.random.default_rng(stream)
-            passed, detail, payload = func(rng, count)
+            passed, detail, payload = True, "", None
+            try:
+                for t in range(count):
+                    trial(rng, t)
+            except _Failed as failure:
+                passed, detail, payload = False, failure.detail, failure.payload
             if corrupt == name:
                 passed = not passed
                 detail = (detail + " " if detail else "") + "(self-test corruption applied)"

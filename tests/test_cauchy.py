@@ -6,6 +6,7 @@ import pytest
 from centrotensor import (
     CauchySpec,
     CauchySpecError,
+    ResourceLimitError,
     cauchy_check_JC,
     cauchy_is_centro,
     cauchy_is_skew,
@@ -124,6 +125,17 @@ class TestMaterialize:
     def test_singular_spec_raises(self):
         with pytest.raises(CauchySpecError):
             materialize(CauchySpec(np.array([1.0, -1.0]), 2))
+
+    @pytest.mark.parametrize("build", [materialize, validate_spec])
+    def test_order_past_numpy_limit_raises_before_building(self, build):
+        with pytest.raises(ValueError, match="exceeds the limit of 64 axes"):
+            build(CauchySpec(np.array([1.0]), 1_000_000))
+
+    @pytest.mark.parametrize("build", [materialize, validate_spec])
+    def test_entry_cap_is_checked_before_building(self, build):
+        # 2**40 sums would take 8 TiB; the cap refuses them up front
+        with pytest.raises(ResourceLimitError, match="exceeding the cap"):
+            build(CauchySpec(np.array([1.0, 2.0]), 40))
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (4, 3)])
     def test_full_symmetry_under_permutations(self, m, n, rng):

@@ -85,6 +85,14 @@ class TestCheck:
         assert out == ""
         assert "expected 2**10000000 entries" in err and "Traceback" not in err
 
+    def test_order_past_numpy_limit_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"order": 1000000, "dim": 1, "entries": [1.0]}')
+        code, out, err = run(capsys, ["check", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 64" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["direct", "sandwich", "commutation"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_2(self, method, tol, sym_file, capsys):
@@ -146,6 +154,14 @@ class TestProducts:
         code, _, err = run(capsys, ["prod", a, a, "--cap", "8"])
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "-64"])
+    def test_prod_negative_cap_exits_2(self, cap, tmp_path, capsys):
+        a = write_tensor(tmp_path / "a.json", DenseTensor.zeros(3, 2))
+        code, out, err = run(capsys, ["prod", a, a, "--cap", cap])
+        assert code == 2
+        assert out == ""
+        assert "entry_cap must be nonnegative" in err and "Traceback" not in err
 
     def test_hadamard(self, tmp_path, capsys, sym_matrix):
         path = write_tensor(tmp_path / "a.json", sym_matrix)
@@ -225,6 +241,22 @@ class TestCauchyVerb:
         assert out == ""
         assert "too large for a float" in err and "Traceback" not in err
 
+    def test_order_past_numpy_limit_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 1000000, "generating": [1.0]}')
+        code, out, err = run(capsys, ["cauchy", str(spec_path)])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 64" in err and "Traceback" not in err
+
+    def test_oversized_tensor_is_refused_before_building(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 40, "generating": [1.0, 2.0]}')
+        code, out, err = run(capsys, ["cauchy", str(spec_path)])
+        assert code == 1
+        assert out == ""
+        assert "exceeding the cap" in err and "Traceback" not in err
+
 
 class TestInverseVerb:
     def test_diagonal_left(self, tmp_path, capsys):
@@ -249,6 +281,15 @@ class TestInverseVerb:
         code, out, _ = run(capsys, ["inverse", path, "--side", "right", "--order", "2"])
         assert code == 0
         assert json.loads(out)["inverse"]["entries"] == [1.0, 0, 0, 1.0]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, side, tol, tmp_path, capsys):
+        path = write_tensor(tmp_path / "i.json", DenseTensor.identity(4, 2))
+        code, out, err = run(capsys, ["inverse", path, "--side", side, "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err and "Traceback" not in err
 
 
 class TestVerifyAll:

@@ -17,12 +17,6 @@ from centrotensor import (
 )
 
 
-def diagonal_tensor(order, dim, diag):
-    data = np.zeros((dim,) * order)
-    data[(np.arange(dim),) * order] = diag
-    return DenseTensor(data)
-
-
 def well_conditioned_centro(dim, seed, cond_cap=1e3):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -42,8 +36,8 @@ class TestVerifyInverse:
         # B = diag(1/2) left-inverts A = 2*I of order 3: B*A is the
         # order-3 identity, while A*B is not even defined as an inverse
         # claim at order 2 -- both sides must be distinguishable.
-        a = diagonal_tensor(3, 2, np.array([2.0, 2.0]))
-        b = diagonal_tensor(2, 2, np.array([0.5, 0.5]))
+        a = DenseTensor.diagonal(3, np.array([2.0, 2.0]))
+        b = DenseTensor.diagonal(2, np.array([0.5, 0.5]))
         assert verify_inverse(a, b, "left") == 0.0
 
     def test_random_pair_has_large_residual(self, rng):
@@ -59,14 +53,14 @@ class TestVerifyInverse:
 
 class TestDiagonalLeftInverse:
     def test_hand_example(self):
-        a = diagonal_tensor(3, 2, np.array([2.0, 2.0]))
+        a = DenseTensor.diagonal(3, np.array([2.0, 2.0]))
         result = diagonal_left_inverse(a, 2)
         assert result.inverse.data.tolist() == [[0.5, 0.0], [0.0, 0.5]]
         assert result.residual == 0.0
         assert result.centro_verdict
 
     def test_zero_diagonal_entry_names_index(self):
-        a = diagonal_tensor(2, 3, np.array([1.0, 0.0, 1.0]))
+        a = DenseTensor.diagonal(2, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NoInverseError, match="index 2"):
             diagonal_left_inverse(a, 2)
 
@@ -81,14 +75,14 @@ class TestDiagonalLeftInverse:
             diagonal_left_inverse(sym_matrix, 2)
 
     def test_rejects_non_centro_diagonal(self):
-        a = diagonal_tensor(2, 2, np.array([1.0, 2.0]))
+        a = DenseTensor.diagonal(2, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="centro"):
             diagonal_left_inverse(a, 2)
 
 
 class TestDiagonalRightInverse:
     def test_cube_root_example(self):
-        a = diagonal_tensor(4, 2, np.array([16.0, 16.0]))
+        a = DenseTensor.diagonal(4, np.array([16.0, 16.0]))
         result = diagonal_right_inverse(a, 2)
         b_diag = result.inverse.data[(np.arange(2),) * 2]
         assert np.allclose(b_diag, 0.3968502629920499, atol=1e-15)
@@ -96,18 +90,18 @@ class TestDiagonalRightInverse:
         assert result.centro_verdict
 
     def test_even_order_negative_diagonal_keeps_sign(self):
-        a = diagonal_tensor(4, 2, np.array([-8.0, -8.0]))
+        a = DenseTensor.diagonal(4, np.array([-8.0, -8.0]))
         result = diagonal_right_inverse(a, 2)
         assert np.allclose(result.inverse.data[(np.arange(2),) * 2], -0.5, atol=1e-15)
         assert result.residual <= 1e-13
 
     def test_odd_order_requires_positive_diagonal(self):
-        a = diagonal_tensor(3, 2, np.array([-1.0, -1.0]))
+        a = DenseTensor.diagonal(3, np.array([-1.0, -1.0]))
         with pytest.raises(NoInverseError, match="positive"):
             diagonal_right_inverse(a, 2)
 
     def test_zero_entry_rejected(self):
-        a = diagonal_tensor(4, 3, np.array([1.0, 0.0, 1.0]))
+        a = DenseTensor.diagonal(4, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NoInverseError):
             diagonal_right_inverse(a, 2)
 
@@ -123,7 +117,7 @@ class TestDiagonalRightInverse:
 def test_diagonal_roundtrip_sweep(m, k, n):
     rng = np.random.default_rng(m * 100 + k * 10 + n)
     diag = palindromize(rng.uniform(0.5, 4.0, size=n))
-    a = diagonal_tensor(m, n, diag)
+    a = DenseTensor.diagonal(m, diag)
     left = diagonal_left_inverse(a, k)
     right = diagonal_right_inverse(a, k)
     assert left.residual <= 1e-13

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from centrotensor import DenseTensor
-from centrotensor.serialize import dumps, spec_from_obj, tensor_from_obj, vector_from_obj
+from centrotensor.serialize import dumps, spec_from_obj, tensor_from_obj
 
 from oracles import format_value_oracle
 
@@ -89,8 +89,10 @@ class TestReader:
             tensor_from_obj({"order": 1, "dim": 1, "entries": [huge]})
         with pytest.raises(ValueError, match="too large for a float"):
             spec_from_obj({"order": 2, "generating": [1.0, huge]})
-        with pytest.raises(ValueError, match="too large for a float"):
-            vector_from_obj({"dim": 2, "components": [huge, 1.0]})
+
+    def test_order_past_numpy_limit_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^order 1000000 exceeds the limit of 64 axes$"):
+            tensor_from_obj({"order": 1_000_000, "dim": 1, "entries": [1.0]})
 
     def test_absurd_order_is_a_count_mismatch(self):
         with pytest.raises(ValueError, match=r"^expected 2\*\*10000000 entries"):
