@@ -11,7 +11,6 @@ from .core import (
     flip_vector,
     hadamard,
     poly_eval,
-    power_vector,
     reverse_tensor,
     row_sums,
     scale,
@@ -48,7 +47,6 @@ from .cauchy import (
     cauchy_is_skew,
     materialize,
     palindromize,
-    validate_spec,
 )
 from .inverse import (
     InverseResult,

@@ -33,7 +33,6 @@ __all__ = [
     "CauchySpecError",
     "CauchySpec",
     "NEAR_ZERO_FACTOR",
-    "validate_spec",
     "materialize",
     "cauchy_is_centro",
     "cauchy_is_skew",
@@ -47,7 +46,8 @@ NEAR_ZERO_FACTOR = 1e-14
 
 
 class CauchySpecError(DomainError):
-    """The generating vector has a vanishing m-fold index sum."""
+    """The generating vector has an m-fold index sum that vanishes or has
+    no finite reciprocal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,25 +126,32 @@ def _scan_sums(spec: CauchySpec, sums: np.ndarray) -> None:
             )
 
 
-def validate_spec(spec: CauchySpec) -> None:
-    """Reject a spec with a near-zero m-fold index sum.
-
-    The sum of an index tuple depends only on its multiset, so the first
-    offending multiset (1-based) is named in the error.  Builds all n^m
-    sums, as materialize does.
-    """
-    _scan_sums(spec, _index_sums(spec))
-
-
 def materialize(spec: CauchySpec) -> DenseTensor:
     """Build the dense tensor of reciprocals of m-fold component sums.
 
     The result is fully symmetric (invariant under any index
     permutation) since each entry depends only on the index multiset.
+    A near-zero sum raises CauchySpecError naming the first offending
+    multiset (1-based), and a sum whose reciprocal is not finite raises
+    it naming the first such index: with components near the float limit
+    the multiset scan can see an overflowed sum where another order of
+    the same terms cancels to 0.
     """
     sums = _index_sums(spec)
     _scan_sums(spec, sums)
-    return DenseTensor(1.0 / sums)
+    try:
+        with np.errstate(divide="raise", over="raise"):
+            entries = 1.0 / sums
+    except FloatingPointError:
+        with np.errstate(divide="ignore", over="ignore"):
+            finite = np.isfinite(1.0 / sums)
+        index = np.unravel_index(np.argmin(finite), sums.shape)
+        raise CauchySpecError(
+            f"index sum {float(sums[index])!r} at index "
+            f"{tuple(int(i) + 1 for i in index)} has no finite reciprocal; "
+            "entries do not exist"
+        ) from None
+    return DenseTensor(entries)
 
 
 def _is_palindrome(c: np.ndarray, sign: float, tol: float | None) -> bool:
@@ -189,7 +196,6 @@ def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
 def palindromize(c) -> np.ndarray:
     """Mirror the first half of a vector onto the second, making Jc = c."""
     out = np.asarray(c, dtype=float).copy()
-    n = out.size
-    for i in range(n // 2):
-        out[n - 1 - i] = out[i]
+    half = out.size // 2
+    out[out.size - half :] = out[:half][::-1]
     return out

@@ -19,7 +19,7 @@ import sys
 
 from . import eigen, inverse, serialize, structure, suite
 from .cauchy import cauchy_is_centro, cauchy_is_skew, materialize
-from .core import DenseTensor, DomainError, hadamard
+from .core import DenseTensor, DomainError, check_tolerance, hadamard
 from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
@@ -129,6 +129,9 @@ def _cmd_cauchy(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    # checked on every path, though only the order-2 recovery reads it
+    if args.tol is not None:
+        check_tolerance(args.tol)
     tensor = _load_tensor(args.tensor)
     if args.order == 2:
         recover = (

@@ -24,7 +24,6 @@ __all__ = [
     "apply",
     "contract_trailing",
     "poly_eval",
-    "power_vector",
     "hadamard",
     "row_sums",
     "add",
@@ -193,15 +192,7 @@ def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarra
 def poly_eval(a: DenseTensor, x) -> float:
     """Evaluate the homogeneous form sum a[i1..im] x_i1...x_im."""
     x = _check_vector(a, x)
-    out = a.data
-    for _ in range(a.order):
-        out = out.dot(x)
-    return float(out)
-
-
-def power_vector(x, p: int) -> np.ndarray:
-    """Componentwise p-th power."""
-    return np.asarray(x, dtype=float) ** p
+    return float(contract_trailing(a.data, x[None, :], a.order)[0])
 
 
 def hadamard(a: DenseTensor, b: DenseTensor) -> DenseTensor:

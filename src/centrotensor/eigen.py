@@ -31,7 +31,6 @@ phrase coverage as a success-rate floor rather than totality.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .core import (
     check_tolerance,
     contract_trailing,
     flip_vector,
-    power_vector,
 )
 from .structure import reflection_sign, require_centro
 
@@ -145,7 +143,7 @@ def residual(a: DenseTensor, value: float, x) -> float:
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("eigenvector must be nonzero")
-    return float(np.max(np.abs(apply(a, x) - value * power_vector(x, a.order - 1))))
+    return float(np.max(np.abs(apply(a, x) - value * x ** (a.order - 1))))
 
 
 def classify_vector(x, tol: float = DEFAULT_CLASS_TOL) -> str:
@@ -182,52 +180,43 @@ def normalize_eigenvector(x) -> np.ndarray:
     return x
 
 
-def _make_pair(a: DenseTensor, value: float, x: np.ndarray, class_tol: float) -> EigenPair:
+def _make_pair(a: DenseTensor, value: float, x: np.ndarray) -> EigenPair:
     x = normalize_eigenvector(x)
-    return EigenPair(float(value), x, residual(a, value, x), classify_vector(x, class_tol))
+    return EigenPair(float(value), x, residual(a, value, x), classify_vector(x))
 
 
-def _sign_weights(u: np.ndarray, count: int) -> np.ndarray:
-    return reduce(np.multiply.outer, [u] * count)
-
-
-def closed_form_dim2(a: DenseTensor, class_tol: float = DEFAULT_CLASS_TOL):
+def closed_form_dim2(a: DenseTensor):
     """Two guaranteed pairs of a centro tensor with dimension 2.
 
     The leading-slice sum is an eigenvalue with eigenvector (1, 1), and
     the alternating-sign leading-slice sum is one with eigenvector
-    (1, -1).  Returns (symmetric pair, skew-symmetric pair).
+    (1, -1): each is the first component of A v^{m-1}, as v_1 = 1.
+    Returns (symmetric pair, skew-symmetric pair).
     """
     if a.dim != 2:
         raise ValueError("closed form requires dimension 2")
     if a.order < 2:
         raise ValueError("tensor order must be >= 2")
     require_centro(a)
-    lead = a.data[0]
-    lam_e = float(lead.sum())
-    alt = _sign_weights(np.array([1.0, -1.0]), a.order - 1)
-    lam_u = float((lead * alt).sum())
-    pair_e = _make_pair(a, lam_e, np.array([1.0, 1.0]), class_tol)
-    pair_u = _make_pair(a, lam_u, np.array([1.0, -1.0]), class_tol)
-    return pair_e, pair_u
+    e, u = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    return _make_pair(a, apply(a, e)[0], e), _make_pair(a, apply(a, u)[0], u)
 
 
-def closed_form_dim3_even(a: DenseTensor, class_tol: float = DEFAULT_CLASS_TOL) -> EigenPair:
+def closed_form_dim3_even(a: DenseTensor) -> EigenPair:
     """Guaranteed skew-symmetric pair of an even-order centro tensor, dim 3.
 
     The eigenvector is (1, 0, -1); its eigenvalue is the signed sum of
     the leading-slice entries whose trailing indices avoid the middle,
     each weighted by (-1) to the number of indices hitting the last
-    position.
+    position: the first component of A v^{m-1}, as v_1 = 1.
     """
     if a.dim != 3:
         raise ValueError("closed form requires dimension 3")
     if a.order < 2 or a.order % 2 == 1:
         raise ValueError("closed form requires even tensor order")
     require_centro(a)
-    weights = _sign_weights(np.array([1.0, 0.0, -1.0]), a.order - 1)
-    lam = float((a.data[0] * weights).sum())
-    return _make_pair(a, lam, np.array([1.0, 0.0, -1.0]), class_tol)
+    v = np.array([1.0, 0.0, -1.0])
+    return _make_pair(a, apply(a, v)[0], v)
 
 
 def _jacobian_tensor(data: np.ndarray) -> np.ndarray:
@@ -278,8 +267,6 @@ def solve_eigen(
     tol: float = DEFAULT_SOLVER_TOL,
     max_iter: int = 100,
     class_tol: float = DEFAULT_CLASS_TOL,
-    value_tol: float = DEDUP_VALUE_TOL,
-    vector_tol: float = DEDUP_VECTOR_TOL,
 ) -> EigenSet:
     """Multistart damped Newton on the eigenpair system.
 
@@ -290,7 +277,8 @@ def solve_eigen(
     at max|F| <= tol.  Converged pairs are canonicalized, re-verified
     against the residual bound, sorted by (value, components) and
     deduplicated: two pairs merge when their values differ by at most
-    value_tol and their vectors agree up to sign within vector_tol.
+    DEDUP_VALUE_TOL and their vectors agree up to sign within
+    DEDUP_VECTOR_TOL.
 
     An empty result is legal; completeness is not guaranteed.
     """
@@ -305,8 +293,6 @@ def solve_eigen(
     max_iter = check_count(max_iter, "max_iter")
     tol = check_tolerance(tol, "tol")
     class_tol = check_tolerance(class_tol, "class_tol")
-    value_tol = check_tolerance(value_tol, "value_tol")
-    vector_tol = check_tolerance(vector_tol, "vector_tol")
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
@@ -375,12 +361,12 @@ def solve_eigen(
     count = 0
     for i in order:
         lam, x = lams[i], xs[i]
-        close = (np.abs(lam - kept_lams[:count]) <= value_tol) & (
+        close = (np.abs(lam - kept_lams[:count]) <= DEDUP_VALUE_TOL) & (
             np.minimum(
                 np.linalg.norm(x - kept_xs[:count], axis=1),
                 np.linalg.norm(x + kept_xs[:count], axis=1),
             )
-            <= vector_tol
+            <= DEDUP_VECTOR_TOL
         )
         match = np.flatnonzero(close)
         if not match.size:
@@ -417,7 +403,7 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     """
     tol = check_tolerance(tol)
     value = reflection_sign(a) * pair.value
-    mirrored = _make_pair(a, value, flip_vector(pair.vector), DEFAULT_CLASS_TOL)
+    mirrored = _make_pair(a, value, flip_vector(pair.vector))
     if mirrored.residual > tol:
         raise ConsistencyError(
             f"reflected pair has residual {mirrored.residual:.3e} > tol {tol:.3e}; "

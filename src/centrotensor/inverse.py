@@ -12,9 +12,10 @@ right inverse when A*B does.  Two families are handled:
 Inverse existence is a legitimate negative answer, so the recovery
 routines return a structured NoInverse report instead of raising when
 the candidate is singular or the product residual is too large.
-Invertibility itself is decided numerically through a condition-number
-threshold; the no-inverse verdict is therefore a floating-point
-judgement, and the conditioning is reported alongside the result.
+Invertibility itself is decided numerically through the condition-number
+threshold DEFAULT_COND_THRESHOLD; the no-inverse verdict is therefore a
+floating-point judgement, and the conditioning is reported alongside the
+result.
 """
 
 from __future__ import annotations
@@ -166,9 +167,7 @@ def _leading_slice(a: DenseTensor) -> np.ndarray:
 
 
 def recover_order2_left_inverse(
-    a: DenseTensor,
-    tol: float | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    a: DenseTensor, tol: float | None = None
 ) -> InverseResult | NoInverse:
     """Recover the unique matrix left inverse of a centro tensor, if any.
 
@@ -177,13 +176,11 @@ def recover_order2_left_inverse(
     possible candidate, which is then confirmed by multiplying out.
     """
     require_centro(a)
-    return _recover(a, _leading_slice(a), "left", tol, cond_threshold)
+    return _recover(a, _leading_slice(a), "left", tol)
 
 
 def recover_order2_right_inverse(
-    a: DenseTensor,
-    tol: float | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    a: DenseTensor, tol: float | None = None
 ) -> InverseResult | NoInverse:
     """Recover the unique matrix right inverse of an even-order centro tensor.
 
@@ -195,19 +192,15 @@ def recover_order2_right_inverse(
         raise ValueError("right-inverse recovery requires even tensor order")
     require_centro(a)
     candidate_inv = _signed_root(_leading_slice(a), a.order - 1)
-    return _recover(a, candidate_inv, "right", tol, cond_threshold)
+    return _recover(a, candidate_inv, "right", tol)
 
 
 def _recover(
-    a: DenseTensor,
-    candidate_inv: np.ndarray,
-    side: str,
-    tol: float | None,
-    cond_threshold: float,
+    a: DenseTensor, candidate_inv: np.ndarray, side: str, tol: float | None
 ) -> InverseResult | NoInverse:
     tol = _RESIDUAL_TOL_FACTOR * entry_scale(a) if tol is None else check_tolerance(tol)
     cond = float(np.linalg.cond(candidate_inv))
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:
         return NoInverse(
             side,
             f"candidate slice is singular or ill-conditioned (cond {cond:.3e})",

@@ -20,10 +20,10 @@ from .core import (
     DenseTensor,
     add,
     as_generator,
+    check_count,
     check_tolerance,
+    contract_trailing,
     entry_scale,
-    flip_vector,
-    poly_eval,
     reverse_tensor,
     row_sums,
     scale,
@@ -268,15 +268,13 @@ def verify_poly_reflection(
     where f is the tensor's homogeneous polynomial.
 
     Per-sample bound is tol * max(1, |f(x)|).  The tensor must classify
-    centro or skew.
+    centro or skew.  All samples come from one (trials, n) draw, the same
+    stream as one size-n draw per trial.
     """
+    trials = check_count(trials, "trials")
     tol = check_tolerance(tol)
     sign = reflection_sign(a)
-    rng = as_generator(seed)
-    for _ in range(trials):
-        x = rng.uniform(-1.0, 1.0, size=a.dim)
-        fx = poly_eval(a, x)
-        fjx = poly_eval(a, flip_vector(x))
-        if abs(fjx - sign * fx) > tol * max(1.0, abs(fx)):
-            return False
-    return True
+    xs = as_generator(seed).uniform(-1.0, 1.0, size=(trials, a.dim))
+    fx = contract_trailing(a.data, xs, a.order)
+    fjx = contract_trailing(a.data, xs[:, ::-1], a.order)
+    return not np.any(np.abs(fjx - sign * fx) > tol * np.maximum(1.0, np.abs(fx)))

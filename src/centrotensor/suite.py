@@ -28,7 +28,7 @@ from .cauchy import (
     materialize,
     palindromize,
 )
-from .core import ConsistencyError, DenseTensor, entry_scale, hadamard
+from .core import ConsistencyError, DenseTensor, check_count, entry_scale, hadamard
 from .eigen import (
     NEITHER_CLASS,
     SYMMETRIC,
@@ -355,8 +355,7 @@ def verify_all(seed: int = 0, trials: int = DEFAULT_TRIALS, corrupt: str | None 
     trial runs a multistart solve.  trials=0 produces an empty report.
     `corrupt` inverts the outcome of the named check (harness self-test).
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    trials = check_count(trials, "trials")
     if corrupt is not None and corrupt not in CHECK_NAMES:
         raise ValueError(f"unknown check {corrupt!r}; expected one of {CHECK_NAMES}")
     checks = []

@@ -18,6 +18,7 @@ from centrotensor import (
     recover_order2_right_inverse,
     reflect_pair,
     shao_product,
+    verify_all,
     verify_poly_reflection,
     verify_row_sum_symmetry,
 )
@@ -33,6 +34,8 @@ REMOVED = {
     "max_abs": "entry_scale",
     "vector_to_obj": None,
     "vector_from_obj": None,
+    "validate_spec": "materialize(spec)",
+    "power_vector": "x ** p",
 }
 
 
@@ -81,3 +84,16 @@ def test_invalid_entry_cap_is_rejected(cap):
     ident = DenseTensor.identity(2, 2)
     with pytest.raises(ValueError, match="entry_cap must be"):
         shao_product(ident, ident, entry_cap=cap)
+
+
+TRIAL_COUNT_TAKERS = {
+    "verify_poly_reflection": lambda trials: verify_poly_reflection(CENTRO, trials=trials),
+    "verify_all": lambda trials: verify_all(trials=trials),
+}
+
+
+@pytest.mark.parametrize("call", TRIAL_COUNT_TAKERS.values(), ids=TRIAL_COUNT_TAKERS.keys())
+@pytest.mark.parametrize("trials", [-1, 2.5, True, None])
+def test_invalid_trial_count_is_rejected(call, trials):
+    with pytest.raises(ValueError, match="trials must be"):
+        call(trials)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -233,6 +234,15 @@ class TestCauchyVerb:
         assert code == 1
         assert "sum" in err
 
+    def test_overflowing_spec_exits_1(self, tmp_path, capsys):
+        # the index sums overflow or cancel to 0 depending on term order
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 4, "generating": [1e308, 1e308, -1e308, -1e308]}')
+        code, out, err = run(capsys, ["cauchy", str(spec_path)])
+        assert code == 1
+        assert out == ""
+        assert "no finite reciprocal" in err and "Traceback" not in err
+
     def test_huge_integer_component_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"order": 2, "generating": [1, ' + "9" * 400 + "]}")
@@ -282,11 +292,16 @@ class TestInverseVerb:
         assert code == 0
         assert json.loads(out)["inverse"]["entries"] == [1.0, 0, 0, 1.0]
 
-    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "side,order",
+        [("left", "2"), ("right", "2"), ("left", "3"), ("right", "3")],
+        ids=["left", "right", "left-3", "right-3"],
+    )
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_bad_tolerance_exits_2(self, side, tol, tmp_path, capsys):
+    def test_bad_tolerance_exits_2(self, side, order, tol, tmp_path, capsys):
         path = write_tensor(tmp_path / "i.json", DenseTensor.identity(4, 2))
-        code, out, err = run(capsys, ["inverse", path, "--side", side, "--tol", tol])
+        argv = ["inverse", path, "--side", side, "--order", order, "--tol", tol]
+        code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert "tol must be finite and nonnegative" in err and "Traceback" not in err
@@ -327,3 +342,53 @@ class TestOutputFile:
 def test_usage_error_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()
+
+
+# sha256 of stdout for fixed inputs, recorded before poly_eval, the
+# polynomial reflection and the closed forms moved onto contract_trailing;
+# any change to these bytes is a change of output.  prod, eig and the
+# sandwich and commutation checks are left out: their last bits depend on
+# the machine's BLAS.  The order-3 inverse passes a valid --tol, which
+# that path accepts and ignores.
+GOLDEN = {
+    "gen": (
+        "gen --order 3 --dim 4 --kind general --seed 5",
+        "1111359cea6d2ecb083ee65d0169276d4db5549cec9ab5ed7f01106b01c380ef",
+    ),
+    "check": (
+        "check {dir}/centro.json --method direct",
+        "8b0fcd68a636afffd981efb7a87c38e3254c9d944b91d7d082cbb2ee4f35c6e2",
+    ),
+    "decompose": (
+        "decompose {dir}/general.json",
+        "333847d0a1978e9d664b8399ccc326bedcc7781cb2c25f753d680ef05d442a46",
+    ),
+    "cauchy": (
+        "cauchy {dir}/spec.json",
+        "448ee631bf74e0f1570c7de79ecb3e06f96b37fcf4fef859db4391d7c0f2aec6",
+    ),
+    "cauchy-check": (
+        "cauchy {dir}/spec.json --mode check",
+        "f0df9aa8ae05b4e4559fda76052cf57bf0e2665fc8cb532fe59bd9b6779dadc2",
+    ),
+    "inverse": (
+        "inverse {dir}/diag.json --side left --order 3 --tol 1e-3",
+        "dec0e6aa56e23e9427fd7dbae6c4a065ed57972b5cf1bfd7ab5c69edd16b4d27",
+    ),
+    "verify-all": (
+        "verify-all --seed 0 --trials 40",
+        "e9a822b8e4cdda6d6f09a18bd1d51d44acf022aed773d90684a763d6806a274a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_stdout(name, tmp_path, capsys):
+    write_tensor(tmp_path / "general.json", random_structured(3, 4, "general", seed=5))
+    write_tensor(tmp_path / "centro.json", random_structured(3, 4, "centro", seed=5))
+    (tmp_path / "spec.json").write_text('{"order": 3, "generating": [0.5, 1.5, 2.5, 1.5, 0.5]}')
+    write_tensor(tmp_path / "diag.json", DenseTensor.diagonal(3, np.array([2.0, 2.0])))
+    command, expected = GOLDEN[name]
+    code, out, err = run(capsys, command.format(dir=tmp_path).split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == expected

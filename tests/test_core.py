@@ -10,7 +10,6 @@ from centrotensor import (
     flip_vector,
     hadamard,
     poly_eval,
-    power_vector,
     reverse_tensor,
     row_sums,
     scale,
@@ -161,11 +160,6 @@ class TestPolyEval:
 
 
 class TestElementwise:
-    def test_power_vector(self):
-        assert power_vector([2.0, -1.0], 3).tolist() == [8.0, -1.0]
-        assert power_vector([1.0, 1.0, 1.0], 5).tolist() == [1.0, 1.0, 1.0]
-        assert power_vector([0.0, 5.0], 2).tolist() == [0.0, 25.0]
-
     def test_hadamard_identity_and_square(self):
         a = DenseTensor(np.array([[1.0, 2.0], [-2.0, -1.0]]))
         ones = DenseTensor(np.ones((2, 2)))

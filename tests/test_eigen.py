@@ -232,7 +232,7 @@ class TestSolveEigen:
             {"max_iter": 10.0},
             *(
                 {name: bad}
-                for name in ("tol", "class_tol", "value_tol", "vector_tol")
+                for name in ("tol", "class_tol")
                 for bad in (float("nan"), float("inf"), -1e-3)
             ),
         ],

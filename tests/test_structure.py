@@ -210,6 +210,15 @@ class TestPolyReflection:
             a = random_structured(order, dim, kind, rng)
             assert verify_poly_reflection(a, trials=10, seed=rng)
 
+    @pytest.mark.parametrize("trials", [0, 1, 7])
+    def test_generator_state_matches_per_trial_draws(self, trials):
+        a = random_structured(3, 4, "centro", seed=5)
+        used, reference = np.random.default_rng(9), np.random.default_rng(9)
+        verify_poly_reflection(a, trials=trials, seed=used)
+        for _ in range(trials):
+            reference.uniform(-1.0, 1.0, size=a.dim)
+        assert used.bit_generator.state == reference.bit_generator.state
+
 
 class TestHadamardParity:
     @pytest.mark.parametrize(
