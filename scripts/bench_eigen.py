@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Time the eigen solver's layers at two commits and write BENCH_eigen.json.
+
+    python3 scripts/bench_eigen.py --base 93c2e0e --head HEAD --reps 7 --out BENCH_eigen.json
+
+Each commit is exported with ``git archive`` into a temporary directory
+and timed in fresh Python processes with one BLAS thread, the two commits
+alternating rep by rep so that a drift in machine speed hits both alike.
+``--head worktree`` times the checked-out ``src/`` with its uncommitted
+changes instead, recorded as ``<HEAD>-dirty``.
+
+A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
+git_rev}``; one rep times the whole case once.  The cases:
+
+* ``eigen.solve_eigen`` on the 27-cell panel: centro, skew and palindromic
+  Cauchy tensors at orders 2-4 and dims 2-4, 200 starts each, drawn the
+  way the eig-survey benchmark draws its panel (in another order, so not
+  the same tensors);
+* ``eigen.solve_eigen`` at order 5, dim 8, 50 starts on a centro tensor;
+* ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
+  trailing slots, for stacks of 50 and 850 vectors;
+* ``eigen._newton_steps`` on the Newton stacks of one 200-start solve of
+  an order-4 palindromic Cauchy tensor that hold an exactly singular
+  system (recorded in the same process, so at the commit being timed);
+* ``eigen.reflect_pair`` on every pair of one 200-start solve of an
+  order-4 dim-4 centro tensor, 20 times over.
+
+The two contractions are 20 calls per rep.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _palindrome(rng, n: int) -> np.ndarray:
+    """Positive palindromic generating vector, as the eig-survey panel draws it."""
+    half = rng.uniform(0.5, 2.0, size=(n + 1) // 2)
+    return np.concatenate([half, half[: n // 2][::-1]])
+
+
+def measure() -> list:
+    """Time every case once, after a warm-up, against the library on sys.path."""
+    from centrotensor import cauchy, core, eigen, structure
+
+    panel_rng, solve_rng = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
+    panel = []
+    for family in ("centro", "skew", "cauchy"):
+        for order in (2, 3, 4):
+            for dim in (2, 3, 4):
+                if family == "cauchy":
+                    spec = cauchy.CauchySpec(_palindrome(panel_rng, dim), order)
+                    tensor = cauchy.materialize(spec)
+                else:
+                    seed = int(panel_rng.integers(2**32))
+                    tensor = structure.random_structured(order, dim, family, seed)
+                panel.append((tensor, int(solve_rng.integers(2**32))))
+
+    big = structure.random_structured(5, 8, "centro", seed=SEED)
+    data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(8,) * 5)
+    stacks = {s: np.random.default_rng(SEED).normal(size=(s, 8)) for s in (50, 850)}
+
+    recorded = []
+    newton_steps = eigen._newton_steps
+
+    def recording(jac, rhs):
+        if np.any(np.linalg.slogdet(jac)[0] == 0):
+            recorded.append((jac.copy(), rhs.copy()))
+        return newton_steps(jac, rhs)
+
+    eigen._newton_steps = recording
+    pal = cauchy.materialize(cauchy.CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), 4))
+    eigen.solve_eigen(pal, starts=200, seed=SEED)
+    eigen._newton_steps = newton_steps
+    singular = sum(int(np.sum(np.linalg.slogdet(j)[0] == 0)) for j, _ in recorded)
+
+    mirror = structure.random_structured(4, 4, "centro", seed=SEED)
+    pairs = eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
+
+    cases = [
+        ("eigen.solve_eigen", "27-cell panel",
+         {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200},
+         lambda: [eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]),
+        ("eigen.solve_eigen", "order-5 dim-8 centro",
+         {"order": 5, "dim": 8, "starts": 50},
+         lambda: eigen.solve_eigen(big, starts=50, seed=SEED)),
+        ("core.contract_trailing", "m=5 n=8 S=50",
+         {"order": 5, "dim": 8, "stack": 50, "calls": 20},
+         lambda: [core.contract_trailing(data, stacks[50], 4) for _ in range(20)]),
+        ("core.contract_trailing", "m=5 n=8 S=850",
+         {"order": 5, "dim": 8, "stack": 850, "calls": 20},
+         lambda: [core.contract_trailing(data, stacks[850], 4) for _ in range(20)]),
+        ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks",
+         {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded),
+          "singular": singular},
+         lambda: [newton_steps(j, r) for j, r in recorded]),
+        ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times",
+         {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)},
+         lambda: [eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]),
+    ]
+    out = []
+    for layer, case, sizes, fn in cases:
+        fn()  # warm-up
+        out.append({"layer": layer, "case": case, "sizes": sizes, "s": _timed(fn)})
+    return out
+
+
+def _child(src: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--measure"],
+        env=env, cwd=src.parent, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="parent commit")
+    parser.add_argument("--head", help="changed commit")
+    parser.add_argument("--reps", type=int, default=7)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_eigen.json"))
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    if not (args.base and args.head):
+        parser.error("--base and --head are required")
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {}
+        for name in (args.base, args.head):
+            commit = "HEAD" if name == "worktree" else name
+            rev = subprocess.run(["git", "rev-parse", "--short", commit], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE, text=True).stdout.strip()
+            if name == "worktree":
+                trees[rev + "-dirty"] = ROOT / "src"
+                continue
+            tree = Path(tmp) / rev
+            tree.mkdir()
+            archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
+                                     stdout=subprocess.PIPE).stdout
+            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+            trees[rev] = tree / "src"
+        # one rep per process, the commits alternating
+        runs = {rev: [] for rev in trees}
+        for rep in range(args.reps):
+            order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+            for rev in order:
+                runs[rev].append(_child(trees[rev]))
+            print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr, flush=True)
+    for rev, per_rep in runs.items():
+        for i, first in enumerate(per_rep[0]):
+            times = [rep_cases[i]["s"] for rep_cases in per_rep]
+            records.append({
+                "layer": first["layer"], "case": first["case"], "sizes": first["sizes"],
+                "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
+                "reps": len(times), "git_rev": rev,
+            })
+    Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
+    for rec in records:
+        print(f"{rec['git_rev']}  {rec['layer']:24s} {rec['case']:45s} "
+              f"best {rec['best_s'] * 1e3:9.3f} ms  median {rec['median_s'] * 1e3:9.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

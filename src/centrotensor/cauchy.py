@@ -21,12 +21,11 @@ import numpy as np
 from .core import (
     DenseTensor,
     DomainError,
-    ResourceLimitError,
-    check_order,
+    check_entry_count,
     check_tolerance,
     flip_vector,
 )
-from .product import DEFAULT_ENTRY_CAP, exchange_matrix, shao_product
+from .product import exchange_matrix, shao_product
 from .structure import DEFAULT_TOL_FACTOR, default_tolerance
 
 __all__ = [
@@ -78,19 +77,16 @@ def _component_scale(c: np.ndarray) -> float:
 
 
 def _index_sums(spec: CauchySpec) -> np.ndarray:
-    """All m-fold component sums as an order-m array.
+    """All m-fold component sums as an order-m array, left to right.
 
     The order and the n^m entry count are checked before anything is
     built: past numpy's axis limit is a ValueError, past
-    DEFAULT_ENTRY_CAP (the product cap) a ResourceLimitError.
+    DEFAULT_ENTRY_CAP a ResourceLimitError.  A sum that overflows is left
+    infinite, without a warning, for materialize to reject.
     """
-    check_order(spec.order)
-    if spec.dim**spec.order > DEFAULT_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"Cauchy tensor of order {spec.order} dim {spec.dim} has "
-            f"{spec.dim**spec.order} entries, exceeding the cap {DEFAULT_ENTRY_CAP}"
-        )
-    return reduce(np.add.outer, [spec.generating] * spec.order)
+    check_entry_count(spec.order, spec.dim, "Cauchy tensor")
+    with np.errstate(over="ignore"):
+        return reduce(np.add.outer, [spec.generating] * spec.order)
 
 
 def _scan_sums(spec: CauchySpec, sums: np.ndarray) -> None:
@@ -117,7 +113,8 @@ def _scan_sums(spec: CauchySpec, sums: np.ndarray) -> None:
         return
     index = np.stack(np.nonzero(candidates), axis=1)
     for combo in index[np.all(np.diff(index, axis=1) >= 0, axis=1)].tolist():
-        s = float(c[combo].sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(c[combo].sum())
         if abs(s) < threshold:
             ones_based = tuple(i + 1 for i in combo)
             raise CauchySpecError(
@@ -132,10 +129,11 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     The result is fully symmetric (invariant under any index
     permutation) since each entry depends only on the index multiset.
     A near-zero sum raises CauchySpecError naming the first offending
-    multiset (1-based), and a sum whose reciprocal is not finite raises
-    it naming the first such index: with components near the float limit
-    the multiset scan can see an overflowed sum where another order of
-    the same terms cancels to 0.
+    multiset (1-based).  Past that scan, a sum whose reciprocal is not
+    finite, and then a sum that is not finite itself (it overflowed, so
+    its reciprocal would read 0), raises it naming the first such index:
+    with components near the float limit the multiset scan can see an
+    overflowed sum where another order of the same terms cancels to 0.
     """
     sums = _index_sums(spec)
     _scan_sums(spec, sums)
@@ -144,14 +142,22 @@ def materialize(spec: CauchySpec) -> DenseTensor:
             entries = 1.0 / sums
     except FloatingPointError:
         with np.errstate(divide="ignore", over="ignore"):
-            finite = np.isfinite(1.0 / sums)
-        index = np.unravel_index(np.argmin(finite), sums.shape)
-        raise CauchySpecError(
-            f"index sum {float(sums[index])!r} at index "
-            f"{tuple(int(i) + 1 for i in index)} has no finite reciprocal; "
-            "entries do not exist"
-        ) from None
+            bad = ~np.isfinite(1.0 / sums)
+        raise _first_bad(sums, bad, "has no finite reciprocal") from None
+    # 1/inf is 0 with no floating-point error, and no finite sum has a zero
+    # reciprocal, so a zero entry marks a sum that overflowed
+    if not entries.all():
+        raise _first_bad(sums, ~np.isfinite(sums), "is not finite")
     return DenseTensor(entries)
+
+
+def _first_bad(sums: np.ndarray, bad: np.ndarray, problem: str) -> CauchySpecError:
+    """The error naming the first (row-major) index marked bad, 1-based."""
+    index = np.unravel_index(np.argmax(bad), sums.shape)
+    return CauchySpecError(
+        f"index sum {float(sums[index])!r} at index "
+        f"{tuple(int(i) + 1 for i in index)} {problem}; entries do not exist"
+    )
 
 
 def _is_palindrome(c: np.ndarray, sign: float, tol: float | None) -> bool:

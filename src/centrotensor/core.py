@@ -33,11 +33,15 @@ __all__ = [
     "check_tolerance",
     "check_count",
     "check_order",
+    "check_entry_count",
     "as_generator",
 ]
 
 # numpy arrays have at most 64 axes
 MAX_ORDER = 64
+# Largest entry count any construction allocates (512 MB of floats), and
+# the default result cap of the general product.
+DEFAULT_ENTRY_CAP = 2**26
 
 
 class DomainError(Exception):
@@ -107,12 +111,14 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "DenseTensor":
+        check_entry_count(order, dim)
         return cls(np.zeros((dim,) * order))
 
     @classmethod
     def diagonal(cls, order: int, diag) -> "DenseTensor":
         """diag[i] where all indices equal i, 0 elsewhere; dim is len(diag)."""
         dim = len(diag)
+        check_entry_count(order, dim)
         data = np.zeros((dim,) * order)
         data[(np.arange(dim),) * order] = diag
         return cls(data)
@@ -176,14 +182,22 @@ def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarra
 
     data has shape (n,)*k and xs shape (S, n); the result has shape
     (S,) + (n,)*(k-count).  The shared tensor is contracted one slot at a
-    time against the whole stack (one matrix product, then batched
-    matrix-vector products on partial results), so it is never copied per
-    row.  With count 0 the result is a read-only broadcast view of data.
+    time against the whole stack (batched vector-matrix products for the
+    first slot, then batched matrix-vector products on partial results),
+    so it is never copied per row.  With count 0 the result is a
+    read-only broadcast view of data.
+
+    Every row goes through the same one-row product whatever S is: numpy
+    sends a one-row matrix product to gemv, which rounds differently from
+    the gemm a multi-row product gets, so a single stacked product would
+    make a row's last bits depend on the stack height.  Per row, a row's
+    result is the same bits alone or in any stack, at 3-5x the cost of
+    one gemm on the first slot.
     """
     s, n = xs.shape
     if count == 0:
         return np.broadcast_to(data, (s,) + data.shape)
-    out = xs @ data.reshape(-1, n).T
+    out = np.matmul(xs[:, None, :], data.reshape(-1, n).T)[:, 0]
     for k in range(count - 1):
         out = np.matmul(out.reshape(s, n ** (data.ndim - 2 - k), n), xs[:, :, None])
     return out.reshape((s,) + data.shape[: data.ndim - count])
@@ -249,6 +263,20 @@ def check_order(order: int) -> None:
     """Raise ValueError for an order with more axes than a numpy array can hold."""
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER} axes")
+
+
+def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
+    """Refuse a tensor too big to allocate, before it is allocated.
+
+    An order past numpy's axis limit is a ValueError; more than
+    DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
+    """
+    check_order(order)
+    if dim**order > DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"{what} of order {order} dim {dim} has {dim**order} entries, "
+            f"exceeding the cap {DEFAULT_ENTRY_CAP}"
+        )
 
 
 def as_generator(seed) -> np.random.Generator:

@@ -17,9 +17,17 @@ Contents:
   size-n draw per start) and step together on stacked arrays: the shared
   tensor is contracted one slot at a time against the whole stack, the
   Jacobians come from one tensor summed once per solve, and each Newton
-  step is one stacked linear solve.  Damping stays per start, and starts
-  leave the active stack as they converge, stall, take a non-finite step
-  or run out of iterations; SolverStats counts each way,
+  step is one stacked linear solve.  When that solve meets an exactly
+  singular Jacobian, a stacked slogdet singles those systems out for
+  least squares and the rest stay stacked.  Damping stays per start:
+  the full step is tried for every start, then the halvings of the
+  starts it failed are evaluated in stacked chunks of consecutive
+  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
+  n^(m-1)) holds, and each start takes its first accepted halving.  Each
+  row is contracted on its own (see core.contract_trailing), so neither
+  the chunking nor the other starts change a start's bits.  Starts leave
+  the active stack as they converge, stall, take a non-finite step or
+  run out of iterations; SolverStats counts each way,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
@@ -231,33 +239,49 @@ def _jacobian_tensor(data: np.ndarray) -> np.ndarray:
     return sum(np.moveaxis(data, p, 1) for p in range(1, data.ndim))
 
 
-def _stacked_residual(data: np.ndarray, xs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """F(x, lambda) = (A x^{m-1} - lambda x^{[m-1]}, |x|^2 - 1) for each row."""
-    m = data.ndim
-    g = contract_trailing(data, xs, m - 1)
-    return np.concatenate(
-        [g - lams[:, None] * xs ** (m - 1), (np.sum(xs * xs, axis=1) - 1.0)[:, None]], axis=1
-    )
+def _stacked_residual(data: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """F(x, lambda) = (A x^{m-1} - lambda x^{[m-1]}, |x|^2 - 1) for each row (x, lambda)."""
+    m, n = data.ndim, zs.shape[1] - 1
+    xs = zs[:, :n]
+    fs = np.empty_like(zs)
+    fs[:, :n] = contract_trailing(data, xs, m - 1) - zs[:, n, None] * xs ** (m - 1)
+    fs[:, n] = np.sum(xs * xs, axis=1) - 1.0
+    return fs
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each system of the stack; a singular one falls back to least squares."""
+    """Solve each system of the stack; a singular one falls back to least squares.
+
+    When the stacked solve meets an exactly singular system, one stacked
+    slogdet finds every such system (sign 0: LU met a zero pivot, which is
+    what makes solve raise), one stacked solve takes the rest (the same
+    LAPACK gesv per system, so the same bits) and lstsq only the singular
+    ones.
+    """
     try:
         return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
+    singular = np.linalg.slogdet(jac)[0] == 0
     steps = np.empty_like(rhs)
-    for k in range(len(rhs)):
-        try:
-            steps[k] = np.linalg.solve(jac[k], rhs[k])
-        except np.linalg.LinAlgError:
-            steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
+    regular = ~singular
+    steps[regular] = np.linalg.solve(jac[regular], rhs[regular][:, :, None])[:, :, 0]
+    for k in np.flatnonzero(singular):
+        steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
     return steps
 
 
 # How a start ended, in SolverStats terms.
 _RUNNING, _REACHED, _STALLED, _NON_FINITE = 0, 1, 2, 3
-_MIN_DAMP = 2.0**-16
+# The line search tries the full step and then up to this many halvings.
+_HALVINGS = 16
+_DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
+# Entry budget of one line-search chunk: its rows times n^(m-1), the size
+# of the first partial contraction (2^16 entries are 512 KB).  It bounds
+# work as well as memory: halvings past a start's first accepted one are
+# evaluated for nothing, which costs more than the saved calls once a row
+# is large (order 5, dim 8: a row is 4096 entries, so 16 rows a chunk).
+LINE_SEARCH_ENTRIES = 2**16
 
 
 def solve_eigen(
@@ -296,14 +320,19 @@ def solve_eigen(
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
+    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
+    diag = np.arange(n)
 
     # One draw of shape (starts, n) consumes the same stream as `starts`
     # draws of size n, so a seed means the same starts as a per-start loop.
-    xs = rng.normal(size=(starts, n))
+    # Row s of zs holds start s's unknowns (x, lambda).
+    zs = np.empty((starts, n + 1))
+    xs = zs[:, :n]
+    xs[:] = rng.normal(size=(starts, n))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
     xp = xs ** (m - 1)
-    lams = np.sum(xp * contract_trailing(data, xs, m - 1), axis=1) / np.sum(xp * xp, axis=1)
-    fs = _stacked_residual(data, xs, lams)
+    zs[:, n] = np.sum(xp * contract_trailing(data, xs, m - 1), axis=1) / np.sum(xp * xp, axis=1)
+    fs = _stacked_residual(data, zs)
     best = np.max(np.abs(fs), axis=1)
     state = np.where(best <= tol, _REACHED, _RUNNING)
     iterations = 0
@@ -312,36 +341,46 @@ def solve_eigen(
         if not live.size:
             break
         iterations += live.size
-        x, lam = xs[live], lams[live]
+        z = zs[live]
+        x, lam = z[:, :n], z[:, n]
         jac = np.zeros((live.size, n + 1, n + 1))
         jac[:, :n, :n] = contract_trailing(jac_tensor, x, m - 2)
-        diag = np.arange(n)
         jac[:, diag, diag] -= lam[:, None] * (m - 1) * x ** (m - 2)
         jac[:, :n, n] = -(x ** (m - 1))
         jac[:, n, :n] = 2.0 * x
         step = _newton_steps(jac, -fs[live])
-        finite = np.all(np.isfinite(step), axis=1)
-        state[live[~finite]] = _NON_FINITE
-        pending, x, lam, step = live[finite], x[finite], lam[finite], step[finite]
-        damp = 1.0
-        while pending.size and damp >= _MIN_DAMP:
-            x_new = x + damp * step[:, :n]
-            lam_new = lam + damp * step[:, n]
-            f_new = _stacked_residual(data, x_new, lam_new)
-            norm_new = np.max(np.abs(f_new), axis=1)
-            better = norm_new < best[pending]
-            won = pending[better]
-            xs[won], lams[won], fs[won], best[won] = (
-                x_new[better], lam_new[better], f_new[better], norm_new[better]
+        pending = live
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            state[live[~finite]] = _NON_FINITE
+            pending, z, step = live[finite], z[finite], step[finite]
+        halving = 0
+        while pending.size and halving <= _HALVINGS:
+            # the full step alone, then as many halvings per chunk as the
+            # entry budget holds (at least one)
+            chunk = 1 if halving == 0 else min(
+                _HALVINGS + 1 - halving, max(1, chunk_rows // pending.size)
             )
-            state[won[best[won] <= tol]] = _REACHED
-            keep = ~better
-            pending, x, lam, step = pending[keep], x[keep], lam[keep], step[keep]
-            damp *= 0.5
+            damp = _DAMPS[halving : halving + chunk]
+            z_new = z[:, None, :] + damp[:, None] * step[:, None, :]
+            f_new = _stacked_residual(data, z_new.reshape(-1, n + 1)).reshape(z_new.shape)
+            norm_new = np.abs(f_new).max(axis=2)
+            better = norm_new < best[pending, None]
+            accepted = better.any(axis=1)
+            # the first accepted halving of each start wins
+            rows = np.flatnonzero(accepted)
+            first = np.argmax(better[rows], axis=1)
+            won = pending[rows]
+            norm_won = norm_new[rows, first]
+            zs[won], fs[won], best[won] = z_new[rows, first], f_new[rows, first], norm_won
+            state[won[norm_won <= tol]] = _REACHED
+            keep = ~accepted
+            pending, z, step = pending[keep], z[keep], step[keep]
+            halving += chunk
         state[pending] = _STALLED
 
     reached = np.flatnonzero(state == _REACHED)
-    xs, lams = xs[reached], lams[reached]
+    xs, lams = zs[reached, :n], zs[reached, n]
     # normalize_eigenvector's rule on the stack: unit rows, first
     # significant component positive (a unit row always has one)
     norms = np.linalg.norm(xs, axis=1)

@@ -18,7 +18,13 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, ResourceLimitError, check_count
+from .core import (
+    DEFAULT_ENTRY_CAP,
+    DenseTensor,
+    ResourceLimitError,
+    check_count,
+    check_entry_count,
+)
 
 __all__ = [
     "ProductShape",
@@ -28,9 +34,6 @@ __all__ = [
     "product_parity",
     "exchange_matrix",
 ]
-
-# Guards the exponential result order (m-1)(k-1)+1.
-DEFAULT_ENTRY_CAP = 2**26
 
 _KINDS = ("centro", "skew")
 
@@ -119,4 +122,5 @@ def exchange_matrix(n: int) -> DenseTensor:
     """Anti-diagonal permutation matrix J with J[i, n-i+1] = 1; J*J = I."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    check_entry_count(2, n, "exchange matrix")
     return DenseTensor(np.eye(n)[::-1].copy())

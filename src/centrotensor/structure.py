@@ -21,6 +21,7 @@ from .core import (
     add,
     as_generator,
     check_count,
+    check_entry_count,
     check_tolerance,
     contract_trailing,
     entry_scale,
@@ -188,6 +189,7 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
         raise ValueError("order and dim must be positive")
     if kind not in ("centro", "skew", "general"):
         raise ValueError(f"unknown kind {kind!r}")
+    check_entry_count(order, dim)
     rng = as_generator(seed)
     count = dim**order
     draw = rng.uniform(-1.0, 1.0, size=count)
@@ -216,12 +218,17 @@ def reflection_sign(a: DenseTensor) -> float:
 
     Reversing every index multiplies A by this sign, so f(Jx) = sign * f(x)
     and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  A
-    tensor that is neither raises ValueError.
+    tensor that is neither raises ValueError.  Same verdicts as
+    check_structure at the default tolerance, without building its report.
     """
-    report = check_structure(a)
-    if report.verdict == NEITHER:
-        raise ValueError("tensor is neither centro nor skew")
-    return 1.0 if report.is_centro else -1.0
+    tol = default_tolerance(a)
+    flat = a.entries
+    rev = flat[::-1]
+    if np.max(np.abs(flat - rev)) <= tol:
+        return 1.0
+    if np.max(np.abs(flat + rev)) <= tol:
+        return -1.0
+    raise ValueError("tensor is neither centro nor skew")
 
 
 def verify_row_sum_symmetry(

@@ -188,6 +188,20 @@ def loop_solve_eigen(
     return kept, converged
 
 
+def loop_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One solve per system of the stack, least squares for a singular one.
+
+    The per-system fallback the library's stacked singular split replaced.
+    """
+    steps = np.empty_like(rhs)
+    for k in range(len(rhs)):
+        try:
+            steps[k] = np.linalg.solve(jac[k], rhs[k])
+        except np.linalg.LinAlgError:
+            steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
+    return steps
+
+
 def loop_validate_spec(spec) -> None:
     """Scan all multisets of m components; reject any near-zero sum.
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ class TestMaterialize:
             assert scan_outcome(scan, spec) is None
             with pytest.raises(CauchySpecError, match=r"0\.0 at index \(1, 3, 1, 3\)"):
                 materialize(spec)
+
+    @pytest.mark.parametrize(
+        "c,m,message",
+        [
+            ([1e308, 1e308], 2, r"inf at index \(1, 1\) is not finite"),
+            ([-1e308, -1e308], 2, r"-inf at index \(1, 1\) is not finite"),
+            ([1e307, 1e308, 1e308], 3, r"inf at index \(1, 2, 2\) is not finite"),
+        ],
+    )
+    def test_overflowing_sum_raises_without_warning(self, c, m, message):
+        # 1/inf is 0, so an overflowed sum used to become a zero entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CauchySpecError, match=message):
+                materialize(CauchySpec(np.array(c), m))
 
     @pytest.mark.parametrize("build", [materialize])
     def test_order_past_numpy_limit_raises_before_building(self, build):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from centrotensor import (
     materialize,
     random_structured,
 )
+from centrotensor import core
 from centrotensor.cli import main
 from centrotensor.serialize import dumps, spec_to_obj, tensor_to_obj
 
@@ -132,6 +134,14 @@ class TestGen:
         code, out, _ = run(capsys, ["gen", "--dim", "2", "--kind", "exchange"])
         assert json.loads(out)["entries"] == [0, 1.0, 1.0, 0]
 
+    @pytest.mark.parametrize("kind", ["centro", "skew", "general", "identity", "exchange"])
+    def test_over_the_entry_cap_exits_1(self, kind, capsys, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 8)
+        code, out, err = run(capsys, ["gen", "--dim", "3", "--order", "2", "--kind", kind])
+        assert code == 1
+        assert out == ""
+        assert "9 entries, exceeding the cap 8" in err and "Traceback" not in err
+
     def test_ct_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CT_SEED", "31")
         _, out_env, _ = run(capsys, ["gen", "--dim", "3", "--order", "2"])
@@ -242,6 +252,16 @@ class TestCauchyVerb:
         assert code == 1
         assert out == ""
         assert "no finite reciprocal" in err and "Traceback" not in err
+
+    def test_overflowing_sums_exit_1_without_warning(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 2, "generating": [1e308, 1e308]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["cauchy", str(spec_path)])
+        assert code == 1
+        assert out == ""
+        assert "inf at index (1, 1) is not finite" in err and "Traceback" not in err
 
     def test_huge_integer_component_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

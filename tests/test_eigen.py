@@ -22,7 +22,7 @@ from centrotensor import (
     solve_eigen,
 )
 from centrotensor import core, eigen
-from oracles import loop_solve_eigen
+from oracles import loop_newton_steps, loop_solve_eigen
 
 
 class TestResidual:
@@ -415,3 +415,80 @@ class TestAgainstLoopOracle:
             assert any(self._matches(p.value, p.vector, value, vector) for p in result.pairs)
         for p in result.pairs:
             assert any(self._matches(p.value, p.vector, value, vector) for value, vector, _ in kept)
+
+
+ORACLE_CELLS = [
+    (m, n, kind) for m in (2, 3, 4, 5) for n in (2, 3, 4, 8) for kind in ("centro", "skew")
+]
+ENDS = ("converged", "rejected", "stalled", "non_finite", "max_iter", "iterations")
+
+
+def palindromic_cauchy(order):
+    return materialize(CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), order))
+
+
+class TestStartsAreIndependent:
+    """A start's result depends neither on the other starts nor on how the
+    line search chunks its halvings."""
+
+    @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
+    def test_stacked_solve_counts_as_one_start_solves(self, m, n, kind):
+        a = random_structured(m, n, kind, seed=100 * m + n)
+        stacked = solve_eigen(a, starts=30, seed=np.random.default_rng(10 * m + n)).stats
+        draws = np.random.default_rng(10 * m + n)
+        singles = [solve_eigen(a, starts=1, seed=draws).stats for _ in range(30)]
+        assert {end: getattr(stacked, end) for end in ENDS} == {
+            end: sum(getattr(one, end) for one in singles) for end in ENDS
+        }
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            random_structured(5, 8, "centro", seed=508),
+            random_structured(5, 8, "skew", seed=508),
+            palindromic_cauchy(2),
+            palindromic_cauchy(3),
+            palindromic_cauchy(4),
+        ],
+        ids=["centro-m5-n8", "skew-m5-n8", "cauchy-m2", "cauchy-m3", "cauchy-m4"],
+    )
+    def test_one_halving_per_chunk_changes_no_bit(self, tensor, monkeypatch):
+        calls = []
+
+        def counting(data, zs):
+            calls.append(len(zs))
+            return residual_of(data, zs)
+
+        residual_of = eigen._stacked_residual
+        monkeypatch.setattr(eigen, "_stacked_residual", counting)
+        default = solve_eigen(tensor, starts=50, seed=3)
+        default_calls = len(calls)
+        monkeypatch.setattr(eigen, "LINE_SEARCH_ENTRIES", 1)
+        chunked = solve_eigen(tensor, starts=50, seed=3)
+        # the default budget put several halvings in one chunk
+        assert len(calls) - default_calls > default_calls
+        assert chunked.stats == default.stats
+        assert len(chunked.pairs) == len(default.pairs)
+        for p, q in zip(chunked.pairs, default.pairs):
+            assert (p.value, p.residual) == (q.value, q.residual)
+            assert np.array_equal(p.vector, q.vector)
+
+    def test_singular_split_matches_per_system_solves(self, monkeypatch):
+        stacks = []
+
+        def recording(jac, rhs):
+            stacks.append((jac.copy(), rhs.copy()))
+            return newton_steps(jac, rhs)
+
+        newton_steps = eigen._newton_steps
+        monkeypatch.setattr(eigen, "_newton_steps", recording)
+        for order in (2, 3, 4):
+            solve_eigen(palindromic_cauchy(order), starts=40, seed=order)
+        # a regular system, a zero one and one with two equal rows
+        handmade = np.stack([np.eye(3) + 0.5, np.zeros((3, 3)), np.ones((3, 3))])
+        stacks.append((handmade, np.arange(9.0).reshape(3, 3)))
+        singular = 0
+        for jac, rhs in stacks:
+            singular += int(np.sum(np.linalg.slogdet(jac)[0] == 0))
+            np.testing.assert_array_equal(newton_steps(jac, rhs), loop_newton_steps(jac, rhs))
+        assert singular > 0

@@ -22,6 +22,7 @@ from centrotensor import (
     verify_poly_reflection,
     verify_row_sum_symmetry,
 )
+from centrotensor import core, structure
 
 
 class TestCheckStructure:
@@ -148,6 +149,63 @@ class TestRandomStructured:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             random_structured(2, 2, "diagonal", seed=0)
+
+
+# tol is the default tolerance of a tensor whose entries are at most 1 in size
+_TOL = structure.DEFAULT_TOL_FACTOR
+
+
+@pytest.mark.parametrize(
+    "data,verdict",
+    [
+        (random_structured(3, 3, "centro", seed=1).data, CENTRO),
+        (random_structured(3, 4, "skew", seed=2).data, SKEW),
+        (np.zeros((2, 2, 2)), BOTH),
+        (random_structured(2, 3, "general", seed=3).data, NEITHER),
+        # deviations of exactly the tolerance still pass
+        (np.array([[_TOL, 0.0], [0.0, 0.0]]), BOTH),
+        (np.array([[1.0, _TOL], [0.0, 1.0]]), CENTRO),
+        (np.array([[1.0, _TOL], [0.0, -1.0]]), SKEW),
+        (np.array([[2 * _TOL, 0.0], [0.0, 0.0]]), NEITHER),
+    ],
+)
+def test_reflection_sign_follows_the_structure_verdict(data, verdict):
+    a = DenseTensor(data)
+    assert check_structure(a).verdict == verdict
+    if verdict == NEITHER:
+        with pytest.raises(ValueError):
+            structure.reflection_sign(a)
+    else:
+        assert structure.reflection_sign(a) == (-1.0 if verdict == SKEW else 1.0)
+
+
+class TestEntryCap:
+    """Every constructor refuses more than the entry cap before allocating."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_structured(3, 3, "centro", seed=0),
+            lambda: random_structured(3, 3, "general", seed=0),
+            lambda: DenseTensor.zeros(3, 3),
+            lambda: DenseTensor.diagonal(3, np.ones(3)),
+            lambda: DenseTensor.identity(3, 3),
+        ],
+    )
+    def test_over_the_cap_is_refused(self, build, monkeypatch):
+        build()
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 26)
+        with pytest.raises(core.ResourceLimitError, match="27 entries, exceeding the cap 26"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build", [DenseTensor.zeros, DenseTensor.identity, random_structured]
+    )
+    def test_refused_before_allocating(self, build):
+        # 4**40 entries overflow numpy's size type, so numpy itself would
+        # refuse them without allocating; the cap must speak first
+        with pytest.raises(core.ResourceLimitError, match="exceeding the cap"):
+            build(40, 4)
 
 
 class TestRowSumSymmetry:
