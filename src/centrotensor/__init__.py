@@ -32,13 +32,7 @@ from .structure import (
     verify_poly_reflection,
     verify_row_sum_symmetry,
 )
-from .product import (
-    ProductShape,
-    chain_product,
-    exchange_matrix,
-    product_parity,
-    shao_product,
-)
+from .product import exchange_matrix, product_parity, shao_product
 from .cauchy import (
     CauchySpec,
     CauchySpecError,

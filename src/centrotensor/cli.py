@@ -19,7 +19,7 @@ import sys
 
 from . import eigen, inverse, serialize, structure, suite
 from .cauchy import cauchy_is_centro, cauchy_is_skew, materialize
-from .core import DenseTensor, DomainError, check_tolerance, hadamard
+from .core import DEFAULT_ENTRY_CAP, DenseTensor, DomainError, check_tolerance, hadamard
 from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
@@ -133,19 +133,13 @@ def _cmd_inverse(args) -> int:
     if args.tol is not None:
         check_tolerance(args.tol)
     tensor = _load_tensor(args.tensor)
+    left = args.side == "left"
     if args.order == 2:
-        recover = (
-            inverse.recover_order2_left_inverse
-            if args.side == "left"
-            else inverse.recover_order2_right_inverse
-        )
+        recover = (inverse.recover_order2_left_inverse if left
+                   else inverse.recover_order2_right_inverse)
         result = recover(tensor, tol=args.tol)
     else:
-        construct = (
-            inverse.diagonal_left_inverse
-            if args.side == "left"
-            else inverse.diagonal_right_inverse
-        )
+        construct = inverse.diagonal_left_inverse if left else inverse.diagonal_right_inverse
         result = construct(tensor, args.order)
     _emit(result.as_dict(), args.output)
     return 0 if isinstance(result, inverse.InverseResult) else 1
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prod", help="general tensor product")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=int, default=2**26, help="result entry cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP, help="result entry cap")
     _add_output(p)
     p.set_defaults(func=_cmd_prod)
 

@@ -42,9 +42,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     ConsistencyError,
     DenseTensor,
+    ResourceLimitError,
     apply,
     as_generator,
     check_count,
@@ -304,6 +306,9 @@ def solve_eigen(
     DEDUP_VALUE_TOL and their vectors agree up to sign within
     DEDUP_VECTOR_TOL.
 
+    Raises ResourceLimitError, before any start is drawn, when the first
+    contraction or the Jacobian stack would hold more than
+    core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
     An empty result is legal; completeness is not guaranteed.
     """
     n, m = a.dim, a.order
@@ -317,6 +322,12 @@ def solve_eigen(
     max_iter = check_count(max_iter, "max_iter")
     tol = check_tolerance(tol, "tol")
     class_tol = check_tolerance(class_tol, "class_tol")
+    stack = starts * max(n ** (m - 1), (n + 1) ** 2)
+    if stack > core.DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"{starts} starts on order {m} dim {n} stack {stack} entries, "
+            f"exceeding the cap {core.DEFAULT_ENTRY_CAP}"
+        )
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)

@@ -20,10 +20,11 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import serialize
 from .core import DenseTensor, DomainError, check_tolerance, entry_scale
 from .product import shao_product
 from .structure import check_structure, require_centro
@@ -66,11 +67,7 @@ class InverseResult:
             "residual": self.residual,
             "centro": self.centro_verdict,
             "condition": self.condition,
-            "inverse": {
-                "order": self.inverse.order,
-                "dim": self.inverse.dim,
-                "entries": self.inverse.entries.tolist(),
-            },
+            "inverse": serialize.tensor_to_obj(self.inverse),
         }
 
 
@@ -84,13 +81,7 @@ class NoInverse:
     residual: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "found": False,
-            "side": self.side,
-            "reason": self.reason,
-            "condition": self.condition,
-            "residual": self.residual,
-        }
+        return {"found": False, **asdict(self)}
 
 
 def verify_inverse(a: DenseTensor, b: DenseTensor, side: str) -> float:
@@ -127,9 +118,16 @@ def diagonal_right_inverse(a: DenseTensor, k: int = 2) -> InverseResult:
     return _diagonal_inverse(a, k, "right")
 
 
+def _require_order2(a: DenseTensor) -> None:
+    # before any arithmetic; the right recovery's even-order rule refuses order 1
+    if a.order < 2:
+        raise ValueError(f"inverting needs a tensor of order >= 2, got order {a.order}")
+
+
 def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
     if k < 2:
         raise ValueError("inverse order must be >= 2")
+    _require_order2(a)
     diag = a.data[(np.arange(a.dim),) * a.order]
     off = a.data - DenseTensor.diagonal(a.order, diag).data
     if float(np.max(np.abs(off))) > _DIAGONAL_TOL_FACTOR * entry_scale(a):
@@ -175,6 +173,7 @@ def recover_order2_left_inverse(
     as the slice a[i, j, j, ..., j]; inverting that slice gives the only
     possible candidate, which is then confirmed by multiplying out.
     """
+    _require_order2(a)
     require_centro(a)
     return _recover(a, _leading_slice(a), "left", tol)
 
@@ -204,7 +203,7 @@ def _recover(
         return NoInverse(
             side,
             f"candidate slice is singular or ill-conditioned (cond {cond:.3e})",
-            condition=cond,
+            condition=cond if np.isfinite(cond) else None,
         )
     b = DenseTensor(np.linalg.inv(candidate_inv))
     residual = verify_inverse(a, b, side)

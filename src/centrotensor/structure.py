@@ -238,9 +238,11 @@ def verify_row_sum_symmetry(
     centrosymmetric tensor, r_i = -r_{n-i+1} for a skew one.
 
     For a skew tensor of odd dimension the central row sum must itself
-    vanish, and that is checked too.  The structure kind is taken from
-    check_structure unless `assume` forces "centro" or "skew".  Returns
-    (ok, witness) where witness is the first failing 1-based row index.
+    vanish.  The skew comparison at the centre index c checks that too:
+    doubling is exact, so |r_c + r_c| <= tol means |r_c| <= tol/2.  The
+    structure kind is taken from check_structure unless `assume` forces
+    "centro" or "skew".  Returns (ok, witness) where witness is the first
+    failing 1-based row index.
     """
     tol = _tolerance(a, tol)
     if assume is None:
@@ -255,16 +257,11 @@ def verify_row_sum_symmetry(
 
     r = row_sums(a)
     r_flip = r[::-1]
-    n = a.dim
     for kind in kinds:
         dev = np.abs(r - r_flip) if kind == "centro" else np.abs(r + r_flip)
         bad = np.nonzero(dev > tol)[0]
         if bad.size:
             return False, int(bad[0]) + 1
-        if kind == "skew" and n % 2 == 1:
-            center = (n + 1) // 2
-            if abs(r[center - 1]) > tol:
-                return False, center
     return True, None
 
 

@@ -36,6 +36,9 @@ REMOVED = {
     "vector_from_obj": None,
     "validate_spec": "materialize(spec)",
     "power_vector": "x ** p",
+    "ProductShape": "order (m-1)(k-1)+1 and n**order entries",
+    "product_shape": "order (m-1)(k-1)+1 and n**order entries",
+    "chain_product": "shao_product(shao_product(a, b), c)",
 }
 
 

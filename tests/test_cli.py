@@ -214,6 +214,13 @@ class TestEig:
         assert out == ""
         assert "starts" in err or "tol" in err
 
+    def test_stack_over_the_cap_exits_1(self, sym_file, capsys, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 89)
+        code, out, err = run(capsys, ["eig", sym_file, "--starts", "10"])
+        assert code == 1
+        assert out == ""
+        assert "90 entries, exceeding the cap 89" in err and "Traceback" not in err
+
     def test_byte_identical_reruns(self, sym_file, capsys):
         _, out1, _ = run(capsys, ["eig", sym_file, "--starts", "20", "--seed", "3"])
         _, out2, _ = run(capsys, ["eig", sym_file, "--starts", "20", "--seed", "3"])
@@ -311,6 +318,26 @@ class TestInverseVerb:
         code, out, _ = run(capsys, ["inverse", path, "--side", "right", "--order", "2"])
         assert code == 0
         assert json.loads(out)["inverse"]["entries"] == [1.0, 0, 0, 1.0]
+
+    @pytest.mark.parametrize(
+        "side,order", [("right", "3"), ("left", "3"), ("left", "2")]
+    )
+    def test_order_one_tensor_exits_2(self, side, order, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text('{"order": 1, "dim": 3, "entries": [1.0, 2.0, 1.0]}')
+        argv = ["inverse", str(path), "--side", side, "--order", order]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "order >= 2, got order 1" in err and "Traceback" not in err
+
+    def test_singular_slice_prints_parseable_json(self, tmp_path, capsys):
+        path = write_tensor(tmp_path / "z.json", DenseTensor.zeros(4, 2))
+        code, out, _ = run(capsys, ["inverse", path, "--side", "left"])
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["found"] is False and obj["condition"] is None
+        assert "cond inf" in obj["reason"]
 
     @pytest.mark.parametrize(
         "side,order",

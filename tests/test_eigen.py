@@ -241,6 +241,20 @@ class TestSolveEigen:
         with pytest.raises(ValueError):
             solve_eigen(sym_matrix, **kwargs)
 
+    # per start: max(n^(m-1), (n+1)^2) entries, the first contraction or
+    # the Jacobian stack, whichever is larger
+    @pytest.mark.parametrize("m,n,per_start", [(2, 2, 9), (4, 3, 27), (5, 8, 4096)])
+    def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, per_start, monkeypatch):
+        a = DenseTensor.zeros(m, n)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 10 * per_start - 1)
+        with pytest.raises(core.ResourceLimitError, match=f"{10 * per_start} entries, exceeding"):
+            solve_eigen(a, starts=10, seed=rng)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 10 * per_start)
+        assert solve_eigen(a, starts=10, seed=rng).stats.attempted == 10
+
     def test_zero_starts_is_empty(self, sym_matrix):
         result = solve_eigen(sym_matrix, starts=0)
         assert result.pairs == []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from centrotensor import (
     shao_product,
     verify_inverse,
 )
+from centrotensor.serialize import dumps
 
 
 def well_conditioned_centro(dim, seed, cond_cap=1e3):
@@ -160,6 +163,13 @@ class TestRecoverLeft:
         with pytest.raises(ValueError):
             recover_order2_left_inverse(DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]])))
 
+    def test_singular_condition_is_null_in_json(self):
+        result = recover_order2_left_inverse(DenseTensor.zeros(4, 2))
+        assert isinstance(result, NoInverse)
+        assert result.condition is None
+        assert "cond inf" in result.reason
+        assert json.loads(dumps(result.as_dict()))["condition"] is None
+
 
 class TestRecoverRight:
     def test_identity_tensor(self):
@@ -192,3 +202,66 @@ def test_uniqueness_against_planted_ground_truth():
         if np.max(np.abs(result.inverse.data - np.linalg.inv(c.data))) <= 1e-9:
             hits += 1
     assert hits == 100
+
+
+class TestOrderOneOperand:
+    VECTOR = DenseTensor(np.array([1.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: diagonal_left_inverse(a, 3),
+            lambda a: diagonal_right_inverse(a, 3),
+            recover_order2_left_inverse,
+        ],
+        ids=["diagonal-left", "diagonal-right", "recover-left"],
+    )
+    def test_rejected_before_arithmetic(self, call):
+        with pytest.raises(ValueError, match="order >= 2, got order 1"):
+            call(self.VECTOR)
+
+    def test_right_recovery_rejects_it_as_odd(self):
+        with pytest.raises(ValueError, match="even tensor order"):
+            recover_order2_right_inverse(self.VECTOR)
+
+
+class TestAsDict:
+    """Key order and values of the JSON the inverse verb prints, pinned as literals."""
+
+    def test_diagonal_inverse_result(self):
+        result = diagonal_left_inverse(DenseTensor.diagonal(3, np.array([2.0, 4.0, 2.0])))
+        assert list(result.as_dict().items()) == [
+            ("found", True),
+            ("side", "left"),
+            ("order", 2),
+            ("residual", 0.0),
+            ("centro", True),
+            ("condition", None),
+            ("inverse", {"order": 2, "dim": 3,
+                         "entries": [0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.5]}),
+        ]
+
+    def test_recovered_inverse_result(self):
+        result = recover_order2_left_inverse(DenseTensor(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        assert list(result.as_dict().items()) == [
+            ("found", True),
+            ("side", "left"),
+            ("order", 2),
+            ("residual", 0.0),
+            ("centro", True),
+            ("condition", 2.999999999999999),
+            ("inverse", {"order": 2, "dim": 2,
+                         "entries": [0.6666666666666666, -0.3333333333333333,
+                                     -0.3333333333333333, 0.6666666666666666]}),
+        ]
+
+    def test_no_inverse(self):
+        a = DenseTensor(np.array([1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0]).reshape(2, 2, 2))
+        result = recover_order2_left_inverse(a)
+        assert list(result.as_dict().items()) == [
+            ("found", False),
+            ("side", "left"),
+            ("reason", "candidate fails the product check (residual 3.333e-01 > tol 2.000e-10)"),
+            ("condition", 3.0000000000000004),
+            ("residual", 0.3333333333333333),
+        ]

@@ -4,10 +4,8 @@ import pytest
 from centrotensor import (
     CENTRO,
     DenseTensor,
-    ProductShape,
     ResourceLimitError,
     apply,
-    chain_product,
     check_structure,
     check_via_J,
     exchange_matrix,
@@ -24,14 +22,11 @@ class TestShapeFormula:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_result_order_and_count(self, m, k, n):
-        shape = ProductShape(m, k, n)
-        assert shape.result_order == (m - 1) * (k - 1) + 1
-        assert shape.entry_count == n**shape.result_order
         a = random_structured(m, n, "general", seed=m * 10 + k)
         b = random_structured(k, n, "general", seed=k * 10 + n)
         prod = shao_product(a, b)
-        assert prod.order == shape.result_order
-        assert prod.entries.size == shape.entry_count
+        assert prod.order == (m - 1) * (k - 1) + 1
+        assert prod.entries.size == n**prod.order
 
 
 class TestShaoProduct:
@@ -83,6 +78,27 @@ class TestShaoProduct:
             shao_product(a, b, entry_cap=31)
         assert shao_product(a, b, entry_cap=32).order == 5
 
+    # Each row holds several faults at once; the checks run in a fixed
+    # order (cap value, dimension, left order, cap), so the first wins.
+    @pytest.mark.parametrize(
+        "left,right,cap,error,message",
+        [
+            ((1, 3), (2, 2), -1, ValueError, "entry_cap must be nonnegative, got -1"),
+            ((1, 3), (2, 2), 1.5, ValueError, "entry_cap must be an integer, got 1.5"),
+            ((1, 2), (1, 3), None, ValueError, "entry_cap must be an integer, got None"),
+            ((1, 3), (2, 2), 0, ValueError, "dimension mismatch: 3 vs 2"),
+            ((3, 2), (1, 3), 0, ValueError, "dimension mismatch: 2 vs 3"),
+            ((1, 2), (2, 2), 0, ValueError, "left operand must have order >= 2"),
+            ((2, 2), (2, 2), 3, ResourceLimitError,
+             "product of orders 2 and 2 has 4 entries, exceeding the cap 3"),
+        ],
+    )
+    def test_first_fault_wins(self, left, right, cap, error, message):
+        a, b = DenseTensor.zeros(*left), DenseTensor.zeros(*right)
+        with pytest.raises(error) as info:
+            shao_product(a, b, entry_cap=cap)
+        assert str(info.value) == message
+
 
 class TestParityTable:
     def test_centro_centro_any_order(self):
@@ -122,27 +138,24 @@ class TestParityTable:
 
 
 class TestChainProduct:
+    """Products of three tensors as left-associated nested calls."""
+
     def test_three_identities(self):
         ident = DenseTensor.identity(2, 3)
-        assert np.array_equal(chain_product([ident, ident, ident]).data, ident.data)
+        chained = shao_product(shao_product(ident, ident), ident)
+        assert np.array_equal(chained.data, ident.data)
 
     def test_three_centro_matrices(self, rng):
-        mats = [random_structured(2, 3, "centro", rng) for _ in range(3)]
-        assert check_structure(chain_product(mats)).verdict == CENTRO
+        a, b, c = (random_structured(2, 3, "centro", rng) for _ in range(3))
+        assert check_structure(shao_product(shao_product(a, b), c)).verdict == CENTRO
 
     def test_mixed_order_chain_stays_centro(self, rng):
-        chain = [
-            random_structured(3, 3, "centro", rng),
-            random_structured(2, 3, "centro", rng),
-            random_structured(2, 3, "centro", rng),
-        ]
-        prod = chain_product(chain)
+        a = random_structured(3, 3, "centro", rng)
+        b = random_structured(2, 3, "centro", rng)
+        c = random_structured(2, 3, "centro", rng)
+        prod = shao_product(shao_product(a, b), c)
         tol = 1e-10 * max(1.0, float(np.max(np.abs(prod.data))))
         assert check_structure(prod, tol).is_centro
-
-    def test_needs_two_tensors(self):
-        with pytest.raises(ValueError):
-            chain_product([DenseTensor.zeros(2, 2)])
 
 
 class TestExchangeMatrix:
@@ -168,7 +181,7 @@ class TestExchangeMatrix:
         a = DenseTensor(rng.uniform(-1, 1, size=(4, 4, 4)))
         j = exchange_matrix(4)
         nested = shao_product(j, shao_product(a, j))
-        chained = chain_product([j, a, j])
+        chained = shao_product(shao_product(j, a), j)
         assert np.max(np.abs(nested.data - chained.data)) <= 1e-12
         # and both realize the entry reversal used by the direct check
         assert check_via_J(a).verdict == check_structure(a).verdict

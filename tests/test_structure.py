@@ -230,6 +230,11 @@ class TestRowSumSymmetry:
         with pytest.raises(ValueError):
             verify_row_sum_symmetry(a)
 
+    def test_skew_centre_row_alone_is_the_witness(self):
+        # r = (1, 0.5, -1): only the centre row breaks r_i = -r_{n-i+1}
+        a = DenseTensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, -1.0, 0.0]]))
+        assert verify_row_sum_symmetry(a, assume="skew") == (False, 2)
+
 
 class TestPolyReflection:
     def test_centro_hand_values(self, sym_matrix):
