@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the eigen solver's layers at two commits and write BENCH_eigen.json.
+"""Time library layers at two commits and write a BENCH_*.json record.
 
-    python3 scripts/bench_eigen.py --base 93c2e0e --head HEAD --reps 7 --out BENCH_eigen.json
+    python3 scripts/bench_layers.py --base f32523f --head worktree --reps 11 --out BENCH_structure.json
 
 Each commit is exported with ``git archive`` into a temporary directory
 and timed in fresh Python processes with one BLAS thread, the two commits
@@ -23,9 +23,14 @@ git_rev}``; one rep times the whole case once.  The cases:
   an order-4 palindromic Cauchy tensor that hold an exactly singular
   system (recorded in the same process, so at the commit being timed);
 * ``eigen.reflect_pair`` on every pair of one 200-start solve of an
-  order-4 dim-4 centro tensor, 20 times over.
+  order-4 dim-4 centro tensor, 20 times over;
+* the three structure witnesses (``structure.check_structure``,
+  ``check_via_J``, ``check_commutation``), ``structure.decompose`` and
+  ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
+  and 40 (general), the sizes the dense-kernels benchmark uses.
 
-The two contractions are 20 calls per rep.
+The two contractions are 20 calls per rep; the structure cases call each
+of the three tensors as often as their ``calls`` size says.
 """
 
 from __future__ import annotations
@@ -96,6 +101,16 @@ def measure() -> list:
     mirror = structure.random_structured(4, 4, "centro", seed=SEED)
     pairs = eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
 
+    witness_inputs = [
+        structure.random_structured(4, dim, kind, seed=SEED)
+        for kind, dim in (("centro", 36), ("skew", 38), ("general", 40))
+    ]
+
+    def structure_case(layer, fn, calls):
+        sizes = {"order": 4, "dims": [36, 38, 40], "calls": calls * len(witness_inputs)}
+        return (layer, "order 4, dims 36/38/40", sizes,
+                lambda: [fn(t) for t in witness_inputs for _ in range(calls)])
+
     cases = [
         ("eigen.solve_eigen", "27-cell panel",
          {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200},
@@ -116,6 +131,11 @@ def measure() -> list:
         ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times",
          {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)},
          lambda: [eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]),
+        structure_case("structure.check_structure", structure.check_structure, 5),
+        structure_case("structure.check_via_J", structure.check_via_J, 2),
+        structure_case("structure.check_commutation", structure.check_commutation, 2),
+        structure_case("structure.decompose", structure.decompose, 5),
+        structure_case("core.entry_scale", core.entry_scale, 20),
     ]
     out = []
     for layer, case, sizes, fn in cases:
@@ -139,14 +159,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="parent commit")
     parser.add_argument("--head", help="changed commit")
     parser.add_argument("--reps", type=int, default=7)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_eigen.json"))
+    parser.add_argument("--out", help="record to write, e.g. BENCH_structure.json")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
         return 0
-    if not (args.base and args.head):
-        parser.error("--base and --head are required")
+    if not (args.base and args.head and args.out):
+        parser.error("--base, --head and --out are required")
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,7 +201,7 @@ def main(argv=None) -> int:
             })
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
     for rec in records:
-        print(f"{rec['git_rev']}  {rec['layer']:24s} {rec['case']:45s} "
+        print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "
               f"best {rec['best_s'] * 1e3:9.3f} ms  median {rec['median_s'] * 1e3:9.3f} ms")
     return 0
 

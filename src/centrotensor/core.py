@@ -235,8 +235,8 @@ def scale(a: DenseTensor, t: float) -> DenseTensor:
 
 
 def entry_scale(a: DenseTensor) -> float:
-    """Tolerance scale: max(1, largest entry magnitude)."""
-    return max(1.0, float(np.max(np.abs(a.data))))
+    """Tolerance scale: max(1, largest entry magnitude), read without building |A|."""
+    return max(1.0, float(a.data.max()), -float(a.data.min()))
 
 
 def check_tolerance(value, name: str = "tol") -> float:

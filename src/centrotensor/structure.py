@@ -8,10 +8,21 @@ both, reported with the verdict "both".
 Floating-point verdicts need a declared tolerance rule: every check here
 compares deviations against an absolute tolerance that defaults to
 1e-12 * max(1, largest entry magnitude).
+
+Each witness reduces to comparing two same-size arrays x and y: the
+centro deviation |x - y| and the skew deviation |x + y|.  Those are
+streamed through two reused buffers of _BLOCK entries, keeping only each
+deviation's max and first argmax, so the comparison builds no full-size
+temporary, and the direct check reads the reversed entries as a view
+instead of copying them.  Max and first argmax are exact, so a report is
+the one full-size arrays give.  A deviation that overflows is inf, and
+the report says so.  decompose walks the same blocks, halving before it
+adds, so its parts stay finite for any finite tensor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +36,7 @@ from .core import (
     check_tolerance,
     contract_trailing,
     entry_scale,
-    reverse_tensor,
     row_sums,
-    scale,
-    sub,
 )
 from .product import exchange_matrix, shao_product
 
@@ -59,6 +67,10 @@ NEITHER = "neither"
 
 DEFAULT_TOL_FACTOR = 1e-12
 
+# Entries per block of the streamed comparison and split: 256 KB of floats
+# per buffer, so the buffers and the input blocks they read stay in cache.
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -66,7 +78,9 @@ class StructureReport:
 
     For a passing verdict max_violation is the largest (tolerated)
     deviation of the claimed identity; for "neither" it is the deviation
-    of the nearer of the two structures.  worst_index is 1-based.
+    of the nearer of the two structures.  worst_index is 1-based.  A
+    deviation that overflows makes max_violation inf, which as_dict
+    writes as None (JSON null), since JSON has no infinity.
     """
 
     verdict: str
@@ -85,7 +99,7 @@ class StructureReport:
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "max_violation": self.max_violation,
+            "max_violation": self.max_violation if math.isfinite(self.max_violation) else None,
             "worst_index": list(self.worst_index),
             "tolerance_used": self.tolerance_used,
         }
@@ -113,33 +127,52 @@ def _tolerance(a: DenseTensor, tol, path: str | None = None) -> float:
     return default_tolerance(a) if tol is None else check_tolerance(tol)
 
 
-def _argmax_index(dev: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.argmax(dev))
-    return tuple(int(i) + 1 for i in np.unravel_index(flat, dev.shape))
+def _compare(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
+    """Classify by the deviations |x - y| (centro) and |x + y| (skew).
 
-
-def _report(centro_dev: np.ndarray, skew_dev: np.ndarray, tol: float) -> StructureReport:
-    c_max = float(centro_dev.max())
-    s_max = float(skew_dev.max())
-    c_ok = c_max <= tol
-    s_ok = s_max <= tol
+    y holds as many entries as x and may be a strided view, such as x's
+    entries reversed; worst_index unravels over x's shape.  Both
+    deviations go through two reused buffers of _BLOCK entries, keeping
+    each one's max and first argmax.
+    """
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    diff, total = np.empty(min(xf.size, _BLOCK)), np.empty(min(xf.size, _BLOCK))
+    c_max = s_max = -1.0
+    c_at = s_at = 0
+    with np.errstate(over="ignore"):
+        for start in range(0, xf.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            xb, yb = xf[block], yf[block]
+            d, t = diff[: xb.size], total[: xb.size]
+            np.abs(np.subtract(xb, yb, out=d), out=d)
+            np.abs(np.add(xb, yb, out=t), out=t)
+            i, j = int(np.argmax(d)), int(np.argmax(t))
+            if d[i] > c_max:
+                c_max, c_at = float(d[i]), start + i
+            if t[j] > s_max:
+                s_max, s_at = float(t[j]), start + j
+    c_ok, s_ok = c_max <= tol, s_max <= tol
     if c_ok and s_ok:
-        combined = np.maximum(centro_dev, skew_dev)
-        return StructureReport(BOTH, float(combined.max()), _argmax_index(combined), tol)
-    if c_ok:
-        return StructureReport(CENTRO, c_max, _argmax_index(centro_dev), tol)
-    if s_ok:
-        return StructureReport(SKEW, s_max, _argmax_index(skew_dev), tol)
-    if c_max <= s_max:
-        return StructureReport(NEITHER, c_max, _argmax_index(centro_dev), tol)
-    return StructureReport(NEITHER, s_max, _argmax_index(skew_dev), tol)
+        # max(|x - y|, |x + y|) first peaks at the earlier first argmax of
+        # the deviations whose max is the larger one
+        worst = max(c_max, s_max)
+        verdict, at = BOTH, min(i for m, i in ((c_max, c_at), (s_max, s_at)) if m == worst)
+    elif c_ok:
+        verdict, worst, at = CENTRO, c_max, c_at
+    elif s_ok:
+        verdict, worst, at = SKEW, s_max, s_at
+    elif c_max <= s_max:
+        verdict, worst, at = NEITHER, c_max, c_at
+    else:
+        verdict, worst, at = NEITHER, s_max, s_at
+    index = tuple(int(i) + 1 for i in np.unravel_index(at, x.shape))
+    return StructureReport(verdict, worst, index, tol)
 
 
 def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify by direct comparison against the index-reversed tensor."""
     tol = _tolerance(a, tol)
-    rev = reverse_tensor(a).data
-    return _report(np.abs(a.data - rev), np.abs(a.data + rev), tol)
+    return _compare(a.data, a.entries[::-1], tol)
 
 
 def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
@@ -152,7 +185,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     tol = _tolerance(a, tol, "sandwich")
     j = exchange_matrix(a.dim)
     jaj = shao_product(j, shao_product(a, j)).data
-    return _report(np.abs(jaj - a.data), np.abs(jaj + a.data), tol)
+    return _compare(jaj, a.data, tol)
 
 
 def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureReport:
@@ -161,20 +194,30 @@ def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureRepo
     j = exchange_matrix(a.dim)
     aj = shao_product(a, j).data
     ja = shao_product(j, a).data
-    return _report(np.abs(aj - ja), np.abs(aj + ja), tol)
+    return _compare(aj, ja, tol)
 
 
 def decompose(a: DenseTensor) -> Decomposition:
-    """Split A into (A + A^rev)/2 + (A - A^rev)/2.
+    """Split A into (A/2 + A^rev/2) + (A/2 - A^rev/2).
 
     The first part is centrosymmetric and the second skew by
-    construction; they reconstruct A up to one rounding step.
+    construction; they reconstruct A up to one rounding step.  Halving
+    before adding keeps both parts finite for any finite A, and gives
+    the bits of (A +- A^rev)/2 wherever that sum neither overflows nor
+    goes subnormal.  The split is written block by block, so the two
+    parts are its only full-size allocations.
     """
-    rev = reverse_tensor(a)
-    return Decomposition(
-        centro=scale(add(a, rev), 0.5),
-        skew=scale(sub(a, rev), 0.5),
-    )
+    flat, rev = a.entries, a.entries[::-1]
+    centro, skew = np.empty(flat.size), np.empty(flat.size)
+    half, half_rev = np.empty(min(flat.size, _BLOCK)), np.empty(min(flat.size, _BLOCK))
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        h = np.multiply(flat[block], 0.5, out=half[: flat[block].size])
+        hr = np.multiply(rev[block], 0.5, out=half_rev[: h.size])
+        np.add(h, hr, out=centro[block])
+        np.subtract(h, hr, out=skew[block])
+    shape = a.data.shape
+    return Decomposition(DenseTensor(centro.reshape(shape)), DenseTensor(skew.reshape(shape)))
 
 
 def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> DenseTensor:

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError, _component_scale
+from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
 
 def brute_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,6 +187,33 @@ def loop_solve_eigen(
         if not merged:
             kept.append((lam, x, res))
     return kept, converged
+
+
+def full_structure_report(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
+    """Structure report from the full-size deviations |x - y| and |x + y|.
+
+    The whole-array comparison the library's streamed blocks replaced;
+    y must have x's shape.
+    """
+
+    def argmax_index(dev):
+        return tuple(int(i) + 1 for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
+
+    centro_dev, skew_dev = np.abs(x - y), np.abs(x + y)
+    c_max = float(centro_dev.max())
+    s_max = float(skew_dev.max())
+    c_ok = c_max <= tol
+    s_ok = s_max <= tol
+    if c_ok and s_ok:
+        combined = np.maximum(centro_dev, skew_dev)
+        return StructureReport(BOTH, float(combined.max()), argmax_index(combined), tol)
+    if c_ok:
+        return StructureReport(CENTRO, c_max, argmax_index(centro_dev), tol)
+    if s_ok:
+        return StructureReport(SKEW, s_max, argmax_index(skew_dev), tol)
+    if c_max <= s_max:
+        return StructureReport(NEITHER, c_max, argmax_index(centro_dev), tol)
+    return StructureReport(NEITHER, s_max, argmax_index(skew_dev), tol)
 
 
 def loop_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -196,6 +196,48 @@ class TestDecompose:
         assert obj["skew"]["entries"] == [-1.5, -0.5, 0.5, 1.5]
 
 
+# finite tensors whose A + rev(A) or A - rev(A) overflows
+NEAR_LIMIT = {
+    "plus": [1e308, 1e308, 1e308, 1e308],
+    "minus": [1e308, -1e308, 1e308, 1e308],
+}
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNearTheFloatLimit:
+    """Overflowing deviations give strict JSON, exit 0 and silent stderr."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, name, argv):
+        path = write_tensor(tmp_path / "t.json", DenseTensor.from_entries(2, 2, NEAR_LIMIT[name]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+        assert (code, err) == (0, "")
+        return _strict_json(out)
+
+    @pytest.mark.parametrize("name", NEAR_LIMIT)
+    @pytest.mark.parametrize("method", ["direct", "sandwich", "commutation"])
+    def test_check(self, name, method, tmp_path, capsys):
+        obj = self._run(capsys, tmp_path, name, ["check", "--method", method])
+        if name == "minus":
+            assert obj["verdict"] == "neither" and obj["max_violation"] is None
+        else:
+            assert obj["verdict"] == "centrosymmetric" and obj["max_violation"] == 0
+
+    @pytest.mark.parametrize("name", NEAR_LIMIT)
+    def test_decompose(self, name, tmp_path, capsys):
+        obj = self._run(capsys, tmp_path, name, ["decompose"])
+        centro, skew = np.array(obj["centro"]["entries"]), np.array(obj["skew"]["entries"])
+        assert np.array_equal(centro + skew, NEAR_LIMIT[name])
+
+
 class TestEig:
     def test_finds_matrix_pairs(self, sym_file, capsys):
         code, out, _ = run(capsys, ["eig", sym_file, "--starts", "50", "--seed", "2"])

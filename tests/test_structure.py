@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from centrotensor import (
     verify_row_sum_symmetry,
 )
 from centrotensor import core, structure
+
+from oracles import full_structure_report
 
 
 class TestCheckStructure:
@@ -125,6 +130,109 @@ class TestDecompose:
         assert check_structure(parts.skew, 1e-13 * scale_a).is_skew
         err = np.max(np.abs(add(parts.centro, parts.skew).data - a.data))
         assert err <= 1e-14 * scale_a
+
+
+def _planted(order, dim, seed, values):
+    """A general tensor with values planted at flat offsets: {offset: value}."""
+    flat = random_structured(order, dim, "general", seed).entries.copy()
+    for offset, value in values.items():
+        flat[offset] = value
+    return DenseTensor.from_entries(order, dim, flat)
+
+
+def _streamed_inputs(order, dim, case):
+    size = dim**order
+    block = structure._BLOCK
+    if case in ("centro", "skew", "general"):
+        return random_structured(order, dim, case, seed=size)
+    if case == "zero":
+        return DenseTensor.zeros(order, dim)
+    if case == "integer":  # ties everywhere
+        return DenseTensor(np.round(3 * random_structured(order, dim, "general", size).data))
+    if case == "last-block":
+        return _planted(order, dim, size, {size - 1: 5.0})
+    # the same worst deviation in two blocks, or twice in one block
+    return _planted(order, dim, size, {1: 5.0, min(block + 1, size - 2): 5.0})
+
+
+def _witness_operands(witness, data):
+    """The pair each witness compares, built by flips: J realizes a reversal."""
+    if witness == "check_structure":
+        return data, np.flip(data)
+    if witness == "check_via_J":
+        return np.flip(data), data
+    return np.flip(data, axis=tuple(range(1, data.ndim))), np.flip(data, axis=0)
+
+
+_STREAM_CASES = ["centro", "skew", "general", "zero", "integer", "last-block", "two-peaks"]
+
+
+class TestStreamedCompare:
+    """Reports and splits equal the full-array computation bit for bit."""
+
+    # 1000 entries: one block; 38,416 and 59,049: two; 83,521: three
+    @pytest.mark.parametrize("order,dim", [(3, 10), (4, 14), (5, 9), (4, 17)])
+    @pytest.mark.parametrize("case", _STREAM_CASES)
+    def test_reports_equal_the_full_array_oracle(self, order, dim, case):
+        self._check_reports(_streamed_inputs(order, dim, case))
+
+    @pytest.mark.parametrize("case", _STREAM_CASES)
+    def test_many_short_blocks(self, case, monkeypatch):
+        # 64 entries in blocks of 5: thirteen blocks, the last one short
+        monkeypatch.setattr(structure, "_BLOCK", 5)
+        a = _streamed_inputs(3, 4, case)
+        self._check_reports(a)
+        self._check_split(a)
+
+    @staticmethod
+    def _check_reports(a):
+        for witness in ("check_structure", "check_via_J", "check_commutation"):
+            x, y = _witness_operands(witness, a.data)
+            for tol in (0.0, None, 10.0):
+                used = structure.default_tolerance(a) if tol is None else tol
+                got = getattr(structure, witness)(a, tol).as_dict()
+                assert got == full_structure_report(x, y, used).as_dict(), (witness, tol)
+
+    @staticmethod
+    def _check_split(a):
+        parts = decompose(a)
+        rev = np.flip(a.data)
+        assert parts.centro.data.tobytes() == ((a.data + rev) * 0.5).tobytes()
+        assert parts.skew.data.tobytes() == ((a.data - rev) * 0.5).tobytes()
+
+    @pytest.mark.parametrize("order,dim", [(3, 10), (4, 14), (5, 9), (4, 17)])
+    @pytest.mark.parametrize("case", ["general", "integer", "last-block"])
+    def test_split_equals_the_full_array_formula(self, order, dim, case):
+        self._check_split(_streamed_inputs(order, dim, case))
+
+    @pytest.mark.parametrize("entries", [[1e308] * 4, [1e308, -1e308, 1e308, 1e308]])
+    def test_split_near_the_float_limit_is_finite_and_exact(self, entries):
+        a = DenseTensor.from_entries(2, 2, entries)
+        parts = decompose(a)
+        assert np.array_equal(parts.centro.data + parts.skew.data, a.data)
+        assert check_structure(parts.centro).is_centro and check_structure(parts.skew).is_skew
+
+    def test_overflowing_deviation_is_reported_as_null(self):
+        a = DenseTensor.from_entries(2, 2, [1e308, -1e308, 1e308, 1e308])
+        report = check_structure(a)
+        assert report.verdict == NEITHER and math.isinf(report.max_violation)
+        assert report.worst_index == (1, 2)
+        assert report.as_dict()["max_violation"] is None
+
+    def test_traced_peak_memory(self):
+        a = random_structured(4, 40, "general", seed=0)
+        peaks = {}
+        for fn in (check_structure, decompose):
+            fn(a)  # warm-up
+            tracemalloc.start()
+            try:
+                fn(a)
+                peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] / a.data.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks["check_structure"] < 0.05
+        # the two parts, plus the finiteness mask DenseTensor builds
+        assert peaks["decompose"] <= 2.25
 
 
 class TestRandomStructured:
