@@ -28,6 +28,7 @@ from .structure import (
     check_via_J,
     decompose,
     default_tolerance,
+    palindromize,
     random_structured,
     verify_poly_reflection,
     verify_row_sum_symmetry,
@@ -40,7 +41,6 @@ from .cauchy import (
     cauchy_is_centro,
     cauchy_is_skew,
     materialize,
-    palindromize,
 )
 from .inverse import (
     InverseResult,

@@ -8,7 +8,9 @@ fails loudly on a (near-)zero sum instead of emitting huge entries.
 Structure facts encoded here: the tensor is centrosymmetric exactly when
 c is a palindrome, skew-centrosymmetric (even n only) exactly when c is
 an anti-palindrome, and there is no odd-dimension skew case because the
-central entry would have to be zero while being a reciprocal.
+central entry would have to be zero while being a reciprocal.  Both
+predicates are structure.check_structure on the order-1 tensor c, and
+structure.palindromize makes palindromes.
 """
 
 from __future__ import annotations
@@ -18,15 +20,9 @@ from functools import reduce
 
 import numpy as np
 
-from .core import (
-    DenseTensor,
-    DomainError,
-    check_entry_count,
-    check_tolerance,
-    flip_vector,
-)
+from .core import DenseTensor, DomainError, check_entry_count, check_tolerance, entry_scale
 from .product import exchange_matrix, shao_product
-from .structure import DEFAULT_TOL_FACTOR, default_tolerance
+from .structure import check_structure, default_tolerance
 
 __all__ = [
     "CauchySpecError",
@@ -36,7 +32,6 @@ __all__ = [
     "cauchy_is_centro",
     "cauchy_is_skew",
     "cauchy_check_JC",
-    "palindromize",
 ]
 
 # An index sum smaller than this (times the component scale) is treated
@@ -72,10 +67,6 @@ class CauchySpec:
         return self.generating.size
 
 
-def _component_scale(c: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(c))))
-
-
 def _index_sums(spec: CauchySpec) -> np.ndarray:
     """All m-fold component sums as an order-m array, left to right.
 
@@ -102,7 +93,7 @@ def _scan_sums(spec: CauchySpec, sums: np.ndarray) -> None:
     order, and each gets the exact test.
     """
     c = spec.generating
-    scale = _component_scale(c)
+    scale = entry_scale(DenseTensor(c))
     threshold = NEAR_ZERO_FACTOR * scale
     # without overflow, any m-term float sum is within (m-1) (eps/2) sum|c_i|
     # of the exact one, so two of them differ by less than m^2 eps scale;
@@ -160,25 +151,20 @@ def _first_bad(sums: np.ndarray, bad: np.ndarray, problem: str) -> CauchySpecErr
     )
 
 
-def _is_palindrome(c: np.ndarray, sign: float, tol: float | None) -> bool:
-    """max |c - sign * Jc| <= tol; tol defaults to 1e-12 * max(1, max |c_i|)."""
-    tol = DEFAULT_TOL_FACTOR * _component_scale(c) if tol is None else check_tolerance(tol)
-    return float(np.max(np.abs(c - sign * flip_vector(c)))) <= tol
-
-
 def cauchy_is_centro(spec: CauchySpec, tol: float | None = None) -> bool:
-    """Vector-level test: the tensor is centro iff c is a palindrome."""
-    return _is_palindrome(spec.generating, 1.0, tol)
+    """Vector-level test: centro iff c is a palindrome (check_structure of c)."""
+    return check_structure(DenseTensor(spec.generating), tol).is_centro
 
 
 def cauchy_is_skew(spec: CauchySpec, tol: float | None = None) -> bool:
     """Vector-level test: skew iff c is an anti-palindrome and n is even.
 
-    Odd n returns False unconditionally (the central entry 1/(m c_i)
+    c is classified by check_structure first, so an invalid tol raises at
+    any n.  Odd n returns False unconditionally (the central entry 1/(m c_i)
     would have to vanish).  A passing vector test does not guarantee the
     tensor exists; materialize() still scans for vanishing sums.
     """
-    return _is_palindrome(spec.generating, -1.0, tol) and spec.dim % 2 == 0
+    return check_structure(DenseTensor(spec.generating), tol).is_skew and spec.dim % 2 == 0
 
 
 def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
@@ -197,11 +183,3 @@ def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
         float(np.max(np.abs(cj.data - c_tensor.data))),
     )
     return dev <= tol
-
-
-def palindromize(c) -> np.ndarray:
-    """Mirror the first half of a vector onto the second, making Jc = c."""
-    out = np.asarray(c, dtype=float).copy()
-    half = out.size // 2
-    out[out.size - half :] = out[:half][::-1]
-    return out

@@ -114,10 +114,10 @@ class SolverStats:
 
     Every start ends exactly one way: converged (reached tol and passed
     the residual re-check), rejected (reached tol but failed the
-    re-check), stalled (no damped step reduced max|F|), non_finite (the
-    Newton step was not finite) or max_iter (still running after
-    max_iter steps).  iterations is the number of Newton steps taken,
-    summed over starts.
+    re-check), stalled (no damped step reduced max|F|), non_finite (its
+    Jacobian, residual or Newton step was not finite) or max_iter (still
+    running after max_iter steps).  iterations is the number of Newton
+    steps taken, summed over starts.
     """
 
     attempted: int
@@ -286,6 +286,7 @@ _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
 LINE_SEARCH_ENTRIES = 2**16
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_eigen(
     a: DenseTensor,
     starts: int = 100,
@@ -300,11 +301,12 @@ def solve_eigen(
     from `starts` random unit starting vectors, stepping all starts
     together on stacked arrays.  Each start's step is halved while it
     fails to decrease that start's sup-norm of F; convergence is declared
-    at max|F| <= tol.  Converged pairs are canonicalized, re-verified
-    against the residual bound, sorted by (value, components) and
-    deduplicated: two pairs merge when their values differ by at most
-    DEDUP_VALUE_TOL and their vectors agree up to sign within
-    DEDUP_VECTOR_TOL.
+    at max|F| <= tol.  A start whose Jacobian, residual or step is not
+    finite (near the float limit) ends non_finite, with no warning.
+    Converged pairs are canonicalized, re-verified against the residual
+    bound, sorted by (value, components) and deduplicated: two pairs
+    merge when their values differ by at most DEDUP_VALUE_TOL and their
+    vectors agree up to sign within DEDUP_VECTOR_TOL.
 
     Raises ResourceLimitError, before any start is drawn, when the first
     contraction or the Jacobian stack would hold more than
@@ -359,7 +361,15 @@ def solve_eigen(
         jac[:, diag, diag] -= lam[:, None] * (m - 1) * x ** (m - 2)
         jac[:, :n, n] = -(x ** (m - 1))
         jac[:, n, :n] = 2.0 * x
-        step = _newton_steps(jac, -fs[live])
+        # lstsq can spin on a non-finite row, so such a row is never solved;
+        # one makes the sum non-finite, the cheap test for all rows at once
+        rhs = -fs[live]
+        if np.isfinite(jac.sum() + rhs.sum()):
+            step = _newton_steps(jac, rhs)
+        else:
+            solvable = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+            step = np.full_like(rhs, np.nan)
+            step[solvable] = _newton_steps(jac[solvable], rhs[solvable])
         pending = live
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():

@@ -3,7 +3,8 @@
 A tensor is centrosymmetric when it is invariant under reversing every
 index (a[i1..im] = a[n-i1+1 .. n-im+1]) and skew-centrosymmetric when
 that reversal negates it.  The zero tensor is the only tensor that is
-both, reported with the verdict "both".
+both, reported with the verdict "both".  Reversal is that of the flat
+entries, so a vector is just an order-1 tensor; palindromize mirrors both.
 
 Floating-point verdicts need a declared tolerance rule: every check here
 compares deviations against an absolute tolerance that defaults to
@@ -54,6 +55,7 @@ __all__ = [
     "check_commutation",
     "decompose",
     "random_structured",
+    "palindromize",
     "require_centro",
     "reflection_sign",
     "verify_row_sum_symmetry",
@@ -223,31 +225,32 @@ def decompose(a: DenseTensor) -> Decomposition:
 def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> DenseTensor:
     """Random tensor with uniform[-1,1] free entries, mirrored per kind.
 
-    kind "centro" copies each free entry to its reversed position, "skew"
-    copies the negation and zeroes the self-paired central entry (odd
-    dim), "general" applies no mirroring.  Deterministic per seed; seed
-    may be an int or a numpy Generator.
+    One flat draw: "general" keeps it, "centro" palindromizes it (the
+    flat reversal is the index reversal), "skew" also negates the second
+    half and zeroes the self-paired centre of odd dim by multiplying by
+    0.0.  Deterministic per seed; seed may be an int or a numpy Generator.
     """
     if order < 1 or dim < 1:
         raise ValueError("order and dim must be positive")
     if kind not in ("centro", "skew", "general"):
         raise ValueError(f"unknown kind {kind!r}")
     check_entry_count(order, dim)
-    rng = as_generator(seed)
-    count = dim**order
-    draw = rng.uniform(-1.0, 1.0, size=count)
-    if kind == "general":
-        flat = draw
-    else:
-        # Index reversal acts on flat row-major offsets as p -> count-1-p,
-        # so mirroring pairs offset p with its reflection about the middle.
-        idx = np.arange(count)
-        rev = count - 1 - idx
-        flat = draw[np.minimum(idx, rev)]
-        if kind == "skew":
-            sign = np.sign(rev - idx).astype(float)
-            flat = flat * sign
+    flat = as_generator(seed).uniform(-1.0, 1.0, size=dim**order)
+    if kind != "general":
+        flat = palindromize(flat)
+    if kind == "skew":
+        half = flat.size // 2
+        flat[flat.size - half :] *= -1.0
+        flat[half : flat.size - half] *= 0.0
     return DenseTensor.from_entries(order, dim, flat)
+
+
+def palindromize(c) -> np.ndarray:
+    """Mirror the first half of a vector onto the second, making Jc = c."""
+    out = np.asarray(c, dtype=float).copy()
+    half = out.size // 2
+    out[out.size - half :] = out[:half][::-1]
+    return out
 
 
 def require_centro(a: DenseTensor) -> None:

@@ -26,7 +26,6 @@ from .cauchy import (
     cauchy_is_centro,
     cauchy_is_skew,
     materialize,
-    palindromize,
 )
 from .core import ConsistencyError, DenseTensor, check_count, entry_scale, hadamard
 from .eigen import (
@@ -51,6 +50,7 @@ from .structure import (
     check_structure,
     check_via_J,
     decompose,
+    palindromize,
     random_structured,
     verify_poly_reflection,
     verify_row_sum_symmetry,

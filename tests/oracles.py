@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError, _component_scale
+from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError
 from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
 
@@ -236,7 +236,7 @@ def loop_validate_spec(spec) -> None:
     The per-multiset loop the library's vectorized Cauchy scan replaced.
     """
     c = spec.generating
-    threshold = NEAR_ZERO_FACTOR * _component_scale(c)
+    threshold = NEAR_ZERO_FACTOR * max(1.0, float(np.max(np.abs(c))))
     for combo in itertools.combinations_with_replacement(range(spec.dim), spec.order):
         s = float(c[list(combo)].sum())
         if abs(s) < threshold:
@@ -271,3 +271,37 @@ def format_value_oracle(value) -> str:
         )
         return "{" + items + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def index_mirror_structured(order: int, dim: int, kind: str, seed) -> np.ndarray:
+    """random_structured's entries, mirrored through full-size index arrays.
+
+    The mirror the library's palindromize-based generator replaced:
+    offset p pairs with count-1-p, and skew entries carry the sign of
+    (count-1-p) - p, so an odd count's self-paired centre is the draw
+    times 0.0.  Returns the entries shaped (dim,) * order.
+    """
+    count = dim**order
+    draw = np.random.default_rng(seed).uniform(-1.0, 1.0, size=count)
+    if kind == "general":
+        flat = draw
+    else:
+        idx = np.arange(count)
+        rev = count - 1 - idx
+        flat = draw[np.minimum(idx, rev)]
+        if kind == "skew":
+            flat = flat * np.sign(rev - idx).astype(float)
+    return flat.reshape((dim,) * order)
+
+
+def reflection_within(c: np.ndarray, sign: float, tol) -> bool:
+    """max |c - sign * Jc| <= tol, tol defaulting to 1e-12 * max(1, max |c_i|).
+
+    The vector test the Cauchy predicates ran before they classified c
+    as an order-1 tensor; an overflowing deviation is inf and fails.
+    """
+    c = np.asarray(c, dtype=float)
+    if tol is None:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(c - sign * c[::-1]))) <= tol

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from centrotensor import (
 )
 from centrotensor import cauchy
 
-from oracles import loop_validate_spec
+from oracles import loop_validate_spec, reflection_within
 
 
 def scan(spec):
@@ -205,6 +206,84 @@ class TestPredicates:
         spec = CauchySpec(np.array([1.0, -1.0]), 3)
         assert cauchy_is_skew(spec)
         assert check_structure(materialize(spec)).is_skew
+
+
+BIG = float(np.finfo(float).max)
+
+# (generating vector, tol): deviations exactly at tol and one ulp past it,
+# vectors within tol/2 of zero (centro and skew at once), components at
+# the float limit, where a deviation overflows, and a zero tolerance
+PREDICATE_TABLE = [
+    ([1.0, 2.0, 1.0], None),
+    ([1.0, 1.5], 0.5),
+    ([1.0, 1.5], float(np.nextafter(0.5, 0.0))),
+    ([1.0, -1.25], 0.25),
+    ([1.0, -1.25], float(np.nextafter(0.25, 0.0))),
+    ([1.0, 3.0, -1.25, 0.0], 1.25),
+    ([1e-3, -2e-3, 5e-4, 1e-3], 4e-3),
+    ([1e-3, -2e-3, 5e-4], 4e-3),
+    ([1e-13, 1e-13], None),
+    ([1e-13, -1e-13, 4e-13], None),
+    ([1e308, -1e308], None),
+    ([1e308, 1e308], None),
+    ([BIG, -BIG], None),
+    ([-BIG, BIG, BIG, -BIG], None),
+    ([1e308, 0.0, -1e308], None),
+    ([1e308, 0.0, 1e308], 0.0),
+    ([1e308, 5e-324], 1e308),
+    ([2.0, 2.0], 0.0),
+    ([0.0, 0.0], 0.0),
+    ([7.0], 0.0),
+]
+
+
+class TestPredicatesAgainstOracle:
+    """Both predicates are max |c -+ Jc| <= tol, the skew one at even n only."""
+
+    @staticmethod
+    def _agree(c, tol):
+        spec = CauchySpec(np.array(c, dtype=float), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centro, skew = cauchy_is_centro(spec, tol), cauchy_is_skew(spec, tol)
+        assert centro == reflection_within(c, 1.0, tol), (c, tol)
+        assert skew == (reflection_within(c, -1.0, tol) and len(c) % 2 == 0), (c, tol)
+        return centro, skew
+
+    @pytest.mark.parametrize("c,tol", PREDICATE_TABLE)
+    def test_table(self, c, tol):
+        self._agree(c, tol)
+
+    def test_table_covers_each_outcome(self):
+        outcomes = {self._agree(c, tol) for c, tol in PREDICATE_TABLE}
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_random_vectors_at_their_own_deviation(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            c = rng.uniform(-2.0, 2.0, size=n) * 10.0 ** rng.integers(-14, 4)
+            c = rng.choice([c, palindromize(c), c - c[::-1]])
+            c = c + rng.choice([0.0, 1e-13, 1e-6]) * rng.uniform(-1.0, 1.0, size=n)
+            for sign in (1.0, -1.0):
+                dev = float(np.max(np.abs(c - sign * c[::-1])))
+                for tol in (None, dev, float(np.nextafter(dev, 0.0)), 2.0 * dev):
+                    self._agree(c, tol)
+
+    @pytest.mark.parametrize("predicate", [cauchy_is_centro, cauchy_is_skew])
+    @pytest.mark.parametrize("c", [[1.0, 2.0], [1.0, 2.0, 3.0], [1e308, -1e308]])
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            (float("nan"), "tol must be finite and nonnegative, got nan"),
+            (float("inf"), "tol must be finite and nonnegative, got inf"),
+            (-1.0, "tol must be finite and nonnegative, got -1.0"),
+            ("x", "tol must be a number, got 'x'"),
+            ([1e-3], "tol must be a number, got [0.001]"),
+        ],
+    )
+    def test_invalid_tolerance_messages(self, predicate, c, tol, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predicate(CauchySpec(np.array(c), 2), tol)
 
 
 class TestExchangeProductCheck:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from centrotensor import (
     materialize,
     random_structured,
 )
+import centrotensor
 from centrotensor import core
 from centrotensor.cli import main
 from centrotensor.serialize import dumps, spec_to_obj, tensor_to_obj
@@ -269,6 +274,41 @@ class TestEig:
         assert out1 == out2
 
 
+class TestEigNearTheFloatLimit:
+    """Finite tensors whose start values or Jacobians overflow.
+
+    Run as a console process with a timeout: a non-finite Jacobian once
+    reached least squares, which spun without returning.
+    """
+
+    TENSORS = {
+        "order-2": {"order": 2, "dim": 2, "entries": [1e308] * 4},
+        "order-3": {
+            "order": 3,
+            "dim": 2,
+            "entries": [1e308, -1e308, 1e308, 1e308, 1e308, 1e308, -1e308, 1e308],
+        },
+    }
+
+    @pytest.mark.parametrize("name", TENSORS)
+    def test_returns_strict_json_with_every_start_counted(self, name, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(self.TENSORS[name]))
+        package_root = str(Path(centrotensor.__file__).resolve().parents[1])
+        search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "centrotensor.cli", "eig", str(path), "--starts", "5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        stats = _strict_json(proc.stdout)["stats"]
+        ends = ("converged", "rejected", "stalled", "non_finite", "max_iter")
+        assert stats["attempted"] == 5
+        assert sum(stats[end] for end in ends) == 5
+        assert stats["non_finite"] > 0
+
+
 class TestCauchyVerb:
     def test_materialize(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -311,6 +351,16 @@ class TestCauchyVerb:
         assert code == 1
         assert out == ""
         assert "inf at index (1, 1) is not finite" in err and "Traceback" not in err
+
+    def test_check_mode_at_the_float_limit_is_silent(self, tmp_path, capsys):
+        # c - Jc overflows; the vector is classified as an order-1 tensor
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 3, "generating": [1e308, -1e308]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["cauchy", str(spec_path), "--mode", "check"])
+        assert (code, err) == (0, "")
+        assert _strict_json(out) == {"order": 3, "dim": 2, "centro": False, "skew": True}
 
     def test_huge_integer_component_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -27,7 +27,7 @@ from centrotensor import (
 )
 from centrotensor import core, structure
 
-from oracles import full_structure_report
+from oracles import full_structure_report, index_mirror_structured
 
 
 class TestCheckStructure:
@@ -257,6 +257,20 @@ class TestRandomStructured:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             random_structured(2, 2, "diagonal", seed=0)
+
+    @pytest.mark.parametrize("kind", ["centro", "skew", "general"])
+    def test_bytes_match_the_index_mirror_oracle(self, kind):
+        negative_zero_centres = 0
+        for order in range(1, 6):
+            for dim in range(1, 8):
+                for seed in (0, 1, 7, 123, 2024):
+                    a = random_structured(order, dim, kind, seed=seed).data
+                    expected = index_mirror_structured(order, dim, kind, seed)
+                    assert a.tobytes() == expected.tobytes(), (order, dim, seed)
+                    centre = a.reshape(-1)[a.size // 2]
+                    negative_zero_centres += bool(dim % 2 and centre == 0 and np.signbit(centre))
+        # the sign of a zero centre is part of the bytes compared above
+        assert (negative_zero_centres > 0) == (kind == "skew")
 
 
 # tol is the default tolerance of a tensor whose entries are at most 1 in size
