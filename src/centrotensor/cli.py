@@ -3,18 +3,17 @@
 Every verb is a thin adapter over one library call: JSON in, JSON out,
 no numerics of its own.  Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain failure (no inverse, invalid generating
-vector, failed verification suite), 2 usage or input error.
+vector, failed verification suite, a result that overflows float64), 2
+usage or input error.
 
-Input paths accept "-" for stdin.  The default random seed is 0 unless
-the CT_SEED environment variable overrides it; an explicit --seed flag
-wins over both.
+Input paths accept "-" for stdin.  Every verb that draws randomness
+takes its seed from --seed alone, default 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import eigen, inverse, serialize, structure, suite
@@ -22,14 +21,6 @@ from .cauchy import cauchy_is_centro, cauchy_is_skew, materialize
 from .core import DEFAULT_ENTRY_CAP, DenseTensor, DomainError, check_tolerance, hadamard
 from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
-
-
-def _seed(args) -> int:
-    """--seed if given, else CT_SEED, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CT_SEED")
-    return int(env) if env is not None else 0
 
 
 def _read_json(path: str):
@@ -60,7 +51,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "exchange":
         tensor = exchange_matrix(args.dim)
     else:
-        tensor = random_structured(args.order, args.dim, args.kind, _seed(args))
+        tensor = random_structured(args.order, args.dim, args.kind, args.seed)
     _emit(serialize.tensor_to_obj(tensor), args.output)
     return 0
 
@@ -106,7 +97,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_eig(args) -> int:
     tensor = _load_tensor(args.tensor)
-    result = eigen.solve_eigen(tensor, starts=args.starts, seed=_seed(args), tol=args.tol)
+    result = eigen.solve_eigen(tensor, starts=args.starts, seed=args.seed, tol=args.tol)
     _emit(result.as_dict(), args.output)
     return 0
 
@@ -146,7 +137,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    report = suite.verify_all(seed=_seed(args), trials=args.trials, corrupt=args.corrupt)
+    report = suite.verify_all(seed=args.seed, trials=args.trials)
     _emit(report.as_dict(), args.output)
     return 0 if report.all_passed else 1
 
@@ -171,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("centro", "skew", "general", "identity", "exchange"),
         default="general",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_output(p)
     p.set_defaults(func=_cmd_gen)
 
@@ -205,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eig", help="multistart H-eigenpair solve")
     p.add_argument("tensor")
     p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=eigen.DEFAULT_SOLVER_TOL)
     _add_output(p)
     p.set_defaults(func=_cmd_eig)
@@ -225,10 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inverse)
 
     p = sub.add_parser("verify-all", help="run the full property suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=suite.DEFAULT_TRIALS)
-    p.add_argument("--corrupt", choices=suite.CHECK_NAMES, default=None,
-                   help="invert one check (harness self-test)")
     _add_output(p)
     p.set_defaults(func=_cmd_verify_all)
 

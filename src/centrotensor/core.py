@@ -210,9 +210,13 @@ def poly_eval(a: DenseTensor, x) -> float:
 
 
 def hadamard(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Entrywise product of same-shape tensors."""
+    """Entrywise product of same-shape tensors; DomainError if it overflows float64."""
     _check_same_shape(a, b)
-    return DenseTensor(a.data * b.data)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return DenseTensor(a.data * b.data)
+    except FloatingPointError:
+        raise DomainError("entrywise product overflows float64") from None
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:

@@ -88,6 +88,8 @@ DEDUP_VECTOR_TOL = 1e-6
 # Desk-scale bounds for the dense multistart solver.
 MAX_SOLVER_DIM = 8
 MAX_SOLVER_ORDER = 5
+# Newton steps a start may take before it ends max_iter.
+MAX_ITER = 100
 
 _SIGN_EPS = 1e-10
 
@@ -116,7 +118,7 @@ class SolverStats:
     the residual re-check), rejected (reached tol but failed the
     re-check), stalled (no damped step reduced max|F|), non_finite (its
     Jacobian, residual or Newton step was not finite) or max_iter (still
-    running after max_iter steps).  iterations is the number of Newton
+    running after MAX_ITER steps).  iterations is the number of Newton
     steps taken, summed over starts.
     """
 
@@ -292,7 +294,6 @@ def solve_eigen(
     starts: int = 100,
     seed=0,
     tol: float = DEFAULT_SOLVER_TOL,
-    max_iter: int = 100,
     class_tol: float = DEFAULT_CLASS_TOL,
 ) -> EigenSet:
     """Multistart damped Newton on the eigenpair system.
@@ -321,7 +322,6 @@ def solve_eigen(
             f"solver is desk-scale only (dim <= {MAX_SOLVER_DIM}, order <= {MAX_SOLVER_ORDER})"
         )
     starts = check_count(starts, "starts")
-    max_iter = check_count(max_iter, "max_iter")
     tol = check_tolerance(tol, "tol")
     class_tol = check_tolerance(class_tol, "class_tol")
     stack = starts * max(n ** (m - 1), (n + 1) ** 2)
@@ -349,7 +349,7 @@ def solve_eigen(
     best = np.max(np.abs(fs), axis=1)
     state = np.where(best <= tol, _REACHED, _RUNNING)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         live = np.flatnonzero(state == _RUNNING)
         if not live.size:
             break

@@ -136,17 +136,20 @@ def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
     zero = np.nonzero(diag == 0.0)[0]
     if zero.size:
         raise NoInverseError(f"diagonal entry at index {int(zero[0]) + 1} is zero")
-    if side == "left":
-        b_diag = 1.0 / diag ** (k - 1)
-    else:
-        if a.order % 2 == 1:
-            neg = np.nonzero(diag <= 0.0)[0]
-            if neg.size:
-                raise NoInverseError(
-                    f"no real inverse: diagonal entry at index {int(neg[0]) + 1} "
-                    "is not positive and the required root has even degree"
-                )
-        b_diag = _signed_root(1.0 / diag, a.order - 1)
+    if side == "right" and a.order % 2 == 1:
+        neg = np.nonzero(diag <= 0.0)[0]
+        if neg.size:
+            raise NoInverseError(
+                f"no real inverse: diagonal entry at index {int(neg[0]) + 1} "
+                "is not positive and the required root has even degree"
+            )
+    with np.errstate(over="ignore", divide="ignore"):
+        b_diag = 1.0 / diag ** (k - 1) if side == "left" else _signed_root(1.0 / diag, a.order - 1)
+    lost = np.nonzero((b_diag == 0.0) | ~np.isfinite(b_diag))[0]
+    if lost.size:
+        raise NoInverseError(
+            f"inverse diagonal entry at index {int(lost[0]) + 1} overflows or underflows float64"
+        )
     b = DenseTensor.diagonal(k, b_diag)
     residual = verify_inverse(a, b, side)
     return InverseResult(b, side, k, residual, check_structure(b).is_centro)

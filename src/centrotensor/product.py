@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DEFAULT_ENTRY_CAP,
     DenseTensor,
+    DomainError,
     ResourceLimitError,
     check_count,
     check_entry_count,
@@ -40,7 +41,8 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
 
     Raises ResourceLimitError when the result would hold more than
     entry_cap entries; the order formula grows multiplicatively, so this
-    is a real risk for nested products.
+    is a real risk for nested products.  A result that overflows float64
+    raises DomainError.
     """
     entry_cap = check_count(entry_cap, "entry_cap")
     if a.dim != b.dim:
@@ -58,8 +60,12 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     # of A then appends one flattened multi-index axis, in slot order.
     b_flat = b.data.reshape(n, n ** (b.order - 1))
     out = a.data
-    for _ in range(a.order - 1):
-        out = np.tensordot(out, b_flat, axes=(1, 0))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(a.order - 1):
+                out = np.tensordot(out, b_flat, axes=(1, 0))
+    except FloatingPointError:
+        raise DomainError("general product overflows float64") from None
     return DenseTensor(out.reshape((n,) * order))
 
 

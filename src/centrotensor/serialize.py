@@ -34,7 +34,6 @@ __all__ = [
     "dumps",
     "tensor_to_obj",
     "tensor_from_obj",
-    "spec_to_obj",
     "spec_from_obj",
 ]
 
@@ -103,10 +102,6 @@ def tensor_from_obj(obj) -> DenseTensor:
     dim = _require_int(obj, "dim")
     entries = _require_numbers(obj, "entries")
     return DenseTensor.from_entries(order, dim, entries)
-
-
-def spec_to_obj(spec: CauchySpec) -> dict:
-    return {"order": spec.order, "generating": spec.generating.tolist()}
 
 
 def spec_from_obj(obj) -> CauchySpec:

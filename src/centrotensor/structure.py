@@ -259,13 +259,15 @@ def require_centro(a: DenseTensor) -> None:
         raise ValueError("tensor is not centrosymmetric")
 
 
+@np.errstate(over="ignore")
 def reflection_sign(a: DenseTensor) -> float:
     """1.0 for a centro tensor (the zero tensor included), -1.0 for a skew one.
 
     Reversing every index multiplies A by this sign, so f(Jx) = sign * f(x)
     and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  A
     tensor that is neither raises ValueError.  Same verdicts as
-    check_structure at the default tolerance, without building its report.
+    check_structure at the default tolerance, without building its report;
+    a deviation that overflows is inf, as there, and fails its comparison.
     """
     tol = default_tolerance(a)
     flat = a.entries
@@ -277,6 +279,7 @@ def reflection_sign(a: DenseTensor) -> float:
     raise ValueError("tensor is neither centro nor skew")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_row_sum_symmetry(
     a: DenseTensor, tol: float | None = None, assume: str | None = None
 ) -> tuple[bool, int | None]:
@@ -288,7 +291,8 @@ def verify_row_sum_symmetry(
     doubling is exact, so |r_c + r_c| <= tol means |r_c| <= tol/2.  The
     structure kind is taken from check_structure unless `assume` forces
     "centro" or "skew".  Returns (ok, witness) where witness is the first
-    failing 1-based row index.
+    failing 1-based row index.  A row sum that overflows float64 raises
+    ValueError naming its row, since no reflection law can be read from it.
     """
     tol = _tolerance(a, tol)
     if assume is None:
@@ -302,6 +306,9 @@ def verify_row_sum_symmetry(
         kinds = (assume,)
 
     r = row_sums(a)
+    overflow = np.flatnonzero(~np.isfinite(r))
+    if overflow.size:
+        raise ValueError(f"row sum {int(overflow[0]) + 1} overflows float64")
     r_flip = r[::-1]
     for kind in kinds:
         dev = np.abs(r - r_flip) if kind == "centro" else np.abs(r + r_flip)

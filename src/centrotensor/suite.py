@@ -6,11 +6,6 @@ agreement, product and Hadamard parity, the centro/skew split, row-sum
 and polynomial reflection, the Cauchy equivalences, inverse round trips
 and eigenpair reflections.  Each check yields a pass/fail record with a
 counterexample payload on failure.
-
-The `corrupt` flag names one check whose outcome is deliberately
-inverted.  It exists as a harness self-test: a corrupted run must report
-a failure for exactly that check, proving that violations are detected
-and propagated rather than silently swallowed.
 """
 
 from __future__ import annotations
@@ -348,16 +343,13 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
-def verify_all(seed: int = 0, trials: int = DEFAULT_TRIALS, corrupt: str | None = None) -> SuiteReport:
+def verify_all(seed: int = 0, trials: int = DEFAULT_TRIALS) -> SuiteReport:
     """Run every structural check on `trials` random instances each.
 
     Eigen-solver-backed checks divide the trial count down since each
     trial runs a multistart solve.  trials=0 produces an empty report.
-    `corrupt` inverts the outcome of the named check (harness self-test).
     """
     trials = check_count(trials, "trials")
-    if corrupt is not None and corrupt not in CHECK_NAMES:
-        raise ValueError(f"unknown check {corrupt!r}; expected one of {CHECK_NAMES}")
     checks = []
     if trials > 0:
         streams = np.random.SeedSequence(seed).spawn(len(_CHECKS))
@@ -370,9 +362,6 @@ def verify_all(seed: int = 0, trials: int = DEFAULT_TRIALS, corrupt: str | None 
                     trial(rng, t)
             except _Failed as failure:
                 passed, detail, payload = False, failure.detail, failure.payload
-            if corrupt == name:
-                passed = not passed
-                detail = (detail + " " if detail else "") + "(self-test corruption applied)"
             checks.append(
                 CheckResult(
                     name=name,

@@ -39,6 +39,7 @@ REMOVED = {
     "ProductShape": "order (m-1)(k-1)+1 and n**order entries",
     "product_shape": "order (m-1)(k-1)+1 and n**order entries",
     "chain_product": "shao_product(shao_product(a, b), c)",
+    "spec_to_obj": '{"order": spec.order, "generating": spec.generating.tolist()}',
 }
 
 

@@ -19,7 +19,7 @@ from centrotensor import (
 import centrotensor
 from centrotensor import core
 from centrotensor.cli import main
-from centrotensor.serialize import dumps, spec_to_obj, tensor_to_obj
+from centrotensor.serialize import dumps, tensor_to_obj
 
 
 def write_tensor(path, tensor):
@@ -150,11 +150,10 @@ class TestGen:
     def test_ct_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CT_SEED", "31")
         _, out_env, _ = run(capsys, ["gen", "--dim", "3", "--order", "2"])
+        _, out_zero, _ = run(capsys, ["gen", "--dim", "3", "--order", "2", "--seed", "0"])
         monkeypatch.delenv("CT_SEED")
-        _, out_explicit, _ = run(capsys, ["gen", "--dim", "3", "--order", "2", "--seed", "31"])
         _, out_default, _ = run(capsys, ["gen", "--dim", "3", "--order", "2"])
-        assert out_env == out_explicit
-        assert out_env != out_default
+        assert out_env == out_zero == out_default
 
 
 class TestProducts:
@@ -243,6 +242,45 @@ class TestNearTheFloatLimit:
         assert np.array_equal(centro + skew, NEAR_LIMIT[name])
 
 
+BIG = float(np.finfo(float).max)
+# results with no float64 value: each verb must exit 1, silently but for its error
+OVERFLOWING = {
+    "prod": (
+        ["prod", "{0}", "{1}"],
+        [[3, 2, [5e-324, -1.0, 1e-308, 0.0, 0.0, 0.0, 1.0, -1e308]],
+         [2, 2, [-BIG, 5e-324, -5e-324, -BIG]]],
+        "general product overflows float64",
+    ),
+    "hadamard": (
+        ["hadamard", "{0}", "{0}"], [[2, 2, [1e200] * 4]], "entrywise product overflows float64"
+    ),
+    "inverse-left": (
+        ["inverse", "{0}", "--side", "left", "--order", "3"],
+        [[3, 2, [1e200, 0, 0, 0, 0, 0, 0, 1e200]]],
+        "index 1 overflows or underflows float64",
+    ),
+    "inverse-right": (
+        ["inverse", "{0}", "--side", "right", "--order", "3"],
+        [[3, 2, [5e-324, 0, 0, 0, 0, 0, 0, 5e-324]]],
+        "index 1 overflows or underflows float64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_overflowing_result_exits_1(name, tmp_path, capsys):
+    argv, tensors, message = OVERFLOWING[name]
+    paths = [
+        write_tensor(tmp_path / f"t{i}.json", DenseTensor.from_entries(*tensor))
+        for i, tensor in enumerate(tensors)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [arg.format(*paths) for arg in argv])
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
+
+
 class TestEig:
     def test_finds_matrix_pairs(self, sym_file, capsys):
         code, out, _ = run(capsys, ["eig", sym_file, "--starts", "50", "--seed", "2"])
@@ -312,7 +350,7 @@ class TestEigNearTheFloatLimit:
 class TestCauchyVerb:
     def test_materialize(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(dumps(spec_to_obj(CauchySpec(np.array([1.0, 2.0, 1.0]), 2))))
+        spec_path.write_text('{"order": 2, "generating": [1.0, 2.0, 1.0]}')
         code, out, _ = run(capsys, ["cauchy", str(spec_path)])
         assert code == 0
         entries = json.loads(out)["entries"]
@@ -457,11 +495,9 @@ class TestVerifyAll:
         assert code == 0
         assert json.loads(out)["checks"] == []
 
-    def test_corruption_fails_and_names_check(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["verify-all", "--seed", "3", "--trials", "8", "--corrupt", "row-sum-reflection"],
-        )
+    def test_corruption_fails_and_names_check(self, capsys, fail_check):
+        fail_check("row-sum-reflection")
+        code, out, _ = run(capsys, ["verify-all", "--seed", "3", "--trials", "8"])
         assert code == 1
         report = json.loads(out)
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

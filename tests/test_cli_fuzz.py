@@ -1,11 +1,14 @@
-"""Extreme-value fuzz of the CLI verbs that classify, split, solve and build.
+"""Extreme-value fuzz of every CLI verb that reads a tensor or a spec.
 
 Tensors of order and dim at most 3 and Cauchy specs of order and dim at
 most 3 take every entry from zero, +-1, the smallest normal and
-subnormal floats and the float limit.  Each verb must exit 0, 1 or 2
-without a traceback; at exit 0 stdout is strict JSON and stderr empty.
-numpy warnings raised in-process reach pytest's warning capture, not
-stderr, so a RuntimeWarning is an error here.
+subnormal floats and the float limit.  The products draw operands of one
+dim (one shape for hadamard); inverse also draws centro tensors and
+palindromic diagonals, so the recovery and construction paths run.  Each
+verb must exit 0, 1 or 2 without a traceback; at exit 0 stdout is strict
+JSON and stderr empty.  numpy warnings raised in-process reach pytest's
+warning capture, not stderr, so a RuntimeWarning is an error here.
+Malformed flag values must exit 2, also without a traceback.
 """
 
 import contextlib
@@ -19,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrotensor import DenseTensor, palindromize
 from centrotensor.cli import main
+from centrotensor.serialize import tensor_to_obj
 
 BIG = float(np.finfo(float).max)
 VALUES = [0.0, 1.0, -1.0, 1e-308, -1e-308, 5e-324, -5e-324, 1e308, -1e308, BIG, -BIG]
@@ -30,6 +35,11 @@ TENSOR_VERBS = {
     "check-commutation": ["check", "{path}", "--method", "commutation"],
     "decompose": ["decompose", "{path}"],
     "eig": ["eig", "{path}", "--starts", "3"],
+}
+INVERSE_VERBS = {
+    f"inverse-{side}-{order}": ["inverse", "{path}", "--side", side, "--order", order]
+    for side in ("left", "right")
+    for order in ("2", "3")
 }
 SPEC_VERBS = {
     "cauchy-check": ["cauchy", "{path}", "--mode", "check"],
@@ -50,24 +60,55 @@ def specs(draw):
     return {"order": draw(st.integers(1, 3)), "generating": generating}
 
 
+@st.composite
+def centro_tensors(draw):
+    obj = draw(tensors())
+    obj["entries"] = palindromize(obj["entries"]).tolist()
+    return obj
+
+
+@st.composite
+def centro_diagonals(draw):
+    order, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    diag = palindromize(draw(st.lists(st.sampled_from(VALUES), min_size=dim, max_size=dim)))
+    return tensor_to_obj(DenseTensor.diagonal(order, diag))
+
+
+@st.composite
+def operand_pairs(draw, same_order):
+    dim = draw(st.integers(1, 3))
+    orders = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if same_order:
+        orders = orders[0], orders[0]
+    return [
+        {"order": m, "dim": dim,
+         "entries": draw(st.lists(st.sampled_from(VALUES), min_size=dim**m, max_size=dim**m))}
+        for m in orders
+    ]
+
+
 def _refuse(constant):
     raise ValueError(f"non-JSON constant {constant}")
 
 
-def _run_verb(argv, obj):
+def _run_verb(argv, **objs):
+    """Run argv with each {name} in it naming a file that holds objs[name]."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle)
+        paths = {}
+        for name, obj in objs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(obj, handle)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([arg.format(path=path) for arg in argv])
+            code = main([arg.format(**paths) for arg in argv])
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2), (argv, obj, code, err)
+    assert code in (0, 1, 2), (argv, objs, code, err)
     assert "Traceback" not in err
     if code == 0:
-        assert err == "", (argv, obj, err)
+        assert err == "", (argv, objs, err)
         json.loads(out, parse_constant=_refuse)
+    return code, err
 
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -78,7 +119,7 @@ FUZZ = settings(max_examples=60, deadline=None)
 @FUZZ
 @given(obj=tensors())
 def test_tensor_verbs(verb, obj):
-    _run_verb(TENSOR_VERBS[verb], obj)
+    _run_verb(TENSOR_VERBS[verb], path=obj)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -86,4 +127,43 @@ def test_tensor_verbs(verb, obj):
 @FUZZ
 @given(obj=specs())
 def test_cauchy_verbs(verb, obj):
-    _run_verb(SPEC_VERBS[verb], obj)
+    _run_verb(SPEC_VERBS[verb], path=obj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", ["prod", "hadamard"])
+@FUZZ
+@given(data=st.data())
+def test_product_verbs(verb, data):
+    left, right = data.draw(operand_pairs(same_order=verb == "hadamard"))
+    _run_verb([verb, "{left}", "{right}"], left=left, right=right)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", INVERSE_VERBS)
+@FUZZ
+@given(obj=st.one_of(tensors(), centro_tensors(), centro_diagonals()))
+def test_inverse_verbs(verb, obj):
+    _run_verb(INVERSE_VERBS[verb], path=obj)
+
+
+CENTRO = {"order": 2, "dim": 2, "entries": [2.0, 1.0, 1.0, 2.0]}
+MALFORMED_FLAGS = {
+    "gen-seed": ["gen", "--dim", "2", "--kind", "centro", "--seed", "-1"],
+    "gen-order": ["gen", "--dim", "2", "--order", "0"],
+    "eig-seed": ["eig", "{path}", "--seed", "-1"],
+    "eig-tol": ["eig", "{path}", "--tol", "1e999"],
+    "check-tol": ["check", "{path}", "--tol", "1e999"],
+    "prod-cap": ["prod", "{path}", "{path}", "--cap", "-1"],
+    "inverse-order": ["inverse", "{path}", "--side", "left", "--order", "0"],
+    "inverse-tol": ["inverse", "{path}", "--side", "left", "--tol", "1e999"],
+    "verify-all-seed": ["verify-all", "--seed", "-1", "--trials", "1"],
+    "verify-all-trials": ["verify-all", "--trials", "-1"],
+    "verify-all-corrupt": ["verify-all", "--trials", "1", "--corrupt", "x"],
+}
+
+
+@pytest.mark.parametrize("flags", MALFORMED_FLAGS)
+def test_malformed_flag_exits_2(flags):
+    code, err = _run_verb(MALFORMED_FLAGS[flags], path=CENTRO)
+    assert code == 2, err

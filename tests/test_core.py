@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from centrotensor import (
     DenseTensor,
+    DomainError,
     add,
     apply,
     flip_vector,
@@ -166,6 +167,12 @@ class TestElementwise:
         assert np.array_equal(hadamard(a, ones).data, a.data)
         assert hadamard(a, a).data.tolist() == [[1.0, 4.0], [4.0, 1.0]]
         assert hadamard(a, DenseTensor.zeros(2, 2)).entries.sum() == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hadamard_overflow_is_a_domain_error(self):
+        a = DenseTensor(np.full((2, 2), 1e200))
+        with pytest.raises(DomainError, match="entrywise product overflows float64"):
+            hadamard(a, a)
 
     def test_hadamard_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,14 @@ class TestDiagonalLeftInverse:
         with pytest.raises(ValueError, match="centro"):
             diagonal_left_inverse(a, 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry,k", [(1e200, 3), (5e-324, 2), (5e-324, 3)])
+    def test_inverse_entry_with_no_float64_value_names_index(self, entry, k):
+        # 1e200**2 overflows, so its reciprocal is 0; 1/5e-324 and 1/(5e-324)**2 are inf
+        a = DenseTensor.diagonal(3, np.array([entry, entry]))
+        with pytest.raises(NoInverseError, match="index 1 overflows or underflows float64"):
+            diagonal_left_inverse(a, k)
+
 
 class TestDiagonalRightInverse:
     def test_cube_root_example(self):
@@ -107,6 +115,18 @@ class TestDiagonalRightInverse:
         a = DenseTensor.diagonal(4, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NoInverseError):
             diagonal_right_inverse(a, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_entry_has_no_inverse(self):
+        a = DenseTensor.diagonal(3, np.array([5e-324, 5e-324]))
+        with pytest.raises(NoInverseError, match="index 1 overflows or underflows float64"):
+            diagonal_right_inverse(a, 2)
+
+    def test_large_entry_still_inverts(self):
+        a = DenseTensor.diagonal(3, np.array([1e200, 1e200]))
+        result = diagonal_right_inverse(a, 3)
+        assert result.inverse.data[0, 0, 0] == 1e-100
+        assert result.residual == 0.0
 
     def test_identity_inverts_to_identity(self):
         ident = DenseTensor.identity(4, 3)

@@ -4,6 +4,7 @@ import pytest
 from centrotensor import (
     CENTRO,
     DenseTensor,
+    DomainError,
     ResourceLimitError,
     apply,
     check_structure,
@@ -98,6 +99,14 @@ class TestShaoProduct:
         with pytest.raises(error) as info:
             shao_product(a, b, entry_cap=cap)
         assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_result_is_a_domain_error(self):
+        big = float(np.finfo(float).max)
+        a = DenseTensor.from_entries(3, 2, [5e-324, -1.0, 1e-308, 0.0, 0.0, 0.0, 1.0, -1e308])
+        b = DenseTensor.from_entries(2, 2, [-big, 5e-324, -5e-324, -big])
+        with pytest.raises(DomainError, match="general product overflows float64"):
+            shao_product(a, b)
 
 
 class TestParityTable:

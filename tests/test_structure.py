@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,13 @@ def test_reflection_sign_follows_the_structure_verdict(data, verdict):
         assert structure.reflection_sign(a) == (-1.0 if verdict == SKEW else 1.0)
 
 
+def test_reflection_sign_is_silent_when_a_deviation_overflows():
+    # flat - rev overflows for this skew tensor; it must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert structure.reflection_sign(DenseTensor([[1e308, 1e308], [-1e308, -1e308]])) == -1.0
+
+
 class TestEntryCap:
     """Every constructor refuses more than the entry cap before allocating."""
 
@@ -356,6 +364,23 @@ class TestRowSumSymmetry:
         # r = (1, 0.5, -1): only the centre row breaks r_i = -r_{n-i+1}
         a = DenseTensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, -1.0, 0.0]]))
         assert verify_row_sum_symmetry(a, assume="skew") == (False, 2)
+
+    def test_overflowing_row_sum_is_refused_not_passed(self):
+        # both row sums are inf, which once compared as NaN and passed
+        a = DenseTensor([[1e308, 1e308], [1e308, 1.7e308]])
+        assert check_structure(a).verdict == NEITHER
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row sum 1 overflows float64"):
+                verify_row_sum_symmetry(a, assume="centro")
+
+    def test_overflowing_reflection_deviation_fails_silently(self):
+        # finite row sums (1.7e308, -1.7e308) whose centro deviation is inf
+        a = DenseTensor([[1.7e308, 0.0], [-1.7e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_row_sum_symmetry(a, assume="centro") == (False, 1)
+            assert verify_row_sum_symmetry(a, assume="skew") == (True, None)
 
 
 class TestPolyReflection:

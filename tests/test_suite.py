@@ -36,14 +36,10 @@ def test_negative_trials_rejected():
         verify_all(trials=-1)
 
 
-def test_unknown_corrupt_name_rejected():
-    with pytest.raises(ValueError):
-        verify_all(trials=4, corrupt="no-such-check")
-
-
 @pytest.mark.parametrize("name", CHECK_NAMES)
-def test_corruption_is_detected_and_named(name):
-    report = verify_all(seed=5, trials=12, corrupt=name)
+def test_corruption_is_detected_and_named(name, fail_check):
+    fail_check(name)
+    report = verify_all(seed=5, trials=12)
     failing = [c.name for c in report.checks if not c.passed]
     assert failing == [name]
     assert not report.all_passed
