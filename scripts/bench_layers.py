@@ -27,10 +27,13 @@ git_rev}``; one rep times the whole case once.  The cases:
 * the three structure witnesses (``structure.check_structure``,
   ``check_via_J``, ``check_commutation``), ``structure.decompose`` and
   ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
-  and 40 (general), the sizes the dense-kernels benchmark uses.
+  and 40 (general), the sizes the dense-kernels benchmark uses;
+* ``product.shao_product`` of those three tensors by the exchange matrix J
+  on either side (the permutation-factor path), and of a centro by a skew
+  order-3 dim-26 tensor (the contraction path, as dense-kernels runs it).
 
-The two contractions are 20 calls per rep; the structure cases call each
-of the three tensors as often as their ``calls`` size says.
+The two contractions are 20 calls per rep; the structure and J-product
+cases call each of the three tensors as often as their ``calls`` size says.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def _palindrome(rng, n: int) -> np.ndarray:
 
 def measure() -> list:
     """Time every case once, after a warm-up, against the library on sys.path."""
-    from centrotensor import cauchy, core, eigen, structure
+    from centrotensor import cauchy, core, eigen, product, structure
 
     panel_rng, solve_rng = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
     panel = []
@@ -106,6 +109,9 @@ def measure() -> list:
         for kind, dim in (("centro", 36), ("skew", 38), ("general", 40))
     ]
 
+    exchange = {t.dim: product.exchange_matrix(t.dim) for t in witness_inputs}
+    dense_pair = [structure.random_structured(3, 26, kind, seed=SEED) for kind in ("centro", "skew")]
+
     def structure_case(layer, fn, calls):
         sizes = {"order": 4, "dims": [36, 38, 40], "calls": calls * len(witness_inputs)}
         return (layer, "order 4, dims 36/38/40", sizes,
@@ -136,6 +142,13 @@ def measure() -> list:
         structure_case("structure.check_commutation", structure.check_commutation, 2),
         structure_case("structure.decompose", structure.decompose, 5),
         structure_case("core.entry_scale", core.entry_scale, 20),
+        ("product.shao_product", "A*J and J*A, order 4, dims 36/38/40",
+         {"order": 4, "dims": [36, 38, 40], "calls": 4 * len(witness_inputs)},
+         lambda: [(product.shao_product(t, exchange[t.dim]), product.shao_product(exchange[t.dim], t))
+                  for t in witness_inputs for _ in range(2)]),
+        ("product.shao_product", "centro*skew, order 3, dim 26",
+         {"order": 3, "dim": 26, "calls": 1},
+         lambda: product.shao_product(*dense_pair)),
     ]
     out = []
     for layer, case, sizes, fn in cases:

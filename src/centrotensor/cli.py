@@ -29,7 +29,11 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per open bracket
+        raise ValueError("malformed JSON: nested too deeply") from None
 
 
 def _emit(obj, output: str | None):

@@ -38,6 +38,7 @@ phrase coverage as a success-rate floor rather than totality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -92,6 +93,7 @@ MAX_SOLVER_ORDER = 5
 MAX_ITER = 100
 
 _SIGN_EPS = 1e-10
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +311,16 @@ def solve_eigen(
     merge when their values differ by at most DEDUP_VALUE_TOL and their
     vectors agree up to sign within DEDUP_VECTOR_TOL.
 
+    tol bounds the residual of A itself, unless A's entries are large
+    enough that a residual could overflow (entry_scale(A) * m * n^(m-1)
+    above the largest float64).  The solve then runs on A / s, for s the
+    power of two at or below entry_scale(A), which the homogeneous
+    equation allows: (lambda, x) is a pair of A exactly when
+    (lambda / s, x) is a pair of A / s.  tol then bounds the residual of
+    A / s, so a returned pair's residual on A is at most tol * s.  Values
+    and residuals are reported for A, and a pair whose value overflows
+    when scaled back counts as rejected.
+
     Raises ResourceLimitError, before any start is drawn, when the first
     contraction or the Jacobian stack would hold more than
     core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
@@ -330,6 +342,10 @@ def solve_eigen(
             f"{starts} starts on order {m} dim {n} stack {stack} entries, "
             f"exceeding the cap {core.DEFAULT_ENTRY_CAP}"
         )
+    scale = 1.0
+    if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:
+        scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
+        a = DenseTensor(a.data / scale)
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
@@ -410,7 +426,7 @@ def solve_eigen(
     lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
     xs[lead < 0] *= -1.0
     res = np.max(np.abs(apply(a, xs) - lams[:, None] * xs ** (m - 1)), axis=1)
-    ok = res <= tol
+    ok = (res <= tol) & np.isfinite(lams * scale)
     xs, lams, res = xs[ok], lams[ok], res[ok]
     converged = len(lams)
 
@@ -437,7 +453,7 @@ def solve_eigen(
         kept_lams[match[0]], kept_xs[match[0]], kept_res[match[0]] = lam, x, res[i]
 
     pairs = [
-        EigenPair(float(lam), x, float(r), classify_vector(x, class_tol))
+        EigenPair(float(lam * scale), x, float(r * scale), classify_vector(x, class_tol))
         for lam, x, r in zip(kept_lams[:count], kept_xs[:count], kept_res[:count])
     ]
     stats = SolverStats(

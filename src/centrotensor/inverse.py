@@ -15,7 +15,10 @@ the candidate is singular or the product residual is too large.
 Invertibility itself is decided numerically through the condition-number
 threshold DEFAULT_COND_THRESHOLD; the no-inverse verdict is therefore a
 floating-point judgement, and the conditioning is reported alongside the
-result.
+result.  The default residual tolerance of the recovery is 1e-10 times
+the size of the product's terms, max|A| * max|B| on the left and
+max|A| * max|B|^(m-1) on the right, which scaling A leaves alone, as it
+leaves the residual.
 """
 
 from __future__ import annotations
@@ -197,10 +200,26 @@ def recover_order2_right_inverse(
     return _recover(a, candidate_inv, "right", tol)
 
 
+def _default_residual_tol(a: DenseTensor, b: DenseTensor, side: str) -> float:
+    """_RESIDUAL_TOL_FACTOR times the scale of the product's terms.
+
+    Each entry of B*A sums terms b * a, and each entry of A*B terms
+    a * b^(m-1); scaling A scales B inversely and leaves B*A - I and
+    A*B - I alone, so the tolerance must not move with A either.
+    Multiplied out from max|A|, the partial products stay between the
+    two ends and do not overflow on the way.
+    """
+    tol = _RESIDUAL_TOL_FACTOR * float(np.max(np.abs(a.data)))
+    for _ in range(1 if side == "left" else a.order - 1):
+        tol *= float(np.max(np.abs(b.data)))
+    return tol
+
+
 def _recover(
     a: DenseTensor, candidate_inv: np.ndarray, side: str, tol: float | None
 ) -> InverseResult | NoInverse:
-    tol = _RESIDUAL_TOL_FACTOR * entry_scale(a) if tol is None else check_tolerance(tol)
+    if tol is not None:
+        tol = check_tolerance(tol)
     cond = float(np.linalg.cond(candidate_inv))
     if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:
         return NoInverse(
@@ -209,6 +228,8 @@ def _recover(
             condition=cond if np.isfinite(cond) else None,
         )
     b = DenseTensor(np.linalg.inv(candidate_inv))
+    if tol is None:
+        tol = _default_residual_tol(a, b, side)
     residual = verify_inverse(a, b, side)
     if residual > tol:
         return NoInverse(

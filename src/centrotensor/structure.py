@@ -19,6 +19,11 @@ instead of copying them.  Max and first argmax are exact, so a report is
 the one full-size arrays give.  A deviation that overflows is inf, and
 the report says so.  decompose walks the same blocks, halving before it
 adds, so its parts stay finite for any finite tensor.
+
+The sandwich and commutation witnesses multiply by the exchange matrix
+J through shao_product, which finds the permutation in J's entries and
+gathers instead of contracting (see product): the same bits as the
+contractions, without their multiplications by 0.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ palindromic diagonals, so the recovery and construction paths run.  Each
 verb must exit 0, 1 or 2 without a traceback; at exit 0 stdout is strict
 JSON and stderr empty.  numpy warnings raised in-process reach pytest's
 warning capture, not stderr, so a RuntimeWarning is an error here.
-Malformed flag values must exit 2, also without a traceback.
+Malformed flag values, and malformed JSON documents given to every verb
+that reads one, must exit 2 with one error line on stderr.
 """
 
 import contextlib
@@ -98,7 +99,7 @@ def _run_verb(argv, **objs):
         for name, obj in objs.items():
             paths[name] = os.path.join(tmp, f"{name}.json")
             with open(paths[name], "w", encoding="utf-8") as handle:
-                json.dump(obj, handle)
+                handle.write(obj if isinstance(obj, str) else json.dumps(obj))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(**paths) for arg in argv])
@@ -167,3 +168,83 @@ MALFORMED_FLAGS = {
 def test_malformed_flag_exits_2(flags):
     code, err = _run_verb(MALFORMED_FLAGS[flags], path=CENTRO)
     assert code == 2, err
+
+
+SPEC = {"order": 2, "generating": [1.0, 2.0, 1.0]}
+# Each verb reads the malformed document at {path}; a product's other
+# operand, at {good}, is valid.
+DOCUMENT_VERBS = {
+    **TENSOR_VERBS,
+    **INVERSE_VERBS,
+    **SPEC_VERBS,
+    **{f"{verb}-{side}": [verb] + (["{path}", "{good}"] if side == "left" else ["{good}", "{path}"])
+       for verb in ("prod", "hadamard") for side in ("left", "right")},
+}
+
+
+def _valid_document(verb: str) -> dict:
+    return SPEC if verb in SPEC_VERBS else CENTRO
+
+
+def _malformed_documents(valid: dict) -> dict:
+    """Name -> text of a document that breaks valid's format one way."""
+    field = "generating" if "generating" in valid else "entries"
+    numbers = valid[field]
+
+    def edited(**changes):
+        doc = {key: value for key, value in valid.items() if changes.get(key, "") is not None}
+        doc.update({key: value for key, value in changes.items() if value is not None})
+        return json.dumps(doc)
+
+    docs = {
+        "empty": "",
+        "trailing-garbage": json.dumps(valid) + " x",
+        "top-level-list": json.dumps([valid]),
+        "top-level-string": json.dumps(json.dumps(valid)),
+        "top-level-null": "null",
+        "deeply-nested": "[" * 100_000 + "]" * 100_000,
+        "order-string": edited(order="2"),
+        "order-float": edited(order=2.0),
+        "order-bool": edited(order=True),
+        "order-zero": edited(order=0),
+        "missing-order": edited(order=None),
+        f"missing-{field}": edited(**{field: None}),
+        f"{field}-string": edited(**{field: " ".join(map(str, numbers))}),
+        f"{field}-object": edited(**{field: {"0": numbers[0]}}),
+        f"{field}-nested": edited(**{field: [numbers]}),
+        f"{field}-bool-item": edited(**{field: [True] + numbers[1:]}),
+        f"{field}-string-item": edited(**{field: [str(numbers[0])] + numbers[1:]}),
+        f"{field}-null-item": edited(**{field: [None] + numbers[1:]}),
+        f"{field}-empty": edited(**{field: []}),
+    }
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        docs[f"{field}-{literal}"] = json.dumps(valid).replace(repr(numbers[0]), literal, 1)
+    if field == "entries":
+        docs["missing-dim"] = edited(dim=None)
+        docs["dim-string"] = edited(dim="2")
+    return docs
+
+
+def _assert_input_error(case, argv, **objs):
+    code, err = _run_verb(argv, **objs)
+    assert code == 2, (case, argv, code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (case, argv, err)
+    assert "Warning" not in err, (case, argv, err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", DOCUMENT_VERBS)
+def test_malformed_document_exits_2(verb):
+    valid = _valid_document(verb)
+    for name, text in _malformed_documents(valid).items():
+        _assert_input_error(name, DOCUMENT_VERBS[verb], path=text, good=CENTRO)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", DOCUMENT_VERBS)
+@FUZZ
+@given(data=st.data())
+def test_truncated_document_exits_2(verb, data):
+    text = json.dumps(_valid_document(verb))
+    cut = data.draw(st.integers(0, len(text) - 1))
+    _assert_input_error(text[:cut], DOCUMENT_VERBS[verb], path=text[:cut], good=CENTRO)

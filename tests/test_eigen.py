@@ -272,11 +272,27 @@ class TestSolveEigen:
         assert stats.max_iter > 0
         assert stats.iterations <= 30
 
-    def test_non_finite_end_is_counted(self):
-        # entries near the float maximum overflow F, so every Newton step is NaN
+    def test_non_finite_end_is_counted(self, monkeypatch):
+        # entries near the float maximum overflow F, so every Newton step is
+        # NaN once the solve no longer rescales such a tensor
+        monkeypatch.setattr(eigen, "_FLOAT_MAX", np.inf)
         with np.errstate(all="ignore"):
             stats = solve_eigen(DenseTensor(np.full((2, 2, 2), 1e308)), starts=5).stats
         assert (stats.non_finite, stats.iterations) == (5, 5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_limit_tensor_is_solved_rescaled(self):
+        # A / 2^1023 has the pairs (0, (1, -1)/sqrt 2) and (c, (1, 1)/sqrt 2)
+        # with c * 2^1023 past the float maximum, so only the first is A's
+        result = solve_eigen(DenseTensor.from_entries(2, 2, [1e308] * 4), starts=5)
+        scale = 2.0**1023
+        assert [p.classification for p in result.pairs] == [SKEW_SYMMETRIC]
+        pair = result.pairs[0]
+        assert np.allclose(pair.vector, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-8)
+        assert abs(pair.value) <= eigen.DEFAULT_SOLVER_TOL * scale
+        assert pair.residual <= eigen.DEFAULT_SOLVER_TOL * scale
+        assert result.stats.non_finite == 0
+        assert result.stats.rejected > 0
 
     def test_failed_recheck_counts_as_rejected(self, sym_matrix, monkeypatch):
         reached = solve_eigen(sym_matrix, starts=30, seed=0).stats.converged

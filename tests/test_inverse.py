@@ -14,6 +14,7 @@ from centrotensor import (
     random_structured,
     recover_order2_left_inverse,
     recover_order2_right_inverse,
+    scale,
     shao_product,
     verify_inverse,
 )
@@ -171,6 +172,20 @@ class TestRecoverLeft:
         assert isinstance(result, NoInverse)
         assert result.residual is not None and result.residual > 1e-6
 
+    def test_default_tolerance_does_not_grow_with_the_tensor(self):
+        # B*A - I does not scale with A; a tolerance that did accepted this
+        # wrong candidate, whose product misses the identity by 2.75
+        a = scale(random_structured(3, 3, "centro", seed=4), 1e11)
+        result = recover_order2_left_inverse(a)
+        assert isinstance(result, NoInverse)
+        assert 2.7 < result.residual < 2.8
+
+    @pytest.mark.parametrize("factor", [1e-11, 1e11])
+    def test_scaled_planted_inverse_is_still_recovered(self, factor):
+        c = well_conditioned_centro(3, seed=3)
+        planted = scale(shao_product(c, DenseTensor.identity(3, 3)), factor)
+        assert isinstance(recover_order2_left_inverse(planted), InverseResult)
+
     def test_singular_slice_reported_not_raised(self):
         data = np.zeros((2, 2, 2))
         data[0, 0, 1] = 1.0
@@ -206,6 +221,18 @@ class TestRecoverRight:
         assert isinstance(result, InverseResult)
         assert np.max(np.abs(result.inverse.data - c.data)) <= 1e-9
         assert result.centro_verdict
+
+    def test_default_tolerance_does_not_grow_with_the_tensor(self):
+        a = scale(random_structured(4, 3, "centro", seed=0), 1e11)
+        result = recover_order2_right_inverse(a)
+        assert isinstance(result, NoInverse)
+        assert 5.4 < result.residual < 5.5
+
+    @pytest.mark.parametrize("factor", [1e-11, 1e11])
+    def test_scaled_planted_inverse_is_still_recovered(self, factor):
+        c = well_conditioned_centro(3, seed=44)
+        planted = shao_product(DenseTensor.identity(4, 3), DenseTensor(np.linalg.inv(c.data)))
+        assert isinstance(recover_order2_right_inverse(scale(planted, factor)), InverseResult)
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +308,7 @@ class TestAsDict:
         assert list(result.as_dict().items()) == [
             ("found", False),
             ("side", "left"),
-            ("reason", "candidate fails the product check (residual 3.333e-01 > tol 2.000e-10)"),
+            ("reason", "candidate fails the product check (residual 3.333e-01 > tol 1.333e-10)"),
             ("condition", 3.0000000000000004),
             ("residual", 0.3333333333333333),
         ]

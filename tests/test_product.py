@@ -15,7 +15,39 @@ from centrotensor import (
     random_structured,
     shao_product,
 )
+from centrotensor import product
 from oracles import brute_shao
+
+BIG = float(np.finfo(float).max)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-308, 1e308, -1e308, BIG, -BIG, 1.0, -1.0]
+
+
+def tensordot_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The general product as m-1 dense contractions, whatever the factors."""
+    n = a.shape[0]
+    b_flat, out = b.reshape(n, -1), a
+    for _ in range(a.ndim - 1):
+        out = np.tensordot(out, b_flat, axes=(1, 0))
+    return out.reshape((n,) * ((a.ndim - 1) * (b.ndim - 1) + 1))
+
+
+def permutation_matrix(kind: str, n: int, rng) -> np.ndarray:
+    sigma = {"exchange": np.arange(n)[::-1], "identity": np.arange(n),
+             "random": rng.permutation(n)}[kind]
+    p = np.zeros((n, n))
+    p[np.arange(n), sigma] = 1.0
+    return p
+
+
+def edge_entries(rng, count: int, draw: int) -> np.ndarray:
+    """Edge values, uniform draws with signed zeros, or all -0.0, by draw."""
+    if draw % 3 == 0:
+        return rng.choice(EDGE_VALUES, size=count)
+    if draw % 3 == 1:
+        out = rng.uniform(-1.0, 1.0, size=count)
+        out[rng.random(count) < 0.4] = -0.0
+        return out
+    return np.full(count, -0.0)
 
 
 class TestShapeFormula:
@@ -107,6 +139,48 @@ class TestShaoProduct:
         b = DenseTensor.from_entries(2, 2, [-big, 5e-324, -5e-324, -big])
         with pytest.raises(DomainError, match="general product overflows float64"):
             shao_product(a, b)
+
+
+class TestPermutationProduct:
+    """A permutation-matrix factor is gathered, with the contraction's bits."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["exchange", "identity", "random"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gather_matches_contraction_bit_for_bit(self, side, kind, n, rng):
+        for order in range(1 if side == "left" else 2, 6):
+            for draw in range(3):
+                p = permutation_matrix(kind, n, rng)
+                t = edge_entries(rng, n**order, draw).reshape((n,) * order)
+                a, b = (p, t) if side == "left" else (t, p)
+                got = shao_product(DenseTensor(a), DenseTensor(b)).data
+                assert got.tobytes() == tensordot_product(a, b).tobytes(), (order, draw)
+                if n**order * n ** (order - 1) <= 4096:
+                    # brute_shao sums from +0.0, which dim 1's contraction skips
+                    want = brute_shao(a, b)
+                    assert (got.tobytes() == want.tobytes()) if n > 1 else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_sandwich_of_skew_odd_dim_has_no_negative_zero(self, n):
+        s = random_structured(3, n, "skew", seed=0)
+        j = exchange_matrix(n)
+        for out in (shao_product(s, j), shao_product(j, s), shao_product(j, shao_product(s, j))):
+            assert not np.any(np.signbit(out.data) & (out.data == 0.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_near_permutations_take_the_contraction(self, n, rng):
+        # 1.0 + 1e-16 rounds to 1.0, so the nearest float above 1.0 stands in
+        near = permutation_matrix("random", n, rng)
+        near[0, np.argmax(near[0])] = np.nextafter(1.0, 2.0)
+        doubled = permutation_matrix("random", n, rng)
+        doubled[0] = 0.0
+        doubled[0, :2] = 1.0
+        t = rng.uniform(-1.0, 1.0, size=(n,) * 3)
+        for p in (near, doubled):
+            assert product._permutation(DenseTensor(p)) is None
+            for a, b in ((p, t), (t, p)):
+                got = shao_product(DenseTensor(a), DenseTensor(b)).data
+                assert got.tobytes() == tensordot_product(a, b).tobytes()
 
 
 class TestParityTable:
