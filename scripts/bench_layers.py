@@ -17,6 +17,10 @@ git_rev}``; one rep times the whole case once.  The cases:
   way the eig-survey benchmark draws its panel (in another order, so not
   the same tensors);
 * ``eigen.solve_eigen`` at order 5, dim 8, 50 starts on a centro tensor;
+* ``eigen.solve_eigen`` as tier-1's criterion 11 runs it: 100 centro
+  tensors of dim 2 and orders 2-5 drawn from one generator seeded 111,
+  each solved at 200 starts from that generator (the draws are timed too;
+  they are a few percent of the case);
 * ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
   trailing slots, for stacks of 50 and 850 vectors;
 * ``eigen._newton_steps`` on the Newton stacks of one 200-start solve of
@@ -83,6 +87,12 @@ def measure() -> list:
                     tensor = structure.random_structured(order, dim, family, seed)
                 panel.append((tensor, int(solve_rng.integers(2**32))))
 
+    def criterion_11():
+        rng = np.random.default_rng(111)
+        for _ in range(100):
+            tensor = structure.random_structured(int(rng.integers(2, 6)), 2, "centro", rng)
+            eigen.solve_eigen(tensor, starts=200, seed=rng)
+
     big = structure.random_structured(5, 8, "centro", seed=SEED)
     data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(8,) * 5)
     stacks = {s: np.random.default_rng(SEED).normal(size=(s, 8)) for s in (50, 850)}
@@ -124,6 +134,9 @@ def measure() -> list:
         ("eigen.solve_eigen", "order-5 dim-8 centro",
          {"order": 5, "dim": 8, "starts": 50},
          lambda: eigen.solve_eigen(big, starts=50, seed=SEED)),
+        ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves",
+         {"solves": 100, "orders": [2, 5], "dim": 2, "starts": 200, "seed": 111},
+         criterion_11),
         ("core.contract_trailing", "m=5 n=8 S=50",
          {"order": 5, "dim": 8, "stack": 50, "calls": 20},
          lambda: [core.contract_trailing(data, stacks[50], 4) for _ in range(20)]),

@@ -27,7 +27,9 @@ Contents:
   row is contracted on its own (see core.contract_trailing), so neither
   the chunking nor the other starts change a start's bits.  Starts leave
   the active stack as they converge, stall, take a non-finite step or
-  run out of iterations; SolverStats counts each way,
+  run out of iterations; SolverStats counts each way.  The converged
+  pairs are merged by a walk that jumps from change to change (_Merge),
+  and the kept pairs are classified as one stack,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
@@ -153,50 +155,77 @@ class EigenSet:
 
 
 def residual(a: DenseTensor, value: float, x) -> float:
-    """Max componentwise deviation of A x^{m-1} from value * x^{[m-1]}."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ValueError("eigenvector must be nonzero")
+    """Max componentwise deviation of A x^{m-1} from value * x^{[m-1]}.
+
+    A zero or non-finite vector, or a non-finite value, raises ValueError.
+    """
+    x = _finite_vector(x, "eigenvector")
+    if not math.isfinite(value):
+        raise ValueError(f"eigenvalue must be finite, got {value!r}")
+    return _residual(a, value, x)
+
+
+def _residual(a: DenseTensor, value: float, x: np.ndarray) -> float:
     return float(np.max(np.abs(apply(a, x) - value * x ** (a.order - 1))))
+
+
+def _finite_vector(x, what: str) -> np.ndarray:
+    """x as a float array; a zero or non-finite vector raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    if not x.any():
+        raise ValueError(f"{what} must be nonzero")
+    return x
+
+
+_CLASSES = (SYMMETRIC, SKEW_SYMMETRIC, ABS_SYMMETRIC, NEITHER_CLASS)
+
+
+def _classify_rows(xs: np.ndarray, tol: float) -> list:
+    """classify_vector of each row of xs, in one pass over the stack."""
+    jxs, axs = xs[:, ::-1], np.abs(xs)
+    # deviations from Jx = x, Jx = -x and J|x| = |x|, then a row of zeros
+    # that every tolerance accepts, so argmax falls back to NEITHER_CLASS
+    dev = np.zeros((len(_CLASSES),) + xs.shape)
+    np.subtract(xs, jxs, out=dev[0])
+    np.add(xs, jxs, out=dev[1])
+    np.subtract(axs, axs[:, ::-1], out=dev[2])
+    label = (np.abs(dev, out=dev).max(axis=2) <= tol).argmax(axis=0)
+    return [_CLASSES[k] for k in label.tolist()]
 
 
 def classify_vector(x, tol: float = DEFAULT_CLASS_TOL) -> str:
     """Symmetry class of a vector under component reversal.
 
-    Tests Jx = x, Jx = -x, then J|x| = |x|, in that priority.
+    Tests Jx = x, Jx = -x, then J|x| = |x|, in that priority.  A zero or
+    non-finite vector raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ValueError("cannot classify the zero vector")
-    jx = x[::-1]
-    if float(np.max(np.abs(x - jx))) <= tol:
-        return SYMMETRIC
-    if float(np.max(np.abs(x + jx))) <= tol:
-        return SKEW_SYMMETRIC
-    ax = np.abs(x)
-    if float(np.max(np.abs(ax - ax[::-1]))) <= tol:
-        return ABS_SYMMETRIC
-    return NEITHER_CLASS
+    return _classify_rows(_finite_vector(x, "classified vector")[None, :], tol)[0]
 
 
 def normalize_eigenvector(x) -> np.ndarray:
-    """Unit Euclidean norm, first significant component positive."""
+    """Unit Euclidean norm, first significant component positive.
+
+    A zero or non-finite vector raises ValueError.
+    """
     x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = float(np.linalg.norm(x))
+    if not 0.0 < nrm < math.inf:
+        # the squares of finite nonzero entries overflowed or underflowed:
+        # scale to max |x| = 1 first
+        x = _finite_vector(x, "normalized vector")
+        x = x / np.max(np.abs(x))
+        nrm = float(np.linalg.norm(x))
     x = x / nrm
-    for comp in x:
-        if abs(comp) > _SIGN_EPS:
-            if comp < 0:
-                x = -x
-            break
-    return x
+    return -x if x[(np.abs(x) > _SIGN_EPS).argmax()] < 0 else x
 
 
-def _make_pair(a: DenseTensor, value: float, x: np.ndarray) -> EigenPair:
+def _make_pair(a: DenseTensor, value: float, x) -> EigenPair:
     x = normalize_eigenvector(x)
-    return EigenPair(float(value), x, residual(a, value, x), classify_vector(x))
+    label = _classify_rows(x[None, :], DEFAULT_CLASS_TOL)[0]
+    return EigenPair(float(value), x, _residual(a, value, x), label)
 
 
 def closed_form_dim2(a: DenseTensor):
@@ -290,6 +319,191 @@ _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
 LINE_SEARCH_ENTRIES = 2**16
 
 
+# Entry budget of one stacked comparison of the merge: its rows times n,
+# the size of one difference stack (2^16 entries are 512 KB).
+_DEDUP_BLOCK_ENTRIES = 2**16
+# Pairs matching no slot that one stacked pass compares with each other,
+# to open that many slots at most.
+_DEDUP_RUN = 16
+
+
+def _close_rows(lam, x, lams, xs) -> np.ndarray:
+    """The dedup rule between (lam, x) and (lams, xs), broadcast over leading axes.
+
+    Symmetric bit for bit: |a - b| is |b - a|, and x - y, x + y differ
+    from y - x, y + x at most in sign, which the squares in the norm drop.
+    """
+    return (np.abs(lam - lams) <= DEDUP_VALUE_TOL) & (
+        np.minimum(np.linalg.norm(x - xs, axis=-1), np.linalg.norm(x + xs, axis=-1))
+        <= DEDUP_VECTOR_TOL
+    )
+
+
+def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Indices of the pairs the greedy merge keeps, slot by slot; see _Merge."""
+    merge = _Merge(lams, xs, res)
+    done = 0
+    while True:
+        changes = merge.res[done:] < merge.slot_res[merge.first[done:]]
+        if not changes.any():
+            return merge.order[merge.kept[: merge.count]]
+        p = done + int(np.argmax(changes))
+        if merge.first[p] == merge.total:
+            slots, reps, done = merge.openings(p)
+        else:
+            slots, reps, done = merge.replacements(p)
+        merge.take(slots, reps, done)
+
+
+class _Merge:
+    """solve_eigen's greedy merge of converged pairs, walked change by change.
+
+    The merge visits the pairs sorted by (value, components).  A pair
+    close to a slot's representative (_close_rows) joins the first such
+    slot and replaces its representative when its residual is strictly
+    smaller; a pair close to none opens a new slot.  Most pairs change
+    nothing, so the walk keeps first[q], the first slot pair q matches
+    under the current representatives, and jumps to the next pair that
+    opens or replaces.  Openings and replacements come in runs, which
+    one stacked pass each confirms (openings, replacements); take then
+    compares only the changed slots with the pairs still to come.  So the
+    numpy calls grow with those runs, not with the pairs, and no stacked
+    comparison holds more than _DEDUP_BLOCK_ENTRIES entries (or one row
+    per slot), so memory stays linear in the pairs.
+
+    A pair is compared only within its value window: no pair from
+    window[p] on is within DEDUP_VALUE_TOL of pair p (the margin of 2
+    covers the rounding of lams + tol).  first[q] is `total` when pair q
+    matches no slot, and slot_res[total] is +inf, so such a pair always
+    changes the state.
+    """
+
+    def __init__(self, lams, xs, res):
+        self.order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
+        self.lams, self.xs, self.res = lams[self.order], xs[self.order], res[self.order]
+        self.total, self.dim = xs.shape
+        self.window = np.searchsorted(self.lams, self.lams + 2.0 * DEDUP_VALUE_TOL, side="right")
+        self.first = np.full(self.total, self.total)
+        self.slot_res = np.full(self.total + 1, np.inf)
+        self.kept = np.empty(self.total, dtype=int)
+        self.count = 0
+
+    def openings(self, p):
+        """Confirm the run of new slots that pair p, matching none, starts.
+
+        Up to the first pair that would replace an existing
+        representative, only the pairs matching no slot can change the
+        state (a new slot comes after every existing one), and the first
+        _DEDUP_RUN of them are compared with each other.  One close to
+        none before it opens a slot; one close to an earlier opener joins
+        the first such, and changes nothing if its residual is no
+        smaller.  The run holds up to the first pair that does anything
+        else.  Returns the new slots, their representatives and the
+        position the merge has reached.
+        """
+        matched = self.first[p:]
+        below = self.res[p:] < self.slot_res[matched]
+        replaces = below & (matched < self.total)
+        span = int(np.argmax(replaces)) if replaces.any() else len(matched)
+        new = p + np.flatnonzero(matched[:span] == self.total)
+        done = p + span if len(new) <= _DEDUP_RUN else int(new[_DEDUP_RUN])
+        new = new[:_DEDUP_RUN]
+        lams, xs, res = self.lams[new], self.xs[new], self.res[new]
+        earlier = np.triu(_close_rows(lams[:, None], xs[:, None], lams, xs), 1)
+        opens = ~earlier.any(axis=0)
+        hosts = earlier & opens[:, None]
+        settled = opens | (hosts.any(axis=0) & (res >= res[np.argmax(hosts, axis=0)]))
+        if not settled.all():
+            done = int(new[np.argmax(~settled)])
+        reps = new[opens & (new < done)]
+        return np.arange(self.count, self.count + len(reps)), reps, done
+
+    def replacements(self, p):
+        """Confirm the run of replacements that pair p starts.
+
+        Up to the next pair matching no slot, the pairs of p's value
+        window are predicted to stay in the slot they match now, and each
+        slot to take every pair whose residual is a strict running
+        minimum of its own, starting from its representative's.  Each
+        pair is compared with the representative every such slot has
+        when the merge reaches it, and the prediction holds up to the
+        first pair that would leave its slot: it no longer matches it, or
+        it now matches a lower one.  p's own replacement always holds.
+        Returns the slots that changed (ascending), their new
+        representatives and the position the merge has reached.
+        """
+        matched = self.first[p : self.window[p]]
+        stray = matched == self.total
+        span = int(np.argmax(stray)) if stray.any() else len(matched)
+        residuals = self.res[p : p + span]
+        below = residuals < self.slot_res[matched[:span]]
+        slots = np.flatnonzero(np.bincount(matched[:span][below]))
+        span = min(span, max(1, _DEDUP_BLOCK_ENTRIES // (len(slots) * self.dim)))
+        matched, residuals, rest = matched[:span], residuals[:span], slice(p, p + span)
+        positions = np.arange(p, p + span)
+        mine = matched == slots[:, None]
+        # each slot's residuals in merge order, against the lowest before each
+        own = np.where(mine, residuals, np.inf)
+        own = np.concatenate((self.slot_res[slots, None], own), axis=1)
+        took = np.where(own[:, 1:] < np.minimum.accumulate(own, axis=1)[:, :-1], positions, -1)
+        # rep[k, i]: the representative of slots[k] when the merge reaches pair p + i
+        rep = np.maximum.accumulate(np.concatenate((self.kept[slots, None], took), axis=1), axis=1)
+        at = rep[:, :-1]
+        close = _close_rows(self.lams[at], self.xs[at], self.lams[rest], self.xs[rest])
+        leaves = (mine.any(axis=0) & ~np.any(close & mine, axis=0)) | np.any(
+            close & (slots[:, None] < matched), axis=0
+        )
+        reached = int(np.argmax(leaves)) if leaves.any() else span
+        reps = rep[:, reached]
+        moved = reps != self.kept[slots]
+        return slots[moved], reps[moved], p + reached
+
+    def take(self, slots, reps, done):
+        """Give `slots` (ascending) the representatives `reps`, and update
+        first for the pairs from `done` on.
+
+        Only the changed slots are compared with those pairs, within the
+        new representatives' value windows.  A pair that matched a changed
+        slot and no longer does looks for its first match among the later
+        slots.
+        """
+        self.count = max(self.count, int(slots[-1]) + 1)
+        self.kept[slots], self.slot_res[slots] = reps, self.res[reps]
+        end = int(self.window[reps].max())
+        step = max(1, _DEDUP_BLOCK_ENTRIES // (len(slots) * self.dim))
+        for lo in range(done, end, step):
+            rest = slice(lo, min(end, lo + step))
+            matched = self.first[rest]
+            close = _close_rows(
+                self.lams[reps, None], self.xs[reps, None], self.lams[rest], self.xs[rest]
+            )
+            joined = np.where(close.any(axis=0), slots[np.argmax(close, axis=0)], self.total)
+            own = np.minimum(np.searchsorted(slots, matched), len(slots) - 1)
+            lost = (slots[own] == matched) & ~close[own, np.arange(len(matched))]
+            was = matched[lost]
+            self.first[rest] = np.minimum(joined, np.where(lost, self.total, matched))
+            if lost.any():
+                self._rematch_lost(lo + np.flatnonzero(lost), was)
+
+    def _rematch_lost(self, lost, was):
+        """Lower first[q] of each pair q in lost to the first slot after
+        was[q] whose representative it matches, comparing in blocks."""
+        slot = int(was.min()) + 1
+        while lost.size and slot < self.count:
+            width = max(1, _DEDUP_BLOCK_ENTRIES // (lost.size * self.dim))
+            block = np.arange(slot, min(self.count, slot + width))
+            reps = self.kept[block]
+            hits = _close_rows(
+                self.lams[lost, None], self.xs[lost, None], self.lams[reps], self.xs[reps]
+            )
+            hits &= block > was[:, None]
+            found = hits.any(axis=1)
+            hit = block[np.argmax(hits[found], axis=1)]
+            self.first[lost[found]] = np.minimum(self.first[lost[found]], hit)
+            lost, was = lost[~found], was[~found]
+            slot += width
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_eigen(
     a: DenseTensor,
@@ -309,7 +523,13 @@ def solve_eigen(
     Converged pairs are canonicalized, re-verified against the residual
     bound, sorted by (value, components) and deduplicated: two pairs
     merge when their values differ by at most DEDUP_VALUE_TOL and their
-    vectors agree up to sign within DEDUP_VECTOR_TOL.
+    vectors agree up to sign within DEDUP_VECTOR_TOL.  Visited in that
+    order, a pair joins the first kept slot it matches and replaces the
+    slot's pair when its residual is strictly smaller, or opens a slot.
+    The merge costs a few stacked passes per run of such changes (a new
+    slot or a replacement), not a numpy round per start; each pass holds
+    at most _DEDUP_BLOCK_ENTRIES entries, or one row per slot, so memory
+    stays linear in starts (see _Merge).
 
     tol bounds the residual of A itself, unless A's entries are large
     enough that a residual could overflow (entry_scale(A) * m * n^(m-1)
@@ -430,36 +650,16 @@ def solve_eigen(
     xs, lams, res = xs[ok], lams[ok], res[ok]
     converged = len(lams)
 
-    order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
-    kept_lams = np.empty(converged)
-    kept_xs = np.empty((converged, n))
-    kept_res = np.empty(converged)
-    count = 0
-    for i in order:
-        lam, x = lams[i], xs[i]
-        close = (np.abs(lam - kept_lams[:count]) <= DEDUP_VALUE_TOL) & (
-            np.minimum(
-                np.linalg.norm(x - kept_xs[:count], axis=1),
-                np.linalg.norm(x + kept_xs[:count], axis=1),
-            )
-            <= DEDUP_VECTOR_TOL
-        )
-        match = np.flatnonzero(close)
-        if not match.size:
-            match = [count]
-            count += 1
-        elif res[i] >= kept_res[match[0]]:
-            continue
-        kept_lams[match[0]], kept_xs[match[0]], kept_res[match[0]] = lam, x, res[i]
-
+    kept = _dedup(lams, xs, res)
+    xs, lams, res = xs[kept], lams[kept], res[kept]
     pairs = [
-        EigenPair(float(lam * scale), x, float(r * scale), classify_vector(x, class_tol))
-        for lam, x, r in zip(kept_lams[:count], kept_xs[:count], kept_res[:count])
+        EigenPair(float(lam * scale), x, float(r * scale), label)
+        for lam, x, r, label in zip(lams, xs, res, _classify_rows(xs, class_tol))
     ]
     stats = SolverStats(
         attempted=starts,
         converged=converged,
-        deduplicated=converged - count,
+        deduplicated=converged - len(pairs),
         rejected=len(reached) - converged,
         stalled=int(np.sum(state == _STALLED)),
         non_finite=int(np.sum(state == _NON_FINITE)),
@@ -480,7 +680,7 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     tol = check_tolerance(tol)
     value = reflection_sign(a) * pair.value
     mirrored = _make_pair(a, value, flip_vector(pair.vector))
-    if mirrored.residual > tol:
+    if not mirrored.residual <= tol:
         raise ConsistencyError(
             f"reflected pair has residual {mirrored.residual:.3e} > tol {tol:.3e}; "
             "the structure reflection identity failed"

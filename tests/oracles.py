@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError
+from centrotensor.eigen import DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL
 from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
 
@@ -187,6 +188,40 @@ def loop_solve_eigen(
         if not merged:
             kept.append((lam, x, res))
     return kept, converged
+
+
+def loop_dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The one-pair-at-a-time merge solve_eigen ran on its converged pairs.
+
+    The loop as it stood in solve_eigen, with kept_index added to record
+    which pair each slot ends up holding.  Returns those indices, slot by
+    slot.
+    """
+    converged, n = xs.shape
+    order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
+    kept_lams = np.empty(converged)
+    kept_xs = np.empty((converged, n))
+    kept_res = np.empty(converged)
+    kept_index = np.empty(converged, dtype=int)
+    count = 0
+    for i in order:
+        lam, x = lams[i], xs[i]
+        close = (np.abs(lam - kept_lams[:count]) <= DEDUP_VALUE_TOL) & (
+            np.minimum(
+                np.linalg.norm(x - kept_xs[:count], axis=1),
+                np.linalg.norm(x + kept_xs[:count], axis=1),
+            )
+            <= DEDUP_VECTOR_TOL
+        )
+        match = np.flatnonzero(close)
+        if not match.size:
+            match = [count]
+            count += 1
+        elif res[i] >= kept_res[match[0]]:
+            continue
+        kept_lams[match[0]], kept_xs[match[0]], kept_res[match[0]] = lam, x, res[i]
+        kept_index[match[0]] = i
+    return kept_index[:count]
 
 
 def full_structure_report(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:

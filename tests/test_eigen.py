@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrotensor import (
     ABS_SYMMETRIC,
@@ -22,7 +26,7 @@ from centrotensor import (
     solve_eigen,
 )
 from centrotensor import core, eigen
-from oracles import loop_newton_steps, loop_solve_eigen
+from oracles import loop_dedup, loop_newton_steps, loop_solve_eigen
 
 
 class TestResidual:
@@ -43,6 +47,13 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(sym_matrix, 1.0, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_or_vector_rejected(self, sym_matrix, bad):
+        with pytest.raises(ValueError, match="finite"):
+            residual(sym_matrix, bad, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            residual(sym_matrix, 1.0, np.array([bad, 1.0]))
+
 
 class TestClassifyVector:
     def test_examples(self):
@@ -58,6 +69,11 @@ class TestClassifyVector:
         with pytest.raises(ValueError):
             classify_vector([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            classify_vector([bad, 1.0])
+
 
 class TestNormalize:
     def test_unit_norm_and_sign(self):
@@ -68,6 +84,20 @@ class TestNormalize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize_eigenvector([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_eigenvector([bad, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 5e-324])
+    def test_norm_overflow_and_underflow_are_scaled_away(self, scale):
+        x = normalize_eigenvector([-scale, scale])
+        assert np.allclose(x, [1.0, -1.0] / np.sqrt(2.0), rtol=0, atol=1e-15)
+
+    def test_sign_follows_first_significant_component(self):
+        assert normalize_eigenvector([1e-11, -2.0]).tolist() == [-5e-12, 1.0]
+        assert normalize_eigenvector([0.0, 0.0, 4.0]).tolist() == [0.0, 0.0, 1.0]
 
 
 class TestClosedFormDim2:
@@ -359,6 +389,13 @@ class TestReflectPair:
         with pytest.raises(ValueError):
             reflect_pair(a, EigenPair(1.0, np.array([1.0, 0.0]), 0.0, NEITHER_CLASS))
 
+    def test_non_finite_value_fails_loudly(self, sym_matrix):
+        # nan > tol is False, so a residual of nan once passed the re-check
+        x = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConsistencyError):
+                reflect_pair(sym_matrix, EigenPair(value, x, 0.0, SYMMETRIC))
+
     def test_fake_pair_fails_loudly(self, sym_matrix):
         fake = EigenPair(5.0, np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5]), 0.0, NEITHER_CLASS)
         with pytest.raises(ConsistencyError):
@@ -521,3 +558,160 @@ class TestStartsAreIndependent:
             singular += int(np.sum(np.linalg.slogdet(jac)[0] == 0))
             np.testing.assert_array_equal(newton_steps(jac, rhs), loop_newton_steps(jac, rhs))
         assert singular > 0
+
+
+def converged_stacks(monkeypatch, tensor, starts, seed):
+    """The (values, vectors, residuals) stack solve_eigen hands its merge."""
+    stacks = []
+    merge = eigen._dedup
+
+    def recording(lams, xs, res):
+        stacks.append((lams.copy(), xs.copy(), res.copy()))
+        return merge(lams, xs, res)
+
+    monkeypatch.setattr(eigen, "_dedup", recording)
+    solve_eigen(tensor, starts=starts, seed=seed)
+    monkeypatch.setattr(eigen, "_dedup", merge)
+    (stack,) = stacks
+    return stack
+
+
+# Offsets that put two values one ulp inside, at and one ulp outside the
+# value tolerance, and vector steps that chain: a step of 0.6e-6 is within
+# the vector tolerance, two are not.
+BELOW, ABOVE = np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0)
+VALUE_OFFSETS = [0.0, 1e-9, 2e-9, 0.5e-8, BELOW, 1e-8, ABOVE, 3e-8]
+RESIDUALS = [0.0, 1e-12, 2e-12, 3e-12, 5e-12]
+# The merge's stacked passes at their default sizes, and at one pair opened
+# per pass and one entry per stacked comparison.
+BUDGETS = {"default": {}, "small-blocks": {"_DEDUP_RUN": 1, "_DEDUP_BLOCK_ENTRIES": 1}}
+
+
+@st.composite
+def merge_stacks(draw):
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bases = rng.normal(size=(draw(st.integers(1, 3)), n))
+    bases /= np.linalg.norm(bases, axis=1)[:, None]
+    steps = rng.normal(size=bases.shape)
+    steps /= np.linalg.norm(steps, axis=1)[:, None]
+    lams, xs, res = [], [], []
+    for _ in range(size):
+        b = draw(st.integers(0, len(bases) - 1))
+        lam = draw(st.sampled_from([0.0, 1.0, -0.5])) + draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.sampled_from(VALUE_OFFSETS)
+        )
+        x = bases[b] + draw(st.integers(-3, 3)) * 0.6e-6 * steps[b] + draw(
+            st.sampled_from([0.0, 1e-7, 4e-7])
+        ) * steps[(b + 1) % len(bases)]
+        lams.append(lam)
+        xs.append(x * draw(st.sampled_from([1.0, -1.0])))
+        res.append(draw(st.sampled_from(RESIDUALS)))
+    return np.array(lams), np.array(xs).reshape(size, n), np.array(res)
+
+
+class TestMergeAgainstLoop:
+    """The stacked merge keeps exactly the pairs the one-pair loop kept."""
+
+    @pytest.fixture(params=list(BUDGETS))
+    def budgets(self, request, monkeypatch):
+        for name, value in BUDGETS[request.param].items():
+            monkeypatch.setattr(eigen, name, value)
+
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    @given(stack=merge_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_random_stacks(self, budget, stack):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in BUDGETS[budget].items():
+                patch.setattr(eigen, name, value)
+            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_and_one_row_stacks(self, n):
+        for size in (0, 1):
+            stack = (np.zeros(size), np.ones((size, n)), np.zeros(size))
+            assert eigen._dedup(*stack).tolist() == list(range(size))
+
+    def test_non_transitive_chain(self, budgets):
+        # a ~ b and b ~ c, but a and c are 1.2e-6 apart
+        xs = np.array([[1.0, 0.0], [1.0, 0.6e-6], [1.0, 1.2e-6]])
+        for res in ([3e-12, 2e-12, 1e-12], [1e-12, 2e-12, 3e-12], [2e-12, 1e-12, 3e-12]):
+            stack = (np.zeros(3), xs, np.array(res))
+            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    def test_ties_keep_the_first_pair(self, budgets):
+        stack = (np.zeros(4), np.tile([0.6, 0.8], (4, 1)), np.full(4, 1e-12))
+        assert eigen._dedup(*stack).tolist() == [0]
+
+    def test_replacement_cascade_keeps_the_last(self, budgets):
+        xs = np.array([[1.0, k * 1e-8] for k in range(6)])
+        stack = (np.zeros(6), xs, np.arange(6.0, 0.0, -1.0) * 1e-12)
+        assert eigen._dedup(*stack).tolist() == [5]
+
+    def test_replacement_pulls_a_later_slots_pairs_down(self, budgets):
+        # b opens slot 1 at 1.2e-6 from a; c replaces a in slot 0 and is
+        # close to b, so d, close to both c and b, joins slot 0, not 1
+        xs = np.array([[1.0, t] for t in (0.0, 1.2e-6, 0.6e-6, 1.2e-6)])
+        stack = (np.arange(4) * 1e-9, xs, np.array([5e-12, 5e-12, 3e-12, 1e-12]))
+        assert eigen._dedup(*stack).tolist() == [3, 1]
+        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    def test_pair_losing_its_slot_finds_a_later_one(self, budgets):
+        # d matched slot 0 through a; c replaces a and is 1.5e-6 from d, so
+        # d falls to slot 1 (b, 0.6e-6 away) and replaces b there
+        xs = np.array([[1.0, t] for t in (0.0, 1.5e-6, -0.6e-6, 0.9e-6)])
+        stack = (np.arange(4) * 1e-9, xs, np.array([5e-12, 5e-12, 3e-12, 4e-12]))
+        assert eigen._dedup(*stack).tolist() == [2, 3]
+        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    def test_sign_flipped_vectors_merge(self, budgets):
+        x = np.array([0.6, 0.8])
+        stack = (np.zeros(2), np.stack([x, -x]), np.array([2e-12, 1e-12]))
+        assert eigen._dedup(*stack).tolist() == [1]
+
+    def test_value_gap_one_ulp_either_side_of_the_tolerance(self, budgets):
+        x = np.tile([0.6, 0.8], (2, 1))
+        for gap, merged in ((BELOW, True), (1e-8, True), (ABOVE, False)):
+            stack = (np.array([0.0, gap]), x, np.array([2e-12, 1e-12]))
+            assert eigen._dedup(*stack).tolist() == ([1] if merged else [0, 1])
+            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
+    def test_oracle_cell_stacks(self, m, n, kind, monkeypatch):
+        a = random_structured(m, n, kind, seed=100 * m + n)
+        stack = converged_stacks(monkeypatch, a, 20, 10 * m + n)
+        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_palindromic_cauchy_continuum(self, order, budgets, monkeypatch):
+        stack = converged_stacks(monkeypatch, palindromic_cauchy(order), 200, 0)
+        kept = eigen._dedup(*stack)
+        np.testing.assert_array_equal(kept, loop_dedup(*stack))
+        # a continuum of near-solutions: most converged starts are kept
+        assert len(kept) >= 80
+
+    def test_zero_tensor(self, budgets, monkeypatch):
+        zero = DenseTensor(np.zeros((3, 3, 3)))
+        stack = converged_stacks(monkeypatch, zero, 120, 1)
+        kept = eigen._dedup(*stack)
+        np.testing.assert_array_equal(kept, loop_dedup(*stack))
+        assert len(kept) == len(stack[0]) == 120
+
+
+class TestMergeMemory:
+    def test_peak_is_linear_in_starts(self):
+        # every converged start of the zero tensor is its own pair, the
+        # worst case for the merge; a starts x starts array would make the
+        # peak grow 16x from 500 to 2000 starts
+        zero = DenseTensor(np.zeros((2, 2)))
+        peaks = {}
+        for starts in (500, 2000):
+            tracemalloc.start()
+            result = solve_eigen(zero, starts=starts, seed=0)
+            peaks[starts] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert result.stats.converged == starts
+            assert len(result.pairs) >= 0.99 * starts
+        assert peaks[2000] < 6 * peaks[500]
