@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time library layers at two commits and write a BENCH_*.json record.
+"""Time library layers at two commits and merge the rows into a BENCH_*.json record.
 
     python3 scripts/bench_layers.py --base f32523f --head worktree --reps 11 --out BENCH_structure.json
 
@@ -10,7 +10,10 @@ alternating rep by rep so that a drift in machine speed hits both alike.
 changes instead, recorded as ``<HEAD>-dirty``.
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
-git_rev}``; one rep times the whole case once.  The cases:
+git_rev}``; one rep times the whole case once.  ``--out`` merges the new
+rows into the file if it exists: a row with the same ``git_rev``, layer
+and case is replaced where it stands, and the others are appended.  The
+cases:
 
 * ``eigen.solve_eigen`` on the 27-cell panel: centro, skew and palindromic
   Cauchy tensors at orders 2-4 and dims 2-4, 200 starts each, drawn the
@@ -34,7 +37,12 @@ git_rev}``; one rep times the whole case once.  The cases:
   and 40 (general), the sizes the dense-kernels benchmark uses;
 * ``product.shao_product`` of those three tensors by the exchange matrix J
   on either side (the permutation-factor path), and of a centro by a skew
-  order-3 dim-26 tensor (the contraction path, as dense-kernels runs it).
+  order-3 dim-26 tensor (the contraction path, as dense-kernels runs it);
+* ``cauchy.materialize`` at n = 20, m = 5 on a positive palindromic
+  generating vector, as dense-kernels runs it;
+* ``core.DenseTensor`` construction (the hypercube and finiteness checks)
+  from the data of the three order-4 tensors and of an order-5 dim-26
+  array, the 11.9M-entry size of the order-3 product.
 
 The two contractions are 20 calls per rep; the structure and J-product
 cases call each of the three tensors as often as their ``calls`` size says.
@@ -121,6 +129,8 @@ def measure() -> list:
 
     exchange = {t.dim: product.exchange_matrix(t.dim) for t in witness_inputs}
     dense_pair = [structure.random_structured(3, 26, kind, seed=SEED) for kind in ("centro", "skew")]
+    cauchy_spec = cauchy.CauchySpec(_palindrome(np.random.default_rng(SEED), 20), 5)
+    product_data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(26,) * 5)
 
     def structure_case(layer, fn, calls):
         sizes = {"order": 4, "dims": [36, 38, 40], "calls": calls * len(witness_inputs)}
@@ -162,6 +172,13 @@ def measure() -> list:
         ("product.shao_product", "centro*skew, order 3, dim 26",
          {"order": 3, "dim": 26, "calls": 1},
          lambda: product.shao_product(*dense_pair)),
+        ("cauchy.materialize", "n=20 m=5 palindrome",
+         {"order": 5, "dim": 20, "calls": 5},
+         lambda: [cauchy.materialize(cauchy_spec) for _ in range(5)]),
+        structure_case("core.DenseTensor", lambda t: core.DenseTensor(t.data), 5),
+        ("core.DenseTensor", "order 5, dim 26",
+         {"order": 5, "dim": 26, "calls": 5},
+         lambda: [core.DenseTensor(product_data) for _ in range(5)]),
     ]
     out = []
     for layer, case, sizes, fn in cases:
@@ -180,12 +197,26 @@ def _child(src: Path) -> list:
     return json.loads(proc.stdout)
 
 
+def merge_records(path: Path, records: list) -> list:
+    """The rows of `path`, if it exists, with `records` merged in.
+
+    A row with the git_rev, layer and case of a new one is replaced where
+    it stands; the other new rows follow in their order.
+    """
+    def key(rec):
+        return rec["git_rev"], rec["layer"], rec["case"]
+
+    new = {key(rec): rec for rec in records}
+    old = json.loads(path.read_text()) if path.exists() else []
+    return [new.pop(key(rec), rec) for rec in old] + list(new.values())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="parent commit")
     parser.add_argument("--head", help="changed commit")
     parser.add_argument("--reps", type=int, default=7)
-    parser.add_argument("--out", help="record to write, e.g. BENCH_structure.json")
+    parser.add_argument("--out", help="record to merge the rows into, e.g. BENCH_structure.json")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
@@ -225,7 +256,7 @@ def main(argv=None) -> int:
                 "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
                 "reps": len(times), "git_rev": rev,
             })
-    Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(merge_records(Path(args.out), records), indent=1) + "\n")
     for rec in records:
         print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "
               f"best {rec['best_s'] * 1e3:9.3f} ms  median {rec['median_s'] * 1e3:9.3f} ms")

@@ -63,6 +63,9 @@ class DenseTensor:
     Construction validates that the array is hypercubic (every axis has
     the same length) and that all entries are finite; every downstream
     check is tolerance-based, so NaN/Inf entries are rejected outright.
+    The finiteness check is one sum over the entries, which allocates
+    nothing; only when that sum is not finite (a non-finite entry, or
+    finite entries whose sum overflows) are the entries tested one by one.
     """
 
     data: np.ndarray
@@ -74,7 +77,10 @@ class DenseTensor:
         n = arr.shape[0]
         if n < 1 or any(s != n for s in arr.shape):
             raise ValueError(f"tensor must be hypercubic, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN and +-inf never add back to a finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

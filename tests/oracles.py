@@ -7,10 +7,12 @@ is meaningful.
 
 import itertools
 import json
+from functools import reduce
 
 import numpy as np
 
 from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError
+from centrotensor.core import DenseTensor, check_entry_count, entry_scale
 from centrotensor.eigen import DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL
 from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
@@ -280,6 +282,92 @@ def loop_validate_spec(spec) -> None:
                 f"index sum {s!r} for multiset {ones_based} is below "
                 f"threshold {threshold!r}; entries do not exist"
             )
+
+
+def _index_sums(spec) -> np.ndarray:
+    """All m-fold component sums as an order-m array, left to right.
+
+    The order and the n^m entry count are checked before anything is
+    built: past numpy's axis limit is a ValueError, past
+    DEFAULT_ENTRY_CAP a ResourceLimitError.  A sum that overflows is left
+    infinite, without a warning, for materialize to reject.
+    """
+    check_entry_count(spec.order, spec.dim, "Cauchy tensor")
+    with np.errstate(over="ignore"):
+        return reduce(np.add.outer, [spec.generating] * spec.order)
+
+
+def _scan_sums(spec, sums: np.ndarray) -> None:
+    """Reject the first multiset (in combinations order) with a near-zero sum.
+
+    The decision and the reported sum are those of ``c[combo].sum()`` over
+    the multiset's sorted indices.  numpy adds eight or more terms
+    pairwise while `sums` was built left to right, so the two can differ
+    by a few ulps; the vectorized pass therefore only selects candidates:
+    every entry within a rounding margin of the threshold, or non-finite
+    (a partial sum that overflowed).  Sorted index tuples of candidates in
+    row-major order are the multisets in combinations-with-replacement
+    order, and each gets the exact test.
+    """
+    c = spec.generating
+    scale = entry_scale(DenseTensor(c))
+    threshold = NEAR_ZERO_FACTOR * scale
+    # without overflow, any m-term float sum is within (m-1) (eps/2) sum|c_i|
+    # of the exact one, so two of them differ by less than m^2 eps scale;
+    # the margin is four times that
+    bound = threshold + 4 * spec.order**2 * np.finfo(float).eps * scale
+    candidates = ((sums < bound) & (sums > -bound)) | ~np.isfinite(sums)
+    if not candidates.any():
+        return
+    index = np.stack(np.nonzero(candidates), axis=1)
+    for combo in index[np.all(np.diff(index, axis=1) >= 0, axis=1)].tolist():
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(c[combo].sum())
+        if abs(s) < threshold:
+            ones_based = tuple(i + 1 for i in combo)
+            raise CauchySpecError(
+                f"index sum {s!r} for multiset {ones_based} is below "
+                f"threshold {threshold!r}; entries do not exist"
+            )
+
+
+def full_materialize(spec) -> DenseTensor:
+    """Build the dense tensor of reciprocals of m-fold component sums.
+
+    The whole-array build that materialize's streamed blocks replaced.
+
+    The result is fully symmetric (invariant under any index
+    permutation) since each entry depends only on the index multiset.
+    A near-zero sum raises CauchySpecError naming the first offending
+    multiset (1-based).  Past that scan, a sum whose reciprocal is not
+    finite, and then a sum that is not finite itself (it overflowed, so
+    its reciprocal would read 0), raises it naming the first such index:
+    with components near the float limit the multiset scan can see an
+    overflowed sum where another order of the same terms cancels to 0.
+    """
+    sums = _index_sums(spec)
+    _scan_sums(spec, sums)
+    try:
+        with np.errstate(divide="raise", over="raise"):
+            entries = 1.0 / sums
+    except FloatingPointError:
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = ~np.isfinite(1.0 / sums)
+        raise _first_bad(sums, bad, "has no finite reciprocal") from None
+    # 1/inf is 0 with no floating-point error, and no finite sum has a zero
+    # reciprocal, so a zero entry marks a sum that overflowed
+    if not entries.all():
+        raise _first_bad(sums, ~np.isfinite(sums), "is not finite")
+    return DenseTensor(entries)
+
+
+def _first_bad(sums: np.ndarray, bad: np.ndarray, problem: str) -> CauchySpecError:
+    """The error naming the first (row-major) index marked bad, 1-based."""
+    index = np.unravel_index(np.argmax(bad), sums.shape)
+    return CauchySpecError(
+        f"index sum {float(sums[index])!r} at index "
+        f"{tuple(int(i) + 1 for i in index)} {problem}; entries do not exist"
+    )
 
 
 def format_value_oracle(value) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,12 +19,12 @@ from centrotensor import (
 )
 from centrotensor import cauchy
 
-from oracles import loop_validate_spec, reflection_within
+from oracles import full_materialize, loop_validate_spec, reflection_within
 
 
 def scan(spec):
     """The multiset scan alone, without building the reciprocals."""
-    cauchy._scan_sums(spec, cauchy._index_sums(spec))
+    cauchy._scan_sums(spec)
 
 
 def scan_outcome(check, spec):
@@ -64,26 +65,47 @@ class TestSpecValidation:
             CauchySpec(np.array([1.0, 2.0]), 0)
 
 
+HAND_CASES = [
+    ([1.0, -1.0], 2),
+    ([1.0, -1.0 + 1e-16], 2),
+    ([0.5, 1.5, 2.5], 3),
+    ([1.0, 2.0, -2.0, -1.0], 2),
+    ([1.0, -1.0], 3),
+    # numpy sums 8 or more terms pairwise, so the tensor's left-to-right
+    # sum straddles the threshold against the loop's: here it falls
+    # below while the loop's does not, and then the other way round
+    ([-0.4780985174267056, 0.15936617247557022], 8),
+    ([1.7878315731128867, -0.4469578932782239], 10),
+    ([1e308, 1e308, -1e308, -1e308], 4),
+    # the loop's sum of (1, 1, 1, 2, 2, 2, 2, 3) is 0.0; the tensor's overflows
+    ([6e307, -6e307, 6e307], 8),
+    ([1e308, -1e308], 2),
+]
+
+
+def random_specs(rng):
+    """600 random and planted specs of dims 1-6 and orders 1-5."""
+    for trial in range(600):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        if trial % 3 == 0:
+            c = rng.uniform(-2.0, 2.0, size=n)
+        elif trial % 3 == 1:
+            # small grid values: many exact and near-exact zero sums
+            c = rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0], size=n)
+            c *= rng.choice([-1.0, 1.0], size=n)
+        else:
+            # plant a zero sum on one multiset, nudged by 0 to a few ulps
+            c = rng.uniform(-2.0, 2.0, size=n)
+            combo = np.sort(rng.integers(0, n, size=m))
+            last = combo[-1]
+            rest = float(c[combo[combo != last]].sum())
+            c[last] = -rest / np.count_nonzero(combo == last)
+            c[last] += rng.choice([0.0, 1e-16, -1e-16, 1e-15, -3e-15])
+        yield CauchySpec(c, m)
+
+
 class TestScanAgainstLoopOracle:
-    @pytest.mark.parametrize(
-        "c,m",
-        [
-            ([1.0, -1.0], 2),
-            ([1.0, -1.0 + 1e-16], 2),
-            ([0.5, 1.5, 2.5], 3),
-            ([1.0, 2.0, -2.0, -1.0], 2),
-            ([1.0, -1.0], 3),
-            # numpy sums 8 or more terms pairwise, so the tensor's left-to-right
-            # sum straddles the threshold against the loop's: here it falls
-            # below while the loop's does not, and then the other way round
-            ([-0.4780985174267056, 0.15936617247557022], 8),
-            ([1.7878315731128867, -0.4469578932782239], 10),
-            ([1e308, 1e308, -1e308, -1e308], 4),
-            # the loop's sum of (1, 1, 1, 2, 2, 2, 2, 3) is 0.0; the tensor's overflows
-            ([6e307, -6e307, 6e307], 8),
-            ([1e308, -1e308], 2),
-        ],
-    )
+    @pytest.mark.parametrize("c,m", HAND_CASES)
     def test_hand_cases(self, c, m):
         spec = CauchySpec(np.array(c), m)
         with np.errstate(over="ignore", invalid="ignore"):  # 1e308 partial sums overflow
@@ -91,28 +113,96 @@ class TestScanAgainstLoopOracle:
 
     def test_random_and_planted_specs(self, rng):
         rejected = 0
-        for trial in range(600):
-            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-            if trial % 3 == 0:
-                c = rng.uniform(-2.0, 2.0, size=n)
-            elif trial % 3 == 1:
-                # small grid values: many exact and near-exact zero sums
-                c = rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0], size=n)
-                c *= rng.choice([-1.0, 1.0], size=n)
-            else:
-                # plant a zero sum on one multiset, nudged by 0 to a few ulps
-                c = rng.uniform(-2.0, 2.0, size=n)
-                combo = np.sort(rng.integers(0, n, size=m))
-                last = combo[-1]
-                rest = float(c[combo[combo != last]].sum())
-                c[last] = -rest / np.count_nonzero(combo == last)
-                c[last] += rng.choice([0.0, 1e-16, -1e-16, 1e-15, -3e-15])
-            spec = CauchySpec(c, m)
+        for spec in random_specs(rng):
+            c, m = spec.generating, spec.order
             expected = scan_outcome(loop_validate_spec, spec)
             rejected += expected is not None
             assert scan_outcome(scan, spec) == expected, (c, m)
             assert scan_outcome(materialize, spec) == expected, (c, m)
         assert 100 < rejected < 500
+
+
+def build_outcome(build, spec):
+    """(shape, entry bytes) of the built tensor, or the CauchySpecError
+    message; a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = build(spec).data
+        except CauchySpecError as exc:
+            return str(exc)
+    return data.shape, data.tobytes()
+
+
+@pytest.fixture(params=["default", "small-blocks"])
+def blocks(request, monkeypatch):
+    """The default block size, or blocks of one row (five entries at most),
+    so that every spec spans many blocks."""
+    if request.param == "small-blocks":
+        monkeypatch.setattr(cauchy, "_BLOCK", 5)
+
+
+B = 1e308
+POSITIVE = list(np.linspace(0.36, 0.44, 12) * B)
+
+# Specs of several blocks at the default size: n = 12, m = 5 is 8 blocks of
+# 2730 rows and n = 20, m = 4 is 5 blocks of 1638 rows, and at either size
+# only sorted indices with a leading component of 17 or more (1-based) are
+# in the last block.  At float-limit scale the threshold is 1e294.
+SPANNING_BLOCKS = [
+    # the only near-zero multiset, and the only overflowed sum, is the last index
+    ([1.0] * 11 + [0.0], 5, r"index sum 0\.0 for multiset \(12, 12, 12, 12, 12\) is below"),
+    ([0.3e308] * 11 + [0.36e308], 5, r"index sum inf at index \(12, 12, 12, 12, 12\) is not finite"),
+    # (1, 3, 1, 3) sums to 0 in the first block, and the sorted (1, 1, 3, 3)
+    # overflows, but the near-zero multiset of the last block wins
+    ([B, B, -B, -B] + POSITIVE + [0.1 * B, 0.4 * B, 0.42 * B, -0.3 * B], 4,
+     r"multiset \(17, 17, 17, 20\) is below"),
+    # without that multiset, the zero sum wins over the overflowed (1, 1, 1, 1)
+    ([B, B, -B, -B] + POSITIVE + [0.1 * B, 0.4 * B, 0.42 * B, 0.43 * B], 4,
+     r"index sum 0\.0 at index \(1, 3, 1, 3\) has no finite reciprocal"),
+    # an overflowed sum in the first block, (1, 17, 17, 1), and a zero sum in the last
+    (POSITIVE + [0.38 * B, 0.39 * B, 0.41 * B, 0.43 * B] + [B, B, -B, -B], 4,
+     r"index sum 0\.0 at index \(17, 19, 17, 19\) has no finite reciprocal"),
+]
+
+
+class TestBuildAgainstFullOracle:
+    """materialize builds what the whole-array build did, bit for bit, and
+    raises its messages, at the default block size and with tiny blocks."""
+
+    @pytest.mark.parametrize("c,m", HAND_CASES)
+    def test_hand_cases(self, c, m, blocks):
+        spec = CauchySpec(np.array(c), m)
+        assert build_outcome(materialize, spec) == build_outcome(full_materialize, spec)
+
+    def test_random_and_planted_specs(self, rng, blocks):
+        for spec in random_specs(rng):
+            expected = build_outcome(full_materialize, spec)
+            assert build_outcome(materialize, spec) == expected, (spec.generating, spec.order)
+
+    @pytest.mark.parametrize("c,m,message", SPANNING_BLOCKS)
+    def test_specs_spanning_blocks(self, c, m, message, blocks):
+        spec = CauchySpec(np.array(c), m)
+        outcome = build_outcome(materialize, spec)
+        assert re.search(message, outcome)
+        assert outcome == build_outcome(full_materialize, spec)
+
+    def test_blocks_tile_the_result(self, blocks):
+        spec = CauchySpec(np.linspace(0.5, 2.0, 12), 5)
+        assert build_outcome(materialize, spec) == build_outcome(full_materialize, spec)
+
+    def test_traced_peak_is_the_result(self):
+        spec = CauchySpec(np.linspace(0.5, 2.0, 12), 5)
+        materialize(spec)  # warm-up
+        tracemalloc.start()
+        try:
+            nbytes = materialize(spec).data.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and the leading sums, 1/12 of it; the whole-array build
+        # held 2.13 results
+        assert peak <= 1.25 * nbytes
 
 
 class TestMaterialize:

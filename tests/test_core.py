@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,38 @@ class TestConstruction:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             DenseTensor.from_entries(1, 2, [1.0, np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 13, 26])
+    def test_rejects_a_non_finite_entry_anywhere(self, bad, at):
+        entries = np.linspace(-1.0, 1.0, 27)
+        entries[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+                DenseTensor(entries.reshape(3, 3, 3))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1e308] * 8, [1e308, 1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308]],
+    )
+    def test_accepts_finite_entries_whose_sum_overflows(self, entries):
+        # the sums are inf and NaN, so the entries are tested one by one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DenseTensor.from_entries(3, 2, entries).entries.tolist() == entries
+
+    def test_finiteness_check_allocates_nothing(self):
+        data = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2**10, 2**10))
+        DenseTensor(data)  # warm-up
+        tracemalloc.start()
+        try:
+            DenseTensor(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an entrywise isfinite mask is 1/8 of the data
+        assert peak < 0.01 * data.nbytes
 
     def test_rejects_non_hypercubic(self):
         with pytest.raises(ValueError):

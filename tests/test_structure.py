@@ -232,7 +232,7 @@ class TestStreamedCompare:
             finally:
                 tracemalloc.stop()
         assert peaks["check_structure"] < 0.05
-        # the two parts, plus the finiteness mask DenseTensor builds
+        # the two parts
         assert peaks["decompose"] <= 2.25
 
 
