@@ -7,13 +7,14 @@ fails loudly on a (near-)zero sum instead of emitting huge entries.
 
 materialize allocates only its result at full size.  It takes the
 (m-1)-fold leading sums once (1/n of the result), then walks the result
-in blocks of structure._BLOCK entries (whole rows of n): one pass adds
-the last component into the block, a min and a max clear it of
-candidates, or a mask picks them out for the exact multiset test, and a
-last pass takes the reciprocals in place.  Errors keep one priority
-whatever block they sit in: the first near-zero multiset, then the first
-index whose sum has no finite reciprocal, then the first sum that
-overflowed.
+in one loop over blocks of structure._BLOCK entries (whole rows of n):
+it adds the last component into the block, a min and a max clear the
+block of candidates (sums within a rounding margin of the threshold, or
+not finite) or one stacked sum tests their sorted multisets, and the
+reciprocals are taken in place.  After the loop, only the blocks that
+held a candidate are searched for bad reciprocals.  Errors keep one
+priority: the first near-zero multiset, then the first index whose sum
+has no finite reciprocal, then the first sum that overflowed.
 
 Structure facts encoded here: the tensor is centrosymmetric exactly when
 c is a palindrome, skew-centrosymmetric (even n only) exactly when c is
@@ -30,9 +31,9 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, check_entry_count, check_tolerance, entry_scale
+from .core import DenseTensor, DomainError, check_entry_count, entry_scale
 from .product import exchange_matrix, shao_product
-from .structure import _BLOCK, check_structure, default_tolerance
+from .structure import _BLOCK, _compare, _tolerance, check_structure
 
 __all__ = [
     "CauchySpecError",
@@ -62,7 +63,8 @@ class CauchySpec:
     order: int
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.generating, dtype=float)
+        # a copy, so that no caller's array (or view of one) changes the spec
+        c = np.array(self.generating, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("generating vector must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
@@ -91,62 +93,27 @@ def _lead_sums(spec: CauchySpec) -> np.ndarray:
         return reduce(np.add.outer, [spec.generating] * (spec.order - 1), np.array(-0.0)).reshape(-1)
 
 
-def _summed_blocks(spec: CauchySpec, lead: np.ndarray, out: np.ndarray):
-    """Write every m-fold sum into `out` (lead.size rows of n), a block of rows at a time.
+def _check_multisets(c: np.ndarray, index: tuple, threshold: float) -> None:
+    """Raise CauchySpecError at the first near-zero multiset among candidate indices.
 
-    Row r gets lead[r] + c, the left-to-right sum over its row-major
-    index.  Each block is scanned before it is yielded as (first flat
-    index, block, suspect): a near-zero multiset raises CauchySpecError,
-    and suspect marks a block that held a candidate, the only kind that
-    can hold a sum with no finite reciprocal.
-
-    Candidates are the entries within a rounding margin of the threshold,
-    or non-finite (a partial sum that overflowed).  numpy adds eight or
-    more terms pairwise, so an entry and ``c[combo].sum()`` can differ by a
-    few ulps; the latter, over the multiset's sorted indices, decides.
-    Sorted candidate indices in row-major order are the multisets in
-    combinations-with-replacement order, so the blocks, taken in order,
-    raise at the first offending multiset.
+    index holds the candidates' m index arrays in row-major order.  The
+    sorted ones are the multisets, in combinations-with-replacement order,
+    and each is summed as ``c[combo].sum()``: numpy adds eight or more
+    terms pairwise, so that sum and the tensor's left-to-right one can
+    differ by a few ulps, and the former decides.
     """
-    c = spec.generating
-    scale = entry_scale(DenseTensor(c))
-    threshold = NEAR_ZERO_FACTOR * scale
-    # without overflow, any m-term float sum is within (m-1) (eps/2) sum|c_i|
-    # of the exact one, so two of them differ by less than m^2 eps scale;
-    # the margin is four times that
-    bound = threshold + 4 * spec.order**2 * np.finfo(float).eps * scale
-    shape = (spec.dim,) * spec.order
-    step = max(1, _BLOCK // spec.dim)
-    for row in range(0, lead.size, step):
-        block = out[row : row + step]
-        with np.errstate(over="ignore"):
-            np.add(lead[row : row + step, None], c, out=block)
-        low, high = float(block.min()), float(block.max())
-        # the margin is at least 1e-14, so a block clear of it has no
-        # candidate and every reciprocal is finite and nonzero
-        if bound <= low and high < np.inf or -np.inf < low and high <= -bound:
-            flat = ()
-        else:
-            flat = np.flatnonzero(((block < bound) & (block > -bound)) | ~np.isfinite(block))
-        if len(flat):
-            index = np.stack(np.unravel_index(row * spec.dim + flat, shape), axis=1)
-            for combo in index[np.all(np.diff(index, axis=1) >= 0, axis=1)].tolist():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    s = float(c[combo].sum())
-                if abs(s) < threshold:
-                    ones_based = tuple(i + 1 for i in combo)
-                    raise CauchySpecError(
-                        f"index sum {s!r} for multiset {ones_based} is below "
-                        f"threshold {threshold!r}; entries do not exist"
-                    )
-        yield row * spec.dim, block, len(flat) > 0
-
-
-def _scan_sums(spec: CauchySpec) -> None:
-    """The multiset scan alone, without the reciprocals materialize takes."""
-    lead = _lead_sums(spec)
-    for _ in _summed_blocks(spec, lead, np.empty((lead.size, spec.dim))):
-        pass
+    combos = np.stack(index, axis=1)
+    combos = combos[np.all(np.diff(combos, axis=1) >= 0, axis=1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = c[combos].sum(axis=1)
+    near = np.abs(sums) < threshold
+    if near.any():
+        k = int(np.argmax(near))
+        ones_based = tuple(int(i) + 1 for i in combos[k])
+        raise CauchySpecError(
+            f"index sum {float(sums[k])!r} for multiset {ones_based} is below "
+            f"threshold {threshold!r}; entries do not exist"
+        )
 
 
 def materialize(spec: CauchySpec) -> DenseTensor:
@@ -161,37 +128,48 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     with components near the float limit the multiset scan can see an
     overflowed sum where another order of the same terms cancels to 0.
 
-    Only the result is allocated at full size.  The (m-1)-fold leading
-    sums (1/n of the result) are taken once; then, block by block of
-    structure._BLOCK entries, the last component is added into the
-    result, the block is scanned and its reciprocals are taken in place
-    while it is in cache.  Only a block holding a candidate gets the
-    entrywise tests for a non-finite reciprocal or sum, and every block is
-    scanned before one is reported, which keeps the error priority above.
+    Only the result is allocated at full size (see the module docstring).
+    Row r of the result gets lead[r] + c, left to right.  Every block is
+    scanned before a reciprocal is judged, and then only the blocks that
+    held a candidate are searched: an entry that is not finite marks a
+    sum with no finite reciprocal, and an entry of 0 a sum that
+    overflowed, since no finite sum has a zero reciprocal.
     """
+    c, n, shape = spec.generating, spec.dim, (spec.dim,) * spec.order
+    scale = entry_scale(DenseTensor(c))
+    threshold = NEAR_ZERO_FACTOR * scale
+    # without overflow, any m-term float sum is within (m-1) (eps/2) sum|c_i|
+    # of the exact one, so two of them differ by less than m^2 eps scale;
+    # the margin is four times that.  It is at least 1e-14, so a block
+    # clear of it has no candidate and every reciprocal finite and nonzero.
+    bound = threshold + 4 * spec.order**2 * np.finfo(float).eps * scale
     lead = _lead_sums(spec)
-    out = np.empty((lead.size, spec.dim))
-    problems = ("has no finite reciprocal", "is not finite")
-    first = {}  # problem -> (flat index, sum) of its first row-major entry
+    out = np.empty((lead.size, n))
+    step = max(1, _BLOCK // n)
+    suspects = []  # first rows of the blocks that held a candidate
     with np.errstate(divide="ignore", over="ignore"):
-        for start, block, suspect in _summed_blocks(spec, lead, out):
-            if suspect:
-                inverse = 1.0 / block
-                for problem, bad in zip(problems, (~np.isfinite(inverse), ~np.isfinite(block))):
-                    if problem not in first and bad.any():
-                        k = int(np.argmax(bad))
-                        first[problem] = (start + k, float(block.flat[k]))
+        for row in range(0, lead.size, step):
+            block = out[row : row + step]
+            np.add(lead[row : row + step, None], c, out=block)
+            low, high = float(block.min()), float(block.max())
+            if not (bound <= low and high < np.inf or -np.inf < low and high <= -bound):
+                flat = np.flatnonzero(((block < bound) & (block > -bound)) | ~np.isfinite(block))
+                if flat.size:
+                    _check_multisets(c, np.unravel_index(row * n + flat, shape), threshold)
+                    suspects.append(row)
             np.divide(1.0, block, out=block)
-    for problem in problems:
-        if problem not in first:
-            continue
-        flat, s = first[problem]
-        index = np.unravel_index(flat, (spec.dim,) * spec.order)
-        raise CauchySpecError(
-            f"index sum {s!r} at index {tuple(int(i) + 1 for i in index)} "
-            f"{problem}; entries do not exist"
-        )
-    return DenseTensor(out.reshape((spec.dim,) * spec.order))
+        for problem in ("has no finite reciprocal", "is not finite"):
+            for row in suspects:
+                block = out[row : row + step]
+                bad = block == 0 if problem == "is not finite" else ~np.isfinite(block)
+                if bad.any():
+                    k = row * n + int(np.argmax(bad))
+                    index = tuple(int(i) + 1 for i in np.unravel_index(k, shape))
+                    raise CauchySpecError(
+                        f"index sum {float(lead[k // n] + c[k % n])!r} at index {index} "
+                        f"{problem}; entries do not exist"
+                    )
+    return DenseTensor(out.reshape(shape))
 
 
 def cauchy_is_centro(spec: CauchySpec, tol: float | None = None) -> bool:
@@ -217,12 +195,9 @@ def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
     with cauchy_is_centro on every valid spec.
     """
     c_tensor = materialize(spec)
-    tol = default_tolerance(c_tensor) if tol is None else check_tolerance(tol)
+    tol = _tolerance(c_tensor, tol)
     j = exchange_matrix(spec.dim)
-    jc = shao_product(j, c_tensor)
-    cj = shao_product(c_tensor, j)
-    dev = max(
-        float(np.max(np.abs(jc.data - c_tensor.data))),
-        float(np.max(np.abs(cj.data - c_tensor.data))),
+    return all(
+        _compare(product.data, c_tensor.data, tol).is_centro
+        for product in (shao_product(j, c_tensor), shao_product(c_tensor, j))
     )
-    return dev <= tol

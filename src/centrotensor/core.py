@@ -71,9 +71,10 @@ class DenseTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=float)
-        if arr.ndim < 1:
+        # ascontiguousarray makes a 0-d array 1-d, so the order is read first
+        if np.ndim(self.data) < 1:
             raise ValueError("tensor order must be at least 1")
+        arr = np.ascontiguousarray(self.data, dtype=float)
         n = arr.shape[0]
         if n < 1 or any(s != n for s in arr.shape):
             raise ValueError(f"tensor must be hypercubic, got shape {arr.shape}")

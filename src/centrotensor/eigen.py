@@ -162,11 +162,13 @@ def residual(a: DenseTensor, value: float, x) -> float:
     x = _finite_vector(x, "eigenvector")
     if not math.isfinite(value):
         raise ValueError(f"eigenvalue must be finite, got {value!r}")
-    return _residual(a, value, x)
+    return float(np.max(_residuals(a, np.asarray(value, dtype=float), x)))
 
 
-def _residual(a: DenseTensor, value: float, x: np.ndarray) -> float:
-    return float(np.max(np.abs(apply(a, x) - value * x ** (a.order - 1))))
+def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
+    apply contracts each row on its own, so its bits do not depend on the stack."""
+    return np.max(np.abs(apply(a, xs) - lams[..., None] * xs ** (a.order - 1)), axis=-1)
 
 
 def _finite_vector(x, what: str) -> np.ndarray:
@@ -182,7 +184,7 @@ def _finite_vector(x, what: str) -> np.ndarray:
 _CLASSES = (SYMMETRIC, SKEW_SYMMETRIC, ABS_SYMMETRIC, NEITHER_CLASS)
 
 
-def _classify_rows(xs: np.ndarray, tol: float) -> list:
+def _classify_rows(xs: np.ndarray) -> list:
     """classify_vector of each row of xs, in one pass over the stack."""
     jxs, axs = xs[:, ::-1], np.abs(xs)
     # deviations from Jx = x, Jx = -x and J|x| = |x|, then a row of zeros
@@ -191,17 +193,18 @@ def _classify_rows(xs: np.ndarray, tol: float) -> list:
     np.subtract(xs, jxs, out=dev[0])
     np.add(xs, jxs, out=dev[1])
     np.subtract(axs, axs[:, ::-1], out=dev[2])
-    label = (np.abs(dev, out=dev).max(axis=2) <= tol).argmax(axis=0)
+    label = (np.abs(dev, out=dev).max(axis=2) <= DEFAULT_CLASS_TOL).argmax(axis=0)
     return [_CLASSES[k] for k in label.tolist()]
 
 
-def classify_vector(x, tol: float = DEFAULT_CLASS_TOL) -> str:
+def classify_vector(x) -> str:
     """Symmetry class of a vector under component reversal.
 
-    Tests Jx = x, Jx = -x, then J|x| = |x|, in that priority.  A zero or
-    non-finite vector raises ValueError.
+    Tests Jx = x, Jx = -x, then J|x| = |x|, in that priority, each to
+    within the fixed DEFAULT_CLASS_TOL.  A zero or non-finite vector
+    raises ValueError.
     """
-    return _classify_rows(_finite_vector(x, "classified vector")[None, :], tol)[0]
+    return _classify_rows(_finite_vector(x, "classified vector")[None, :])[0]
 
 
 def normalize_eigenvector(x) -> np.ndarray:
@@ -224,8 +227,8 @@ def normalize_eigenvector(x) -> np.ndarray:
 
 def _make_pair(a: DenseTensor, value: float, x) -> EigenPair:
     x = normalize_eigenvector(x)
-    label = _classify_rows(x[None, :], DEFAULT_CLASS_TOL)[0]
-    return EigenPair(float(value), x, _residual(a, value, x), label)
+    res = float(_residuals(a, np.asarray(value, dtype=float), x))
+    return EigenPair(float(value), x, res, _classify_rows(x[None, :])[0])
 
 
 def closed_form_dim2(a: DenseTensor):
@@ -510,7 +513,6 @@ def solve_eigen(
     starts: int = 100,
     seed=0,
     tol: float = DEFAULT_SOLVER_TOL,
-    class_tol: float = DEFAULT_CLASS_TOL,
 ) -> EigenSet:
     """Multistart damped Newton on the eigenpair system.
 
@@ -529,7 +531,8 @@ def solve_eigen(
     The merge costs a few stacked passes per run of such changes (a new
     slot or a replacement), not a numpy round per start; each pass holds
     at most _DEDUP_BLOCK_ENTRIES entries, or one row per slot, so memory
-    stays linear in starts (see _Merge).
+    stays linear in starts (see _Merge).  Each kept pair is labelled by
+    classify_vector, at the fixed DEFAULT_CLASS_TOL.
 
     tol bounds the residual of A itself, unless A's entries are large
     enough that a residual could overflow (entry_scale(A) * m * n^(m-1)
@@ -555,7 +558,6 @@ def solve_eigen(
         )
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
-    class_tol = check_tolerance(class_tol, "class_tol")
     stack = starts * max(n ** (m - 1), (n + 1) ** 2)
     if stack > core.DEFAULT_ENTRY_CAP:
         raise ResourceLimitError(
@@ -645,7 +647,7 @@ def solve_eigen(
     xs, lams = xs[nonzero] / norms[nonzero, None], lams[nonzero]
     lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
     xs[lead < 0] *= -1.0
-    res = np.max(np.abs(apply(a, xs) - lams[:, None] * xs ** (m - 1)), axis=1)
+    res = _residuals(a, lams, xs)
     ok = (res <= tol) & np.isfinite(lams * scale)
     xs, lams, res = xs[ok], lams[ok], res[ok]
     converged = len(lams)
@@ -654,7 +656,7 @@ def solve_eigen(
     xs, lams, res = xs[kept], lams[kept], res[kept]
     pairs = [
         EigenPair(float(lam * scale), x, float(r * scale), label)
-        for lam, x, r, label in zip(lams, xs, res, _classify_rows(xs, class_tol))
+        for lam, x, r, label in zip(lams, xs, res, _classify_rows(xs))
     ]
     stats = SolverStats(
         attempted=starts,

@@ -257,7 +257,7 @@ def test_criterion_09_cauchy_eigenvector_symmetry():
         n = int(rng.integers(2, 5))
         spec = CauchySpec(palindromize(rng.uniform(0.2, 3.0, size=n)), m)
         tensor = materialize(spec)
-        for pair in solve_eigen(tensor, starts=16, seed=rng, class_tol=1e-8).pairs:
+        for pair in solve_eigen(tensor, starts=16, seed=rng).pairs:
             if abs(pair.value) <= 1e-8:
                 continue
             if m % 2 == 0 and pair.classification != "symmetric":

@@ -23,8 +23,14 @@ from oracles import full_materialize, loop_validate_spec, reflection_within
 
 
 def scan(spec):
-    """The multiset scan alone, without building the reciprocals."""
-    cauchy._scan_sums(spec)
+    """The multiset scan alone: materialize, re-raising only the errors
+    that name a multiset (every block is scanned before a reciprocal is
+    judged)."""
+    try:
+        materialize(spec)
+    except CauchySpecError as exc:
+        if "multiset" in str(exc):
+            raise
 
 
 def scan_outcome(check, spec):
@@ -63,6 +69,17 @@ class TestSpecValidation:
             CauchySpec(np.array([1.0, np.nan]), 2)
         with pytest.raises(ValueError):
             CauchySpec(np.array([1.0, 2.0]), 0)
+
+    def test_spec_owns_its_vector(self):
+        # a spec built on a view must not follow writes to the view's base,
+        # nor make the caller's array read-only
+        base = np.array([1.0, 2.0, 1.0, 4.0])
+        spec = CauchySpec(base[:3], 2)
+        assert cauchy_is_centro(spec)
+        base[0] = 5.0
+        assert spec.generating.tolist() == [1.0, 2.0, 1.0]
+        assert cauchy_is_centro(spec)
+        assert base.flags.writeable
 
 
 HAND_CASES = [

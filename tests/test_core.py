@@ -46,6 +46,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DenseTensor.from_entries(1, 2, [1.0, np.inf])
 
+    def test_rejects_order_zero(self):
+        # np.ascontiguousarray makes 0-d data 1-d, which is not an order-1 tensor
+        with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
+            DenseTensor(3.0)
+        with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
+            DenseTensor.from_entries(0, 1, [5.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 13, 26])
     def test_rejects_a_non_finite_entry_anywhere(self, bad, at):
@@ -180,6 +187,10 @@ class TestPolyEval:
 
     def test_zero_tensor(self):
         assert poly_eval(DenseTensor.zeros(3, 2), np.array([1.0, 5.0])) == 0.0
+
+    def test_rejects_wrong_length_vector(self, sym_matrix):
+        with pytest.raises(ValueError, match=r"^vector of length 2 required, got shape \(3,\)$"):
+            poly_eval(sym_matrix, np.array([1.0, 2.0, 3.0]))
 
     def test_matches_bruteforce(self, rng):
         a = DenseTensor(rng.uniform(-1, 1, size=(2, 2, 2)))

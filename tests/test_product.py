@@ -250,6 +250,10 @@ class TestExchangeMatrix:
             [1.0, 0.0, 0.0],
         ]
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            exchange_matrix(0)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_is_involution(self, n):
         j = exchange_matrix(n)

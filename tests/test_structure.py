@@ -360,6 +360,11 @@ class TestRowSumSymmetry:
         with pytest.raises(ValueError):
             verify_row_sum_symmetry(a)
 
+    def test_rejects_unknown_assumption(self):
+        a = DenseTensor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="^assume must be 'centro' or 'skew'$"):
+            verify_row_sum_symmetry(a, assume="x")
+
     def test_skew_centre_row_alone_is_the_witness(self):
         # r = (1, 0.5, -1): only the centre row breaks r_i = -r_{n-i+1}
         a = DenseTensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, -1.0, 0.0]]))
