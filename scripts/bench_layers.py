@@ -29,6 +29,11 @@ cases:
 * ``eigen._newton_steps`` on the Newton stacks of one 200-start solve of
   an order-4 palindromic Cauchy tensor that hold an exactly singular
   system (recorded in the same process, so at the commit being timed);
+* ``eigen._dedup`` on the converged stacks of the 27-cell panel's solves,
+  five passes, and on the stack of the zero tensor at dim 2 with 2000
+  starts, where every converged start is its own pair (the many-component
+  worst case); both recorded in the same process, so at the commit being
+  timed;
 * ``eigen.reflect_pair`` on every pair of one 200-start solve of an
   order-4 dim-4 centro tensor, 20 times over;
 * the three structure witnesses (``structure.check_structure``,
@@ -119,6 +124,20 @@ def measure() -> list:
     eigen._newton_steps = newton_steps
     singular = sum(int(np.sum(np.linalg.slogdet(j)[0] == 0)) for j, _ in recorded)
 
+    merge = eigen._dedup
+    converged = []
+
+    def recording_merge(lams, xs, res):
+        converged.append((lams.copy(), xs.copy(), res.copy()))
+        return merge(lams, xs, res)
+
+    eigen._dedup = recording_merge
+    for tensor, seed in panel:
+        eigen.solve_eigen(tensor, starts=200, seed=seed)
+    eigen.solve_eigen(core.DenseTensor(np.zeros((2, 2))), starts=2000, seed=SEED)
+    eigen._dedup = merge
+    zero_stack = converged.pop()
+
     mirror = structure.random_structured(4, 4, "centro", seed=SEED)
     pairs = eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
 
@@ -157,6 +176,13 @@ def measure() -> list:
          {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded),
           "singular": singular},
          lambda: [newton_steps(j, r) for j, r in recorded]),
+        ("eigen._dedup", "27-cell panel, converged stacks, 5 passes",
+         {"stacks": len(converged), "pairs": sum(len(st[0]) for st in converged),
+          "kept": sum(len(merge(*st)) for st in converged), "calls": 5 * len(converged)},
+         lambda: [merge(*st) for _ in range(5) for st in converged]),
+        ("eigen._dedup", "zero tensor dim 2, 2000 starts",
+         {"pairs": len(zero_stack[0]), "kept": len(merge(*zero_stack))},
+         lambda: merge(*zero_stack)),
         ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times",
          {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)},
          lambda: [eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]),

@@ -2,10 +2,11 @@
 """Survey eigenvector symmetry classes across random structured tensors.
 
 For each (order, dim) cell this samples centro and skew tensors, runs the
-multistart solver and tallies how the found eigenvectors classify.  The
-expected picture: centro tensors produce symmetric / skew-symmetric (or at
-worst abs-symmetric) eigenvectors at small dimension, and every nonzero
-eigenvalue of a skew tensor shows up with its negation.
+multistart solver and tallies how the found eigenvectors classify; conv
+counts the converged starts and kept the pairs the merge kept of them.
+The expected picture: centro tensors produce symmetric / skew-symmetric
+(or at worst abs-symmetric) eigenvectors at small dimension, and every
+nonzero eigenvalue of a skew tensor shows up with its negation.
 """
 
 import argparse
@@ -18,12 +19,14 @@ from centrotensor import random_structured, reflect_pair, solve_eigen
 
 def survey_cell(order, dim, kind, trials, starts, rng):
     classes = Counter()
+    converged = 0
     pairs_found = 0
     mirrored_ok = 0
     mirrored_total = 0
     for _ in range(trials):
         a = random_structured(order, dim, kind, rng)
         result = solve_eigen(a, starts=starts, seed=rng)
+        converged += result.stats.converged
         for pair in result.pairs:
             pairs_found += 1
             classes[pair.classification] += 1
@@ -34,7 +37,7 @@ def survey_cell(order, dim, kind, trials, starts, rng):
             expected = pair.value if kind == "centro" else -pair.value
             if abs(mirrored.value - expected) <= 1e-8:
                 mirrored_ok += 1
-    return pairs_found, classes, mirrored_ok, mirrored_total
+    return converged, pairs_found, classes, mirrored_ok, mirrored_total
 
 
 def main():
@@ -45,17 +48,17 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'kind':6} {'m':>2} {'n':>2} {'pairs':>6} {'sym':>5} {'skew':>5} "
+    print(f"{'kind':6} {'m':>2} {'n':>2} {'conv':>6} {'kept':>6} {'sym':>5} {'skew':>5} "
           f"{'abs':>5} {'other':>6} {'reflect':>9}")
     for kind in ("centro", "skew"):
         for order in (2, 3, 4):
             for dim in (2, 3, 4):
-                pairs, classes, mok, mtot = survey_cell(
+                conv, pairs, classes, mok, mtot = survey_cell(
                     order, dim, kind, args.trials, args.starts, rng
                 )
                 reflect = f"{mok}/{mtot}" if mtot else "-"
                 print(
-                    f"{kind:6} {order:>2} {dim:>2} {pairs:>6} "
+                    f"{kind:6} {order:>2} {dim:>2} {conv:>6} {pairs:>6} "
                     f"{classes['symmetric']:>5} {classes['skew-symmetric']:>5} "
                     f"{classes['abs-symmetric']:>5} {classes['neither']:>6} {reflect:>9}"
                 )

@@ -27,8 +27,8 @@ Contents:
   row is contracted on its own (see core.contract_trailing), so neither
   the chunking nor the other starts change a start's bits.  Starts leave
   the active stack as they converge, stall, take a non-finite step or
-  run out of iterations; SolverStats counts each way.  The converged
-  pairs are merged by a walk that jumps from change to change (_Merge),
+  run out of iterations; SolverStats counts each way.  Converged pairs
+  joined by a chain of close pairs are one pair, whatever their order,
   and the kept pairs are classified as one stack,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
@@ -325,186 +325,69 @@ LINE_SEARCH_ENTRIES = 2**16
 # Entry budget of one stacked comparison of the merge: its rows times n,
 # the size of one difference stack (2^16 entries are 512 KB).
 _DEDUP_BLOCK_ENTRIES = 2**16
-# Pairs matching no slot that one stacked pass compares with each other,
-# to open that many slots at most.
-_DEDUP_RUN = 16
+
+
+def _vector_gap(x, xs) -> np.ndarray:
+    """min(|x - xs|, |x + xs|), broadcast over leading axes.  Symmetric bit
+    for bit: x - y, x + y differ from y - x, y + x at most in sign, which
+    the squares in the norm drop."""
+    return np.minimum(np.linalg.norm(x - xs, axis=-1), np.linalg.norm(x + xs, axis=-1))
 
 
 def _close_rows(lam, x, lams, xs) -> np.ndarray:
-    """The dedup rule between (lam, x) and (lams, xs), broadcast over leading axes.
-
-    Symmetric bit for bit: |a - b| is |b - a|, and x - y, x + y differ
-    from y - x, y + x at most in sign, which the squares in the norm drop.
-    """
-    return (np.abs(lam - lams) <= DEDUP_VALUE_TOL) & (
-        np.minimum(np.linalg.norm(x - xs, axis=-1), np.linalg.norm(x + xs, axis=-1))
-        <= DEDUP_VECTOR_TOL
-    )
+    """The dedup rule between (lam, x) and (lams, xs), broadcast over leading axes."""
+    return (np.abs(lam - lams) <= DEDUP_VALUE_TOL) & (_vector_gap(x, xs) <= DEDUP_VECTOR_TOL)
 
 
 def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Indices of the pairs the greedy merge keeps, slot by slot; see _Merge."""
-    merge = _Merge(lams, xs, res)
-    done = 0
-    while True:
-        changes = merge.res[done:] < merge.slot_res[merge.first[done:]]
-        if not changes.any():
-            return merge.order[merge.kept[: merge.count]]
-        p = done + int(np.argmax(changes))
-        if merge.first[p] == merge.total:
-            slots, reps, done = merge.openings(p)
-        else:
-            slots, reps, done = merge.replacements(p)
-        merge.take(slots, reps, done)
+    """Indices of the pairs the merge keeps, in (value, components) order.
 
+    Two pairs are one eigenpair when a chain of pairs joins them, each
+    step close under _close_rows.  Each such component keeps its
+    least-residual pair, the first in (value, components) order on a tie.
 
-class _Merge:
-    """solve_eigen's greedy merge of converged pairs, walked change by change.
-
-    The merge visits the pairs sorted by (value, components).  A pair
-    close to a slot's representative (_close_rows) joins the first such
-    slot and replaces its representative when its residual is strictly
-    smaller; a pair close to none opens a new slot.  Most pairs change
-    nothing, so the walk keeps first[q], the first slot pair q matches
-    under the current representatives, and jumps to the next pair that
-    opens or replaces.  Openings and replacements come in runs, which
-    one stacked pass each confirms (openings, replacements); take then
-    compares only the changed slots with the pairs still to come.  So the
-    numpy calls grow with those runs, not with the pairs, and no stacked
-    comparison holds more than _DEDUP_BLOCK_ENTRIES entries (or one row
-    per slot), so memory stays linear in the pairs.
-
-    A pair is compared only within its value window: no pair from
-    window[p] on is within DEDUP_VALUE_TOL of pair p (the margin of 2
-    covers the rounding of lams + tol).  first[q] is `total` when pair q
-    matches no slot, and slot_res[total] is +inf, so such a pair always
-    changes the state.
+    A component grows from its first unlabelled pair, the seed, a block
+    of members at a time.  A pair can join only from the block's value
+    windows, and only if its vector gap to the seed is within the
+    component's reach (its members' largest gap to the seed) plus twice
+    the tolerance: the triangle inequality allows one, the other covers
+    rounding.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries
+    (or one row pair), so memory stays linear in the pairs.
     """
-
-    def __init__(self, lams, xs, res):
-        self.order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
-        self.lams, self.xs, self.res = lams[self.order], xs[self.order], res[self.order]
-        self.total, self.dim = xs.shape
-        self.window = np.searchsorted(self.lams, self.lams + 2.0 * DEDUP_VALUE_TOL, side="right")
-        self.first = np.full(self.total, self.total)
-        self.slot_res = np.full(self.total + 1, np.inf)
-        self.kept = np.empty(self.total, dtype=int)
-        self.count = 0
-
-    def openings(self, p):
-        """Confirm the run of new slots that pair p, matching none, starts.
-
-        Up to the first pair that would replace an existing
-        representative, only the pairs matching no slot can change the
-        state (a new slot comes after every existing one), and the first
-        _DEDUP_RUN of them are compared with each other.  One close to
-        none before it opens a slot; one close to an earlier opener joins
-        the first such, and changes nothing if its residual is no
-        smaller.  The run holds up to the first pair that does anything
-        else.  Returns the new slots, their representatives and the
-        position the merge has reached.
-        """
-        matched = self.first[p:]
-        below = self.res[p:] < self.slot_res[matched]
-        replaces = below & (matched < self.total)
-        span = int(np.argmax(replaces)) if replaces.any() else len(matched)
-        new = p + np.flatnonzero(matched[:span] == self.total)
-        done = p + span if len(new) <= _DEDUP_RUN else int(new[_DEDUP_RUN])
-        new = new[:_DEDUP_RUN]
-        lams, xs, res = self.lams[new], self.xs[new], self.res[new]
-        earlier = np.triu(_close_rows(lams[:, None], xs[:, None], lams, xs), 1)
-        opens = ~earlier.any(axis=0)
-        hosts = earlier & opens[:, None]
-        settled = opens | (hosts.any(axis=0) & (res >= res[np.argmax(hosts, axis=0)]))
-        if not settled.all():
-            done = int(new[np.argmax(~settled)])
-        reps = new[opens & (new < done)]
-        return np.arange(self.count, self.count + len(reps)), reps, done
-
-    def replacements(self, p):
-        """Confirm the run of replacements that pair p starts.
-
-        Up to the next pair matching no slot, the pairs of p's value
-        window are predicted to stay in the slot they match now, and each
-        slot to take every pair whose residual is a strict running
-        minimum of its own, starting from its representative's.  Each
-        pair is compared with the representative every such slot has
-        when the merge reaches it, and the prediction holds up to the
-        first pair that would leave its slot: it no longer matches it, or
-        it now matches a lower one.  p's own replacement always holds.
-        Returns the slots that changed (ascending), their new
-        representatives and the position the merge has reached.
-        """
-        matched = self.first[p : self.window[p]]
-        stray = matched == self.total
-        span = int(np.argmax(stray)) if stray.any() else len(matched)
-        residuals = self.res[p : p + span]
-        below = residuals < self.slot_res[matched[:span]]
-        slots = np.flatnonzero(np.bincount(matched[:span][below]))
-        span = min(span, max(1, _DEDUP_BLOCK_ENTRIES // (len(slots) * self.dim)))
-        matched, residuals, rest = matched[:span], residuals[:span], slice(p, p + span)
-        positions = np.arange(p, p + span)
-        mine = matched == slots[:, None]
-        # each slot's residuals in merge order, against the lowest before each
-        own = np.where(mine, residuals, np.inf)
-        own = np.concatenate((self.slot_res[slots, None], own), axis=1)
-        took = np.where(own[:, 1:] < np.minimum.accumulate(own, axis=1)[:, :-1], positions, -1)
-        # rep[k, i]: the representative of slots[k] when the merge reaches pair p + i
-        rep = np.maximum.accumulate(np.concatenate((self.kept[slots, None], took), axis=1), axis=1)
-        at = rep[:, :-1]
-        close = _close_rows(self.lams[at], self.xs[at], self.lams[rest], self.xs[rest])
-        leaves = (mine.any(axis=0) & ~np.any(close & mine, axis=0)) | np.any(
-            close & (slots[:, None] < matched), axis=0
-        )
-        reached = int(np.argmax(leaves)) if leaves.any() else span
-        reps = rep[:, reached]
-        moved = reps != self.kept[slots]
-        return slots[moved], reps[moved], p + reached
-
-    def take(self, slots, reps, done):
-        """Give `slots` (ascending) the representatives `reps`, and update
-        first for the pairs from `done` on.
-
-        Only the changed slots are compared with those pairs, within the
-        new representatives' value windows.  A pair that matched a changed
-        slot and no longer does looks for its first match among the later
-        slots.
-        """
-        self.count = max(self.count, int(slots[-1]) + 1)
-        self.kept[slots], self.slot_res[slots] = reps, self.res[reps]
-        end = int(self.window[reps].max())
-        step = max(1, _DEDUP_BLOCK_ENTRIES // (len(slots) * self.dim))
-        for lo in range(done, end, step):
-            rest = slice(lo, min(end, lo + step))
-            matched = self.first[rest]
-            close = _close_rows(
-                self.lams[reps, None], self.xs[reps, None], self.lams[rest], self.xs[rest]
-            )
-            joined = np.where(close.any(axis=0), slots[np.argmax(close, axis=0)], self.total)
-            own = np.minimum(np.searchsorted(slots, matched), len(slots) - 1)
-            lost = (slots[own] == matched) & ~close[own, np.arange(len(matched))]
-            was = matched[lost]
-            self.first[rest] = np.minimum(joined, np.where(lost, self.total, matched))
-            if lost.any():
-                self._rematch_lost(lo + np.flatnonzero(lost), was)
-
-    def _rematch_lost(self, lost, was):
-        """Lower first[q] of each pair q in lost to the first slot after
-        was[q] whose representative it matches, comparing in blocks."""
-        slot = int(was.min()) + 1
-        while lost.size and slot < self.count:
-            width = max(1, _DEDUP_BLOCK_ENTRIES // (lost.size * self.dim))
-            block = np.arange(slot, min(self.count, slot + width))
-            reps = self.kept[block]
-            hits = _close_rows(
-                self.lams[lost, None], self.xs[lost, None], self.lams[reps], self.xs[reps]
-            )
-            hits &= block > was[:, None]
-            found = hits.any(axis=1)
-            hit = block[np.argmax(hits[found], axis=1)]
-            self.first[lost[found]] = np.minimum(self.first[lost[found]], hit)
-            lost, was = lost[~found], was[~found]
-            slot += width
+    order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
+    lams, xs, res = lams[order], xs[order], res[order]
+    total, n = xs.shape
+    # no pair outside [lo[p], hi[p]) is within DEDUP_VALUE_TOL of pair p
+    lo = np.searchsorted(lams, lams - 2.0 * DEDUP_VALUE_TOL)
+    hi = np.searchsorted(lams, lams + 2.0 * DEDUP_VALUE_TOL, side="right")
+    free = np.ones(total, dtype=bool)
+    rows = max(1, _DEDUP_BLOCK_ENTRIES // n)
+    kept = []
+    for seed in range(total):
+        if not free[seed]:
+            continue
+        free[seed] = False
+        members, done, reach = np.array([seed]), 0, 0.0
+        while done < len(members):
+            block = members[done : done + rows, None]
+            done += len(block)
+            # every pair before the seed is labelled
+            start, stop = max(seed, lo[block].min()), hi[block].max()
+            gap = _vector_gap(xs[seed], xs[start:stop])
+            near = start + np.flatnonzero(free[start:stop] & (gap <= reach + 2 * DEDUP_VECTOR_TOL))
+            joined = np.zeros(len(near), dtype=bool)
+            width = max(1, rows // len(block))
+            for c in range(0, len(near), width):
+                part = near[c : c + width]
+                close = _close_rows(lams[block], xs[block], lams[part], xs[part])
+                joined[c : c + width] = close.any(axis=0)
+            new = near[joined]
+            if new.size:
+                free[new] = False
+                members = np.concatenate((members, new))
+                reach = max(reach, gap[new - start].max())
+        kept.append(min(members.tolist(), key=lambda p: (res[p], p)))
+    return order[sorted(kept)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -523,16 +406,13 @@ def solve_eigen(
     at max|F| <= tol.  A start whose Jacobian, residual or step is not
     finite (near the float limit) ends non_finite, with no warning.
     Converged pairs are canonicalized, re-verified against the residual
-    bound, sorted by (value, components) and deduplicated: two pairs
-    merge when their values differ by at most DEDUP_VALUE_TOL and their
-    vectors agree up to sign within DEDUP_VECTOR_TOL.  Visited in that
-    order, a pair joins the first kept slot it matches and replaces the
-    slot's pair when its residual is strictly smaller, or opens a slot.
-    The merge costs a few stacked passes per run of such changes (a new
-    slot or a replacement), not a numpy round per start; each pass holds
-    at most _DEDUP_BLOCK_ENTRIES entries, or one row per slot, so memory
-    stays linear in starts (see _Merge).  Each kept pair is labelled by
-    classify_vector, at the fixed DEFAULT_CLASS_TOL.
+    bound and deduplicated: two pairs are close when their values differ
+    by at most DEDUP_VALUE_TOL and their vectors agree up to sign within
+    DEDUP_VECTOR_TOL, and the pairs a chain of close pairs joins keep
+    only their least-residual one (see _dedup), so the result does not
+    depend on the order of the starts.  The kept pairs come sorted by
+    (value, components), each labelled by classify_vector at the fixed
+    DEFAULT_CLASS_TOL; memory stays linear in starts.
 
     tol bounds the residual of A itself, unless A's entries are large
     enough that a residual could overflow (entry_scale(A) * m * n^(m-1)

@@ -176,54 +176,57 @@ def loop_solve_eigen(
             raw.append((float(lam), x, res))
 
     raw.sort(key=lambda item: (item[0], tuple(item[1])))
-    kept = []
-    for lam, x, res in raw:
-        merged = False
-        for i, (klam, kx, kres) in enumerate(kept):
-            if abs(lam - klam) <= value_tol and (
-                min(np.linalg.norm(x - kx), np.linalg.norm(x + kx)) <= vector_tol
-            ):
-                if res < kres:
-                    kept[i] = (lam, x, res)
-                merged = True
-                break
-        if not merged:
-            kept.append((lam, x, res))
+    edges = [
+        (i, j)
+        for i, (lam, x, _) in enumerate(raw)
+        for j, (klam, kx, _) in enumerate(raw[:i])
+        if abs(lam - klam) <= value_tol
+        and min(np.linalg.norm(x - kx), np.linalg.norm(x + kx)) <= vector_tol
+    ]
+    kept = [raw[i] for i in least_per_component([r for _, _, r in raw], edges)]
     return kept, converged
 
 
-def loop_dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """The one-pair-at-a-time merge solve_eigen ran on its converged pairs.
+def least_per_component(res, edges) -> list:
+    """Union-find over `edges`, pairs of positions: the least-residual
+    position of each connected component, the first on a tie, ascending."""
+    parent = list(range(len(res)))
 
-    The loop as it stood in solve_eigen, with kept_index added to record
-    which pair each slot ends up holding.  Returns those indices, slot by
-    slot.
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)
+    best = {}
+    for i in range(len(res)):
+        r = root(i)
+        if r not in best or res[i] < res[best[r]]:
+            best[r] = i
+    return sorted(best.values())
+
+
+def component_dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Brute-force union-find over every pair of converged pairs.
+
+    Two pairs are joined when their values differ by at most
+    DEDUP_VALUE_TOL and their vectors agree up to sign within
+    DEDUP_VECTOR_TOL; each connected component keeps its least-residual
+    pair, the first in (value, components) order on a tie.  Returns the
+    kept indices in (value, components) order.
     """
-    converged, n = xs.shape
     order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
-    kept_lams = np.empty(converged)
-    kept_xs = np.empty((converged, n))
-    kept_res = np.empty(converged)
-    kept_index = np.empty(converged, dtype=int)
-    count = 0
-    for i in order:
-        lam, x = lams[i], xs[i]
-        close = (np.abs(lam - kept_lams[:count]) <= DEDUP_VALUE_TOL) & (
-            np.minimum(
-                np.linalg.norm(x - kept_xs[:count], axis=1),
-                np.linalg.norm(x + kept_xs[:count], axis=1),
-            )
+    lams, xs, res = lams[order], xs[order], res[order]
+    edges = []
+    for i in range(len(lams)):
+        close = (np.abs(lams[i] - lams) <= DEDUP_VALUE_TOL) & (
+            np.minimum(np.linalg.norm(xs[i] - xs, axis=1), np.linalg.norm(xs[i] + xs, axis=1))
             <= DEDUP_VECTOR_TOL
         )
-        match = np.flatnonzero(close)
-        if not match.size:
-            match = [count]
-            count += 1
-        elif res[i] >= kept_res[match[0]]:
-            continue
-        kept_lams[match[0]], kept_xs[match[0]], kept_res[match[0]] = lam, x, res[i]
-        kept_index[match[0]] = i
-    return kept_index[:count]
+        edges += [(i, int(j)) for j in np.flatnonzero(close)]
+    return order[least_per_component(res, edges)].astype(int)
 
 
 def full_structure_report(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:

@@ -306,6 +306,17 @@ class TestEig:
         assert out == ""
         assert "90 entries, exceeding the cap 89" in err and "Traceback" not in err
 
+    def test_pairs_print_in_value_vector_order(self, tmp_path, capsys):
+        # a merge that depended on the visiting order printed these pairs
+        # with two inversions
+        _, tensor, _ = run(capsys, "gen --order 3 --dim 4 --kind centro --seed 0".split())
+        (tmp_path / "centro.json").write_text(tensor)
+        code, out, _ = run(capsys, ["eig", str(tmp_path / "centro.json"), "--starts", "200"])
+        assert code == 0
+        keys = [(p["value"], *p["vector"]) for p in json.loads(out)["pairs"]]
+        assert len(keys) == 10
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_byte_identical_reruns(self, sym_file, capsys):
         _, out1, _ = run(capsys, ["eig", sym_file, "--starts", "20", "--seed", "3"])
         _, out2, _ = run(capsys, ["eig", sym_file, "--starts", "20", "--seed", "3"])

@@ -26,7 +26,91 @@ from centrotensor import (
     solve_eigen,
 )
 from centrotensor import core, eigen
-from oracles import loop_dedup, loop_newton_steps, loop_solve_eigen
+from oracles import component_dedup, loop_newton_steps, loop_solve_eigen
+
+
+ORACLE_CELLS = [
+    (m, n, kind) for m in (2, 3, 4, 5) for n in (2, 3, 4, 8) for kind in ("centro", "skew")
+]
+ENDS = ("converged", "rejected", "stalled", "non_finite", "max_iter", "iterations")
+
+
+def palindromic_cauchy(order):
+    return materialize(CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), order))
+
+
+def converged_stacks(monkeypatch, tensor, starts, seed):
+    """The (values, vectors, residuals) stack solve_eigen hands its merge."""
+    stacks = []
+    merge = eigen._dedup
+
+    def recording(lams, xs, res):
+        stacks.append((lams.copy(), xs.copy(), res.copy()))
+        return merge(lams, xs, res)
+
+    monkeypatch.setattr(eigen, "_dedup", recording)
+    solve_eigen(tensor, starts=starts, seed=seed)
+    monkeypatch.setattr(eigen, "_dedup", merge)
+    (stack,) = stacks
+    return stack
+
+
+# Offsets that put two values one ulp inside, at and one ulp outside the
+# value tolerance, and vector steps that chain: a step of 0.6e-6 is within
+# the vector tolerance, two are not.
+BELOW, ABOVE = np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0)
+VALUE_OFFSETS = [0.0, 1e-9, 2e-9, 0.5e-8, BELOW, 1e-8, ABOVE, 3e-8]
+RESIDUALS = [0.0, 1e-12, 2e-12, 3e-12, 5e-12]
+# The merge's stacked comparisons at their default size, and at one entry
+# per comparison.
+BUDGETS = {"default": {}, "small-blocks": {"_DEDUP_BLOCK_ENTRIES": 1}}
+
+
+@st.composite
+def merge_stacks(draw):
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bases = rng.normal(size=(draw(st.integers(1, 3)), n))
+    bases /= np.linalg.norm(bases, axis=1)[:, None]
+    steps = rng.normal(size=bases.shape)
+    steps /= np.linalg.norm(steps, axis=1)[:, None]
+    lams, xs, res = [], [], []
+    for _ in range(size):
+        b = draw(st.integers(0, len(bases) - 1))
+        lam = draw(st.sampled_from([0.0, 1.0, -0.5])) + draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.sampled_from(VALUE_OFFSETS)
+        )
+        x = bases[b] + draw(st.integers(-3, 3)) * 0.6e-6 * steps[b] + draw(
+            st.sampled_from([0.0, 1e-7, 4e-7])
+        ) * steps[(b + 1) % len(bases)]
+        lams.append(lam)
+        xs.append(x * draw(st.sampled_from([1.0, -1.0])))
+        res.append(draw(st.sampled_from(RESIDUALS)))
+    return np.array(lams), np.array(xs).reshape(size, n), np.array(res)
+
+
+def assert_order_free(stack, kept):
+    """No two kept pairs are close, the kept pairs are in strict (value,
+    components) order, and every pair chains to exactly one kept pair."""
+    lams, xs, _ = stack
+    close = (np.abs(lams[:, None] - lams) <= eigen.DEDUP_VALUE_TOL) & (
+        np.minimum(
+            np.linalg.norm(xs[:, None] - xs, axis=-1), np.linalg.norm(xs[:, None] + xs, axis=-1)
+        )
+        <= eigen.DEDUP_VECTOR_TOL
+    )
+    assert not (close[np.ix_(kept, kept)] & ~np.eye(len(kept), dtype=bool)).any()
+    keys = [(lams[k], *xs[k]) for k in kept]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # each pair's component, labelled by its least member
+    label = np.arange(len(lams))
+    while True:
+        spread = np.where(close, label, len(lams)).min(axis=1, initial=len(lams))
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    assert sorted(label[kept].tolist()) == sorted(set(label.tolist()))
 
 
 class TestResidual:
@@ -223,8 +307,11 @@ class TestSolveEigen:
         found = {round(p.value, 8) for p in result.pairs}
         assert closed_values <= found
 
-    def test_deduplication_invariant(self, rng):
-        result = solve_eigen(random_structured(3, 3, "centro", seed=5), starts=60, seed=4)
+    def test_deduplication_invariant(self, monkeypatch):
+        tensor = random_structured(3, 3, "centro", seed=5)
+        stack = converged_stacks(monkeypatch, tensor, 60, 4)
+        assert_order_free(stack, eigen._dedup(*stack))
+        result = solve_eigen(tensor, starts=60, seed=4)
         pairs = result.pairs
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
@@ -234,6 +321,31 @@ class TestSolveEigen:
                     np.linalg.norm(pairs[i].vector + pairs[j].vector),
                 ) <= 1e-6
                 assert not (close_value and close_vector)
+
+    @given(stack=merge_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_deduplication_invariant_on_merge_stacks(self, stack):
+        assert_order_free(stack, eigen._dedup(*stack))
+
+    def test_deduplication_invariant_on_hand_stacks(self):
+        # a and b are 1.2e-6 apart, c is close to both and d to b and c
+        xs = np.array([[1.0, t] for t in (0.0, 1.2e-6, 0.6e-6, 1.2e-6)])
+        stack = (np.arange(4) * 1e-9, xs, np.array([5e-12, 5e-12, 3e-12, 1e-12]))
+        assert_order_free(stack, eigen._dedup(*stack))
+
+    @pytest.mark.parametrize(
+        "tensor,starts,seed",
+        [(random_structured(m, n, kind, seed=100 * m + n), 20, 10 * m + n)
+         for m, n, kind in ORACLE_CELLS]
+        + [(palindromic_cauchy(order), 200, 0) for order in (2, 3, 4)]
+        + [(DenseTensor(np.zeros((3, 3, 3))), 120, 1)],
+        ids=[f"{m}-{n}-{kind}" for m, n, kind in ORACLE_CELLS]
+        + [f"cauchy-m{order}" for order in (2, 3, 4)]
+        + ["zero"],
+    )
+    def test_deduplication_invariant_on_solver_stacks(self, tensor, starts, seed, monkeypatch):
+        stack = converged_stacks(monkeypatch, tensor, starts, seed)
+        assert_order_free(stack, eigen._dedup(*stack))
 
     def test_vectors_are_canonical(self):
         result = solve_eigen(random_structured(4, 3, "general", seed=9), starts=40, seed=6)
@@ -490,16 +602,6 @@ class TestAgainstLoopOracle:
             assert any(self._matches(p.value, p.vector, value, vector) for value, vector, _ in kept)
 
 
-ORACLE_CELLS = [
-    (m, n, kind) for m in (2, 3, 4, 5) for n in (2, 3, 4, 8) for kind in ("centro", "skew")
-]
-ENDS = ("converged", "rejected", "stalled", "non_finite", "max_iter", "iterations")
-
-
-def palindromic_cauchy(order):
-    return materialize(CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), order))
-
-
 class TestStartsAreIndependent:
     """A start's result depends neither on the other starts nor on how the
     line search chunks its halvings."""
@@ -567,59 +669,8 @@ class TestStartsAreIndependent:
         assert singular > 0
 
 
-def converged_stacks(monkeypatch, tensor, starts, seed):
-    """The (values, vectors, residuals) stack solve_eigen hands its merge."""
-    stacks = []
-    merge = eigen._dedup
-
-    def recording(lams, xs, res):
-        stacks.append((lams.copy(), xs.copy(), res.copy()))
-        return merge(lams, xs, res)
-
-    monkeypatch.setattr(eigen, "_dedup", recording)
-    solve_eigen(tensor, starts=starts, seed=seed)
-    monkeypatch.setattr(eigen, "_dedup", merge)
-    (stack,) = stacks
-    return stack
-
-
-# Offsets that put two values one ulp inside, at and one ulp outside the
-# value tolerance, and vector steps that chain: a step of 0.6e-6 is within
-# the vector tolerance, two are not.
-BELOW, ABOVE = np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0)
-VALUE_OFFSETS = [0.0, 1e-9, 2e-9, 0.5e-8, BELOW, 1e-8, ABOVE, 3e-8]
-RESIDUALS = [0.0, 1e-12, 2e-12, 3e-12, 5e-12]
-# The merge's stacked passes at their default sizes, and at one pair opened
-# per pass and one entry per stacked comparison.
-BUDGETS = {"default": {}, "small-blocks": {"_DEDUP_RUN": 1, "_DEDUP_BLOCK_ENTRIES": 1}}
-
-
-@st.composite
-def merge_stacks(draw):
-    n = draw(st.integers(1, 4))
-    size = draw(st.integers(0, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    bases = rng.normal(size=(draw(st.integers(1, 3)), n))
-    bases /= np.linalg.norm(bases, axis=1)[:, None]
-    steps = rng.normal(size=bases.shape)
-    steps /= np.linalg.norm(steps, axis=1)[:, None]
-    lams, xs, res = [], [], []
-    for _ in range(size):
-        b = draw(st.integers(0, len(bases) - 1))
-        lam = draw(st.sampled_from([0.0, 1.0, -0.5])) + draw(st.sampled_from([-1.0, 1.0])) * draw(
-            st.sampled_from(VALUE_OFFSETS)
-        )
-        x = bases[b] + draw(st.integers(-3, 3)) * 0.6e-6 * steps[b] + draw(
-            st.sampled_from([0.0, 1e-7, 4e-7])
-        ) * steps[(b + 1) % len(bases)]
-        lams.append(lam)
-        xs.append(x * draw(st.sampled_from([1.0, -1.0])))
-        res.append(draw(st.sampled_from(RESIDUALS)))
-    return np.array(lams), np.array(xs).reshape(size, n), np.array(res)
-
-
 class TestMergeAgainstLoop:
-    """The stacked merge keeps exactly the pairs the one-pair loop kept."""
+    """The component merge keeps exactly the pairs a brute-force union-find keeps."""
 
     @pytest.fixture(params=list(BUDGETS))
     def budgets(self, request, monkeypatch):
@@ -633,7 +684,7 @@ class TestMergeAgainstLoop:
         with pytest.MonkeyPatch.context() as patch:
             for name, value in BUDGETS[budget].items():
                 patch.setattr(eigen, name, value)
-            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+            np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_empty_and_one_row_stacks(self, n):
@@ -642,11 +693,14 @@ class TestMergeAgainstLoop:
             assert eigen._dedup(*stack).tolist() == list(range(size))
 
     def test_non_transitive_chain(self, budgets):
-        # a ~ b and b ~ c, but a and c are 1.2e-6 apart
+        # a ~ b and b ~ c, but a and c are 1.2e-6 apart: one component,
+        # which keeps its least-residual pair
         xs = np.array([[1.0, 0.0], [1.0, 0.6e-6], [1.0, 1.2e-6]])
-        for res in ([3e-12, 2e-12, 1e-12], [1e-12, 2e-12, 3e-12], [2e-12, 1e-12, 3e-12]):
+        for res, least in (([3e-12, 2e-12, 1e-12], 2), ([1e-12, 2e-12, 3e-12], 0),
+                           ([2e-12, 1e-12, 3e-12], 1)):
             stack = (np.zeros(3), xs, np.array(res))
-            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+            assert eigen._dedup(*stack).tolist() == [least]
+            np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     def test_ties_keep_the_first_pair(self, budgets):
         stack = (np.zeros(4), np.tile([0.6, 0.8], (4, 1)), np.full(4, 1e-12))
@@ -658,20 +712,21 @@ class TestMergeAgainstLoop:
         assert eigen._dedup(*stack).tolist() == [5]
 
     def test_replacement_pulls_a_later_slots_pairs_down(self, budgets):
-        # b opens slot 1 at 1.2e-6 from a; c replaces a in slot 0 and is
-        # close to b, so d, close to both c and b, joins slot 0, not 1
+        # a and b are 1.2e-6 apart, but c is close to both and d to b and
+        # c: one component, kept as d (a greedy merge kept d and b, which
+        # are close)
         xs = np.array([[1.0, t] for t in (0.0, 1.2e-6, 0.6e-6, 1.2e-6)])
         stack = (np.arange(4) * 1e-9, xs, np.array([5e-12, 5e-12, 3e-12, 1e-12]))
-        assert eigen._dedup(*stack).tolist() == [3, 1]
-        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+        assert eigen._dedup(*stack).tolist() == [3]
+        np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     def test_pair_losing_its_slot_finds_a_later_one(self, budgets):
-        # d matched slot 0 through a; c replaces a and is 1.5e-6 from d, so
-        # d falls to slot 1 (b, 0.6e-6 away) and replaces b there
+        # c ~ a ~ d ~ b chain although c and d are 1.5e-6 apart: one
+        # component, kept as c (a greedy merge kept c and d)
         xs = np.array([[1.0, t] for t in (0.0, 1.5e-6, -0.6e-6, 0.9e-6)])
         stack = (np.arange(4) * 1e-9, xs, np.array([5e-12, 5e-12, 3e-12, 4e-12]))
-        assert eigen._dedup(*stack).tolist() == [2, 3]
-        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+        assert eigen._dedup(*stack).tolist() == [2]
+        np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     def test_sign_flipped_vectors_merge(self, budgets):
         x = np.array([0.6, 0.8])
@@ -683,19 +738,19 @@ class TestMergeAgainstLoop:
         for gap, merged in ((BELOW, True), (1e-8, True), (ABOVE, False)):
             stack = (np.array([0.0, gap]), x, np.array([2e-12, 1e-12]))
             assert eigen._dedup(*stack).tolist() == ([1] if merged else [0, 1])
-            np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+            np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
     def test_oracle_cell_stacks(self, m, n, kind, monkeypatch):
         a = random_structured(m, n, kind, seed=100 * m + n)
         stack = converged_stacks(monkeypatch, a, 20, 10 * m + n)
-        np.testing.assert_array_equal(eigen._dedup(*stack), loop_dedup(*stack))
+        np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_palindromic_cauchy_continuum(self, order, budgets, monkeypatch):
         stack = converged_stacks(monkeypatch, palindromic_cauchy(order), 200, 0)
         kept = eigen._dedup(*stack)
-        np.testing.assert_array_equal(kept, loop_dedup(*stack))
+        np.testing.assert_array_equal(kept, component_dedup(*stack))
         # a continuum of near-solutions: most converged starts are kept
         assert len(kept) >= 80
 
@@ -703,7 +758,7 @@ class TestMergeAgainstLoop:
         zero = DenseTensor(np.zeros((3, 3, 3)))
         stack = converged_stacks(monkeypatch, zero, 120, 1)
         kept = eigen._dedup(*stack)
-        np.testing.assert_array_equal(kept, loop_dedup(*stack))
+        np.testing.assert_array_equal(kept, component_dedup(*stack))
         assert len(kept) == len(stack[0]) == 120
 
 
