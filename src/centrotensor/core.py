@@ -10,6 +10,7 @@ values, so tensors are safe to share across threads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,14 +217,21 @@ def poly_eval(a: DenseTensor, x) -> float:
     return float(contract_trailing(a.data, x[None, :], a.order)[0])
 
 
+@contextmanager
+def _overflow_is_domain_error(what: str):
+    """Raise DomainError, with no warning, for arithmetic in the block that overflows float64."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise DomainError(f"{what} overflows float64") from None
+
+
 def hadamard(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Entrywise product of same-shape tensors; DomainError if it overflows float64."""
     _check_same_shape(a, b)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return DenseTensor(a.data * b.data)
-    except FloatingPointError:
-        raise DomainError("entrywise product overflows float64") from None
+    with _overflow_is_domain_error("entrywise product"):
+        return DenseTensor(a.data * b.data)
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
@@ -233,16 +241,23 @@ def row_sums(a: DenseTensor) -> np.ndarray:
 
 def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _check_same_shape(a, b)
-    return DenseTensor(a.data + b.data)
+    with _overflow_is_domain_error("entrywise sum"):
+        return DenseTensor(a.data + b.data)
 
 
 def sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _check_same_shape(a, b)
-    return DenseTensor(a.data - b.data)
+    with _overflow_is_domain_error("entrywise difference"):
+        return DenseTensor(a.data - b.data)
 
 
 def scale(a: DenseTensor, t: float) -> DenseTensor:
-    return DenseTensor(a.data * float(t))
+    """t * A; a non-finite t is a ValueError, a product that overflows float64 a DomainError."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"scale factor must be finite, got {t!r}")
+    with _overflow_is_domain_error("scaled tensor"):
+        return DenseTensor(a.data * t)
 
 
 def entry_scale(a: DenseTensor) -> float:
@@ -283,11 +298,14 @@ def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
     """
     check_order(order)
-    if dim**order > DEFAULT_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"{what} of order {order} dim {dim} has {dim**order} entries, "
-            f"exceeding the cap {DEFAULT_ENTRY_CAP}"
-        )
+    _check_cap(dim**order, f"{what} of order {order} dim {dim}")
+
+
+def _check_cap(count: int, what: str, cap: int | None = None) -> None:
+    """ResourceLimitError if `what` has over cap entries (None: DEFAULT_ENTRY_CAP read per call)."""
+    cap = DEFAULT_ENTRY_CAP if cap is None else cap
+    if count > cap:
+        raise ResourceLimitError(f"{what} has {count} entries, exceeding the cap {cap}")
 
 
 def as_generator(seed) -> np.random.Generator:

@@ -17,9 +17,10 @@ Contents:
   size-n draw per start) and step together on stacked arrays: the shared
   tensor is contracted one slot at a time against the whole stack, the
   Jacobians come from one tensor summed once per solve, and each Newton
-  step is one stacked linear solve.  When that solve meets an exactly
-  singular Jacobian, a stacked slogdet singles those systems out for
-  least squares and the rest stay stacked.  Damping stays per start:
+  step is one stacked linear solve, _newton_steps.  It takes non-finite
+  systems too, each of which gets a NaN step and is never solved, and a
+  stacked slogdet singles out exactly singular Jacobians for least
+  squares while the rest stay stacked.  Damping stays per start:
   the full step is tried for every start, then the halvings of the
   starts it failed are evaluated in stacked chunks of consecutive
   halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
@@ -49,7 +50,7 @@ from . import core
 from .core import (
     ConsistencyError,
     DenseTensor,
-    ResourceLimitError,
+    _check_cap,
     apply,
     as_generator,
     check_count,
@@ -225,10 +226,35 @@ def normalize_eigenvector(x) -> np.ndarray:
     return -x if x[(np.abs(x) > _SIGN_EPS).argmax()] < 0 else x
 
 
-def _make_pair(a: DenseTensor, value: float, x) -> EigenPair:
-    x = normalize_eigenvector(x)
-    res = float(_residuals(a, np.asarray(value, dtype=float), x))
-    return EigenPair(float(value), x, res, _classify_rows(x[None, :])[0])
+def _canonical_rows(xs: np.ndarray) -> np.ndarray:
+    """normalize_eigenvector's rule on a stack: unit rows, first significant
+    component positive (a unit row always has one); a zero row becomes NaN."""
+    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
+    xs[lead < 0] *= -1.0
+    return xs
+
+
+def _eigenpairs(a: DenseTensor, lams: np.ndarray, xs: np.ndarray, res=None, scale=1.0) -> list:
+    """The EigenPair of each pair (lams[s], xs[s]) of A, for canonical rows xs:
+    its residual (unless res gives it) and class; value and residual times scale."""
+    if res is None:
+        res = _residuals(a, lams, xs)
+    values, residuals = (lams * scale).tolist(), (res * scale).tolist()
+    return [EigenPair(*p) for p in zip(values, xs, residuals, _classify_rows(xs))]
+
+
+def _closed_form_pairs(a: DenseTensor, vs: list, even: bool) -> list:
+    """The pairs ((A v^{m-1})_1, v) of a centro tensor for fixed vectors v
+    with v_1 = 1, in one apply; dim len(v), order >= 2 and, if even, even."""
+    if a.dim != len(vs[0]):
+        raise ValueError(f"closed form requires dimension {len(vs[0])}")
+    if a.order < 2 or (even and a.order % 2 == 1):
+        rule = "closed form requires even tensor order" if even else "tensor order must be >= 2"
+        raise ValueError(rule)
+    require_centro(a)
+    vs = np.array(vs)
+    return _eigenpairs(a, apply(a, vs)[:, 0], _canonical_rows(vs))
 
 
 def closed_form_dim2(a: DenseTensor):
@@ -239,13 +265,7 @@ def closed_form_dim2(a: DenseTensor):
     (1, -1): each is the first component of A v^{m-1}, as v_1 = 1.
     Returns (symmetric pair, skew-symmetric pair).
     """
-    if a.dim != 2:
-        raise ValueError("closed form requires dimension 2")
-    if a.order < 2:
-        raise ValueError("tensor order must be >= 2")
-    require_centro(a)
-    e, u = np.array([1.0, 1.0]), np.array([1.0, -1.0])
-    return _make_pair(a, apply(a, e)[0], e), _make_pair(a, apply(a, u)[0], u)
+    return tuple(_closed_form_pairs(a, [[1.0, 1.0], [1.0, -1.0]], even=False))
 
 
 def closed_form_dim3_even(a: DenseTensor) -> EigenPair:
@@ -256,13 +276,7 @@ def closed_form_dim3_even(a: DenseTensor) -> EigenPair:
     each weighted by (-1) to the number of indices hitting the last
     position: the first component of A v^{m-1}, as v_1 = 1.
     """
-    if a.dim != 3:
-        raise ValueError("closed form requires dimension 3")
-    if a.order < 2 or a.order % 2 == 1:
-        raise ValueError("closed form requires even tensor order")
-    require_centro(a)
-    v = np.array([1.0, 0.0, -1.0])
-    return _make_pair(a, apply(a, v)[0], v)
+    return _closed_form_pairs(a, [[1.0, 0.0, -1.0]], even=True)[0]
 
 
 def _jacobian_tensor(data: np.ndarray) -> np.ndarray:
@@ -288,21 +302,25 @@ def _stacked_residual(data: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each system of the stack; a singular one falls back to least squares.
+    """Solve each system of the stack; a non-finite one gets a NaN step, unsolved
+    (lstsq can spin on it), and a singular one falls back to least squares.
 
-    When the stacked solve meets an exactly singular system, one stacked
-    slogdet finds every such system (sign 0: LU met a zero pivot, which is
-    what makes solve raise), one stacked solve takes the rest (the same
-    LAPACK gesv per system, so the same bits) and lstsq only the singular
-    ones.
+    A stack whose sum is finite (so every entry is) is tried as one solve.
+    Otherwise, or when that solve meets an exactly singular system, one
+    slogdet over the finite systems finds the singular ones (sign 0: LU met
+    a zero pivot, which is what makes solve raise), one stacked solve takes
+    the rest (the same gesv per system, so the same bits), lstsq the singular.
     """
-    try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    singular = np.linalg.slogdet(jac)[0] == 0
-    steps = np.empty_like(rhs)
-    regular = ~singular
+    if np.isfinite(jac.sum() + rhs.sum()):
+        try:
+            return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            pass
+    finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    singular = np.zeros_like(finite)
+    singular[finite] = np.linalg.slogdet(jac[finite])[0] == 0
+    regular = finite & ~singular
+    steps = np.full_like(rhs, np.nan)
     steps[regular] = np.linalg.solve(jac[regular], rhs[regular][:, :, None])[:, :, 0]
     for k in np.flatnonzero(singular):
         steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
@@ -439,11 +457,7 @@ def solve_eigen(
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
     stack = starts * max(n ** (m - 1), (n + 1) ** 2)
-    if stack > core.DEFAULT_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"{starts} starts on order {m} dim {n} stack {stack} entries, "
-            f"exceeding the cap {core.DEFAULT_ENTRY_CAP}"
-        )
+    _check_cap(stack, f"{starts} starts on order {m} dim {n} stack")
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
@@ -479,15 +493,7 @@ def solve_eigen(
         jac[:, diag, diag] -= lam[:, None] * (m - 1) * x ** (m - 2)
         jac[:, :n, n] = -(x ** (m - 1))
         jac[:, n, :n] = 2.0 * x
-        # lstsq can spin on a non-finite row, so such a row is never solved;
-        # one makes the sum non-finite, the cheap test for all rows at once
-        rhs = -fs[live]
-        if np.isfinite(jac.sum() + rhs.sum()):
-            step = _newton_steps(jac, rhs)
-        else:
-            solvable = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-            step = np.full_like(rhs, np.nan)
-            step[solvable] = _newton_steps(jac[solvable], rhs[solvable])
+        step = _newton_steps(jac, -fs[live])
         pending = live
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():
@@ -519,25 +525,15 @@ def solve_eigen(
         state[pending] = _STALLED
 
     reached = np.flatnonzero(state == _REACHED)
-    xs, lams = zs[reached, :n], zs[reached, n]
-    # normalize_eigenvector's rule on the stack: unit rows, first
-    # significant component positive (a unit row always has one)
-    norms = np.linalg.norm(xs, axis=1)
-    nonzero = norms > 0.0
-    xs, lams = xs[nonzero] / norms[nonzero, None], lams[nonzero]
-    lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
-    xs[lead < 0] *= -1.0
+    # a zero row's NaN residual fails the re-check
+    xs, lams = _canonical_rows(zs[reached, :n]), zs[reached, n]
     res = _residuals(a, lams, xs)
     ok = (res <= tol) & np.isfinite(lams * scale)
     xs, lams, res = xs[ok], lams[ok], res[ok]
     converged = len(lams)
 
     kept = _dedup(lams, xs, res)
-    xs, lams, res = xs[kept], lams[kept], res[kept]
-    pairs = [
-        EigenPair(float(lam * scale), x, float(r * scale), label)
-        for lam, x, r, label in zip(lams, xs, res, _classify_rows(xs))
-    ]
+    pairs = _eigenpairs(a, lams[kept], xs[kept], res[kept], scale)
     stats = SolverStats(
         attempted=starts,
         converged=converged,
@@ -561,7 +557,8 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     """
     tol = check_tolerance(tol)
     value = reflection_sign(a) * pair.value
-    mirrored = _make_pair(a, value, flip_vector(pair.vector))
+    x = normalize_eigenvector(flip_vector(pair.vector))
+    mirrored = _eigenpairs(a, np.array([value]), x[None, :])[0]
     if not mirrored.residual <= tol:
         raise ConsistencyError(
             f"reflected pair has residual {mirrored.residual:.3e} > tol {tol:.3e}; "

@@ -29,8 +29,8 @@ import numpy as np
 from .core import (
     DEFAULT_ENTRY_CAP,
     DenseTensor,
-    DomainError,
-    ResourceLimitError,
+    _check_cap,
+    _overflow_is_domain_error,
     check_count,
     check_entry_count,
 )
@@ -60,11 +60,7 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
         raise ValueError("left operand must have order >= 2")
     n = a.dim
     order = (a.order - 1) * (b.order - 1) + 1
-    if n**order > entry_cap:
-        raise ResourceLimitError(
-            f"product of orders {a.order} and {b.order} has "
-            f"{n**order} entries, exceeding the cap {entry_cap}"
-        )
+    _check_cap(n**order, f"product of orders {a.order} and {b.order}", entry_cap)
     out = _permutation_product(a, b)
     if out is not None:
         return DenseTensor(out.reshape((n,) * order))
@@ -72,12 +68,9 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     # of A then appends one flattened multi-index axis, in slot order.
     b_flat = b.data.reshape(n, n ** (b.order - 1))
     out = a.data
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(a.order - 1):
-                out = np.tensordot(out, b_flat, axes=(1, 0))
-    except FloatingPointError:
-        raise DomainError("general product overflows float64") from None
+    with _overflow_is_domain_error("general product"):
+        for _ in range(a.order - 1):
+            out = np.tensordot(out, b_flat, axes=(1, 0))
     return DenseTensor(out.reshape((n,) * order))
 
 

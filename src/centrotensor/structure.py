@@ -127,10 +127,8 @@ def default_tolerance(a: DenseTensor) -> float:
     return DEFAULT_TOL_FACTOR * entry_scale(a)
 
 
-def _tolerance(a: DenseTensor, tol, path: str | None = None) -> float:
-    """The checked tolerance, or the default one; a named path needs order >= 2."""
-    if path is not None and a.order < 2:
-        raise ValueError(f"{path} check requires tensor order >= 2")
+def _tolerance(a: DenseTensor, tol) -> float:
+    """The checked tolerance, or the default one."""
     return default_tolerance(a) if tol is None else check_tolerance(tol)
 
 
@@ -189,7 +187,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     sandwiching with J realizes the full index reversal through the
     product operation instead of direct entry permutation.
     """
-    tol = _tolerance(a, tol, "sandwich")
+    tol = _tolerance(a, tol)
     j = exchange_matrix(a.dim)
     jaj = shao_product(j, shao_product(a, j)).data
     return _compare(jaj, a.data, tol)
@@ -197,7 +195,7 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
 
 def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify by whether A commutes (centro) or anticommutes (skew) with J."""
-    tol = _tolerance(a, tol, "commutation")
+    tol = _tolerance(a, tol)
     j = exchange_matrix(a.dim)
     aj = shao_product(a, j).data
     ja = shao_product(j, a).data

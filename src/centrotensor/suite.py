@@ -119,6 +119,12 @@ def _structure_agreement(rng, t):
         raise _Failed(f"verdicts disagree: {verdicts}", tensor=a)
 
 
+def _require_parity(report, expected: str, what: str, a, b) -> None:
+    """Fail unless report's verdict includes the expected kind of a product of a and b."""
+    if not (report.is_centro if expected == "centro" else report.is_skew):
+        raise _Failed(f"{what} expected {expected}, verdict {report.verdict}", left=a, right=b)
+
+
 def _product_parity(rng, t):
     kind_a = _KINDS[int(rng.integers(0, 2))]
     kind_b = _KINDS[int(rng.integers(0, 2))]
@@ -130,14 +136,7 @@ def _product_parity(rng, t):
     prod = shao_product(a, b)
     expected = product_parity(kind_a, kind_b, m)
     report = check_structure(prod, 1e-10 * entry_scale(prod))
-    got_ok = report.is_centro if expected == "centro" else report.is_skew
-    if not got_ok:
-        raise _Failed(
-            f"product of {kind_a}(m={m}) and {kind_b}(k={k}) expected {expected}, "
-            f"verdict {report.verdict}",
-            left=a,
-            right=b,
-        )
+    _require_parity(report, expected, f"product of {kind_a}(m={m}) and {kind_b}(k={k})", a, b)
 
 
 def _hadamard_parity(rng, t):
@@ -149,14 +148,7 @@ def _hadamard_parity(rng, t):
     b = random_structured(order, dim, kind_b, rng)
     expected = "centro" if kind_a == kind_b else "skew"
     report = check_structure(hadamard(a, b))
-    got_ok = report.is_centro if expected == "centro" else report.is_skew
-    if not got_ok:
-        raise _Failed(
-            f"entrywise product of {kind_a} and {kind_b} expected {expected}, "
-            f"verdict {report.verdict}",
-            left=a,
-            right=b,
-        )
+    _require_parity(report, expected, f"entrywise product of {kind_a} and {kind_b}", a, b)
 
 
 def _decomposition(rng, t):

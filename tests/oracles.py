@@ -257,12 +257,15 @@ def full_structure_report(x: np.ndarray, y: np.ndarray, tol: float) -> Structure
 
 
 def loop_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One solve per system of the stack, least squares for a singular one.
+    """One solve per system of the stack, least squares for a singular one
+    and a NaN step, unsolved, for one with a non-finite entry.
 
     The per-system fallback the library's stacked singular split replaced.
     """
-    steps = np.empty_like(rhs)
+    steps = np.full_like(rhs, np.nan)
     for k in range(len(rhs)):
+        if not (np.isfinite(jac[k]).all() and np.isfinite(rhs[k]).all()):
+            continue
         try:
             steps[k] = np.linalg.solve(jac[k], rhs[k])
         except np.linalg.LinAlgError:

@@ -230,6 +230,28 @@ class TestElementwise:
         assert np.array_equal(sub(sym_matrix, sym_matrix).data, zero.data)
         assert np.array_equal(scale(sym_matrix, 1.0).data, sym_matrix.data)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda d: add(d, d), "entrywise sum overflows float64"),
+            (lambda d: sub(d, scale(d, -1.0)), "entrywise difference overflows float64"),
+            (lambda d: scale(d, 10), "scaled tensor overflows float64"),
+        ],
+        ids=["add", "sub", "scale"],
+    )
+    def test_overflow_is_a_domain_error_without_a_warning(self, call, message):
+        d = DenseTensor(np.full((2, 2), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(d)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_factor_is_a_value_error(self, t):
+        for a in (DenseTensor.zeros(2, 2), DenseTensor(np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="scale factor must be finite"):
+                scale(a, t)
+
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError):
             add(DenseTensor.zeros(2, 2), DenseTensor.zeros(2, 3))

@@ -308,11 +308,14 @@ class TestSolveEigen:
         assert closed_values <= found
 
     def test_deduplication_invariant(self, monkeypatch):
-        tensor = random_structured(3, 3, "centro", seed=5)
+        # 54 of 60 starts converge to 6 pairs, so both the merge and the
+        # pairwise loop below have work to do
+        tensor = random_structured(3, 3, "centro", seed=2)
         stack = converged_stacks(monkeypatch, tensor, 60, 4)
         assert_order_free(stack, eigen._dedup(*stack))
         result = solve_eigen(tensor, starts=60, seed=4)
         pairs = result.pairs
+        assert result.stats.converged > len(pairs) >= 2
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 close_value = abs(pairs[i].value - pairs[j].value) <= 1e-8
@@ -662,11 +665,19 @@ class TestStartsAreIndependent:
         # a regular system, a zero one and one with two equal rows
         handmade = np.stack([np.eye(3) + 0.5, np.zeros((3, 3)), np.ones((3, 3))])
         stacks.append((handmade, np.arange(9.0).reshape(3, 3)))
+        # a NaN system, an inf one whose LU meets a zero pivot, a regular
+        # system and a singular one: the first two get NaN steps unsolved
+        inf_singular = np.zeros((3, 3))
+        inf_singular[0, 0] = np.inf
+        mixed = np.stack([np.full((3, 3), np.nan), inf_singular, np.eye(3) + 0.5, np.ones((3, 3))])
+        stacks.append((mixed, np.arange(12.0).reshape(4, 3)))
         singular = 0
         for jac, rhs in stacks:
-            singular += int(np.sum(np.linalg.slogdet(jac)[0] == 0))
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            singular += int(np.sum(np.linalg.slogdet(jac[finite])[0] == 0))
             np.testing.assert_array_equal(newton_steps(jac, rhs), loop_newton_steps(jac, rhs))
         assert singular > 0
+        assert np.linalg.slogdet(inf_singular)[0] == 0
 
 
 class TestMergeAgainstLoop:
