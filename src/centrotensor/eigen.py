@@ -26,11 +26,13 @@ Contents:
   halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
   n^(m-1)) holds, and each start takes its first accepted halving.  Each
   row is contracted on its own (see core.contract_trailing), so neither
-  the chunking nor the other starts change a start's bits.  Starts leave
-  the active stack as they converge, stall, take a non-finite step or
-  run out of iterations; SolverStats counts each way.  Converged pairs
-  joined by a chain of close pairs are one pair, whatever their order,
-  and the kept pairs are classified as one stack,
+  the chunking nor the other starts change a start's bits.  Componentwise
+  powers are left-to-right products (_power), not libm pow: orders up to
+  3 keep the bits x ** k gave, orders 4 and 5 can differ in the last
+  bits.  Starts leave the active stack as they converge, stall, take a
+  non-finite step or run out of iterations; SolverStats counts each way.
+  Converged pairs joined by a chain of close pairs are one pair, whatever
+  their order, and the kept pairs are classified as one stack,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
@@ -169,7 +171,22 @@ def residual(a: DenseTensor, value: float, x) -> float:
 def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
     apply contracts each row on its own, so its bits do not depend on the stack."""
-    return np.max(np.abs(apply(a, xs) - lams[..., None] * xs ** (a.order - 1)), axis=-1)
+    return np.max(np.abs(apply(a, xs) - lams[..., None] * _power(xs, a.order - 1)), axis=-1)
+
+
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """The componentwise power x^{[k]} as the left-to-right product x * x * ... * x.
+
+    numpy sends x ** k for k > 2 to libm pow, ten or more times the cost of a
+    multiply; x ** 2 is x * x, so k <= 2 keeps its bits.  k = 0 gives ones
+    and k = 1 gives x itself, so no caller may write into the result.
+    """
+    if k == 0:
+        return np.ones_like(x)
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
 
 
 def _finite_vector(x, what: str) -> np.ndarray:
@@ -296,7 +313,7 @@ def _stacked_residual(data: np.ndarray, zs: np.ndarray) -> np.ndarray:
     m, n = data.ndim, zs.shape[1] - 1
     xs = zs[:, :n]
     fs = np.empty_like(zs)
-    fs[:, :n] = contract_trailing(data, xs, m - 1) - zs[:, n, None] * xs ** (m - 1)
+    fs[:, :n] = contract_trailing(data, xs, m - 1) - zs[:, n, None] * _power(xs, m - 1)
     fs[:, n] = np.sum(xs * xs, axis=1) - 1.0
     return fs
 
@@ -475,7 +492,7 @@ def solve_eigen(
     xs = zs[:, :n]
     xs[:] = rng.normal(size=(starts, n))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
-    xp = xs ** (m - 1)
+    xp = _power(xs, m - 1)
     zs[:, n] = np.sum(xp * contract_trailing(data, xs, m - 1), axis=1) / np.sum(xp * xp, axis=1)
     fs = _stacked_residual(data, zs)
     best = np.max(np.abs(fs), axis=1)
@@ -490,8 +507,10 @@ def solve_eigen(
         x, lam = z[:, :n], z[:, n]
         jac = np.zeros((live.size, n + 1, n + 1))
         jac[:, :n, :n] = contract_trailing(jac_tensor, x, m - 2)
-        jac[:, diag, diag] -= lam[:, None] * (m - 1) * x ** (m - 2)
-        jac[:, :n, n] = -(x ** (m - 1))
+        # x^{[m-2]} once; p * x is _power(x, m - 1) bit for bit
+        p = _power(x, m - 2)
+        jac[:, diag, diag] -= lam[:, None] * (m - 1) * p
+        jac[:, :n, n] = -(p * x)
         jac[:, n, :n] = 2.0 * x
         step = _newton_steps(jac, -fs[live])
         pending = live

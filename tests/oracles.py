@@ -75,28 +75,32 @@ def brute_row_sums(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_raw(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    out = data
-    for _ in range(order - 1):
-        out = out.dot(x)
+def _contract_row(data: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """Contract the last `count` slots of data with x, one slot at a time.
+
+    core.contract_trailing's chain on one row: a one-row matrix product on
+    the first slot, then matrix-vector products, so the same BLAS calls and
+    the same bits as that row inside any stack.
+    """
+    if count == 0:
+        return data
+    n = len(x)
+    out = np.matmul(x[None, :], data.reshape(-1, n).T)[0]
+    for k in range(count - 1):
+        out = np.matmul(out.reshape(n ** (data.ndim - 2 - k), n), x)
+    return out.reshape(data.shape[: data.ndim - count])
+
+
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x^{[k]} as the left-to-right product x * x * ... * x, ones for k = 0."""
+    out = np.ones_like(x) if k == 0 else x
+    for _ in range(k - 1):
+        out = out * x
     return out
 
 
-def _apply_jacobian(data: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    """Jacobian of x -> A x^{m-1}: sum over which trailing slot stays free."""
-    total = None
-    for t in range(1, order):
-        part = data
-        for _ in range(order - 1 - t):
-            part = part.dot(x)
-        for _ in range(t - 1):
-            part = np.tensordot(part, x, axes=(1, 0))
-        total = part if total is None else total + part
-    return total
-
-
 def _normalize(x: np.ndarray) -> np.ndarray:
-    x = x / float(np.linalg.norm(x))
+    x = x / np.sqrt(np.sum(x * x))
     for comp in x:
         if abs(comp) > 1e-10:
             if comp < 0:
@@ -117,22 +121,31 @@ def loop_solve_eigen(
     """Multistart damped Newton, one start at a time.
 
     The per-start loop the library solver replaced: same starts, damping
-    rule, residual re-check and deduplication.  Returns the kept
-    (value, unit vector, residual) triples and the converged count.
+    rule, residual re-check and deduplication.  Each row is computed with
+    the solver's expressions (its contraction chain, Jacobian tensor,
+    left-to-right powers, and sums in place of dot products), so a start
+    ends on the same bits and the comparison tests control flow, not
+    rounding.  Returns the kept (value, unit vector, residual) triples and
+    the converged count.
     """
     n, m = data.shape[0], data.ndim
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
+    # the Jacobian of x -> A x^{m-1} sums, over which trailing slot stays
+    # free, A contracted on the others: one tensor with each free slot moved
+    # to position 2, contracted on its last m-2 slots
+    jac_tensor = sum(np.moveaxis(data, p, 1) for p in range(1, m))
+
     def residual_vec(x, lam):
-        return np.append(_apply_raw(data, x, m) - lam * x ** (m - 1), x @ x - 1.0)
+        return np.append(_contract_row(data, x, m - 1) - lam * _power(x, m - 1), np.sum(x * x) - 1.0)
 
     raw = []
     converged = 0
     for _ in range(starts):
         x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        xp = x ** (m - 1)
-        lam = float(xp @ _apply_raw(data, x, m)) / float(xp @ xp)
+        x /= np.sqrt(np.sum(x * x))
+        xp = _power(x, m - 1)
+        lam = float(np.sum(xp * _contract_row(data, x, m - 1)) / np.sum(xp * xp))
         f = residual_vec(x, lam)
         best = float(np.max(np.abs(f)))
         ok = best <= tol
@@ -140,9 +153,9 @@ def loop_solve_eigen(
             if ok:
                 break
             jac = np.zeros((n + 1, n + 1))
-            jac[:n, :n] = _apply_jacobian(data, x, m)
-            jac[:n, :n] -= lam * (m - 1) * np.diag(x ** (m - 2))
-            jac[:n, n] = -(x ** (m - 1))
+            jac[:n, :n] = _contract_row(jac_tensor, x, m - 2)
+            jac[:n, :n] -= lam * (m - 1) * np.diag(_power(x, m - 2))
+            jac[:n, n] = -_power(x, m - 1)
             jac[n, :n] = 2.0 * x
             try:
                 step = np.linalg.solve(jac, -f)
@@ -170,7 +183,7 @@ def loop_solve_eigen(
         if not np.any(x):
             continue
         x = _normalize(x)
-        res = float(np.max(np.abs(_apply_raw(data, x, m) - lam * x ** (m - 1))))
+        res = float(np.max(np.abs(_contract_row(data, x, m - 1) - lam * _power(x, m - 1))))
         if res <= tol:
             converged += 1
             raw.append((float(lam), x, res))

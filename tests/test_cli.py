@@ -535,10 +535,14 @@ def test_usage_error_exits_2(capsys):
 
 # sha256 of stdout for fixed inputs, recorded before poly_eval, the
 # polynomial reflection and the closed forms moved onto contract_trailing;
-# any change to these bytes is a change of output.  prod, eig and the
-# sandwich and commutation checks are left out: their last bits depend on
-# the machine's BLAS.  The order-3 inverse passes a valid --tol, which
-# that path accepts and ignores.
+# any change to these bytes is a change of output.  prod and the sandwich
+# and commutation checks are left out: their last bits depend on the
+# machine's BLAS.  eig at orders 2 and 3 and verify-all (whose suite
+# solves eigenpairs) were recorded with numpy 2.4 on OpenBLAS 0.3.31,
+# before the solver's powers became left-to-right products, which keeps
+# every bit below order 4; another BLAS may round their contractions
+# differently.  The order-3 inverse passes a valid --tol, which that path
+# accepts and ignores.
 GOLDEN = {
     "gen": (
         "gen --order 3 --dim 4 --kind general --seed 5",
@@ -564,6 +568,14 @@ GOLDEN = {
         "inverse {dir}/diag.json --side left --order 3 --tol 1e-3",
         "dec0e6aa56e23e9427fd7dbae6c4a065ed57972b5cf1bfd7ab5c69edd16b4d27",
     ),
+    "eig-order2": (
+        "eig {dir}/centro2.json",
+        "9a2297c55012528573e57211b52c2be54093f3854c3e31e79951a2f91636aa1d",
+    ),
+    "eig-order3": (
+        "eig {dir}/centro3.json",
+        "a8a9c8677cb52bef3dfa466914678c0b9ba11e426d7b7b925356518eb96f86f3",
+    ),
     "verify-all": (
         "verify-all --seed 0 --trials 40",
         "e9a822b8e4cdda6d6f09a18bd1d51d44acf022aed773d90684a763d6806a274a",
@@ -575,6 +587,9 @@ GOLDEN = {
 def test_golden_stdout(name, tmp_path, capsys):
     write_tensor(tmp_path / "general.json", random_structured(3, 4, "general", seed=5))
     write_tensor(tmp_path / "centro.json", random_structured(3, 4, "centro", seed=5))
+    # the tensors of `gen --order {2,3} --dim 4 --kind centro --seed 0`
+    write_tensor(tmp_path / "centro2.json", random_structured(2, 4, "centro", seed=0))
+    write_tensor(tmp_path / "centro3.json", random_structured(3, 4, "centro", seed=0))
     (tmp_path / "spec.json").write_text('{"order": 3, "generating": [0.5, 1.5, 2.5, 1.5, 0.5]}')
     write_tensor(tmp_path / "diag.json", DenseTensor.diagonal(3, np.array([2.0, 2.0])))
     command, expected = GOLDEN[name]

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -137,6 +139,43 @@ class TestResidual:
             residual(sym_matrix, bad, np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             residual(sym_matrix, 1.0, np.array([bad, 1.0]))
+
+
+class TestPower:
+    """eigen._power, the solver's componentwise power, is the left-to-right
+    product x * x * ... * x, and x ** k where numpy multiplies too (k <= 2)."""
+
+    # ordinary, signed zero, subnormal, NaN, overflowing and underflowing entries
+    ENTRIES = np.array(
+        [0.7, -1.3, 3.0, 0.0, -0.0, 5e-324, -2.2e-310, np.nan, 1e200, -1e200, 1e-200, -1.5e103]
+    )
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("shape", [(12,), (3, 4)])
+    def test_left_to_right_product_bit_for_bit(self, k, shape):
+        x = self.ENTRIES.reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the errstate solve_eigen runs under: overflow is inf, silently
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got = eigen._power(x, k)
+                want = reduce(np.multiply, [x] * k) if k else np.ones_like(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+        if k >= 2:
+            assert np.isinf(got.ravel()[[8, 9]]).all()
+        if k >= 3:
+            assert np.isinf(got.ravel()[11])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equals_numpy_power_up_to_square(self, k):
+        with np.errstate(over="ignore"):
+            got, want = eigen._power(self.ENTRIES, k), self.ENTRIES**k
+        assert got.tobytes() == want.tobytes()
+
+    def test_first_power_is_the_input(self):
+        # callers must not write into the result
+        assert eigen._power(self.ENTRIES, 1) is self.ENTRIES
 
 
 class TestClassifyVector:
