@@ -20,8 +20,8 @@ Structure facts encoded here: the tensor is centrosymmetric exactly when
 c is a palindrome, skew-centrosymmetric (even n only) exactly when c is
 an anti-palindrome, and there is no odd-dimension skew case because the
 central entry would have to be zero while being a reciprocal.  Both
-predicates are structure.check_structure on the order-1 tensor c, and
-structure.palindromize makes palindromes.
+predicates are structure.check_structure on the order-1 tensor c, at the
+default tolerance, and structure.palindromize makes palindromes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import DenseTensor, DomainError, check_entry_count, entry_scale
 from .product import exchange_matrix, shao_product
-from .structure import _BLOCK, _compare, _tolerance, check_structure
+from .structure import _BLOCK, _compare, check_structure, default_tolerance
 
 __all__ = [
     "CauchySpecError",
@@ -172,30 +172,30 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     return DenseTensor(out.reshape(shape))
 
 
-def cauchy_is_centro(spec: CauchySpec, tol: float | None = None) -> bool:
+def cauchy_is_centro(spec: CauchySpec) -> bool:
     """Vector-level test: centro iff c is a palindrome (check_structure of c)."""
-    return check_structure(DenseTensor(spec.generating), tol).is_centro
+    return check_structure(DenseTensor(spec.generating)).is_centro
 
 
-def cauchy_is_skew(spec: CauchySpec, tol: float | None = None) -> bool:
+def cauchy_is_skew(spec: CauchySpec) -> bool:
     """Vector-level test: skew iff c is an anti-palindrome and n is even.
 
-    c is classified by check_structure first, so an invalid tol raises at
-    any n.  Odd n returns False unconditionally (the central entry 1/(m c_i)
+    Odd n returns False unconditionally (the central entry 1/(m c_i)
     would have to vanish).  A passing vector test does not guarantee the
     tensor exists; materialize() still scans for vanishing sums.
     """
-    return check_structure(DenseTensor(spec.generating), tol).is_skew and spec.dim % 2 == 0
+    return check_structure(DenseTensor(spec.generating)).is_skew and spec.dim % 2 == 0
 
 
-def cauchy_check_JC(spec: CauchySpec, tol: float | None = None) -> bool:
-    """Product-level centro test: both J*C and C*J reproduce C.
+def cauchy_check_JC(spec: CauchySpec) -> bool:
+    """Product-level centro test: both J*C and C*J reproduce C, at the
+    default tolerance of C.
 
     Materializes the tensor, so construction errors propagate.  Agrees
     with cauchy_is_centro on every valid spec.
     """
     c_tensor = materialize(spec)
-    tol = _tolerance(c_tensor, tol)
+    tol = default_tolerance(c_tensor)
     j = exchange_matrix(spec.dim)
     return all(
         _compare(product.data, c_tensor.data, tol).is_centro

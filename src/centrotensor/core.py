@@ -288,7 +288,9 @@ def check_count(value, name: str) -> int:
 
 
 def check_order(order: int) -> None:
-    """Raise ValueError for an order with more axes than a numpy array can hold."""
+    """Raise ValueError for an order below 1 or with more axes than a numpy array can hold."""
+    if order < 1:
+        raise ValueError("tensor order must be at least 1")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER} axes")
 
@@ -296,8 +298,8 @@ def check_order(order: int) -> None:
 def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     """Refuse a tensor too big to allocate, before it is allocated.
 
-    An order past numpy's axis limit is a ValueError; more than
-    DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
+    An order below 1 or past numpy's axis limit is a ValueError; more
+    than DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
     """
     check_order(order)
     _check_cap(dim**order, f"{what} of order {order} dim {dim}")

@@ -78,6 +78,10 @@ DEFAULT_TOL_FACTOR = 1e-12
 # per buffer, so the buffers and the input blocks they read stay in cache.
 _BLOCK = 2**15
 
+# Relative per-sample bound of verify_poly_reflection: f(x) and f(Jx) sum
+# the same products in different orders, so they agree only to rounding.
+_POLY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -262,79 +266,60 @@ def require_centro(a: DenseTensor) -> None:
         raise ValueError("tensor is not centrosymmetric")
 
 
-@np.errstate(over="ignore")
 def reflection_sign(a: DenseTensor) -> float:
     """1.0 for a centro tensor (the zero tensor included), -1.0 for a skew one.
 
     Reversing every index multiplies A by this sign, so f(Jx) = sign * f(x)
-    and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  A
-    tensor that is neither raises ValueError.  Same verdicts as
-    check_structure at the default tolerance, without building its report;
-    a deviation that overflows is inf, as there, and fails its comparison.
+    and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  The
+    sign is read from check_structure at the default tolerance; a tensor
+    that is neither raises ValueError.
     """
-    tol = default_tolerance(a)
-    flat = a.entries
-    rev = flat[::-1]
-    if np.max(np.abs(flat - rev)) <= tol:
+    report = check_structure(a)
+    if report.is_centro:
         return 1.0
-    if np.max(np.abs(flat + rev)) <= tol:
+    if report.is_skew:
         return -1.0
     raise ValueError("tensor is neither centro nor skew")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def verify_row_sum_symmetry(
-    a: DenseTensor, tol: float | None = None, assume: str | None = None
-) -> tuple[bool, int | None]:
+def verify_row_sum_symmetry(a: DenseTensor, assume: str) -> tuple[bool, int | None]:
     """Check the reflection law of row sums: r_i = r_{n-i+1} for a
     centrosymmetric tensor, r_i = -r_{n-i+1} for a skew one.
 
-    For a skew tensor of odd dimension the central row sum must itself
-    vanish.  The skew comparison at the centre index c checks that too:
-    doubling is exact, so |r_c + r_c| <= tol means |r_c| <= tol/2.  The
-    structure kind is taken from check_structure unless `assume` forces
-    "centro" or "skew".  Returns (ok, witness) where witness is the first
-    failing 1-based row index.  A row sum that overflows float64 raises
-    ValueError naming its row, since no reflection law can be read from it.
+    `assume` names the law, "centro" or "skew", and each deviation is
+    compared against tol = default_tolerance(a).  For a skew tensor of odd
+    dimension the central row sum must itself vanish.  The skew
+    comparison at the centre index c checks that too: doubling is exact,
+    so |r_c + r_c| <= tol means |r_c| <= tol/2.  Returns (ok, witness)
+    where witness is the first failing 1-based row index.  A row sum that
+    overflows float64 raises ValueError naming its row, since no
+    reflection law can be read from it.
     """
-    tol = _tolerance(a, tol)
-    if assume is None:
-        verdict = check_structure(a, tol).verdict
-        if verdict == NEITHER:
-            raise ValueError("tensor is neither centro nor skew; pass assume=")
-        kinds = {CENTRO: ("centro",), SKEW: ("skew",), BOTH: ("centro", "skew")}[verdict]
-    else:
-        if assume not in ("centro", "skew"):
-            raise ValueError("assume must be 'centro' or 'skew'")
-        kinds = (assume,)
-
+    if assume not in ("centro", "skew"):
+        raise ValueError("assume must be 'centro' or 'skew'")
     r = row_sums(a)
     overflow = np.flatnonzero(~np.isfinite(r))
     if overflow.size:
         raise ValueError(f"row sum {int(overflow[0]) + 1} overflows float64")
-    r_flip = r[::-1]
-    for kind in kinds:
-        dev = np.abs(r - r_flip) if kind == "centro" else np.abs(r + r_flip)
-        bad = np.nonzero(dev > tol)[0]
-        if bad.size:
-            return False, int(bad[0]) + 1
+    dev = np.abs(r - r[::-1]) if assume == "centro" else np.abs(r + r[::-1])
+    bad = np.flatnonzero(dev > default_tolerance(a))
+    if bad.size:
+        return False, int(bad[0]) + 1
     return True, None
 
 
-def verify_poly_reflection(
-    a: DenseTensor, trials: int = 20, seed=0, tol: float = 1e-10
-) -> bool:
+def verify_poly_reflection(a: DenseTensor, trials: int = 20, seed=0) -> bool:
     """Sample random x and confirm f(Jx) = f(x) (centro) or -f(x) (skew),
     where f is the tensor's homogeneous polynomial.
 
-    Per-sample bound is tol * max(1, |f(x)|).  The tensor must classify
-    centro or skew.  All samples come from one (trials, n) draw, the same
-    stream as one size-n draw per trial.
+    Per-sample bound is 1e-10 * max(1, |f(x)|) (_POLY_TOL).  The tensor
+    must classify centro or skew.  All samples come from one (trials, n) draw,
+    the same stream as one size-n draw per trial.
     """
     trials = check_count(trials, "trials")
-    tol = check_tolerance(tol)
     sign = reflection_sign(a)
     xs = as_generator(seed).uniform(-1.0, 1.0, size=(trials, a.dim))
     fx = contract_trailing(a.data, xs, a.order)
     fjx = contract_trailing(a.data, xs[:, ::-1], a.order)
-    return not np.any(np.abs(fjx - sign * fx) > tol * np.maximum(1.0, np.abs(fx)))
+    return not np.any(np.abs(fjx - sign * fx) > _POLY_TOL * np.maximum(1.0, np.abs(fx)))

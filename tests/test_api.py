@@ -12,6 +12,9 @@ from centrotensor import (
     cauchy_check_JC,
     cauchy_is_centro,
     cauchy_is_skew,
+    check_commutation,
+    check_structure,
+    check_via_J,
     closed_form_dim2,
     random_structured,
     recover_order2_left_inverse,
@@ -60,13 +63,30 @@ CENTRO = random_structured(3, 2, "centro", seed=4)
 SPEC = CauchySpec(np.array([1.0, 2.0, 1.0]), 2)
 PAIR = closed_form_dim2(CENTRO)[0]
 
+# Options taken out of the library: each predicate now uses the default
+# tolerance (verify_poly_reflection a fixed 1e-10 bound), and
+# verify_row_sum_symmetry needs assume="centro" or "skew".
+REMOVED_OPTIONS = {
+    "cauchy_is_centro(tol=)": lambda: cauchy_is_centro(SPEC, tol=1e-3),
+    "cauchy_is_skew(tol=)": lambda: cauchy_is_skew(SPEC, tol=1e-3),
+    "cauchy_check_JC(tol=)": lambda: cauchy_check_JC(SPEC, tol=1e-3),
+    "verify_poly_reflection(tol=)": lambda: verify_poly_reflection(CENTRO, tol=1e-3),
+    "verify_row_sum_symmetry(tol=)": lambda: verify_row_sum_symmetry(CENTRO, "centro", tol=1e-3),
+    "verify_row_sum_symmetry(assume=None)": lambda: verify_row_sum_symmetry(CENTRO),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_OPTIONS.values(), ids=REMOVED_OPTIONS.keys())
+def test_removed_option_is_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 TOLERANCE_TAKERS = {
-    "verify_row_sum_symmetry": lambda tol: verify_row_sum_symmetry(CENTRO, tol=tol),
-    "verify_poly_reflection": lambda tol: verify_poly_reflection(CENTRO, tol=tol),
+    "check_structure": lambda tol: check_structure(CENTRO, tol),
+    "check_via_J": lambda tol: check_via_J(CENTRO, tol),
+    "check_commutation": lambda tol: check_commutation(CENTRO, tol),
     "reflect_pair": lambda tol: reflect_pair(CENTRO, PAIR, tol=tol),
-    "cauchy_is_centro": lambda tol: cauchy_is_centro(SPEC, tol),
-    "cauchy_is_skew": lambda tol: cauchy_is_skew(SPEC, tol),
-    "cauchy_check_JC": lambda tol: cauchy_check_JC(SPEC, tol),
     "recover_order2_left_inverse": lambda tol: recover_order2_left_inverse(
         DenseTensor.identity(4, 2), tol=tol
     ),

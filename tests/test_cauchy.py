@@ -9,6 +9,7 @@ import pytest
 from centrotensor import (
     CauchySpec,
     CauchySpecError,
+    DenseTensor,
     ResourceLimitError,
     cauchy_check_JC,
     cauchy_is_centro,
@@ -345,17 +346,22 @@ PREDICATE_TABLE = [
 
 
 class TestPredicatesAgainstOracle:
-    """Both predicates are max |c -+ Jc| <= tol, the skew one at even n only."""
+    """check_structure of c is max |c -+ Jc| <= tol; the Cauchy predicates
+    are that call at the default tolerance, the skew one at even n only."""
 
     @staticmethod
     def _agree(c, tol):
-        spec = CauchySpec(np.array(c, dtype=float), 2)
+        vec = np.array(c, dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            centro, skew = cauchy_is_centro(spec, tol), cauchy_is_skew(spec, tol)
-        assert centro == reflection_within(c, 1.0, tol), (c, tol)
-        assert skew == (reflection_within(c, -1.0, tol) and len(c) % 2 == 0), (c, tol)
-        return centro, skew
+            report = check_structure(DenseTensor(vec), tol)
+            if tol is None:
+                spec = CauchySpec(vec, 2)
+                assert cauchy_is_centro(spec) == report.is_centro, c
+                assert cauchy_is_skew(spec) == (report.is_skew and len(c) % 2 == 0), c
+        assert report.is_centro == reflection_within(c, 1.0, tol), (c, tol)
+        assert report.is_skew == reflection_within(c, -1.0, tol), (c, tol)
+        return report.is_centro, report.is_skew
 
     @pytest.mark.parametrize("c,tol", PREDICATE_TABLE)
     def test_table(self, c, tol):
@@ -376,7 +382,6 @@ class TestPredicatesAgainstOracle:
                 for tol in (None, dev, float(np.nextafter(dev, 0.0)), 2.0 * dev):
                     self._agree(c, tol)
 
-    @pytest.mark.parametrize("predicate", [cauchy_is_centro, cauchy_is_skew])
     @pytest.mark.parametrize("c", [[1.0, 2.0], [1.0, 2.0, 3.0], [1e308, -1e308]])
     @pytest.mark.parametrize(
         "tol,message",
@@ -388,9 +393,9 @@ class TestPredicatesAgainstOracle:
             ([1e-3], "tol must be a number, got [0.001]"),
         ],
     )
-    def test_invalid_tolerance_messages(self, predicate, c, tol, message):
+    def test_invalid_tolerance_messages(self, c, tol, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            predicate(CauchySpec(np.array(c), 2), tol)
+            check_structure(DenseTensor(np.array(c)), tol)
 
 
 class TestExchangeProductCheck:
@@ -417,11 +422,11 @@ class TestEquivalenceChain:
             if trial % 2 == 0:
                 c = palindromize(c)
             spec = CauchySpec(c, m)
-            is_centro = cauchy_is_centro(spec, 1e-10)
+            is_centro = cauchy_is_centro(spec)
             tensor = materialize(spec)
             report = check_structure(tensor, 1e-10 * max(1.0, float(np.max(np.abs(tensor.data)))))
             assert is_centro == report.is_centro
-            assert cauchy_check_JC(spec, 1e-10) == is_centro
+            assert cauchy_check_JC(spec) == is_centro
 
 
 class TestPalindromize:

@@ -139,6 +139,13 @@ class TestGen:
         code, out, _ = run(capsys, ["gen", "--dim", "2", "--kind", "exchange"])
         assert json.loads(out)["entries"] == [0, 1.0, 1.0, 0]
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_identity_below_order_1_exits_2(self, order, capsys):
+        code, out, err = run(capsys, ["gen", "--dim", "3", "--order", order, "--kind", "identity"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: tensor order must be at least 1\n"
+
     @pytest.mark.parametrize("kind", ["centro", "skew", "general", "identity", "exchange"])
     def test_over_the_entry_cap_exits_1(self, kind, capsys, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 8)

@@ -340,12 +340,12 @@ class TestEntryCap:
 
 class TestRowSumSymmetry:
     def test_random_centro(self):
-        ok, witness = verify_row_sum_symmetry(random_structured(3, 4, "centro", seed=3))
+        ok, witness = verify_row_sum_symmetry(random_structured(3, 4, "centro", seed=3), "centro")
         assert ok and witness is None
 
     def test_random_skew_odd_dim(self):
         a = random_structured(2, 3, "skew", seed=5)
-        ok, witness = verify_row_sum_symmetry(a)
+        ok, witness = verify_row_sum_symmetry(a, "skew")
         assert ok and witness is None
         assert abs(row_sums(a)[1]) <= 1e-12
 
@@ -354,11 +354,6 @@ class TestRowSumSymmetry:
         ok, witness = verify_row_sum_symmetry(a, assume="centro")
         assert not ok
         assert witness == 1  # r = (3, 7)
-
-    def test_unclassified_requires_assume(self):
-        a = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(ValueError):
-            verify_row_sum_symmetry(a)
 
     def test_rejects_unknown_assumption(self):
         a = DenseTensor(np.array([[1.0, 2.0], [2.0, 1.0]]))
