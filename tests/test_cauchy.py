@@ -15,6 +15,7 @@ from centrotensor import (
     cauchy_is_centro,
     cauchy_is_skew,
     check_structure,
+    check_via_J,
     materialize,
     palindromize,
 )
@@ -382,6 +383,7 @@ class TestPredicatesAgainstOracle:
                 for tol in (None, dev, float(np.nextafter(dev, 0.0)), 2.0 * dev):
                     self._agree(c, tol)
 
+    @pytest.mark.parametrize("check", [check_structure, check_via_J])
     @pytest.mark.parametrize("c", [[1.0, 2.0], [1.0, 2.0, 3.0], [1e308, -1e308]])
     @pytest.mark.parametrize(
         "tol,message",
@@ -393,9 +395,9 @@ class TestPredicatesAgainstOracle:
             ([1e-3], "tol must be a number, got [0.001]"),
         ],
     )
-    def test_invalid_tolerance_messages(self, c, tol, message):
+    def test_invalid_tolerance_messages(self, check, c, tol, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check_structure(DenseTensor(np.array(c)), tol)
+            check(DenseTensor(np.array(c)), tol)
 
 
 class TestExchangeProductCheck:

@@ -355,6 +355,14 @@ class TestRowSumSymmetry:
         assert not ok
         assert witness == 1  # r = (3, 7)
 
+    def test_unclassified_requires_assume(self):
+        # r = (3, 7) reflects with neither sign; nothing is guessed for it
+        a = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(TypeError):
+            verify_row_sum_symmetry(a)
+        assert verify_row_sum_symmetry(a, assume="centro") == (False, 1)
+        assert verify_row_sum_symmetry(a, assume="skew") == (False, 1)
+
     def test_rejects_unknown_assumption(self):
         a = DenseTensor(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="^assume must be 'centro' or 'skew'$"):
