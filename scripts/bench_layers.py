@@ -41,7 +41,7 @@ cases:
   ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
   and 40 (general), the sizes the dense-kernels benchmark uses;
 * ``product.shao_product`` of those three tensors by the exchange matrix J
-  on either side (the permutation-factor path), and of a centro by a skew
+  on either side (the exchange-matrix reversal), and of a centro by a skew
   order-3 dim-26 tensor (the contraction path, as dense-kernels runs it);
 * ``cauchy.materialize`` at n = 20, m = 5 on a positive palindromic
   generating vector, as dense-kernels runs it;

@@ -17,20 +17,18 @@ import numpy as np
 from centrotensor import (
     DenseTensor,
     add,
-    poly_eval,
     random_structured,
     scale,
     solve_eigen,
 )
+from centrotensor.core import contract_trailing
 
 
 def min_form_on_sphere(a, samples, rng):
-    best = np.inf
-    for _ in range(samples):
-        x = rng.normal(size=a.dim)
-        x /= np.linalg.norm(x)
-        best = min(best, poly_eval(a, x))
-    return best
+    # one (samples, dim) block is the same stream as one draw per sample
+    xs = rng.normal(size=(samples, a.dim))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    return contract_trailing(a.data, xs, a.order).min()
 
 
 def probe(order, dim, rng, samples, starts):

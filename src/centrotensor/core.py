@@ -134,6 +134,7 @@ class DenseTensor:
     @classmethod
     def identity(cls, order: int, dim: int) -> "DenseTensor":
         """Delta tensor: 1 where all indices coincide, 0 elsewhere."""
+        check_entry_count(order, dim)
         return cls.diagonal(order, np.ones(dim))
 
     def __repr__(self):
@@ -298,10 +299,13 @@ def check_order(order: int) -> None:
 def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     """Refuse a tensor too big to allocate, before it is allocated.
 
-    An order below 1 or past numpy's axis limit is a ValueError; more
-    than DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
+    An order below 1 or past numpy's axis limit, or a dim below 1, is a
+    ValueError; more than DEFAULT_ENTRY_CAP entries is a
+    ResourceLimitError.
     """
     check_order(order)
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     _check_cap(dim**order, f"{what} of order {order} dim {dim}")
 
 

@@ -227,7 +227,12 @@ def _recover(
             f"candidate slice is singular or ill-conditioned (cond {cond:.3e})",
             condition=cond if np.isfinite(cond) else None,
         )
-    b = DenseTensor(np.linalg.inv(candidate_inv))
+    # a well-conditioned slice of subnormal entries still has an inverse
+    # past the float64 range, which LAPACK returns as inf and nan entries
+    inv = np.linalg.inv(candidate_inv)
+    if not np.all(np.isfinite(inv)):
+        return NoInverse(side, "candidate inverse overflows float64", condition=cond)
+    b = DenseTensor(inv)
     if tol is None:
         tol = _default_residual_tol(a, b, side)
     residual = verify_inverse(a, b, side)

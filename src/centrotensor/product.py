@@ -12,14 +12,15 @@ the order-1 contraction of A against that vector.  The product is not
 associative across mixed orders, so a product of three or more tensors
 is a nested shao_product call whose nesting is part of the result.
 
-A factor that is an order-2 permutation matrix (one entry 1.0 in each
-row and each column, every other entry 0) of dim >= 2 only moves
-entries, so such a product is computed as an exact gather instead of
-contractions: a left factor P picks the rows of B, and a right factor
-permutes every trailing index of A through one take.  Each result entry
-of the contraction is x*1 plus products with 0, which is x except that
--0.0 sums to +0.0; the gather adds 0.0 to match, so both ways give the
-same bits.  (At dim 1 the contraction keeps -0.0, so dim 1 keeps it.)
+A factor that is the exchange matrix J of dim >= 2, recognised by its
+entries, only reverses indices, so such a product is a reversal instead
+of contractions: J*B reverses B's leading index, and A*J reverses every
+trailing index of A, which reads each row of A's flat trailing entries
+backwards.  Each result entry of the contraction is x*1 plus products
+with 0, which is x except that -0.0 sums to +0.0; the reversal adds 0.0
+to match, so both ways give the same bits.  (At dim 1 the contraction
+keeps -0.0, so dim 1 keeps it.)  Every other factor, other permutation
+matrices included, is contracted.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     n = a.dim
     order = (a.order - 1) * (b.order - 1) + 1
     _check_cap(n**order, f"product of orders {a.order} and {b.order}", entry_cap)
-    out = _permutation_product(a, b)
-    if out is not None:
-        return DenseTensor(out.reshape((n,) * order))
+    if _is_exchange(a):
+        return DenseTensor(b.data[::-1] + 0.0)
+    if _is_exchange(b):
+        return DenseTensor((a.data.reshape(n, -1)[:, ::-1] + 0.0).reshape(a.data.shape))
     # Flatten B's trailing k-1 axes; each contraction of one trailing slot
     # of A then appends one flattened multi-index axis, in slot order.
     b_flat = b.data.reshape(n, n ** (b.order - 1))
@@ -74,34 +76,11 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     return DenseTensor(out.reshape((n,) * order))
 
 
-def _permutation(t: DenseTensor) -> np.ndarray | None:
-    """sigma with t[i, sigma[i]] = 1 if t is a permutation matrix of dim >= 2, else None."""
+def _is_exchange(t: DenseTensor) -> bool:
+    """Whether t is the exchange matrix J of dim >= 2: n nonzeros, all 1.0 on the anti-diagonal."""
     if t.order != 2 or t.dim < 2 or np.count_nonzero(t.data) != t.dim:
-        return None
-    ones = t.data == 1.0
-    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
-        return None
-    return np.argmax(ones, axis=1)
-
-
-def _permutation_product(a: DenseTensor, b: DenseTensor) -> np.ndarray | None:
-    """The product as an exact gather when a factor is a permutation matrix, else None."""
-    sigma = _permutation(a)
-    if sigma is not None:
-        out = b.data[sigma]
-    else:
-        sigma = _permutation(b)
-        if sigma is None:
-            return None
-        # c[i, j_1, ..., j_{m-1}] = a[i, tau[j_1], ..., tau[j_{m-1}]] for
-        # tau the inverse of sigma, read through one flat trailing index
-        n, tau = a.dim, np.argsort(sigma)
-        index = tau
-        for _ in range(a.order - 2):
-            index = (index[:, None] * n + tau).reshape(-1)
-        out = np.take(a.data.reshape(n, -1), index, axis=1)
-    out += 0.0
-    return out
+        return False
+    return bool(np.all(t.data[:, ::-1].diagonal() == 1.0))
 
 
 def product_parity(kind_a: str, kind_b: str, m: int) -> str:
@@ -123,7 +102,5 @@ def product_parity(kind_a: str, kind_b: str, m: int) -> str:
 
 def exchange_matrix(n: int) -> DenseTensor:
     """Anti-diagonal permutation matrix J with J[i, n-i+1] = 1; J*J = I."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
     check_entry_count(2, n, "exchange matrix")
     return DenseTensor(np.eye(n)[::-1].copy())

@@ -21,9 +21,11 @@ the report says so.  decompose walks the same blocks, halving before it
 adds, so its parts stay finite for any finite tensor.
 
 The sandwich and commutation witnesses multiply by the exchange matrix
-J through shao_product, which finds the permutation in J's entries and
-gathers instead of contracting (see product): the same bits as the
-contractions, without their multiplications by 0.
+J through shao_product, which recognises J by its entries and applies it
+as a reversal instead of contracting (see product): the same bits as the
+contractions, without their multiplications by 0.  The direct check
+reverses the flat entries in one pass, so the three witnesses still run
+three different computations.
 """
 
 from __future__ import annotations
@@ -237,8 +239,6 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
     half and zeroes the self-paired centre of odd dim by multiplying by
     0.0.  Deterministic per seed; seed may be an int or a numpy Generator.
     """
-    if order < 1 or dim < 1:
-        raise ValueError("order and dim must be positive")
     if kind not in ("centro", "skew", "general"):
         raise ValueError(f"unknown kind {kind!r}")
     check_entry_count(order, dim)

@@ -147,6 +147,14 @@ class TestGen:
         assert err == "error: tensor order must be at least 1\n"
 
     @pytest.mark.parametrize("kind", ["centro", "skew", "general", "identity", "exchange"])
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dimension_below_1_exits_2(self, dim, kind, capsys):
+        code, out, err = run(capsys, ["gen", "--dim", dim, "--kind", kind])
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimension must be positive\n"
+
+    @pytest.mark.parametrize("kind", ["centro", "skew", "general", "identity", "exchange"])
     def test_over_the_entry_cap_exits_1(self, kind, capsys, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 8)
         code, out, err = run(capsys, ["gen", "--dim", "3", "--order", "2", "--kind", kind])
@@ -489,6 +497,18 @@ class TestInverseVerb:
         obj = json.loads(out)
         assert obj["found"] is False and obj["condition"] is None
         assert "cond inf" in obj["reason"]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_overflowing_matrix_inverse_exits_1(self, side, capsys, monkeypatch):
+        # the slice is well conditioned, but 1 / 5e-324 overflows float64
+        tensor = '{"order": 2, "dim": 2, "entries": [5e-324, 0, 0, 5e-324]}'
+        code, out, err = run(capsys, ["inverse", "-", "--side", side], tensor, monkeypatch)
+        assert code == 1
+        assert err == ""
+        assert json.loads(out) == {
+            "found": False, "side": side, "reason": "candidate inverse overflows float64",
+            "condition": 1.0, "residual": None,
+        }
 
     @pytest.mark.parametrize(
         "side,order",
