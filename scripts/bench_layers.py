@@ -45,9 +45,11 @@ cases:
   order-3 dim-26 tensor (the contraction path, as dense-kernels runs it);
 * ``cauchy.materialize`` at n = 20, m = 5 on a positive palindromic
   generating vector, as dense-kernels runs it;
-* ``core.DenseTensor`` construction (the hypercube and finiteness checks)
-  from the data of the three order-4 tensors and of an order-5 dim-26
-  array, the 11.9M-entry size of the order-3 product.
+* ``core.DenseTensor`` public construction (a copy of the caller's
+  array, then the hypercube and finiteness checks) from the data of the
+  three order-4 tensors and of an order-5 dim-26 array, the 11.9M-entry
+  size of the order-3 product.  The library's own results skip both
+  (``DenseTensor._adopt``), so this is the cost a caller's array pays.
 
 The two contractions are 20 calls per rep; the structure and J-product
 cases call each of the three tensors as often as their ``calls`` size says.

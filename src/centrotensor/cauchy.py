@@ -133,7 +133,9 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     scanned before a reciprocal is judged, and then only the blocks that
     held a candidate are searched: an entry that is not finite marks a
     sum with no finite reciprocal, and an entry of 0 a sum that
-    overflowed, since no finite sum has a zero reciprocal.
+    overflowed, since no finite sum has a zero reciprocal.  Those scans
+    prove every entry of a returned tensor finite and nonzero, so it is
+    not scanned again.
     """
     c, n, shape = spec.generating, spec.dim, (spec.dim,) * spec.order
     scale = entry_scale(DenseTensor(c))
@@ -169,7 +171,7 @@ def materialize(spec: CauchySpec) -> DenseTensor:
                         f"index sum {float(lead[k // n] + c[k % n])!r} at index {index} "
                         f"{problem}; entries do not exist"
                     )
-    return DenseTensor(out.reshape(shape))
+    return DenseTensor._adopt(out.reshape(shape))
 
 
 def cauchy_is_centro(spec: CauchySpec) -> bool:

@@ -61,31 +61,43 @@ class ConsistencyError(DomainError):
 class DenseTensor:
     """Immutable order-m dimension-n real tensor backed by a dense ndarray.
 
-    Construction validates that the array is hypercubic (every axis has
-    the same length) and that all entries are finite; every downstream
-    check is tolerance-based, so NaN/Inf entries are rejected outright.
-    The finiteness check is one sum over the entries, which allocates
-    nothing; only when that sum is not finite (a non-finite entry, or
-    finite entries whose sum overflows) are the entries tested one by one.
+    The public constructor copies what it is given, so no caller's array
+    (or view of one) can change a tensor, and from_entries never keeps a
+    caller's ndarray either.  Both validate that the data is hypercubic
+    (every axis has the same length) and that all entries are finite;
+    every downstream check is tolerance-based, so NaN/Inf entries are
+    rejected outright.  The finiteness check is one sum over the entries,
+    which allocates nothing; only when that sum is not finite (a
+    non-finite entry, or finite entries whose sum overflows) are the
+    entries tested one by one.
+
+    Each result the library builds is checked once, by how it was built:
+    moved or halved entries of a validated tensor, ufuncs run under
+    _overflow_is_domain_error, a product bounded a priori.  Those sites
+    hand their fresh array to _adopt, which neither copies nor scans it.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        # ascontiguousarray makes a 0-d array 1-d, so the order is read first
         if np.ndim(self.data) < 1:
             raise ValueError("tensor order must be at least 1")
-        arr = np.ascontiguousarray(self.data, dtype=float)
-        n = arr.shape[0]
-        if n < 1 or any(s != n for s in arr.shape):
-            raise ValueError(f"tensor must be hypercubic, got shape {arr.shape}")
-        # NaN and +-inf never add back to a finite value
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
+        arr = np.array(self.data, dtype=float, order="C")
+        _check_data(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
+        """Own a fresh C-contiguous hypercubic float array whose entries are proven finite.
+
+        No copy and no scan: the caller must hold the only reference, and
+        its construction must prove every entry finite.
+        """
+        arr.flags.writeable = False
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "data", arr)
+        return tensor
 
     @property
     def order(self) -> int:
@@ -102,7 +114,13 @@ class DenseTensor:
 
     @classmethod
     def from_entries(cls, order: int, dim: int, entries) -> "DenseTensor":
-        flat = np.asarray(entries, dtype=float).reshape(-1)
+        """The tensor with these row-major entries, from a copy of them."""
+        return cls._from_flat(order, dim, np.array(entries, dtype=float, order="C"))
+
+    @classmethod
+    def _from_flat(cls, order: int, dim: int, flat: np.ndarray) -> "DenseTensor":
+        """from_entries on a fresh float array that no caller holds: checked once, adopted uncopied."""
+        flat = flat.reshape(-1)
         # For dim >= 2, dim**order has at least order * bit_length / 2 bits,
         # so past 4096 it exceeds any entry count; an absurd order read from
         # JSON would otherwise build (and print) a huge integer.
@@ -115,12 +133,14 @@ class DenseTensor:
                 f"expected {expected} entries for order {order} dim {dim}, got {flat.size}"
             )
         check_order(order)
-        return cls(flat.reshape((dim,) * order))
+        data = flat.reshape((dim,) * order)
+        _check_data(data)
+        return cls._adopt(data)
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "DenseTensor":
         check_entry_count(order, dim)
-        return cls(np.zeros((dim,) * order))
+        return cls._adopt(np.zeros((dim,) * order))
 
     @classmethod
     def diagonal(cls, order: int, diag) -> "DenseTensor":
@@ -129,7 +149,8 @@ class DenseTensor:
         check_entry_count(order, dim)
         data = np.zeros((dim,) * order)
         data[(np.arange(dim),) * order] = diag
-        return cls(data)
+        _check_data(data)
+        return cls._adopt(data)
 
     @classmethod
     def identity(cls, order: int, dim: int) -> "DenseTensor":
@@ -139,6 +160,23 @@ class DenseTensor:
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite, by one sum that allocates nothing when it is finite."""
+    # NaN and +-inf never add back to a finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return bool(np.isfinite(total) or np.all(np.isfinite(arr)))
+
+
+def _check_data(arr: np.ndarray) -> None:
+    """Raise ValueError unless arr is hypercubic with finite entries."""
+    n = arr.shape[0]
+    if n < 1 or any(s != n for s in arr.shape):
+        raise ValueError(f"tensor must be hypercubic, got shape {arr.shape}")
+    if not _all_finite(arr):
+        raise ValueError("tensor entries must be finite")
 
 
 def _check_same_shape(a: DenseTensor, b: DenseTensor):
@@ -167,7 +205,7 @@ def reverse_tensor(a: DenseTensor) -> DenseTensor:
     On the flat row-major layout the full index reversal is exactly a
     reversal of the entry array, so this is a bit-identical involution.
     """
-    return DenseTensor(a.entries[::-1].reshape(a.data.shape))
+    return DenseTensor._adopt(a.entries[::-1].copy().reshape(a.data.shape))
 
 
 def apply(a: DenseTensor, x) -> np.ndarray:
@@ -234,7 +272,7 @@ def hadamard(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Entrywise product of same-shape tensors; DomainError if it overflows float64."""
     _check_same_shape(a, b)
     with _overflow_is_domain_error("entrywise product"):
-        return DenseTensor(a.data * b.data)
+        return DenseTensor._adopt(a.data * b.data)
 
 
 def row_sums(a: DenseTensor) -> np.ndarray:
@@ -245,13 +283,13 @@ def row_sums(a: DenseTensor) -> np.ndarray:
 def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _check_same_shape(a, b)
     with _overflow_is_domain_error("entrywise sum"):
-        return DenseTensor(a.data + b.data)
+        return DenseTensor._adopt(a.data + b.data)
 
 
 def sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _check_same_shape(a, b)
     with _overflow_is_domain_error("entrywise difference"):
-        return DenseTensor(a.data - b.data)
+        return DenseTensor._adopt(a.data - b.data)
 
 
 def scale(a: DenseTensor, t: float) -> DenseTensor:
@@ -260,7 +298,7 @@ def scale(a: DenseTensor, t: float) -> DenseTensor:
     if not np.isfinite(t):
         raise ValueError(f"scale factor must be finite, got {t!r}")
     with _overflow_is_domain_error("scaled tensor"):
-        return DenseTensor(a.data * t)
+        return DenseTensor._adopt(a.data * t)
 
 
 def entry_scale(a: DenseTensor) -> float:

@@ -478,7 +478,8 @@ def solve_eigen(
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
-        a = DenseTensor(a.data / scale)
+        # dividing by a power of two keeps every entry finite
+        a = DenseTensor._adopt(a.data / scale)
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)

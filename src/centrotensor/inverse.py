@@ -232,7 +232,7 @@ def _recover(
     inv = np.linalg.inv(candidate_inv)
     if not np.all(np.isfinite(inv)):
         return NoInverse(side, "candidate inverse overflows float64", condition=cond)
-    b = DenseTensor(inv)
+    b = DenseTensor._adopt(inv)
     if tol is None:
         tol = _default_residual_tol(a, b, side)
     residual = verify_inverse(a, b, side)

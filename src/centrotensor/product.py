@@ -21,19 +21,37 @@ with 0, which is x except that -0.0 sums to +0.0; the reversal adds 0.0
 to match, so both ways give the same bits.  (At dim 1 the contraction
 keeps -0.0, so dim 1 keeps it.)  Every other factor, other permutation
 matrices included, is contracted.
+
+The contraction takes A's trailing slots one at a time: it moves the
+slot to the last axis and multiplies the reshaped entries by B's
+flattened entries in one 2-D np.matmul, the bits np.tensordot gives.
+At dim 1 that product is an outer product, taken as an entrywise one,
+since matmul would sum -0.0 to +0.0 there and tensordot keeps it.
+
+Every result is checked once.  Before contracting, the inputs prove the
+result finite when log2(entry_scale(A)) + (m-1) log2(n entry_scale(B))
+is below 1022 (see _bounded); only when that bound fails is the result
+scanned, and a non-finite entry is a DomainError.  The scan, not numpy's
+floating-point flags, decides: an overflow inside a BLAS worker thread
+sets no flag on the calling thread.  A reversal by J moves validated
+entries, so its result is not scanned either.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .core import (
     DEFAULT_ENTRY_CAP,
     DenseTensor,
+    DomainError,
+    _all_finite,
     _check_cap,
-    _overflow_is_domain_error,
     check_count,
     check_entry_count,
+    entry_scale,
 )
 
 __all__ = [
@@ -45,6 +63,9 @@ __all__ = [
 
 _KINDS = ("centro", "skew")
 
+# log2 of the largest product bound that proves a contraction finite
+_FINITE_LOG2 = 1022
+
 
 def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseTensor:
     """General product of tensors sharing one dimension.
@@ -52,7 +73,8 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     Raises ResourceLimitError when the result would hold more than
     entry_cap entries; the order formula grows multiplicatively, so this
     is a real risk for nested products.  A result that overflows float64
-    raises DomainError.
+    raises DomainError, with no numpy warning, whatever the number of
+    BLAS threads.
     """
     entry_cap = check_count(entry_cap, "entry_cap")
     if a.dim != b.dim:
@@ -63,17 +85,32 @@ def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_
     order = (a.order - 1) * (b.order - 1) + 1
     _check_cap(n**order, f"product of orders {a.order} and {b.order}", entry_cap)
     if _is_exchange(a):
-        return DenseTensor(b.data[::-1] + 0.0)
+        return DenseTensor._adopt(b.data[::-1] + 0.0)
     if _is_exchange(b):
-        return DenseTensor((a.data.reshape(n, -1)[:, ::-1] + 0.0).reshape(a.data.shape))
+        return DenseTensor._adopt((a.data.reshape(n, -1)[:, ::-1] + 0.0).reshape(a.data.shape))
     # Flatten B's trailing k-1 axes; each contraction of one trailing slot
     # of A then appends one flattened multi-index axis, in slot order.
     b_flat = b.data.reshape(n, n ** (b.order - 1))
     out = a.data
-    with _overflow_is_domain_error("general product"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(a.order - 1):
-            out = np.tensordot(out, b_flat, axes=(1, 0))
-    return DenseTensor(out.reshape((n,) * order))
+            out = np.moveaxis(out.reshape(n, n, -1), 1, -1).reshape(-1, n)
+            out = np.matmul(out, b_flat) if n > 1 else out * b_flat
+    if not _bounded(a, b) and not _all_finite(out):
+        raise DomainError("general product overflows float64")
+    return DenseTensor._adopt(out.reshape((n,) * order))
+
+
+def _bounded(a: DenseTensor, b: DenseTensor) -> bool:
+    """Whether the inputs alone prove every entry of the contraction finite.
+
+    Each contracted slot multiplies the largest magnitude by at most
+    n * entry_scale(b), and entry_scale is at least 1, so no stage
+    exceeds the last one's bound scale(a) * (n * scale(b))^(m-1).  A bound
+    below 2^1022, half the float range, leaves room for rounding.
+    """
+    bound = math.log2(entry_scale(a)) + (a.order - 1) * math.log2(a.dim * entry_scale(b))
+    return bound < _FINITE_LOG2
 
 
 def _is_exchange(t: DenseTensor) -> bool:
@@ -103,4 +140,4 @@ def product_parity(kind_a: str, kind_b: str, m: int) -> str:
 def exchange_matrix(n: int) -> DenseTensor:
     """Anti-diagonal permutation matrix J with J[i, n-i+1] = 1; J*J = I."""
     check_entry_count(2, n, "exchange matrix")
-    return DenseTensor(np.eye(n)[::-1].copy())
+    return DenseTensor(np.eye(n)[::-1])

@@ -100,8 +100,8 @@ def tensor_from_obj(obj) -> DenseTensor:
         raise ValueError("tensor JSON must be an object")
     order = _require_int(obj, "order")
     dim = _require_int(obj, "dim")
-    entries = _require_numbers(obj, "entries")
-    return DenseTensor.from_entries(order, dim, entries)
+    # the array is the reader's own, so it is checked and adopted, not copied
+    return DenseTensor._from_flat(order, dim, _require_numbers(obj, "entries"))
 
 
 def spec_from_obj(obj) -> CauchySpec:

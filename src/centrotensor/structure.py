@@ -11,14 +11,16 @@ compares deviations against an absolute tolerance that defaults to
 1e-12 * max(1, largest entry magnitude).
 
 Each witness reduces to comparing two same-size arrays x and y: the
-centro deviation |x - y| and the skew deviation |x + y|.  Those are
-streamed through two reused buffers of _BLOCK entries, keeping only each
-deviation's max and first argmax, so the comparison builds no full-size
-temporary, and the direct check reads the reversed entries as a view
-instead of copying them.  Max and first argmax are exact, so a report is
-the one full-size arrays give.  A deviation that overflows is inf, and
-the report says so.  decompose walks the same blocks, halving before it
-adds, so its parts stay finite for any finite tensor.
+centro deviation |x - y| and the skew deviation |x + y|.  Past _BLOCK
+entries those are streamed through two reused buffers of _BLOCK
+entries, keeping only each deviation's max and first argmax, so the
+comparison builds no full-size temporary; a tensor of at most _BLOCK
+entries is one block, taken in two whole-array passes.  The direct
+check reads the reversed entries as a view instead of copying them.
+Max and first argmax are exact, so a report is the one full-size arrays
+give.  A deviation that overflows is inf, and the report says so.
+decompose walks the same blocks, halving before it adds, so its parts
+stay finite for any finite tensor.
 
 The sandwich and commutation witnesses multiply by the exchange matrix
 J through shao_product, which recognises J by its entries and applies it
@@ -142,26 +144,13 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
     """Classify by the deviations |x - y| (centro) and |x + y| (skew).
 
     y holds as many entries as x and may be a strided view, such as x's
-    entries reversed; worst_index unravels over x's shape.  Both
-    deviations go through two reused buffers of _BLOCK entries, keeping
-    each one's max and first argmax.
+    entries reversed; worst_index unravels over x's shape.  A tensor of
+    at most _BLOCK entries is one block, compared in two whole-array
+    passes; a larger one goes through two reused buffers of _BLOCK
+    entries.  Either way each deviation keeps its max and first argmax,
+    so both give the same report.
     """
-    xf, yf = x.reshape(-1), y.reshape(-1)
-    diff, total = np.empty(min(xf.size, _BLOCK)), np.empty(min(xf.size, _BLOCK))
-    c_max = s_max = -1.0
-    c_at = s_at = 0
-    with np.errstate(over="ignore"):
-        for start in range(0, xf.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            xb, yb = xf[block], yf[block]
-            d, t = diff[: xb.size], total[: xb.size]
-            np.abs(np.subtract(xb, yb, out=d), out=d)
-            np.abs(np.add(xb, yb, out=t), out=t)
-            i, j = int(np.argmax(d)), int(np.argmax(t))
-            if d[i] > c_max:
-                c_max, c_at = float(d[i]), start + i
-            if t[j] > s_max:
-                s_max, s_at = float(t[j]), start + j
+    c_max, c_at, s_max, s_at = _deviations(x.reshape(-1), y.reshape(-1))
     c_ok, s_ok = c_max <= tol, s_max <= tol
     if c_ok and s_ok:
         # max(|x - y|, |x + y|) first peaks at the earlier first argmax of
@@ -176,8 +165,46 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
         verdict, worst, at = NEITHER, c_max, c_at
     else:
         verdict, worst, at = NEITHER, s_max, s_at
-    index = tuple(int(i) + 1 for i in np.unravel_index(at, x.shape))
-    return StructureReport(verdict, worst, index, tol)
+    # unravel the flat offset 1-based; np.unravel_index costs more on a few entries
+    index = []
+    for size in reversed(x.shape):
+        at, i = divmod(at, size)
+        index.append(i + 1)
+    return StructureReport(verdict, worst, tuple(reversed(index)), tol)
+
+
+@np.errstate(over="ignore")
+def _deviations(xf: np.ndarray, yf: np.ndarray) -> tuple[float, int, float, int]:
+    """Max and first argmax of |x - y| and of |x + y| for flat x and y.
+
+    Up to _BLOCK entries this is two whole-array passes; past that, the
+    deviations stream through _streamed_deviations.
+    """
+    if xf.size > _BLOCK:
+        return _streamed_deviations(xf, yf)
+    d, t = np.abs(xf - yf), np.abs(xf + yf)
+    i, j = int(np.argmax(d)), int(np.argmax(t))
+    return float(d[i]), i, float(t[j]), j
+
+
+@np.errstate(over="ignore")
+def _streamed_deviations(xf: np.ndarray, yf: np.ndarray) -> tuple[float, int, float, int]:
+    """_deviations of any size, through two reused buffers of _BLOCK entries."""
+    diff, total = np.empty(min(xf.size, _BLOCK)), np.empty(min(xf.size, _BLOCK))
+    c_max = s_max = -1.0
+    c_at = s_at = 0
+    for start in range(0, xf.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        xb, yb = xf[block], yf[block]
+        d, t = diff[: xb.size], total[: xb.size]
+        np.abs(np.subtract(xb, yb, out=d), out=d)
+        np.abs(np.add(xb, yb, out=t), out=t)
+        i, j = int(np.argmax(d)), int(np.argmax(t))
+        if d[i] > c_max:
+            c_max, c_at = float(d[i]), start + i
+        if t[j] > s_max:
+            s_max, s_at = float(t[j]), start + j
+    return c_max, c_at, s_max, s_at
 
 
 def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport:
@@ -216,7 +243,8 @@ def decompose(a: DenseTensor) -> Decomposition:
     before adding keeps both parts finite for any finite A, and gives
     the bits of (A +- A^rev)/2 wherever that sum neither overflows nor
     goes subnormal.  The split is written block by block, so the two
-    parts are its only full-size allocations.
+    parts are its only full-size allocations, and the halves of finite
+    entries are finite, so neither part is scanned again.
     """
     flat, rev = a.entries, a.entries[::-1]
     centro, skew = np.empty(flat.size), np.empty(flat.size)
@@ -228,7 +256,7 @@ def decompose(a: DenseTensor) -> Decomposition:
         np.add(h, hr, out=centro[block])
         np.subtract(h, hr, out=skew[block])
     shape = a.data.shape
-    return Decomposition(DenseTensor(centro.reshape(shape)), DenseTensor(skew.reshape(shape)))
+    return Decomposition(DenseTensor._adopt(centro.reshape(shape)), DenseTensor._adopt(skew.reshape(shape)))
 
 
 def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> DenseTensor:
@@ -249,7 +277,7 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
         half = flat.size // 2
         flat[flat.size - half :] *= -1.0
         flat[half : flat.size - half] *= 0.0
-    return DenseTensor.from_entries(order, dim, flat)
+    return DenseTensor._from_flat(order, dim, flat)
 
 
 def palindromize(c) -> np.ndarray:

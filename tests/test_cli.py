@@ -296,6 +296,31 @@ def test_overflowing_result_exits_1(name, tmp_path, capsys):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_product_exits_1_with_threaded_blas(threads, tmp_path):
+    # Row 26 of A is 1e200, so its product with B (entries near 1e100)
+    # passes 1e400 in the last contraction.  That gemm is large enough for
+    # OpenBLAS to split across threads, and an overflow in a worker thread
+    # sets no floating-point flag numpy can see; the product must still
+    # exit 1.  On a 1-core machine both runs take the one-thread path, so
+    # they cannot tell the two outcomes apart.
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.5, 1.0, size=(26,) * 3)
+    a[-1] = 1e200
+    b = rng.uniform(0.5, 1.0, size=(26,) * 3) * 1e100
+    paths = [write_tensor(tmp_path / f"{name}.json", DenseTensor(t)) for name, t in (("a", a), ("b", b))]
+    package_root = str(Path(centrotensor.__file__).resolve().parents[1])
+    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-m", "centrotensor.cli", "prod", *paths],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "general product overflows float64" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 class TestEig:
     def test_finds_matrix_pairs(self, sym_file, capsys):
         code, out, _ = run(capsys, ["eig", sym_file, "--starts", "50", "--seed", "2"])

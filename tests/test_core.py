@@ -7,18 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrotensor import (
+    CENTRO,
+    CauchySpec,
     DenseTensor,
     DomainError,
     add,
     apply,
+    check_structure,
+    decompose,
+    exchange_matrix,
     flip_vector,
     hadamard,
+    materialize,
     poly_eval,
+    random_structured,
     reverse_tensor,
     row_sums,
     scale,
+    shao_product,
     sub,
 )
+from centrotensor import structure
 from oracles import brute_apply, brute_poly, brute_reverse, brute_row_sums
 
 
@@ -47,7 +56,7 @@ class TestConstruction:
             DenseTensor.from_entries(1, 2, [1.0, np.inf])
 
     def test_rejects_order_zero(self):
-        # np.ascontiguousarray makes 0-d data 1-d, which is not an order-1 tensor
+        # 0-d data is refused before it is copied: it is not an order-1 tensor
         with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
             DenseTensor(3.0)
         with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
@@ -74,11 +83,13 @@ class TestConstruction:
             assert DenseTensor.from_entries(3, 2, entries).entries.tolist() == entries
 
     def test_finiteness_check_allocates_nothing(self):
-        data = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2**10, 2**10))
-        DenseTensor(data)  # warm-up
+        # the public constructor copies first, so the check is timed on the
+        # path that adopts a fresh array after checking it
+        data = np.random.default_rng(0).uniform(-1.0, 1.0, size=2**20)
+        DenseTensor._from_flat(2, 2**10, data)  # warm-up
         tracemalloc.start()
         try:
-            DenseTensor(data)
+            DenseTensor._from_flat(2, 2**10, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -88,6 +99,10 @@ class TestConstruction:
     def test_rejects_non_hypercubic(self):
         with pytest.raises(ValueError):
             DenseTensor(np.zeros((2, 3)))
+
+    def test_from_entries_rejects_dim_zero(self):
+        with pytest.raises(ValueError, match=r"^tensor must be hypercubic, got shape \(0, 0\)$"):
+            DenseTensor.from_entries(2, 0, [])
 
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ValueError):
@@ -103,6 +118,101 @@ class TestConstruction:
         a = DenseTensor.zeros(2, 2)
         with pytest.raises(ValueError):
             a.data[0, 0] = 1.0
+
+
+class TestOwnership:
+    """A tensor owns its data: no caller's array can change it."""
+
+    @pytest.mark.parametrize("build", ["constructor", "from_entries"])
+    def test_caller_writes_do_not_reach_the_tensor(self, build):
+        base = np.array([1.0, 2.0, 2.0, 1.0])
+        if build == "constructor":
+            a = DenseTensor(base.reshape(2, 2))
+        else:
+            a = DenseTensor.from_entries(2, 2, base)
+        base[0] = np.nan
+        assert base.flags.writeable
+        assert a.data.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        report = check_structure(a)
+        assert (report.verdict, report.max_violation) == (CENTRO, 0.0)
+
+    def test_constructor_allocates_one_copy(self):
+        data = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2**9, 2**9))
+        DenseTensor(data)  # warm-up
+        tracemalloc.start()
+        try:
+            DenseTensor(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.nbytes <= peak < 1.01 * data.nbytes
+
+
+# Python objects and numpy's small bookkeeping around a traced call
+_SLACK = 64 * 1024
+
+
+class TestResultsAllocateOnlyThemselves:
+    """Each internal construction site adopts its fresh result: no copy, no mask.
+
+    The traced peak of a call is its results' bytes, plus the two _BLOCK
+    buffers where the site streams, plus what is named per case, plus _SLACK.
+    """
+
+    @staticmethod
+    def _traced(fn):
+        fn()  # warm-up
+        tracemalloc.start()
+        try:
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = (out.centro, out.skew) if hasattr(out, "centro") else (out,)
+        for part in parts:
+            assert part.data.flags.c_contiguous and not part.data.flags.writeable
+        return peak, sum(part.data.nbytes for part in parts)
+
+    def test_entrywise_and_reversal_sites(self):
+        a = random_structured(4, 24, "general", seed=1)
+        b = random_structured(4, 24, "general", seed=2)
+        for fn in (
+            lambda: reverse_tensor(a),
+            lambda: add(a, b),
+            lambda: sub(a, b),
+            lambda: scale(a, 3.0),
+            lambda: hadamard(a, b),
+        ):
+            peak, nbytes = self._traced(fn)
+            assert peak <= nbytes + _SLACK
+
+    def test_decompose(self):
+        a = random_structured(4, 24, "general", seed=1)
+        peak, nbytes = self._traced(lambda: decompose(a))
+        assert peak <= nbytes + 2 * structure._BLOCK * 8 + _SLACK
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_exchange_products(self, side):
+        a = random_structured(4, 24, "general", seed=1)
+        j = exchange_matrix(24)
+        peak, nbytes = self._traced(lambda: shao_product(j, a) if side == "left" else shao_product(a, j))
+        assert peak <= nbytes + _SLACK
+
+    def test_contraction(self):
+        # the last slot's operand, moved to the last axis, is 1/n of the result
+        n = 16
+        a = random_structured(3, n, "centro", seed=1)
+        b = random_structured(3, n, "skew", seed=2)
+        peak, nbytes = self._traced(lambda: shao_product(a, b))
+        assert peak <= nbytes + nbytes // n + _SLACK
+
+    def test_materialize(self):
+        # the leading sums, 1/n of the result, the ones before them, 1/n^2,
+        # and numpy's two 8192-entry ufunc buffers for the broadcast row add
+        n = 16
+        spec = CauchySpec(np.linspace(0.5, 2.0, n), 4)
+        peak, nbytes = self._traced(lambda: materialize(spec))
+        assert peak <= nbytes + nbytes // n + nbytes // n**2 + 2 * 8192 * 8 + _SLACK
 
 
 class TestFlipReverse:

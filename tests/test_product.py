@@ -141,6 +141,48 @@ class TestShaoProduct:
             shao_product(a, b)
 
 
+class TestFiniteBound:
+    """The inputs prove a product finite, or its result is scanned once."""
+
+    @pytest.mark.parametrize("n,order", [(2, 3), (3, 2), (4, 3), (5, 4)])
+    def test_bounded_inputs_give_a_finite_result(self, n, order, rng):
+        # positive entries, so no cancellation: each slot multiplies the
+        # largest entry by nearly n * scale(b), and the bound sits just below 2^1022
+        b_exp = 20
+        a_exp = int(1021 - (order - 1) * (np.log2(n) + b_exp))
+        a = DenseTensor(rng.uniform(0.5, 1.0, size=(n,) * order) * 2.0**a_exp)
+        b = DenseTensor(np.full((n, n), 2.0**b_exp))
+        assert product._bounded(a, b)
+        with np.errstate(over="raise"):
+            want = tensordot_product(a.data, b.data)
+        assert shao_product(a, b).data.tobytes() == want.tobytes()
+
+    def test_unbounded_finite_result_has_the_tensordot_bits(self, rng):
+        # the 1e300 entry only meets B's small rows, and B's 1e10 entries
+        # only meet A's small entries, so the result is finite although the
+        # bound, 1e300 * (3e10)^2, is far past the float range
+        a = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+        a[0, 0, 0] = 1e300
+        b = rng.uniform(-1.0, 1.0, size=(3, 3))
+        b[1:] *= 1e10
+        a, b = DenseTensor(a), DenseTensor(b)
+        assert not product._bounded(a, b)
+        got = shao_product(a, b).data
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == tensordot_product(a.data, b.data).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 4, 26])
+    def test_unbounded_overflowing_result_is_a_domain_error(self, n, rng):
+        a = rng.uniform(0.5, 1.0, size=(n,) * 3)
+        a[-1] = 1e200
+        b = rng.uniform(0.5, 1.0, size=(n,) * 3) * 1e100
+        a, b = DenseTensor(a), DenseTensor(b)
+        assert not product._bounded(a, b)
+        with pytest.raises(DomainError, match="^general product overflows float64$"):
+            shao_product(a, b)
+
+
 class TestPermutationProduct:
     """A permutation-matrix factor gives the contraction's bits; J is applied as a reversal."""
 

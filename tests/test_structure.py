@@ -236,6 +236,35 @@ class TestStreamedCompare:
         assert peaks["decompose"] <= 2.25
 
 
+class TestOneBlockCompare:
+    """Up to _BLOCK entries, _compare's whole-array pass equals the streamed loop."""
+
+    SIZES = [1, 2, 3, 7, 64, 1000, structure._BLOCK - 1, structure._BLOCK]
+
+    @staticmethod
+    def _operands(size, case, rng):
+        if case == "ties":  # integers: ties and exact zeros everywhere
+            x = rng.integers(-2, 3, size).astype(float)
+        elif case == "zeros":
+            x = np.zeros(size)
+        else:  # deviations that overflow at +-1e308 among ordinary ones
+            x = rng.uniform(-1.0, 1.0, size)
+            x[rng.random(size) < 0.2] = 1e308
+            x[rng.random(size) < 0.2] = -1e308
+        return x, rng.permutation(x) if case == "ties" else x[::-1]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("case", ["ties", "zeros", "limit"])
+    def test_same_extremes_and_report_as_the_loop(self, size, case, rng):
+        x, y = self._operands(size, case, rng)
+        got = structure._deviations(x, y)
+        assert got == structure._streamed_deviations(x, y)
+        for tol in (0.0, 1.0, 10.0):
+            with np.errstate(over="ignore"):
+                want = full_structure_report(x, np.ascontiguousarray(y), tol)
+            assert structure._compare(x, y, tol) == want, tol
+
+
 class TestRandomStructured:
     def test_same_seed_is_identical(self):
         a = random_structured(3, 4, "skew", seed=99)
