@@ -10,7 +10,12 @@ alternating rep by rep so that a drift in machine speed hits both alike.
 changes instead, recorded as ``<HEAD>-dirty``.
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
-git_rev}``; one rep times the whole case once.  ``--out`` merges the new
+best_of, git_rev}``.  One rep times the whole case after a warm-up call,
+as the best of as many calls as fit in BEST_OF_S (at most BEST_OF_MAX),
+and ``best_of`` is the fewest calls any rep took: a case of about 10 ms
+varies call to call by more than the 15% change it should resolve, so it
+takes the best of 30 calls, while a case over BEST_OF_S takes one.
+``best_s`` and ``median_s`` are over the reps' figures.  ``--out`` merges the new
 rows into the file if it exists: a row with the same ``git_rev``, layer
 and case is replaced where it stands, and the others are appended.  The
 cases:
@@ -71,6 +76,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
+# Calls per rep: as many as fit in BEST_OF_S of the warm-up's time, at most BEST_OF_MAX.
+BEST_OF_S = 0.3
+BEST_OF_MAX = 30
 
 
 def _timed(fn) -> float:
@@ -86,7 +94,7 @@ def _palindrome(rng, n: int) -> np.ndarray:
 
 
 def measure() -> list:
-    """Time every case once, after a warm-up, against the library on sys.path."""
+    """Time every case, the best of its calls after a warm-up, against the library on sys.path."""
     from centrotensor import cauchy, core, eigen, product, structure
 
     panel_rng, solve_rng = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
@@ -210,8 +218,9 @@ def measure() -> list:
     ]
     out = []
     for layer, case, sizes, fn in cases:
-        fn()  # warm-up
-        out.append({"layer": layer, "case": case, "sizes": sizes, "s": _timed(fn)})
+        calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(fn))))  # the warm-up
+        best = min(_timed(fn) for _ in range(calls))
+        out.append({"layer": layer, "case": case, "sizes": sizes, "s": best, "best_of": calls})
     return out
 
 
@@ -282,7 +291,8 @@ def main(argv=None) -> int:
             records.append({
                 "layer": first["layer"], "case": first["case"], "sizes": first["sizes"],
                 "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
-                "reps": len(times), "git_rev": rev,
+                "reps": len(times), "best_of": min(r[i]["best_of"] for r in per_rep),
+                "git_rev": rev,
             })
     Path(args.out).write_text(json.dumps(merge_records(Path(args.out), records), indent=1) + "\n")
     for rec in records:

@@ -43,6 +43,14 @@ MAX_ORDER = 64
 # Largest entry count any construction allocates (512 MB of floats), and
 # the default result cap of the general product.
 DEFAULT_ENTRY_CAP = 2**26
+# Rows per block of contract_trailing's first-slot gemm.  OpenBLAS (0.3.31,
+# Haswell kernels on an AVX-512 host) gives a row the same bits at every
+# position of an 8-row block, but not of 16-, 32- or 64-row ones: at
+# (n, m) = (5, 5), (7, 4), (7, 5) and (26, 3), rows 12-15 of 16, 24-31 of
+# 32 and 60-63 of 64 differ from the same row at position 0, as do rows
+# 120-125 of one gemm on 128 rows.  Each block is its own gemm, so the
+# stack height moves no bits either.
+_BLOCK_ROWS = 8
 
 
 class DomainError(Exception):
@@ -229,27 +237,37 @@ def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarra
 
     data has shape (n,)*k and xs shape (S, n); the result has shape
     (S,) + (n,)*(k-count).  The shared tensor is contracted one slot at a
-    time against the whole stack (batched vector-matrix products for the
-    first slot, then batched matrix-vector products on partial results),
-    so it is never copied per row.  With count 0 the result is a
-    read-only broadcast view of data.
+    time against the whole stack (matrix products on the first slot, then
+    batched matrix-vector products on partial results), so it is never
+    copied per row.  With count 0 the result is a read-only broadcast
+    view of data.
 
-    Every row goes through the same one-row product whatever S is: numpy
-    sends a one-row matrix product to gemv, which rounds differently from
-    the gemm a multi-row product gets, so a single stacked product would
-    make a row's last bits depend on the stack height.  Per row, a row's
-    result is the same bits alone or in any stack; at order 5, dim 8 and
-    50-850 rows the whole contraction takes 1.8-2.6x as long as the same
-    chain with one gemm on the first slot (one BLAS thread, OpenBLAS
-    0.3.31).
+    The first slot is one batched matrix product of the stack, zero-padded
+    to whole blocks of _BLOCK_ROWS rows, against data: a gemm per block,
+    which reuses each panel of data it loads across the block's rows where
+    a one-row product (gemv) reloads it per row.  Every block is the same
+    gemm whatever S is, and a row's bits do not depend on its place in it
+    (see _BLOCK_ROWS), so a row's result is the same bits alone or in any
+    stack.  At order 5, dim 8 and 50-850 rows the first slot takes
+    0.3-0.45x the time of one gemv per row and the four-slot contraction
+    0.45-0.65x, while a lone row pays about 20 us for its seven zero rows
+    (one BLAS thread, OpenBLAS 0.3.31).
     """
     s, n = xs.shape
     if count == 0:
         return np.broadcast_to(data, (s,) + data.shape)
-    out = np.matmul(xs[:, None, :], data.reshape(-1, n).T)[:, 0]
+    padded = np.zeros((_whole_blocks(s), n))
+    padded[:s] = xs
+    first = data.reshape(-1, n).T
+    out = np.matmul(padded.reshape(-1, _BLOCK_ROWS, n), first).reshape(-1, first.shape[1])[:s]
     for k in range(count - 1):
         out = np.matmul(out.reshape(s, n ** (data.ndim - 2 - k), n), xs[:, :, None])
     return out.reshape((s,) + data.shape[: data.ndim - count])
+
+
+def _whole_blocks(rows: int) -> int:
+    """rows rounded up to whole _BLOCK_ROWS blocks: the first slot's padded stack height."""
+    return -(-rows // _BLOCK_ROWS) * _BLOCK_ROWS
 
 
 def poly_eval(a: DenseTensor, x) -> float:

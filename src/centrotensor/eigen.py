@@ -24,9 +24,11 @@ Contents:
   the full step is tried for every start, then the halvings of the
   starts it failed are evaluated in stacked chunks of consecutive
   halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
-  n^(m-1)) holds, and each start takes its first accepted halving.  Each
-  row is contracted on its own (see core.contract_trailing), so neither
-  the chunking nor the other starts change a start's bits.  Componentwise
+  n^(m-1)) holds, and each start takes its first accepted halving.  The
+  first slot of every contraction is a gemm on zero-padded 8-row blocks,
+  which gives a row the same bits at any place in any stack (see
+  core.contract_trailing), so neither the chunking nor the other starts
+  change a start's bits.  Componentwise
   powers are left-to-right products (_power), not libm pow: orders up to
   3 keep the bits x ** k gave, orders 4 and 5 can differ in the last
   bits.  Starts leave the active stack as they converge, stall, take a
@@ -53,6 +55,7 @@ from .core import (
     ConsistencyError,
     DenseTensor,
     _check_cap,
+    _whole_blocks,
     apply,
     as_generator,
     check_count,
@@ -170,7 +173,7 @@ def residual(a: DenseTensor, value: float, x) -> float:
 
 def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
-    apply contracts each row on its own, so its bits do not depend on the stack."""
+    apply's 8-row gemm blocks give a row the same bits alone or in any stack."""
     return np.max(np.abs(apply(a, xs) - lams[..., None] * _power(xs, a.order - 1)), axis=-1)
 
 
@@ -460,7 +463,8 @@ def solve_eigen(
     when scaled back counts as rejected.
 
     Raises ResourceLimitError, before any start is drawn, when the first
-    contraction or the Jacobian stack would hold more than
+    contraction (starts rounded up to whole 8-row blocks, see
+    core.contract_trailing) or the Jacobian stack would hold more than
     core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
     An empty result is legal; completeness is not guaranteed.
     """
@@ -473,7 +477,8 @@ def solve_eigen(
         )
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
-    stack = starts * max(n ** (m - 1), (n + 1) ** 2)
+    # the first contraction holds whole 8-row blocks of n^(m-1) entries
+    stack = max(_whole_blocks(starts) * n ** (m - 1), starts * (n + 1) ** 2)
     _check_cap(stack, f"{starts} starts on order {m} dim {n} stack")
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:

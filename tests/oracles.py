@@ -78,14 +78,17 @@ def brute_row_sums(data: np.ndarray) -> np.ndarray:
 def _contract_row(data: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
     """Contract the last `count` slots of data with x, one slot at a time.
 
-    core.contract_trailing's chain on one row: a one-row matrix product on
-    the first slot, then matrix-vector products, so the same BLAS calls and
-    the same bits as that row inside any stack.
+    core.contract_trailing's chain on one row: x as row 0 of a zero-padded
+    8-row block in one block-batched matrix product on the first slot, then
+    matrix-vector products, so the same BLAS calls and the same bits as
+    that row inside any stack.
     """
     if count == 0:
         return data
     n = len(x)
-    out = np.matmul(x[None, :], data.reshape(-1, n).T)[0]
+    block = np.zeros((1, 8, n))
+    block[0, 0] = x
+    out = np.matmul(block, data.reshape(-1, n).T)[0, 0]
     for k in range(count - 1):
         out = np.matmul(out.reshape(n ** (data.ndim - 2 - k), n), x)
     return out.reshape(data.shape[: data.ndim - count])

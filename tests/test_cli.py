@@ -27,6 +27,17 @@ def write_tensor(path, tensor):
     return str(path)
 
 
+def run_process(argv, **env):
+    """Run the CLI in a fresh Python process with these environment additions."""
+    package_root = str(Path(centrotensor.__file__).resolve().parents[1])
+    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "centrotensor.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io
@@ -309,16 +320,25 @@ def test_overflowing_product_exits_1_with_threaded_blas(threads, tmp_path):
     a[-1] = 1e200
     b = rng.uniform(0.5, 1.0, size=(26,) * 3) * 1e100
     paths = [write_tensor(tmp_path / f"{name}.json", DenseTensor(t)) for name, t in (("a", a), ("b", b))]
-    package_root = str(Path(centrotensor.__file__).resolve().parents[1])
-    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), OPENBLAS_NUM_THREADS=threads)
-    proc = subprocess.run(
-        [sys.executable, "-m", "centrotensor.cli", "prod", *paths],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_process(["prod", *paths], OPENBLAS_NUM_THREADS=threads)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "general product overflows float64" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("m,n", [(5, 8), (4, 7), (3, 5)])
+def test_eig_stdout_is_the_same_with_1_and_2_blas_threads(m, n, tmp_path):
+    # The BLAS thread count is read when numpy loads, so each count needs
+    # its own process.  Every first-slot contraction is a gemm on 8-row
+    # blocks, whose bits must not depend on how OpenBLAS splits the work.
+    path = write_tensor(tmp_path / "a.json", random_structured(m, n, "centro", seed=0))
+    outs = []
+    for threads in ("1", "2"):
+        proc = run_process(["eig", path], OPENBLAS_NUM_THREADS=threads)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["pairs"]
+    assert outs[0] == outs[1]
 
 
 class TestEig:
@@ -383,13 +403,7 @@ class TestEigNearTheFloatLimit:
     def test_returns_strict_json_with_every_start_counted(self, name, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(self.TENSORS[name]))
-        package_root = str(Path(centrotensor.__file__).resolve().parents[1])
-        search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "centrotensor.cli", "eig", str(path), "--starts", "5"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_process(["eig", str(path), "--starts", "5"])
         assert (proc.returncode, proc.stderr) == (0, "")
         stats = _strict_json(proc.stdout)["stats"]
         ends = ("converged", "rejected", "stalled", "non_finite", "max_iter")
@@ -589,12 +603,13 @@ def test_usage_error_exits_2(capsys):
 # polynomial reflection and the closed forms moved onto contract_trailing;
 # any change to these bytes is a change of output.  prod and the sandwich
 # and commutation checks are left out: their last bits depend on the
-# machine's BLAS.  eig at orders 2 and 3 and verify-all (whose suite
-# solves eigenpairs) were recorded with numpy 2.4 on OpenBLAS 0.3.31,
-# before the solver's powers became left-to-right products, which keeps
-# every bit below order 4; another BLAS may round their contractions
-# differently.  The order-3 inverse passes a valid --tol, which that path
-# accepts and ignores.
+# machine's BLAS.  verify-all (whose suite solves eigenpairs) was
+# recorded with numpy 2.4 on OpenBLAS 0.3.31, before the solver's powers
+# became left-to-right products, which keeps every bit below order 4;
+# eig at orders 2 and 3 was re-recorded on the same BLAS when
+# contract_trailing's first slot became 8-row gemm blocks.  Another BLAS
+# may round their contractions differently.  The order-3 inverse passes a
+# valid --tol, which that path accepts and ignores.
 GOLDEN = {
     "gen": (
         "gen --order 3 --dim 4 --kind general --seed 5",
@@ -622,11 +637,11 @@ GOLDEN = {
     ),
     "eig-order2": (
         "eig {dir}/centro2.json",
-        "9a2297c55012528573e57211b52c2be54093f3854c3e31e79951a2f91636aa1d",
+        "10c7e1f4542c861fa723f0d981744675a65164ee20cf4eb20a0e5e31ccef1066",
     ),
     "eig-order3": (
         "eig {dir}/centro3.json",
-        "a8a9c8677cb52bef3dfa466914678c0b9ba11e426d7b7b925356518eb96f86f3",
+        "4cc8fe631c54b212134908b53bbf72694333ab1975795a47a7ed9ac0314974ab",
     ),
     "verify-all": (
         "verify-all --seed 0 --trials 40",

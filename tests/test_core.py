@@ -28,6 +28,7 @@ from centrotensor import (
     sub,
 )
 from centrotensor import structure
+from centrotensor.core import contract_trailing
 from oracles import brute_apply, brute_poly, brute_reverse, brute_row_sums
 
 
@@ -285,6 +286,31 @@ class TestApply:
         lhs = apply(a, t * x)
         rhs = t ** (a.order - 1) * apply(a, x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestContractTrailing:
+    # Stack heights around the 8-row blocks of the first slot, up to 300.
+    STACKS = (1, 2, 7, 8, 9, 15, 16, 17, 50, 127, 300)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_bits_do_not_depend_on_the_stack(self, n, m):
+        # At every (n, m) the solver accepts and every count (the residual's
+        # m - 1, the Jacobian's m - 2, poly_eval's m), a row's result is the
+        # same bits alone as at each position of every stack.  The stacks
+        # are shifted windows of one pool, so a row meets several positions.
+        # Run it with OPENBLAS_NUM_THREADS=2 too: the count is read when
+        # numpy loads.
+        rng = np.random.default_rng(10 * m + n)
+        data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+        pool = rng.normal(size=(max(self.STACKS), n))
+        for count in range(m + 1):
+            alone = np.array([contract_trailing(data, row[None, :], count)[0] for row in pool])
+            for size in self.STACKS:
+                for shift in (0, 3, 13):
+                    rows = (np.arange(size) + shift) % len(pool)
+                    got = contract_trailing(data, pool[rows], count)
+                    assert got.tobytes() == alone[rows].tobytes(), (count, size, shift)
 
 
 class TestPolyEval:

@@ -324,7 +324,7 @@ class TestSolveEigen:
     @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (5, 3)])
     def test_reported_residual_is_the_pair_residual(self, m, n):
         # the solver checks its pairs as one stack, residual() one at a time;
-        # each row is contracted on its own, so the bits agree
+        # a row's bits are the same alone or in an 8-row gemm block, so they agree
         a = random_structured(m, n, "centro", seed=m)
         pairs = solve_eigen(a, starts=40, seed=0).pairs
         assert len(pairs) >= 2
@@ -430,19 +430,23 @@ class TestSolveEigen:
         with pytest.raises(ValueError):
             solve_eigen(sym_matrix, **kwargs)
 
-    # per start: max(n^(m-1), (n+1)^2) entries, the first contraction or
-    # the Jacobian stack, whichever is larger
-    @pytest.mark.parametrize("m,n,per_start", [(2, 2, 9), (4, 3, 27), (5, 8, 4096)])
-    def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, per_start, monkeypatch):
+    # the larger of the first contraction, starts rounded up to whole
+    # 8-row blocks times n^(m-1) entries, and the Jacobian stack, starts
+    # times (n+1)^2: 8 and 9 starts sit on either side of a block edge
+    @pytest.mark.parametrize(
+        "m,n,starts,entries",
+        [(2, 2, 10, 90), (4, 3, 10, 432), (5, 8, 10, 65536), (5, 8, 8, 32768), (5, 8, 9, 65536)],
+    )
+    def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, starts, entries, monkeypatch):
         a = DenseTensor.zeros(m, n)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 10 * per_start - 1)
-        with pytest.raises(core.ResourceLimitError, match=f"{10 * per_start} entries, exceeding"):
-            solve_eigen(a, starts=10, seed=rng)
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", entries - 1)
+        with pytest.raises(core.ResourceLimitError, match=f"{entries} entries, exceeding"):
+            solve_eigen(a, starts=starts, seed=rng)
         assert rng.bit_generator.state == state
-        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 10 * per_start)
-        assert solve_eigen(a, starts=10, seed=rng).stats.attempted == 10
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", entries)
+        assert solve_eigen(a, starts=starts, seed=rng).stats.attempted == starts
 
     def test_zero_starts_is_empty(self, sym_matrix):
         result = solve_eigen(sym_matrix, starts=0)
