@@ -30,7 +30,10 @@ cases:
   each solved at 200 starts from that generator (the draws are timed too;
   they are a few percent of the case);
 * ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
-  trailing slots, for stacks of 50 and 850 vectors;
+  trailing slots, for stacks of 50 and 850 vectors; of its Jacobian
+  tensor (``eigen._jacobian_tensor``) on three slots for 50 vectors; and
+  of an order-4 dim-4 tensor on three slots for 200 vectors, the size of
+  the eig-survey panel's residuals;
 * ``eigen._newton_steps`` on the Newton stacks of one 200-start solve of
   an order-4 palindromic Cauchy tensor that hold an exactly singular
   system (recorded in the same process, so at the commit being timed);
@@ -56,8 +59,9 @@ cases:
   size of the order-3 product.  The library's own results skip both
   (``DenseTensor._adopt``), so this is the cost a caller's array pays.
 
-The two contractions are 20 calls per rep; the structure and J-product
-cases call each of the three tensors as often as their ``calls`` size says.
+The order-5 contractions are 20 calls per rep and the order-4 one 200;
+the structure and J-product cases call each of the three tensors as often
+as their ``calls`` size says.
 """
 
 from __future__ import annotations
@@ -118,7 +122,10 @@ def measure() -> list:
 
     big = structure.random_structured(5, 8, "centro", seed=SEED)
     data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(8,) * 5)
+    jac_data = eigen._jacobian_tensor(data)
     stacks = {s: np.random.default_rng(SEED).normal(size=(s, 8)) for s in (50, 850)}
+    small = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(4,) * 4)
+    small_stack = np.random.default_rng(SEED).normal(size=(200, 4))
 
     recorded = []
     newton_steps = eigen._newton_steps
@@ -182,6 +189,12 @@ def measure() -> list:
         ("core.contract_trailing", "m=5 n=8 S=850",
          {"order": 5, "dim": 8, "stack": 850, "calls": 20},
          lambda: [core.contract_trailing(data, stacks[850], 4) for _ in range(20)]),
+        ("core.contract_trailing", "m=5 n=8 Jacobian tensor, 3 slots, S=50",
+         {"order": 5, "dim": 8, "count": 3, "stack": 50, "calls": 20},
+         lambda: [core.contract_trailing(jac_data, stacks[50], 3) for _ in range(20)]),
+        ("core.contract_trailing", "m=4 n=4 S=200",
+         {"order": 4, "dim": 4, "count": 3, "stack": 200, "calls": 200},
+         lambda: [core.contract_trailing(small, small_stack, 3) for _ in range(200)]),
         ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks",
          {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded),
           "singular": singular},

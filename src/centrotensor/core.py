@@ -43,13 +43,16 @@ MAX_ORDER = 64
 # Largest entry count any construction allocates (512 MB of floats), and
 # the default result cap of the general product.
 DEFAULT_ENTRY_CAP = 2**26
-# Rows per block of contract_trailing's first-slot gemm.  OpenBLAS (0.3.31,
-# Haswell kernels on an AVX-512 host) gives a row the same bits at every
-# position of an 8-row block, but not of 16-, 32- or 64-row ones: at
-# (n, m) = (5, 5), (7, 4), (7, 5) and (26, 3), rows 12-15 of 16, 24-31 of
-# 32 and 60-63 of 64 differ from the same row at position 0, as do rows
-# 120-125 of one gemm on 128 rows.  Each block is its own gemm, so the
-# stack height moves no bits either.
+# Rows per block of contract_trailing's first-stage gemm.  OpenBLAS
+# (0.3.31, Haswell kernels on an AVX-512 host) gives a row the same bits at
+# every position of an 8-row block, but not of 16-, 32- or 64-row ones.
+# On one slot, (8, n) @ (n, n^(m-1)): at (n, m) = (5, 5), (7, 4), (7, 5)
+# and (26, 3), rows 12-15 of 16, 24-31 of 32 and 60-63 of 64 differ from
+# the same row at position 0, as do rows 120-125 of one gemm on 128 rows.
+# On two slots, (8, n^2) @ (n^2, n^(m-2)): 8-row blocks agree at every
+# n = 1-8, m = 3-5, with 1 and 2 BLAS threads, while at (7, 5) rows 12-15
+# of 16, 24-27 of 32 and 60-63 of 64 differ.  Each block is its own gemm,
+# so the stack height moves no bits either.
 _BLOCK_ROWS = 8
 
 
@@ -220,7 +223,8 @@ def apply(a: DenseTensor, x) -> np.ndarray:
     """Contract all trailing slots with x: result_i = sum a[i,i2..im] x_i2...x_im.
 
     x may also be a stack of vectors of shape (S, n); row s of the result
-    is then A x_s^{m-1}.
+    is then A x_s^{m-1}.  A stack whose contraction would hold more than
+    DEFAULT_ENTRY_CAP entries (see _stack_entries) is a ResourceLimitError.
     """
     if a.order < 2:
         raise ValueError("apply requires tensor order >= 2")
@@ -229,6 +233,10 @@ def apply(a: DenseTensor, x) -> np.ndarray:
         raise ValueError(f"vector of length {a.dim} required, got shape {x.shape}")
     if x.ndim == 1:
         return contract_trailing(a.data, x[None, :], a.order - 1)[0]
+    rows = len(x)
+    _check_cap(
+        _stack_entries(rows, a.order, a.dim), f"stack of {rows} vectors on order {a.order} dim {a.dim}"
+    )
     return contract_trailing(a.data, x, a.order - 1)
 
 
@@ -236,38 +244,69 @@ def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarra
     """Contract the last `count` slots of data with each row of the stack xs.
 
     data has shape (n,)*k and xs shape (S, n); the result has shape
-    (S,) + (n,)*(k-count).  The shared tensor is contracted one slot at a
-    time against the whole stack (matrix products on the first slot, then
-    batched matrix-vector products on partial results), so it is never
-    copied per row.  With count 0 the result is a read-only broadcast
-    view of data.
+    (S,) + (n,)*(k-count).  The shared tensor is contracted against the
+    whole stack (matrix products on the last c slots at once, then
+    batched matrix-vector products on partial results, one slot each), so
+    it is never copied per row.  With count 0 the result is a read-only
+    broadcast view of data.
 
-    The first slot is one batched matrix product of the stack, zero-padded
-    to whole blocks of _BLOCK_ROWS rows, against data: a gemm per block,
-    which reuses each panel of data it loads across the block's rows where
-    a one-row product (gemv) reloads it per row.  Every block is the same
-    gemm whatever S is, and a row's bits do not depend on its place in it
-    (see _BLOCK_ROWS), so a row's result is the same bits alone or in any
-    stack.  At order 5, dim 8 and 50-850 rows the first slot takes
-    0.3-0.45x the time of one gemv per row and the four-slot contraction
-    0.45-0.65x, while a lone row pays about 20 us for its seven zero rows
-    (one BLAS thread, OpenBLAS 0.3.31).
+    The first stage takes c = 2 slots (see _first_slots; 1 when count is
+    1 or data is a matrix).  Each row's outer product x (x) x (entry
+    (j, k) = x_j * x_k, k fastest) is written into a stack zero-padded to
+    whole blocks of _BLOCK_ROWS rows, and one batched matrix product of
+    shape (ceil(S/8), 8, n^c) @ (n^c, n^(k-c)) contracts it against data: a
+    gemm per block, which reuses each panel of data it loads across the
+    block's rows where a one-row product (gemv) reloads it per row, and
+    which sums the n^2 terms of two slots in one pass.  Every block is the
+    same gemm whatever S is, and a row's bits do not depend on its place
+    in it (see _BLOCK_ROWS), so a row's result is the same bits alone or
+    in any stack.  Against one gemm slot followed by gemv slots, the
+    four-slot contraction at order 5, dim 8 takes 0.52x the time at 50
+    rows and 0.44x at 850, the Jacobian tensor's three slots 0.50x at 50
+    rows, and order 4, dim 4 at 200 rows 0.88x; a lone row still pays for
+    its block's seven zero rows (medians of 9 processes, one BLAS thread,
+    OpenBLAS 0.3.31).  With count 1 the stage is that one gemm slot.
     """
     s, n = xs.shape
     if count == 0:
         return np.broadcast_to(data, (s,) + data.shape)
-    padded = np.zeros((_whole_blocks(s), n))
-    padded[:s] = xs
-    first = data.reshape(-1, n).T
-    out = np.matmul(padded.reshape(-1, _BLOCK_ROWS, n), first).reshape(-1, first.shape[1])[:s]
-    for k in range(count - 1):
-        out = np.matmul(out.reshape(s, n ** (data.ndim - 2 - k), n), xs[:, :, None])
+    c = _first_slots(data.ndim, count)
+    padded = np.zeros((_whole_blocks(s),) + (n,) * c)
+    if c == 1:
+        padded[:s] = xs
+    else:
+        # einsum's loop fills the short rows of x (x) x faster than a broadcast multiply
+        np.einsum("si,sj->sij", xs, xs, out=padded[:s])
+    first = data.reshape(-1, n**c).T
+    out = np.matmul(padded.reshape(-1, _BLOCK_ROWS, n**c), first).reshape(-1, first.shape[1])[:s]
+    for k in range(count - c):
+        out = np.matmul(out.reshape(s, n ** (data.ndim - 1 - c - k), n), xs[:, :, None])
     return out.reshape((s,) + data.shape[: data.ndim - count])
 
 
+def _first_slots(order: int, count: int) -> int:
+    """Slots contract_trailing's first stage takes at once: two, unless
+    count is 1 or they would be every slot of a matrix, whose n^2-entry
+    outer products would make each 8-row block 8 times the matrix."""
+    return 2 if count >= 2 and order >= 3 else 1
+
+
 def _whole_blocks(rows: int) -> int:
-    """rows rounded up to whole _BLOCK_ROWS blocks: the first slot's padded stack height."""
+    """rows rounded up to whole _BLOCK_ROWS blocks: the first stage's padded stack height."""
     return -(-rows // _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _stack_entries(rows: int, order: int, dim: int) -> int:
+    """Whole blocks of rows times dim^(order-1) entries (dim at order 1).
+
+    This bounds every array contract_trailing builds on `rows` rows of an
+    order-`order` tensor, whatever the count: a padded row holds dim^c
+    entries and its first-stage product dim^(order-c), with c from
+    _first_slots between 1 and order - 1 (1 at order 1), and each later
+    slot shrinks the row.  Callers check it against the cap before they
+    draw or allocate a stack.
+    """
+    return _whole_blocks(rows) * dim ** max(1, order - 1)
 
 
 def poly_eval(a: DenseTensor, x) -> float:

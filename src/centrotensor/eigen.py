@@ -15,18 +15,21 @@ Contents:
 * a multistart damped-Newton solver for general desk-scale tensors.  All
   starts are drawn in one (starts, n) normal draw (the same stream as one
   size-n draw per start) and step together on stacked arrays: the shared
-  tensor is contracted one slot at a time against the whole stack, the
-  Jacobians come from one tensor summed once per solve, and each Newton
-  step is one stacked linear solve, _newton_steps.  It takes non-finite
+  tensor is contracted against the whole stack, its last two slots at
+  once on each row's outer product x (x) x and any others one at a time
+  (core.contract_trailing), the Jacobians come from one tensor summed
+  once per solve, and each Newton step is one stacked linear solve,
+  _newton_steps.  It takes non-finite
   systems too, each of which gets a NaN step and is never solved, and a
   stacked slogdet singles out exactly singular Jacobians for least
   squares while the rest stay stacked.  Damping stays per start:
   the full step is tried for every start, then the halvings of the
   starts it failed are evaluated in stacked chunks of consecutive
-  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
-  n^(m-1)) holds, and each start takes its first accepted halving.  The
-  first slot of every contraction is a gemm on zero-padded 8-row blocks,
-  which gives a row the same bits at any place in any stack (see
+  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times the
+  residual contraction's first-stage row, n^max(c, m-c) for its c slots
+  taken at once) holds, and each start takes its first accepted halving.
+  The first stage of every contraction is a gemm on zero-padded 8-row
+  blocks, which gives a row the same bits at any place in any stack (see
   core.contract_trailing), so neither the chunking nor the other starts
   change a start's bits.  Componentwise
   powers are left-to-right products (_power), not libm pow: orders up to
@@ -55,7 +58,8 @@ from .core import (
     ConsistencyError,
     DenseTensor,
     _check_cap,
-    _whole_blocks,
+    _first_slots,
+    _stack_entries,
     apply,
     as_generator,
     check_count,
@@ -173,7 +177,8 @@ def residual(a: DenseTensor, value: float, x) -> float:
 
 def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
-    apply's 8-row gemm blocks give a row the same bits alone or in any stack."""
+    apply's first stage, a gemm on 8-row blocks of x (x) x (x alone at
+    order 2), gives a row the same bits alone or in any stack."""
     return np.max(np.abs(apply(a, xs) - lams[..., None] * _power(xs, a.order - 1)), axis=-1)
 
 
@@ -352,11 +357,13 @@ _RUNNING, _REACHED, _STALLED, _NON_FINITE = 0, 1, 2, 3
 # The line search tries the full step and then up to this many halvings.
 _HALVINGS = 16
 _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
-# Entry budget of one line-search chunk: its rows times n^(m-1), the size
-# of the first partial contraction (2^16 entries are 512 KB).  It bounds
-# work as well as memory: halvings past a start's first accepted one are
-# evaluated for nothing, which costs more than the saved calls once a row
-# is large (order 5, dim 8: a row is 4096 entries, so 16 rows a chunk).
+# Entry budget of one line-search chunk: its rows times n^max(c, m-c), the
+# larger of the residual contraction's first-stage arrays per row, x (x) x
+# (n^c entries, c = core._first_slots(m, m - 1)) and its product with the
+# tensor (n^(m-c)); 2^16 entries are 512 KB.  It bounds work as well as
+# memory: halvings past a start's first accepted one are evaluated for
+# nothing, which costs more than the saved calls once a row is large
+# (order 5, dim 8: a row is 512 entries, so 128 rows a chunk).
 LINE_SEARCH_ENTRIES = 2**16
 
 
@@ -462,9 +469,10 @@ def solve_eigen(
     and residuals are reported for A, and a pair whose value overflows
     when scaled back counts as rejected.
 
-    Raises ResourceLimitError, before any start is drawn, when the first
-    contraction (starts rounded up to whole 8-row blocks, see
-    core.contract_trailing) or the Jacobian stack would hold more than
+    Raises ResourceLimitError, before any start is drawn, when the
+    contractions (starts rounded up to whole 8-row blocks times n^(m-1),
+    which bounds every array of core.contract_trailing, see
+    core._stack_entries) or the Jacobian stack would hold more than
     core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
     An empty result is legal; completeness is not guaranteed.
     """
@@ -477,8 +485,8 @@ def solve_eigen(
         )
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
-    # the first contraction holds whole 8-row blocks of n^(m-1) entries
-    stack = max(_whole_blocks(starts) * n ** (m - 1), starts * (n + 1) ** 2)
+    # the contractions hold at most whole 8-row blocks of n^(m-1) entries
+    stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2)
     _check_cap(stack, f"{starts} starts on order {m} dim {n} stack")
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:
@@ -488,7 +496,8 @@ def solve_eigen(
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
-    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
+    c = _first_slots(m, m - 1)
+    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** max(c, m - c))
     diag = np.arange(n)
 
     # One draw of shape (starts, n) consumes the same stream as `starts`

@@ -39,6 +39,8 @@ import numpy as np
 
 from .core import (
     DenseTensor,
+    _check_cap,
+    _stack_entries,
     add,
     as_generator,
     check_count,
@@ -343,9 +345,14 @@ def verify_poly_reflection(a: DenseTensor, trials: int = 20, seed=0) -> bool:
 
     Per-sample bound is 1e-10 * max(1, |f(x)|) (_POLY_TOL).  The tensor
     must classify centro or skew.  All samples come from one (trials, n) draw,
-    the same stream as one size-n draw per trial.
+    the same stream as one size-n draw per trial.  Trials whose contraction
+    would hold more than core.DEFAULT_ENTRY_CAP entries (see
+    core._stack_entries) are a ResourceLimitError, raised before the draw.
     """
     trials = check_count(trials, "trials")
+    _check_cap(
+        _stack_entries(trials, a.order, a.dim), f"{trials} trials on order {a.order} dim {a.dim} stack"
+    )
     sign = reflection_sign(a)
     xs = as_generator(seed).uniform(-1.0, 1.0, size=(trials, a.dim))
     fx = contract_trailing(a.data, xs, a.order)

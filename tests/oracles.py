@@ -7,6 +7,7 @@ is meaningful.
 
 import itertools
 import json
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -76,22 +77,54 @@ def brute_row_sums(data: np.ndarray) -> np.ndarray:
 
 
 def _contract_row(data: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
-    """Contract the last `count` slots of data with x, one slot at a time.
+    """Contract the last `count` slots of data with x, the last two at once.
 
-    core.contract_trailing's chain on one row: x as row 0 of a zero-padded
-    8-row block in one block-batched matrix product on the first slot, then
-    matrix-vector products, so the same BLAS calls and the same bits as
-    that row inside any stack.
+    core.contract_trailing's chain on one row: the outer product x (x) x
+    (x alone when count is 1 or data is a matrix) as row 0 of a
+    zero-padded 8-row block in one block-batched matrix product on the
+    last two slots, then matrix-vector products, so the same BLAS calls
+    and the same bits as that row inside any stack.
     """
     if count == 0:
         return data
     n = len(x)
-    block = np.zeros((1, 8, n))
-    block[0, 0] = x
-    out = np.matmul(block, data.reshape(-1, n).T)[0, 0]
-    for k in range(count - 1):
-        out = np.matmul(out.reshape(n ** (data.ndim - 2 - k), n), x)
+    c = 2 if count >= 2 and data.ndim >= 3 else 1
+    block = np.zeros((1, 8, n**c))
+    block[0, 0] = np.multiply.outer(x, x).reshape(-1) if c == 2 else x
+    out = np.matmul(block, data.reshape(-1, n**c).T)[0, 0]
+    for k in range(count - c):
+        out = np.matmul(out.reshape(n ** (data.ndim - 1 - c - k), n), x)
     return out.reshape(data.shape[: data.ndim - count])
+
+
+def _as_integers(values: np.ndarray):
+    """Integers z (an object array) and a shift s with values == z / 2**s exactly."""
+    ratios = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
+    shift = max(q.bit_length() - 1 for _, q in ratios)
+    z = np.empty(len(ratios), dtype=object)
+    z[:] = [p << (shift - q.bit_length() + 1) for p, q in ratios]
+    return z.reshape(np.shape(values)), shift
+
+
+def exact_contract_row(data: np.ndarray, x: np.ndarray, count: int):
+    """The last `count` slots of data contracted with x in exact arithmetic.
+
+    Entries and components are integers over a power of two, contracted
+    one slot at a time in Python integers, so no step rounds.  Returns two
+    flat lists of Fractions: each result entry, and the sum of the
+    magnitudes of the terms it adds (the same contraction of |data| and
+    |x|).
+    """
+    dz, dshift = _as_integers(data)
+    xz, xshift = _as_integers(x)
+    value, size = dz, np.abs(dz)
+    for _ in range(count):
+        value, size = value.dot(xz), size.dot(np.abs(xz))
+    den = 1 << (dshift + count * xshift)
+    return (
+        [Fraction(v, den) for v in np.ravel(value).tolist()],
+        [Fraction(v, den) for v in np.ravel(size).tolist()],
+    )
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:

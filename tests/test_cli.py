@@ -329,8 +329,9 @@ def test_overflowing_product_exits_1_with_threaded_blas(threads, tmp_path):
 @pytest.mark.parametrize("m,n", [(5, 8), (4, 7), (3, 5)])
 def test_eig_stdout_is_the_same_with_1_and_2_blas_threads(m, n, tmp_path):
     # The BLAS thread count is read when numpy loads, so each count needs
-    # its own process.  Every first-slot contraction is a gemm on 8-row
-    # blocks, whose bits must not depend on how OpenBLAS splits the work.
+    # its own process.  Every contraction's first stage is a gemm on 8-row
+    # blocks (of x (x) x when it takes two slots), whose bits must not
+    # depend on how OpenBLAS splits the work.
     path = write_tensor(tmp_path / "a.json", random_structured(m, n, "centro", seed=0))
     outs = []
     for threads in ("1", "2"):
@@ -607,9 +608,11 @@ def test_usage_error_exits_2(capsys):
 # recorded with numpy 2.4 on OpenBLAS 0.3.31, before the solver's powers
 # became left-to-right products, which keeps every bit below order 4;
 # eig at orders 2 and 3 was re-recorded on the same BLAS when
-# contract_trailing's first slot became 8-row gemm blocks.  Another BLAS
-# may round their contractions differently.  The order-3 inverse passes a
-# valid --tol, which that path accepts and ignores.
+# contract_trailing's first slot became 8-row gemm blocks, and eig at order
+# 3 again when its first stage took the last two slots at once, on each
+# row's outer product x (x) x.  Another BLAS may round their contractions
+# differently.  The order-3 inverse passes a valid --tol, which that path
+# accepts and ignores.
 GOLDEN = {
     "gen": (
         "gen --order 3 --dim 4 --kind general --seed 5",
@@ -641,7 +644,7 @@ GOLDEN = {
     ),
     "eig-order3": (
         "eig {dir}/centro3.json",
-        "4cc8fe631c54b212134908b53bbf72694333ab1975795a47a7ed9ac0314974ab",
+        "7c61783b606d7023c15c70370d0bf8a53d186c646fec67496f162282d6383845",
     ),
     "verify-all": (
         "verify-all --seed 0 --trials 40",

@@ -646,6 +646,11 @@ class TestAgainstLoopOracle:
             assert any(self._matches(p.value, p.vector, value, vector) for p in result.pairs)
         for p in result.pairs:
             assert any(self._matches(p.value, p.vector, value, vector) for value, vector, _ in kept)
+        # the oracle runs the solver's contraction chain on each start, so
+        # the kept pairs are the same bits, in the same order
+        assert [(p.value, p.residual, p.vector.tobytes()) for p in result.pairs] == [
+            (value, res, vector.tobytes()) for value, vector, res in kept
+        ]
 
 
 class TestStartsAreIndependent:

@@ -457,6 +457,24 @@ class TestPolyReflection:
             a = random_structured(order, dim, kind, rng)
             assert verify_poly_reflection(a, trials=10, seed=rng)
 
+    # trials rounded up to whole 8-row blocks times n^(m-1) entries (n at
+    # order 1), the bound solve_eigen caps its starts by: 8 and 9 trials sit
+    # on either side of a block edge
+    @pytest.mark.parametrize(
+        "m,n,trials,entries",
+        [(3, 4, 1000, 16000), (3, 4, 8, 128), (3, 4, 9, 256), (2, 3, 9, 48), (1, 3, 9, 48)],
+    )
+    def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, trials, entries, monkeypatch):
+        a = random_structured(m, n, "centro", seed=0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", entries - 1)
+        with pytest.raises(core.ResourceLimitError, match=f"{entries} entries, exceeding"):
+            verify_poly_reflection(a, trials=trials, seed=rng)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", entries)
+        assert verify_poly_reflection(a, trials=trials, seed=rng)
+
     @pytest.mark.parametrize("trials", [0, 1, 7])
     def test_generator_state_matches_per_trial_draws(self, trials):
         a = random_structured(3, 4, "centro", seed=5)
