@@ -25,10 +25,9 @@ Contents:
   squares while the rest stay stacked.  Damping stays per start:
   the full step is tried for every start, then the halvings of the
   starts it failed are evaluated in stacked chunks of consecutive
-  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times the
-  residual contraction's first-stage row, n^max(c, m-c) for its c slots
-  taken at once) holds, and each start takes its first accepted halving.
-  The first stage of every contraction is a gemm on zero-padded 8-row
+  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
+  n^(m-1)) holds, and each start takes its first accepted halving.  The
+  first stage of every contraction is a gemm on zero-padded 8-row
   blocks, which gives a row the same bits at any place in any stack (see
   core.contract_trailing), so neither the chunking nor the other starts
   change a start's bits.  Componentwise
@@ -58,7 +57,6 @@ from .core import (
     ConsistencyError,
     DenseTensor,
     _check_cap,
-    _first_slots,
     _stack_entries,
     apply,
     as_generator,
@@ -357,13 +355,14 @@ _RUNNING, _REACHED, _STALLED, _NON_FINITE = 0, 1, 2, 3
 # The line search tries the full step and then up to this many halvings.
 _HALVINGS = 16
 _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
-# Entry budget of one line-search chunk: its rows times n^max(c, m-c), the
-# larger of the residual contraction's first-stage arrays per row, x (x) x
-# (n^c entries, c = core._first_slots(m, m - 1)) and its product with the
-# tensor (n^(m-c)); 2^16 entries are 512 KB.  It bounds work as well as
-# memory: halvings past a start's first accepted one are evaluated for
-# nothing, which costs more than the saved calls once a row is large
-# (order 5, dim 8: a row is 512 entries, so 128 rows a chunk).
+# Entry budget of one line-search chunk: its rows times n^(m-1), which
+# bounds every array of the residual contraction (core._stack_entries;
+# 2^16 entries are 512 KB).  It bounds work as well as memory: halvings
+# past a start's first accepted one are evaluated for nothing, which costs
+# more than the saved calls once a row is large (order 5, dim 8: 16 rows a
+# chunk).  Sizing the chunks by the first stage's real arrays, n^max(c, m-c)
+# for its c slots, made order-5 dim-8 solves faster but order-4 dim-4 ones
+# 5-10% slower: a 4096-row chunk holds every halving of 200 pending starts.
 LINE_SEARCH_ENTRIES = 2**16
 
 
@@ -496,8 +495,7 @@ def solve_eigen(
     rng = as_generator(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
-    c = _first_slots(m, m - 1)
-    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** max(c, m - c))
+    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
     diag = np.arange(n)
 
     # One draw of shape (starts, n) consumes the same stream as `starts`
