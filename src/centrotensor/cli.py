@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every verb is a thin adapter over one library call: JSON in, JSON out,
-no numerics of its own.  Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 domain failure (no inverse, invalid generating
-vector, failed verification suite, a result that overflows float64), 2
-usage or input error.
+Every verb is a thin adapter over one library call: it loads its JSON
+input and returns the call's result, with no numerics of its own.  main
+alone writes the result, once, as JSON to stdout or -o, and picks the
+exit code: 0 success; 1 domain failure, either a negative answer printed
+as data (no inverse, failed verification suite) or a DomainError printed
+to stderr (invalid generating vector, a result that overflows float64);
+2 usage or input error.  An error prints nothing on stdout.
 
 Input paths accept "-" for stdin.  Every verb that draws randomness
 takes its seed from --seed alone, default 0.
@@ -36,94 +38,69 @@ def _read_json(path: str):
         raise ValueError("malformed JSON: nested too deeply") from None
 
 
-def _emit(obj, output: str | None):
-    text = serialize.dumps(obj)
-    if output is None or output == "-":
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
 def _load_tensor(path: str) -> DenseTensor:
     return serialize.tensor_from_obj(_read_json(path))
 
 
-def _cmd_gen(args) -> int:
+def _to_obj(result):
+    """The JSON object of a verb's result: a tensor, an object with
+    as_dict, or a dict of those and plain values."""
+    if isinstance(result, DenseTensor):
+        return serialize.tensor_to_obj(result)
+    if isinstance(result, dict):
+        return {key: _to_obj(value) for key, value in result.items()}
+    return result.as_dict() if hasattr(result, "as_dict") else result
+
+
+def _cmd_gen(args):
     if args.kind == "identity":
-        tensor = DenseTensor.identity(args.order, args.dim)
-    elif args.kind == "exchange":
-        tensor = exchange_matrix(args.dim)
-    else:
-        tensor = random_structured(args.order, args.dim, args.kind, args.seed)
-    _emit(serialize.tensor_to_obj(tensor), args.output)
-    return 0
+        return DenseTensor.identity(args.order, args.dim)
+    if args.kind == "exchange":
+        return exchange_matrix(args.dim)
+    return random_structured(args.order, args.dim, args.kind, args.seed)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     tensor = _load_tensor(args.tensor)
     checker = {
         "direct": structure.check_structure,
         "sandwich": structure.check_via_J,
         "commutation": structure.check_commutation,
     }[args.method]
-    report = checker(tensor, args.tol)
-    _emit(report.as_dict(), args.output)
-    return 0
+    return checker(tensor, args.tol)
 
 
-def _cmd_prod(args) -> int:
-    left = _load_tensor(args.left)
-    right = _load_tensor(args.right)
-    result = shao_product(left, right, entry_cap=args.cap)
-    _emit(serialize.tensor_to_obj(result), args.output)
-    return 0
+def _cmd_prod(args):
+    return shao_product(_load_tensor(args.left), _load_tensor(args.right), entry_cap=args.cap)
 
 
-def _cmd_hadamard(args) -> int:
-    left = _load_tensor(args.left)
-    right = _load_tensor(args.right)
-    _emit(serialize.tensor_to_obj(hadamard(left, right)), args.output)
-    return 0
+def _cmd_hadamard(args):
+    return hadamard(_load_tensor(args.left), _load_tensor(args.right))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     parts = decompose(_load_tensor(args.tensor))
-    _emit(
-        {
-            "centro": serialize.tensor_to_obj(parts.centro),
-            "skew": serialize.tensor_to_obj(parts.skew),
-        },
-        args.output,
-    )
-    return 0
+    return {"centro": parts.centro, "skew": parts.skew}
 
 
-def _cmd_eig(args) -> int:
+def _cmd_eig(args):
     tensor = _load_tensor(args.tensor)
-    result = eigen.solve_eigen(tensor, starts=args.starts, seed=args.seed, tol=args.tol)
-    _emit(result.as_dict(), args.output)
-    return 0
+    return eigen.solve_eigen(tensor, starts=args.starts, seed=args.seed, tol=args.tol)
 
 
-def _cmd_cauchy(args) -> int:
+def _cmd_cauchy(args):
     spec = serialize.spec_from_obj(_read_json(args.spec))
-    if args.mode == "check":
-        _emit(
-            {
-                "order": spec.order,
-                "dim": spec.dim,
-                "centro": cauchy_is_centro(spec),
-                "skew": cauchy_is_skew(spec),
-            },
-            args.output,
-        )
-    else:
-        _emit(serialize.tensor_to_obj(materialize(spec)), args.output)
-    return 0
+    if args.mode == "materialize":
+        return materialize(spec)
+    return {
+        "order": spec.order,
+        "dim": spec.dim,
+        "centro": cauchy_is_centro(spec),
+        "skew": cauchy_is_skew(spec),
+    }
 
 
-def _cmd_inverse(args) -> int:
+def _cmd_inverse(args):
     # checked on every path, though only the order-2 recovery reads it
     if args.tol is not None:
         check_tolerance(args.tol)
@@ -132,22 +109,13 @@ def _cmd_inverse(args) -> int:
     if args.order == 2:
         recover = (inverse.recover_order2_left_inverse if left
                    else inverse.recover_order2_right_inverse)
-        result = recover(tensor, tol=args.tol)
-    else:
-        construct = inverse.diagonal_left_inverse if left else inverse.diagonal_right_inverse
-        result = construct(tensor, args.order)
-    _emit(result.as_dict(), args.output)
-    return 0 if isinstance(result, inverse.InverseResult) else 1
+        return recover(tensor, tol=args.tol)
+    construct = inverse.diagonal_left_inverse if left else inverse.diagonal_right_inverse
+    return construct(tensor, args.order)
 
 
-def _cmd_verify_all(args) -> int:
-    report = suite.verify_all(seed=args.seed, trials=args.trials)
-    _emit(report.as_dict(), args.output)
-    return 0 if report.all_passed else 1
-
-
-def _add_output(parser):
-    parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+def _cmd_verify_all(args):
+    return suite.verify_all(seed=args.seed, trials=args.trials)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="general",
     )
     p.add_argument("--seed", type=int, default=0)
-    _add_output(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="classify centro/skew structure")
@@ -176,25 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("direct", "sandwich", "commutation"), default="direct"
     )
-    _add_output(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("prod", help="general tensor product")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP, help="result entry cap")
-    _add_output(p)
     p.set_defaults(func=_cmd_prod)
 
     p = sub.add_parser("hadamard", help="entrywise product")
     p.add_argument("left")
     p.add_argument("right")
-    _add_output(p)
     p.set_defaults(func=_cmd_hadamard)
 
     p = sub.add_parser("decompose", help="centro + skew split")
     p.add_argument("tensor")
-    _add_output(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("eig", help="multistart H-eigenpair solve")
@@ -202,13 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=eigen.DEFAULT_SOLVER_TOL)
-    _add_output(p)
     p.set_defaults(func=_cmd_eig)
 
     p = sub.add_parser("cauchy", help="materialize or check a generating vector")
     p.add_argument("spec")
     p.add_argument("--mode", choices=("materialize", "check"), default="materialize")
-    _add_output(p)
     p.set_defaults(func=_cmd_cauchy)
 
     p = sub.add_parser("inverse", help="left/right inverse construction or recovery")
@@ -216,15 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("left", "right"), required=True)
     p.add_argument("--order", type=int, default=2, help="order of the inverse tensor")
     p.add_argument("--tol", type=float, default=None)
-    _add_output(p)
     p.set_defaults(func=_cmd_inverse)
 
     p = sub.add_parser("verify-all", help="run the full property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=suite.DEFAULT_TRIALS)
-    _add_output(p)
     p.set_defaults(func=_cmd_verify_all)
 
+    # last, so each verb's usage line lists -o after its own arguments
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -236,7 +198,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)
+        text = serialize.dumps(_to_obj(result))
+        if args.output in (None, "-"):
+            print(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
@@ -246,6 +214,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a negative answer printed as data
+    negative = isinstance(result, inverse.NoInverse) or (
+        isinstance(result, suite.SuiteReport) and not result.all_passed
+    )
+    return 1 if negative else 0
 
 
 if __name__ == "__main__":

@@ -52,7 +52,9 @@ DEFAULT_ENTRY_CAP = 2**26
 # On two slots, (8, n^2) @ (n^2, n^(m-2)): 8-row blocks agree at every
 # n = 1-8, m = 3-5, with 1 and 2 BLAS threads, while at (7, 5) rows 12-15
 # of 16, 24-27 of 32 and 60-63 of 64 differ.  Each block is its own gemm,
-# so the stack height moves no bits either.
+# so the stack height moves no bits either: a row's contraction is the same
+# bits alone or in any stack, which the eigen solver's stacked starts,
+# chunked line search and stacked residuals rely on.
 _BLOCK_ROWS = 8
 
 
@@ -260,12 +262,8 @@ def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarra
     which sums the n^2 terms of two slots in one pass.  Every block is the
     same gemm whatever S is, and a row's bits do not depend on its place
     in it (see _BLOCK_ROWS), so a row's result is the same bits alone or
-    in any stack.  Against one gemm slot followed by gemv slots, the
-    four-slot contraction at order 5, dim 8 takes 0.52x the time at 50
-    rows and 0.44x at 850, the Jacobian tensor's three slots 0.50x at 50
-    rows, and order 4, dim 4 at 200 rows 0.88x; a lone row still pays for
-    its block's seven zero rows (medians of 9 processes, one BLAS thread,
-    OpenBLAS 0.3.31).  With count 1 the stage is that one gemm slot.
+    in any stack.  A lone row still pays for its block's seven zero rows.
+    With count 1 the stage is one gemm slot.
     """
     s, n = xs.shape
     if count == 0:

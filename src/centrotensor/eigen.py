@@ -26,10 +26,9 @@ Contents:
   the full step is tried for every start, then the halvings of the
   starts it failed are evaluated in stacked chunks of consecutive
   halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
-  n^(m-1)) holds, and each start takes its first accepted halving.  The
-  first stage of every contraction is a gemm on zero-padded 8-row
-  blocks, which gives a row the same bits at any place in any stack (see
-  core.contract_trailing), so neither the chunking nor the other starts
+  n^(m-1)) holds, and each start takes its first accepted halving.  A
+  row's contraction does not depend on the stack it is in (see
+  core._BLOCK_ROWS), so neither the chunking nor the other starts
   change a start's bits.  Componentwise
   powers are left-to-right products (_power), not libm pow: orders up to
   3 keep the bits x ** k gave, orders 4 and 5 can differ in the last
@@ -175,8 +174,7 @@ def residual(a: DenseTensor, value: float, x) -> float:
 
 def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
-    apply's first stage, a gemm on 8-row blocks of x (x) x (x alone at
-    order 2), gives a row the same bits alone or in any stack."""
+    a row's bits do not depend on the stack (see core._BLOCK_ROWS)."""
     return np.max(np.abs(apply(a, xs) - lams[..., None] * _power(xs, a.order - 1)), axis=-1)
 
 
@@ -469,9 +467,8 @@ def solve_eigen(
     when scaled back counts as rejected.
 
     Raises ResourceLimitError, before any start is drawn, when the
-    contractions (starts rounded up to whole 8-row blocks times n^(m-1),
-    which bounds every array of core.contract_trailing, see
-    core._stack_entries) or the Jacobian stack would hold more than
+    contractions (core._stack_entries, which bounds every array of
+    core.contract_trailing) or the Jacobian stack would hold more than
     core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
     An empty result is legal; completeness is not guaranteed.
     """
@@ -484,7 +481,7 @@ def solve_eigen(
         )
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
-    # the contractions hold at most whole 8-row blocks of n^(m-1) entries
+    # _stack_entries bounds every array of the contractions
     stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2)
     _check_cap(stack, f"{starts} starts on order {m} dim {n} stack")
     scale = 1.0

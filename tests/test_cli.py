@@ -594,6 +594,39 @@ class TestOutputFile:
         assert out == ""
         assert json.loads(dst.read_text())["verdict"] == "centrosymmetric"
 
+    # verb arguments, exit code; inverse-none's order-2 recovery finds no
+    # inverse and verify-all-fail runs with one check made to fail, the two
+    # negative answers printed as data
+    VERBS = {
+        "gen": ("gen --order 3 --dim 3 --kind skew --seed 2", 0),
+        "check": ("check {dir}/centro.json --method sandwich", 0),
+        "prod": ("prod {dir}/centro.json {dir}/centro.json", 0),
+        "hadamard": ("hadamard {dir}/centro.json {dir}/centro.json", 0),
+        "decompose": ("decompose {dir}/centro.json", 0),
+        "eig": ("eig {dir}/centro.json --starts 10", 0),
+        "cauchy": ("cauchy {dir}/spec.json", 0),
+        "inverse": ("inverse {dir}/diag.json --side left --order 3", 0),
+        "inverse-none": ("inverse {dir}/centro.json --side left --order 2", 1),
+        "verify-all": ("verify-all --seed 3 --trials 2", 0),
+        "verify-all-fail": ("verify-all --seed 3 --trials 2", 1),
+    }
+
+    @pytest.mark.parametrize("name", VERBS)
+    def test_file_holds_the_stdout_bytes(self, name, tmp_path, capsys, fail_check):
+        write_tensor(tmp_path / "centro.json", random_structured(3, 3, "centro", seed=1))
+        write_tensor(tmp_path / "diag.json", DenseTensor.diagonal(3, np.array([2.0, 2.0])))
+        (tmp_path / "spec.json").write_text('{"order": 3, "generating": [0.5, 1.5, 0.5]}')
+        if name == "verify-all-fail":
+            fail_check("row-sum-reflection")
+        command, want = self.VERBS[name]
+        argv = command.format(dir=tmp_path).split()
+        code, printed, _ = run(capsys, argv)
+        assert code == want
+        dst = tmp_path / "out.json"
+        code, out, _ = run(capsys, argv + ["-o", str(dst)])
+        assert (code, out) == (want, "")
+        assert printed.endswith("}\n") and dst.read_bytes() == printed.encode()
+
 
 def test_usage_error_exits_2(capsys):
     assert main(["check"]) == 2

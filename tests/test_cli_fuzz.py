@@ -6,8 +6,11 @@ subnormal floats and the float limit.  The products draw operands of one
 dim (one shape for hadamard); inverse also draws centro tensors and
 palindromic diagonals, so the recovery and construction paths run.  Each
 verb must exit 0, 1 or 2 without a traceback; at exit 0 stdout is strict
-JSON and stderr empty.  numpy warnings raised in-process reach pytest's
-warning capture, not stderr, so a RuntimeWarning is an error here.
+JSON and stderr empty.  Nothing is printed before a verb's result is
+complete: at exit 2 stdout is empty, and at exit 1 it is empty or one
+strict-JSON negative answer ("found": false).  numpy warnings raised
+in-process reach pytest's warning capture, not stderr, so a
+RuntimeWarning is an error here.
 Malformed flag values, and malformed JSON documents given to every verb
 that reads one, must exit 2 with one error line on stderr.
 """
@@ -109,6 +112,10 @@ def _run_verb(argv, **objs):
     if code == 0:
         assert err == "", (argv, objs, err)
         json.loads(out, parse_constant=_refuse)
+    elif code == 1 and out:
+        assert json.loads(out, parse_constant=_refuse)["found"] is False, (argv, objs, out)
+    else:
+        assert out == "", (argv, objs, code, out)
     return code, err
 
 
