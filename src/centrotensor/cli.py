@@ -6,7 +6,9 @@ alone writes the result, once, as JSON to stdout or -o, and picks the
 exit code: 0 success; 1 domain failure, either a negative answer printed
 as data (no inverse, failed verification suite) or a DomainError printed
 to stderr (invalid generating vector, a result that overflows float64);
-2 usage or input error.  An error prints nothing on stdout.
+2 usage or input error.  An error prints nothing on stdout.  A reader
+that closes stdout early (`| head`) ends the run quietly, with the code
+its result maps to.
 
 Input paths accept "-" for stdin.  Every verb that draws randomness
 takes its seed from --seed alone, default 0.
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import eigen, inverse, serialize, structure, suite
 from .cauchy import cauchy_is_centro, cauchy_is_skew, materialize
-from .core import DEFAULT_ENTRY_CAP, DenseTensor, DomainError, check_tolerance, hadamard
+from .core import DenseTensor, DomainError, check_tolerance, hadamard
 from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
@@ -71,7 +74,7 @@ def _cmd_check(args):
 
 
 def _cmd_prod(args):
-    return shao_product(_load_tensor(args.left), _load_tensor(args.right), entry_cap=args.cap)
+    return shao_product(_load_tensor(args.left), _load_tensor(args.right))
 
 
 def _cmd_hadamard(args):
@@ -148,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prod", help="general tensor product")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP, help="result entry cap")
     p.set_defaults(func=_cmd_prod)
 
     p = sub.add_parser("hadamard", help="entrywise product")
@@ -201,10 +203,17 @@ def main(argv=None) -> int:
         result = args.func(args)
         text = serialize.dumps(_to_obj(result))
         if args.output in (None, "-"):
-            print(text)
+            print(text, flush=True)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`); the print flushes inside the
+        # try so a short output lands here too.  Point stdout at devnull, so
+        # the flush at exit reports no error of its own.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2

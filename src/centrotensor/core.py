@@ -35,13 +35,13 @@ __all__ = [
     "check_count",
     "check_order",
     "check_entry_count",
-    "as_generator",
 ]
 
 # numpy arrays have at most 64 axes
 MAX_ORDER = 64
-# Largest entry count any construction allocates (512 MB of floats), and
-# the default result cap of the general product.
+# Largest entry count any construction allocates (512 MB of floats), the
+# general product's result included; read on every check, so lowering it
+# lowers every cap.
 DEFAULT_ENTRY_CAP = 2**26
 # Rows per block of contract_trailing's first-stage gemm.  OpenBLAS
 # (0.3.31, Haswell kernels on an AVX-512 host) gives a row the same bits at
@@ -402,13 +402,8 @@ def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     _check_cap(dim**order, f"{what} of order {order} dim {dim}")
 
 
-def _check_cap(count: int, what: str, cap: int | None = None) -> None:
-    """ResourceLimitError if `what` has over cap entries (None: DEFAULT_ENTRY_CAP read per call)."""
-    cap = DEFAULT_ENTRY_CAP if cap is None else cap
+def _check_cap(count: int, what: str) -> None:
+    """ResourceLimitError if `what` has more than DEFAULT_ENTRY_CAP entries, read per call."""
+    cap = DEFAULT_ENTRY_CAP
     if count > cap:
         raise ResourceLimitError(f"{what} has {count} entries, exceeding the cap {cap}")
-
-
-def as_generator(seed) -> np.random.Generator:
-    """A numpy Generator, or a fresh one seeded with `seed` (int, SeedSequence or None)."""
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -58,7 +58,6 @@ from .core import (
     _check_cap,
     _stack_entries,
     apply,
-    as_generator,
     check_count,
     check_tolerance,
     contract_trailing,
@@ -489,7 +488,7 @@ def solve_eigen(
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
         # dividing by a power of two keeps every entry finite
         a = DenseTensor._adopt(a.data / scale)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     data = a.data
     jac_tensor = _jacobian_tensor(data)
     chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))

@@ -43,19 +43,9 @@ import math
 
 import numpy as np
 
-from .core import (
-    DEFAULT_ENTRY_CAP,
-    DenseTensor,
-    DomainError,
-    _all_finite,
-    _check_cap,
-    check_count,
-    check_entry_count,
-    entry_scale,
-)
+from .core import DenseTensor, DomainError, _all_finite, check_entry_count, entry_scale
 
 __all__ = [
-    "DEFAULT_ENTRY_CAP",
     "shao_product",
     "product_parity",
     "exchange_matrix",
@@ -67,23 +57,23 @@ _KINDS = ("centro", "skew")
 _FINITE_LOG2 = 1022
 
 
-def shao_product(a: DenseTensor, b: DenseTensor, entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseTensor:
+def shao_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """General product of tensors sharing one dimension.
 
-    Raises ResourceLimitError when the result would hold more than
-    entry_cap entries; the order formula grows multiplicatively, so this
-    is a real risk for nested products.  A result that overflows float64
-    raises DomainError, with no numpy warning, whatever the number of
-    BLAS threads.
+    The result is refused like any construction, before anything is
+    contracted: an order past numpy's 64 axes is a ValueError, and more
+    than core.DEFAULT_ENTRY_CAP entries a ResourceLimitError.  The order
+    formula grows multiplicatively, so both are real risks for nested
+    products.  A result that overflows float64 raises DomainError, with
+    no numpy warning, whatever the number of BLAS threads.
     """
-    entry_cap = check_count(entry_cap, "entry_cap")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.order < 2:
         raise ValueError("left operand must have order >= 2")
     n = a.dim
     order = (a.order - 1) * (b.order - 1) + 1
-    _check_cap(n**order, f"product of orders {a.order} and {b.order}", entry_cap)
+    check_entry_count(order, n, "product")
     if _is_exchange(a):
         return DenseTensor._adopt(b.data[::-1] + 0.0)
     if _is_exchange(b):

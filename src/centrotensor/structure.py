@@ -42,7 +42,6 @@ from .core import (
     _check_cap,
     _stack_entries,
     add,
-    as_generator,
     check_count,
     check_entry_count,
     check_tolerance,
@@ -272,7 +271,7 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
     if kind not in ("centro", "skew", "general"):
         raise ValueError(f"unknown kind {kind!r}")
     check_entry_count(order, dim)
-    flat = as_generator(seed).uniform(-1.0, 1.0, size=dim**order)
+    flat = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim**order)
     if kind != "general":
         flat = palindromize(flat)
     if kind == "skew":
@@ -354,7 +353,7 @@ def verify_poly_reflection(a: DenseTensor, trials: int = 20, seed=0) -> bool:
         _stack_entries(trials, a.order, a.dim), f"{trials} trials on order {a.order} dim {a.dim} stack"
     )
     sign = reflection_sign(a)
-    xs = as_generator(seed).uniform(-1.0, 1.0, size=(trials, a.dim))
+    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, a.dim))
     fx = contract_trailing(a.data, xs, a.order)
     fjx = contract_trailing(a.data, xs[:, ::-1], a.order)
     return not np.any(np.abs(fjx - sign * fx) > _POLY_TOL * np.maximum(1.0, np.abs(fx)))

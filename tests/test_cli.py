@@ -27,14 +27,18 @@ def write_tensor(path, tensor):
     return str(path)
 
 
-def run_process(argv, **env):
-    """Run the CLI in a fresh Python process with these environment additions."""
+def process_env(**env):
+    """os.environ with these additions, and this package first on PYTHONPATH."""
     package_root = str(Path(centrotensor.__file__).resolve().parents[1])
     search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **env)
+
+
+def run_process(argv, **env):
+    """Run the CLI in a fresh Python process with these environment additions."""
     return subprocess.run(
         [sys.executable, "-m", "centrotensor.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=process_env(**env), timeout=120,
     )
 
 
@@ -173,6 +177,19 @@ class TestGen:
         assert out == ""
         assert "9 entries, exceeding the cap 8" in err and "Traceback" not in err
 
+    def test_closed_stdout_exits_quietly(self):
+        # 160000 entries, far more than a pipe buffers: the write meets a closed pipe
+        argv = ["gen", "--order", "4", "--dim", "20", "--kind", "centro"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "centrotensor.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env(),
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+
     def test_ct_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CT_SEED", "31")
         _, out_env, _ = run(capsys, ["gen", "--dim", "3", "--order", "2"])
@@ -190,19 +207,35 @@ class TestProducts:
         assert code == 0
         assert json.loads(out)["entries"] == [2.0, 1.0, 1.0, 2.0]
 
-    def test_prod_cap_exceeded_is_domain_error(self, tmp_path, capsys):
+    def test_prod_cap_exceeded_is_domain_error(self, tmp_path, capsys, monkeypatch):
         a = write_tensor(tmp_path / "a.json", DenseTensor.zeros(3, 2))
-        code, _, err = run(capsys, ["prod", a, a, "--cap", "8"])
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 8)
+        code, _, err = run(capsys, ["prod", a, a])
         assert code == 1
         assert "cap" in err
 
-    @pytest.mark.parametrize("cap", ["-1", "-64"])
-    def test_prod_negative_cap_exits_2(self, cap, tmp_path, capsys):
-        a = write_tensor(tmp_path / "a.json", DenseTensor.zeros(3, 2))
-        code, out, err = run(capsys, ["prod", a, a, "--cap", cap])
+    def test_prod_over_the_default_cap_exits_1(self, tmp_path, capsys):
+        # 41^5 result entries, refused before anything is contracted
+        a = write_tensor(tmp_path / "a.json", DenseTensor.zeros(3, 41))
+        code, out, err = run(capsys, ["prod", a, a])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: product of order 5 dim 41 has 115856201 entries, exceeding the cap 67108864\n"
+        )
+
+    def test_prod_takes_no_cap(self, capsys):
+        assert main(["prod", "--help"]) == 0
+        assert "--cap" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_prod_past_64_axes_exits_2(self, dim, tmp_path, capsys):
+        # two order-9 factors give a product of order (9-1)(9-1)+1 = 65
+        a = write_tensor(tmp_path / "a.json", DenseTensor.zeros(9, dim))
+        code, out, err = run(capsys, ["prod", a, a])
         assert code == 2
         assert out == ""
-        assert "entry_cap must be nonnegative" in err and "Traceback" not in err
+        assert err == "error: order 65 exceeds the limit of 64 axes\n"
 
     def test_hadamard(self, tmp_path, capsys, sym_matrix):
         path = write_tensor(tmp_path / "a.json", sym_matrix)

@@ -15,7 +15,7 @@ from centrotensor import (
     random_structured,
     shao_product,
 )
-from centrotensor import product
+from centrotensor import core, product
 from oracles import brute_shao
 
 BIG = float(np.finfo(float).max)
@@ -103,34 +103,42 @@ class TestShaoProduct:
         with pytest.raises(ValueError):
             shao_product(DenseTensor(np.ones(3)), DenseTensor.zeros(2, 3))
 
-    def test_entry_cap_enforced(self):
+    def test_entry_cap_enforced(self, monkeypatch):
         a = DenseTensor.zeros(3, 2)
         b = DenseTensor.zeros(3, 2)
         # result order (3-1)(3-1)+1 = 5 -> 32 entries
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 31)
         with pytest.raises(ResourceLimitError):
-            shao_product(a, b, entry_cap=31)
-        assert shao_product(a, b, entry_cap=32).order == 5
+            shao_product(a, b)
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 32)
+        assert shao_product(a, b).order == 5
 
     # Each row holds several faults at once; the checks run in a fixed
-    # order (cap value, dimension, left order, cap), so the first wins.
+    # order (dimension, left order, cap), so the first wins.
     @pytest.mark.parametrize(
         "left,right,cap,error,message",
         [
-            ((1, 3), (2, 2), -1, ValueError, "entry_cap must be nonnegative, got -1"),
-            ((1, 3), (2, 2), 1.5, ValueError, "entry_cap must be an integer, got 1.5"),
-            ((1, 2), (1, 3), None, ValueError, "entry_cap must be an integer, got None"),
             ((1, 3), (2, 2), 0, ValueError, "dimension mismatch: 3 vs 2"),
             ((3, 2), (1, 3), 0, ValueError, "dimension mismatch: 2 vs 3"),
             ((1, 2), (2, 2), 0, ValueError, "left operand must have order >= 2"),
             ((2, 2), (2, 2), 3, ResourceLimitError,
-             "product of orders 2 and 2 has 4 entries, exceeding the cap 3"),
+             "product of order 2 dim 2 has 4 entries, exceeding the cap 3"),
         ],
     )
-    def test_first_fault_wins(self, left, right, cap, error, message):
+    def test_first_fault_wins(self, left, right, cap, error, message, monkeypatch):
         a, b = DenseTensor.zeros(*left), DenseTensor.zeros(*right)
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", cap)
         with pytest.raises(error) as info:
-            shao_product(a, b, entry_cap=cap)
+            shao_product(a, b)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_result_past_64_axes_is_refused(self, dim):
+        # (9-1)(9-1)+1 = 65 axes, one more than a numpy array holds
+        a = DenseTensor.zeros(9, dim)
+        with pytest.raises(ValueError) as info:
+            shao_product(a, a)
+        assert str(info.value) == "order 65 exceeds the limit of 64 axes"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_result_is_a_domain_error(self):

@@ -23,6 +23,7 @@ from centrotensor import (
     materialize,
     random_structured,
     row_sums,
+    shao_product,
     verify_poly_reflection,
     verify_row_sum_symmetry,
 )
@@ -349,6 +350,8 @@ class TestEntryCap:
             lambda: DenseTensor.zeros(3, 3),
             lambda: DenseTensor.diagonal(3, np.ones(3)),
             lambda: DenseTensor.identity(3, 3),
+            # operands built before the cap is lowered, so the product refuses
+            lambda a=DenseTensor.zeros(2, 3), b=DenseTensor.zeros(3, 3): shao_product(a, b),
         ],
     )
     def test_over_the_cap_is_refused(self, build, monkeypatch):
