@@ -25,6 +25,9 @@ cases:
   way the eig-survey benchmark draws its panel (in another order, so not
   the same tensors);
 * ``eigen.solve_eigen`` at order 5, dim 8, 50 starts on a centro tensor;
+  these two cases also record, in ``sizes``, the calls of
+  ``eigen._stacked_residual`` in one run and the rows they held, counted
+  in an untimed run;
 * ``eigen.solve_eigen`` as tier-1's criterion 11 runs it: 100 centro
   tensors of dim 2 and orders 2-5 drawn from one generator seeded 111,
   each solved at 200 starts from that generator (the draws are timed too;
@@ -114,6 +117,27 @@ def measure() -> list:
                     tensor = structure.random_structured(order, dim, family, seed)
                 panel.append((tensor, int(solve_rng.integers(2**32))))
 
+    def residual_work(fn) -> dict:
+        """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
+        counts = {"residual_calls": 0, "residual_rows": 0}
+        stacked_residual = eigen._stacked_residual
+
+        def counting(data, zs):
+            counts["residual_calls"] += 1
+            counts["residual_rows"] += len(zs)
+            return stacked_residual(data, zs)
+
+        eigen._stacked_residual = counting
+        fn()
+        eigen._stacked_residual = stacked_residual
+        return counts
+
+    def solve_panel():
+        return [eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]
+
+    def solve_big():
+        return eigen.solve_eigen(big, starts=50, seed=SEED)
+
     def criterion_11():
         rng = np.random.default_rng(111)
         for _ in range(100):
@@ -175,11 +199,12 @@ def measure() -> list:
 
     cases = [
         ("eigen.solve_eigen", "27-cell panel",
-         {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200},
-         lambda: [eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]),
+         {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200,
+          **residual_work(solve_panel)},
+         solve_panel),
         ("eigen.solve_eigen", "order-5 dim-8 centro",
-         {"order": 5, "dim": 8, "starts": 50},
-         lambda: eigen.solve_eigen(big, starts=50, seed=SEED)),
+         {"order": 5, "dim": 8, "starts": 50, **residual_work(solve_big)},
+         solve_big),
         ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves",
          {"solves": 100, "orders": [2, 5], "dim": 2, "starts": 200, "seed": 111},
          criterion_11),

@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

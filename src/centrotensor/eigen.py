@@ -22,14 +22,17 @@ Contents:
   _newton_steps.  It takes non-finite
   systems too, each of which gets a NaN step and is never solved, and a
   stacked slogdet singles out exactly singular Jacobians for least
-  squares while the rest stay stacked.  Damping stays per start:
-  the full step is tried for every start, then the halvings of the
-  starts it failed are evaluated in stacked chunks of consecutive
-  halvings, as many per chunk as LINE_SEARCH_ENTRIES (rows times
-  n^(m-1)) holds, and each start takes its first accepted halving.  A
-  row's contraction does not depend on the stack it is in (see
-  core._BLOCK_ROWS), so neither the chunking nor the other starts
-  change a start's bits.  Componentwise
+  squares while the rest stay stacked.  Damping stays per start, and
+  only trials that can be accepted are contracted: F's last entry
+  |x|^2 - 1 needs no contraction, so it is computed for the full step
+  and all its halvings of every start, and each trial whose |x|^2 - 1
+  is not below that start's best max|F| is closed (_open_trials).  The
+  first open damping of every start is contracted in one stacked call,
+  the next open ones of the starts it failed in calls of as many rows as
+  LINE_SEARCH_ENTRIES (rows times n^(m-1)) holds, and each start takes
+  its first accepted damping.  A row's contraction does not depend on
+  the stack it is in (see core._BLOCK_ROWS), so neither the grouping of
+  the trials nor the other starts change a start's bits.  Componentwise
   powers are left-to-right products (_power), not libm pow: orders up to
   3 keep the bits x ** k gave, orders 4 and 5 can differ in the last
   bits.  Starts leave the active stack as they converge, stall, take a
@@ -352,15 +355,41 @@ _RUNNING, _REACHED, _STALLED, _NON_FINITE = 0, 1, 2, 3
 # The line search tries the full step and then up to this many halvings.
 _HALVINGS = 16
 _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
-# Entry budget of one line-search chunk: its rows times n^(m-1), which
-# bounds every array of the residual contraction (core._stack_entries;
-# 2^16 entries are 512 KB).  It bounds work as well as memory: halvings
-# past a start's first accepted one are evaluated for nothing, which costs
-# more than the saved calls once a row is large (order 5, dim 8: 16 rows a
-# chunk).  Sizing the chunks by the first stage's real arrays, n^max(c, m-c)
-# for its c slots, made order-5 dim-8 solves faster but order-4 dim-4 ones
-# 5-10% slower: a 4096-row chunk holds every halving of 200 pending starts.
+# Entry budget of one line-search call after the first: its rows times
+# n^(m-1), which bounds every array of the residual contraction
+# (core._stack_entries; 2^16 entries are 512 KB).  The first call holds
+# one open damping of each start; a later one as many of each start's next
+# open dampings as the budget holds (at least one), so it bounds work as
+# well as memory: open dampings past a start's first accepted one are
+# evaluated for nothing.
 LINE_SEARCH_ENTRIES = 2**16
+
+
+def _open_trials(z: np.ndarray, step: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Which trials z[s] + _DAMPS[k] * step[s] could beat best[s], as a
+    (starts, dampings) mask; only these need the residual contraction.
+
+    F's last entry |x|^2 - 1 needs no contraction, and max|F| is at least
+    its magnitude, so a trial whose |x|^2 - 1 is not below best cannot be
+    accepted.  The trial's components and their squares are the bits the
+    search contracts, but here the squares are summed one component at a
+    time, while _stacked_residual's np.sum may add them in another order
+    (numpy adds 8 or more pairwise).  Two orders of n nonnegative terms
+    differ by at most about 2(n-1) units of rounding (2^-53) of the sum,
+    and the subtraction of 1 and the comparison round once each, so a
+    trial stays open unless |x|^2 - 1 clears best by the slack
+    n * 2^-50 * (|x|^2 + 1 + best), four times all of that.  A trial whose
+    |x|^2 overflows is closed: its residual cannot beat best either.
+    """
+    n = z.shape[1] - 1
+    sq, xj = np.zeros((2, len(z), _DAMPS.size))
+    for j in range(n):
+        np.multiply(_DAMPS, step[:, j, None], out=xj)
+        xj += z[:, j, None]
+        xj *= xj
+        sq += xj
+    best = best[:, None]
+    return np.abs(sq - 1.0) < best + n * 2.0**-50 * (sq + 1.0 + best)
 
 
 # Entry budget of one stacked comparison of the merge: its rows times n,
@@ -442,8 +471,10 @@ def solve_eigen(
 
     Solves F(x, lambda) = (A x^{m-1} - lambda x^{[m-1]}, |x|^2 - 1) = 0
     from `starts` random unit starting vectors, stepping all starts
-    together on stacked arrays.  Each start's step is halved while it
-    fails to decrease that start's sup-norm of F; convergence is declared
+    together on stacked arrays.  Each start takes the first of its full
+    step and up to 16 halvings that decreases that start's sup-norm of F,
+    and stalls if none does; a trial whose |x|^2 - 1 alone is not below
+    that norm is never contracted (_open_trials).  Convergence is declared
     at max|F| <= tol.  A start whose Jacobian, residual or step is not
     finite (near the float limit) ends non_finite, with no warning.
     Converged pairs are canonicalized, re-verified against the residual
@@ -468,7 +499,8 @@ def solve_eigen(
     Raises ResourceLimitError, before any start is drawn, when the
     contractions (core._stack_entries, which bounds every array of
     core.contract_trailing) or the Jacobian stack would hold more than
-    core.DEFAULT_ENTRY_CAP entries; the line search is chunked.
+    core.DEFAULT_ENTRY_CAP entries; the line search's calls after the
+    first of each step hold at most LINE_SEARCH_ENTRIES entries.
     An empty result is legal; completeness is not guaranteed.
     """
     n, m = a.dim, a.order
@@ -522,35 +554,42 @@ def solve_eigen(
         jac[:, :n, n] = -(p * x)
         jac[:, n, :n] = 2.0 * x
         step = _newton_steps(jac, -fs[live])
-        pending = live
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():
             state[live[~finite]] = _NON_FINITE
-            pending, z, step = live[finite], z[finite], step[finite]
-        halving = 0
-        while pending.size and halving <= _HALVINGS:
-            # the full step alone, then as many halvings per chunk as the
-            # entry budget holds (at least one)
-            chunk = 1 if halving == 0 else min(
-                _HALVINGS + 1 - halving, max(1, chunk_rows // pending.size)
-            )
-            damp = _DAMPS[halving : halving + chunk]
-            z_new = z[:, None, :] + damp[:, None] * step[:, None, :]
-            f_new = _stacked_residual(data, z_new.reshape(-1, n + 1)).reshape(z_new.shape)
-            norm_new = np.abs(f_new).max(axis=2)
-            better = norm_new < best[pending, None]
-            accepted = better.any(axis=1)
-            # the first accepted halving of each start wins
-            rows = np.flatnonzero(accepted)
-            first = np.argmax(better[rows], axis=1)
-            won = pending[rows]
-            norm_won = norm_new[rows, first]
-            zs[won], fs[won], best[won] = z_new[rows, first], f_new[rows, first], norm_won
-            state[won[norm_won <= tol]] = _REACHED
-            keep = ~accepted
-            pending, z, step = pending[keep], z[keep], step[keep]
-            halving += chunk
-        state[pending] = _STALLED
+            live, z, step = live[finite], z[finite], step[finite]
+        opened = _open_trials(z, step, best[live])
+        # rows of live, z and step; a start that takes no damping stalls
+        lead, taken = best[live], np.zeros(live.size, dtype=bool)
+        pending = np.flatnonzero(opened.any(axis=1))
+        take = 1
+        while pending.size:
+            # each pending start's next `take` open dampings, in damping order;
+            # with one each, argmax spares the cumsum and the first-hit filter
+            # (a tenth of the eig-survey panel's solve time)
+            if take == 1:
+                rows, cols = pending, opened[pending].argmax(axis=1)
+            else:
+                ahead = opened[pending]
+                ahead &= np.cumsum(ahead, axis=1) <= take
+                sel, cols = np.nonzero(ahead)
+                rows = pending[sel]
+            opened[rows, cols] = False
+            z_new = z[rows] + _DAMPS[cols, None] * step[rows]
+            f_new = _stacked_residual(data, z_new)
+            norm_new = np.abs(f_new).max(axis=1)
+            hits = np.flatnonzero(norm_new < lead[rows])
+            if take > 1:
+                # the first trial of each start that beats its best wins
+                hits = hits[np.unique(rows[hits], return_index=True)[1]]
+            won = rows[hits]
+            taken[won], opened[won] = True, False
+            won = live[won]
+            zs[won], fs[won], best[won] = z_new[hits], f_new[hits], norm_new[hits]
+            state[won[norm_new[hits] <= tol]] = _REACHED
+            pending = np.flatnonzero(opened.any(axis=1))
+            take = max(1, chunk_rows // max(1, pending.size))
+        state[live[~taken]] = _STALLED
 
     reached = np.flatnonzero(state == _REACHED)
     # a zero row's NaN residual fails the re-check

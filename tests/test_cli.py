@@ -417,6 +417,55 @@ class TestEig:
         assert out1 == out2
 
 
+# The tensors of the eig contract checks, each as the verb that makes it;
+# "{spec}" is a spec file with a palindromic generating vector, whose
+# Cauchy tensor has a continuum of pairs at value 0.
+EIG_CONTRACT_TENSORS = {
+    "centro": ["gen", "--order", "3", "--dim", "4", "--kind", "centro", "--seed", "0"],
+    "cauchy": ["cauchy", "{spec}", "--mode", "materialize"],
+}
+EIG_ENDS = ("converged", "rejected", "stalled", "non_finite", "max_iter")
+
+
+class TestEigContracts:
+    """Start accounting and merge order of `eig` at its defaults."""
+
+    @staticmethod
+    def _tensor(name, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"order": 3, "generating": [0.7, 1.9, 1.9, 0.7]}')
+        argv = [str(spec) if arg == "{spec}" else arg for arg in EIG_CONTRACT_TENSORS[name]]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("name", ["centro"])
+    def test_every_start_ends_exactly_one_way(self, name, tmp_path, capsys, monkeypatch):
+        tensor = self._tensor(name, tmp_path, capsys)
+        code, out, _ = run(capsys, ["eig", "-"], stdin=tensor, monkeypatch=monkeypatch)
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert sum(stats[end] for end in EIG_ENDS) == stats["attempted"]
+
+    @pytest.mark.parametrize("name", ["centro", "cauchy"])
+    def test_kept_pairs_are_ordered_and_apart(self, name, tmp_path, capsys):
+        (tmp_path / "tensor.json").write_text(self._tensor(name, tmp_path, capsys))
+        code, out, _ = run(capsys, ["eig", str(tmp_path / "tensor.json")])
+        assert code == 0
+        obj = json.loads(out)
+        pairs, stats = obj["pairs"], obj["stats"]
+        # converged starts are merged or kept
+        assert stats["converged"] == stats["deduplicated"] + len(pairs)
+        keys = [(p["value"], *p["vector"]) for p in pairs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for i, p in enumerate(pairs):
+            x = np.array(p["vector"])
+            for q in pairs[i + 1 :]:
+                y = np.array(q["vector"])
+                gap = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+                assert not (abs(p["value"] - q["value"]) <= 1e-8 and gap <= 1e-6)
+
+
 class TestEigNearTheFloatLimit:
     """Finite tensors whose start values or Jacobians overflow.
 

@@ -691,8 +691,10 @@ class TestStartsAreIndependent:
         default_calls = len(calls)
         monkeypatch.setattr(eigen, "LINE_SEARCH_ENTRIES", 1)
         chunked = solve_eigen(tensor, starts=50, seed=3)
-        # the default budget put several halvings in one chunk
-        assert len(calls) - default_calls > default_calls
+        # a 1-entry budget contracts at most one open damping per start per
+        # call, so it makes at least as many calls as the default budget
+        assert max(calls[default_calls:]) <= 50
+        assert len(calls) - default_calls >= default_calls
         assert chunked.stats == default.stats
         assert len(chunked.pairs) == len(default.pairs)
         for p, q in zip(chunked.pairs, default.pairs):
@@ -726,6 +728,109 @@ class TestStartsAreIndependent:
             np.testing.assert_array_equal(newton_steps(jac, rhs), loop_newton_steps(jac, rhs))
         assert singular > 0
         assert np.linalg.slogdet(inf_singular)[0] == 0
+
+
+def all_trials(z, step):
+    """Every damped trial z[s] + _DAMPS[k] * step[s], as the line search forms it."""
+    return z[:, None, :] + eigen._DAMPS[:, None] * step[:, None, :]
+
+
+def trial_norms(data, z, step):
+    """max|F| of every damped trial, and |F|'s last entry ||x|^2 - 1|."""
+    trials = all_trials(z, step)
+    f = np.abs(eigen._stacked_residual(data, trials.reshape(-1, z.shape[1])))
+    return f.max(axis=1).reshape(trials.shape[:2]), f[:, -1].reshape(trials.shape[:2])
+
+
+def ulp_steps(values, steps):
+    """values moved by each of `steps` ulps, one column per step."""
+    out = np.repeat(values[:, None], len(steps), axis=1)
+    for col, k in enumerate(steps):
+        for _ in range(abs(k)):
+            out[:, col] = np.nextafter(out[:, col], np.inf if k > 0 else -np.inf)
+    return out
+
+
+class TestOpenTrials:
+    """The line search's screen closes only trials that cannot beat their
+    start's best, and the search contracts only open trials."""
+
+    @staticmethod
+    def _assert_sound(data, z, step, best):
+        opened = eigen._open_trials(z, step, best)
+        full, last = trial_norms(data, z, step)
+        # brute force: a trial whose full residual beats best is open
+        assert opened[full < best[:, None]].all()
+        # and the screen does its job: a trial clearly ruled out is closed
+        assert not opened[last > best[:, None] * (1 + 1e-12) + 1e-12].any()
+        return opened
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_rows(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        data = random_structured(m, n, "centro", seed=m + n).data
+        z = rng.normal(size=(60, n + 1)) * rng.uniform(0.1, 2.0, size=(60, 1))
+        step = rng.normal(size=(60, n + 1)) * rng.uniform(0.01, 3.0, size=(60, 1))
+        full, _ = trial_norms(data, z, step)
+        # best at, above and below each start's own trial residuals
+        for best in (full[:, 0], full.min(axis=1), np.median(full, axis=1), 2 * full.max(axis=1)):
+            self._assert_sound(data, z, step, best)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_within_ulps_of_best(self, n):
+        # On the zero tensor with lambda = 0, max|F| is ||x|^2 - 1| as
+        # np.sum gives it, so best a few ulps either side of a trial's
+        # ||x|^2 - 1| puts that trial right at the screen's edge; |x|^2
+        # above and below 1 gives both signs of |x|^2 - 1.
+        rng = np.random.default_rng(n)
+        data = np.zeros((n,) * 3)
+        z = rng.normal(size=(400, n + 1)) * rng.uniform(0.3, 1.5, size=(400, 1))
+        step = rng.normal(size=(400, n + 1)) * rng.uniform(1e-6, 1.0, size=(400, 1))
+        z[:, n] = step[:, n] = 0.0
+        _, last = trial_norms(data, z, step)
+        gaps = np.sum(all_trials(z, step)[..., :n] ** 2, axis=2) - 1.0
+        assert (gaps > 0).any() and (gaps < 0).any()
+        edge = last[np.arange(len(z)), rng.integers(0, eigen._DAMPS.size, size=len(z))]
+        for best in ulp_steps(edge, [-3, -1, 0, 1, 2, 3]).T:
+            self._assert_sound(data, z, step, best)
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            random_structured(5, 8, "centro", seed=508),
+            random_structured(4, 4, "skew", seed=404),
+            palindromic_cauchy(2),
+            palindromic_cauchy(4),
+        ],
+        ids=["centro-m5-n8", "skew-m4-n4", "cauchy-m2", "cauchy-m4"],
+    )
+    @pytest.mark.parametrize("budget", [2**16, 1])
+    def test_search_contracts_each_open_trial_at_most_once(self, tensor, budget, monkeypatch):
+        screened, contracted = [], []
+
+        def recording_screen(z, step, best):
+            opened = screen(z, step, best)
+            screened.append({row.tobytes() for row in all_trials(z, step)[opened]})
+            return opened
+
+        def recording_residual(data, zs):
+            contracted.append((len(screened), [row.tobytes() for row in zs]))
+            return residual_of(data, zs)
+
+        screen, residual_of = eigen._open_trials, eigen._stacked_residual
+        monkeypatch.setattr(eigen, "_open_trials", recording_screen)
+        monkeypatch.setattr(eigen, "_stacked_residual", recording_residual)
+        monkeypatch.setattr(eigen, "LINE_SEARCH_ENTRIES", budget)
+        solve_eigen(tensor, starts=40, seed=5)
+        # the first call is the starts' own residual, before any screen
+        assert contracted[0][0] == 0
+        rows = {}
+        for step_no, batch in contracted[1:]:
+            for row in batch:
+                assert row in screened[step_no - 1]
+                rows[step_no, row] = rows.get((step_no, row), 0) + 1
+        assert max(rows.values()) == 1
 
 
 class TestMergeAgainstLoop:

@@ -478,6 +478,23 @@ class TestPolyReflection:
         monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", entries)
         assert verify_poly_reflection(a, trials=trials, seed=rng)
 
+    # |f(Jx) - f(x)| against the bound 1e-10 * max(1, |f(x)|), at f(x) = 0
+    # and at f(x) = 2^20, where the bound is 1e-10 * 2^20 exactly: a
+    # difference at or just inside the bound passes, one ulp past it fails
+    @pytest.mark.parametrize(
+        "fx,gap,passes",
+        [
+            (0.0, 1e-10, True),
+            (0.0, np.nextafter(1e-10, 1.0), False),
+            (2.0**20, math.floor(1e-10 * 2**52) * 2.0**-32, True),
+            (2.0**20, (math.floor(1e-10 * 2**52) + 1) * 2.0**-32, False),
+        ],
+    )
+    def test_sample_bound_is_pinned(self, fx, gap, passes, monkeypatch):
+        values = iter([np.array([fx]), np.array([fx + gap])])
+        monkeypatch.setattr(structure, "contract_trailing", lambda data, xs, count: next(values))
+        assert verify_poly_reflection(random_structured(3, 3, "centro", seed=0), trials=1) is passes
+
     @pytest.mark.parametrize("trials", [0, 1, 7])
     def test_generator_state_matches_per_trial_draws(self, trials):
         a = random_structured(3, 4, "centro", seed=5)

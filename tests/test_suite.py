@@ -4,6 +4,9 @@ import pytest
 from centrotensor import (
     CHECK_NAMES,
     NEITHER,
+    NEITHER_CLASS,
+    EigenPair,
+    EigenSet,
     StructureReport,
     random_structured,
     suite,
@@ -61,3 +64,18 @@ def test_failure_reports_the_instance_its_trial_drew(monkeypatch):
     expected = random_structured(order, dim, "centro", rng)
     assert failing[0].counterexample == {"tensor": tensor_to_obj(expected)}
     assert failing[0].detail.startswith("verdicts disagree: ")
+
+
+# cauchy-eigen-symmetry skips pairs with |lambda| <= 1e-8: a pair of class
+# "neither" passes at the bound and fails one ulp past it
+@pytest.mark.parametrize(
+    "value,passes",
+    [(1e-8, True), (-1e-8, True), (np.nextafter(1e-8, 1.0), False), (1e-7, False), (-1e-7, False)],
+)
+def test_cauchy_symmetry_skips_only_values_within_the_bound(value, passes, monkeypatch):
+    pair = EigenPair(value, np.array([1.0, 0.0]), 0.0, NEITHER_CLASS)
+    monkeypatch.setattr(suite, "solve_eigen", lambda tensor, starts, seed: EigenSet([pair], None))
+    checks = tuple(c for c in suite._CHECKS if c[0] == "cauchy-eigen-symmetry")
+    monkeypatch.setattr(suite, "_CHECKS", checks)
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
