@@ -4,8 +4,10 @@
     python3 scripts/bench_layers.py --base f32523f --head worktree --reps 11 --out BENCH_structure.json
 
 Each commit is exported with ``git archive`` into a temporary directory
-and timed in fresh Python processes with one BLAS thread, the two commits
-alternating rep by rep so that a drift in machine speed hits both alike.
+and timed with one BLAS thread, each case in its own fresh Python process
+that builds only that case's inputs, so no case runs on the allocator
+state that other cases left.  The two commits alternate case by case, so
+that a drift in machine speed hits both alike.
 ``--head worktree`` times the checked-out ``src/`` with its uncommitted
 changes instead, recorded as ``<HEAD>-dirty``.
 
@@ -100,176 +102,234 @@ def _palindrome(rng, n: int) -> np.ndarray:
     return np.concatenate([half, half[: n // 2][::-1]])
 
 
-def measure() -> list:
-    """Time every case, the best of its calls after a warm-up, against the library on sys.path."""
-    from centrotensor import cauchy, core, eigen, product, structure
-
+def _panel(lib) -> list:
+    """The 27-cell panel: (tensor, solve seed) pairs."""
     panel_rng, solve_rng = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
     panel = []
     for family in ("centro", "skew", "cauchy"):
         for order in (2, 3, 4):
             for dim in (2, 3, 4):
                 if family == "cauchy":
-                    spec = cauchy.CauchySpec(_palindrome(panel_rng, dim), order)
-                    tensor = cauchy.materialize(spec)
+                    spec = lib.cauchy.CauchySpec(_palindrome(panel_rng, dim), order)
+                    tensor = lib.cauchy.materialize(spec)
                 else:
                     seed = int(panel_rng.integers(2**32))
-                    tensor = structure.random_structured(order, dim, family, seed)
+                    tensor = lib.structure.random_structured(order, dim, family, seed)
                 panel.append((tensor, int(solve_rng.integers(2**32))))
+    return panel
 
-    def residual_work(fn) -> dict:
-        """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
-        counts = {"residual_calls": 0, "residual_rows": 0}
-        stacked_residual = eigen._stacked_residual
 
-        def counting(data, zs):
-            counts["residual_calls"] += 1
-            counts["residual_rows"] += len(zs)
-            return stacked_residual(data, zs)
+def _residual_work(lib, fn) -> dict:
+    """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
+    counts = {"residual_calls": 0, "residual_rows": 0}
+    stacked_residual = lib.eigen._stacked_residual
 
-        eigen._stacked_residual = counting
-        fn()
-        eigen._stacked_residual = stacked_residual
-        return counts
+    def counting(data, zs):
+        counts["residual_calls"] += 1
+        counts["residual_rows"] += len(zs)
+        return stacked_residual(data, zs)
 
-    def solve_panel():
-        return [eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]
+    lib.eigen._stacked_residual = counting
+    fn()
+    lib.eigen._stacked_residual = stacked_residual
+    return counts
 
-    def solve_big():
-        return eigen.solve_eigen(big, starts=50, seed=SEED)
 
-    def criterion_11():
-        rng = np.random.default_rng(111)
-        for _ in range(100):
-            tensor = structure.random_structured(int(rng.integers(2, 6)), 2, "centro", rng)
-            eigen.solve_eigen(tensor, starts=200, seed=rng)
+def _recorded(lib, name: str, keep, run) -> list:
+    """The arguments of the eigen._<name> calls that keep accepts, copied, during run()."""
+    original = getattr(lib.eigen, name)
+    calls = []
 
-    big = structure.random_structured(5, 8, "centro", seed=SEED)
-    data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(8,) * 5)
-    jac_data = eigen._jacobian_tensor(data)
-    stacks = {s: np.random.default_rng(SEED).normal(size=(s, 8)) for s in (50, 850)}
-    small = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(4,) * 4)
-    small_stack = np.random.default_rng(SEED).normal(size=(200, 4))
+    def recording(*args):
+        if keep(*args):
+            calls.append(tuple(arg.copy() for arg in args))
+        return original(*args)
 
-    recorded = []
-    newton_steps = eigen._newton_steps
+    setattr(lib.eigen, name, recording)
+    run()
+    setattr(lib.eigen, name, original)
+    return calls
 
-    def recording(jac, rhs):
-        if np.any(np.linalg.slogdet(jac)[0] == 0):
-            recorded.append((jac.copy(), rhs.copy()))
-        return newton_steps(jac, rhs)
 
-    eigen._newton_steps = recording
-    pal = cauchy.materialize(cauchy.CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), 4))
-    eigen.solve_eigen(pal, starts=200, seed=SEED)
-    eigen._newton_steps = newton_steps
-    singular = sum(int(np.sum(np.linalg.slogdet(j)[0] == 0)) for j, _ in recorded)
-
-    merge = eigen._dedup
-    converged = []
-
-    def recording_merge(lams, xs, res):
-        converged.append((lams.copy(), xs.copy(), res.copy()))
-        return merge(lams, xs, res)
-
-    eigen._dedup = recording_merge
-    for tensor, seed in panel:
-        eigen.solve_eigen(tensor, starts=200, seed=seed)
-    eigen.solve_eigen(core.DenseTensor(np.zeros((2, 2))), starts=2000, seed=SEED)
-    eigen._dedup = merge
-    zero_stack = converged.pop()
-
-    mirror = structure.random_structured(4, 4, "centro", seed=SEED)
-    pairs = eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
-
-    witness_inputs = [
-        structure.random_structured(4, dim, kind, seed=SEED)
+def _witness_inputs(lib) -> list:
+    """Order-4 tensors of dims 36 (centro), 38 (skew) and 40 (general)."""
+    return [
+        lib.structure.random_structured(4, dim, kind, seed=SEED)
         for kind, dim in (("centro", 36), ("skew", 38), ("general", 40))
     ]
 
-    exchange = {t.dim: product.exchange_matrix(t.dim) for t in witness_inputs}
-    dense_pair = [structure.random_structured(3, 26, kind, seed=SEED) for kind in ("centro", "skew")]
-    cauchy_spec = cauchy.CauchySpec(_palindrome(np.random.default_rng(SEED), 20), 5)
-    product_data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(26,) * 5)
 
-    def structure_case(layer, fn, calls):
-        sizes = {"order": 4, "dims": [36, 38, 40], "calls": calls * len(witness_inputs)}
-        return (layer, "order 4, dims 36/38/40", sizes,
-                lambda: [fn(t) for t in witness_inputs for _ in range(calls)])
+def _solve_panel(lib):
+    panel = _panel(lib)
 
-    cases = [
-        ("eigen.solve_eigen", "27-cell panel",
-         {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200,
-          **residual_work(solve_panel)},
-         solve_panel),
-        ("eigen.solve_eigen", "order-5 dim-8 centro",
-         {"order": 5, "dim": 8, "starts": 50, **residual_work(solve_big)},
-         solve_big),
-        ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves",
-         {"solves": 100, "orders": [2, 5], "dim": 2, "starts": 200, "seed": 111},
-         criterion_11),
-        ("core.contract_trailing", "m=5 n=8 S=50",
-         {"order": 5, "dim": 8, "stack": 50, "calls": 20},
-         lambda: [core.contract_trailing(data, stacks[50], 4) for _ in range(20)]),
-        ("core.contract_trailing", "m=5 n=8 S=850",
-         {"order": 5, "dim": 8, "stack": 850, "calls": 20},
-         lambda: [core.contract_trailing(data, stacks[850], 4) for _ in range(20)]),
-        ("core.contract_trailing", "m=5 n=8 Jacobian tensor, 3 slots, S=50",
-         {"order": 5, "dim": 8, "count": 3, "stack": 50, "calls": 20},
-         lambda: [core.contract_trailing(jac_data, stacks[50], 3) for _ in range(20)]),
-        ("core.contract_trailing", "m=4 n=4 S=200",
-         {"order": 4, "dim": 4, "count": 3, "stack": 200, "calls": 200},
-         lambda: [core.contract_trailing(small, small_stack, 3) for _ in range(200)]),
-        ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks",
-         {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded),
-          "singular": singular},
-         lambda: [newton_steps(j, r) for j, r in recorded]),
-        ("eigen._dedup", "27-cell panel, converged stacks, 5 passes",
-         {"stacks": len(converged), "pairs": sum(len(st[0]) for st in converged),
-          "kept": sum(len(merge(*st)) for st in converged), "calls": 5 * len(converged)},
-         lambda: [merge(*st) for _ in range(5) for st in converged]),
-        ("eigen._dedup", "zero tensor dim 2, 2000 starts",
-         {"pairs": len(zero_stack[0]), "kept": len(merge(*zero_stack))},
-         lambda: merge(*zero_stack)),
-        ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times",
-         {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)},
-         lambda: [eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]),
-        structure_case("structure.check_structure", structure.check_structure, 5),
-        structure_case("structure.check_via_J", structure.check_via_J, 2),
-        structure_case("structure.check_commutation", structure.check_commutation, 2),
-        structure_case("structure.decompose", structure.decompose, 5),
-        structure_case("core.entry_scale", core.entry_scale, 20),
-        ("product.shao_product", "A*J and J*A, order 4, dims 36/38/40",
-         {"order": 4, "dims": [36, 38, 40], "calls": 4 * len(witness_inputs)},
-         lambda: [(product.shao_product(t, exchange[t.dim]), product.shao_product(exchange[t.dim], t))
-                  for t in witness_inputs for _ in range(2)]),
-        ("product.shao_product", "centro*skew, order 3, dim 26",
-         {"order": 3, "dim": 26, "calls": 1},
-         lambda: product.shao_product(*dense_pair)),
-        ("cauchy.materialize", "n=20 m=5 palindrome",
-         {"order": 5, "dim": 20, "calls": 5},
-         lambda: [cauchy.materialize(cauchy_spec) for _ in range(5)]),
-        structure_case("core.DenseTensor", lambda t: core.DenseTensor(t.data), 5),
-        ("core.DenseTensor", "order 5, dim 26",
-         {"order": 5, "dim": 26, "calls": 5},
-         lambda: [core.DenseTensor(product_data) for _ in range(5)]),
-    ]
+    def fn():
+        return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]
+
+    return {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200, **_residual_work(lib, fn)}, fn
+
+
+def _solve_big(lib):
+    big = lib.structure.random_structured(5, 8, "centro", seed=SEED)
+
+    def fn():
+        return lib.eigen.solve_eigen(big, starts=50, seed=SEED)
+
+    return {"order": 5, "dim": 8, "starts": 50, **_residual_work(lib, fn)}, fn
+
+
+def _criterion_11(lib):
+    def fn():
+        rng = np.random.default_rng(111)
+        for _ in range(100):
+            tensor = lib.structure.random_structured(int(rng.integers(2, 6)), 2, "centro", rng)
+            lib.eigen.solve_eigen(tensor, starts=200, seed=rng)
+
+    return {"solves": 100, "orders": [2, 5], "dim": 2, "starts": 200, "seed": 111}, fn
+
+
+def _contraction(sizes: dict, jacobian: bool = False):
+    """contract_trailing of a uniform tensor of these sizes (or its Jacobian tensor) on a normal stack."""
+    def build(lib):
+        m, n = sizes["order"], sizes["dim"]
+        data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(n,) * m)
+        if jacobian:
+            data = lib.eigen._jacobian_tensor(data)
+        xs = np.random.default_rng(SEED).normal(size=(sizes["stack"], n))
+        count = sizes.get("count", m - 1)
+        return sizes, lambda: [lib.core.contract_trailing(data, xs, count) for _ in range(sizes["calls"])]
+
+    return build
+
+
+def _newton_steps(lib):
+    pal = lib.cauchy.materialize(lib.cauchy.CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), 4))
+    recorded = _recorded(
+        lib, "_newton_steps", lambda jac, rhs: np.any(np.linalg.slogdet(jac)[0] == 0),
+        lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED),
+    )
+    singular = sum(int(np.sum(np.linalg.slogdet(j)[0] == 0)) for j, _ in recorded)
+    sizes = {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded), "singular": singular}
+    return sizes, lambda: [lib.eigen._newton_steps(j, r) for j, r in recorded]
+
+
+def _dedup_panel(lib):
+    panel = _panel(lib)
+    converged = _recorded(
+        lib, "_dedup", lambda *stack: True,
+        lambda: [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel],
+    )
+    merge = lib.eigen._dedup
+    sizes = {"stacks": len(converged), "pairs": sum(len(st[0]) for st in converged),
+             "kept": sum(len(merge(*st)) for st in converged), "calls": 5 * len(converged)}
+    return sizes, lambda: [merge(*st) for _ in range(5) for st in converged]
+
+
+def _dedup_zero(lib):
+    (zero_stack,) = _recorded(
+        lib, "_dedup", lambda *stack: True,
+        lambda: lib.eigen.solve_eigen(lib.core.DenseTensor(np.zeros((2, 2))), starts=2000, seed=SEED),
+    )
+    merge = lib.eigen._dedup
+    return {"pairs": len(zero_stack[0]), "kept": len(merge(*zero_stack))}, lambda: merge(*zero_stack)
+
+
+def _reflect_pair(lib):
+    mirror = lib.structure.random_structured(4, 4, "centro", seed=SEED)
+    pairs = lib.eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
+    sizes = {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)}
+    return sizes, lambda: [lib.eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]
+
+
+def _per_witness_input(call, calls: int):
+    """call(lib, t) on each of the three order-4 tensors, calls times over."""
+    def build(lib):
+        inputs = _witness_inputs(lib)
+        sizes = {"order": 4, "dims": [36, 38, 40], "calls": calls * len(inputs)}
+        return sizes, lambda: [call(lib, t) for t in inputs for _ in range(calls)]
+
+    return build
+
+
+def _exchange_products(lib):
+    inputs = _witness_inputs(lib)
+    exchange = {t.dim: lib.product.exchange_matrix(t.dim) for t in inputs}
+    sizes = {"order": 4, "dims": [36, 38, 40], "calls": 4 * len(inputs)}
+    shao = lib.product.shao_product
+    return sizes, lambda: [(shao(t, exchange[t.dim]), shao(exchange[t.dim], t)) for t in inputs for _ in range(2)]
+
+
+def _dense_product(lib):
+    pair = [lib.structure.random_structured(3, 26, kind, seed=SEED) for kind in ("centro", "skew")]
+    return {"order": 3, "dim": 26, "calls": 1}, lambda: lib.product.shao_product(*pair)
+
+
+def _materialize(lib):
+    spec = lib.cauchy.CauchySpec(_palindrome(np.random.default_rng(SEED), 20), 5)
+    return {"order": 5, "dim": 20, "calls": 5}, lambda: [lib.cauchy.materialize(spec) for _ in range(5)]
+
+
+def _construction(lib):
+    data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(26,) * 5)
+    return {"order": 5, "dim": 26, "calls": 5}, lambda: [lib.core.DenseTensor(data) for _ in range(5)]
+
+
+_WITNESSES = "order 4, dims 36/38/40"
+
+# (layer, case, build): build(lib) makes only this case's inputs and
+# returns its sizes and the function one call of the case runs.
+CASES = [
+    ("eigen.solve_eigen", "27-cell panel", _solve_panel),
+    ("eigen.solve_eigen", "order-5 dim-8 centro", _solve_big),
+    ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves", _criterion_11),
+    ("core.contract_trailing", "m=5 n=8 S=50", _contraction({"order": 5, "dim": 8, "stack": 50, "calls": 20})),
+    ("core.contract_trailing", "m=5 n=8 S=850",
+     _contraction({"order": 5, "dim": 8, "stack": 850, "calls": 20})),
+    ("core.contract_trailing", "m=5 n=8 Jacobian tensor, 3 slots, S=50",
+     _contraction({"order": 5, "dim": 8, "count": 3, "stack": 50, "calls": 20}, jacobian=True)),
+    ("core.contract_trailing", "m=4 n=4 S=200",
+     _contraction({"order": 4, "dim": 4, "count": 3, "stack": 200, "calls": 200})),
+    ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks", _newton_steps),
+    ("eigen._dedup", "27-cell panel, converged stacks, 5 passes", _dedup_panel),
+    ("eigen._dedup", "zero tensor dim 2, 2000 starts", _dedup_zero),
+    ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times", _reflect_pair),
+    ("structure.check_structure", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.check_structure(t), 5)),
+    ("structure.check_via_J", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.check_via_J(t), 2)),
+    ("structure.check_commutation", _WITNESSES,
+     _per_witness_input(lambda lib, t: lib.structure.check_commutation(t), 2)),
+    ("structure.decompose", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.decompose(t), 5)),
+    ("core.entry_scale", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.entry_scale(t), 20)),
+    ("product.shao_product", "A*J and J*A, order 4, dims 36/38/40", _exchange_products),
+    ("product.shao_product", "centro*skew, order 3, dim 26", _dense_product),
+    ("cauchy.materialize", "n=20 m=5 palindrome", _materialize),
+    ("core.DenseTensor", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.DenseTensor(t.data), 5)),
+    ("core.DenseTensor", "order 5, dim 26", _construction),
+]
+
+
+def measure(indices) -> list:
+    """Time the CASES at these indices in turn, each the best of its calls after a warm-up."""
+    import centrotensor as lib  # the package on sys.path: in a child, the commit being timed
+
     out = []
-    for layer, case, sizes, fn in cases:
+    for index in indices:
+        layer, case, build = CASES[index]
+        sizes, fn = build(lib)
         calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(fn))))  # the warm-up
         best = min(_timed(fn) for _ in range(calls))
         out.append({"layer": layer, "case": case, "sizes": sizes, "s": best, "best_of": calls})
     return out
 
 
-def _child(src: Path) -> list:
+def _child(src: Path, index: int) -> dict:
+    """Case `index` timed in a fresh process against the library in src."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure"],
+        [sys.executable, __file__, "--measure", str(index)],
         env=env, cwd=src.parent, stdout=subprocess.PIPE, text=True, check=True,
     )
-    return json.loads(proc.stdout)
+    (record,) = json.loads(proc.stdout)
+    return record
 
 
 def merge_records(path: Path, records: list) -> list:
@@ -292,10 +352,11 @@ def main(argv=None) -> int:
     parser.add_argument("--head", help="changed commit")
     parser.add_argument("--reps", type=int, default=7)
     parser.add_argument("--out", help="record to merge the rows into, e.g. BENCH_structure.json")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    # case indices timed in this process; none given times every case
+    parser.add_argument("--measure", nargs="*", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
+    if args.measure is not None:
+        print(json.dumps(measure(args.measure or range(len(CASES)))))
         return 0
     if not (args.base and args.head and args.out):
         parser.error("--base, --head and --out are required")
@@ -316,22 +377,22 @@ def main(argv=None) -> int:
                                      stdout=subprocess.PIPE).stdout
             subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
             trees[rev] = tree / "src"
-        # one rep per process, the commits alternating
-        runs = {rev: [] for rev in trees}
+        # one process per case and rep, the commits alternating
+        runs = {(rev, i): [] for rev in trees for i in range(len(CASES))}
         for rep in range(args.reps):
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
-            for rev in order:
-                runs[rev].append(_child(trees[rev]))
+            for i in range(len(CASES)):
+                for rev in order:
+                    runs[rev, i].append(_child(trees[rev], i))
             print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr, flush=True)
-    for rev, per_rep in runs.items():
-        for i, first in enumerate(per_rep[0]):
-            times = [rep_cases[i]["s"] for rep_cases in per_rep]
-            records.append({
-                "layer": first["layer"], "case": first["case"], "sizes": first["sizes"],
-                "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
-                "reps": len(times), "best_of": min(r[i]["best_of"] for r in per_rep),
-                "git_rev": rev,
-            })
+    for (rev, _), per_rep in runs.items():
+        times = [r["s"] for r in per_rep]
+        records.append({
+            "layer": per_rep[0]["layer"], "case": per_rep[0]["case"], "sizes": per_rep[0]["sizes"],
+            "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
+            "reps": len(times), "best_of": min(r["best_of"] for r in per_rep),
+            "git_rev": rev,
+        })
     Path(args.out).write_text(json.dumps(merge_records(Path(args.out), records), indent=1) + "\n")
     for rec in records:
         print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "

@@ -32,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from .core import DenseTensor, DomainError, check_entry_count, entry_scale
-from .product import exchange_matrix, shao_product
+from .product import _exchange_left, _exchange_right
 from .structure import _BLOCK, _compare, check_structure, default_tolerance
 
 __all__ = [
@@ -193,13 +193,15 @@ def cauchy_check_JC(spec: CauchySpec) -> bool:
     """Product-level centro test: both J*C and C*J reproduce C, at the
     default tolerance of C.
 
-    Materializes the tensor, so construction errors propagate.  Agrees
-    with cauchy_is_centro on every valid spec.
+    Materializes the tensor, so construction errors propagate.  J*C and
+    C*J are the product's exchange actions, read as views of C's entries
+    in (n, n^(m-1)) rows and compared with C's in full.  Agrees with
+    cauchy_is_centro on every valid spec.
     """
     c_tensor = materialize(spec)
     tol = default_tolerance(c_tensor)
-    j = exchange_matrix(spec.dim)
+    c, rows = c_tensor.data, c_tensor.data.reshape(spec.dim, -1)
     return all(
-        _compare(product.data, c_tensor.data, tol).is_centro
-        for product in (shao_product(j, c_tensor), shao_product(c_tensor, j))
+        _compare(view.reshape(rows.shape), rows, tol).is_centro
+        for view in (_exchange_left(c), _exchange_right(c))
     )

@@ -22,6 +22,13 @@ to match, so both ways give the same bits.  (At dim 1 the contraction
 keeps -0.0, so dim 1 keeps it.)  Every other factor, other permutation
 matrices included, is contracted.
 
+J's action is known here alone, as one view per side: _exchange_left
+gives J*B as B's entries with the leading index reversed, and
+_exchange_right gives A*J as A's entries in (n, n^(m-1)) rows, each read
+backwards.  shao_product adds 0.0 to a view to make its result; the
+structure witnesses and cauchy.cauchy_check_JC compare the views with
+the tensor directly and build no product.
+
 The contraction takes A's trailing slots one at a time: it moves the
 slot to the last axis and multiplies the reshaped entries by B's
 flattened entries in one 2-D np.matmul, the bits np.tensordot gives.
@@ -75,9 +82,9 @@ def shao_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     order = (a.order - 1) * (b.order - 1) + 1
     check_entry_count(order, n, "product")
     if _is_exchange(a):
-        return DenseTensor._adopt(b.data[::-1] + 0.0)
+        return DenseTensor._adopt(_exchange_left(b.data) + 0.0)
     if _is_exchange(b):
-        return DenseTensor._adopt((a.data.reshape(n, -1)[:, ::-1] + 0.0).reshape(a.data.shape))
+        return DenseTensor._adopt((_exchange_right(a.data) + 0.0).reshape(a.data.shape))
     # Flatten B's trailing k-1 axes; each contraction of one trailing slot
     # of A then appends one flattened multi-index axis, in slot order.
     b_flat = b.data.reshape(n, n ** (b.order - 1))
@@ -101,6 +108,18 @@ def _bounded(a: DenseTensor, b: DenseTensor) -> bool:
     """
     bound = math.log2(entry_scale(a)) + (a.order - 1) * math.log2(a.dim * entry_scale(b))
     return bound < _FINITE_LOG2
+
+
+def _exchange_left(data: np.ndarray) -> np.ndarray:
+    """J*B's entries as a view of B's: the leading index reversed."""
+    return data[::-1]
+
+
+def _exchange_right(data: np.ndarray) -> np.ndarray:
+    """A*J's entries as an (n, n^(m-1)) view of A's: each row's flat trailing entries reversed."""
+    if data.ndim < 2:
+        raise ValueError("left operand must have order >= 2")
+    return data.reshape(data.shape[0], -1)[:, ::-1]
 
 
 def _is_exchange(t: DenseTensor) -> bool:

@@ -11,23 +11,43 @@ compares deviations against an absolute tolerance that defaults to
 1e-12 * max(1, largest entry magnitude).
 
 Each witness reduces to comparing two same-size arrays x and y: the
-centro deviation |x - y| and the skew deviation |x + y|.  Past _BLOCK
-entries those are streamed through two reused buffers of _BLOCK
-entries, keeping only each deviation's max and first argmax, so the
-comparison builds no full-size temporary; a tensor of at most _BLOCK
-entries is one block, taken in two whole-array passes.  The direct
-check reads the reversed entries as a view instead of copying them.
+centro deviation |x - y| and the skew deviation |x + y|.  The three pairs
+are views of A's entries, so no witness builds a result-size array:
+
+* check_structure compares the flat entries with their reversal;
+* check_via_J compares J*A*J with A, where J*A*J is the product's two
+  exchange actions (product._exchange_left of _exchange_right) read as
+  one flat view with stride -8;
+* check_commutation compares A*J with J*A as (n, n^(m-1)) views, which
+  reverse each row's trailing entries and the row order respectively.
+
+Each of the three deviation arrays reads the same backwards: its entry at
+flat offset p equals the one at N-1-p.  For the flat pairs, x[p] = a[p]
+and y[p] = a[N-1-p] (or the other way round), and the entry at N-1-p
+swaps the two; for commutation, the entry at row i, column t compares
+a[i, T-1-t] with a[n-1-i, t] (T = n^(m-1)), and the one at row n-1-i,
+column T-1-t, which is flat offset N-1-p, compares the same two the
+other way round.  fl(a - b) = -fl(b - a) and fl(a + b) = fl(b + a), so
+the absolute deviations agree bit for bit.  An entry past the first
+ceil(N/2) thus equals an earlier one, and each deviation's max and first
+argmax lie in the first ceil(N/2) entries, which are all each witness
+scans: half the flat entries, or for commutation the first ceil(n/2)
+rows, which hold them.  The worst index unravels over A's shape, so the
+report is the one the full arrays give.  At dim 1 both exchange views
+are the identity, as the contraction by J = [1] is.  The views keep a
+-0.0 that shao_product turns into +0.0 (see product), and the absolute
+deviations do not see the sign of a zero, so the reports are the ones
+the products gave.
+
+Past _BLOCK entries the deviations are streamed in C order through two
+reused buffers of _BLOCK entries, keeping only each deviation's max and
+first argmax, so the comparison builds no full-size temporary: whole rows
+at a time while a row fits in a block, pieces of a row past that.  A pair
+of at most _BLOCK entries is one block, taken in two whole-array passes.
 Max and first argmax are exact, so a report is the one full-size arrays
 give.  A deviation that overflows is inf, and the report says so.
 decompose walks the same blocks, halving before it adds, so its parts
 stay finite for any finite tensor.
-
-The sandwich and commutation witnesses multiply by the exchange matrix
-J through shao_product, which recognises J by its entries and applies it
-as a reversal instead of contracting (see product): the same bits as the
-contractions, without their multiplications by 0.  The direct check
-reverses the flat entries in one pass, so the three witnesses still run
-three different computations.
 """
 
 from __future__ import annotations
@@ -49,7 +69,7 @@ from .core import (
     entry_scale,
     row_sums,
 )
-from .product import exchange_matrix, shao_product
+from .product import _exchange_left, _exchange_right
 
 __all__ = [
     "CENTRO",
@@ -141,17 +161,19 @@ def _tolerance(a: DenseTensor, tol) -> float:
     return default_tolerance(a) if tol is None else check_tolerance(tol)
 
 
-def _compare(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
+def _compare(x: np.ndarray, y: np.ndarray, tol: float, shape: tuple | None = None) -> StructureReport:
     """Classify by the deviations |x - y| (centro) and |x + y| (skew).
 
-    y holds as many entries as x and may be a strided view, such as x's
-    entries reversed; worst_index unravels over x's shape.  A tensor of
-    at most _BLOCK entries is one block, compared in two whole-array
-    passes; a larger one goes through two reused buffers of _BLOCK
-    entries.  Either way each deviation keeps its max and first argmax,
-    so both give the same report.
+    x and y have one shape, 1-D or 2-D, and either may be a strided view,
+    such as another array's entries reversed; they are read in C order.
+    worst_index unravels the flat offset over shape, by default x's; a
+    witness passes the leading part of its pair and the tensor's shape.
+    A pair of at most _BLOCK entries is one block, compared in two
+    whole-array passes; a larger one goes through two reused buffers of
+    _BLOCK entries.  Either way each deviation keeps its max and first
+    argmax, so both give the same report.
     """
-    c_max, c_at, s_max, s_at = _deviations(x.reshape(-1), y.reshape(-1))
+    c_max, c_at, s_max, s_at = _deviations(x, y)
     c_ok, s_ok = c_max <= tol, s_max <= tol
     if c_ok and s_ok:
         # max(|x - y|, |x + y|) first peaks at the earlier first argmax of
@@ -168,72 +190,98 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float) -> StructureReport:
         verdict, worst, at = NEITHER, s_max, s_at
     # unravel the flat offset 1-based; np.unravel_index costs more on a few entries
     index = []
-    for size in reversed(x.shape):
+    for size in reversed(x.shape if shape is None else shape):
         at, i = divmod(at, size)
         index.append(i + 1)
     return StructureReport(verdict, worst, tuple(reversed(index)), tol)
 
 
 @np.errstate(over="ignore")
-def _deviations(xf: np.ndarray, yf: np.ndarray) -> tuple[float, int, float, int]:
-    """Max and first argmax of |x - y| and of |x + y| for flat x and y.
+def _deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float, int]:
+    """Max and first C-order argmax of |x - y| and of |x + y|.
 
     Up to _BLOCK entries this is two whole-array passes; past that, the
     deviations stream through _streamed_deviations.
     """
-    if xf.size > _BLOCK:
-        return _streamed_deviations(xf, yf)
-    d, t = np.abs(xf - yf), np.abs(xf + yf)
+    if x.size > _BLOCK:
+        return _streamed_deviations(x, y)
+    d, t = np.abs(x - y), np.abs(x + y)
     i, j = int(np.argmax(d)), int(np.argmax(t))
-    return float(d[i]), i, float(t[j]), j
+    return float(d.flat[i]), i, float(t.flat[j]), j
 
 
 @np.errstate(over="ignore")
-def _streamed_deviations(xf: np.ndarray, yf: np.ndarray) -> tuple[float, int, float, int]:
-    """_deviations of any size, through two reused buffers of _BLOCK entries."""
-    diff, total = np.empty(min(xf.size, _BLOCK)), np.empty(min(xf.size, _BLOCK))
+def _streamed_deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float, int]:
+    """_deviations of any size, through two reused buffers of at most _BLOCK entries.
+
+    The pair is read as rows of its last axis (a 1-D pair is one row) in
+    C order: as many whole rows at a time as fit in _BLOCK entries, or,
+    when a row holds more, pieces of _BLOCK entries of one row.
+    """
+    x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+    rows, cols = x.shape
+    height, width = min(rows, max(1, _BLOCK // cols)), min(cols, _BLOCK)
+    diff, total = np.empty(height * width), np.empty(height * width)
     c_max = s_max = -1.0
     c_at = s_at = 0
-    for start in range(0, xf.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        xb, yb = xf[block], yf[block]
-        d, t = diff[: xb.size], total[: xb.size]
-        np.abs(np.subtract(xb, yb, out=d), out=d)
-        np.abs(np.add(xb, yb, out=t), out=t)
-        i, j = int(np.argmax(d)), int(np.argmax(t))
-        if d[i] > c_max:
-            c_max, c_at = float(d[i]), start + i
-        if t[j] > s_max:
-            s_max, s_at = float(t[j]), start + j
+    for row in range(0, rows, height):
+        for col in range(0, cols, width):
+            xb, yb = x[row : row + height, col : col + width], y[row : row + height, col : col + width]
+            d, t = diff[: xb.size].reshape(xb.shape), total[: xb.size].reshape(xb.shape)
+            np.abs(np.subtract(xb, yb, out=d), out=d)
+            np.abs(np.add(xb, yb, out=t), out=t)
+            i, j = int(np.argmax(d)), int(np.argmax(t))
+            w = xb.shape[1]
+            if diff[i] > c_max:
+                c_max, c_at = float(diff[i]), (row + i // w) * cols + col + i % w
+            if total[j] > s_max:
+                s_max, s_at = float(total[j]), (row + j // w) * cols + col + j % w
     return c_max, c_at, s_max, s_at
 
 
 def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport:
-    """Classify by direct comparison against the index-reversed tensor."""
+    """Classify by direct comparison against the index-reversed tensor.
+
+    Compares the first ceil(N/2) flat entries with the last ones read
+    backwards: the deviations read the same backwards, so the first
+    maximum lies there (see the module docstring).
+    """
     tol = _tolerance(a, tol)
-    return _compare(a.data, a.entries[::-1], tol)
+    flat = a.entries
+    half = (flat.size + 1) // 2
+    return _compare(flat[:half], flat[::-1][:half], tol, a.data.shape)
 
 
 def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     """Classify through the exchange-matrix sandwich J*A*J compared to +-A.
 
     Independent witness path for the same verdicts as check_structure:
-    sandwiching with J realizes the full index reversal through the
-    product operation instead of direct entry permutation.
+    the sandwich realizes the full index reversal through the product's
+    two exchange actions instead of direct entry permutation.  J*A*J is
+    a flat view of A's entries with stride -8, and only its first
+    ceil(N/2) entries are compared with A's, since the deviations read
+    the same backwards (see the module docstring).  Order 1 is a
+    ValueError, as for A*J.
     """
     tol = _tolerance(a, tol)
-    j = exchange_matrix(a.dim)
-    jaj = shao_product(j, shao_product(a, j)).data
-    return _compare(jaj, a.data, tol)
+    jaj = _exchange_left(_exchange_right(a.data)).reshape(-1)
+    half = (jaj.size + 1) // 2
+    return _compare(jaj[:half], a.entries[:half], tol, a.data.shape)
 
 
 def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureReport:
-    """Classify by whether A commutes (centro) or anticommutes (skew) with J."""
+    """Classify by whether A commutes (centro) or anticommutes (skew) with J.
+
+    A*J and J*A are read as (n, n^(m-1)) views of A's entries through the
+    product's exchange actions, and only their first ceil(n/2) rows are
+    compared, since the deviations read the same backwards (see the
+    module docstring).  Order 1 is a ValueError, as for A*J.
+    """
     tol = _tolerance(a, tol)
-    j = exchange_matrix(a.dim)
-    aj = shao_product(a, j).data
-    ja = shao_product(j, a).data
-    return _compare(aj, ja, tol)
+    aj = _exchange_right(a.data)
+    ja = _exchange_left(a.data).reshape(aj.shape)
+    half = (a.dim + 1) // 2
+    return _compare(aj[:half], ja[:half], tol, a.data.shape)
 
 
 def decompose(a: DenseTensor) -> Decomposition:

@@ -237,6 +237,31 @@ class TestProducts:
         assert out == ""
         assert err == "error: order 65 exceeds the limit of 64 axes\n"
 
+    def test_exchange_products_equal_tensordot_bits_without_negative_zeros(self, tmp_path, capsys):
+        # seed 1: the skew tensor's centre entry is -0.0 (at seed 0 it is +0.0)
+        outputs = {}
+        for name, argv in (
+            ("S", ["gen", "--kind", "skew", "--dim", "3", "--seed", "1"]),
+            ("J", ["gen", "--kind", "exchange", "--dim", "3"]),
+            ("SJ", ["prod", str(tmp_path / "S.json"), str(tmp_path / "J.json")]),
+            ("JS", ["prod", str(tmp_path / "J.json"), str(tmp_path / "S.json")]),
+        ):
+            code, outputs[name], _ = run(capsys, argv)
+            assert code == 0
+            (tmp_path / f"{name}.json").write_text(outputs[name])
+        assert "-0," in outputs["S"]
+
+        def load(name):
+            obj = json.loads(outputs[name])
+            return np.array(obj["entries"]).reshape((obj["dim"],) * obj["order"])
+
+        s, j = load("S"), load("J")
+        for name, want in (("SJ", np.tensordot(s, j, axes=(1, 0))), ("JS", np.tensordot(j, s, axes=(1, 0)))):
+            got = load(name)
+            assert got.tobytes() == want.tobytes(), name
+            assert not np.any(np.signbit(got) & (got == 0)), name
+            assert "-0," not in outputs[name] and "-0]" not in outputs[name], name
+
     def test_hadamard(self, tmp_path, capsys, sym_matrix):
         path = write_tensor(tmp_path / "a.json", sym_matrix)
         code, out, _ = run(capsys, ["hadamard", path, path])

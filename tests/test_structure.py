@@ -134,9 +134,11 @@ class TestDecompose:
         assert err <= 1e-14 * scale_a
 
 
-def _planted(order, dim, seed, values):
-    """A general tensor with values planted at flat offsets: {offset: value}."""
-    flat = random_structured(order, dim, "general", seed).entries.copy()
+def _planted(order, dim, seed, values, kind="general"):
+    """A random_structured tensor of this kind, or the zero tensor, with values
+    planted at flat offsets: {offset: value}."""
+    base = DenseTensor.zeros(order, dim) if kind == "zero" else random_structured(order, dim, kind, seed)
+    flat = base.entries.copy()
     for offset, value in values.items():
         flat[offset] = value
     return DenseTensor.from_entries(order, dim, flat)
@@ -224,7 +226,7 @@ class TestStreamedCompare:
     def test_traced_peak_memory(self):
         a = random_structured(4, 40, "general", seed=0)
         peaks = {}
-        for fn in (check_structure, decompose):
+        for fn in (check_structure, check_via_J, check_commutation, decompose):
             fn(a)  # warm-up
             tracemalloc.start()
             try:
@@ -232,9 +234,48 @@ class TestStreamedCompare:
                 peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] / a.data.nbytes
             finally:
                 tracemalloc.stop()
+        # the witnesses compare views of A through two _BLOCK buffers
         assert peaks["check_structure"] < 0.05
+        assert peaks["check_via_J"] < 0.05
+        assert peaks["check_commutation"] < 0.05
         # the two parts
         assert peaks["decompose"] <= 2.25
+
+
+# Each witness scans the first ceil(N/2) entries, or ceil(n/2) rows, of a
+# deviation array that reads the same backwards.  Every case here has a
+# report that a scan stopping at floor(N/2) entries or floor(n/2) rows
+# gets wrong for at least one witness.
+_HALF_SCAN_CASES = {
+    # the only skew deviation at the centre entry of an odd N, which is
+    # also in the middle row
+    "centre entry, order 3": lambda: _planted(3, 5, 5, {62: 5.0}, "skew"),
+    "centre entry, order 2": lambda: _planted(2, 3, 3, {4: 5.0}, "skew"),
+    # the only centro deviations in the middle row, off the centre entry
+    "middle row, order 3": lambda: _planted(3, 5, 5, {2 * 25 + 3: 5.0}, "centro"),
+    "middle row, order 2": lambda: _planted(2, 3, 3, {3: 5.0}, "centro"),
+    # the largest deviation at offsets 1 and 3 and at their mirrors
+    "ties across the halves, order 2": lambda: _planted(2, 4, 4, {14: 5.0, 3: 5.0}, "zero"),
+    "ties across the halves, order 4": lambda: _planted(4, 3, 3, {79: 5.0, 3: -5.0}, "zero"),
+    "dim 1, -0.0": lambda: DenseTensor.from_entries(2, 1, [-0.0]),
+    "dim 1, order 3": lambda: DenseTensor.from_entries(3, 1, [2.0]),
+    "order 2, even dim": lambda: random_structured(2, 4, "general", seed=4),
+    "order 2, odd dim": lambda: random_structured(2, 5, "general", seed=5),
+}
+
+
+class TestHalfScan:
+    """Reports read from the first half equal the full-array oracle on its edge inputs."""
+
+    @pytest.mark.parametrize("block", ["default", "5", "less than one row"])
+    @pytest.mark.parametrize("case", _HALF_SCAN_CASES)
+    def test_reports_equal_the_full_array_oracle(self, case, block, monkeypatch):
+        a = _HALF_SCAN_CASES[case]()
+        if block == "5":
+            monkeypatch.setattr(structure, "_BLOCK", 5)
+        elif block == "less than one row":
+            monkeypatch.setattr(structure, "_BLOCK", max(1, a.dim ** (a.order - 1) - 1))
+        TestStreamedCompare._check_reports(a)
 
 
 class TestOneBlockCompare:
