@@ -11,7 +11,7 @@ that closes stdout early (`| head`) ends the run quietly, with the code
 its result maps to.
 
 Input paths accept "-" for stdin.  Every verb that draws randomness
-takes its seed from --seed alone, default 0.
+takes its seed from --seed alone: a non-negative integer, default 0.
 """
 
 from __future__ import annotations
@@ -55,10 +55,20 @@ def _to_obj(result):
     return result.as_dict() if hasattr(result, "as_dict") else result
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take only non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _cmd_gen(args):
     if args.kind == "identity":
         return DenseTensor.identity(args.order, args.dim)
     if args.kind == "exchange":
+        if args.order != 2:
+            raise ValueError(f"the exchange matrix has order 2, got --order {args.order}")
         return exchange_matrix(args.dim)
     return random_structured(args.order, args.dim, args.kind, args.seed)
 
@@ -137,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("centro", "skew", "general", "identity", "exchange"),
         default="general",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="classify centro/skew structure")
@@ -165,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eig", help="multistart H-eigenpair solve")
     p.add_argument("tensor")
     p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=eigen.DEFAULT_SOLVER_TOL)
     p.set_defaults(func=_cmd_eig)
 
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inverse)
 
     p = sub.add_parser("verify-all", help="run the full property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=suite.DEFAULT_TRIALS)
     p.set_defaults(func=_cmd_verify_all)
 

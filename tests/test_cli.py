@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -448,12 +449,14 @@ class TestEig:
 EIG_CONTRACT_TENSORS = {
     "centro": ["gen", "--order", "3", "--dim", "4", "--kind", "centro", "--seed", "0"],
     "cauchy": ["cauchy", "{spec}", "--mode", "materialize"],
+    "centro-order-4": ["gen", "--order", "4", "--dim", "4", "--kind", "centro", "--seed", "0"],
+    "skew-order-5": ["gen", "--order", "5", "--dim", "3", "--kind", "skew", "--seed", "0"],
 }
 EIG_ENDS = ("converged", "rejected", "stalled", "non_finite", "max_iter")
 
 
 class TestEigContracts:
-    """Start accounting and merge order of `eig` at its defaults."""
+    """Start accounting, merge order and residuals of `eig` at its defaults."""
 
     @staticmethod
     def _tensor(name, tmp_path, capsys):
@@ -489,6 +492,23 @@ class TestEigContracts:
                 y = np.array(q["vector"])
                 gap = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
                 assert not (abs(p["value"] - q["value"]) <= 1e-8 and gap <= 1e-6)
+
+    @pytest.mark.parametrize("name", ["centro-order-4", "skew-order-5"])
+    def test_printed_pairs_solve_the_equation(self, name, tmp_path, capsys):
+        tensor = self._tensor(name, tmp_path, capsys)
+        (tmp_path / "tensor.json").write_text(tensor)
+        code, out, _ = run(capsys, ["eig", str(tmp_path / "tensor.json")])
+        assert code == 0
+        obj = json.loads(tensor)
+        m, n = obj["order"], obj["dim"]
+        a = np.array(obj["entries"]).reshape((n,) * m)
+        pairs = json.loads(out)["pairs"]
+        assert pairs
+        for p in pairs:
+            x = np.array(p["vector"])
+            # (A x^{m-1})_i, recomputed with x on every trailing slot
+            ax = np.einsum(a, list(range(m)), *[op for k in range(1, m) for op in (x, [k])], [0])
+            assert np.max(np.abs(ax - p["value"] * np.power(x, m - 1))) <= 1e-9, p
 
 
 class TestEigNearTheFloatLimit:
@@ -532,13 +552,73 @@ class TestCauchyVerb:
         entries = json.loads(out)["entries"]
         assert np.isclose(entries[0], 0.5)
 
-    def test_check_mode(self, tmp_path, capsys):
+    # name -> spec, and None for a tensor equal bit for bit to the
+    # whole-array reciprocals, or the message of a refusal
+    BUILDS = {
+        # 12^4 rows of 12 sums, in 8 blocks of 2730 rows
+        "eight-blocks": (
+            '{"order": 5, "generating": [0.3, 1.7, 0.9, 2.2, 0.45, 1.1, 1.1, 0.45, 2.2, 0.9, 1.7, 0.3]}',
+            None,
+        ),
+        # the only vanishing sum is the last index's, whose sorted multiset
+        # is in the last block
+        "last-block-multiset": (
+            '{"order": 5, "generating": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]}',
+            "multiset (12, 12, 12, 12, 12)",
+        ),
+        # (1, 3, 1, 3) sums left to right to exactly 0, while every sorted
+        # multiset sum overflows or is far from 0
+        "zero-sum": (
+            '{"order": 4, "generating": [1e308, 1e308, -1e308, -1e308]}',
+            "at index (1, 3, 1, 3) has no finite reciprocal",
+        ),
+        # (1, 2, 2) is the first index whose sum passes the float maximum
+        "overflowed-sum": (
+            '{"order": 3, "generating": [1e307, 1e308, 1e308]}',
+            "at index (1, 2, 2) is not finite",
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_materialize_is_the_whole_array_build(self, name, tmp_path, capsys):
+        spec, refusal = self.BUILDS[name]
+        (tmp_path / "spec.json").write_text(spec)
+        code, out, err = run(capsys, ["cauchy", str(tmp_path / "spec.json")])
+        if refusal is not None:
+            assert (code, out) == (1, "")
+            assert refusal in err and "Traceback" not in err
+            return
+        assert (code, err) == (0, "")
+        order, generating = json.loads(spec).values()
+        c, obj = np.array(generating), json.loads(out)
+        assert (obj["order"], obj["dim"]) == (order, c.size)
+        want = 1.0 / reduce(np.add.outer, [c] * order)
+        assert np.array(obj["entries"]).tobytes() == want.tobytes()
+
+    # name -> spec, centro, skew: a palindrome is centro, an even
+    # anti-palindrome skew, a general vector neither
+    CHECKS = {
+        "general-order-2": ('{"order": 2, "generating": [1, 2, 3]}', False, False),
+        "palindrome": ('{"order": 3, "generating": [1.0, 2.0, 1.0]}', True, False),
+        "anti-palindrome": ('{"order": 3, "generating": [1.0, 2.0, -2.0, -1.0]}', False, True),
+        "general": ('{"order": 3, "generating": [1.0, 2.0, 3.0]}', False, False),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_check_mode(self, name, source, tmp_path, capsys, monkeypatch):
+        spec, centro, skew = self.CHECKS[name]
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text('{"order": 2, "generating": [1, 2, 3]}')
-        code, out, _ = run(capsys, ["cauchy", str(spec_path), "--mode", "check"])
+        spec_path.write_text(spec)
+        if source == "file":
+            code, out, _ = run(capsys, ["cauchy", str(spec_path), "--mode", "check"])
+        else:
+            code, out, _ = run(capsys, ["cauchy", "-", "--mode", "check"], spec, monkeypatch)
         assert code == 0
         obj = json.loads(out)
-        assert obj == {"order": 2, "dim": 3, "centro": False, "skew": False}
+        order, generating = json.loads(spec).values()
+        assert obj == {"order": order, "dim": len(generating), "centro": centro, "skew": skew}
 
     def test_invalid_spec_exits_1(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -546,15 +626,6 @@ class TestCauchyVerb:
         code, _, err = run(capsys, ["cauchy", str(spec_path)])
         assert code == 1
         assert "sum" in err
-
-    def test_overflowing_spec_exits_1(self, tmp_path, capsys):
-        # the index sums overflow or cancel to 0 depending on term order
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text('{"order": 4, "generating": [1e308, 1e308, -1e308, -1e308]}')
-        code, out, err = run(capsys, ["cauchy", str(spec_path)])
-        assert code == 1
-        assert out == ""
-        assert "no finite reciprocal" in err and "Traceback" not in err
 
     def test_overflowing_sums_exit_1_without_warning(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -11,8 +11,9 @@ complete: at exit 2 stdout is empty, and at exit 1 it is empty or one
 strict-JSON negative answer ("found": false).  numpy warnings raised
 in-process reach pytest's warning capture, not stderr, so a
 RuntimeWarning is an error here.
-Malformed flag values, and malformed JSON documents given to every verb
-that reads one, must exit 2 with one error line on stderr.
+A malformed flag value must exit 2 with an error that names the flag,
+and a malformed JSON document given to any verb that reads one must exit
+2 with one error line on stderr.
 """
 
 import contextlib
@@ -156,9 +157,11 @@ def test_inverse_verbs(verb, obj):
 
 
 CENTRO = {"order": 2, "dim": 2, "entries": [2.0, 1.0, 1.0, 2.0]}
+# verb-flag name -> argv; the error must name the flag, the name's last word
 MALFORMED_FLAGS = {
     "gen-seed": ["gen", "--dim", "2", "--kind", "centro", "--seed", "-1"],
     "gen-order": ["gen", "--dim", "2", "--order", "0"],
+    "gen-exchange-order": ["gen", "--dim", "2", "--kind", "exchange", "--order", "3"],
     "eig-seed": ["eig", "{path}", "--seed", "-1"],
     "eig-tol": ["eig", "{path}", "--tol", "1e999"],
     "check-tol": ["check", "{path}", "--tol", "1e999"],
@@ -175,6 +178,7 @@ MALFORMED_FLAGS = {
 def test_malformed_flag_exits_2(flags):
     code, err = _run_verb(MALFORMED_FLAGS[flags], path=CENTRO)
     assert code == 2, err
+    assert flags.rsplit("-", 1)[1] in err, err
 
 
 SPEC = {"order": 2, "generating": [1.0, 2.0, 1.0]}
