@@ -63,6 +63,11 @@ cases:
   three order-4 tensors and of an order-5 dim-26 array, the 11.9M-entry
   size of the order-3 product.  The library's own results skip both
   (``DenseTensor._adopt``), so this is the cost a caller's array pays.
+* ``serialize.dumps`` of an order-4 dim-16 centro tensor, the cli-json
+  benchmark's input size (65,536 entries, about 1.4 MB of JSON), through
+  ``tensor_to_obj``, as the CLI writes a tensor;
+* ``cli.main`` running ``check`` on that tensor's file with ``-o``: one
+  read and parse of the file, the direct witness, one small write.
 
 The order-5 contractions are 20 calls per rep and the order-4 one 200;
 the structure and J-product cases call each of the three tensors as often
@@ -72,6 +77,7 @@ as their ``calls`` size says.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import statistics
@@ -268,6 +274,31 @@ def _materialize(lib):
     return {"order": 5, "dim": 20, "calls": 5}, lambda: [lib.cauchy.materialize(spec) for _ in range(5)]
 
 
+def _cli_tensor(lib):
+    """An order-4 dim-16 centro tensor, the size of the cli-json benchmark's inputs."""
+    return lib.structure.random_structured(4, 16, "centro", seed=SEED)
+
+
+def _dumps(lib):
+    tensor = _cli_tensor(lib)
+    return {"order": 4, "dim": 16, "calls": 1}, lambda: lib.serialize.dumps(lib.serialize.tensor_to_obj(tensor))
+
+
+def _cli_check(lib):
+    cli = importlib.import_module(lib.__name__ + ".cli")
+    tmp = tempfile.TemporaryDirectory()
+    path = Path(tmp.name) / "A.json"
+    path.write_text(lib.serialize.dumps(lib.serialize.tensor_to_obj(_cli_tensor(lib))) + "\n")
+    sizes = {"order": 4, "dim": 16, "bytes": path.stat().st_size, "calls": 1}
+
+    def fn():
+        # refers to tmp, so the directory lasts as long as the case
+        if cli.main(["check", str(path), "-o", str(Path(tmp.name) / "out.json")]) != 0:
+            raise RuntimeError("check exited nonzero")
+
+    return sizes, fn
+
+
 def _construction(lib):
     data = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(26,) * 5)
     return {"order": 5, "dim": 26, "calls": 5}, lambda: [lib.core.DenseTensor(data) for _ in range(5)]
@@ -303,6 +334,8 @@ CASES = [
     ("cauchy.materialize", "n=20 m=5 palindrome", _materialize),
     ("core.DenseTensor", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.DenseTensor(t.data), 5)),
     ("core.DenseTensor", "order 5, dim 26", _construction),
+    ("serialize.dumps", "order-4 dim-16 centro tensor", _dumps),
+    ("cli.main", "check -o on an order-4 dim-16 centro tensor file", _cli_check),
 ]
 
 

@@ -17,7 +17,6 @@ takes its seed from --seed alone: a non-negative integer, default 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,29 +29,13 @@ from .structure import decompose, random_structured
 
 def _read_json(path: str):
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        return json.loads(text)
-    except RecursionError:
-        # the decoder recurses once per open bracket
-        raise ValueError("malformed JSON: nested too deeply") from None
+        return serialize.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as handle:
+        return serialize.loads(handle.read())
 
 
 def _load_tensor(path: str) -> DenseTensor:
     return serialize.tensor_from_obj(_read_json(path))
-
-
-def _to_obj(result):
-    """The JSON object of a verb's result: a tensor, an object with
-    as_dict, or a dict of those and plain values."""
-    if isinstance(result, DenseTensor):
-        return serialize.tensor_to_obj(result)
-    if isinstance(result, dict):
-        return {key: _to_obj(value) for key, value in result.items()}
-    return result.as_dict() if hasattr(result, "as_dict") else result
 
 
 def _seed(text: str) -> int:
@@ -211,7 +194,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         result = args.func(args)
-        text = serialize.dumps(_to_obj(result))
+        text = serialize.dumps(result)
         if args.output in (None, "-"):
             print(text, flush=True)
         else:
@@ -224,9 +207,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

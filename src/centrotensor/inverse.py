@@ -98,8 +98,16 @@ def verify_inverse(a: DenseTensor, b: DenseTensor, side: str) -> float:
         prod = shao_product(a, b)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    ident = DenseTensor.identity(prod.order, prod.dim)
-    return float(np.max(np.abs(prod.data - ident.data)))
+    return _max_deviation(prod.data, 1.0)
+
+
+def _max_deviation(data: np.ndarray, diag) -> float:
+    """max|data - D| for the diagonal tensor D with diagonal diag, read from
+    one |data| copy with its diagonal replaced; D and data - D are never built."""
+    idx = (np.arange(data.shape[0]),) * data.ndim
+    dev = np.abs(data)
+    dev[idx] = np.abs(data[idx] - diag)
+    return float(dev.max())
 
 
 def diagonal_left_inverse(a: DenseTensor, k: int = 2) -> InverseResult:
@@ -132,8 +140,7 @@ def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
         raise ValueError("inverse order must be >= 2")
     _require_order2(a)
     diag = a.data[(np.arange(a.dim),) * a.order]
-    off = a.data - DenseTensor.diagonal(a.order, diag).data
-    if float(np.max(np.abs(off))) > _DIAGONAL_TOL_FACTOR * entry_scale(a):
+    if _max_deviation(a.data, diag) > _DIAGONAL_TOL_FACTOR * entry_scale(a):
         raise ValueError("tensor is not diagonal")
     require_centro(a)
     zero = np.nonzero(diag == 0.0)[0]
@@ -209,10 +216,15 @@ def _default_residual_tol(a: DenseTensor, b: DenseTensor, side: str) -> float:
     Multiplied out from max|A|, the partial products stay between the
     two ends and do not overflow on the way.
     """
-    tol = _RESIDUAL_TOL_FACTOR * float(np.max(np.abs(a.data)))
+    tol = _RESIDUAL_TOL_FACTOR * _max_abs(a.data)
     for _ in range(1 if side == "left" else a.order - 1):
-        tol *= float(np.max(np.abs(b.data)))
+        tol *= _max_abs(b.data)
     return tol
+
+
+def _max_abs(data: np.ndarray) -> float:
+    # max|x| without building |x|
+    return max(abs(float(data.max())), abs(float(data.min())))
 
 
 def _recover(

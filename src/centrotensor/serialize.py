@@ -24,18 +24,14 @@ float64 array once, so an integer literal too large for a float is a
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
 from .cauchy import CauchySpec
 from .core import DenseTensor
 
-__all__ = [
-    "dumps",
-    "tensor_to_obj",
-    "tensor_from_obj",
-    "spec_from_obj",
-]
+__all__ = ["dumps", "loads", "tensor_to_obj", "tensor_from_obj", "spec_from_obj"]
 
 
 def _format_value(value) -> str:
@@ -55,16 +51,40 @@ def _format_value(value) -> str:
         items = ", ".join(_format_value(v) for v in value)
         return f"[{items}]"
     if isinstance(value, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items()
-        )
-        return "{" + items + "}"
+        items = (f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, DenseTensor):
+        return _format_value(tensor_to_obj(value))
+    if hasattr(value, "as_dict"):
+        return _format_value(value.as_dict())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text with fixed-precision floats."""
+    """Deterministic JSON text with fixed-precision floats; a DenseTensor is
+    written in the tensor format and an object with as_dict as that dict."""
     return _format_value(obj)
+
+
+def _parse_int(text: str):
+    # json calls this for integer literals only
+    return -0.0 if text == "-0" else int(text)
+
+
+_BARE_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
+
+
+def loads(text: str):
+    """Parse JSON text; a bare ``-0``, the writer's -0.0, is read as -0.0."""
+    # a Python hook per integer literal is slow on a file of zeros
+    hook = _parse_int if _BARE_NEGATIVE_ZERO.search(text) else int
+    try:
+        return json.loads(text, parse_int=hook)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per open bracket
+        raise ValueError("malformed JSON: nested too deeply") from None
 
 
 def tensor_to_obj(a: DenseTensor) -> dict:

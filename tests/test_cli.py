@@ -14,6 +14,8 @@ from centrotensor import (
     CauchySpec,
     DenseTensor,
     check_structure,
+    decompose,
+    hadamard,
     materialize,
     random_structured,
 )
@@ -284,6 +286,28 @@ class TestDecompose:
         assert obj["centro"]["entries"] == [2.5, 2.5, 2.5, 2.5]
         assert obj["skew"]["entries"] == [-1.5, -0.5, 0.5, 1.5]
 
+
+class TestNegativeZeroThroughFiles:
+    def test_verbs_on_a_written_skew_tensor_match_the_library_bytes(self, tmp_path, capsys):
+        # at the default seed the skew tensor's centre entry is -0.0, which
+        # the file holds as a bare -0 and every reader must give back
+        skew_file, centro_file = str(tmp_path / "S.json"), str(tmp_path / "C.json")
+        for kind, path in (("skew", skew_file), ("centro", centro_file)):
+            code, _, _ = run(capsys, ["gen", "--order", "3", "--dim", "3", "--kind", kind, "-o", path])
+            assert code == 0
+        skew, centro = random_structured(3, 3, "skew", 0), random_structured(3, 3, "centro", 0)
+        assert np.signbit(skew.data[1, 1, 1]) and skew.data[1, 1, 1] == 0.0
+        assert ", -0, " in Path(skew_file).read_text()
+        parts = decompose(skew)
+        for argv, want in (
+            (["decompose", skew_file],
+             {"centro": tensor_to_obj(parts.centro), "skew": tensor_to_obj(parts.skew)}),
+            (["hadamard", skew_file, centro_file], tensor_to_obj(hadamard(skew, centro))),
+        ):
+            out = tmp_path / "out.json"
+            code, _, _ = run(capsys, [*argv, "-o", str(out)])
+            assert code == 0
+            assert out.read_text() == dumps(want) + "\n", argv[0]
 
 # finite tensors whose A + rev(A) or A - rev(A) overflows
 NEAR_LIMIT = {

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,38 @@ def test_uniqueness_against_planted_ground_truth():
             hits += 1
     assert hits == 100
 
+
+
+def test_verify_inverse_is_the_deviation_from_the_identity(rng):
+    for order_b, order_a in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        a = DenseTensor(rng.uniform(-1, 1, size=(3,) * order_a))
+        b = DenseTensor(rng.uniform(-1, 1, size=(3,) * order_b))
+        for side, prod in (("left", shao_product(b, a)), ("right", shao_product(a, b))):
+            ident = DenseTensor.identity(prod.order, prod.dim)
+            assert verify_inverse(a, b, side) == np.max(np.abs(prod.data - ident.data))
+
+
+def _traced_peak(call, *args):
+    call(*args)  # warm-up
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_peak_memory():
+    # the checks read max|P - I| and the off-diagonal size from one |.| copy,
+    # building neither the identity nor P - I
+    c = well_conditioned_centro(16, seed=0)
+    left = shao_product(c, DenseTensor.identity(4, 16))
+    right = shao_product(DenseTensor.identity(4, 16), DenseTensor(np.linalg.inv(c.data)))
+    assert _traced_peak(recover_order2_left_inverse, left) <= 2.1 * left.data.nbytes
+    assert _traced_peak(recover_order2_right_inverse, right) <= 2.1 * right.data.nbytes
+    # at dim 16 the check's small arrays are under 2% of the input's bytes
+    diagonal = DenseTensor.diagonal(4, palindromize(np.arange(1.0, 17.0)))
+    assert _traced_peak(diagonal_left_inverse, diagonal, 2) <= 2.25 * diagonal.data.nbytes
 
 class TestOrderOneOperand:
     VECTOR = DenseTensor(np.array([1.0, 2.0, 1.0]))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from centrotensor import DenseTensor
-from centrotensor.serialize import dumps, spec_from_obj, tensor_from_obj
+from centrotensor import DenseTensor, check_structure
+from centrotensor.serialize import dumps, loads, spec_from_obj, tensor_from_obj, tensor_to_obj
 
 from oracles import format_value_oracle
 
@@ -63,6 +64,13 @@ class TestWriter:
         with pytest.raises(TypeError, match="set"):
             dumps([1.0, {1.0}])
 
+    def test_writes_tensors_and_as_dict_objects_at_any_depth(self, sym_matrix):
+        report = check_structure(sym_matrix)
+        assert dumps(sym_matrix) == dumps(tensor_to_obj(sym_matrix))
+        assert dumps({"a": sym_matrix, "b": report}) == dumps(
+            {"a": tensor_to_obj(sym_matrix), "b": report.as_dict()}
+        )
+
 
 class TestReader:
     @pytest.mark.parametrize(
@@ -97,3 +105,70 @@ class TestReader:
     def test_absurd_order_is_a_count_mismatch(self):
         with pytest.raises(ValueError, match=r"^expected 2\*\*10000000 entries"):
             tensor_from_obj({"order": 10_000_000, "dim": 2, "entries": [1.0]})
+
+
+
+class TestLoads:
+    def test_bare_negative_zero_is_negative_zero(self):
+        values = loads('[-0, 0, -0.0, 7, -1, "-0"]')
+        assert [math.copysign(1.0, v) for v in values[:3]] == [-1.0, 1.0, -1.0]
+        assert isinstance(values[0], float) and isinstance(values[1], int)
+        assert values[3:] == [7, -1, "-0"] and isinstance(values[3], int)
+
+    @pytest.mark.parametrize(
+        "text,parsed",
+        [("-0", "-0.0"), ("[-0.5, -0]", "[-0.5, -0.0]"), ("[-0.5, 0, -0e0]", "[-0.5, 0, -0.0]"),
+         ('{"a": -0}', "{'a': -0.0}"), ("[-0\n]", "[-0.0]"), ("[-0 , 1]", "[-0.0, 1]"),
+         ('["-0", -0.5, 0]', "['-0', -0.5, 0]")],
+    )
+    def test_negative_zero_is_found_wherever_it_stands(self, text, parsed):
+        assert repr(loads(text)) == parsed
+
+    def test_integers_stay_integers_without_negative_zero(self):
+        values = loads("[0, -12, 12345678901234567890]")
+        assert values == [0, -12, 12345678901234567890]
+        assert all(isinstance(v, int) for v in values)
+
+    @pytest.mark.parametrize("order", ["-0", "0", "-0.0"])
+    def test_zero_order_is_refused(self, order):
+        with pytest.raises(ValueError, match=r"^key 'order' must be a positive integer$"):
+            tensor_from_obj(loads(f'{{"order": {order}, "dim": 1, "entries": [1.0]}}'))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("[1, 2", "malformed JSON: Expecting ',' delimiter: line 1 column 6 (char 5)"),
+         ("", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+         ("[-0", "malformed JSON: Expecting ',' delimiter: line 1 column 4 (char 3)"),
+         ("[" * 200_000, "malformed JSON: nested too deeply")],
+        ids=["unclosed", "empty", "unclosed-negative-zero", "deep"],
+    )
+    def test_malformed_text_is_a_value_error(self, text, message):
+        with pytest.raises(ValueError) as info:
+            loads(text)
+        assert str(info.value) == message
+        assert not isinstance(info.value, json.JSONDecodeError)
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308]),
+)
+cubes = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: hnp.arrays(np.float64, (shape[1],) * shape[0], elements=finite_floats)
+)
+
+
+class TestFileRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(cubes)
+    def test_every_bit_survives(self, data):
+        tensor = DenseTensor(data)
+        back = tensor_from_obj(loads(dumps(tensor_to_obj(tensor))))
+        assert back.data.tobytes() == tensor.data.tobytes()
+
+    def test_signed_zeros_subnormals_and_extremes(self):
+        tensor = DenseTensor(np.array([[0.0, -0.0], [5e-324, -1.7e308]]))
+        text = dumps(tensor_to_obj(tensor))
+        assert text == '{"order": 2, "dim": 2, "entries": [0, -0, 4.9406564584124654e-324, -1.6999999999999999e+308]}'
+        assert tensor_from_obj(loads(text)).data.tobytes() == tensor.data.tobytes()

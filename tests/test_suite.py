@@ -1,14 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from centrotensor import (
+    CENTRO,
     CHECK_NAMES,
     NEITHER,
     NEITHER_CLASS,
+    SKEW,
+    ConsistencyError,
     EigenPair,
     EigenSet,
+    NoInverse,
     StructureReport,
+    check_structure,
     random_structured,
+    scale,
     suite,
     verify_all,
 )
@@ -78,4 +86,113 @@ def test_cauchy_symmetry_skips_only_values_within_the_bound(value, passes, monke
     checks = tuple(c for c in suite._CHECKS if c[0] == "cauchy-eigen-symmetry")
     monkeypatch.setattr(suite, "_CHECKS", checks)
     (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+def _neither(a, tol=None):
+    return StructureReport(NEITHER, 1.0, (1, 1), 0.0)
+
+
+def _centro_only(a, tol=None):
+    return StructureReport(CENTRO, 0.0, (1, 1), 0.0)
+
+
+def _no_inverse(a):
+    return NoInverse("left", "stub reason")
+
+
+def _mirror_fails(a, pair):
+    raise ConsistencyError("stub mirror")
+
+
+def _odd_order_neither_pair(tensor, starts, seed):
+    pair = EigenPair(1.0, np.ones(tensor.dim), 0.0, NEITHER_CLASS)
+    return EigenSet([pair] if tensor.order % 2 == 1 else [], None)
+
+
+def _replaced(name, **changes):
+    """suite.<name> with these fields of its result replaced."""
+    real = getattr(suite, name)
+    return lambda *args: replace(real(*args), **changes)
+
+
+# One row per `raise _Failed` site: the check, the suite name patched, a
+# factory for its stand-in, the detail's start and the counterexample keys.
+_FAILURE_SITES = {
+    "product-parity": ("product-parity", "check_structure", lambda: _neither,
+                       "product of ", {"left", "right"}),
+    "hadamard-parity": ("hadamard-parity", "check_structure", lambda: _neither,
+                        "entrywise product of ", {"left", "right"}),
+    "centro-part": ("decomposition-roundtrip", "check_structure", lambda: _neither,
+                    "centro part fails its check", {"tensor"}),
+    "skew-part": ("decomposition-roundtrip", "check_structure", lambda: _centro_only,
+                  "skew part fails its check", {"tensor"}),
+    "reconstruction": ("decomposition-roundtrip", "decompose",
+                       lambda: lambda a, real=suite.decompose: real(scale(a, 2.0)),
+                       "reconstruction error ", {"tensor"}),
+    "row-sums": ("row-sum-reflection", "verify_row_sum_symmetry",
+                 lambda: lambda a, assume: (False, 2),
+                 "row-sum reflection failed at row 2", {"tensor"}),
+    "poly": ("poly-reflection", "verify_poly_reflection", lambda: lambda a, trials, seed: False,
+             "polynomial reflection failed", {"tensor"}),
+    "odd-dim-skew": ("cauchy-equivalence", "cauchy_is_skew",
+                     lambda: lambda spec, real=suite.cauchy_is_skew: spec.dim % 2 == 1 or real(spec),
+                     "odd-dimension spec classified skew", {"generating"}),
+    "cauchy-verdict": ("cauchy-equivalence", "cauchy_is_centro",
+                       lambda: lambda spec, real=suite.cauchy_is_centro: not real(spec),
+                       "vector predicates ", {"generating", "order"}),
+    "cauchy-JC": ("cauchy-equivalence", "cauchy_check_JC",
+                  lambda: lambda spec, real=suite.cauchy_check_JC: not real(spec),
+                  "exchange-product test disagrees", {"generating", "order"}),
+    "diagonal-inverse": ("diagonal-inverse-roundtrip", "diagonal_left_inverse",
+                         lambda: _replaced("diagonal_left_inverse", residual=1.0),
+                         "left diagonal inverse residual 1.000e+00", {"tensor"}),
+    "no-recovery": ("matrix-inverse-recovery", "recover_order2_left_inverse", lambda: _no_inverse,
+                    "left recovery reported no inverse: stub reason", {"tensor"}),
+    "recovery-verdict": ("matrix-inverse-recovery", "recover_order2_left_inverse",
+                         lambda: _replaced("recover_order2_left_inverse", centro_verdict=False),
+                         "left recovery error ", {"tensor"}),
+    "closed-form-dim2": ("closed-form-eigen", "closed_form_dim2",
+                         lambda: lambda a, real=suite.closed_form_dim2: tuple(
+                             replace(p, residual=1.0) for p in real(a)),
+                         "dimension-2 closed form residual too large", {"tensor"}),
+    "closed-form-dim3": ("closed-form-eigen", "closed_form_dim3_even",
+                         lambda: _replaced("closed_form_dim3_even", residual=1.0),
+                         "dimension-3 closed form residual too large", {"tensor"}),
+    "mirror-raises": ("eigen-reflection", "reflect_pair", lambda: _mirror_fails,
+                      "stub mirror", {"tensor"}),
+    "mirror-value": ("eigen-reflection", "reflect_pair",
+                     lambda: lambda a, pair, real=suite.reflect_pair: replace(
+                         real(a, pair), value=real(a, pair).value + 1.0),
+                     "reflected eigenvalue mismatch", {"tensor"}),
+    "odd-order-class": ("cauchy-eigen-symmetry", "solve_eigen", lambda: _odd_order_neither_pair,
+                        "odd-order pair has non-symmetric magnitude vector", {"generating", "value"}),
+}
+
+
+@pytest.mark.parametrize("site", _FAILURE_SITES)
+def test_each_failure_site_reports_its_detail_and_counterexample(site, monkeypatch):
+    name, target, stand_in, detail, keys = _FAILURE_SITES[site]
+    monkeypatch.setattr(suite, target, stand_in())
+    monkeypatch.setattr(suite, "_CHECKS", tuple(c for c in suite._CHECKS if c[0] == name))
+    (check,) = verify_all(seed=0, trials=40).checks
+    assert check.name == name and check.passed is False
+    assert check.detail.startswith(detail), check.detail
+    assert set(check.counterexample) == keys
+
+
+# eigen-reflection skips skew pairs with |lambda| <= 1e-8: a pair whose
+# mirror fails passes at the bound and fails one ulp past it
+@pytest.mark.parametrize(
+    "value,passes", [(1e-8, True), (-1e-8, True), (np.nextafter(1e-8, 1.0), False)]
+)
+def test_eigen_reflection_skips_only_skew_values_within_the_bound(value, passes, monkeypatch):
+    def solve(a, starts, seed):
+        skew = check_structure(a).verdict == SKEW
+        return EigenSet([EigenPair(value, np.ones(a.dim), 0.0, NEITHER_CLASS)] if skew else [], None)
+
+    monkeypatch.setattr(suite, "solve_eigen", solve)
+    monkeypatch.setattr(suite, "reflect_pair", _mirror_fails)
+    monkeypatch.setattr(suite, "_CHECKS", tuple(c for c in suite._CHECKS if c[0] == "eigen-reflection"))
+    (check,) = verify_all(seed=0, trials=16).checks
     assert check.passed is passes
