@@ -34,6 +34,11 @@ cases:
   tensors of dim 2 and orders 2-5 drawn from one generator seeded 111,
   each solved at 200 starts from that generator (the draws are timed too;
   they are a few percent of the case);
+* ``eigen.solve_eigen`` on the 15 order-2 cells (centro, skew and
+  palindromic Cauchy matrices of dims 2-4) of the eig-survey panel that
+  ``bench/run.py --workload eig-survey --seed 1 --seconds 20`` solves,
+  200 starts each, with its residual calls as ``sizes`` like the first
+  two cases;
 * ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
   trailing slots, for stacks of 50 and 850 vectors; of its Jacobian
   tensor (``eigen._jacobian_tensor``) on three slots for 50 vectors; and
@@ -125,6 +130,25 @@ def _panel(lib) -> list:
     return panel
 
 
+def _survey_order2(lib) -> list:
+    """The 15 order-2 cells of the eig-survey panel at --seed 1 and 20 s (five
+    blocks): (tensor, solve seed) pairs, drawn as bench/eig_survey.py draws them."""
+    panel_rng, solve_rng = np.random.default_rng(0), np.random.default_rng(1)
+    cells = []
+    for block in range(5):
+        for i, family in enumerate(("centro", "skew", "cauchy")):
+            for j, order in enumerate((2, 3, 4)):
+                dim = (2, 3, 4)[(block + i + j) % 3]
+                # a Cauchy cell draws its generating vector, the others a tensor seed
+                draw = _palindrome(panel_rng, dim) if family == "cauchy" else int(panel_rng.integers(2**32))
+                solve_seed = int(solve_rng.integers(2**32))
+                if order == 2 and family == "cauchy":
+                    cells.append((lib.cauchy.materialize(lib.cauchy.CauchySpec(draw, 2)), solve_seed))
+                elif order == 2:
+                    cells.append((lib.structure.random_structured(2, dim, family, draw), solve_seed))
+    return cells
+
+
 def _residual_work(lib, fn) -> dict:
     """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
     counts = {"residual_calls": 0, "residual_rows": 0}
@@ -172,6 +196,16 @@ def _solve_panel(lib):
         return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]
 
     return {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200, **_residual_work(lib, fn)}, fn
+
+
+def _solve_order2(lib):
+    cells = _survey_order2(lib)
+
+    def fn():
+        return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in cells]
+
+    return {"cells": len(cells), "order": 2, "dims": [2, 4], "starts": 200, "seed": 1,
+            **_residual_work(lib, fn)}, fn
 
 
 def _solve_big(lib):
@@ -312,6 +346,7 @@ CASES = [
     ("eigen.solve_eigen", "27-cell panel", _solve_panel),
     ("eigen.solve_eigen", "order-5 dim-8 centro", _solve_big),
     ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves", _criterion_11),
+    ("eigen.solve_eigen", "order 2: the seed-1 eig-survey panel's 15 cells", _solve_order2),
     ("core.contract_trailing", "m=5 n=8 S=50", _contraction({"order": 5, "dim": 8, "stack": 50, "calls": 20})),
     ("core.contract_trailing", "m=5 n=8 S=850",
      _contraction({"order": 5, "dim": 8, "stack": 850, "calls": 20})),

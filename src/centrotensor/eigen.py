@@ -12,6 +12,10 @@ Contents:
 * closed-form pairs for centrosymmetric tensors of dimension 2 (both
   the all-ones and the alternating-sign eigenvector) and of dimension 3
   with even order (the (1, 0, -1) eigenvector),
+* at order 2, LAPACK's real eigenpairs (np.linalg.eig) when every
+  eigenvalue lies more than ORDER2_GAP * entry_scale(A) from every other
+  and each real pair passes the residual check; stats stay per start
+  (see solve_eigen),
 * a multistart damped-Newton solver for general desk-scale tensors.  All
   starts are drawn in one (starts, n) normal draw (the same stream as one
   size-n draw per start) and step together on stacked arrays: the shared
@@ -42,9 +46,10 @@ Contents:
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
-The solver gives no completeness guarantee: multistart Newton can miss
-pairs, which is why EigenSet carries solver statistics and why tests
-phrase coverage as a success-rate floor rather than totality.
+Beyond simple-spectrum matrices the solver gives no completeness
+guarantee: multistart Newton can miss pairs, which is why EigenSet
+carries solver statistics and why tests phrase coverage as a
+success-rate floor rather than totality.
 """
 
 from __future__ import annotations
@@ -96,6 +101,9 @@ DEFAULT_CLASS_TOL = 1e-8
 DEFAULT_SOLVER_TOL = 1e-10
 DEDUP_VALUE_TOL = 1e-8
 DEDUP_VECTOR_TOL = 1e-6
+# Order-2 eigenvalues within this times entry_scale(A) of each other count
+# as repeated, and send the solve to the multistart path.
+ORDER2_GAP = 1e-6
 
 # Desk-scale bounds for the dense multistart solver.
 MAX_SOLVER_DIM = 8
@@ -132,7 +140,9 @@ class SolverStats:
     re-check), stalled (no damped step reduced max|F|), non_finite (its
     Jacobian, residual or Newton step was not finite) or max_iter (still
     running after MAX_ITER steps).  iterations is the number of Newton
-    steps taken, summed over starts.
+    steps taken, summed over starts.  On the order-2 direct path (see
+    solve_eigen) every start is converged, or stalled when the matrix has
+    no real eigenvalue, and iterations is 0.
     """
 
     attempted: int
@@ -421,7 +431,13 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     windows, and only if its vector gap to the seed is within the
     component's reach (its members' largest gap to the seed) plus twice
     the tolerance: the triangle inequality allows one, the other covers
-    rounding.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries
+    rounding.  The gap bounds how far |x_j| moves, sign flips included,
+    so only the pairs whose |x_j| is that near the seed's, for the
+    coordinate j where |x_j| spreads widest, have their gap taken: they are
+    looked up in the seed's value run (pairs no value window leads out
+    of), sorted by |x_j|, with one more tolerance for the rounding of the
+    lookup.  So pairs sharing one value cost a search each, not a scan of
+    the run.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries
     (or one row pair), so memory stays linear in the pairs.
     """
     order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
@@ -430,6 +446,18 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     # no pair outside [lo[p], hi[p]) is within DEDUP_VALUE_TOL of pair p
     lo = np.searchsorted(lams, lams - 2.0 * DEDUP_VALUE_TOL)
     hi = np.searchsorted(lams, lams + 2.0 * DEDUP_VALUE_TOL, side="right")
+    # a run begins at p when no window leads across p - 1 | p (lo and hi
+    # grow with p, so checking p - 1's and p's windows is enough)
+    index = np.arange(total)
+    opens = index == 0
+    opens[1:] = (hi[:-1] <= index[1:]) & (lo[1:] >= index[1:])
+    run, begins = np.cumsum(opens) - 1, np.flatnonzero(opens)
+    ends = np.append(begins[1:], total)
+    axs = np.abs(xs)
+    key = axs[:, np.argmax(axs.max(axis=0, initial=0.0) - axs.min(axis=0, initial=1.0))]
+    # each run's pairs in |x_j| order
+    by_key = np.lexsort((key, run))
+    sorted_key = key[by_key]
     free = np.ones(total, dtype=bool)
     rows = max(1, _DEDUP_BLOCK_ENTRIES // n)
     kept = []
@@ -438,26 +466,76 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
             continue
         free[seed] = False
         members, done, reach = np.array([seed]), 0, 0.0
+        run_keys = slice(begins[run[seed]], ends[run[seed]])
         while done < len(members):
             block = members[done : done + rows, None]
             done += len(block)
             # every pair before the seed is labelled
             start, stop = max(seed, lo[block].min()), hi[block].max()
-            gap = _vector_gap(xs[seed], xs[start:stop])
-            near = start + np.flatnonzero(free[start:stop] & (gap <= reach + 2 * DEDUP_VECTOR_TOL))
+            bound = reach + 2 * DEDUP_VECTOR_TOL
+            reach_key = bound + DEDUP_VECTOR_TOL
+            band = run_keys.start + np.searchsorted(
+                sorted_key[run_keys], [key[seed] - reach_key, key[seed] + reach_key]
+            )
+            near = np.sort(by_key[band[0] : band[1]])
+            near = near[(near >= start) & (near < stop) & free[near]]
+            if not near.size:
+                continue
+            gap = _vector_gap(xs[seed], xs[near])
+            near, gap = near[gap <= bound], gap[gap <= bound]
             joined = np.zeros(len(near), dtype=bool)
             width = max(1, rows // len(block))
             for c in range(0, len(near), width):
                 part = near[c : c + width]
                 close = _close_rows(lams[block], xs[block], lams[part], xs[part])
                 joined[c : c + width] = close.any(axis=0)
-            new = near[joined]
-            if new.size:
+            if joined.any():
+                new = near[joined]
                 free[new] = False
                 members = np.concatenate((members, new))
-                reach = max(reach, gap[new - start].max())
+                reach = max(reach, gap[joined].max())
         kept.append(min(members.tolist(), key=lambda p: (res[p], p)))
     return order[sorted(kept)]
+
+
+def _matrix_solve(a: DenseTensor, xs: np.ndarray, tol: float, scale: float):
+    """LAPACK's real eigenpairs of the matrix A as the solve of the unit starts
+    xs, or None when a repeated or clustered eigenvalue, a failed residual
+    check or an overflowing value leaves the answer to the multistart path.
+
+    Stats stay per start: with a real pair every start converges and the
+    merge counts all but one start per pair, without one every start
+    stalls; fewer starts than pairs keep the pairs nearest the starts.
+    """
+    values, vectors = np.linalg.eig(a.data)
+    gaps = np.abs(values[:, None] - values)
+    np.fill_diagonal(gaps, np.inf)
+    if not gaps.min() > ORDER2_GAP * core.entry_scale(a):
+        return None
+    # dgeev gives a real eigenvalue an imaginary part of exactly 0
+    real = values.imag == 0
+    lams, vs = values.real[real], _canonical_rows(vectors.real.T[real])
+    res = _residuals(a, lams, vs)
+    if not np.all((res <= tol) & np.isfinite(lams * scale)):
+        return None
+    kept = _dedup(lams, vs, res)
+    starts = len(xs)
+    if starts < len(kept):
+        # a pair's nearness: its largest |cos| with a start
+        near = np.abs(np.sum(xs[:, None, :] * vs[kept], axis=2)).max(axis=0, initial=0.0)
+        kept = kept[np.sort(np.argsort(-near, kind="stable")[:starts])]
+    converged = starts if lams.size else 0
+    stats = SolverStats(
+        attempted=starts,
+        converged=converged,
+        deduplicated=converged - len(kept),
+        rejected=0,
+        stalled=starts - converged,
+        non_finite=0,
+        max_iter=0,
+        iterations=0,
+    )
+    return EigenSet(pairs=_eigenpairs(a, lams[kept], vs[kept], res[kept], scale), stats=stats)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -485,6 +563,22 @@ def solve_eigen(
     depend on the order of the starts.  The kept pairs come sorted by
     (value, components), each labelled by classify_vector at the fixed
     DEFAULT_CLASS_TOL; memory stays linear in starts.
+
+    At order 2 the equation is A x = lambda x, and one np.linalg.eig call
+    (on A / s when the rescale below applies) answers instead when the
+    spectrum is simple: every eigenvalue, complex ones included, lies more
+    than ORDER2_GAP * entry_scale(A) from every other, and each real one
+    (imaginary part exactly 0) has a canonical unit eigenvector with
+    residual at most tol and a value finite once scaled back.  The result
+    is then LAPACK's real pairs, merged and sorted as above.  The starts
+    are still drawn, so a Generator seed advances alike, and the stats
+    still count per start: with a real pair every start is converged and
+    deduplicated is starts minus the pairs; without one every start is
+    stalled; iterations is 0.  With fewer starts than pairs, the pairs
+    whose eigenvectors have the largest |cos| with a start are kept, so
+    converged - deduplicated is the pair count for every starts.  Any
+    other matrix (a repeated or clustered eigenvalue, a failed residual,
+    an overflowing value) takes the Newton path, bit for bit as before.
 
     tol bounds the residual of A itself, unless A's entries are large
     enough that a residual could overflow (entry_scale(A) * m * n^(m-1)
@@ -520,19 +614,27 @@ def solve_eigen(
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
         # dividing by a power of two keeps every entry finite
         a = DenseTensor._adopt(a.data / scale)
-    rng = np.random.default_rng(seed)
+    # One draw of shape (starts, n) consumes the same stream as `starts`
+    # draws of size n, so a seed means the same starts as a per-start loop;
+    # both paths draw it, so a Generator advances alike.
+    xs = np.random.default_rng(seed).normal(size=(starts, n))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    result = _matrix_solve(a, xs, tol, scale) if m == 2 else None
+    return _multistart(a, xs, tol, scale) if result is None else result
+
+
+def _multistart(a: DenseTensor, starts_xs: np.ndarray, tol: float, scale: float) -> EigenSet:
+    """Damped Newton from each unit start of the stack, as solve_eigen describes."""
+    (starts, n), m = starts_xs.shape, a.order
     data = a.data
     jac_tensor = _jacobian_tensor(data)
     chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
     diag = np.arange(n)
 
-    # One draw of shape (starts, n) consumes the same stream as `starts`
-    # draws of size n, so a seed means the same starts as a per-start loop.
     # Row s of zs holds start s's unknowns (x, lambda).
     zs = np.empty((starts, n + 1))
     xs = zs[:, :n]
-    xs[:] = rng.normal(size=(starts, n))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    xs[:] = starts_xs
     xp = _power(xs, m - 1)
     zs[:, n] = np.sum(xp * contract_trailing(data, xs, m - 1), axis=1) / np.sum(xp * xp, axis=1)
     fs = _stacked_residual(data, zs)

@@ -4,7 +4,8 @@ B is a left inverse of A when B*A equals the identity tensor, and a
 right inverse when A*B does.  Two families are handled:
 
 * diagonal centrosymmetric tensors, where the inverse diagonal is an
-  explicit power or root of the input diagonal;
+  explicit power or root of the input diagonal, and the residual is read
+  from the diagonals of B*A or A*B, the only nonzeros of those products;
 * order-2 (matrix) inverses of general centrosymmetric tensors,
   recovered from the slice M[i, j] = a[i, j, j, ..., j] and confirmed by
   multiplying out.
@@ -161,8 +162,24 @@ def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
             f"inverse diagonal entry at index {int(lost[0]) + 1} overflows or underflows float64"
         )
     b = DenseTensor.diagonal(k, b_diag)
-    residual = verify_inverse(a, b, side)
+    residual = _diagonal_residual(diag, b_diag, a.order, k, side)
     return InverseResult(b, side, k, residual, check_structure(b).is_centro)
+
+
+def _diagonal_residual(a_diag, b_diag, m: int, k: int, side: str) -> float:
+    """verify_inverse of an order-m diagonal A and order-k diagonal B, read
+    from their diagonals.
+
+    B*A and A*B are diagonal, with entries b_i * a_i^(k-1) and
+    a_i * b_i^(m-1), so only these are compared with 1.  They are
+    multiplied left to right, as the contraction multiplies them (its
+    other terms are exact zeros), so the residual keeps its bits, and no
+    product of order (k-1)(m-1)+1 is built.
+    """
+    out, factor, count = (b_diag, a_diag, k - 1) if side == "left" else (a_diag, b_diag, m - 1)
+    for _ in range(count):
+        out = out * factor
+    return float(np.max(np.abs(out - 1.0)))
 
 
 def _signed_root(values: np.ndarray, degree: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError
 from centrotensor.core import DenseTensor, check_entry_count, entry_scale
-from centrotensor.eigen import DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL
+from centrotensor.eigen import DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL, ORDER2_GAP
 from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
 
@@ -161,11 +161,20 @@ def loop_solve_eigen(
     the solver's expressions (its contraction chain, Jacobian tensor,
     left-to-right powers, and sums in place of dot products), so a start
     ends on the same bits and the comparison tests control flow, not
-    rounding.  Returns the kept (value, unit vector, residual) triples and
-    the converged count.
+    rounding.  An order-2 input takes the solver's direct path first
+    (loop_matrix_solve).  Returns the kept (value, unit vector, residual)
+    triples and the converged count.
     """
     n, m = data.shape[0], data.ndim
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    draws = []
+    for _ in range(starts):
+        x = rng.normal(size=n)
+        draws.append(x / np.sqrt(np.sum(x * x)))
+    if m == 2:
+        direct = loop_matrix_solve(data, draws, tol, value_tol, vector_tol)
+        if direct is not None:
+            return direct
 
     # the Jacobian of x -> A x^{m-1} sums, over which trailing slot stays
     # free, A contracted on the others: one tensor with each free slot moved
@@ -177,9 +186,7 @@ def loop_solve_eigen(
 
     raw = []
     converged = 0
-    for _ in range(starts):
-        x = rng.normal(size=n)
-        x /= np.sqrt(np.sum(x * x))
+    for x in draws:
         xp = _power(x, m - 1)
         lam = float(np.sum(xp * _contract_row(data, x, m - 1)) / np.sum(xp * xp))
         f = residual_vec(x, lam)
@@ -224,7 +231,13 @@ def loop_solve_eigen(
             converged += 1
             raw.append((float(lam), x, res))
 
-    raw.sort(key=lambda item: (item[0], tuple(item[1])))
+    return loop_merge(raw, value_tol, vector_tol), converged
+
+
+def loop_merge(raw: list, value_tol: float, vector_tol: float) -> list:
+    """The (value, vector, residual) triples a union-find merge of raw keeps,
+    in (value, components) order."""
+    raw = sorted(raw, key=lambda item: (item[0], tuple(item[1])))
     edges = [
         (i, j)
         for i, (lam, x, _) in enumerate(raw)
@@ -232,8 +245,36 @@ def loop_solve_eigen(
         if abs(lam - klam) <= value_tol
         and min(np.linalg.norm(x - kx), np.linalg.norm(x + kx)) <= vector_tol
     ]
-    kept = [raw[i] for i in least_per_component([r for _, _, r in raw], edges)]
-    return kept, converged
+    return [raw[i] for i in least_per_component([r for _, _, r in raw], edges)]
+
+
+def loop_matrix_solve(data, draws, tol, value_tol, vector_tol):
+    """The order-2 path, one eigenvalue and one start at a time: LAPACK's
+    real pairs when every eigenvalue lies more than ORDER2_GAP times the
+    entry scale from every other and each real pair passes tol, else None.
+    With fewer starts than kept pairs, the pairs with the largest |cos| to
+    a start stay.  Returns (kept triples, converged count) like the loop."""
+    n = data.shape[0]
+    values, vectors = np.linalg.eig(data)
+    gap = min((abs(values[i] - values[j]) for i in range(n) for j in range(n) if i != j),
+              default=np.inf)
+    if not gap > ORDER2_GAP * max(1.0, float(np.max(np.abs(data)))):
+        return None
+    raw = []
+    for k in range(n):
+        if values[k].imag != 0:
+            continue
+        lam, x = float(values[k].real), _normalize(np.real(vectors[:, k]))
+        res = float(np.max(np.abs(_contract_row(data, x, 1) - lam * x)))
+        if not res <= tol:
+            return None
+        raw.append((lam, x, res))
+    kept = loop_merge(raw, value_tol, vector_tol)
+    if len(draws) < len(kept):
+        near = [max((abs(float(np.sum(x * v))) for x in draws), default=0.0) for _, v, _ in kept]
+        chosen = sorted(sorted(range(len(kept)), key=lambda i: -near[i])[: len(draws)])
+        kept = [kept[i] for i in chosen]
+    return kept, len(draws) if raw else 0
 
 
 def least_per_component(res, edges) -> list:

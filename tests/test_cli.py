@@ -708,6 +708,16 @@ class TestInverseVerb:
         assert obj["found"] is True
         assert obj["residual"] <= 1e-13
 
+    def test_diagonal_left_with_an_over_cap_check_product(self, tmp_path, capsys):
+        # order 4 dim 16: B*A would have order 7 and 16^7 entries
+        diag = np.concatenate([np.arange(1.0, 9.0), np.arange(8.0, 0.0, -1.0)])
+        path = write_tensor(tmp_path / "d.json", DenseTensor.diagonal(4, diag))
+        code, out, err = run(capsys, ["inverse", path, "--side", "left", "--order", "3"])
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["found"] is True and obj["order"] == 3
+        assert obj["residual"] <= 1e-15
+
     def test_matrix_recovery_failure_exits_1(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "a.json", random_structured(3, 3, "centro", seed=1))
         code, out, _ = run(capsys, ["inverse", path, "--side", "left", "--order", "2"])
@@ -845,7 +855,9 @@ def test_usage_error_exits_2(capsys):
 # eig at orders 2 and 3 was re-recorded on the same BLAS when
 # contract_trailing's first slot became 8-row gemm blocks, and eig at order
 # 3 again when its first stage took the last two slots at once, on each
-# row's outer product x (x) x.  Another BLAS may round their contractions
+# row's outer product x (x) x.  eig at order 2 was re-recorded when a
+# simple-spectrum matrix began taking LAPACK's eigenpairs (np.linalg.eig)
+# in place of Newton's.  Another BLAS or LAPACK may round them
 # differently.  The order-3 inverse passes a valid --tol, which that path
 # accepts and ignores.
 GOLDEN = {
@@ -875,7 +887,7 @@ GOLDEN = {
     ),
     "eig-order2": (
         "eig {dir}/centro2.json",
-        "10c7e1f4542c861fa723f0d981744675a65164ee20cf4eb20a0e5e31ccef1066",
+        "0b1cba856fc10df95bf5c2e06f28c5b2141c92de1b90edb43f4659859656bb1c",
     ),
     "eig-order3": (
         "eig {dir}/centro3.json",

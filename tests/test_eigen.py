@@ -41,6 +41,41 @@ def palindromic_cauchy(order):
     return materialize(CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), order))
 
 
+def oracle_tensor(m, n, kind):
+    """The tensor of an oracle cell; "cauchy" is palindromic_cauchy(m), dim 4."""
+    return palindromic_cauchy(m) if kind == "cauchy" else random_structured(m, n, kind, seed=100 * m + n)
+
+
+# A palindromic Cauchy matrix has equal rows i and n-1-i, so a repeated
+# eigenvalue 0, and takes the multistart path at order 2.
+FALLBACK_CELLS = [(2, 4, "cauchy")]
+
+
+def matrix_panel():
+    """(name, matrix): centro, skew, general and palindromic Cauchy matrices
+    at n in {2, 3, 4, 5, 6, 8}, seeds 0-4."""
+    panel = []
+    for n in (2, 3, 4, 5, 6, 8):
+        for seed in range(5):
+            for kind in ("centro", "skew", "general"):
+                panel.append((f"{kind}-{n}-{seed}", random_structured(2, n, kind, seed=seed)))
+            half = np.random.default_rng(seed).uniform(0.5, 2.0, size=(n + 1) // 2)
+            spec = CauchySpec(np.concatenate([half, half[: n // 2][::-1]]), 2)
+            panel.append((f"cauchy-{n}-{seed}", materialize(spec)))
+    return panel
+
+
+MATRIX_PANEL = matrix_panel()
+
+
+def simple_spectrum(a):
+    """Whether every eigenvalue of the matrix lies more than ORDER2_GAP *
+    entry_scale(A) from every other, complex ones included."""
+    values = np.linalg.eig(a.data)[0]
+    gaps = [abs(u - v) for i, u in enumerate(values) for v in values[i + 1 :]]
+    return min(gaps, default=np.inf) > eigen.ORDER2_GAP * core.entry_scale(a)
+
+
 def converged_stacks(monkeypatch, tensor, starts, seed):
     """The (values, vectors, residuals) stack solve_eigen hands its merge."""
     stacks = []
@@ -633,11 +668,9 @@ class TestAgainstLoopOracle:
         gap = min(np.linalg.norm(pair_vector - vector), np.linalg.norm(pair_vector + vector))
         return abs(pair_value - value) <= 1e-8 and gap <= 1e-6
 
-    @pytest.mark.parametrize("kind", ["centro", "skew"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS + FALLBACK_CELLS)
     def test_same_pair_set_and_converged_count(self, m, n, kind):
-        a = random_structured(m, n, kind, seed=100 * m + n)
+        a = oracle_tensor(m, n, kind)
         result = solve_eigen(a, starts=20, seed=10 * m + n)
         kept, converged = loop_solve_eigen(a.data, starts=20, seed=10 * m + n)
         assert result.stats.converged == converged
@@ -657,9 +690,9 @@ class TestStartsAreIndependent:
     """A start's result depends neither on the other starts nor on how the
     line search chunks its halvings."""
 
-    @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
+    @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS + FALLBACK_CELLS)
     def test_stacked_solve_counts_as_one_start_solves(self, m, n, kind):
-        a = random_structured(m, n, kind, seed=100 * m + n)
+        a = oracle_tensor(m, n, kind)
         stacked = solve_eigen(a, starts=30, seed=np.random.default_rng(10 * m + n)).stats
         draws = np.random.default_rng(10 * m + n)
         singles = [solve_eigen(a, starts=1, seed=draws).stats for _ in range(30)]
@@ -728,6 +761,106 @@ class TestStartsAreIndependent:
             np.testing.assert_array_equal(newton_steps(jac, rhs), loop_newton_steps(jac, rhs))
         assert singular > 0
         assert np.linalg.slogdet(inf_singular)[0] == 0
+
+
+class TestOrder2DirectPath:
+    """At order 2 a matrix with a simple spectrum takes LAPACK's real pairs;
+    any other takes the multistart path, bit for bit."""
+
+    @staticmethod
+    def _multistart(a, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eigen, "ORDER2_GAP", np.inf)
+            return solve_eigen(a, **kwargs)
+
+    @staticmethod
+    def _bits(result):
+        return [(p.value, p.residual, p.vector.tobytes(), p.classification) for p in result.pairs]
+
+    def test_direct_path_on_the_matrix_panel(self):
+        direct = []
+        for name, a in MATRIX_PANEL:
+            result = solve_eigen(a, starts=20, seed=7)
+            if not simple_spectrum(a):
+                fallback = self._multistart(a, starts=20, seed=7)
+                assert result.stats == fallback.stats, name
+                assert self._bits(result) == self._bits(fallback), name
+                continue
+            direct.append(name)
+            values, vectors = np.linalg.eig(a.data)
+            real = np.flatnonzero(values.imag == 0)
+            assert result.stats.iterations == 0, name
+            assert sorted(p.value for p in result.pairs) == sorted(values.real[real].tolist()), name
+            for p in result.pairs:
+                (k,) = real[values.real[real] == p.value]
+                v = vectors[:, k].real
+                assert min(np.linalg.norm(p.vector - v), np.linalg.norm(p.vector + v)) <= 1e-14
+                assert p.residual == residual(a, p.value, p.vector) <= eigen.DEFAULT_SOLVER_TOL
+        # the palindromic Cauchy matrices at n >= 4 have a repeated eigenvalue 0
+        assert len(direct) == 100
+        assert not [name for name in direct if name.startswith("cauchy") and int(name.split("-")[1]) >= 4]
+
+    @pytest.mark.parametrize("which", ["0", "1", "n-1", "n", "200"])
+    def test_stats_count_per_start(self, which):
+        for name, a in MATRIX_PANEL:
+            if not simple_spectrum(a):
+                continue
+            starts = {"n-1": a.dim - 1, "n": a.dim}[which] if which[0] == "n" else int(which)
+            result = solve_eigen(a, starts=starts, seed=3)
+            stats = result.stats
+            real = int(np.sum(np.linalg.eig(a.data)[0].imag == 0))
+            assert stats.attempted == starts
+            assert stats.converged - stats.deduplicated == len(result.pairs) == min(starts, real), name
+            assert (stats.converged, stats.stalled) == ((starts, 0) if real else (0, starts)), name
+            assert (stats.rejected, stats.non_finite, stats.max_iter, stats.iterations) == (0, 0, 0, 0)
+            # with fewer starts than pairs, the per-start loop keeps the same ones
+            kept, converged = loop_solve_eigen(a.data, starts=starts, seed=3)
+            assert converged == stats.converged
+            assert [(p.value, p.residual, p.vector.tobytes()) for p in result.pairs] == [
+                (value, res, vector.tobytes()) for value, vector, res in kept
+            ], name
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_gap_between_real_eigenvalues(self, inside):
+        gap = (0.9 if inside else 1.1) * eigen.ORDER2_GAP
+        a = DenseTensor(np.diag([1.0, 1.0 + gap]))
+        result = solve_eigen(a, starts=20, seed=0)
+        assert (result.stats.iterations > 0) == inside
+        if not inside:
+            assert result.values() == [1.0, 1.0 + gap]
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_gap_between_complex_eigenvalues(self, inside):
+        # 1 +- i t, 2t apart, with no real eigenvalue: the direct path
+        # stalls every start
+        t = (0.45 if inside else 0.55) * eigen.ORDER2_GAP
+        result = solve_eigen(DenseTensor(np.array([[1.0, -t], [t, 1.0]])), starts=20, seed=0)
+        assert (result.stats.iterations > 0) == inside
+        if not inside:
+            assert (result.pairs, result.stats.stalled) == ([], 20)
+
+    def test_pair_over_tol_takes_the_multistart_path(self):
+        a = random_structured(2, 5, "general", seed=3)
+        direct = solve_eigen(a, starts=20, seed=0)
+        worst = max(p.residual for p in direct.pairs)
+        assert direct.stats.iterations == 0 and worst > 0
+        assert solve_eigen(a, starts=20, seed=0, tol=worst).stats.iterations == 0
+        assert solve_eigen(a, starts=20, seed=0, tol=worst / 2).stats.iterations > 0
+
+    def test_value_overflowing_its_scale_takes_the_multistart_path(self):
+        # both solved on A / 2^1023; only the all-1e308 matrix has a value,
+        # 2e308, past the float maximum once scaled back
+        finite = solve_eigen(DenseTensor(np.diag([1e308, 5e307])), starts=5)
+        assert (finite.values(), finite.stats.iterations) == ([5e307, 1e308], 0)
+        overflow = solve_eigen(DenseTensor.from_entries(2, 2, [1e308] * 4), starts=5)
+        assert (len(overflow.pairs), overflow.stats.rejected) == (1, 3)
+        assert overflow.stats.iterations > 0
+
+    def test_generator_advances_as_on_the_multistart_path(self, sym_matrix):
+        used, reference = np.random.default_rng(9), np.random.default_rng(9)
+        assert solve_eigen(sym_matrix, starts=7, seed=used).stats.iterations == 0
+        self._multistart(sym_matrix, starts=7, seed=reference)
+        assert used.bit_generator.state == reference.bit_generator.state
 
 
 def all_trials(z, step):
@@ -924,6 +1057,23 @@ class TestMergeAgainstLoop:
         kept = eigen._dedup(*stack)
         np.testing.assert_array_equal(kept, component_dedup(*stack))
         assert len(kept) == len(stack[0]) == 120
+
+    def test_two_thousand_pairs_at_one_value(self, budgets, monkeypatch):
+        # the zero matrix's 2000 converged starts, all at value 0, and 2000
+        # pairs at value 0 in chains of 0.6e-6 steps (within the vector
+        # tolerance, two are not), some with their sign flipped
+        zero = converged_stacks(monkeypatch, DenseTensor(np.zeros((2, 2))), 2000, 0)
+        assert not zero[0].any()
+        rng = np.random.default_rng(5)
+        bases = rng.normal(size=(400, 3))
+        steps = rng.normal(size=(400, 3))
+        steps /= np.linalg.norm(steps, axis=1)[:, None]
+        xs = np.concatenate([bases + k * 0.6e-6 * steps for k in range(5)])
+        xs /= np.linalg.norm(xs, axis=1)[:, None]
+        xs *= rng.choice([1.0, -1.0], size=(len(xs), 1))
+        chains = (np.zeros(len(xs)), xs, rng.choice(RESIDUALS, size=len(xs)))
+        for stack in (zero, chains):
+            np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
 
 class TestMergeMemory:

@@ -148,6 +148,22 @@ def test_diagonal_roundtrip_sweep(m, k, n):
     assert left.residual <= 1e-13
     assert right.residual <= 1e-13
     assert left.centro_verdict and right.centro_verdict
+    # read from the diagonals, the residual has the bits of the product check
+    assert left.residual == verify_inverse(a, left.inverse, "left")
+    assert right.residual == verify_inverse(a, right.inverse, "right")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_diagonal_inverse_builds_no_product(side):
+    # B*A and A*B would have order (3-1)(4-1)+1 = 7 and 16^7 entries, past
+    # the entry cap, though B has 16 nonzeros
+    diag = palindromize(np.arange(1.0, 17.0))
+    construct = diagonal_left_inverse if side == "left" else diagonal_right_inverse
+    result = construct(DenseTensor.diagonal(4, diag), 3)
+    b_diag = result.inverse.data[(np.arange(16),) * 3]
+    product = b_diag * diag * diag if side == "left" else diag * b_diag * b_diag * b_diag
+    assert result.residual == np.max(np.abs(product - 1.0)) <= 1e-15
+    assert result.centro_verdict
 
 
 class TestRecoverLeft:
