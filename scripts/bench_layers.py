@@ -69,8 +69,12 @@ cases:
   size of the order-3 product.  The library's own results skip both
   (``DenseTensor._adopt``), so this is the cost a caller's array pays.
 * ``serialize.dumps`` of an order-4 dim-16 centro tensor, the cli-json
-  benchmark's input size (65,536 entries, about 1.4 MB of JSON), through
-  ``tensor_to_obj``, as the CLI writes a tensor;
+  benchmark's input size (65,536 entries, about 1.4 MB of JSON), passed
+  as the ``DenseTensor`` itself, as the CLI writes a tensor (the rows of
+  case "order-4 dim-16 centro tensor" took it through ``tensor_to_obj``,
+  a float list, instead);
+* ``serialize.dumps`` of an order-2 dim-4 centro ``DenseTensor`` (16
+  entries), 1000 calls, where the array path's fixed cost shows;
 * ``cli.main`` running ``check`` on that tensor's file with ``-o``: one
   read and parse of the file, the direct witness, one small write.
 
@@ -315,7 +319,12 @@ def _cli_tensor(lib):
 
 def _dumps(lib):
     tensor = _cli_tensor(lib)
-    return {"order": 4, "dim": 16, "calls": 1}, lambda: lib.serialize.dumps(lib.serialize.tensor_to_obj(tensor))
+    return {"order": 4, "dim": 16, "calls": 1}, lambda: lib.serialize.dumps(tensor)
+
+
+def _dumps_small(lib):
+    tensor = lib.structure.random_structured(2, 4, "centro", seed=SEED)
+    return {"order": 2, "dim": 4, "calls": 1000}, lambda: [lib.serialize.dumps(tensor) for _ in range(1000)]
 
 
 def _cli_check(lib):
@@ -369,7 +378,8 @@ CASES = [
     ("cauchy.materialize", "n=20 m=5 palindrome", _materialize),
     ("core.DenseTensor", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.DenseTensor(t.data), 5)),
     ("core.DenseTensor", "order 5, dim 26", _construction),
-    ("serialize.dumps", "order-4 dim-16 centro tensor", _dumps),
+    ("serialize.dumps", "order-4 dim-16 centro DenseTensor", _dumps),
+    ("serialize.dumps", "order-2 dim-4 centro DenseTensor, 1000 calls", _dumps_small),
     ("cli.main", "check -o on an order-4 dim-16 centro tensor file", _cli_check),
 ]
 

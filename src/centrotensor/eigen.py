@@ -437,8 +437,10 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     looked up in the seed's value run (pairs no value window leads out
     of), sorted by |x_j|, with one more tolerance for the rounding of the
     lookup.  So pairs sharing one value cost a search each, not a scan of
-    the run.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries
-    (or one row pair), so memory stays linear in the pairs.
+    the run.  A pair whose first band holds only itself is labelled its own
+    component before the loop, in one pass over the sorted keys.  Each
+    comparison holds at most _DEDUP_BLOCK_ENTRIES entries (or one row
+    pair), so memory stays linear in the pairs.
     """
     order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
     lams, xs, res = lams[order], xs[order], res[order]
@@ -458,10 +460,19 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     # each run's pairs in |x_j| order
     by_key = np.lexsort((key, run))
     sorted_key = key[by_key]
+    # A pair whose band at reach 0 holds no other pair of its run is a
+    # component of its own: a pair close to it would sit in that band.
+    # Such pairs are labelled here at once, not one seed loop each.
+    half = 2 * DEDUP_VECTOR_TOL + DEDUP_VECTOR_TOL  # the loop's reach_key at reach 0
+    same_run = run[by_key[1:]] == run[by_key[:-1]]
+    alone = np.ones(total, dtype=bool)
+    alone[1:] &= ~(same_run & (sorted_key[:-1] >= sorted_key[1:] - half))
+    alone[:-1] &= ~(same_run & (sorted_key[1:] < sorted_key[:-1] + half))
+    kept = by_key[alone].tolist()
     free = np.ones(total, dtype=bool)
+    free[kept] = False
     rows = max(1, _DEDUP_BLOCK_ENTRIES // n)
-    kept = []
-    for seed in range(total):
+    for seed in np.flatnonzero(free).tolist():
         if not free[seed]:
             continue
         free[seed] = False

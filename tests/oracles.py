@@ -469,7 +469,8 @@ def _first_bad(sums: np.ndarray, bad: np.ndarray, problem: str) -> CauchySpecErr
 def format_value_oracle(value) -> str:
     """The JSON writer formatting one value per call, recursively.
 
-    The per-item formatter the library's float-list pass replaced.
+    The per-item formatter the library's float-list pass and its numpy
+    float-array kernel replaced.
     """
     if value is None:
         return "null"

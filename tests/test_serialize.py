@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from centrotensor import DenseTensor, check_structure
+from centrotensor import serialize
 from centrotensor.serialize import dumps, loads, spec_from_obj, tensor_from_obj, tensor_to_obj
 
 from oracles import format_value_oracle
@@ -70,6 +73,133 @@ class TestWriter:
         assert dumps({"a": sym_matrix, "b": report}) == dumps(
             {"a": tensor_to_obj(sym_matrix), "b": report.as_dict()}
         )
+
+
+def bits_as_floats(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    """Each 10^k for k = -6..18 and 40 neighbouring floats on either side."""
+    values = []
+    for k in range(-6, 19):
+        up = down = 10.0**k
+        values.append(up)
+        for _ in range(40):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            values += [up, down]
+    return np.array(values)
+
+
+def round_up_to_power_of_ten() -> np.ndarray:
+    """Values whose 17 digits carry to the next power of ten, and their neighbours."""
+    values = []
+    for k in range(-6, 19):
+        for text in ("9.9999999999999999e%d", "9.99999999999999995e%d", "9.9999999999999998e%d"):
+            v = float(text % k)
+            values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    return np.array(values)
+
+
+def exact_ties() -> np.ndarray:
+    """Floats whose 18th significant digit is an exact 5: half-even decides."""
+    n = np.arange(10**15, 10**15 + 400)
+    quarters = np.concatenate([(4 * n + 1) / 4, (4 * n + 3) / 4, (4 * (2 * n) + 1) / 4])
+    eighths = np.concatenate([(8 * (n // 10) + 1) / 8, (8 * (n // 10) + 3) / 8])
+    near_nine = np.arange(9 * 10**15 - 200, 9 * 10**15 + 200)
+    return np.concatenate([quarters, eighths, (4 * near_nine + 1) / 4, (4 * near_nine + 3) / 4])
+
+
+def in_window_bits(rng, count: int) -> np.ndarray:
+    """Random signs and mantissas with binary exponents spanning 1e-4 <= |v| < 1e17."""
+    exponent = rng.integers(1023 - 14, 1023 + 57, count).astype(np.uint64)
+    mantissa = rng.integers(0, 2**52, count, dtype=np.uint64)
+    sign = rng.integers(0, 2, count, dtype=np.uint64)
+    return bits_as_floats((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa)
+
+
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     np.inf, -np.inf, np.nan, 9.9999999999999991e-05, 1e17, -1.7e308])
+
+
+class TestArrayPath:
+    """dumps of a 1-D float64 array and of a DenseTensor, byte for byte
+    against the per-item writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        values = bits_as_floats(bits)
+        assert dumps(values) == format_value_oracle(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+    def test_tensor_of_finite_bit_patterns(self, bits):
+        values = bits_as_floats(bits)
+        values = values[np.isfinite(values)]
+        if values.size:
+            tensor = DenseTensor(values)
+            assert dumps(tensor) == format_value_oracle(tensor_to_obj(tensor))
+
+    @pytest.mark.parametrize(
+        "make", [powers_of_ten_and_neighbours, round_up_to_power_of_ten, exact_ties],
+        ids=["powers-of-ten", "round-up", "ties"],
+    )
+    def test_hard_cases(self, make):
+        values = make()
+        values = np.concatenate([values, -values])
+        assert dumps(values) == format_value_oracle(values)
+
+    def test_no_window_value_rounds_up_to_a_power_of_ten(self):
+        # why the kernel needs no carry: the 17 digits of |v| < 10^k reach
+        # 10^k only within 5e-18 (relative) of it, and no double is that close
+        for k in range(-3, 18):
+            power = Decimal(10) ** k
+            below = float(power) if Decimal(float(power)) < power else np.nextafter(float(power), 0.0)
+            assert (power - Decimal(below)) / power > Decimal("5e-18")
+
+    def test_specials(self):
+        assert dumps(SPECIALS) == format_value_oracle(SPECIALS)
+        assert dumps(np.array([0.0, -0.0])) == "[0, -0]"
+
+    @pytest.mark.parametrize("where", ["first", "last", "adjacent", "all"])
+    def test_per_item_values_land_at_their_position(self, rng, where):
+        values = rng.normal(size=50)
+        if where == "first":
+            values[0] = np.nan
+        elif where == "last":
+            values[-1] = -1e-300
+        elif where == "adjacent":
+            values[20:23] = (np.inf, 1e17, 5e-324)
+        else:
+            values = np.tile(SPECIALS[2:], 5)
+        assert dumps(values) == format_value_oracle(values)
+
+    @pytest.mark.parametrize(
+        "length", [1, 2, serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1]
+    )
+    def test_lengths_around_the_block(self, rng, length):
+        values = rng.normal(size=length) * 10.0 ** rng.integers(-6, 18, length)
+        values[rng.integers(length)] = np.inf
+        assert dumps(values) == format_value_oracle(values)
+
+    def test_fixed_seed_sweeps(self):
+        rng = np.random.default_rng(31)
+        raw = bits_as_floats(rng.integers(0, 2**64, 2**18, dtype=np.uint64))
+        windowed = in_window_bits(rng, 2**18)
+        for values in (raw, windowed):
+            assert serialize._format_floats(values) == ", ".join("%.17g" % v for v in values.tolist())
+
+    def test_traced_peak_of_a_tensor_dump(self):
+        tensor = DenseTensor(np.random.default_rng(0).uniform(-1.0, 1.0, size=(16,) * 4))
+        tracemalloc.start()
+        try:
+            text = dumps(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tensor.entries) == 65536
+        assert peak <= 2.5 * len(text)
 
 
 class TestReader:
