@@ -46,14 +46,15 @@ cases:
   the eig-survey panel's residuals;
 * ``eigen._newton_steps`` on the Newton stacks of one 200-start solve of
   an order-4 palindromic Cauchy tensor that hold an exactly singular
-  system (recorded in the same process, so at the commit being timed);
+  system;
 * ``eigen._dedup`` on the converged stacks of the 27-cell panel's solves,
   five passes, and on the stack of the zero tensor at dim 2 with 2000
   starts, where every converged start is its own pair (the many-component
-  worst case); both recorded in the same process, so at the commit being
-  timed;
+  worst case);
 * ``eigen.reflect_pair`` on every pair of one 200-start solve of an
-  order-4 dim-4 centro tensor, 20 times over;
+  order-4 dim-4 centro tensor, 20 times over, and on every pair of the
+  solves of the 15 order-2 cells above, 20 times over (as eig-survey
+  reflects them, with tol 1e-8 and the skew zero values left out);
 * the three structure witnesses (``structure.check_structure``,
   ``check_via_J``, ``check_commutation``), ``structure.decompose`` and
   ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
@@ -81,6 +82,12 @@ cases:
 The order-5 contractions are 20 calls per rep and the order-4 one 200;
 the structure and J-product cases call each of the three tensors as often
 as their ``calls`` size says.
+
+The ``_newton_steps`` and ``_dedup`` cases time a private function on the
+stacks a solve hands it (RECORDINGS).  Those stacks are recorded once, at
+the base commit, and both commits are timed on them, so a change to what
+the solver hands the function leaves the case's input alone.  ``--measure``
+without a recording records them at the commit it times.
 """
 
 from __future__ import annotations
@@ -89,6 +96,7 @@ import argparse
 import importlib
 import json
 import os
+import pickle
 import statistics
 import subprocess
 import sys
@@ -245,34 +253,48 @@ def _contraction(sizes: dict, jacobian: bool = False):
     return build
 
 
-def _newton_steps(lib):
+def _singular_newton_stacks(lib) -> list:
+    """The Newton stacks of one 200-start solve of an order-4 palindromic
+    Cauchy tensor that hold an exactly singular system."""
     pal = lib.cauchy.materialize(lib.cauchy.CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), 4))
-    recorded = _recorded(
+    return _recorded(
         lib, "_newton_steps", lambda jac, rhs: np.any(np.linalg.slogdet(jac)[0] == 0),
         lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED),
     )
+
+
+def _newton_steps(lib, recorded):
     singular = sum(int(np.sum(np.linalg.slogdet(j)[0] == 0)) for j, _ in recorded)
     sizes = {"stacks": len(recorded), "systems": sum(len(r) for _, r in recorded), "singular": singular}
     return sizes, lambda: [lib.eigen._newton_steps(j, r) for j, r in recorded]
 
 
-def _dedup_panel(lib):
+def _panel_merge_stacks(lib) -> list:
+    """The stacks the 27-cell panel's solves hand eigen._dedup."""
     panel = _panel(lib)
-    converged = _recorded(
+    return _recorded(
         lib, "_dedup", lambda *stack: True,
         lambda: [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel],
     )
+
+
+def _dedup_panel(lib, converged):
     merge = lib.eigen._dedup
     sizes = {"stacks": len(converged), "pairs": sum(len(st[0]) for st in converged),
              "kept": sum(len(merge(*st)) for st in converged), "calls": 5 * len(converged)}
     return sizes, lambda: [merge(*st) for _ in range(5) for st in converged]
 
 
-def _dedup_zero(lib):
-    (zero_stack,) = _recorded(
+def _zero_merge_stacks(lib) -> list:
+    """The stack a 2000-start solve of the zero tensor at dim 2 hands eigen._dedup."""
+    return _recorded(
         lib, "_dedup", lambda *stack: True,
         lambda: lib.eigen.solve_eigen(lib.core.DenseTensor(np.zeros((2, 2))), starts=2000, seed=SEED),
     )
+
+
+def _dedup_zero(lib, recorded):
+    (zero_stack,) = recorded
     merge = lib.eigen._dedup
     return {"pairs": len(zero_stack[0]), "kept": len(merge(*zero_stack))}, lambda: merge(*zero_stack)
 
@@ -282,6 +304,17 @@ def _reflect_pair(lib):
     pairs = lib.eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
     sizes = {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)}
     return sizes, lambda: [lib.eigen.reflect_pair(mirror, p) for _ in range(20) for p in pairs]
+
+
+def _reflect_order2(lib):
+    pairs = [
+        (t, p)
+        for t, s in _survey_order2(lib)
+        for p in lib.eigen.solve_eigen(t, starts=200, seed=s).pairs
+        if lib.structure.reflection_sign(t) > 0 or abs(p.value) > 1e-8
+    ]
+    sizes = {"order": 2, "dims": [2, 4], "pairs": len(pairs), "calls": 20 * len(pairs)}
+    return sizes, lambda: [lib.eigen.reflect_pair(t, p, tol=1e-8) for _ in range(20) for t, p in pairs]
 
 
 def _per_witness_input(call, calls: int):
@@ -367,6 +400,8 @@ CASES = [
     ("eigen._dedup", "27-cell panel, converged stacks, 5 passes", _dedup_panel),
     ("eigen._dedup", "zero tensor dim 2, 2000 starts", _dedup_zero),
     ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times", _reflect_pair),
+    ("eigen.reflect_pair", "order 2: the seed-1 eig-survey panel's 15 cells, every pair 20 times",
+     _reflect_order2),
     ("structure.check_structure", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.check_structure(t), 5)),
     ("structure.check_via_J", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.check_via_J(t), 2)),
     ("structure.check_commutation", _WITNESSES,
@@ -384,30 +419,69 @@ CASES = [
 ]
 
 
-def measure(indices) -> list:
-    """Time the CASES at these indices in turn, each the best of its calls after a warm-up."""
+# build(lib, stacks) of a case timed on recorded input stacks -> the
+# function that records them, record(lib).
+RECORDINGS = {
+    _newton_steps: _singular_newton_stacks,
+    _dedup_panel: _panel_merge_stacks,
+    _dedup_zero: _zero_merge_stacks,
+}
+
+
+def record(lib, indices=None) -> dict:
+    """The input stacks of each recorded case among `indices` (all by default), by case index."""
+    indices = range(len(CASES)) if indices is None else indices
+    return {i: RECORDINGS[CASES[i][2]](lib) for i in indices if CASES[i][2] in RECORDINGS}
+
+
+def case_stacks(lib, index: int, recorded) -> list:
+    """The input stacks of recorded case `index`: recorded's (a record()
+    made at the base commit) when given, else recorded now from lib."""
+    return recorded[index] if recorded is not None else RECORDINGS[CASES[index][2]](lib)
+
+
+def save_stacks(path: Path, recorded: dict) -> None:
+    path.write_bytes(pickle.dumps(recorded))
+
+
+def load_stacks(path: Path) -> dict:
+    return pickle.loads(path.read_bytes())
+
+
+def measure(indices, stacks: Path | None = None) -> list:
+    """Time the CASES at these indices in turn, each the best of its calls
+    after a warm-up; recorded cases take their input from the file `stacks`."""
     import centrotensor as lib  # the package on sys.path: in a child, the commit being timed
 
+    recorded = load_stacks(stacks) if stacks else None
     out = []
     for index in indices:
         layer, case, build = CASES[index]
-        sizes, fn = build(lib)
+        if build in RECORDINGS:
+            sizes, fn = build(lib, case_stacks(lib, index, recorded))
+        else:
+            sizes, fn = build(lib)
         calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(fn))))  # the warm-up
         best = min(_timed(fn) for _ in range(calls))
         out.append({"layer": layer, "case": case, "sizes": sizes, "s": best, "best_of": calls})
     return out
 
 
-def _child(src: Path, index: int) -> dict:
-    """Case `index` timed in a fresh process against the library in src."""
+def _run_child(src: Path, args: list) -> str:
+    """This script run with args in a fresh process against the library in src; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", str(index)],
+        [sys.executable, __file__, *args],
         env=env, cwd=src.parent, stdout=subprocess.PIPE, text=True, check=True,
     )
-    (record,) = json.loads(proc.stdout)
-    return record
+    return proc.stdout
+
+
+def _child(src: Path, index: int, stacks: Path) -> dict:
+    """Case `index` timed in a fresh process against the library in src."""
+    (row,) = json.loads(_run_child(src, ["--measure", str(index), "--stacks", str(stacks)]))
+    return row
 
 
 def merge_records(path: Path, records: list) -> list:
@@ -432,9 +506,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="record to merge the rows into, e.g. BENCH_structure.json")
     # case indices timed in this process; none given times every case
     parser.add_argument("--measure", nargs="*", type=int, help=argparse.SUPPRESS)
+    # the recorded input stacks --measure reads, and the file --record writes them to
+    parser.add_argument("--stacks", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure is not None:
-        print(json.dumps(measure(args.measure or range(len(CASES)))))
+        print(json.dumps(measure(args.measure or range(len(CASES)), args.stacks)))
+        return 0
+    if args.record is not None:
+        import centrotensor as lib
+
+        save_stacks(args.record, record(lib))
         return 0
     if not (args.base and args.head and args.out):
         parser.error("--base, --head and --out are required")
@@ -455,13 +537,16 @@ def main(argv=None) -> int:
                                      stdout=subprocess.PIPE).stdout
             subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
             trees[rev] = tree / "src"
+        # the input stacks of the recorded cases, from the base commit
+        stacks = Path(tmp) / "stacks.pickle"
+        _run_child(next(iter(trees.values())), ["--record", str(stacks)])
         # one process per case and rep, the commits alternating
         runs = {(rev, i): [] for rev in trees for i in range(len(CASES))}
         for rep in range(args.reps):
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
             for i in range(len(CASES)):
                 for rev in order:
-                    runs[rev, i].append(_child(trees[rev], i))
+                    runs[rev, i].append(_child(trees[rev], i, stacks))
             print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr, flush=True)
     for (rev, _), per_rep in runs.items():
         times = [r["s"] for r in per_rep]

@@ -199,7 +199,9 @@ def main(argv=None) -> int:
             print(text, flush=True)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                # two writes, not a copy of the text with its newline
+                handle.write(text)
+                handle.write("\n")
     except BrokenPipeError:
         # The reader closed stdout (`| head`); the print flushes inside the
         # try so a short output lands here too.  Point stdout at devnull, so

@@ -228,18 +228,26 @@ def apply(a: DenseTensor, x) -> np.ndarray:
     is then A x_s^{m-1}.  A stack whose contraction would hold more than
     DEFAULT_ENTRY_CAP entries (see _stack_entries) is a ResourceLimitError.
     """
+    x = _check_stack(a, x)
+    if x.ndim == 1:
+        return contract_trailing(a.data, x[None, :], a.order - 1)[0]
+    return contract_trailing(a.data, x, a.order - 1)
+
+
+def _check_stack(a: DenseTensor, x) -> np.ndarray:
+    """x as a float array after apply's checks: order >= 2, and x one vector
+    of length dim or a stack of them within the cap."""
     if a.order < 2:
         raise ValueError("apply requires tensor order >= 2")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != a.dim:
         raise ValueError(f"vector of length {a.dim} required, got shape {x.shape}")
-    if x.ndim == 1:
-        return contract_trailing(a.data, x[None, :], a.order - 1)[0]
-    rows = len(x)
-    _check_cap(
-        _stack_entries(rows, a.order, a.dim), f"stack of {rows} vectors on order {a.order} dim {a.dim}"
-    )
-    return contract_trailing(a.data, x, a.order - 1)
+    if x.ndim == 2:
+        rows = len(x)
+        _check_cap(
+            _stack_entries(rows, a.order, a.dim), f"stack of {rows} vectors on order {a.order} dim {a.dim}"
+        )
+    return x
 
 
 def contract_trailing(data: np.ndarray, xs: np.ndarray, count: int) -> np.ndarray:

@@ -181,13 +181,18 @@ def residual(a: DenseTensor, value: float, x) -> float:
     x = _finite_vector(x, "eigenvector")
     if not math.isfinite(value):
         raise ValueError(f"eigenvalue must be finite, got {value!r}")
+    x = core._check_stack(a, x)
     return float(np.max(_residuals(a, np.asarray(value, dtype=float), x)))
 
 
 def _residuals(a: DenseTensor, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x);
-    a row's bits do not depend on the stack (see core._BLOCK_ROWS)."""
-    return np.max(np.abs(apply(a, xs) - lams[..., None] * _power(xs, a.order - 1)), axis=-1)
+    """The residual of each pair (lams[s], xs[s]), or of one pair (lam, x),
+    for float vectors of length dim that the caller has checked (apply's
+    checks, which residual() runs); a row's bits do not depend on the stack
+    (see core._BLOCK_ROWS), and a lone vector's are apply's."""
+    m = a.order
+    axs = contract_trailing(a.data, xs.reshape(-1, a.dim), m - 1).reshape(xs.shape)
+    return np.max(np.abs(axs - lams[..., None] * _power(xs, m - 1)), axis=-1)
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -509,14 +514,22 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     return order[sorted(kept)]
 
 
-def _matrix_solve(a: DenseTensor, xs: np.ndarray, tol: float, scale: float):
-    """LAPACK's real eigenpairs of the matrix A as the solve of the unit starts
-    xs, or None when a repeated or clustered eigenvalue, a failed residual
-    check or an overflowing value leaves the answer to the multistart path.
+def _matrix_solve(a: DenseTensor, starts: int, start_rows, tol: float, scale: float):
+    """LAPACK's real eigenpairs of the matrix A as the solve of `starts`
+    unit starts, or None when a repeated or clustered eigenvalue, a failed
+    residual check or an overflowing value leaves the answer to the
+    multistart path.
 
-    Stats stay per start: with a real pair every start converges and the
-    merge counts all but one start per pair, without one every start
-    stalls; fewer starts than pairs keep the pairs nearest the starts.
+    The pairs come in value order, which is what the merge would return:
+    every value lies more than ORDER2_GAP * entry_scale(A) >= ORDER2_GAP
+    from every other (entry_scale is at least 1), and the merge joins only
+    values within DEDUP_VALUE_TOL < ORDER2_GAP, so it keeps every pair, and
+    its (value, components) order is value order.
+
+    Stats stay per start: with a real pair every start converges and all
+    but one start per pair are deduplicated, without one every start
+    stalls.  Fewer starts than pairs keep the pairs nearest the starts,
+    the only case that reads them (start_rows()).
     """
     values, vectors = np.linalg.eig(a.data)
     gaps = np.abs(values[:, None] - values)
@@ -529,10 +542,10 @@ def _matrix_solve(a: DenseTensor, xs: np.ndarray, tol: float, scale: float):
     res = _residuals(a, lams, vs)
     if not np.all((res <= tol) & np.isfinite(lams * scale)):
         return None
-    kept = _dedup(lams, vs, res)
-    starts = len(xs)
+    kept = np.argsort(lams, kind="stable")
     if starts < len(kept):
         # a pair's nearness: its largest |cos| with a start
+        xs = start_rows()
         near = np.abs(np.sum(xs[:, None, :] * vs[kept], axis=2)).max(axis=0, initial=0.0)
         kept = kept[np.sort(np.argsort(-near, kind="stable")[:starts])]
     converged = starts if lams.size else 0
@@ -581,15 +594,20 @@ def solve_eigen(
     than ORDER2_GAP * entry_scale(A) from every other, and each real one
     (imaginary part exactly 0) has a canonical unit eigenvector with
     residual at most tol and a value finite once scaled back.  The result
-    is then LAPACK's real pairs, merged and sorted as above.  The starts
-    are still drawn, so a Generator seed advances alike, and the stats
-    still count per start: with a real pair every start is converged and
-    deduplicated is starts minus the pairs; without one every start is
-    stalled; iterations is 0.  With fewer starts than pairs, the pairs
-    whose eigenvectors have the largest |cos| with a start are kept, so
-    converged - deduplicated is the pair count for every starts.  Any
-    other matrix (a repeated or clustered eigenvalue, a failed residual,
-    an overflowing value) takes the Newton path, bit for bit as before.
+    is then LAPACK's real pairs in value order, with no merge: their
+    values lie more than ORDER2_GAP * entry_scale(A) >= ORDER2_GAP apart,
+    and ORDER2_GAP > DEDUP_VALUE_TOL, so the merge would keep every pair
+    in value order.  The start block is drawn and normalized only where it
+    is read (the Newton path, and the pick below when starts < pairs), or
+    drawn on every path when seed is a caller's generator, which so
+    advances alike (see _start_rows).  The stats still count per start:
+    with a real pair every start is converged and deduplicated is starts
+    minus the pairs; without one every start is stalled; iterations is 0.
+    With fewer starts than pairs, the pairs whose eigenvectors have the
+    largest |cos| with a start are kept, so converged - deduplicated is
+    the pair count for every starts.  Any other matrix (a repeated or
+    clustered eigenvalue, a failed residual, an overflowing value) takes
+    the Newton path, bit for bit as before.
 
     tol bounds the residual of A itself, unless A's entries are large
     enough that a residual could overflow (entry_scale(A) * m * n^(m-1)
@@ -625,13 +643,34 @@ def solve_eigen(
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)
         # dividing by a power of two keeps every entry finite
         a = DenseTensor._adopt(a.data / scale)
-    # One draw of shape (starts, n) consumes the same stream as `starts`
-    # draws of size n, so a seed means the same starts as a per-start loop;
-    # both paths draw it, so a Generator advances alike.
-    xs = np.random.default_rng(seed).normal(size=(starts, n))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
-    result = _matrix_solve(a, xs, tol, scale) if m == 2 else None
-    return _multistart(a, xs, tol, scale) if result is None else result
+    start_rows = _start_rows(seed, starts, n)
+    result = _matrix_solve(a, starts, start_rows, tol, scale) if m == 2 else None
+    return _multistart(a, start_rows(), tol, scale) if result is None else result
+
+
+def _start_rows(seed, starts: int, n: int):
+    """A function that returns the solve's (starts, n) block of unit start rows.
+
+    One draw of shape (starts, n) consumes the same stream as `starts`
+    draws of size n, so a seed means the same starts as a per-start loop.
+    A None, integer or SeedSequence seed makes a fresh generator that no
+    caller sees: here it only becomes a SeedSequence, which raises as
+    np.random.default_rng would, and the block is drawn on the first call.
+    Any other seed, such as a caller's Generator, BitGenerator or
+    RandomState (whose stream default_rng shares, so the caller sees the
+    draw), has its block drawn here, on every path.  The rows are
+    normalized on each call.
+    """
+    if seed is None or isinstance(seed, (int, np.integer, np.random.SeedSequence)):
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        return lambda: _unit_rows(np.random.default_rng(seed).normal(size=(starts, n)))
+    drawn = np.random.default_rng(seed).normal(size=(starts, n))
+    return lambda: _unit_rows(drawn)
+
+
+def _unit_rows(xs: np.ndarray) -> np.ndarray:
+    return xs / np.linalg.norm(xs, axis=1)[:, None]
 
 
 def _multistart(a: DenseTensor, starts_xs: np.ndarray, tol: float, scale: float) -> EigenSet:

@@ -211,8 +211,13 @@ def _format_value(value) -> str:
         items = ", ".join(_format_value(v) for v in value)
         return f"[{items}]"
     if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
+        # one join over the parts, so a large value's text is copied once
+        parts = []
+        for k, v in value.items():
+            parts += (", ", json.dumps(str(k)), ": ", _format_value(v))
+        parts[:1] = ["{"]
+        parts.append("}")
+        return "".join(parts)
     if isinstance(value, DenseTensor):
         return _format_value({"order": value.order, "dim": value.dim, "entries": value.entries})
     if hasattr(value, "as_dict"):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
 
 
@@ -33,3 +35,32 @@ class TestMergeRecords:
             row("a", "x", "2", 5.0),
             row("c", "x", "1", 6.0),
         ]
+
+
+def same_bits(stacks, others):
+    return len(stacks) == len(others) and all(
+        len(s) == len(o) and all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(s, o))
+        for s, o in zip(stacks, others)
+    )
+
+
+class TestRecordedStacks:
+    def test_both_commits_are_timed_on_the_base_stacks(self, tmp_path, monkeypatch):
+        import centrotensor
+        from centrotensor import eigen
+
+        script = load_script()
+        (index,) = [i for i, (_, case, _) in enumerate(script.CASES) if case.startswith("27-cell panel, converged")]
+        path = tmp_path / "stacks.pickle"
+        script.save_stacks(path, script.record(centrotensor, [index]))
+        base = script.load_stacks(path)
+        # a head whose solver hands the merge other stacks: every matrix of
+        # the panel takes the multistart path
+        monkeypatch.setattr(eigen, "ORDER2_GAP", np.inf)
+        own = script.case_stacks(centrotensor, index, None)
+        assert not same_bits(own, base[index])
+        assert same_bits(script.case_stacks(centrotensor, index, script.load_stacks(path)), base[index])
+        # measure reads the file, so its sizes are the base stacks'
+        (row,) = script.measure([index], path)
+        assert row["sizes"]["stacks"] == len(base[index])
+        assert row["sizes"]["pairs"] == sum(len(stack[0]) for stack in base[index])

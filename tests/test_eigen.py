@@ -77,7 +77,8 @@ def simple_spectrum(a):
 
 
 def converged_stacks(monkeypatch, tensor, starts, seed):
-    """The (values, vectors, residuals) stack solve_eigen hands its merge."""
+    """The (values, vectors, residuals) stack the multistart path hands its
+    merge; a matrix goes there too (the direct path calls no merge)."""
     stacks = []
     merge = eigen._dedup
 
@@ -86,10 +87,21 @@ def converged_stacks(monkeypatch, tensor, starts, seed):
         return merge(lams, xs, res)
 
     monkeypatch.setattr(eigen, "_dedup", recording)
-    solve_eigen(tensor, starts=starts, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen, "ORDER2_GAP", np.inf)
+        solve_eigen(tensor, starts=starts, seed=seed)
     monkeypatch.setattr(eigen, "_dedup", merge)
     (stack,) = stacks
     return stack
+
+
+def pair_stack(pairs, n):
+    """The (values, vectors, residuals) stack of a list of pairs."""
+    return (
+        np.array([p.value for p in pairs]),
+        np.array([p.vector for p in pairs]).reshape(len(pairs), n),
+        np.array([p.residual for p in pairs]),
+    )
 
 
 # Offsets that put two values one ulp inside, at and one ulp outside the
@@ -167,6 +179,11 @@ class TestResidual:
     def test_zero_vector_rejected(self, sym_matrix):
         with pytest.raises(ValueError):
             residual(sym_matrix, 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones(1), np.ones((2, 3))])
+    def test_wrong_length_rejected(self, sym_matrix, x):
+        with pytest.raises(ValueError, match="vector of length 2 required, got shape"):
+            residual(sym_matrix, 1.0, x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_or_vector_rejected(self, sym_matrix, bad):
@@ -528,7 +545,8 @@ class TestSolveEigen:
         reached = solve_eigen(sym_matrix, starts=30, seed=0).stats.converged
         assert reached > 0
         # skew the residual re-check alone, so every start that reached tol fails it
-        monkeypatch.setattr(eigen, "apply", lambda a, xs: core.apply(a, xs) + 1.0)
+        residuals = eigen._residuals
+        monkeypatch.setattr(eigen, "_residuals", lambda a, lams, xs: residuals(a, lams, xs) + 1.0)
         stats = solve_eigen(sym_matrix, starts=30, seed=0).stats
         assert (stats.converged, stats.rejected) == (0, reached)
 
@@ -796,9 +814,33 @@ class TestOrder2DirectPath:
                 v = vectors[:, k].real
                 assert min(np.linalg.norm(p.vector - v), np.linalg.norm(p.vector + v)) <= 1e-14
                 assert p.residual == residual(a, p.value, p.vector) <= eigen.DEFAULT_SOLVER_TOL
+            # the merge keeps every pair of the path, in the path's order
+            assert eigen._dedup(*pair_stack(result.pairs, a.dim)).tolist() == list(range(len(result.pairs)))
         # the palindromic Cauchy matrices at n >= 4 have a repeated eigenvalue 0
         assert len(direct) == 100
         assert not [name for name in direct if name.startswith("cauchy") and int(name.split("-")[1]) >= 4]
+
+    def test_pairs_just_past_the_gap_are_what_the_merge_keeps(self):
+        # values 0 and 1.5 * ORDER2_GAP, eigenvectors (1, 0) and (1, 1.5 * ORDER2_GAP) / norm
+        a = DenseTensor(np.array([[0.0, 1.0], [0.0, 1.5 * eigen.ORDER2_GAP]]))
+        result = solve_eigen(a, starts=20, seed=0)
+        assert result.stats.iterations == 0
+        stack = pair_stack(result.pairs, 2)
+        kept = eigen._dedup(*stack)
+        assert len(result.pairs) == 2
+        assert [(p.value, p.vector.tobytes(), p.residual) for p in result.pairs] == [
+            (stack[0][k], stack[1][k].tobytes(), stack[2][k]) for k in kept
+        ]
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [-0.6, 0.8]])
+    def test_merge_keeps_values_past_the_gap_whatever_their_vectors(self, x):
+        # the direct path's values lie more than ORDER2_GAP apart, so its
+        # value order is the merge's only if the merge keeps two such pairs
+        # even with equal or sign-flipped vectors
+        gap = np.nextafter(eigen.ORDER2_GAP, np.inf)
+        x = np.array(x)
+        for xs in (np.array([x, x]), np.array([x, -x])):
+            assert eigen._dedup(np.array([0.0, gap]), xs, np.zeros(2)).tolist() == [0, 1]
 
     @pytest.mark.parametrize("which", ["0", "1", "n-1", "n", "200"])
     def test_stats_count_per_start(self, which):
@@ -861,6 +903,19 @@ class TestOrder2DirectPath:
         assert solve_eigen(sym_matrix, starts=7, seed=used).stats.iterations == 0
         self._multistart(sym_matrix, starts=7, seed=reference)
         assert used.bit_generator.state == reference.bit_generator.state
+        # a BitGenerator seed is the caller's stream too
+        used, reference = np.random.PCG64(9), np.random.PCG64(9)
+        assert solve_eigen(sym_matrix, starts=7, seed=used).stats.iterations == 0
+        self._multistart(sym_matrix, starts=7, seed=reference)
+        assert used.state == reference.state != np.random.PCG64(9).state
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", [1, -2]])
+    def test_invalid_seed_raises_as_default_rng(self, sym_matrix, seed):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            np.random.default_rng(seed)
+        for a in (sym_matrix, random_structured(3, 2, "centro", seed=0)):
+            with pytest.raises(expected.type, match=str(expected.value)):
+                solve_eigen(a, starts=7, seed=seed)
 
 
 def all_trials(z, step):
