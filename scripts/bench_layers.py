@@ -86,8 +86,7 @@ as their ``calls`` size says.
 The ``_newton_steps`` and ``_dedup`` cases time a private function on the
 stacks a solve hands it (RECORDINGS).  Those stacks are recorded once, at
 the base commit, and both commits are timed on them, so a change to what
-the solver hands the function leaves the case's input alone.  ``--measure``
-without a recording records them at the commit it times.
+the solver hands the function leaves the case's input alone.
 """
 
 from __future__ import annotations
@@ -307,14 +306,17 @@ def _reflect_pair(lib):
 
 
 def _reflect_order2(lib):
+    # the pairs eig-survey reflects, with its tolerance: bench/eig_survey.py's
+    # ZERO_VALUE and REFLECT_TOL, copied as the panel's draws are
+    zero_value, reflect_tol = 1e-8, 1e-8
     pairs = [
         (t, p)
         for t, s in _survey_order2(lib)
         for p in lib.eigen.solve_eigen(t, starts=200, seed=s).pairs
-        if lib.structure.reflection_sign(t) > 0 or abs(p.value) > 1e-8
+        if lib.structure.reflection_sign(t) > 0 or abs(p.value) > zero_value
     ]
     sizes = {"order": 2, "dims": [2, 4], "pairs": len(pairs), "calls": 20 * len(pairs)}
-    return sizes, lambda: [lib.eigen.reflect_pair(t, p, tol=1e-8) for _ in range(20) for t, p in pairs]
+    return sizes, lambda: [lib.eigen.reflect_pair(t, p, tol=reflect_tol) for _ in range(20) for t, p in pairs]
 
 
 def _per_witness_input(call, calls: int):
@@ -434,31 +436,18 @@ def record(lib, indices=None) -> dict:
     return {i: RECORDINGS[CASES[i][2]](lib) for i in indices if CASES[i][2] in RECORDINGS}
 
 
-def case_stacks(lib, index: int, recorded) -> list:
-    """The input stacks of recorded case `index`: recorded's (a record()
-    made at the base commit) when given, else recorded now from lib."""
-    return recorded[index] if recorded is not None else RECORDINGS[CASES[index][2]](lib)
-
-
-def save_stacks(path: Path, recorded: dict) -> None:
-    path.write_bytes(pickle.dumps(recorded))
-
-
-def load_stacks(path: Path) -> dict:
-    return pickle.loads(path.read_bytes())
-
-
-def measure(indices, stacks: Path | None = None) -> list:
+def measure(indices, stacks: Path) -> list:
     """Time the CASES at these indices in turn, each the best of its calls
-    after a warm-up; recorded cases take their input from the file `stacks`."""
+    after a warm-up; recorded cases take their input from the file `stacks`,
+    a pickled record() made at the base commit."""
     import centrotensor as lib  # the package on sys.path: in a child, the commit being timed
 
-    recorded = load_stacks(stacks) if stacks else None
+    recorded = pickle.loads(stacks.read_bytes())
     out = []
     for index in indices:
         layer, case, build = CASES[index]
         if build in RECORDINGS:
-            sizes, fn = build(lib, case_stacks(lib, index, recorded))
+            sizes, fn = build(lib, recorded[index])
         else:
             sizes, fn = build(lib)
         calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(fn))))  # the warm-up
@@ -511,12 +500,14 @@ def main(argv=None) -> int:
     parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure is not None:
+        if args.stacks is None:
+            parser.error("--measure requires --stacks")
         print(json.dumps(measure(args.measure or range(len(CASES)), args.stacks)))
         return 0
     if args.record is not None:
         import centrotensor as lib
 
-        save_stacks(args.record, record(lib))
+        args.record.write_bytes(pickle.dumps(record(lib)))
         return 0
     if not (args.base and args.head and args.out):
         parser.error("--base, --head and --out are required")

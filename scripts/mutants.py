@@ -62,6 +62,13 @@ MUTANTS = [
         'kept = np.argsort(-lams, kind="stable")',
         (_DIRECT + "test_direct_path_on_the_matrix_panel",),
     ),
+    Mutant(
+        "reflect_pair without apply's checks on the caller's vector",
+        "src/centrotensor/eigen.py",
+        "xs = core._check_stack(a, normalize_eigenvector(flip_vector(pair.vector))[None, :])",
+        "xs = normalize_eigenvector(flip_vector(pair.vector))[None, :]",
+        ("tests/test_eigen.py::TestReflectPair::test_vector_of_wrong_length_rejected",),
+    ),
 ]
 
 

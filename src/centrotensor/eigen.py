@@ -776,8 +776,9 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     """
     tol = check_tolerance(tol)
     value = reflection_sign(a) * pair.value
-    x = normalize_eigenvector(flip_vector(pair.vector))
-    mirrored = _eigenpairs(a, np.array([value]), x[None, :])[0]
+    # pair.vector is the caller's: apply's checks, as residual() runs them
+    xs = core._check_stack(a, normalize_eigenvector(flip_vector(pair.vector))[None, :])
+    mirrored = _eigenpairs(a, np.array([value]), xs)[0]
     if not mirrored.residual <= tol:
         raise ConsistencyError(
             f"reflected pair has residual {mirrored.residual:.3e} > tol {tol:.3e}; "

@@ -614,6 +614,13 @@ class TestReflectPair:
             with pytest.raises(ConsistencyError):
                 reflect_pair(sym_matrix, EigenPair(value, x, 0.0, SYMMETRIC))
 
+    def test_vector_of_wrong_length_rejected(self, sym_matrix):
+        # a length that is a multiple of dim must not pass as a stack of rows
+        for x in ([0.5, 0.5, 0.5, 0.5], [1.0], [1.0, 0.0, 0.0]):
+            pair = EigenPair(3.0, np.array(x), 0.0, SYMMETRIC)
+            with pytest.raises(ValueError, match=r"^vector of length 2 required, got shape \(1, \d\)$"):
+                reflect_pair(sym_matrix, pair)
+
     def test_fake_pair_fails_loudly(self, sym_matrix):
         fake = EigenPair(5.0, np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5]), 0.0, NEITHER_CLASS)
         with pytest.raises(ConsistencyError):
