@@ -37,8 +37,10 @@ cases:
 * ``eigen.solve_eigen`` on the 15 order-2 cells (centro, skew and
   palindromic Cauchy matrices of dims 2-4) of the eig-survey panel that
   ``bench/run.py --workload eig-survey --seed 1 --seconds 20`` solves,
-  200 starts each, with its residual calls as ``sizes`` like the first
-  two cases;
+  200 starts each, with their residual calls as ``sizes`` like the first
+  two cases: one case of the 13 cells that take the direct path, one of
+  the two palindromic Cauchy n = 4 cells, whose repeated eigenvalue 0
+  sends them to the multistart path;
 * ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
   trailing slots, for stacks of 50 and 850 vectors; of its Jacobian
   tensor (``eigen._jacobian_tensor``) on three slots for 50 vectors; and
@@ -76,6 +78,12 @@ cases:
   a float list, instead);
 * ``serialize.dumps`` of an order-2 dim-4 centro ``DenseTensor`` (16
   entries), 1000 calls, where the array path's fixed cost shows;
+* ``serialize.read_tensor`` of that tensor's file text, of the text of
+  the cli-json benchmark's ``inverse`` input P (an order-4 dim-16 tensor
+  whose entries are 65,280 ``0`` and 256 nonzero diagonal values), and of
+  an order-2 dim-4 centro tensor's text, 1000 calls; at a commit without
+  ``read_tensor`` they time ``tensor_from_obj(loads(text))``, what the
+  CLI read a tensor file with there;
 * ``cli.main`` running ``check`` on that tensor's file with ``-o``: one
   read and parse of the file, the direct witness, one small write.
 
@@ -141,9 +149,11 @@ def _panel(lib) -> list:
     return panel
 
 
-def _survey_order2(lib) -> list:
+def _survey_order2(lib, fallback=None) -> list:
     """The 15 order-2 cells of the eig-survey panel at --seed 1 and 20 s (five
-    blocks): (tensor, solve seed) pairs, drawn as bench/eig_survey.py draws them."""
+    blocks): (tensor, solve seed) pairs, drawn as bench/eig_survey.py draws them.
+    fallback True keeps only the palindromic Cauchy n = 4 cells, False only
+    the others."""
     panel_rng, solve_rng = np.random.default_rng(0), np.random.default_rng(1)
     cells = []
     for block in range(5):
@@ -153,6 +163,8 @@ def _survey_order2(lib) -> list:
                 # a Cauchy cell draws its generating vector, the others a tensor seed
                 draw = _palindrome(panel_rng, dim) if family == "cauchy" else int(panel_rng.integers(2**32))
                 solve_seed = int(solve_rng.integers(2**32))
+                if fallback is not None and fallback != (family == "cauchy" and dim == 4):
+                    continue
                 if order == 2 and family == "cauchy":
                     cells.append((lib.cauchy.materialize(lib.cauchy.CauchySpec(draw, 2)), solve_seed))
                 elif order == 2:
@@ -209,14 +221,18 @@ def _solve_panel(lib):
     return {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200, **_residual_work(lib, fn)}, fn
 
 
-def _solve_order2(lib):
-    cells = _survey_order2(lib)
+def _solve_order2(fallback: bool):
+    def build(lib):
+        cells = _survey_order2(lib, fallback)
 
-    def fn():
-        return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in cells]
+        def fn():
+            return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in cells]
 
-    return {"cells": len(cells), "order": 2, "dims": [2, 4], "starts": 200, "seed": 1,
-            **_residual_work(lib, fn)}, fn
+        dims = sorted({t.dim for t, _ in cells})
+        return {"cells": len(cells), "order": 2, "dims": [dims[0], dims[-1]], "starts": 200, "seed": 1,
+                **_residual_work(lib, fn)}, fn
+
+    return build
 
 
 def _solve_big(lib):
@@ -362,6 +378,33 @@ def _dumps_small(lib):
     return {"order": 2, "dim": 4, "calls": 1000}, lambda: [lib.serialize.dumps(tensor) for _ in range(1000)]
 
 
+def _tensor_reader(lib):
+    """serialize.read_tensor, or at a commit without it what the CLI read a tensor file with."""
+    if hasattr(lib.serialize, "read_tensor"):
+        return lib.serialize.read_tensor
+    return lambda text: lib.serialize.tensor_from_obj(lib.serialize.loads(text))
+
+
+def _read_text(make, calls: int):
+    """read_tensor of the text of the tensor make(lib) builds, calls times over."""
+    def build(lib):
+        tensor = make(lib)
+        text = lib.serialize.dumps(lib.serialize.tensor_to_obj(tensor)) + "\n"
+        read = _tensor_reader(lib)
+        sizes = {"order": tensor.order, "dim": tensor.dim, "chars": len(text), "calls": calls}
+        return sizes, lambda: [read(text) for _ in range(calls)]
+
+    return build
+
+
+def _planted_inverse_input(lib):
+    """The cli-json benchmark's inverse input P = M * I, M a diagonally dominant centro matrix."""
+    core = lib.core
+    m = core.add(lib.structure.random_structured(2, 16, "centro", SEED),
+                 core.scale(core.DenseTensor.identity(2, 16), 16.0))
+    return lib.product.shao_product(m, core.DenseTensor.identity(4, 16))
+
+
 def _cli_check(lib):
     cli = importlib.import_module(lib.__name__ + ".cli")
     tmp = tempfile.TemporaryDirectory()
@@ -390,7 +433,9 @@ CASES = [
     ("eigen.solve_eigen", "27-cell panel", _solve_panel),
     ("eigen.solve_eigen", "order-5 dim-8 centro", _solve_big),
     ("eigen.solve_eigen", "criterion 11: 100 dim-2 centro solves", _criterion_11),
-    ("eigen.solve_eigen", "order 2: the seed-1 eig-survey panel's 15 cells", _solve_order2),
+    ("eigen.solve_eigen", "order 2: the seed-1 eig-survey panel's 13 direct-path cells", _solve_order2(False)),
+    ("eigen.solve_eigen", "order 2: the seed-1 eig-survey panel's 2 palindromic Cauchy n=4 cells",
+     _solve_order2(True)),
     ("core.contract_trailing", "m=5 n=8 S=50", _contraction({"order": 5, "dim": 8, "stack": 50, "calls": 20})),
     ("core.contract_trailing", "m=5 n=8 S=850",
      _contraction({"order": 5, "dim": 8, "stack": 850, "calls": 20})),
@@ -417,6 +462,10 @@ CASES = [
     ("core.DenseTensor", "order 5, dim 26", _construction),
     ("serialize.dumps", "order-4 dim-16 centro DenseTensor", _dumps),
     ("serialize.dumps", "order-2 dim-4 centro DenseTensor, 1000 calls", _dumps_small),
+    ("serialize.read_tensor", "order-4 dim-16 centro tensor file", _read_text(_cli_tensor, 1)),
+    ("serialize.read_tensor", "cli-json inverse input P, order 4 dim 16", _read_text(_planted_inverse_input, 1)),
+    ("serialize.read_tensor", "order-2 dim-4 centro tensor, 1000 calls",
+     _read_text(lambda lib: lib.structure.random_structured(2, 4, "centro", seed=SEED), 1000)),
     ("cli.main", "check -o on an order-4 dim-16 centro tensor file", _cli_check),
 ]
 

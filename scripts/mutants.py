@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 _DIRECT = "tests/test_eigen.py::TestOrder2DirectPath::"
+_READER = "tests/test_serialize.py::TestTensorReader::"
 
 MUTANTS = [
     Mutant(
@@ -68,6 +69,27 @@ MUTANTS = [
         "xs = core._check_stack(a, normalize_eigenvector(flip_vector(pair.vector))[None, :])",
         "xs = normalize_eigenvector(flip_vector(pair.vector))[None, :]",
         ("tests/test_eigen.py::TestReflectPair::test_vector_of_wrong_length_rejected",),
+    ),
+    Mutant(
+        "the reader's midpoint test dropped",
+        "src/centrotensor/serialize.py",
+        "    ok[read[(e != 0) & ((rounded + 2 * e) - rounded == 2 * e)]] = False\n",
+        "",
+        (_READER + "test_midpoints_between_doubles",),
+    ),
+    Mutant(
+        "the reader's leading-zero rule dropped, so 01 is read",
+        "src/centrotensor/serialize.py",
+        "    ok &= (buf[first] != 48) | (first + 1 == ends) | (buf[first + 1] == 46)\n",
+        "",
+        (_READER + "test_non_numbers_fail_as_loads_does",),
+    ),
+    Mutant(
+        "the reader's single-digit shortcut accepting a non-digit byte",
+        "src/centrotensor/serialize.py",
+        "if np.any(digit > 9):",
+        "if False:",
+        (_READER + "test_non_numbers_fail_as_loads_does",),
     ),
 ]
 

@@ -27,15 +27,19 @@ from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        return serialize.loads(sys.stdin.read())
+        return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
-        return serialize.loads(handle.read())
+        return handle.read()
+
+
+def _read_json(path: str):
+    return serialize.loads(_read_text(path))
 
 
 def _load_tensor(path: str) -> DenseTensor:
-    return serialize.tensor_from_obj(_read_json(path))
+    return serialize.read_tensor(_read_text(path))
 
 
 def _seed(text: str) -> int:

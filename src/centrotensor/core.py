@@ -245,7 +245,7 @@ def _check_stack(a: DenseTensor, x) -> np.ndarray:
     if x.ndim == 2:
         rows = len(x)
         _check_cap(
-            _stack_entries(rows, a.order, a.dim), f"stack of {rows} vectors on order {a.order} dim {a.dim}"
+            _stack_entries(rows, a.order, a.dim), "stack of %s vectors on order %s dim %s", rows, a.order, a.dim
         )
     return x
 
@@ -407,11 +407,12 @@ def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     check_order(order)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    _check_cap(dim**order, f"{what} of order {order} dim {dim}")
+    _check_cap(dim**order, "%s of order %s dim %s", what, order, dim)
 
 
-def _check_cap(count: int, what: str) -> None:
-    """ResourceLimitError if `what` has more than DEFAULT_ENTRY_CAP entries, read per call."""
+def _check_cap(count: int, what: str, *parts) -> None:
+    """ResourceLimitError if `what % parts` has more than DEFAULT_ENTRY_CAP
+    entries, read per call; the message is built only when it is raised."""
     cap = DEFAULT_ENTRY_CAP
     if count > cap:
-        raise ResourceLimitError(f"{what} has {count} entries, exceeding the cap {cap}")
+        raise ResourceLimitError(f"{what % parts} has {count} entries, exceeding the cap {cap}")

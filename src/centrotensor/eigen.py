@@ -637,7 +637,7 @@ def solve_eigen(
     tol = check_tolerance(tol, "tol")
     # _stack_entries bounds every array of the contractions
     stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2)
-    _check_cap(stack, f"{starts} starts on order {m} dim {n} stack")
+    _check_cap(stack, "%s starts on order %s dim %s stack", starts, m, n)
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:
         scale = 2.0 ** (math.frexp(core.entry_scale(a))[1] - 1)

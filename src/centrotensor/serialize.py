@@ -38,7 +38,38 @@ tensors are long flat lists.
 * Anything else (mixed lists, bools, ints, numpy scalars, other arrays,
   dicts) is formatted item by item.
 
-The reader validates a number list by the
+``read_tensor`` reads a tensor text to the bits and errors of
+``tensor_from_obj(loads(text))``, by one of three paths.
+
+* A text of at least ``_KERNEL_MIN_CHARS`` (10,000) characters in the
+  writer's layout -- ``{"order": <int>, "dim": <int>, "entries": [...]}``
+  with ", " between the entries and only JSON whitespace around it, all
+  ASCII -- goes through ``_read_entries``, a numpy kernel, the mirror of
+  ``_format_floats``.  It finds the commas once and reads each
+  single-digit token (every ``0`` of a sparse file) from its byte.  The
+  other tokens go in blocks of ``_BLOCK``, each as the 24 bytes that end
+  at its last byte, three uint64 words: the point is found and squeezed
+  out, the 8-digit groups are summed by SWAR multiplies (Lemire, "Number
+  parsing at a gigabyte per second", 2021) into N < 10^18, and k counts
+  the digits after the point.  N and 10^k (k <= 22) are exact in an
+  ``np.longdouble`` of at least 64 significant bits (x87's 80-bit format
+  on x86-64), so q = N / 10^k is rounded once to that precision and once
+  more to a double.  That double is the
+  correctly rounded one unless q lies exactly halfway between two
+  doubles: a halfway point has 54 significant bits, so it is on q's grid,
+  and any true quotient nearer to it than q would have rounded to it.
+  Such tokens are read again by ``float()``.  The sign is applied last,
+  so ``-0`` and ``-0.0`` give -0.0.  Zeros skip the longdouble steps.
+* A token that is a JSON number but not in the kernel's form (an
+  exponent, more than 18 digits, more than 24 bytes, a halfway quotient)
+  is read by ``float(token)``, which is what json's decoder calls.
+* Anything else goes to ``loads``, so every error keeps its message: a
+  token that is no JSON number, an integer literal of more than 18
+  digits, another layout (compact separators, other keys or key order, a
+  BOM, non-ASCII text), a short text, or a platform whose
+  ``np.longdouble`` has fewer than 64 significant bits.
+
+``tensor_from_obj`` validates a number list by the
 set of its item types, not item by item: each type must be an ``int`` or
 ``float`` subclass and not ``bool``.  It then converts the list to a
 float64 array once, so an integer literal too large for a float is a
@@ -52,11 +83,12 @@ import json
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import CauchySpec
 from .core import DenseTensor
 
-__all__ = ["dumps", "loads", "tensor_to_obj", "tensor_from_obj", "spec_from_obj"]
+__all__ = ["dumps", "loads", "read_tensor", "tensor_to_obj", "tensor_from_obj", "spec_from_obj"]
 
 # Entries formatted per block of the array path.
 _BLOCK = 4096
@@ -287,6 +319,159 @@ def tensor_from_obj(obj) -> DenseTensor:
     dim = _require_int(obj, "dim")
     # the array is the reader's own, so it is checked and adopted, not copied
     return DenseTensor._from_flat(order, dim, _require_numbers(obj, "entries"))
+
+
+# The reader's number kernel: the width of a token's window; the writer's
+# layout up to the first entry; JSON number literals, which float() reads
+# as json does; and texts too short for the kernel to pay.
+_WINDOW = 24
+_TENSOR_HEAD = re.compile(r'[ \t\n\r]*\{"order": ([1-9][0-9]{0,17}), "dim": ([1-9][0-9]{0,17}), "entries": \[')
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_KERNEL_MIN_CHARS = 10_000
+
+
+# "0" in every byte of a word, the top bit of every byte, and 0x76 in every byte
+_ZEROS = np.uint64(0x3030303030303030)
+_HIGH = np.uint64(0x8080808080808080)
+_DIGIT_ADD = np.uint64(0x7676767676767676)
+_SIGNS = np.array([1.0, -1.0])
+
+
+@functools.cache
+def _reader_tables():
+    """The kernel's tables, built at the first kernel read, or None where
+    np.longdouble has fewer than 64 significant bits.
+
+    last and below are (3, 25) arrays of uint64 words whose column i holds
+    the three words of a 24-byte mask: last[:, i] keeps a row's last i
+    bytes, below[:, i] its first i.  column_of[w] times a word w with one
+    0x01 byte, at byte j, puts j + 1 + 8w in the product's top byte.
+    powers[k] is 10^k, k = 0..22, exact in longdouble.
+    """
+    if np.finfo(np.longdouble).nmant < 63:
+        return None
+    cols = np.arange(_WINDOW)
+    keep = np.arange(_WINDOW + 1)[:, None]
+    last = (cols >= _WINDOW - keep).astype(np.uint8) * np.uint8(255)
+    below = (cols < keep).astype(np.uint8) * np.uint8(255)
+    column_of = [int.from_bytes(bytes(8 * w + 8 - j for j in range(8)), "little") for w in range(3)]
+    powers = np.array([float(10**k) for k in range(23)]).astype(np.longdouble)
+    return (last.view(np.uint64).T.copy(), below.view(np.uint64).T.copy(),
+            np.array(column_of, np.uint64)[:, None], powers)
+
+
+def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The tokens of at least two bytes at these starts and lengths as
+    floats, and a mask of the ones the kernel read; the others hold +-0."""
+    last, below, column_of, powers = _reader_tables()
+    ends = starts + lengths
+    length = np.minimum(lengths, _WINDOW)
+    rows = windows[ends - _WINDOW]
+    # word w of each row in row w, so every step is a flat uint64 op
+    words = rows.view(np.uint64).T.copy()
+    # p = the point's column + 1 (0 without a point); several points sum to
+    # a column whose removal still leaves a point among the digits
+    points = (rows == 46).view(np.uint64).T & np.take(last, length, axis=1)
+    points *= column_of
+    points >>= np.uint64(56)
+    p = points.sum(axis=0, dtype=np.intp)
+    np.minimum(p, _WINDOW, out=p)
+    has_point = p > 0
+    negative = buf[starts] == 45
+    # drop the point: the bytes before it move up one column
+    shifted = words << np.uint64(8)
+    shifted[1:] |= words[:-1] >> np.uint64(56)
+    shifted &= np.take(below, p, axis=1)
+    words &= ~np.take(below, p, axis=1)
+    words |= shifted
+    digits = length - has_point - negative
+    words ^= _ZEROS
+    words &= np.take(last, digits, axis=1)
+    # a byte is a digit when it is <= 9, so adding 0x76 leaves its top bit clear
+    ok = (np.bitwise_or.reduce((words + _DIGIT_ADD) & _HIGH) == 0) & (digits >= 1) & (lengths <= _WINDOW)
+    # a point needs a digit on either side
+    ok &= ~has_point | ((p > _WINDOW + 1 - length + negative) & (p < _WINDOW))
+    # a leading 0 is the whole integer part
+    first = starts + negative
+    ok &= (buf[first] != 48) | (first + 1 == ends) | (buf[first + 1] == 46)
+    # eight digits a word, most significant first (Lemire's SWAR steps)
+    words = words * np.uint64(10) + (words >> np.uint64(8))
+    pairs = np.uint64(0x000000FF000000FF)
+    low, high = words & pairs, (words >> np.uint64(16)) & pairs
+    words = (low * np.uint64(100 + (1000000 << 32)) + high * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    ok &= words[0] < 100
+    n = words[0] * np.uint64(10**16) + words[1] * np.uint64(10**8) + words[2]
+    values = np.zeros(len(starts))
+    read = np.flatnonzero(ok & (n != 0))
+    q = n[read].astype(np.longdouble) / powers[(_WINDOW - p[read]) * has_point[read]]
+    rounded = q.astype(np.float64)
+    # q - rounded is exact; q lies halfway between two doubles exactly when
+    # rounded + 2 (q - rounded) is the other one
+    e = (q - rounded).astype(np.float64)
+    values[read] = rounded
+    ok[read[(e != 0) & ((rounded + 2 * e) - rounded == 2 * e)]] = False
+    values *= np.take(_SIGNS, negative)
+    return values, ok
+
+
+def _read_entries(text: str):
+    """(order, dim, entries) of a tensor text in the writer's layout, or
+    None where the text takes loads (see the module docstring)."""
+    head = _TENSOR_HEAD.match(text)
+    if head is None or not text.isascii() or _reader_tables() is None:
+        return None
+    end = len(text)
+    while text[end - 1] in " \t\n\r":
+        end -= 1
+    if text[end - 2 : end] != "]}":
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    lo, hi = head.end(), end - 2
+    commas = np.flatnonzero(buf[lo:hi] == 44)
+    commas += lo
+    if np.any(buf[commas + 1] != 32):
+        return None
+    starts = np.empty(len(commas) + 1, np.intp)
+    starts[0], starts[1:] = lo, commas + 2
+    lengths = np.empty_like(starts)
+    lengths[:-1], lengths[-1] = commas, hi
+    lengths -= starts
+    if np.any(lengths <= 0):
+        return None
+    entries = np.empty(len(starts))
+    single = lengths == 1
+    at = np.flatnonzero(single)
+    digit = buf[starts[at]] - np.uint8(48)
+    if np.any(digit > 9):
+        return None
+    entries[at] = digit
+    # a token's window reaches back into the text before it; the first
+    # token starts past the head's 24 characters
+    windows = sliding_window_view(buf, _WINDOW)
+    rest = np.flatnonzero(~single)
+    per_item = []
+    for i in range(0, len(rest), _BLOCK):
+        at = rest[i : i + _BLOCK]
+        entries[at], ok = _read_block(windows, buf, starts[at], lengths[at])
+        per_item += at[~ok].tolist()
+    for i in per_item:
+        token = text[starts[i] : starts[i] + lengths[i]]
+        if not _JSON_NUMBER.fullmatch(token) or (
+            not any(c in token for c in ".eE") and len(token.lstrip("-")) > 18
+        ):
+            return None
+        entries[i] = float(token)
+    return int(head[1]), int(head[2]), entries
+
+
+def read_tensor(text: str) -> DenseTensor:
+    """The tensor of a JSON text, bit for bit ``tensor_from_obj(loads(text))``
+    with the same errors; the writer's own layout takes a number kernel."""
+    got = _read_entries(text) if len(text) >= _KERNEL_MIN_CHARS else None
+    if got is None:
+        return tensor_from_obj(loads(text))
+    # the array is the reader's own, so it is checked and adopted, not copied
+    return DenseTensor._from_flat(*got)
 
 
 def spec_from_obj(obj) -> CauchySpec:

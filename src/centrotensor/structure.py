@@ -398,7 +398,7 @@ def verify_poly_reflection(a: DenseTensor, trials: int = 20, seed=0) -> bool:
     """
     trials = check_count(trials, "trials")
     _check_cap(
-        _stack_entries(trials, a.order, a.dim), f"{trials} trials on order {a.order} dim {a.dim} stack"
+        _stack_entries(trials, a.order, a.dim), "%s trials on order %s dim %s stack", trials, a.order, a.dim
     )
     sign = reflection_sign(a)
     xs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, a.dim))

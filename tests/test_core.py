@@ -28,7 +28,7 @@ from centrotensor import (
     shao_product,
     sub,
 )
-from centrotensor import core, structure
+from centrotensor import core, eigen, structure
 from centrotensor.core import contract_trailing
 from oracles import brute_apply, brute_poly, brute_reverse, brute_row_sums, exact_contract_row
 
@@ -467,3 +467,31 @@ class TestRowSums:
         r = row_sums(a)
         via_apply = apply(a, np.ones(a.dim))
         assert np.max(np.abs(r - via_apply)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+class TestCapMessages:
+    """Each caller of core._check_cap names what it refused in the same words."""
+
+    @pytest.mark.parametrize(
+        "call,cap,message",
+        [
+            (lambda: apply(random_structured(2, 3, "general", seed=0), np.ones((9, 3))), 47,
+             "stack of 9 vectors on order 2 dim 3 has 48 entries, exceeding the cap 47"),
+            (lambda: core.check_entry_count(3, 4, "product"), 63,
+             "product of order 3 dim 4 has 64 entries, exceeding the cap 63"),
+            (lambda: DenseTensor.zeros(3, 4), 63,
+             "tensor of order 3 dim 4 has 64 entries, exceeding the cap 63"),
+            (lambda: eigen.solve_eigen(random_structured(3, 3, "centro", seed=0), starts=10), 159,
+             "10 starts on order 3 dim 3 stack has 160 entries, exceeding the cap 159"),
+            (lambda: structure.verify_poly_reflection(random_structured(3, 3, "centro", seed=0), trials=5), 71,
+             "5 trials on order 3 dim 3 stack has 72 entries, exceeding the cap 71"),
+        ],
+        ids=["apply-stack", "check_entry_count", "zeros", "solve_eigen", "verify_poly_reflection"],
+    )
+    def test_message_text(self, call, cap, message, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", cap)
+        with pytest.raises(core.ResourceLimitError) as info:
+            call()
+        assert str(info.value) == message
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", cap + 1)
+        call()

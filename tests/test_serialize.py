@@ -1,6 +1,6 @@
 import json
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 import tracemalloc
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from centrotensor import DenseTensor, check_structure
 from centrotensor import serialize
-from centrotensor.serialize import dumps, loads, spec_from_obj, tensor_from_obj, tensor_to_obj
+from centrotensor.serialize import dumps, loads, read_tensor, spec_from_obj, tensor_from_obj, tensor_to_obj
 
 from oracles import format_value_oracle
 
@@ -277,6 +277,203 @@ class TestLoads:
             loads(text)
         assert str(info.value) == message
         assert not isinstance(info.value, json.JSONDecodeError)
+
+
+def writer_text(values) -> str:
+    """A one-axis tensor's text in the writer's layout."""
+    return dumps(DenseTensor(np.asarray(values, dtype=float)))
+
+
+def tokens_text(tokens) -> str:
+    """The writer's layout around entry tokens as given."""
+    return '{"order": 1, "dim": %d, "entries": [%s]}' % (len(tokens), ", ".join(tokens))
+
+
+def near_midpoints(count: int) -> list:
+    """17- and 18-digit decimals at and next to the midpoints between
+    adjacent doubles: longdouble quotients that land on a midpoint."""
+    tokens = []
+    with localcontext() as context:
+        context.prec = 60
+        for x in 10.0 ** np.random.default_rng(5).uniform(-4, 17, count):
+            mid = (Decimal(float(x)) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+            for digits in (17, 18):
+                token = format(Decimal(format(mid, ".%de" % (digits - 1))), "f")
+                if len(token) <= serialize._WINDOW:
+                    tokens.append(token)
+    return tokens
+
+
+@pytest.fixture
+def kernel_always(monkeypatch):
+    """read_tensor takes the kernel at any length."""
+    monkeypatch.setattr(serialize, "_KERNEL_MIN_CHARS", 0)
+
+
+@pytest.mark.usefixtures("kernel_always")
+class TestTensorReader:
+    """read_tensor against tensor_from_obj(loads(text)), bit for bit and
+    error for error."""
+
+    @staticmethod
+    def assert_reads_alike(text, kernel=True):
+        assert (serialize._read_entries(text) is not None) is kernel
+        expected = tensor_from_obj(loads(text))
+        got = read_tensor(text)
+        assert got.data.shape == expected.data.shape
+        assert np.array_equal(got.entries.view(np.int64), expected.entries.view(np.int64))
+
+    @staticmethod
+    def assert_fails_alike(text):
+        with pytest.raises(ValueError) as expected:
+            tensor_from_obj(loads(text))
+        with pytest.raises(ValueError) as got:
+            read_tensor(text)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_writer_and_repr_text_of_raw_bit_patterns(self, bits):
+        values = bits_as_floats(bits)
+        values = values[np.isfinite(values)]
+        if values.size:
+            self.assert_reads_alike(writer_text(values))
+            self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
+
+    @pytest.mark.parametrize(
+        "make", [powers_of_ten_and_neighbours, round_up_to_power_of_ten, exact_ties],
+        ids=["powers-of-ten", "round-up", "ties"],
+    )
+    def test_hard_cases(self, make):
+        values = make()
+        values = np.concatenate([values, -values, values * 1e3, values * 1e-3])
+        self.assert_reads_alike(writer_text(values))
+        self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
+
+    def test_specials_and_values_past_1e17(self):
+        finite = SPECIALS[np.isfinite(SPECIALS)]
+        past = 10.0 ** np.linspace(17, 300, 500)
+        self.assert_reads_alike(writer_text(np.concatenate([finite, past, -past, 1 / past])))
+
+    def test_fixed_seed_sweeps(self):
+        rng = np.random.default_rng(33)
+        raw = bits_as_floats(rng.integers(0, 2**64, 2**16, dtype=np.uint64))
+        for values in (raw[np.isfinite(raw)], in_window_bits(rng, 2**16)):
+            self.assert_reads_alike(writer_text(values))
+            self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
+
+    def test_midpoints_between_doubles(self):
+        tokens = near_midpoints(2000)
+        self.assert_reads_alike(tokens_text(tokens + ["-" + t for t in tokens]))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["9007199254740993", "10000000000000001", "-9007199254740993", "12", "-3"],
+         [str(10**17 + i) for i in range(-5, 5)] + ["999999999999999999", "123456789012345678"],
+         [str(2**53 + i) for i in range(-9, 9)]],
+        ids=["ties", "near-1e17", "near-2^53"],
+    )
+    def test_integers_up_to_18_digits(self, tokens):
+        self.assert_reads_alike(tokens_text(tokens))
+
+    @pytest.mark.parametrize("token", ["1000000000000000000", "-12345678901234567890"])
+    def test_longer_integers_take_loads(self, token):
+        self.assert_reads_alike(tokens_text(["1.5", token]), kernel=False)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["-0", "-0.0", "0", "0.0", "-0.000"], ["1E5", "-0.5e-3", "2.5E+3", "1e-400"],
+         ["0.1234567890123456789", "123456789.123456789012345", "1.00000000000000000000000000001"],
+         ["-0.00012345678901234567", "5", "-7", "0.5"]],
+        ids=["signed-zeros", "exponents", "long-tokens", "window-edge"],
+    )
+    def test_token_forms(self, tokens):
+        self.assert_reads_alike(tokens_text(tokens))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["01"], ["-01"], ["00.5"], ["1", "02"], ["1."], [".5"], ["-"], ["1", "-", "2"],
+         ["/", "2"], [":", "2"], ["x"], ["1.2.3"], ["--1"], ["1-2"], ["+1"], ["0x1"], ["1_0"],
+         ["NaN"], ["Infinity"], ["true"], ['"1"'], ["null"], ["[1]"], ["1e"], ["1e+"]],
+    )
+    def test_non_numbers_fail_as_loads_does(self, tokens):
+        self.assert_fails_alike(tokens_text(["1.5"] + tokens))
+
+    def test_compact_and_writer_layout_read_alike(self, rng):
+        values = rng.normal(size=(3, 3, 3))
+        values[0, 0] = [0.0, -0.0, 7.0]
+        obj = {"order": 3, "dim": 3, "entries": values.ravel().tolist()}
+        writer, compact = dumps(obj), json.dumps(obj, separators=(",", ":"))
+        self.assert_reads_alike(writer)
+        self.assert_reads_alike(compact, kernel=False)
+        assert read_tensor(writer).data.tobytes() == read_tensor(compact).data.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['\ufeff{"order": 1, "dim": 1, "entries": [1.5]}',
+         '{"dim": 1, "order": 1, "entries": [1.5]}',
+         '{"order": 1, "dim": 1, "entries": [1.5], "x": 1}',
+         '{"order": 1, "dim": 1, "entries": [1.5, "\u00e9"]}',
+         '{"order": 1, "dim": 1, "entries": []}',
+         '{"order": 1, "dim": 1, "entries": [1.5]}\x0c',
+         '{"order": 1, "dim": 1, "entries": [1.5] }',
+         '{"order": 1, "dim": 2, "entries": [1.5,2.5]}',
+         '{"order": 1, "dim": 2, "entries": [1.5,  2.5]}',
+         '{"order": 1, "dim": 2, "entries": [1.5, , 2.5]}',
+         '{"order": 01, "dim": 1, "entries": [1.5]}'],
+        ids=["bom", "key-order", "extra-key", "non-ascii", "empty", "form-feed", "space-before-brace",
+             "compact-entries", "two-spaces", "empty-token", "leading-zero-order"],
+    )
+    def test_other_layouts_take_loads(self, text):
+        assert serialize._read_entries(text) is None
+        try:
+            expected = tensor_from_obj(loads(text))
+        except ValueError:
+            self.assert_fails_alike(text)
+        else:
+            assert read_tensor(text).data.tobytes() == expected.data.tobytes()
+
+    def test_whitespace_around_the_document(self):
+        self.assert_reads_alike(' \t\r\n{"order": 1, "dim": 2, "entries": [1.5, -2]}\n\r\t ')
+
+    @pytest.mark.parametrize("count", [serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1])
+    def test_lengths_around_the_block(self, rng, count):
+        values = rng.normal(size=count)
+        tokens = writer_text(values)[36:-2].split(", ")
+        # single digits, which skip the blocks, and per-item tokens in each block
+        tokens[::7] = ["3"] * len(tokens[::7])
+        tokens[5::500] = ["1.5e-7"] * len(tokens[5::500])
+        self.assert_reads_alike(tokens_text(tokens))
+
+    def test_document_errors_match(self):
+        from test_cli_fuzz import CENTRO, _malformed_documents
+
+        for text in _malformed_documents(CENTRO).values():
+            self.assert_fails_alike(text)
+        # errors raised after the entries are parsed
+        for entries in ("1.5, 2", "1.5, 1e400", "1.5, " + "9" * 400):
+            self.assert_fails_alike('{"order": 1, "dim": 3, "entries": [%s]}' % entries)
+        self.assert_fails_alike('{"order": 100, "dim": 1, "entries": [1.5]}')
+
+    def test_without_the_longdouble_kernel_every_text_takes_loads(self, monkeypatch, rng):
+        # what a platform whose np.longdouble has fewer than 64 significant bits gets
+        monkeypatch.setattr(serialize, "_reader_tables", lambda: None)
+        text = writer_text(rng.normal(size=64))
+        self.assert_reads_alike(text, kernel=False)
+
+
+class TestReaderThreshold:
+    def test_short_texts_take_loads(self, monkeypatch):
+        calls = []
+        kernel = serialize._read_entries
+        monkeypatch.setattr(serialize, "_read_entries", lambda text: calls.append(len(text)) or kernel(text))
+        short = tokens_text(["0.5"] * 100)
+        short += " " * (serialize._KERNEL_MIN_CHARS - 1 - len(short))
+        read_tensor(short)
+        assert calls == []
+        read_tensor(short + " ")
+        assert calls == [serialize._KERNEL_MIN_CHARS]
 
 
 finite_floats = st.one_of(
