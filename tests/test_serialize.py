@@ -446,6 +446,27 @@ class TestTensorReader:
         tokens[5::500] = ["1.5e-7"] * len(tokens[5::500])
         self.assert_reads_alike(tokens_text(tokens))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edited_documents_read_or_fail_alike(self, data):
+        values = [0.0, -0.0, 1.5, -2.25e-5, 123456.789, 9.5e16, 7.0, 0.1]
+        text = data.draw(st.sampled_from(
+            [writer_text(values), json.dumps({"order": 3, "dim": 2, "entries": values})]
+        ))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            char = data.draw(st.sampled_from('0123456789.-+eE, []{}"x\n'))
+            cut = data.draw(st.integers(0, 1))
+            text = text[:at] + char + text[at + cut :]
+        try:
+            expected = tensor_from_obj(loads(text))
+        except ValueError:
+            self.assert_fails_alike(text)
+        else:
+            got = read_tensor(text)
+            assert got.data.shape == expected.data.shape
+            assert got.data.tobytes() == expected.data.tobytes()
+
     def test_document_errors_match(self):
         from test_cli_fuzz import CENTRO, _malformed_documents
 
