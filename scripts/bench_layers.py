@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time library layers at two commits and merge the rows into a BENCH_*.json record.
+"""Time library layers at two commits and merge the rows into BENCH_layers.json.
 
-    python3 scripts/bench_layers.py --base f32523f --head worktree --reps 11 --out BENCH_structure.json
+    python3 scripts/bench_layers.py --base HEAD --head worktree --reps 11
 
 Each commit is exported with ``git archive`` into a temporary directory
 and timed with one BLAS thread, each case in its own fresh Python process
@@ -9,7 +9,9 @@ that builds only that case's inputs, so no case runs on the allocator
 state that other cases left.  The two commits alternate case by case, so
 that a drift in machine speed hits both alike.
 ``--head worktree`` times the checked-out ``src/`` with its uncommitted
-changes instead, recorded as ``<HEAD>-dirty``.
+changes instead, recorded as ``<HEAD>-dirty``.  Both commits must be
+f2f8568 or later (``serialize.read_tensor``, ``serialize.dumps`` of a
+``DenseTensor``).
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
 best_of, git_rev}``.  One rep times the whole case after a warm-up call,
@@ -17,15 +19,14 @@ as the best of as many calls as fit in BEST_OF_S (at most BEST_OF_MAX),
 and ``best_of`` is the fewest calls any rep took: a case of about 10 ms
 varies call to call by more than the 15% change it should resolve, so it
 takes the best of 30 calls, while a case over BEST_OF_S takes one.
-``best_s`` and ``median_s`` are over the reps' figures.  ``--out`` merges the new
-rows into the file if it exists: a row with the same ``git_rev``, layer
-and case is replaced where it stands, and the others are appended.  The
-cases:
+``best_s`` and ``median_s`` are over the reps' figures.  The new rows are
+merged into RECORD: a row with the same ``git_rev``, layer and case is
+replaced where it stands, and the others are appended.  The cases:
 
 * ``eigen.solve_eigen`` on the 27-cell panel: centro, skew and palindromic
-  Cauchy tensors at orders 2-4 and dims 2-4, 200 starts each, drawn the
-  way the eig-survey benchmark draws its panel (in another order, so not
-  the same tensors);
+  Cauchy tensors at orders 2-4 and dims 2-4, 200 starts each, built by
+  the eig-survey benchmark's ``Case`` (in another order, so not the same
+  tensors);
 * ``eigen.solve_eigen`` at order 5, dim 8, 50 starts on a centro tensor;
   these two cases also record, in ``sizes``, the calls of
   ``eigen._stacked_residual`` in one run and the rows they held, counted
@@ -37,10 +38,11 @@ cases:
 * ``eigen.solve_eigen`` on the 15 order-2 cells (centro, skew and
   palindromic Cauchy matrices of dims 2-4) of the eig-survey panel that
   ``bench/run.py --workload eig-survey --seed 1 --seconds 20`` solves,
-  200 starts each, with their residual calls as ``sizes`` like the first
-  two cases: one case of the 13 cells that take the direct path, one of
-  the two palindromic Cauchy n = 4 cells, whose repeated eigenvalue 0
-  sends them to the multistart path;
+  built by ``bench/eig_survey.py`` itself, 200 starts each, with their
+  residual calls as ``sizes`` like the first two cases: one case of the
+  13 cells that take the direct path, one of the two palindromic Cauchy
+  n = 4 cells, whose repeated eigenvalue 0 sends them to the multistart
+  path;
 * ``core.contract_trailing`` of an order-5 dim-8 tensor on all four
   trailing slots, for stacks of 50 and 850 vectors; of its Jacobian
   tensor (``eigen._jacobian_tensor``) on three slots for 50 vectors; and
@@ -56,7 +58,7 @@ cases:
 * ``eigen.reflect_pair`` on every pair of one 200-start solve of an
   order-4 dim-4 centro tensor, 20 times over, and on every pair of the
   solves of the 15 order-2 cells above, 20 times over (as eig-survey
-  reflects them, with tol 1e-8 and the skew zero values left out);
+  reflects them, with its REFLECT_TOL and its skew zero values left out);
 * the three structure witnesses (``structure.check_structure``,
   ``check_via_J``, ``check_commutation``), ``structure.decompose`` and
   ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
@@ -73,17 +75,13 @@ cases:
   (``DenseTensor._adopt``), so this is the cost a caller's array pays.
 * ``serialize.dumps`` of an order-4 dim-16 centro tensor, the cli-json
   benchmark's input size (65,536 entries, about 1.4 MB of JSON), passed
-  as the ``DenseTensor`` itself, as the CLI writes a tensor (the rows of
-  case "order-4 dim-16 centro tensor" took it through ``tensor_to_obj``,
-  a float list, instead);
+  as the ``DenseTensor`` itself, as the CLI writes a tensor;
 * ``serialize.dumps`` of an order-2 dim-4 centro ``DenseTensor`` (16
   entries), 1000 calls, where the array path's fixed cost shows;
 * ``serialize.read_tensor`` of that tensor's file text, of the text of
   the cli-json benchmark's ``inverse`` input P (an order-4 dim-16 tensor
   whose entries are 65,280 ``0`` and 256 nonzero diagonal values), and of
-  an order-2 dim-4 centro tensor's text, 1000 calls; at a commit without
-  ``read_tensor`` they time ``tensor_from_obj(loads(text))``, what the
-  CLI read a tensor file with there;
+  an order-2 dim-4 centro tensor's text, 1000 calls;
 * ``cli.main`` running ``check`` on that tensor's file with ``-o``: one
   read and parse of the file, the direct witness, one small write.
 
@@ -114,6 +112,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "BENCH_layers.json"
 SEED = 0
 # Calls per rep: as many as fit in BEST_OF_S of the warm-up's time, at most BEST_OF_MAX.
 BEST_OF_S = 0.3
@@ -126,82 +125,74 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _palindrome(rng, n: int) -> np.ndarray:
-    """Positive palindromic generating vector, as the eig-survey panel draws it."""
-    half = rng.uniform(0.5, 2.0, size=(n + 1) // 2)
-    return np.concatenate([half, half[: n // 2][::-1]])
+def _eig_survey():
+    """bench/eig_survey.py, imported only inside a case: it imports the
+    centrotensor on sys.path, which in a child is the commit being timed and
+    in the parent process none."""
+    bench = str(ROOT / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("eig_survey")
 
 
-def _panel(lib) -> list:
-    """The 27-cell panel: (tensor, solve seed) pairs."""
-    panel_rng, solve_rng = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
-    panel = []
-    for family in ("centro", "skew", "cauchy"):
-        for order in (2, 3, 4):
-            for dim in (2, 3, 4):
-                if family == "cauchy":
-                    spec = lib.cauchy.CauchySpec(_palindrome(panel_rng, dim), order)
-                    tensor = lib.cauchy.materialize(spec)
-                else:
-                    seed = int(panel_rng.integers(2**32))
-                    tensor = lib.structure.random_structured(order, dim, family, seed)
-                panel.append((tensor, int(solve_rng.integers(2**32))))
-    return panel
+def _panel() -> list:
+    """The 27-cell panel, as eig_survey.Case objects."""
+    survey = _eig_survey()
+    panel_rng, solve_rng = np.random.default_rng(survey.PANEL_SEED), np.random.default_rng(SEED + 1)
+    return [
+        survey.Case(panel_rng, solve_rng, family, order, dim)
+        for family in survey.FAMILIES for order in survey.ORDERS for dim in survey.DIMS
+    ]
 
 
-def _survey_order2(lib, fallback=None) -> list:
-    """The 15 order-2 cells of the eig-survey panel at --seed 1 and 20 s (five
-    blocks): (tensor, solve seed) pairs, drawn as bench/eig_survey.py draws them.
+def _survey_order2(fallback=None) -> list:
+    """The 15 order-2 cells (eig_survey.Case) of the eig-survey panel that
+    --seed 1 --seconds 20 solves, built as bench/eig_survey.py builds them.
     fallback True keeps only the palindromic Cauchy n = 4 cells, False only
     the others."""
-    panel_rng, solve_rng = np.random.default_rng(0), np.random.default_rng(1)
-    cells = []
-    for block in range(5):
-        for i, family in enumerate(("centro", "skew", "cauchy")):
-            for j, order in enumerate((2, 3, 4)):
-                dim = (2, 3, 4)[(block + i + j) % 3]
-                # a Cauchy cell draws its generating vector, the others a tensor seed
-                draw = _palindrome(panel_rng, dim) if family == "cauchy" else int(panel_rng.integers(2**32))
-                solve_seed = int(solve_rng.integers(2**32))
-                if fallback is not None and fallback != (family == "cauchy" and dim == 4):
-                    continue
-                if order == 2 and family == "cauchy":
-                    cells.append((lib.cauchy.materialize(lib.cauchy.CauchySpec(draw, 2)), solve_seed))
-                elif order == 2:
-                    cells.append((lib.structure.random_structured(2, dim, family, draw), solve_seed))
-    return cells
+    survey = _eig_survey()
+    panel_rng, solve_rng = np.random.default_rng(survey.PANEL_SEED), np.random.default_rng(1)
+    cases = [
+        survey.Case(panel_rng, solve_rng, family, order, survey.DIMS[(block + i + j) % len(survey.DIMS)])
+        for block in range(survey.rounds_for(20, survey.BLOCK_SECONDS))
+        for i, family in enumerate(survey.FAMILIES)
+        for j, order in enumerate(survey.ORDERS)
+    ]
+    return [c for c in cases if c.order == 2 and fallback in (None, c.family == "cauchy" and c.dim == 4)]
+
+
+def _observed(lib, name: str, note, run) -> list:
+    """note(*args) of each eigen.<name> call during run(), leaving out None."""
+    original = getattr(lib.eigen, name)
+    notes = []
+
+    def observing(*args):
+        got = note(*args)
+        if got is not None:
+            notes.append(got)
+        return original(*args)
+
+    setattr(lib.eigen, name, observing)
+    try:
+        run()
+    finally:
+        setattr(lib.eigen, name, original)
+    return notes
 
 
 def _residual_work(lib, fn) -> dict:
     """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
-    counts = {"residual_calls": 0, "residual_rows": 0}
-    stacked_residual = lib.eigen._stacked_residual
-
-    def counting(data, zs):
-        counts["residual_calls"] += 1
-        counts["residual_rows"] += len(zs)
-        return stacked_residual(data, zs)
-
-    lib.eigen._stacked_residual = counting
-    fn()
-    lib.eigen._stacked_residual = stacked_residual
-    return counts
+    rows = _observed(lib, "_stacked_residual", lambda data, zs: len(zs), fn)
+    return {"residual_calls": len(rows), "residual_rows": sum(rows)}
 
 
-def _recorded(lib, name: str, keep, run) -> list:
-    """The arguments of the eigen._<name> calls that keep accepts, copied, during run()."""
-    original = getattr(lib.eigen, name)
-    calls = []
+def _copied(*args) -> tuple:
+    return tuple(arg.copy() for arg in args)
 
-    def recording(*args):
-        if keep(*args):
-            calls.append(tuple(arg.copy() for arg in args))
-        return original(*args)
 
-    setattr(lib.eigen, name, recording)
-    run()
-    setattr(lib.eigen, name, original)
-    return calls
+def _solves(lib, cases):
+    """A function that solves each eig_survey.Case at 200 starts from its solve seed."""
+    return lambda: [lib.eigen.solve_eigen(c.tensor, starts=200, seed=c.solve_seed) for c in cases]
 
 
 def _witness_inputs(lib) -> list:
@@ -213,22 +204,15 @@ def _witness_inputs(lib) -> list:
 
 
 def _solve_panel(lib):
-    panel = _panel(lib)
-
-    def fn():
-        return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel]
-
+    fn = _solves(lib, _panel())
     return {"cells": 27, "orders": [2, 4], "dims": [2, 4], "starts": 200, **_residual_work(lib, fn)}, fn
 
 
 def _solve_order2(fallback: bool):
     def build(lib):
-        cells = _survey_order2(lib, fallback)
-
-        def fn():
-            return [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in cells]
-
-        dims = sorted({t.dim for t, _ in cells})
+        cells = _survey_order2(fallback)
+        fn = _solves(lib, cells)
+        dims = sorted({c.dim for c in cells})
         return {"cells": len(cells), "order": 2, "dims": [dims[0], dims[-1]], "starts": 200, "seed": 1,
                 **_residual_work(lib, fn)}, fn
 
@@ -272,10 +256,11 @@ def _singular_newton_stacks(lib) -> list:
     """The Newton stacks of one 200-start solve of an order-4 palindromic
     Cauchy tensor that hold an exactly singular system."""
     pal = lib.cauchy.materialize(lib.cauchy.CauchySpec(np.array([0.7, 1.9, 1.9, 0.7]), 4))
-    return _recorded(
-        lib, "_newton_steps", lambda jac, rhs: np.any(np.linalg.slogdet(jac)[0] == 0),
-        lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED),
-    )
+
+    def singular(jac, rhs):
+        return _copied(jac, rhs) if np.any(np.linalg.slogdet(jac)[0] == 0) else None
+
+    return _observed(lib, "_newton_steps", singular, lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED))
 
 
 def _newton_steps(lib, recorded):
@@ -286,11 +271,7 @@ def _newton_steps(lib, recorded):
 
 def _panel_merge_stacks(lib) -> list:
     """The stacks the 27-cell panel's solves hand eigen._dedup."""
-    panel = _panel(lib)
-    return _recorded(
-        lib, "_dedup", lambda *stack: True,
-        lambda: [lib.eigen.solve_eigen(t, starts=200, seed=s) for t, s in panel],
-    )
+    return _observed(lib, "_dedup", _copied, _solves(lib, _panel()))
 
 
 def _dedup_panel(lib, converged):
@@ -302,8 +283,8 @@ def _dedup_panel(lib, converged):
 
 def _zero_merge_stacks(lib) -> list:
     """The stack a 2000-start solve of the zero tensor at dim 2 hands eigen._dedup."""
-    return _recorded(
-        lib, "_dedup", lambda *stack: True,
+    return _observed(
+        lib, "_dedup", _copied,
         lambda: lib.eigen.solve_eigen(lib.core.DenseTensor(np.zeros((2, 2))), starts=2000, seed=SEED),
     )
 
@@ -322,17 +303,18 @@ def _reflect_pair(lib):
 
 
 def _reflect_order2(lib):
-    # the pairs eig-survey reflects, with its tolerance: bench/eig_survey.py's
-    # ZERO_VALUE and REFLECT_TOL, copied as the panel's draws are
-    zero_value, reflect_tol = 1e-8, 1e-8
+    """The pairs eig-survey reflects, with its tolerance."""
+    survey = _eig_survey()
+    cells = _survey_order2()
     pairs = [
-        (t, p)
-        for t, s in _survey_order2(lib)
-        for p in lib.eigen.solve_eigen(t, starts=200, seed=s).pairs
-        if lib.structure.reflection_sign(t) > 0 or abs(p.value) > zero_value
+        (c.tensor, p)
+        for c, result in zip(cells, _solves(lib, cells)())
+        for p in result.pairs
+        if c.kind != "skew" or abs(p.value) > survey.ZERO_VALUE
     ]
     sizes = {"order": 2, "dims": [2, 4], "pairs": len(pairs), "calls": 20 * len(pairs)}
-    return sizes, lambda: [lib.eigen.reflect_pair(t, p, tol=reflect_tol) for _ in range(20) for t, p in pairs]
+    reflect = lib.eigen.reflect_pair
+    return sizes, lambda: [reflect(t, p, tol=survey.REFLECT_TOL) for _ in range(20) for t, p in pairs]
 
 
 def _per_witness_input(call, calls: int):
@@ -359,7 +341,7 @@ def _dense_product(lib):
 
 
 def _materialize(lib):
-    spec = lib.cauchy.CauchySpec(_palindrome(np.random.default_rng(SEED), 20), 5)
+    spec = lib.cauchy.CauchySpec(_eig_survey().palindrome(np.random.default_rng(SEED), 20), 5)
     return {"order": 5, "dim": 20, "calls": 5}, lambda: [lib.cauchy.materialize(spec) for _ in range(5)]
 
 
@@ -378,21 +360,13 @@ def _dumps_small(lib):
     return {"order": 2, "dim": 4, "calls": 1000}, lambda: [lib.serialize.dumps(tensor) for _ in range(1000)]
 
 
-def _tensor_reader(lib):
-    """serialize.read_tensor, or at a commit without it what the CLI read a tensor file with."""
-    if hasattr(lib.serialize, "read_tensor"):
-        return lib.serialize.read_tensor
-    return lambda text: lib.serialize.tensor_from_obj(lib.serialize.loads(text))
-
-
 def _read_text(make, calls: int):
     """read_tensor of the text of the tensor make(lib) builds, calls times over."""
     def build(lib):
         tensor = make(lib)
-        text = lib.serialize.dumps(lib.serialize.tensor_to_obj(tensor)) + "\n"
-        read = _tensor_reader(lib)
+        text = lib.serialize.dumps(tensor) + "\n"
         sizes = {"order": tensor.order, "dim": tensor.dim, "chars": len(text), "calls": calls}
-        return sizes, lambda: [read(text) for _ in range(calls)]
+        return sizes, lambda: [lib.serialize.read_tensor(text) for _ in range(calls)]
 
     return build
 
@@ -409,7 +383,7 @@ def _cli_check(lib):
     cli = importlib.import_module(lib.__name__ + ".cli")
     tmp = tempfile.TemporaryDirectory()
     path = Path(tmp.name) / "A.json"
-    path.write_text(lib.serialize.dumps(lib.serialize.tensor_to_obj(_cli_tensor(lib))) + "\n")
+    path.write_text(lib.serialize.dumps(_cli_tensor(lib)) + "\n")
     sizes = {"order": 4, "dim": 16, "bytes": path.stat().st_size, "calls": 1}
 
     def fn():
@@ -541,7 +515,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="parent commit")
     parser.add_argument("--head", help="changed commit")
     parser.add_argument("--reps", type=int, default=7)
-    parser.add_argument("--out", help="record to merge the rows into, e.g. BENCH_structure.json")
     # case indices timed in this process; none given times every case
     parser.add_argument("--measure", nargs="*", type=int, help=argparse.SUPPRESS)
     # the recorded input stacks --measure reads, and the file --record writes them to
@@ -558,8 +531,8 @@ def main(argv=None) -> int:
 
         args.record.write_bytes(pickle.dumps(record(lib)))
         return 0
-    if not (args.base and args.head and args.out):
-        parser.error("--base, --head and --out are required")
+    if not (args.base and args.head):
+        parser.error("--base and --head are required")
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -596,7 +569,7 @@ def main(argv=None) -> int:
             "reps": len(times), "best_of": min(r["best_of"] for r in per_rep),
             "git_rev": rev,
         })
-    Path(args.out).write_text(json.dumps(merge_records(Path(args.out), records), indent=1) + "\n")
+    RECORD.write_text(json.dumps(merge_records(RECORD, records), indent=1) + "\n")
     for rec in records:
         print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "
               f"best {rec['best_s'] * 1e3:9.3f} ms  median {rec['median_s'] * 1e3:9.3f} ms")

@@ -4,6 +4,7 @@ import pickle
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
 
@@ -57,3 +58,70 @@ class TestRecordedStacks:
         (row,) = script.measure([index], path)
         assert row["sizes"]["stacks"] == len(base[index])
         assert row["sizes"]["pairs"] == sum(len(stack[0]) for stack in base[index])
+
+
+def case_index(script, case):
+    (index,) = [i for i, (_, name, _) in enumerate(script.CASES) if name == case]
+    return index
+
+
+class TestCommandLine:
+    def test_measure_without_stacks_exits_2(self):
+        with pytest.raises(SystemExit) as exit_info:
+            load_script().main(["--measure", "0"])
+        assert exit_info.value.code == 2
+
+    def test_out_is_refused(self, tmp_path, capsys):
+        # a --measure that would get past parsing fails on the missing stacks file instead
+        argv = ["--measure", "0", "--stacks", str(tmp_path / "none"), "--out", str(tmp_path / "BENCH_x.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            load_script().main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+    def test_record_then_measure_prints_one_row_a_case(self, tmp_path, capsys):
+        script = load_script()
+        stacks = tmp_path / "stacks.pickle"
+        assert script.main(["--record", str(stacks)]) == 0
+        recorded = case_index(script, "zero tensor dim 2, 2000 starts")
+        plain = case_index(script, "order-2 dim-4 centro tensor, 1000 calls")
+        capsys.readouterr()
+        assert script.main(["--measure", str(recorded), str(plain), "--stacks", str(stacks)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["case"] for r in rows] == [script.CASES[recorded][1], script.CASES[plain][1]]
+        assert rows[0]["sizes"]["pairs"] == 2000
+
+    def test_rows_go_to_the_one_layer_record(self):
+        script = load_script()
+        assert script.RECORD == SCRIPT.parent.parent / "BENCH_layers.json"
+        assert script.RECORD.exists()
+
+
+class TestOrder2Cases:
+    """The order-2 case names count the eig-survey panel's cells and name their path."""
+
+    def test_case_names_match_the_panel(self, monkeypatch):
+        from centrotensor import eigen
+
+        script = load_script()
+        direct, fallback = script._survey_order2(False), script._survey_order2(True)
+        assert len(script._survey_order2()) == 15
+        assert (len(direct), len(fallback)) == (13, 2)
+        names = {case for _, case, _ in script.CASES}
+        assert "order 2: the seed-1 eig-survey panel's 13 direct-path cells" in names
+        assert "order 2: the seed-1 eig-survey panel's 2 palindromic Cauchy n=4 cells" in names
+        assert "order 2: the seed-1 eig-survey panel's 15 cells, every pair 20 times" in names
+        assert all(c.family == "cauchy" and c.dim == 4 for c in fallback)
+        answers = []
+        matrix_solve = eigen._matrix_solve
+
+        def watched(*args):
+            answers.append(matrix_solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(eigen, "_matrix_solve", watched)
+        for cells, takes_direct_path in ((direct, True), (fallback, False)):
+            answers.clear()
+            for c in cells:
+                eigen.solve_eigen(c.tensor, starts=200, seed=c.solve_seed)
+            assert [a is not None for a in answers] == [takes_direct_path] * len(cells)
