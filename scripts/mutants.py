@@ -91,6 +91,41 @@ MUTANTS = [
         "if False:",
         (_READER + "test_non_numbers_fail_as_loads_does",),
     ),
+    Mutant(
+        "the CLI's usage errors exiting 1, not 2",
+        "src/centrotensor/cli.py",
+        "        return 2\n",
+        "        return 1\n",
+        ("tests/test_cli.py::TestCheck::test_malformed_json_exits_2_with_position",),
+    ),
+    Mutant(
+        "the CLI's domain errors exiting 2, not 1",
+        "src/centrotensor/cli.py",
+        "        return 1\n    # a negative answer",
+        "        return 2\n    # a negative answer",
+        ("tests/test_cli.py::TestGen::test_over_the_entry_cap_exits_1",),
+    ),
+    Mutant(
+        "the entry cap refusing a count equal to it",
+        "src/centrotensor/core.py",
+        "    if count > cap:\n",
+        "    if count >= cap:\n",
+        ("tests/test_core.py::TestCapMessages::test_message_text",),
+    ),
+    Mutant(
+        "the solver's componentwise power one factor short",
+        "src/centrotensor/eigen.py",
+        "for _ in range(k - 1):",
+        "for _ in range(k - 2):",
+        ("tests/test_eigen.py::TestPower::test_left_to_right_product_bit_for_bit",),
+    ),
+    Mutant(
+        "J*B's leading index left unreversed",
+        "src/centrotensor/product.py",
+        "    return data[::-1]\n",
+        "    return data\n",
+        ("tests/test_product.py::TestPermutationProduct::test_gather_matches_contraction_bit_for_bit",),
+    ),
 ]
 
 

@@ -432,47 +432,38 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     least-residual pair, the first in (value, components) order on a tie.
 
     A component grows from its first unlabelled pair, the seed, a block
-    of members at a time.  A pair can join only from the block's value
-    windows, and only if its vector gap to the seed is within the
-    component's reach (its members' largest gap to the seed) plus twice
-    the tolerance: the triangle inequality allows one, the other covers
-    rounding.  The gap bounds how far |x_j| moves, sign flips included,
-    so only the pairs whose |x_j| is that near the seed's, for the
-    coordinate j where |x_j| spreads widest, have their gap taken: they are
-    looked up in the seed's value run (pairs no value window leads out
-    of), sorted by |x_j|, with one more tolerance for the rounding of the
-    lookup.  So pairs sharing one value cost a search each, not a scan of
-    the run.  A pair whose first band holds only itself is labelled its own
-    component before the loop, in one pass over the sorted keys.  Each
-    comparison holds at most _DEDUP_BLOCK_ENTRIES entries (or one row
-    pair), so memory stays linear in the pairs.
+    of members at a time.  A pair can join only if its vector gap to the
+    seed is within the component's reach (its members' largest gap to the
+    seed) plus twice the tolerance: the triangle inequality allows one,
+    the other covers rounding.  The gap bounds how far |x_j| moves, sign
+    flips included, so only the pairs whose |x_j| is that near the seed's,
+    for the coordinate j where |x_j| spreads widest, have their gap taken:
+    they are looked up in the one order of all pairs by |x_j|, with one
+    more tolerance for the rounding of the lookup, so pairs sharing one
+    value cost a search each, not a scan of the stack.  The band holds
+    pairs of every value, and all its unlabelled ones are searched (every
+    pair before the seed is labelled): _close_rows, which tests the value
+    too, turns away the other values.  Many values at one vector would
+    put every pair in every band, but a tensor's eigenvector fixes its
+    eigenvalue.  A pair whose first band holds only itself is labelled
+    its own component before the loop, in one pass over the sorted
+    keys.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries (or
+    one row pair), so memory stays linear in the pairs.
     """
     order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
     lams, xs, res = lams[order], xs[order], res[order]
     total, n = xs.shape
-    # no pair outside [lo[p], hi[p]) is within DEDUP_VALUE_TOL of pair p
-    lo = np.searchsorted(lams, lams - 2.0 * DEDUP_VALUE_TOL)
-    hi = np.searchsorted(lams, lams + 2.0 * DEDUP_VALUE_TOL, side="right")
-    # a run begins at p when no window leads across p - 1 | p (lo and hi
-    # grow with p, so checking p - 1's and p's windows is enough)
-    index = np.arange(total)
-    opens = index == 0
-    opens[1:] = (hi[:-1] <= index[1:]) & (lo[1:] >= index[1:])
-    run, begins = np.cumsum(opens) - 1, np.flatnonzero(opens)
-    ends = np.append(begins[1:], total)
     axs = np.abs(xs)
     key = axs[:, np.argmax(axs.max(axis=0, initial=0.0) - axs.min(axis=0, initial=1.0))]
-    # each run's pairs in |x_j| order
-    by_key = np.lexsort((key, run))
+    by_key = np.argsort(key, kind="stable")
     sorted_key = key[by_key]
-    # A pair whose band at reach 0 holds no other pair of its run is a
-    # component of its own: a pair close to it would sit in that band.
-    # Such pairs are labelled here at once, not one seed loop each.
+    # A pair whose band at reach 0 holds no other pair is a component of
+    # its own: a pair close to it would sit in that band.  Such pairs are
+    # labelled here at once, not one seed loop each.
     half = 2 * DEDUP_VECTOR_TOL + DEDUP_VECTOR_TOL  # the loop's reach_key at reach 0
-    same_run = run[by_key[1:]] == run[by_key[:-1]]
     alone = np.ones(total, dtype=bool)
-    alone[1:] &= ~(same_run & (sorted_key[:-1] >= sorted_key[1:] - half))
-    alone[:-1] &= ~(same_run & (sorted_key[1:] < sorted_key[:-1] + half))
+    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - half
+    alone[:-1] &= sorted_key[1:] >= sorted_key[:-1] + half
     kept = by_key[alone].tolist()
     free = np.ones(total, dtype=bool)
     free[kept] = False
@@ -482,19 +473,14 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
             continue
         free[seed] = False
         members, done, reach = np.array([seed]), 0, 0.0
-        run_keys = slice(begins[run[seed]], ends[run[seed]])
         while done < len(members):
             block = members[done : done + rows, None]
             done += len(block)
-            # every pair before the seed is labelled
-            start, stop = max(seed, lo[block].min()), hi[block].max()
             bound = reach + 2 * DEDUP_VECTOR_TOL
             reach_key = bound + DEDUP_VECTOR_TOL
-            band = run_keys.start + np.searchsorted(
-                sorted_key[run_keys], [key[seed] - reach_key, key[seed] + reach_key]
-            )
-            near = np.sort(by_key[band[0] : band[1]])
-            near = near[(near >= start) & (near < stop) & free[near]]
+            band = np.searchsorted(sorted_key, [key[seed] - reach_key, key[seed] + reach_key])
+            near = by_key[band[0] : band[1]]
+            near = near[free[near]]
             if not near.size:
                 continue
             gap = _vector_gap(xs[seed], xs[near])

@@ -268,15 +268,10 @@ def _parse_int(text: str):
     return -0.0 if text == "-0" else int(text)
 
 
-_BARE_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
-
-
 def loads(text: str):
     """Parse JSON text; a bare ``-0``, the writer's -0.0, is read as -0.0."""
-    # a Python hook per integer literal is slow on a file of zeros
-    hook = _parse_int if _BARE_NEGATIVE_ZERO.search(text) else int
     try:
-        return json.loads(text, parse_int=hook)
+        return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
     except RecursionError:

@@ -1134,8 +1134,18 @@ class TestMergeAgainstLoop:
         xs /= np.linalg.norm(xs, axis=1)[:, None]
         xs *= rng.choice([1.0, -1.0], size=(len(xs), 1))
         chains = (np.zeros(len(xs)), xs, rng.choice(RESIDUALS, size=len(xs)))
-        for stack in (zero, chains):
+        # and three vectors, some sign-flipped, each at 200 values 0.9e-8
+        # apart: each ladder is one component spanning 179 value
+        # tolerances, and every band holds pairs at the seed's vector that
+        # only the value test keeps apart
+        ladder = np.arange(200) * 0.9 * eigen.DEDUP_VALUE_TOL
+        lams = np.concatenate([0.5 * b + ladder for b in range(3)])
+        xs = np.repeat(bases[:3] / np.linalg.norm(bases[:3], axis=1)[:, None], len(ladder), axis=0)
+        xs *= rng.choice([1.0, -1.0], size=(len(xs), 1))
+        ladders = (lams, xs, rng.choice(RESIDUALS, size=len(xs)))
+        for stack in (zero, chains, ladders):
             np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
+        assert len(eigen._dedup(*ladders)) == 3
 
 
 class TestMergeMemory:
