@@ -126,6 +126,51 @@ MUTANTS = [
         "    return data\n",
         ("tests/test_product.py::TestPermutationProduct::test_gather_matches_contraction_bit_for_bit",),
     ),
+    Mutant(
+        "A*J's trailing indices left unreversed",
+        "src/centrotensor/product.py",
+        "    return data.reshape(data.shape[0], -1)[:, ::-1]\n",
+        "    return data.reshape(data.shape[0], -1)\n",
+        ("tests/test_product.py::TestPermutationProduct::test_gather_matches_contraction_bit_for_bit",),
+    ),
+    Mutant(
+        "the CLI's negative answers exiting 0, not 1",
+        "src/centrotensor/cli.py",
+        "    return 1 if negative else 0\n",
+        "    return 0\n",
+        (
+            "tests/test_cli.py::TestInverseVerb::test_matrix_recovery_failure_exits_1",
+            "tests/test_cli.py::TestVerifyAll::test_corruption_fails_and_names_check",
+        ),
+    ),
+    Mutant(
+        "the Jacobian's lambda diagonal with factor m, not m - 1",
+        "src/centrotensor/eigen.py",
+        "lam[:, None] * (m - 1) * p",
+        "lam[:, None] * m * p",
+        ("tests/test_eigen.py::TestJacobian::test_whole_jacobian_matches_central_differences",),
+    ),
+    Mutant(
+        "the Jacobian's last row x, not 2x",
+        "src/centrotensor/eigen.py",
+        "jac[:, n, :n] = 2.0 * x",
+        "jac[:, n, :n] = x",
+        ("tests/test_eigen.py::TestJacobian::test_whole_jacobian_matches_central_differences",),
+    ),
+    Mutant(
+        "the line search without its first-hit filter",
+        "src/centrotensor/eigen.py",
+        "            hits = hits[np.unique(rows[hits], return_index=True)[1]]\n",
+        "            pass\n",
+        ("tests/test_eigen.py::TestAgainstLoopOracle::test_same_pair_set_and_converged_count",),
+    ),
+    Mutant(
+        "the merge's pre-pass band without its rounding margin",
+        "src/centrotensor/eigen.py",
+        "half = 2 * DEDUP_VECTOR_TOL + DEDUP_VECTOR_TOL",
+        "half = DEDUP_VECTOR_TOL",
+        ("tests/test_eigen.py::TestMergeAgainstLoop::test_vector_gap_one_rounding_below_the_tolerance",),
+    ),
 ]
 
 

@@ -21,9 +21,10 @@ Contents:
   size-n draw per start) and step together on stacked arrays: the shared
   tensor is contracted against the whole stack, its last two slots at
   once on each row's outer product x (x) x and any others one at a time
-  (core.contract_trailing), the Jacobians come from one tensor summed
-  once per solve, and each Newton step is one stacked linear solve,
-  _newton_steps.  It takes non-finite
+  (core.contract_trailing).  F is _stacked_residual and J is _jacobians,
+  the one place J's layout is written, from one tensor summed once per
+  solve.  Each Newton step is one stacked linear solve, _newton_steps,
+  and one line search, _damped_step.  _newton_steps takes non-finite
   systems too, each of which gets a NaN step and is never solved, and a
   stacked slogdet singles out exactly singular Jacobians for least
   squares while the rest stay stacked.  Damping stays per start, and
@@ -42,7 +43,9 @@ Contents:
   bits.  Starts leave the active stack as they converge, stall, take a
   non-finite step or run out of iterations; SolverStats counts each way.
   Converged pairs joined by a chain of close pairs are one pair, whatever
-  their order, and the kept pairs are classified as one stack,
+  their order, and the kept pairs are classified as one stack.  The
+  Newton path and the order-2 direct path build their EigenSet in one
+  place, _solved,
 * reflection of a pair through the exchange matrix: for a centro tensor
   (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
 
@@ -140,9 +143,11 @@ class SolverStats:
     re-check), stalled (no damped step reduced max|F|), non_finite (its
     Jacobian, residual or Newton step was not finite) or max_iter (still
     running after MAX_ITER steps).  iterations is the number of Newton
-    steps taken, summed over starts.  On the order-2 direct path (see
-    solve_eigen) every start is converged, or stalled when the matrix has
-    no real eigenvalue, and iterations is 0.
+    systems solved, summed over starts: one for each start in each pass
+    it enters, the pass in which it stalls or its system or step is not
+    finite included (such a system gets a NaN step, unsolved).  On the
+    order-2 direct path (see solve_eigen) every start is converged, or
+    stalled when the matrix has no real eigenvalue, and iterations is 0.
     """
 
     attempted: int
@@ -534,18 +539,8 @@ def _matrix_solve(a: DenseTensor, starts: int, start_rows, tol: float, scale: fl
         xs = start_rows()
         near = np.abs(np.sum(xs[:, None, :] * vs[kept], axis=2)).max(axis=0, initial=0.0)
         kept = kept[np.sort(np.argsort(-near, kind="stable")[:starts])]
-    converged = starts if lams.size else 0
-    stats = SolverStats(
-        attempted=starts,
-        converged=converged,
-        deduplicated=converged - len(kept),
-        rejected=0,
-        stalled=starts - converged,
-        non_finite=0,
-        max_iter=0,
-        iterations=0,
-    )
-    return EigenSet(pairs=_eigenpairs(a, lams[kept], vs[kept], res[kept], scale), stats=stats)
+    state = np.full(starts, _REACHED if lams.size else _STALLED)
+    return _solved(a, state, lams[kept], vs[kept], res[kept], scale)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -659,13 +654,87 @@ def _unit_rows(xs: np.ndarray) -> np.ndarray:
     return xs / np.linalg.norm(xs, axis=1)[:, None]
 
 
+def _jacobians(jac_tensor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Jacobian of F (see _stacked_residual) at each row (x, lambda) of z,
+    for jac_tensor the _jacobian_tensor of A: the x-block B x^{m-2} less
+    lambda (m-1) x^{[m-2]} on its diagonal, the column -x^{[m-1]} and the
+    row 2x, with 0 in the corner."""
+    m, n = jac_tensor.ndim, z.shape[1] - 1
+    x, lam = z[:, :n], z[:, n]
+    jac = np.zeros((len(z), n + 1, n + 1))
+    jac[:, :n, :n] = contract_trailing(jac_tensor, x, m - 2)
+    # x^{[m-2]} once; p * x is _power(x, m - 1) bit for bit
+    p = _power(x, m - 2)
+    # the x-block's diagonal as a view: entry (i, i) is flat entry i * (n + 2)
+    jac.reshape(len(z), -1)[:, : n * (n + 2) : n + 2] -= lam[:, None] * (m - 1) * p
+    jac[:, :n, n] = -(p * x)
+    jac[:, n, :n] = 2.0 * x
+    return jac
+
+
+def _damped_step(data: np.ndarray, z: np.ndarray, step: np.ndarray, best: np.ndarray):
+    """The line search of one Newton step of each row of z: the first trial
+    z[s] + _DAMPS[k] * step[s] whose max|F| is below best[s] wins.
+
+    Only open trials (_open_trials) are contracted: the first open damping
+    of every row in one stacked call, then the next open ones of the rows
+    it failed in calls of as many rows as LINE_SEARCH_ENTRIES holds.
+    Returns (taken, z, F, max|F|) by row: whether the row took a damping,
+    and its unknowns, residual and max|F| after the step.  z and best are
+    the caller's to give, as they become the z and max|F| returned: a row
+    that takes no damping keeps its own, and its F is left unset.
+    """
+    m, n = data.ndim, z.shape[1] - 1
+    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
+    opened = _open_trials(z, step, best)
+    taken, fs = np.zeros(len(z), dtype=bool), np.empty_like(z)
+    pending = np.flatnonzero(opened.any(axis=1))
+    take = 1
+    while pending.size:
+        # each pending row's next `take` open dampings, in damping order;
+        # with one each, argmax spares the cumsum and the first-hit filter
+        # (a tenth of the eig-survey panel's solve time)
+        if take == 1:
+            rows, cols = pending, opened[pending].argmax(axis=1)
+        else:
+            ahead = opened[pending]
+            ahead &= np.cumsum(ahead, axis=1) <= take
+            sel, cols = np.nonzero(ahead)
+            rows = pending[sel]
+        opened[rows, cols] = False
+        z_new = z[rows] + _DAMPS[cols, None] * step[rows]
+        f_new = _stacked_residual(data, z_new)
+        norm_new = np.abs(f_new).max(axis=1)
+        hits = np.flatnonzero(norm_new < best[rows])
+        if take > 1:
+            # the first trial of each row that beats its best wins
+            hits = hits[np.unique(rows[hits], return_index=True)[1]]
+        won = rows[hits]
+        taken[won], opened[won] = True, False
+        z[won], fs[won], best[won] = z_new[hits], f_new[hits], norm_new[hits]
+        pending = np.flatnonzero(opened.any(axis=1))
+        take = max(1, chunk_rows // max(1, pending.size))
+    return taken, z, fs, best
+
+
+def _solved(a: DenseTensor, state: np.ndarray, lams, xs, res, scale: float, rejected=0, iterations=0):
+    """The EigenSet of the kept pairs (lams, xs, res) of A, values and residuals
+    times scale, with the stats of the starts' ends `state`: a start that
+    reached tol is converged unless it is one of the `rejected`."""
+    # starts per end, in the order of the end codes
+    running, reached, stalled, non_finite = np.bincount(state, minlength=4).tolist()
+    converged = reached - rejected
+    stats = SolverStats(
+        len(state), converged, converged - len(lams), rejected, stalled, non_finite, running, iterations
+    )
+    return EigenSet(pairs=_eigenpairs(a, lams, xs, res, scale), stats=stats)
+
+
 def _multistart(a: DenseTensor, starts_xs: np.ndarray, tol: float, scale: float) -> EigenSet:
     """Damped Newton from each unit start of the stack, as solve_eigen describes."""
     (starts, n), m = starts_xs.shape, a.order
     data = a.data
     jac_tensor = _jacobian_tensor(data)
-    chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
-    diag = np.arange(n)
 
     # Row s of zs holds start s's unknowns (x, lambda).
     zs = np.empty((starts, n + 1))
@@ -676,58 +745,28 @@ def _multistart(a: DenseTensor, starts_xs: np.ndarray, tol: float, scale: float)
     fs = _stacked_residual(data, zs)
     best = np.max(np.abs(fs), axis=1)
     state = np.where(best <= tol, _REACHED, _RUNNING)
+    # the running stack: row k of z, f and best is start live[k]; a start
+    # leaves it as it ends, and a converged one leaves its unknowns in zs
+    live = np.flatnonzero(state == _RUNNING)
+    z, f, best = zs[live], fs[live], best[live]
     iterations = 0
     for _ in range(MAX_ITER):
-        live = np.flatnonzero(state == _RUNNING)
         if not live.size:
             break
         iterations += live.size
-        z = zs[live]
-        x, lam = z[:, :n], z[:, n]
-        jac = np.zeros((live.size, n + 1, n + 1))
-        jac[:, :n, :n] = contract_trailing(jac_tensor, x, m - 2)
-        # x^{[m-2]} once; p * x is _power(x, m - 1) bit for bit
-        p = _power(x, m - 2)
-        jac[:, diag, diag] -= lam[:, None] * (m - 1) * p
-        jac[:, :n, n] = -(p * x)
-        jac[:, n, :n] = 2.0 * x
-        step = _newton_steps(jac, -fs[live])
+        step = _newton_steps(_jacobians(jac_tensor, z), -f)
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():
             state[live[~finite]] = _NON_FINITE
-            live, z, step = live[finite], z[finite], step[finite]
-        opened = _open_trials(z, step, best[live])
-        # rows of live, z and step; a start that takes no damping stalls
-        lead, taken = best[live], np.zeros(live.size, dtype=bool)
-        pending = np.flatnonzero(opened.any(axis=1))
-        take = 1
-        while pending.size:
-            # each pending start's next `take` open dampings, in damping order;
-            # with one each, argmax spares the cumsum and the first-hit filter
-            # (a tenth of the eig-survey panel's solve time)
-            if take == 1:
-                rows, cols = pending, opened[pending].argmax(axis=1)
-            else:
-                ahead = opened[pending]
-                ahead &= np.cumsum(ahead, axis=1) <= take
-                sel, cols = np.nonzero(ahead)
-                rows = pending[sel]
-            opened[rows, cols] = False
-            z_new = z[rows] + _DAMPS[cols, None] * step[rows]
-            f_new = _stacked_residual(data, z_new)
-            norm_new = np.abs(f_new).max(axis=1)
-            hits = np.flatnonzero(norm_new < lead[rows])
-            if take > 1:
-                # the first trial of each start that beats its best wins
-                hits = hits[np.unique(rows[hits], return_index=True)[1]]
-            won = rows[hits]
-            taken[won], opened[won] = True, False
-            won = live[won]
-            zs[won], fs[won], best[won] = z_new[hits], f_new[hits], norm_new[hits]
-            state[won[norm_new[hits] <= tol]] = _REACHED
-            pending = np.flatnonzero(opened.any(axis=1))
-            take = max(1, chunk_rows // max(1, pending.size))
+            live, z, step, best = live[finite], z[finite], step[finite], best[finite]
+        taken, z, f, best = _damped_step(data, z, step, best)
+        # a start that takes no damping keeps its best, above tol, and stalls
         state[live[~taken]] = _STALLED
+        at_tol = best <= tol
+        state[live[at_tol]] = _REACHED
+        zs[live[at_tol]] = z[at_tol]
+        going = taken & ~at_tol
+        live, z, f, best = live[going], z[going], f[going], best[going]
 
     reached = np.flatnonzero(state == _REACHED)
     # a zero row's NaN residual fails the re-check
@@ -735,21 +774,8 @@ def _multistart(a: DenseTensor, starts_xs: np.ndarray, tol: float, scale: float)
     res = _residuals(a, lams, xs)
     ok = (res <= tol) & np.isfinite(lams * scale)
     xs, lams, res = xs[ok], lams[ok], res[ok]
-    converged = len(lams)
-
     kept = _dedup(lams, xs, res)
-    pairs = _eigenpairs(a, lams[kept], xs[kept], res[kept], scale)
-    stats = SolverStats(
-        attempted=starts,
-        converged=converged,
-        deduplicated=converged - len(pairs),
-        rejected=len(reached) - converged,
-        stalled=int(np.sum(state == _STALLED)),
-        non_finite=int(np.sum(state == _NON_FINITE)),
-        max_iter=int(np.sum(state == _RUNNING)),
-        iterations=iterations,
-    )
-    return EigenSet(pairs=pairs, stats=stats)
+    return _solved(a, state, lams[kept], xs[kept], res[kept], scale, len(reached) - len(lams), iterations)
 
 
 def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TOL) -> EigenPair:

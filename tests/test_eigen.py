@@ -364,6 +364,21 @@ class TestJacobian:
                 numeric = (contract(x + e) - contract(x - e)) / (2 * h)
                 assert np.max(np.abs(jac[:, j] - numeric)) <= 1e-7
 
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_whole_jacobian_matches_central_differences(self, m, n, rng):
+        # all n+1 unknowns (x, lambda): the x-block with its lambda
+        # diagonal, the -x^{[m-1]} column and the 2x row
+        data = rng.uniform(-1, 1, size=(n,) * m)
+        zs = np.concatenate([rng.uniform(0.3, 1.0, size=(3, n)), rng.uniform(-1, 1, size=(3, 1))], axis=1)
+        jacs = eigen._jacobians(eigen._jacobian_tensor(data), zs)
+        assert jacs.shape == (3, n + 1, n + 1)
+        h = 1e-6
+        for k in range(n + 1):
+            e = np.zeros(n + 1)
+            e[k] = h
+            numeric = (eigen._stacked_residual(data, zs + e) - eigen._stacked_residual(data, zs - e)) / (2 * h)
+            assert np.max(np.abs(jacs[:, :, k] - numeric)) <= 1e-7
+
 
 class TestSolveEigen:
     def test_finds_both_matrix_pairs(self, sym_matrix):
@@ -1097,6 +1112,17 @@ class TestMergeAgainstLoop:
         for gap, merged in ((BELOW, True), (1e-8, True), (ABOVE, False)):
             stack = (np.array([0.0, gap]), x, np.array([2e-12, 1e-12]))
             assert eigen._dedup(*stack).tolist() == ([1] if merged else [0, 1])
+            np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
+
+    def test_vector_gap_one_rounding_below_the_tolerance(self, budgets):
+        # x0 + DEDUP_VECTOR_TOL rounds down to y0 at these x0: the pairs
+        # are close, and a pre-pass band of half-width DEDUP_VECTOR_TOL
+        # would label the first pair alone; its rounding margin keeps it in
+        for x0 in (0.25, 0.3, 0.4):
+            y0 = x0 + eigen.DEDUP_VECTOR_TOL
+            assert y0 - x0 < eigen.DEDUP_VECTOR_TOL
+            stack = (np.zeros(2), np.array([[x0, 0.9], [y0, 0.9]]), np.array([2e-12, 1e-12]))
+            assert eigen._dedup(*stack).tolist() == [1]
             np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
