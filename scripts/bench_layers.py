@@ -52,9 +52,12 @@ replaced where it stands, and the others are appended.  The cases:
   an order-4 palindromic Cauchy tensor that hold an exactly singular
   system;
 * ``eigen._dedup`` on the converged stacks of the 27-cell panel's solves,
-  five passes, and on the stack of the zero tensor at dim 2 with 2000
+  five passes; on the stack of the zero tensor at dim 2 with 2000
   starts, where every converged start is its own pair (the many-component
-  worst case);
+  worst case); and on 2000 values 1e-6 apart, all at the vector
+  (1, 1)/sqrt(2), built in the script, where every pair lies in every
+  band and the merge is quadratic in the pairs (no solve hands it such a
+  stack);
 * ``eigen.reflect_pair`` on every pair of one 200-start solve of an
   order-4 dim-4 centro tensor, 20 times over, and on every pair of the
   solves of the 15 order-2 cells above, 20 times over (as eig-survey
@@ -295,6 +298,12 @@ def _dedup_zero(lib, recorded):
     return {"pairs": len(zero_stack[0]), "kept": len(merge(*zero_stack))}, lambda: merge(*zero_stack)
 
 
+def _dedup_one_vector(lib):
+    stack = (np.arange(2000) * 1e-6, np.full((2000, 2), np.sqrt(0.5)), np.zeros(2000))
+    merge = lib.eigen._dedup
+    return {"pairs": 2000, "kept": len(merge(*stack))}, lambda: merge(*stack)
+
+
 def _reflect_pair(lib):
     mirror = lib.structure.random_structured(4, 4, "centro", seed=SEED)
     pairs = lib.eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
@@ -420,6 +429,7 @@ CASES = [
     ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks", _newton_steps),
     ("eigen._dedup", "27-cell panel, converged stacks, 5 passes", _dedup_panel),
     ("eigen._dedup", "zero tensor dim 2, 2000 starts", _dedup_zero),
+    ("eigen._dedup", "2000 values 1e-6 apart at one vector", _dedup_one_vector),
     ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times", _reflect_pair),
     ("eigen.reflect_pair", "order 2: the seed-1 eig-survey panel's 15 cells, every pair 20 times",
      _reflect_order2),

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 _DIRECT = "tests/test_eigen.py::TestOrder2DirectPath::"
 _READER = "tests/test_serialize.py::TestTensorReader::"
+_MERGE = "tests/test_eigen.py::TestMergeAgainstLoop::"
 
 MUTANTS = [
     Mutant(
@@ -165,11 +166,55 @@ MUTANTS = [
         ("tests/test_eigen.py::TestAgainstLoopOracle::test_same_pair_set_and_converged_count",),
     ),
     Mutant(
-        "the merge's pre-pass band without its rounding margin",
+        "the merge's loop band with a margin of one tolerance",
         "src/centrotensor/eigen.py",
-        "half = 2 * DEDUP_VECTOR_TOL + DEDUP_VECTOR_TOL",
-        "half = DEDUP_VECTOR_TOL",
-        ("tests/test_eigen.py::TestMergeAgainstLoop::test_vector_gap_one_rounding_below_the_tolerance",),
+        "[low - margin, math.nextafter(high + margin, math.inf)]",
+        "[low - DEDUP_VECTOR_TOL, math.nextafter(high + DEDUP_VECTOR_TOL, math.inf)]",
+        (_MERGE + "test_band_edge_stacks",),
+    ),
+    Mutant(
+        "the merge's pre-pass band with a margin of one tolerance",
+        "src/centrotensor/eigen.py",
+        "    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - margin\n"
+        "    alone[:-1] &= sorted_key[1:] > sorted_key[:-1] + margin\n",
+        "    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - DEDUP_VECTOR_TOL\n"
+        "    alone[:-1] &= sorted_key[1:] > sorted_key[:-1] + DEDUP_VECTOR_TOL\n",
+        (_MERGE + "test_band_edge_stacks",),
+    ),
+    Mutant(
+        "the merge's loop band without the float past its upper end",
+        "src/centrotensor/eigen.py",
+        "math.nextafter(high + margin, math.inf)",
+        "high + margin",
+        (_MERGE + "test_band_edge_stacks",),
+    ),
+    Mutant(
+        "the merge's pre-pass labelling a pair alone at its band's upper end",
+        "src/centrotensor/eigen.py",
+        "sorted_key[1:] > sorted_key[:-1] + margin",
+        "sorted_key[1:] >= sorted_key[:-1] + margin",
+        (_MERGE + "test_band_edge_stacks",),
+    ),
+    Mutant(
+        "the merge's band not widened by the keys of joining pairs",
+        "src/centrotensor/eigen.py",
+        "                low, high = min(low, float(key[new].min())), max(high, float(key[new].max()))\n",
+        "",
+        (_MERGE + "test_two_thousand_pairs_at_one_value[default]",),
+    ),
+    Mutant(
+        "DEDUP_VECTOR_TOL raised",
+        "src/centrotensor/eigen.py",
+        "DEDUP_VECTOR_TOL = 1e-6\n",
+        "DEDUP_VECTOR_TOL = 2e-6\n",
+        (_MERGE + "test_vector_gap_at_the_literal_tolerance",),
+    ),
+    Mutant(
+        "DEFAULT_CLASS_TOL raised",
+        "src/centrotensor/eigen.py",
+        "DEFAULT_CLASS_TOL = 1e-8\n",
+        "DEFAULT_CLASS_TOL = 2e-8\n",
+        ("tests/test_eigen.py::TestClassifyVector::test_literal_tolerance_one_float_either_side",),
     ),
 ]
 

@@ -417,16 +417,20 @@ def _open_trials(z: np.ndarray, step: np.ndarray, best: np.ndarray) -> np.ndarra
 _DEDUP_BLOCK_ENTRIES = 2**16
 
 
-def _vector_gap(x, xs) -> np.ndarray:
-    """min(|x - xs|, |x + xs|), broadcast over leading axes.  Symmetric bit
-    for bit: x - y, x + y differ from y - x, y + x at most in sign, which
-    the squares in the norm drop."""
-    return np.minimum(np.linalg.norm(x - xs, axis=-1), np.linalg.norm(x + xs, axis=-1))
-
-
 def _close_rows(lam, x, lams, xs) -> np.ndarray:
-    """The dedup rule between (lam, x) and (lams, xs), broadcast over leading axes."""
-    return (np.abs(lam - lams) <= DEDUP_VALUE_TOL) & (_vector_gap(x, xs) <= DEDUP_VECTOR_TOL)
+    """The dedup rule between (lam, x) and (lams, xs), broadcast over leading
+    axes: values within DEDUP_VALUE_TOL and the vector gap up to sign,
+    min(|x - xs|, |x + xs|), within DEDUP_VECTOR_TOL.  Symmetric bit for
+    bit: x - y, x + y differ from y - x, y + x at most in sign, which the
+    squares in the norm drop.  The gaps are taken only when some value is
+    close, so pairs of other values that share a merge band (at dim 2 every
+    symmetric and skew-symmetric vector has |x_j| = 1/sqrt(2)) cost only
+    the value test."""
+    close = np.abs(lam - lams) <= DEDUP_VALUE_TOL
+    if close.any():
+        gap = np.minimum(np.linalg.norm(x - xs, axis=-1), np.linalg.norm(x + xs, axis=-1))
+        close &= gap <= DEDUP_VECTOR_TOL
+    return close
 
 
 def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -437,23 +441,26 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     least-residual pair, the first in (value, components) order on a tie.
 
     A component grows from its first unlabelled pair, the seed, a block
-    of members at a time.  A pair can join only if its vector gap to the
-    seed is within the component's reach (its members' largest gap to the
-    seed) plus twice the tolerance: the triangle inequality allows one,
-    the other covers rounding.  The gap bounds how far |x_j| moves, sign
-    flips included, so only the pairs whose |x_j| is that near the seed's,
-    for the coordinate j where |x_j| spreads widest, have their gap taken:
-    they are looked up in the one order of all pairs by |x_j|, with one
-    more tolerance for the rounding of the lookup, so pairs sharing one
-    value cost a search each, not a scan of the stack.  The band holds
-    pairs of every value, and all its unlabelled ones are searched (every
-    pair before the seed is labelled): _close_rows, which tests the value
-    too, turns away the other values.  Many values at one vector would
-    put every pair in every band, but a tensor's eigenvector fixes its
-    eigenvalue.  A pair whose first band holds only itself is labelled
-    its own component before the loop, in one pass over the sorted
-    keys.  Each comparison holds at most _DEDUP_BLOCK_ENTRIES entries (or
-    one row pair), so memory stays linear in the pairs.
+    of members at a time.  Take the coordinate j where |x_j| spreads
+    widest as every pair's key.  A pair close to a member has its key
+    within DEDUP_VECTOR_TOL of the member's, sign flips included, give or
+    take the rounding of the gap; twice the tolerance covers that.  So
+    each block searches only the unlabelled pairs whose key lies in the
+    band [low - 2 * DEDUP_VECTOR_TOL, high + 2 * DEDUP_VECTOR_TOL], where
+    low and high are the least and greatest member key so far: a lookup
+    in the one order of all pairs by key, so pairs sharing one value cost
+    a search each, not a scan of the stack.  Rounding to nearest is
+    monotone, so the rounded band ends hold every key inside the exact
+    band; the upper end is taken one float up, as a key equal to it
+    belongs in (past 2^35 the margin is under half an ulp of the key, and
+    high + 2 * DEDUP_VECTOR_TOL rounds to high).  The band holds pairs of
+    every value: _close_rows, which tests the value first, turns away the
+    others.  Many values at one vector would put every pair in every
+    band, but a tensor's eigenvector fixes its eigenvalue.  A pair whose
+    band holds only itself is labelled its own component before the
+    loop, in one pass over the sorted keys.  Each comparison holds at
+    most _DEDUP_BLOCK_ENTRIES entries (or one row pair), so memory stays
+    linear in the pairs.
     """
     order = np.lexsort(tuple(xs.T[::-1]) + (lams,))
     lams, xs, res = lams[order], xs[order], res[order]
@@ -462,13 +469,12 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
     key = axs[:, np.argmax(axs.max(axis=0, initial=0.0) - axs.min(axis=0, initial=1.0))]
     by_key = np.argsort(key, kind="stable")
     sorted_key = key[by_key]
-    # A pair whose band at reach 0 holds no other pair is a component of
-    # its own: a pair close to it would sit in that band.  Such pairs are
-    # labelled here at once, not one seed loop each.
-    half = 2 * DEDUP_VECTOR_TOL + DEDUP_VECTOR_TOL  # the loop's reach_key at reach 0
+    margin = 2 * DEDUP_VECTOR_TOL
+    # A pair whose band holds no other pair is a component of its own:
+    # such pairs are labelled here at once, not one seed loop each.
     alone = np.ones(total, dtype=bool)
-    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - half
-    alone[:-1] &= sorted_key[1:] >= sorted_key[:-1] + half
+    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - margin
+    alone[:-1] &= sorted_key[1:] > sorted_key[:-1] + margin
     kept = by_key[alone].tolist()
     free = np.ones(total, dtype=bool)
     free[kept] = False
@@ -477,19 +483,16 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
         if not free[seed]:
             continue
         free[seed] = False
-        members, done, reach = np.array([seed]), 0, 0.0
+        members, done = np.array([seed]), 0
+        low = high = float(key[seed])
         while done < len(members):
             block = members[done : done + rows, None]
             done += len(block)
-            bound = reach + 2 * DEDUP_VECTOR_TOL
-            reach_key = bound + DEDUP_VECTOR_TOL
-            band = np.searchsorted(sorted_key, [key[seed] - reach_key, key[seed] + reach_key])
+            band = np.searchsorted(sorted_key, [low - margin, math.nextafter(high + margin, math.inf)])
             near = by_key[band[0] : band[1]]
             near = near[free[near]]
             if not near.size:
                 continue
-            gap = _vector_gap(xs[seed], xs[near])
-            near, gap = near[gap <= bound], gap[gap <= bound]
             joined = np.zeros(len(near), dtype=bool)
             width = max(1, rows // len(block))
             for c in range(0, len(near), width):
@@ -500,7 +503,7 @@ def _dedup(lams: np.ndarray, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
                 new = near[joined]
                 free[new] = False
                 members = np.concatenate((members, new))
-                reach = max(reach, gap[joined].max())
+                low, high = min(low, float(key[new].min())), max(high, float(key[new].max()))
         kept.append(min(members.tolist(), key=lambda p: (res[p], p)))
     return order[sorted(kept)]
 

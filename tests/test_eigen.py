@@ -240,6 +240,11 @@ class TestClassifyVector:
     def test_priority_symmetric_wins_for_constant(self):
         assert classify_vector([2.0, 2.0]) == SYMMETRIC
 
+    def test_literal_tolerance_one_float_either_side(self):
+        # DEFAULT_CLASS_TOL is 1e-8, and x - Jx is exactly (0, t, -t, 0)
+        assert classify_vector([0.5, 1e-8, 0.0, 0.5]) == SYMMETRIC
+        assert classify_vector([0.5, 1.0000000000000002e-08, 0.0, 0.5]) == NEITHER_CLASS
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             classify_vector([0.0, 0.0])
@@ -1124,6 +1129,31 @@ class TestMergeAgainstLoop:
             stack = (np.zeros(2), np.array([[x0, 0.9], [y0, 0.9]]), np.array([2e-12, 1e-12]))
             assert eigen._dedup(*stack).tolist() == [1]
             np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
+
+    def test_vector_gap_at_the_literal_tolerance(self, budgets):
+        # DEDUP_VECTOR_TOL is 1e-6: (1, 0) and (1, t) are exactly t apart,
+        # and merge at t = 1e-6 but not one float past it
+        for t, kept in ((1e-6, [1]), (1.0000000000000002e-06, [0, 1])):
+            stack = (np.zeros(2), np.array([[1.0, 0.0], [1.0, t]]), np.array([2e-12, 1e-12]))
+            assert eigen._dedup(*stack).tolist() == kept
+
+    @pytest.mark.parametrize("xs,res,kept", [
+        # keys of 2^34 to 2^36: past 2^35 half an ulp of the key exceeds
+        # the band's margin, so the band's upper end rounds to the key
+        pytest.param([[2.0**e, 0.0], [2.0**e, 5e-7], [2.0**e + 2.0**20, 0.0]], [2e-12, 1e-12, 1e-12],
+                     [1, 2], id=f"key-2^{e}")
+        for e in (34, 35, 36)
+    ] + [
+        # tiny keys whose sign-flipped close pairs are one tolerance apart
+        # in key up to rounding: a band margin of one tolerance misses them
+        pytest.param([[4.42948953569236e-07], [-1.442948953569236e-06]], [0.0, 0.0], [1], id="tiny-keys-2"),
+        pytest.param([[4.584091892388889e-08], [-1.045840918923889e-06], [2.0458409189238893e-06],
+                      [-3.0458409189238894e-06]], [0.0] * 4, [3, 1, 2], id="tiny-keys-4"),
+    ])
+    def test_band_edge_stacks(self, xs, res, kept, budgets):
+        stack = (np.zeros(len(xs)), np.array(xs), np.array(res))
+        assert eigen._dedup(*stack).tolist() == kept
+        np.testing.assert_array_equal(eigen._dedup(*stack), component_dedup(*stack))
 
     @pytest.mark.parametrize("m,n,kind", ORACLE_CELLS)
     def test_oracle_cell_stacks(self, m, n, kind, monkeypatch):
