@@ -72,11 +72,33 @@ MUTANTS = [
         ("tests/test_eigen.py::TestReflectPair::test_vector_of_wrong_length_rejected",),
     ),
     Mutant(
-        "the reader's midpoint test dropped",
+        "the reader's tie test dropped, so an exact tie keeps its quotient",
         "src/centrotensor/serialize.py",
-        "    ok[read[(e != 0) & ((rounded + 2 * e) - rounded == 2 * e)]] = False\n",
-        "",
+        "ok[read[(np.abs(twice) == scale) | ",
+        "ok[read[False | ",
         (_READER + "test_midpoints_between_doubles",),
+    ),
+    Mutant(
+        "the reader's power-of-two test dropped, so a value below one steps by the wrong spacing",
+        "src/centrotensor/serialize.py",
+        " | ((m == _HIDDEN) & (twice < 0))]] = False",
+        "]] = False",
+        (_READER + "test_hard_cases[powers-of-ten]", _READER + "test_hard_cases[round-up]",
+         _READER + "test_hard_cases[powers-of-two]"),
+    ),
+    Mutant(
+        "the reader's remainder scaled by 2^5, not 2^9, so its shift goes negative",
+        "src/centrotensor/serialize.py",
+        "np.array([5**k << 9 for k in range(23)], np.int64), np.arange(1084, 1061,",
+        "np.array([5**k << 5 for k in range(23)], np.int64), np.arange(1080, 1057,",
+        (_READER + "test_fixed_seed_sweeps", _READER + "test_integers_up_to_18_digits[near-1e17]"),
+    ),
+    Mutant(
+        "the reader's kernel threshold raised to 20,000 characters",
+        "src/centrotensor/serialize.py",
+        "_KERNEL_MIN_CHARS = 10_000\n",
+        "_KERNEL_MIN_CHARS = 20_000\n",
+        ("tests/test_serialize.py::TestReaderThreshold::test_the_kernel_starts_at_ten_thousand_characters",),
     ),
     Mutant(
         "the reader's leading-zero rule dropped, so 01 is read",

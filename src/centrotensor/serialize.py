@@ -51,23 +51,30 @@ tensors are long flat lists.
   at its last byte, three uint64 words: the point is found and squeezed
   out, the 8-digit groups are summed by SWAR multiplies (Lemire, "Number
   parsing at a gigabyte per second", 2021) into N < 10^18, and k counts
-  the digits after the point.  N and 10^k (k <= 22) are exact in an
-  ``np.longdouble`` of at least 64 significant bits (x87's 80-bit format
-  on x86-64), so q = N / 10^k is rounded once to that precision and once
-  more to a double.  That double is the
-  correctly rounded one unless q lies exactly halfway between two
-  doubles: a halfway point has 54 significant bits, so it is on q's grid,
-  and any true quotient nearer to it than q would have rounded to it.
-  Such tokens are read again by ``float()``.  The sign is applied last,
-  so ``-0`` and ``-0.0`` give -0.0.  Zeros skip the longdouble steps.
+  the digits after the point.  The double q = fl(fl(N) / 10^k), 10^k
+  being exact for k <= 22, is within one double of the correctly rounded
+  N / 10^k (Clinger, "How to read floating point numbers accurately",
+  1990): the conversion and the division each round by at most half an
+  ulp, so |q - N / 10^k| < 1.5 ulp(q).  Write q = m 2^e, m a 53-bit
+  integer.  The remainder r = (N - q 10^k) 2^s = N 2^s - m 5^k 2^9, with
+  s = 9 - k - e, is an integer: s >= 0 since q <= 10^(18 - k).  And
+  |r| < 1.5 * 5^k 2^9 < 2^63, so r is exact in uint64 arithmetic mod 2^64
+  (numpy gives 0 for a shift of 64 bits or more).  Half an ulp of q is
+  5^k 2^8 in r's units: q moves one double up where r > 5^k 2^8 and one
+  down where r < -5^k 2^8.  Two cases are read again by ``float()``: an
+  exact tie, |r| = 5^k 2^8, and a true value below a power of two q
+  (m = 2^52, r < 0), where the spacing of doubles halves.  These float64
+  and 64-bit integer steps are the same on every platform.  The sign is
+  applied last, so ``-0`` and ``-0.0`` give -0.0.  Zeros skip the rounding
+  step.
 * A token that is a JSON number but not in the kernel's form (an
-  exponent, more than 18 digits, more than 24 bytes, a halfway quotient)
-  is read by ``float(token)``, which is what json's decoder calls.
+  exponent, more than 18 digits, more than 24 bytes, an exact tie or a
+  value just below a power of two) is read by ``float(token)``, which is
+  what json's decoder calls.
 * Anything else goes to ``loads``, so every error keeps its message: a
   token that is no JSON number, an integer literal of more than 18
   digits, another layout (compact separators, other keys or key order, a
-  BOM, non-ASCII text), a short text, or a platform whose
-  ``np.longdouble`` has fewer than 64 significant bits.
+  BOM, non-ASCII text), or a short text.
 
 ``tensor_from_obj`` validates a number list by the
 set of its item types, not item by item: each type must be an ``int`` or
@@ -94,9 +101,10 @@ __all__ = ["dumps", "loads", "read_tensor", "tensor_to_obj", "tensor_from_obj", 
 _BLOCK = 4096
 # Stands in the text for a value written per item, spliced in afterwards.
 _MARK = "#"
-# Dekker's splitter 2^27 + 1, and 10^k for k = 0..20 split the same way
+# Dekker's splitter 2^27 + 1; 10^k for k = 0..22, each exact, the writer's
+# scales (k <= 20) split the same way and the reader's divisors
 _SPLIT = 134217729.0
-_POW = 10.0 ** np.arange(21)
+_POW = np.array([float(10**k) for k in range(23)])
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
 
@@ -325,40 +333,40 @@ _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?
 _KERNEL_MIN_CHARS = 10_000
 
 
-# "0" in every byte of a word, the top bit of every byte, and 0x76 in every byte
+# "0" in every byte of a word, the top bit of every byte, 0x76 in every byte,
+# and a double's fraction bits, its implicit leading bit and exponent shift
 _ZEROS = np.uint64(0x3030303030303030)
 _HIGH = np.uint64(0x8080808080808080)
 _DIGIT_ADD = np.uint64(0x7676767676767676)
+_FRACTION, _HIDDEN, _EXPONENT = np.uint64(2**52 - 1), np.uint64(2**52), np.uint64(52)
 _SIGNS = np.array([1.0, -1.0])
 
 
 @functools.cache
 def _reader_tables():
-    """The kernel's tables, built at the first kernel read, or None where
-    np.longdouble has fewer than 64 significant bits.
+    """The kernel's tables, built at the first kernel read.
 
     last and below are (3, 25) arrays of uint64 words whose column i holds
     the three words of a 24-byte mask: last[:, i] keeps a row's last i
     bytes, below[:, i] its first i.  column_of[w] times a word w with one
     0x01 byte, at byte j, puts j + 1 + 8w in the product's top byte.
-    powers[k] is 10^k, k = 0..22, exact in longdouble.
+    For k = 0..22 digits after the point, fives[k] is 5^k 2^9 (int64) and
+    shifts[k] is 1084 - k (uint64): 9 - k - e is shifts[k] less the biased
+    exponent of a double m 2^e.
     """
-    if np.finfo(np.longdouble).nmant < 63:
-        return None
     cols = np.arange(_WINDOW)
     keep = np.arange(_WINDOW + 1)[:, None]
     last = (cols >= _WINDOW - keep).astype(np.uint8) * np.uint8(255)
     below = (cols < keep).astype(np.uint8) * np.uint8(255)
     column_of = [int.from_bytes(bytes(8 * w + 8 - j for j in range(8)), "little") for w in range(3)]
-    powers = np.array([float(10**k) for k in range(23)]).astype(np.longdouble)
-    return (last.view(np.uint64).T.copy(), below.view(np.uint64).T.copy(),
-            np.array(column_of, np.uint64)[:, None], powers)
+    return (last.view(np.uint64).T.copy(), below.view(np.uint64).T.copy(), np.array(column_of, np.uint64)[:, None],
+            np.array([5**k << 9 for k in range(23)], np.int64), np.arange(1084, 1061, -1, dtype=np.uint64))
 
 
 def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
     """The tokens of at least two bytes at these starts and lengths as
     floats, and a mask of the ones the kernel read; the others hold +-0."""
-    last, below, column_of, powers = _reader_tables()
+    last, below, column_of, fives, shifts = _reader_tables()
     ends = starts + lengths
     length = np.minimum(lengths, _WINDOW)
     rows = windows[ends - _WINDOW]
@@ -398,13 +406,20 @@ def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarra
     n = words[0] * np.uint64(10**16) + words[1] * np.uint64(10**8) + words[2]
     values = np.zeros(len(starts))
     read = np.flatnonzero(ok & (n != 0))
-    q = n[read].astype(np.longdouble) / powers[(_WINDOW - p[read]) * has_point[read]]
-    rounded = q.astype(np.float64)
-    # q - rounded is exact; q lies halfway between two doubles exactly when
-    # rounded + 2 (q - rounded) is the other one
-    e = (q - rounded).astype(np.float64)
-    values[read] = rounded
-    ok[read[(e != 0) & ((rounded + 2 * e) - rounded == 2 * e)]] = False
+    n, k = n[read], (_WINDOW - p[read]) * has_point[read]
+    q = n.astype(np.float64) / _POW[k]
+    # q = m 2^e is within one double of n / 10^k; twice is 2r for the remainder
+    # r = (n - q 10^k) 2^(9 - k - e) = n 2^(9 - k - e) - m 5^k 2^9, exact mod
+    # 2^64 (see the module docstring), and q moves where |r| > 5^k 2^8
+    bits = q.view(np.uint64)
+    m = bits & _FRACTION | _HIDDEN
+    scale = fives[k]
+    twice = 2 * ((n << (shifts[k] - (bits >> _EXPONENT))) - m * scale.view(np.uint64)).view(np.int64)
+    # an exact tie, or a true value below a power of two, where the spacing halves
+    ok[read[(np.abs(twice) == scale) | ((m == _HIDDEN) & (twice < 0))]] = False
+    bits += twice > scale
+    bits -= twice < -scale
+    values[read] = q
     values *= np.take(_SIGNS, negative)
     return values, ok
 
@@ -413,7 +428,7 @@ def _read_entries(text: str):
     """(order, dim, entries) of a tensor text in the writer's layout, or
     None where the text takes loads (see the module docstring)."""
     head = _TENSOR_HEAD.match(text)
-    if head is None or not text.isascii() or _reader_tables() is None:
+    if head is None or not text.isascii():
         return None
     end = len(text)
     while text[end - 1] in " \t\n\r":

@@ -291,7 +291,7 @@ def tokens_text(tokens) -> str:
 
 def near_midpoints(count: int) -> list:
     """17- and 18-digit decimals at and next to the midpoints between
-    adjacent doubles: longdouble quotients that land on a midpoint."""
+    adjacent doubles: exact ties and remainders next to them."""
     tokens = []
     with localcontext() as context:
         context.prec = 60
@@ -302,6 +302,28 @@ def near_midpoints(count: int) -> list:
                 if len(token) <= serialize._WINDOW:
                     tokens.append(token)
     return tokens
+
+
+def near_powers_of_two() -> list:
+    """16- to 18-digit decimals just below and just above each 2^j, j =
+    -70..59, where the spacing of doubles halves or doubles (such as
+    0.9999999999999999, the double below 1)."""
+    tokens = []
+    for j in range(-70, 60):
+        power = Decimal(2) ** j
+        for digits in (16, 17, 18):
+            exponent = power.adjusted() - digits + 1
+            lead = int(power.scaleb(-exponent))
+            tokens += [format(Decimal(c).scaleb(exponent), "f") for c in range(lead - 2, lead + 3)]
+    return tokens
+
+
+def random_decimals(rng, count: int) -> list:
+    """Random decimals of 16-18 digits with 0-22 places."""
+    digits = rng.integers(16, 19, count)
+    mantissas = rng.integers(10 ** (digits - 1), 10**digits)
+    places = rng.integers(0, 23, count)
+    return [format(Decimal(int(n)).scaleb(-int(k)), "f") for n, k in zip(mantissas, places)]
 
 
 @pytest.fixture
@@ -342,11 +364,15 @@ class TestTensorReader:
             self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
 
     @pytest.mark.parametrize(
-        "make", [powers_of_ten_and_neighbours, round_up_to_power_of_ten, exact_ties],
-        ids=["powers-of-ten", "round-up", "ties"],
+        "make", [powers_of_ten_and_neighbours, round_up_to_power_of_ten, exact_ties, near_powers_of_two],
+        ids=["powers-of-ten", "round-up", "ties", "powers-of-two"],
     )
     def test_hard_cases(self, make):
         values = make()
+        if isinstance(values, list):
+            # decimal tokens, not doubles
+            self.assert_reads_alike(tokens_text(values + ["-" + t for t in values]))
+            return
         values = np.concatenate([values, -values, values * 1e3, values * 1e-3])
         self.assert_reads_alike(writer_text(values))
         self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
@@ -362,6 +388,7 @@ class TestTensorReader:
         for values in (raw[np.isfinite(raw)], in_window_bits(rng, 2**16)):
             self.assert_reads_alike(writer_text(values))
             self.assert_reads_alike(json.dumps({"order": 1, "dim": values.size, "entries": values.tolist()}))
+        self.assert_reads_alike(tokens_text(random_decimals(rng, 2**16)))
 
     def test_midpoints_between_doubles(self):
         tokens = near_midpoints(2000)
@@ -477,11 +504,14 @@ class TestTensorReader:
             self.assert_fails_alike('{"order": 1, "dim": 3, "entries": [%s]}' % entries)
         self.assert_fails_alike('{"order": 100, "dim": 1, "entries": [1.5]}')
 
-    def test_without_the_longdouble_kernel_every_text_takes_loads(self, monkeypatch, rng):
-        # what a platform whose np.longdouble has fewer than 64 significant bits gets
-        monkeypatch.setattr(serialize, "_reader_tables", lambda: None)
-        text = writer_text(rng.normal(size=64))
-        self.assert_reads_alike(text, kernel=False)
+    def test_a_float64_longdouble_keeps_the_kernel(self, monkeypatch, rng):
+        # what macOS arm64 and Windows have; the tables are built afresh under it
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        serialize._reader_tables.cache_clear()
+        try:
+            self.assert_reads_alike(writer_text(rng.normal(size=64)), kernel=True)
+        finally:
+            serialize._reader_tables.cache_clear()
 
 
 class TestReaderThreshold:
@@ -495,6 +525,17 @@ class TestReaderThreshold:
         assert calls == []
         read_tensor(short + " ")
         assert calls == [serialize._KERNEL_MIN_CHARS]
+
+    def test_the_kernel_starts_at_ten_thousand_characters(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(serialize, "loads", lambda text: calls.append(len(text)) or loads(text))
+        text = writer_text(np.full(500, 0.25))
+        text += " " * (9_999 - len(text))
+        assert serialize._read_entries(text) is not None
+        expected = read_tensor(text)
+        assert calls == [9_999]
+        assert read_tensor(text + " ").data.tobytes() == expected.data.tobytes()
+        assert calls == [9_999]
 
 
 finite_floats = st.one_of(
