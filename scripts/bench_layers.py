@@ -80,7 +80,12 @@ replaced where it stands, and the others are appended.  The cases:
   benchmark's input size (65,536 entries, about 1.4 MB of JSON), passed
   as the ``DenseTensor`` itself, as the CLI writes a tensor;
 * ``serialize.dumps`` of an order-2 dim-4 centro ``DenseTensor`` (16
-  entries), 1000 calls, where the array path's fixed cost shows;
+  entries), 1000 calls, a short array;
+* ``serialize.dumps`` of ``tensor_to_obj`` of the order-4 dim-16 tensor,
+  a dict holding a 65,536-float list, the path the cli-json benchmark's
+  set-up writes its files through; and of ``tensor_to_obj`` of an order-2
+  dim-16 centro tensor (a 256-float list, what ``inverse --order 2``
+  prints for a dim-16 input), 1000 calls;
 * ``serialize.read_tensor`` of that tensor's file text, of the text of
   the cli-json benchmark's ``inverse`` input P (an order-4 dim-16 tensor
   whose entries are 65,280 ``0`` and 256 nonzero diagonal values), and of
@@ -359,14 +364,20 @@ def _cli_tensor(lib):
     return lib.structure.random_structured(4, 16, "centro", seed=SEED)
 
 
-def _dumps(lib):
-    tensor = _cli_tensor(lib)
-    return {"order": 4, "dim": 16, "calls": 1}, lambda: lib.serialize.dumps(tensor)
+def _centro_matrix(dim: int):
+    return lambda lib: lib.structure.random_structured(2, dim, "centro", seed=SEED)
 
 
-def _dumps_small(lib):
-    tensor = lib.structure.random_structured(2, 4, "centro", seed=SEED)
-    return {"order": 2, "dim": 4, "calls": 1000}, lambda: [lib.serialize.dumps(tensor) for _ in range(1000)]
+def _dumps(make, calls: int, as_obj: bool = False):
+    """dumps of the tensor make(lib) builds, or of its tensor_to_obj dict
+    (whose entries are a float list), calls times over."""
+    def build(lib):
+        tensor = make(lib)
+        value = lib.serialize.tensor_to_obj(tensor) if as_obj else tensor
+        sizes = {"order": tensor.order, "dim": tensor.dim, "calls": calls}
+        return sizes, lambda: [lib.serialize.dumps(value) for _ in range(calls)]
+
+    return build
 
 
 def _read_text(make, calls: int):
@@ -444,12 +455,15 @@ CASES = [
     ("cauchy.materialize", "n=20 m=5 palindrome", _materialize),
     ("core.DenseTensor", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.DenseTensor(t.data), 5)),
     ("core.DenseTensor", "order 5, dim 26", _construction),
-    ("serialize.dumps", "order-4 dim-16 centro DenseTensor", _dumps),
-    ("serialize.dumps", "order-2 dim-4 centro DenseTensor, 1000 calls", _dumps_small),
+    ("serialize.dumps", "order-4 dim-16 centro DenseTensor", _dumps(_cli_tensor, 1)),
+    ("serialize.dumps", "order-2 dim-4 centro DenseTensor, 1000 calls", _dumps(_centro_matrix(4), 1000)),
+    ("serialize.dumps", "tensor_to_obj of an order-4 dim-16 centro tensor (65,536-float list)",
+     _dumps(_cli_tensor, 1, as_obj=True)),
+    ("serialize.dumps", "tensor_to_obj of an order-2 dim-16 centro tensor (256-float list), 1000 calls",
+     _dumps(_centro_matrix(16), 1000, as_obj=True)),
     ("serialize.read_tensor", "order-4 dim-16 centro tensor file", _read_text(_cli_tensor, 1)),
     ("serialize.read_tensor", "cli-json inverse input P, order 4 dim 16", _read_text(_planted_inverse_input, 1)),
-    ("serialize.read_tensor", "order-2 dim-4 centro tensor, 1000 calls",
-     _read_text(lambda lib: lib.structure.random_structured(2, 4, "centro", seed=SEED), 1000)),
+    ("serialize.read_tensor", "order-2 dim-4 centro tensor, 1000 calls", _read_text(_centro_matrix(4), 1000)),
     ("cli.main", "check -o on an order-4 dim-16 centro tensor file", _cli_check),
 ]
 

@@ -101,6 +101,14 @@ MUTANTS = [
         ("tests/test_serialize.py::TestReaderThreshold::test_the_kernel_starts_at_ten_thousand_characters",),
     ),
     Mutant(
+        "the writer's kernel threshold doubled to 384 floats",
+        "src/centrotensor/serialize.py",
+        "_KERNEL_MIN_FLOATS = 192\n",
+        "_KERNEL_MIN_FLOATS = 384\n",
+        ("tests/test_serialize.py::TestWriterThreshold::test_the_kernel_starts_at_192_floats[array]",
+         "tests/test_serialize.py::TestWriterThreshold::test_the_kernel_starts_at_192_floats[list]"),
+    ),
+    Mutant(
         "the reader's leading-zero rule dropped, so 01 is read",
         "src/centrotensor/serialize.py",
         "    ok &= (buf[first] != 48) | (first + 1 == ends) | (buf[first + 1] == 46)\n",
@@ -134,6 +142,29 @@ MUTANTS = [
         "    if count > cap:\n",
         "    if count >= cap:\n",
         ("tests/test_core.py::TestCapMessages::test_message_text",),
+    ),
+    Mutant(
+        "the solver's entry cap without the line search's screen",
+        "src/centrotensor/eigen.py",
+        "starts * (n + 1) ** 2, starts * 2 * _DAMPS.size)",
+        "starts * (n + 1) ** 2)",
+        ("tests/test_eigen.py::TestSolveEigen::test_stack_over_the_cap_is_refused_before_drawing[2-2-10-340]",
+         "tests/test_eigen.py::TestSolveEigen::test_stack_over_the_cap_is_refused_before_drawing[3-2-11-374]"),
+    ),
+    Mutant(
+        "the diagonal inverse's off-diagonal tolerance raised to 1e-10",
+        "src/centrotensor/inverse.py",
+        "_DIAGONAL_TOL_FACTOR = 1e-14\n",
+        "_DIAGONAL_TOL_FACTOR = 1e-10\n",
+        ("tests/test_inverse.py::TestDiagonalLeftInverse::"
+         "test_off_diagonal_entries_up_to_1e_14_of_the_entry_scale_pass",),
+    ),
+    Mutant(
+        "DEFAULT_COND_THRESHOLD raised to 1e16",
+        "src/centrotensor/inverse.py",
+        "DEFAULT_COND_THRESHOLD = 1e12\n",
+        "DEFAULT_COND_THRESHOLD = 1e16\n",
+        ("tests/test_inverse.py::TestRecoverLeft::test_condition_threshold_is_1e12[2^-40]",),
     ),
     Mutant(
         "the solver's componentwise power one factor short",

@@ -605,9 +605,10 @@ def solve_eigen(
 
     Raises ResourceLimitError, before any start is drawn, when the
     contractions (core._stack_entries, which bounds every array of
-    core.contract_trailing) or the Jacobian stack would hold more than
-    core.DEFAULT_ENTRY_CAP entries; the line search's calls after the
-    first of each step hold at most LINE_SEARCH_ENTRIES entries.
+    core.contract_trailing), the Jacobian stack or the line search's
+    screen (_open_trials, 2 * _DAMPS.size entries a start) would hold
+    more than core.DEFAULT_ENTRY_CAP entries; the line search's calls
+    after the first of each step hold at most LINE_SEARCH_ENTRIES entries.
     An empty result is legal; completeness is not guaranteed.
     """
     n, m = a.dim, a.order
@@ -620,7 +621,7 @@ def solve_eigen(
     starts = check_count(starts, "starts")
     tol = check_tolerance(tol, "tol")
     # _stack_entries bounds every array of the contractions
-    stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2)
+    stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2, starts * 2 * _DAMPS.size)
     _check_cap(stack, "%s starts on order %s dim %s stack", starts, m, n)
     scale = 1.0
     if core.entry_scale(a) * m * n ** (m - 1) > _FLOAT_MAX:

@@ -10,33 +10,35 @@ Output numbers are printed with 17 significant digits, which is
 round-trip safe for float64 and makes repeated runs byte-identical.
 Every float is written exactly as ``"%.17g"`` writes it ("%.17g" gives
 the same bytes as ``format(v, ".17g")`` for every float64, -0.0, inf and
-nan included), whichever of the three paths below writes it.
+nan included), whichever path writes it.
 
 Both directions work on whole float lists at C level or in numpy, since
-tensors are long flat lists.
+tensors are long flat lists, and both choose their path by size.  The
+writer has one rule: a float sequence (a 1-D float64 array, such as a
+tensor's entries, or a list whose items are all exactly ``float``) of
+``_KERNEL_MIN_FLOATS`` (192) entries or more goes through the numpy
+kernel of ``_format_floats``; every other float is written by ``"%.17g"``
+itself, a shorter float sequence in one ``%`` pass and any other value
+(mixed lists, bools, ints, numpy scalars, other arrays, dicts) item by
+item.  Below 192 entries the kernel's fixed cost of a few dozen numpy
+calls outweighs what it saves.
 
-* A 1-D float64 array (a tensor's entries) goes through
-  ``_format_floats``, a numpy kernel that works in blocks of
-  ``_BLOCK`` (4096) entries, so its working memory is bounded.  In the
-  window 1e-4 <= |v| < 1e17, where "%.17g" writes a plain decimal, the
-  decimal exponent X of |v| comes from ``log10`` and is made exact by
-  Dekker's error-free product p + e = |v| * 10^(16 - X) (10^(16 - X) is
-  an exact double since 16 - X <= 20), stepping X where p + e falls
-  outside [1e16, 1e17).  The 17 digits are the integer p + rint(e), p
-  being an even integer there, so the rounding is half-even as in
-  "%.17g"; it never carries to 10^17 in the window, since no double lies
-  within 5e-18 (relative) below a power of ten there.  The digits come from a
-  10,000-entry table of 4-digit groups and are laid into fixed-width
-  rows whose sign, leading "0.", leading zeros and point come from a
-  row template chosen by (sign, X, last kept digit), trailing zeros
-  masked out; the NUL padding is dropped in one pass.  The tables are
-  built at the first array write.  Zero is ``0`` or
-  ``-0``.  Any other value (exponent notation, subnormals, inf, nan)
-  gets the per-item "%.17g", spliced in at its position.
-* A list whose items are all exactly ``float`` is formatted in one
-  ``%`` pass.
-* Anything else (mixed lists, bools, ints, numpy scalars, other arrays,
-  dicts) is formatted item by item.
+The kernel works in blocks of ``_BLOCK`` (4096) entries, so its working
+memory is bounded.  In the window 1e-4 <= |v| < 1e17, where "%.17g"
+writes a plain decimal, the decimal exponent X of |v| comes from
+``log10`` and is made exact by Dekker's error-free product
+p + e = |v| * 10^(16 - X) (10^(16 - X) is an exact double since
+16 - X <= 20), stepping X where p + e falls outside [1e16, 1e17).  The
+17 digits are the integer p + rint(e), p being an even integer there, so
+the rounding is half-even as in "%.17g"; it never carries to 10^17 in the
+window, since no double lies within 5e-18 (relative) below a power of ten
+there.  The digits come from a 10,000-entry table of 4-digit groups and
+are laid into fixed-width rows whose sign, leading "0.", leading zeros
+and point come from a row template chosen by (sign, X, last kept digit),
+trailing zeros masked out; the NUL padding is dropped in one pass.  The
+tables are built at the kernel's first write.  Zero is ``0`` or ``-0``.
+Any other value (exponent notation, subnormals, inf, nan) gets the
+per-item "%.17g", spliced in at its position.
 
 ``read_tensor`` reads a tensor text to the bits and errors of
 ``tensor_from_obj(loads(text))``, by one of three paths.
@@ -149,8 +151,8 @@ def _row_tables():
 @functools.cache
 def _tables() -> tuple:
     """The digit groups, their trailing zeros, the row templates and the
-    digit masks, built at the first array write: a process that writes no
-    array does not pay their memory."""
+    digit masks, built at the kernel's first write: a process that writes
+    no long float sequence does not pay their memory."""
     return _digit_tables() + _row_tables()
 
 
@@ -223,10 +225,14 @@ def _format_block(v: np.ndarray) -> str:
     return text
 
 
-def _format_floats(values: np.ndarray) -> str:
-    """``", ".join("%.17g" % v for v in values)`` for a 1-D float64 array."""
+def _format_floats(values) -> str:
+    """``", ".join("%.17g" % v for v in values)`` for a 1-D float64 array or
+    a list of floats: one ``%`` pass below _KERNEL_MIN_FLOATS entries, where
+    the kernel's fixed cost does not pay, and the kernel from there on."""
+    if len(values) < _KERNEL_MIN_FLOATS:
+        return ", ".join(["%.17g"] * len(values)) % tuple(values)
     with np.errstate(all="ignore"):
-        blocks = [_format_block(values[i : i + _BLOCK]) for i in range(0, len(values), _BLOCK)]
+        blocks = [_format_block(np.asarray(values[i : i + _BLOCK])) for i in range(0, len(values), _BLOCK)]
     if blocks:
         blocks[-1] = blocks[-1][:-2]
     return "".join(blocks)
@@ -240,14 +246,13 @@ def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return "%.17g" % value
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+    float_array = isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+    if float_array or isinstance(value, list) and set(map(type, value)) == {float}:
         return "[" + _format_floats(value) + "]"
     if isinstance(value, (list, tuple, np.ndarray)):
-        if isinstance(value, list) and set(map(type, value)) == {float}:
-            return "[" + ", ".join(["%.17g"] * len(value)) % tuple(value) + "]"
         items = ", ".join(_format_value(v) for v in value)
         return f"[{items}]"
     if isinstance(value, dict):
@@ -331,6 +336,8 @@ _WINDOW = 24
 _TENSOR_HEAD = re.compile(r'[ \t\n\r]*\{"order": ([1-9][0-9]{0,17}), "dim": ([1-9][0-9]{0,17}), "entries": \[')
 _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _KERNEL_MIN_CHARS = 10_000
+# The shortest float sequence the writer's kernel formats faster than "%".
+_KERNEL_MIN_FLOATS = 192
 
 
 # "0" in every byte of a word, the top bit of every byte, 0x76 in every byte,

@@ -444,11 +444,11 @@ class TestEig:
         assert "starts" in err or "tol" in err
 
     def test_stack_over_the_cap_exits_1(self, sym_file, capsys, monkeypatch):
-        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 89)
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 339)
         code, out, err = run(capsys, ["eig", sym_file, "--starts", "10"])
         assert code == 1
         assert out == ""
-        assert "90 entries, exceeding the cap 89" in err and "Traceback" not in err
+        assert "340 entries, exceeding the cap 339" in err and "Traceback" not in err
 
     def test_pairs_print_in_value_vector_order(self, tmp_path, capsys):
         # a merge that depended on the visiting order printed these pairs

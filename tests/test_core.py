@@ -481,8 +481,8 @@ class TestCapMessages:
              "product of order 3 dim 4 has 64 entries, exceeding the cap 63"),
             (lambda: DenseTensor.zeros(3, 4), 63,
              "tensor of order 3 dim 4 has 64 entries, exceeding the cap 63"),
-            (lambda: eigen.solve_eigen(random_structured(3, 3, "centro", seed=0), starts=10), 159,
-             "10 starts on order 3 dim 3 stack has 160 entries, exceeding the cap 159"),
+            (lambda: eigen.solve_eigen(random_structured(3, 3, "centro", seed=0), starts=10), 339,
+             "10 starts on order 3 dim 3 stack has 340 entries, exceeding the cap 339"),
             (lambda: structure.verify_poly_reflection(random_structured(3, 3, "centro", seed=0), trials=5), 71,
              "5 trials on order 3 dim 3 stack has 72 entries, exceeding the cap 71"),
         ],

@@ -502,12 +502,15 @@ class TestSolveEigen:
         with pytest.raises(ValueError):
             solve_eigen(sym_matrix, **kwargs)
 
-    # the larger of the first contraction, starts rounded up to whole
-    # 8-row blocks times n^(m-1) entries, and the Jacobian stack, starts
-    # times (n+1)^2: 8 and 9 starts sit on either side of a block edge
+    # the largest of the first contraction, starts rounded up to whole
+    # 8-row blocks times n^(m-1) entries, the Jacobian stack, starts times
+    # (n+1)^2, and the line search's screen, starts times 2 * 17: 8 and 9
+    # starts sit on either side of a block edge, and at n = 2 the screen is
+    # the largest (the zero matrix takes the Newton fallback)
     @pytest.mark.parametrize(
         "m,n,starts,entries",
-        [(2, 2, 10, 90), (4, 3, 10, 432), (5, 8, 10, 65536), (5, 8, 8, 32768), (5, 8, 9, 65536)],
+        [(2, 2, 10, 340), (3, 2, 11, 374), (4, 3, 10, 432), (5, 8, 10, 65536), (5, 8, 8, 32768),
+         (5, 8, 9, 65536)],
     )
     def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, starts, entries, monkeypatch):
         a = DenseTensor.zeros(m, n)

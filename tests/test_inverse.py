@@ -79,6 +79,15 @@ class TestDiagonalLeftInverse:
         with pytest.raises(ValueError, match="diagonal"):
             diagonal_left_inverse(sym_matrix, 2)
 
+    def test_off_diagonal_entries_up_to_1e_14_of_the_entry_scale_pass(self):
+        # a mirrored off-diagonal pair keeps the tensor centro; the entry
+        # scale is 4, so 4e-14 sits on the tolerance and the next float past it
+        at = DenseTensor(np.array([[4.0, 4e-14], [4e-14, 4.0]]))
+        assert diagonal_left_inverse(at, 2).inverse.data.tolist() == [[0.25, 0.0], [0.0, 0.25]]
+        above = DenseTensor(np.array([[4.0, 4.0000000000000006e-14], [4.0000000000000006e-14, 4.0]]))
+        with pytest.raises(ValueError, match="tensor is not diagonal"):
+            diagonal_left_inverse(above, 2)
+
     def test_rejects_non_centro_diagonal(self):
         a = DenseTensor.diagonal(2, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="centro"):
@@ -202,6 +211,16 @@ class TestRecoverLeft:
         c = well_conditioned_centro(3, seed=3)
         planted = scale(shao_product(c, DenseTensor.identity(3, 3)), factor)
         assert isinstance(recover_order2_left_inverse(planted), InverseResult)
+
+    @pytest.mark.parametrize("small,recovered", [(2.0**-39, True), (2.0**-40, False)], ids=["2^-39", "2^-40"])
+    def test_condition_threshold_is_1e12(self, small, recovered):
+        # [[a, b], [b, a]] has singular values a + b = 1 and a - b = small,
+        # so its condition number is about 5.5e11 at 2^-39 and 1.1e12 at 2^-40
+        a, b = (1.0 + small) / 2, (1.0 - small) / 2
+        result = recover_order2_left_inverse(DenseTensor(np.array([[a, b], [b, a]])))
+        assert isinstance(result, InverseResult) is recovered
+        if not recovered:
+            assert "ill-conditioned (cond 1.100e+12)" in result.reason
 
     def test_singular_slice_reported_not_raised(self):
         data = np.zeros((2, 2, 2))

@@ -122,9 +122,17 @@ SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-31
                      np.inf, -np.inf, np.nan, 9.9999999999999991e-05, 1e17, -1.7e308])
 
 
+@pytest.fixture
+def writer_kernel_always(monkeypatch):
+    """dumps formats every float sequence with the kernel, at any length."""
+    monkeypatch.setattr(serialize, "_KERNEL_MIN_FLOATS", 0)
+
+
+@pytest.mark.usefixtures("writer_kernel_always")
 class TestArrayPath:
-    """dumps of a 1-D float64 array and of a DenseTensor, byte for byte
-    against the per-item writer."""
+    """dumps of a float sequence (a 1-D float64 array, a float list) and of
+    a DenseTensor through the kernel, byte for byte against the per-item
+    writer."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
@@ -149,6 +157,15 @@ class TestArrayPath:
         values = make()
         values = np.concatenate([values, -values])
         assert dumps(values) == format_value_oracle(values)
+
+    def test_a_long_float_list(self, rng):
+        tensor = DenseTensor(rng.normal(size=(16,) * 3) * 10.0 ** rng.integers(-6, 18, (16,) * 3))
+        obj = tensor_to_obj(tensor)
+        assert len(obj["entries"]) == 4096
+        assert dumps(obj) == format_value_oracle(obj)
+
+    def test_empty_sequences(self):
+        assert dumps([]) == dumps(np.array([])) == "[]"
 
     def test_no_window_value_rounds_up_to_a_power_of_ten(self):
         # why the kernel needs no carry: the 17 digits of |v| < 10^k reach
@@ -200,6 +217,22 @@ class TestArrayPath:
             tracemalloc.stop()
         assert len(tensor.entries) == 65536
         assert peak <= 2.5 * len(text)
+
+
+class TestWriterThreshold:
+    @pytest.mark.parametrize("make", [np.array, list], ids=["array", "list"])
+    def test_the_kernel_starts_at_192_floats(self, monkeypatch, make):
+        calls = []
+        kernel = serialize._format_block
+        monkeypatch.setattr(serialize, "_format_block", lambda v: calls.append(len(v)) or kernel(v))
+        values = [0.1 * i for i in range(192)]
+        assert dumps(make(values[:191])) == format_value_oracle(values[:191])
+        assert calls == []
+        assert dumps(make(values)) == format_value_oracle(values)
+        assert calls == [192]
+
+    def test_empty_sequences(self):
+        assert dumps([]) == dumps(np.array([])) == "[]"
 
 
 class TestReader:
