@@ -52,6 +52,8 @@ replaced where it stands, and the others are appended.  The cases:
   an order-4 palindromic Cauchy tensor that hold an exactly singular
   system;
 * ``eigen._dedup`` on the converged stacks of the 27-cell panel's solves,
+  five passes; on the stacks the solves of all 45 cells of the seed-1
+  eig-survey panel above hand it (the 13 direct-path cells hand it none),
   five passes; on the stack of the zero tensor at dim 2 with 2000
   starts, where every converged start is its own pair (the many-component
   worst case); and on 2000 values 1e-6 apart, all at the vector
@@ -153,20 +155,26 @@ def _panel() -> list:
     ]
 
 
-def _survey_order2(fallback=None) -> list:
-    """The 15 order-2 cells (eig_survey.Case) of the eig-survey panel that
-    --seed 1 --seconds 20 solves, built as bench/eig_survey.py builds them.
-    fallback True keeps only the palindromic Cauchy n = 4 cells, False only
-    the others."""
+def _survey_cells() -> list:
+    """The 45 cells (eig_survey.Case) of the eig-survey panel that
+    --seed 1 --seconds 20 solves, built as bench/eig_survey.py builds them."""
     survey = _eig_survey()
     panel_rng, solve_rng = np.random.default_rng(survey.PANEL_SEED), np.random.default_rng(1)
-    cases = [
+    return [
         survey.Case(panel_rng, solve_rng, family, order, survey.DIMS[(block + i + j) % len(survey.DIMS)])
         for block in range(survey.rounds_for(20, survey.BLOCK_SECONDS))
         for i, family in enumerate(survey.FAMILIES)
         for j, order in enumerate(survey.ORDERS)
     ]
-    return [c for c in cases if c.order == 2 and fallback in (None, c.family == "cauchy" and c.dim == 4)]
+
+
+def _survey_order2(fallback=None) -> list:
+    """The 15 order-2 cells of _survey_cells.  fallback True keeps only the
+    palindromic Cauchy n = 4 cells, False only the others."""
+    return [
+        c for c in _survey_cells()
+        if c.order == 2 and fallback in (None, c.family == "cauchy" and c.dim == 4)
+    ]
 
 
 def _observed(lib, name: str, note, run) -> list:
@@ -282,11 +290,21 @@ def _panel_merge_stacks(lib) -> list:
     return _observed(lib, "_dedup", _copied, _solves(lib, _panel()))
 
 
+def _survey_merge_stacks(lib) -> list:
+    """The stacks the solves of the 45 eig-survey cells hand eigen._dedup."""
+    return _observed(lib, "_dedup", _copied, _solves(lib, _survey_cells()))
+
+
 def _dedup_panel(lib, converged):
     merge = lib.eigen._dedup
     sizes = {"stacks": len(converged), "pairs": sum(len(st[0]) for st in converged),
              "kept": sum(len(merge(*st)) for st in converged), "calls": 5 * len(converged)}
     return sizes, lambda: [merge(*st) for _ in range(5) for st in converged]
+
+
+def _dedup_survey(lib, converged):
+    """_dedup_panel on the eig-survey cells' stacks, under its own RECORDINGS key."""
+    return _dedup_panel(lib, converged)
 
 
 def _zero_merge_stacks(lib) -> list:
@@ -439,6 +457,7 @@ CASES = [
      _contraction({"order": 4, "dim": 4, "count": 3, "stack": 200, "calls": 200})),
     ("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks", _newton_steps),
     ("eigen._dedup", "27-cell panel, converged stacks, 5 passes", _dedup_panel),
+    ("eigen._dedup", "the seed-1 eig-survey panel's merge stacks, 5 passes", _dedup_survey),
     ("eigen._dedup", "zero tensor dim 2, 2000 starts", _dedup_zero),
     ("eigen._dedup", "2000 values 1e-6 apart at one vector", _dedup_one_vector),
     ("eigen.reflect_pair", "order-4 dim-4 centro, every pair 20 times", _reflect_pair),
@@ -473,6 +492,7 @@ CASES = [
 RECORDINGS = {
     _newton_steps: _singular_newton_stacks,
     _dedup_panel: _panel_merge_stacks,
+    _dedup_survey: _survey_merge_stacks,
     _dedup_zero: _zero_merge_stacks,
 }
 

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 _DIRECT = "tests/test_eigen.py::TestOrder2DirectPath::"
 _READER = "tests/test_serialize.py::TestTensorReader::"
 _MERGE = "tests/test_eigen.py::TestMergeAgainstLoop::"
+_SUITE = "tests/test_suite.py::"
 
 MUTANTS = [
     Mutant(
@@ -152,6 +153,22 @@ MUTANTS = [
          "tests/test_eigen.py::TestSolveEigen::test_stack_over_the_cap_is_refused_before_drawing[3-2-11-374]"),
     ),
     Mutant(
+        "the solver's entry cap without the Jacobian stack",
+        "src/centrotensor/eigen.py",
+        "stack = max(_stack_entries(starts, m, n), starts * (n + 1) ** 2, starts * 2 * _DAMPS.size)",
+        "stack = max(_stack_entries(starts, m, n), starts * 2 * _DAMPS.size)",
+        ("tests/test_eigen.py::TestSolveEigen::test_stack_over_the_cap_is_refused_before_drawing[2-8-8-648]",),
+    ),
+    Mutant(
+        "apply without its entry cap on a stack",
+        "src/centrotensor/core.py",
+        "        _check_cap(\n"
+        "            _stack_entries(rows, a.order, a.dim), \"stack of %s vectors on order %s dim %s\", rows, a.order, a.dim\n"
+        "        )\n",
+        "        pass\n",
+        ("tests/test_core.py::TestApply::test_stack_over_the_cap_is_refused_before_contracting",),
+    ),
+    Mutant(
         "the diagonal inverse's off-diagonal tolerance raised to 1e-10",
         "src/centrotensor/inverse.py",
         "_DIAGONAL_TOL_FACTOR = 1e-14\n",
@@ -219,6 +236,62 @@ MUTANTS = [
         ("tests/test_eigen.py::TestAgainstLoopOracle::test_same_pair_set_and_converged_count",),
     ),
     Mutant(
+        "the product-parity check's tolerance raised to 1e-6",
+        "src/centrotensor/suite.py",
+        "check_structure(prod, 1e-10 * entry_scale(prod))",
+        "check_structure(prod, 1e-6 * entry_scale(prod))",
+        (_SUITE + "test_product_parity_tolerance_is_1e_10[past]",),
+    ),
+    Mutant(
+        "the decomposition's centro-part tolerance raised to 1e-10",
+        "src/centrotensor/suite.py",
+        "check_structure(parts.centro, 1e-13 * scale_a)",
+        "check_structure(parts.centro, 1e-10 * scale_a)",
+        (_SUITE + "test_decomposition_tolerances[past-centro]",),
+    ),
+    Mutant(
+        "the decomposition's skew-part tolerance raised to 1e-10",
+        "src/centrotensor/suite.py",
+        "check_structure(parts.skew, 1e-13 * scale_a)",
+        "check_structure(parts.skew, 1e-10 * scale_a)",
+        (_SUITE + "test_decomposition_tolerances[past-skew]",),
+    ),
+    Mutant(
+        "the decomposition's reconstruction tolerance raised to 1e-12",
+        "src/centrotensor/suite.py",
+        "if err > 1e-14 * scale_a:",
+        "if err > 1e-12 * scale_a:",
+        (_SUITE + "test_decomposition_tolerances[past-reconstruction]",),
+    ),
+    Mutant(
+        "the diagonal inverse check's residual tolerance raised to 1e-9",
+        "src/centrotensor/suite.py",
+        "if result.residual > 1e-13 or",
+        "if result.residual > 1e-9 or",
+        (_SUITE + "test_diagonal_inverse_residual_tolerance_is_1e_13[past]",),
+    ),
+    Mutant(
+        "the matrix recovery check's error tolerance raised to 1e-5",
+        "src/centrotensor/suite.py",
+        "if err > 1e-9 or not result.centro_verdict:",
+        "if err > 1e-5 or not result.centro_verdict:",
+        (_SUITE + "test_recovery_error_tolerance_is_1e_9[past]",),
+    ),
+    Mutant(
+        "the eigen-reflection check's value tolerance raised to 1e-5",
+        "src/centrotensor/suite.py",
+        "if abs(mirrored.value - expected) > 1e-9:",
+        "if abs(mirrored.value - expected) > 1e-5:",
+        (_SUITE + "test_eigen_reflection_value_tolerance_is_1e_9[past]",),
+    ),
+    Mutant(
+        "NEAR_ZERO_FACTOR raised to 1e-12",
+        "src/centrotensor/cauchy.py",
+        "NEAR_ZERO_FACTOR = 1e-14\n",
+        "NEAR_ZERO_FACTOR = 1e-12\n",
+        ("tests/test_cauchy.py::TestSpecValidation::test_near_zero_bound_is_1e_14[at]",),
+    ),
+    Mutant(
         "the merge's loop band with a margin of one tolerance",
         "src/centrotensor/eigen.py",
         "[low - margin, math.nextafter(high + margin, math.inf)]",
@@ -226,26 +299,10 @@ MUTANTS = [
         (_MERGE + "test_band_edge_stacks",),
     ),
     Mutant(
-        "the merge's pre-pass band with a margin of one tolerance",
-        "src/centrotensor/eigen.py",
-        "    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - margin\n"
-        "    alone[:-1] &= sorted_key[1:] > sorted_key[:-1] + margin\n",
-        "    alone[1:] &= sorted_key[:-1] < sorted_key[1:] - DEDUP_VECTOR_TOL\n"
-        "    alone[:-1] &= sorted_key[1:] > sorted_key[:-1] + DEDUP_VECTOR_TOL\n",
-        (_MERGE + "test_band_edge_stacks",),
-    ),
-    Mutant(
         "the merge's loop band without the float past its upper end",
         "src/centrotensor/eigen.py",
         "math.nextafter(high + margin, math.inf)",
         "high + margin",
-        (_MERGE + "test_band_edge_stacks",),
-    ),
-    Mutant(
-        "the merge's pre-pass labelling a pair alone at its band's upper end",
-        "src/centrotensor/eigen.py",
-        "sorted_key[1:] > sorted_key[:-1] + margin",
-        "sorted_key[1:] >= sorted_key[:-1] + margin",
         (_MERGE + "test_band_edge_stacks",),
     ),
     Mutant(

@@ -229,9 +229,7 @@ def apply(a: DenseTensor, x) -> np.ndarray:
     DEFAULT_ENTRY_CAP entries (see _stack_entries) is a ResourceLimitError.
     """
     x = _check_stack(a, x)
-    if x.ndim == 1:
-        return contract_trailing(a.data, x[None, :], a.order - 1)[0]
-    return contract_trailing(a.data, x, a.order - 1)
+    return contract_trailing(a.data, x.reshape(-1, a.dim), a.order - 1).reshape(x.shape)
 
 
 def _check_stack(a: DenseTensor, x) -> np.ndarray:

@@ -38,7 +38,7 @@ from .inverse import (
     recover_order2_left_inverse,
     recover_order2_right_inverse,
 )
-from .product import shao_product, product_parity
+from .product import _KINDS, shao_product, product_parity
 from .serialize import tensor_to_obj
 from .structure import (
     check_commutation,
@@ -54,8 +54,6 @@ from .structure import (
 __all__ = ["CheckResult", "SuiteReport", "CHECK_NAMES", "verify_all"]
 
 DEFAULT_TRIALS = 40
-
-_KINDS = ("centro", "skew")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,21 @@ class TestSpecValidation:
         with pytest.raises(CauchySpecError):
             materialize(CauchySpec(np.array([1.0, -1.0 + 1e-16]), 2))
 
+    # a sum below 1e-14 times the component scale (1 here) vanishes: a
+    # sum at the bound is kept, the float below it is refused
+    @pytest.mark.parametrize(
+        "value,kept",
+        [(1e-14, True), (-1e-14, True), (np.nextafter(1e-14, 0.0), False), (-np.nextafter(1e-14, 0.0), False)],
+        ids=["at", "at-negative", "below", "below-negative"],
+    )
+    def test_near_zero_bound_is_1e_14(self, value, kept):
+        spec = CauchySpec(np.array([value]), 1)
+        if kept:
+            assert materialize(spec).data.tolist() == [1.0 / value]
+        else:
+            with pytest.raises(CauchySpecError, match="below threshold 1e-14"):
+                materialize(spec)
+
     def test_accepts_positive_vector(self):
         materialize(CauchySpec(np.array([0.5, 1.5, 2.5]), 3))
 

@@ -505,12 +505,14 @@ class TestSolveEigen:
     # the largest of the first contraction, starts rounded up to whole
     # 8-row blocks times n^(m-1) entries, the Jacobian stack, starts times
     # (n+1)^2, and the line search's screen, starts times 2 * 17: 8 and 9
-    # starts sit on either side of a block edge, and at n = 2 the screen is
-    # the largest (the zero matrix takes the Newton fallback)
+    # starts sit on either side of a block edge, at n = 2 the screen is
+    # the largest, and at m = 2, n = 8 the Jacobian stack is (648 against
+    # a block of 64 and a screen of 272; zero matrices take the Newton
+    # fallback)
     @pytest.mark.parametrize(
         "m,n,starts,entries",
-        [(2, 2, 10, 340), (3, 2, 11, 374), (4, 3, 10, 432), (5, 8, 10, 65536), (5, 8, 8, 32768),
-         (5, 8, 9, 65536)],
+        [(2, 2, 10, 340), (3, 2, 11, 374), (2, 8, 8, 648), (4, 3, 10, 432), (5, 8, 10, 65536),
+         (5, 8, 8, 32768), (5, 8, 9, 65536)],
     )
     def test_stack_over_the_cap_is_refused_before_drawing(self, m, n, starts, entries, monkeypatch):
         a = DenseTensor.zeros(m, n)
@@ -1124,8 +1126,8 @@ class TestMergeAgainstLoop:
 
     def test_vector_gap_one_rounding_below_the_tolerance(self, budgets):
         # x0 + DEDUP_VECTOR_TOL rounds down to y0 at these x0: the pairs
-        # are close, and a pre-pass band of half-width DEDUP_VECTOR_TOL
-        # would label the first pair alone; its rounding margin keeps it in
+        # are close by a gap that rounding took below the tolerance, and
+        # the first pair's band must hold the second
         for x0 in (0.25, 0.3, 0.4):
             y0 = x0 + eigen.DEDUP_VECTOR_TOL
             assert y0 - x0 < eigen.DEDUP_VECTOR_TOL

@@ -6,6 +6,8 @@ import pytest
 from centrotensor import (
     CENTRO,
     CHECK_NAMES,
+    Decomposition,
+    DenseTensor,
     NEITHER,
     NEITHER_CLASS,
     SKEW,
@@ -194,5 +196,86 @@ def test_eigen_reflection_skips_only_skew_values_within_the_bound(value, passes,
     monkeypatch.setattr(suite, "solve_eigen", solve)
     monkeypatch.setattr(suite, "reflect_pair", _mirror_fails)
     monkeypatch.setattr(suite, "_CHECKS", tuple(c for c in suite._CHECKS if c[0] == "eigen-reflection"))
+    (check,) = verify_all(seed=0, trials=16).checks
+    assert check.passed is passes
+
+
+def _only_check(monkeypatch, name):
+    monkeypatch.setattr(suite, "_CHECKS", tuple(c for c in suite._CHECKS if c[0] == name))
+
+
+def _at_and_past(bound):
+    """(value, passes): the bound itself passes, the float past it fails."""
+    return [pytest.param(bound, True, id="at"), pytest.param(np.nextafter(bound, 1.0), False, id="past")]
+
+
+# product-parity checks the product at 1e-10 of its entry scale (1 here):
+# a product whose mirrored entries differ by that much passes
+@pytest.mark.parametrize("gap,passes", _at_and_past(1e-10))
+def test_product_parity_tolerance_is_1e_10(gap, passes, monkeypatch):
+    product = DenseTensor(np.array([[gap, 0.0], [0.0, 0.0]]))
+    monkeypatch.setattr(suite, "shao_product", lambda a, b: product)
+    _only_check(monkeypatch, "product-parity")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+# decomposition-roundtrip checks each part at 1e-13 and their sum at 1e-14
+# of the drawn tensor's entry scale (1 here); the drawn tensor is
+# [[gap, 0], [0, 0]], and the part under test carries the gap (for the
+# sum, neither part does)
+@pytest.mark.parametrize(
+    "site,bound",
+    [("centro", 1e-13), ("skew", 1e-13), ("reconstruction", 1e-14)],
+    ids=["centro", "skew", "reconstruction"],
+)
+@pytest.mark.parametrize("passes", [True, False], ids=["at", "past"])
+def test_decomposition_tolerances(site, bound, passes, monkeypatch):
+    gap = bound if passes else np.nextafter(bound, 1.0)
+    a = DenseTensor(np.array([[gap, 0.0], [0.0, 0.0]]))
+    zero = DenseTensor.zeros(2, 2)
+    parts = Decomposition(a if site == "centro" else zero, a if site == "skew" else zero)
+    monkeypatch.setattr(suite, "random_structured", lambda order, dim, kind, rng: a)
+    monkeypatch.setattr(suite, "decompose", lambda t: parts)
+    _only_check(monkeypatch, "decomposition-roundtrip")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+@pytest.mark.parametrize("residual,passes", _at_and_past(1e-13))
+def test_diagonal_inverse_residual_tolerance_is_1e_13(residual, passes, monkeypatch):
+    monkeypatch.setattr(suite, "diagonal_left_inverse", _replaced("diagonal_left_inverse", residual=residual))
+    _only_check(monkeypatch, "diagonal-inverse-roundtrip")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+# with the identity as the drawn matrix the expected inverse is exactly the
+# identity, and the stub's left inverse is off by err in one entry
+@pytest.mark.parametrize("err,passes", _at_and_past(1e-9))
+def test_recovery_error_tolerance_is_1e_9(err, passes, monkeypatch):
+    def off_by_err(planted, real=suite.recover_order2_left_inverse):
+        inverse = np.eye(planted.dim)
+        inverse[0, -1] = err
+        return replace(real(planted), inverse=DenseTensor(inverse))
+
+    monkeypatch.setattr(suite, "_well_conditioned_centro_matrix", lambda rng, dim: DenseTensor.identity(2, dim))
+    monkeypatch.setattr(suite, "recover_order2_left_inverse", off_by_err)
+    _only_check(monkeypatch, "matrix-inverse-recovery")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+# eigen-reflection compares the mirrored value with the expected one at
+# 1e-9: a centro pair of value 0 mirrored to gap (skew pairs of value 0
+# are skipped)
+@pytest.mark.parametrize("gap,passes", _at_and_past(1e-9))
+def test_eigen_reflection_value_tolerance_is_1e_9(gap, passes, monkeypatch):
+    def solve(a, starts, seed):
+        return EigenSet([EigenPair(0.0, np.ones(a.dim), 0.0, NEITHER_CLASS)], None)
+
+    monkeypatch.setattr(suite, "solve_eigen", solve)
+    monkeypatch.setattr(suite, "reflect_pair", lambda a, pair: replace(pair, value=gap))
+    _only_check(monkeypatch, "eigen-reflection")
     (check,) = verify_all(seed=0, trials=16).checks
     assert check.passed is passes
