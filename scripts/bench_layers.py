@@ -68,6 +68,12 @@ replaced where it stands, and the others are appended.  The cases:
   ``check_via_J``, ``check_commutation``), ``structure.decompose`` and
   ``core.entry_scale`` on order-4 tensors of dims 36 (centro), 38 (skew)
   and 40 (general), the sizes the dense-kernels benchmark uses;
+* ``structure.check_structure`` on the tensors of the 45 cells of the
+  seed-1 eig-survey panel above, 100 calls each: the small pairs that
+  ``reflect_pair`` compares once per pair through ``reflection_sign``;
+* the three structure witnesses on an order-4 dim-16 centro tensor, the
+  size of the cli-json benchmark's ``check`` inputs (a 32,768-entry half
+  pair, one block), 20 calls each;
 * ``product.shao_product`` of those three tensors by the exchange matrix J
   on either side (the exchange-matrix reversal), and of a centro by a skew
   order-3 dim-26 tensor (the contraction path, as dense-kernels runs it);
@@ -359,6 +365,23 @@ def _per_witness_input(call, calls: int):
     return build
 
 
+def _survey_witness(lib):
+    """check_structure on each of the 45 eig-survey cells' tensors, 100 times over."""
+    tensors = [c.tensor for c in _survey_cells()]
+    sizes = {"cells": len(tensors), "orders": [2, 4], "dims": [2, 4], "calls": 100 * len(tensors)}
+    check = lib.structure.check_structure
+    return sizes, lambda: [check(t) for t in tensors for _ in range(100)]
+
+
+def _cli_witness(name: str):
+    """The witness structure.<name> on _cli_tensor, 20 calls."""
+    def build(lib):
+        tensor, witness = _cli_tensor(lib), getattr(lib.structure, name)
+        return {"order": 4, "dim": 16, "calls": 20}, lambda: [witness(tensor) for _ in range(20)]
+
+    return build
+
+
 def _exchange_products(lib):
     inputs = _witness_inputs(lib)
     exchange = {t.dim: lib.product.exchange_matrix(t.dim) for t in inputs}
@@ -438,6 +461,7 @@ def _construction(lib):
 
 
 _WITNESSES = "order 4, dims 36/38/40"
+_CLI_WITNESS = "order-4 dim-16 centro, 20 calls"
 
 # (layer, case, build): build(lib) makes only this case's inputs and
 # returns its sizes and the function one call of the case runs.
@@ -467,6 +491,10 @@ CASES = [
     ("structure.check_via_J", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.check_via_J(t), 2)),
     ("structure.check_commutation", _WITNESSES,
      _per_witness_input(lambda lib, t: lib.structure.check_commutation(t), 2)),
+    ("structure.check_structure", "the seed-1 eig-survey panel's 45 cells, 100 calls each", _survey_witness),
+    ("structure.check_structure", _CLI_WITNESS, _cli_witness("check_structure")),
+    ("structure.check_via_J", _CLI_WITNESS, _cli_witness("check_via_J")),
+    ("structure.check_commutation", _CLI_WITNESS, _cli_witness("check_commutation")),
     ("structure.decompose", _WITNESSES, _per_witness_input(lambda lib, t: lib.structure.decompose(t), 5)),
     ("core.entry_scale", _WITNESSES, _per_witness_input(lambda lib, t: lib.core.entry_scale(t), 20)),
     ("product.shao_product", "A*J and J*A, order 4, dims 36/38/40", _exchange_products),

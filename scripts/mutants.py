@@ -326,6 +326,75 @@ MUTANTS = [
         "DEFAULT_CLASS_TOL = 2e-8\n",
         ("tests/test_eigen.py::TestClassifyVector::test_literal_tolerance_one_float_either_side",),
     ),
+    Mutant(
+        "DEFAULT_TOL_FACTOR raised to 1e-10",
+        "src/centrotensor/structure.py",
+        "DEFAULT_TOL_FACTOR = 1e-12\n",
+        "DEFAULT_TOL_FACTOR = 1e-10\n",
+        ("tests/test_cauchy.py::TestPredicatesAgainstOracle::test_random_vectors_at_their_own_deviation",),
+    ),
+    Mutant(
+        "the polynomial reflection's sample bound raised to 1e-6",
+        "src/centrotensor/structure.py",
+        "_POLY_TOL = 1e-10\n",
+        "_POLY_TOL = 1e-6\n",
+        ("tests/test_structure.py::TestPolyReflection::test_sample_bound_is_pinned[0.0-1.0000000000000002e-10-False]",),
+    ),
+    Mutant(
+        "the structure scan's column offset dropped",
+        "src/centrotensor/structure.py",
+        "c_at = d.item(i), (row + i // w) * cols + col + i % w\n"
+        "            if t.item(j) > s_max:\n"
+        "                s_max, s_at = t.item(j), (row + j // w) * cols + col + j % w\n",
+        "c_at = d.item(i), (row + i // w) * cols + i % w\n"
+        "            if t.item(j) > s_max:\n"
+        "                s_max, s_at = t.item(j), (row + j // w) * cols + j % w\n",
+        ("tests/test_structure.py::TestStreamedCompare::test_reports_equal_the_full_array_oracle[two-peaks-4-17]",),
+    ),
+    Mutant(
+        "the recovery's residual tolerance raised to 1e-6",
+        "src/centrotensor/inverse.py",
+        "_RESIDUAL_TOL_FACTOR = 1e-10\n",
+        "_RESIDUAL_TOL_FACTOR = 1e-6\n",
+        ("tests/test_inverse.py::TestAsDict::test_no_inverse",),
+    ),
+    Mutant(
+        "the entry count without its cap",
+        "src/centrotensor/core.py",
+        '    _check_cap(dim**order, "%s of order %s dim %s", what, order, dim)\n',
+        "",
+        # not the Cauchy test of a 2**40-entry spec: without the cap it
+        # builds the leading sums, gigabytes of them, before it fails
+        ("tests/test_core.py::TestCapMessages::test_message_text[check_entry_count]",),
+    ),
+    Mutant(
+        "the eigen-reflection check's skew skip raised to 1e-6",
+        "src/centrotensor/suite.py",
+        'if kind == "skew" and abs(pair.value) <= 1e-8:',
+        'if kind == "skew" and abs(pair.value) <= 1e-6:',
+        (_SUITE + "test_eigen_reflection_skips_only_skew_values_within_the_bound[1.0000000000000002e-08-False]",),
+    ),
+    Mutant(
+        "the Cauchy symmetry check's skip raised to 1e-6",
+        "src/centrotensor/suite.py",
+        "        if abs(pair.value) <= 1e-8:",
+        "        if abs(pair.value) <= 1e-6:",
+        (_SUITE + "test_cauchy_symmetry_skips_only_values_within_the_bound[1.0000000000000002e-08-False]",),
+    ),
+    Mutant(
+        "the dim-2 closed form's residual bound raised to 1e-8",
+        "src/centrotensor/suite.py",
+        "bound = 1e-12 * entry_scale(a)",
+        "bound = 1e-8 * entry_scale(a)",
+        (_SUITE + "test_closed_form_dim2_residual_tolerance_is_1e_12[past-e]",),
+    ),
+    Mutant(
+        "the dim-3 closed form's residual bound raised to 1e-8",
+        "src/centrotensor/suite.py",
+        "if pair.residual > 1e-12 * entry_scale(b)",
+        "if pair.residual > 1e-8 * entry_scale(b)",
+        (_SUITE + "test_closed_form_dim3_residual_tolerance_is_1e_12[past]",),
+    ),
 ]
 
 

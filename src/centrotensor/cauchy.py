@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, check_entry_count, entry_scale
+from .core import DenseTensor, DomainError, _check_integer, check_entry_count, entry_scale
 from .product import _exchange_left, _exchange_right
 from .structure import _BLOCK, _compare, check_structure, default_tolerance
 
@@ -69,10 +69,12 @@ class CauchySpec:
             raise ValueError("generating vector must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValueError("generating vector must be finite")
-        if self.order < 1:
+        order = _check_integer(self.order, "order")
+        if order < 1:
             raise ValueError("order must be positive")
         c.flags.writeable = False
         object.__setattr__(self, "generating", c)
+        object.__setattr__(self, "order", order)
 
     @property
     def dim(self) -> int:

@@ -134,6 +134,7 @@ class DenseTensor:
     def _from_flat(cls, order: int, dim: int, flat: np.ndarray) -> "DenseTensor":
         """from_entries on a fresh float array that no caller holds: checked once, adopted uncopied."""
         flat = flat.reshape(-1)
+        order, dim = _check_integer(order, "order"), _check_integer(dim, "dim")
         # For dim >= 2, dim**order has at least order * bit_length / 2 bits,
         # so past 4096 it exceeds any entry count; an absurd order read from
         # JSON would otherwise build (and print) a huge integer.
@@ -378,31 +379,40 @@ def check_tolerance(value, name: str = "tol") -> float:
     return tol
 
 
-def check_count(value, name: str) -> int:
-    """Return a count as an int, raising ValueError unless it is an integer >= 0."""
+def _check_integer(value, name: str) -> int:
+    """Return value as an int, raising ValueError unless it is an int or a numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
     return int(value)
 
 
-def check_order(order: int) -> None:
-    """Raise ValueError for an order below 1 or with more axes than a numpy array can hold."""
+def check_count(value, name: str) -> int:
+    """Return a count as an int, raising ValueError unless it is an integer >= 0."""
+    value = _check_integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+def check_order(order: int) -> int:
+    """Return an order as an int, raising ValueError unless it is an integer
+    from 1 to the number of axes a numpy array can hold."""
+    order = _check_integer(order, "order")
     if order < 1:
         raise ValueError("tensor order must be at least 1")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER} axes")
+    return order
 
 
 def check_entry_count(order: int, dim: int, what: str = "tensor") -> None:
     """Refuse a tensor too big to allocate, before it is allocated.
 
-    An order below 1 or past numpy's axis limit, or a dim below 1, is a
-    ValueError; more than DEFAULT_ENTRY_CAP entries is a
-    ResourceLimitError.
+    An order or dim that is not an integer, an order below 1 or past
+    numpy's axis limit, or a dim below 1, is a ValueError; more than
+    DEFAULT_ENTRY_CAP entries is a ResourceLimitError.
     """
-    check_order(order)
+    order, dim = check_order(order), _check_integer(dim, "dim")
     if dim < 1:
         raise ValueError("dimension must be positive")
     _check_cap(dim**order, "%s of order %s dim %s", what, order, dim)

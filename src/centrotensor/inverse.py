@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import serialize
-from .core import DenseTensor, DomainError, check_tolerance, entry_scale
+from .core import DenseTensor, DomainError, _check_integer, check_tolerance, entry_scale
 from .product import shao_product
 from .structure import check_structure, require_centro
 
@@ -137,6 +137,7 @@ def _require_order2(a: DenseTensor) -> None:
 
 
 def _diagonal_inverse(a: DenseTensor, k: int, side: str) -> InverseResult:
+    k = _check_integer(k, "inverse order")
     if k < 2:
         raise ValueError("inverse order must be >= 2")
     _require_order2(a)

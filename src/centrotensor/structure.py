@@ -39,13 +39,13 @@ are the identity, as the contraction by J = [1] is.  The views keep a
 deviations do not see the sign of a zero, so the reports are the ones
 the products gave.
 
-Past _BLOCK entries the deviations are streamed in C order through two
-reused buffers of _BLOCK entries, keeping only each deviation's max and
-first argmax, so the comparison builds no full-size temporary: whole rows
-at a time while a row fits in a block, pieces of a row past that.  A pair
-of at most _BLOCK entries is one block, taken in two whole-array passes.
-Max and first argmax are exact, so a report is the one full-size arrays
-give.  A deviation that overflows is inf, and the report says so.
+The deviations are streamed in C order, in blocks of at most _BLOCK
+entries, through two buffers of one block, keeping only each deviation's
+max and first argmax, so the comparison builds no full-size temporary:
+whole rows at a time while a row fits in a block, pieces of a row past
+that.  A pair of at most _BLOCK entries is one block.  Max and first
+argmax are exact, so a report is the one full-size arrays give.  A
+deviation that overflows is inf, and the report says so.
 decompose walks the same blocks, halving before it adds, so its parts
 stay finite for any finite tensor.
 """
@@ -168,10 +168,8 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float, shape: tuple | None = Non
     such as another array's entries reversed; they are read in C order.
     worst_index unravels the flat offset over shape, by default x's; a
     witness passes the leading part of its pair and the tensor's shape.
-    A pair of at most _BLOCK entries is one block, compared in two
-    whole-array passes; a larger one goes through two reused buffers of
-    _BLOCK entries.  Either way each deviation keeps its max and first
-    argmax, so both give the same report.
+    The deviations stream through _deviations, which keeps each one's
+    max and first argmax, so the report is the one full-size arrays give.
     """
     c_max, c_at, s_max, s_at = _deviations(x, y)
     c_ok, s_ok = c_max <= tol, s_max <= tol
@@ -200,42 +198,30 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float, shape: tuple | None = Non
 def _deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float, int]:
     """Max and first C-order argmax of |x - y| and of |x + y|.
 
-    Up to _BLOCK entries this is two whole-array passes; past that, the
-    deviations stream through _streamed_deviations.
-    """
-    if x.size > _BLOCK:
-        return _streamed_deviations(x, y)
-    d, t = np.abs(x - y), np.abs(x + y)
-    i, j = int(np.argmax(d)), int(np.argmax(t))
-    return float(d.flat[i]), i, float(t.flat[j]), j
-
-
-@np.errstate(over="ignore")
-def _streamed_deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float, int]:
-    """_deviations of any size, through two reused buffers of at most _BLOCK entries.
-
     The pair is read as rows of its last axis (a 1-D pair is one row) in
-    C order: as many whole rows at a time as fit in _BLOCK entries, or,
-    when a row holds more, pieces of _BLOCK entries of one row.
+    C order, in blocks of at most _BLOCK entries: as many whole rows at a
+    time as fit, or, when a row holds more, pieces of _BLOCK entries of
+    one row.  Each block's deviations go into the leading corner of two
+    buffers of the first block's shape.
     """
     x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
     rows, cols = x.shape
     height, width = min(rows, max(1, _BLOCK // cols)), min(cols, _BLOCK)
-    diff, total = np.empty(height * width), np.empty(height * width)
+    diff, total = np.empty((height, width)), np.empty((height, width))
     c_max = s_max = -1.0
     c_at = s_at = 0
     for row in range(0, rows, height):
         for col in range(0, cols, width):
             xb, yb = x[row : row + height, col : col + width], y[row : row + height, col : col + width]
-            d, t = diff[: xb.size].reshape(xb.shape), total[: xb.size].reshape(xb.shape)
+            h, w = xb.shape
+            d, t = diff[:h, :w], total[:h, :w]
             np.abs(np.subtract(xb, yb, out=d), out=d)
             np.abs(np.add(xb, yb, out=t), out=t)
-            i, j = int(np.argmax(d)), int(np.argmax(t))
-            w = xb.shape[1]
-            if diff[i] > c_max:
-                c_max, c_at = float(diff[i]), (row + i // w) * cols + col + i % w
-            if total[j] > s_max:
-                s_max, s_at = float(total[j]), (row + j // w) * cols + col + j % w
+            i, j = int(d.argmax()), int(t.argmax())
+            if d.item(i) > c_max:
+                c_max, c_at = d.item(i), (row + i // w) * cols + col + i % w
+            if t.item(j) > s_max:
+                s_max, s_at = t.item(j), (row + j // w) * cols + col + j % w
     return c_max, c_at, s_max, s_at
 
 

@@ -16,6 +16,9 @@ from centrotensor import (
     check_structure,
     check_via_J,
     closed_form_dim2,
+    diagonal_left_inverse,
+    exchange_matrix,
+    materialize,
     random_structured,
     recover_order2_left_inverse,
     recover_order2_right_inverse,
@@ -117,3 +120,34 @@ TRIAL_COUNT_TAKERS = {
 def test_invalid_trial_count_is_rejected(call, trials):
     with pytest.raises(ValueError, match="trials must be"):
         call(trials)
+
+
+# Each call takes one order or dim, which must be an int or a numpy
+# integer, and not a bool, as a count must.
+SIZE_TAKERS = {
+    "from_entries(order)": lambda n: DenseTensor.from_entries(n, 2, [1.0, 2.0, 3.0, 4.0]),
+    "from_entries(dim)": lambda n: DenseTensor.from_entries(2, n, [1.0, 2.0, 3.0, 4.0]),
+    "random_structured(order)": lambda n: random_structured(n, 3, "centro", seed=1),
+    "random_structured(dim)": lambda n: random_structured(3, n, "skew", seed=1),
+    "zeros(order)": lambda n: DenseTensor.zeros(n, 2),
+    "zeros(dim)": lambda n: DenseTensor.zeros(2, n),
+    "identity(order)": lambda n: DenseTensor.identity(n, 3),
+    "identity(dim)": lambda n: DenseTensor.identity(2, n),
+    "exchange_matrix": lambda n: exchange_matrix(n),
+    "materialize": lambda n: materialize(CauchySpec(SPEC.generating, n)),
+    "diagonal_left_inverse": lambda n: diagonal_left_inverse(DenseTensor.diagonal(2, [2.0, 4.0, 2.0]), n).inverse,
+}
+
+
+@pytest.mark.parametrize("call", SIZE_TAKERS.values(), ids=SIZE_TAKERS.keys())
+@pytest.mark.parametrize("size", [2.5, 2.0, True, None])
+def test_size_that_is_not_an_integer_is_rejected(call, size):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(size)
+
+
+@pytest.mark.parametrize("call", SIZE_TAKERS.values(), ids=SIZE_TAKERS.keys())
+def test_numpy_integer_size_gives_the_int_result(call):
+    want, got = call(2), call(np.int64(2))
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()

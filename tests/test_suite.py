@@ -279,3 +279,39 @@ def test_eigen_reflection_value_tolerance_is_1e_9(gap, passes, monkeypatch):
     _only_check(monkeypatch, "eigen-reflection")
     (check,) = verify_all(seed=0, trials=16).checks
     assert check.passed is passes
+
+
+# closed-form-eigen holds each closed-form pair to a residual of 1e-12 of
+# the drawn tensor's entry scale (1 here: the drawn entries lie in
+# [-1, 1]), and the dim-3 pair's middle component must be exactly zero
+@pytest.mark.parametrize("pair", [0, 1], ids=["e", "u"])
+@pytest.mark.parametrize("residual,passes", _at_and_past(1e-12))
+def test_closed_form_dim2_residual_tolerance_is_1e_12(pair, residual, passes, monkeypatch):
+    def stub(a, real=suite.closed_form_dim2):
+        return tuple(replace(p, residual=residual if i == pair else 0.0) for i, p in enumerate(real(a)))
+
+    monkeypatch.setattr(suite, "closed_form_dim2", stub)
+    _only_check(monkeypatch, "closed-form-eigen")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
+
+
+@pytest.mark.parametrize(
+    "residual,middle,passes",
+    [
+        pytest.param(1e-12, 0.0, True, id="at"),
+        pytest.param(np.nextafter(1e-12, 1.0), 0.0, False, id="past"),
+        pytest.param(0.0, 5e-324, False, id="nonzero-middle"),
+    ],
+)
+def test_closed_form_dim3_residual_tolerance_is_1e_12(residual, middle, passes, monkeypatch):
+    def stub(b, real=suite.closed_form_dim3_even):
+        pair = real(b)
+        vector = pair.vector.copy()
+        vector[1] = middle
+        return replace(pair, residual=residual, vector=vector)
+
+    monkeypatch.setattr(suite, "closed_form_dim3_even", stub)
+    _only_check(monkeypatch, "closed-form-eigen")
+    (check,) = verify_all(seed=0, trials=8).checks
+    assert check.passed is passes
