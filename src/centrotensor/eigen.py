@@ -272,7 +272,7 @@ def normalize_eigenvector(x) -> np.ndarray:
 def _canonical_rows(xs: np.ndarray) -> np.ndarray:
     """normalize_eigenvector's rule on a stack: unit rows, first significant
     component positive (a unit row always has one); a zero row becomes NaN."""
-    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    xs = _unit_rows(xs)
     lead = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > _SIGN_EPS, axis=1)]
     xs[lead < 0] *= -1.0
     return xs

@@ -45,7 +45,7 @@ class TestRecordedStacks:
         from centrotensor import eigen
 
         script = load_script()
-        (index,) = [i for i, (_, case, _) in enumerate(script.CASES) if case.startswith("27-cell panel, converged")]
+        (index,) = [i for i, row in enumerate(script.CASES) if row.case.startswith("27-cell panel, converged")]
         path = tmp_path / "stacks.pickle"
         base = script.record(centrotensor, [index])
         path.write_bytes(pickle.dumps(base))
@@ -61,7 +61,7 @@ class TestRecordedStacks:
 
 
 def case_index(script, case):
-    (index,) = [i for i, (_, name, _) in enumerate(script.CASES) if name == case]
+    (index,) = [i for i, row in enumerate(script.CASES) if row.case == case]
     return index
 
 
@@ -88,13 +88,46 @@ class TestCommandLine:
         capsys.readouterr()
         assert script.main(["--measure", str(recorded), str(plain), "--stacks", str(stacks)]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert [r["case"] for r in rows] == [script.CASES[recorded][1], script.CASES[plain][1]]
+        assert [r["case"] for r in rows] == [script.CASES[recorded].case, script.CASES[plain].case]
         assert rows[0]["sizes"]["pairs"] == 2000
 
     def test_rows_go_to_the_one_layer_record(self):
         script = load_script()
         assert script.RECORD == SCRIPT.parent.parent / "BENCH_layers.json"
         assert script.RECORD.exists()
+
+
+class TestCaseTable:
+    def test_every_layer_is_a_callable_of_the_package(self):
+        import centrotensor
+
+        script = load_script()
+        for row in script.CASES:
+            assert callable(script.layer_callable(centrotensor, row.layer)), row.layer
+
+    def test_no_two_rows_share_a_key(self):
+        # merge_records keys rows by (git_rev, layer, case): a shared key
+        # would replace one case's row with another's
+        keys = [(row.layer, row.case) for row in load_script().CASES]
+        assert len(set(keys)) == len(keys)
+
+
+class TestRecordLayout:
+    FIELDS = {"layer", "case", "sizes", "seed", "best_s", "median_s", "reps", "git_rev"}
+
+    def test_record_is_one_array_of_complete_rows(self):
+        rows = json.loads(load_script().RECORD.read_text())
+        assert isinstance(rows, list) and rows
+        for row in rows:
+            # best_of is optional: the oldest rows predate it
+            assert self.FIELDS <= set(row) <= self.FIELDS | {"best_of"}, row
+
+    def test_record_keeps_one_row_per_line(self):
+        script = load_script()
+        text = script.RECORD.read_text()
+        rows = json.loads(text)
+        assert text.splitlines() == ["["] + [json.dumps(r) + "," for r in rows[:-1]] + [json.dumps(rows[-1]), "]"]
+        assert script.record_text(rows) == text
 
 
 class TestOrder2Cases:
@@ -107,7 +140,7 @@ class TestOrder2Cases:
         direct, fallback = script._survey_order2(False), script._survey_order2(True)
         assert len(script._survey_order2()) == 15
         assert (len(direct), len(fallback)) == (13, 2)
-        names = {case for _, case, _ in script.CASES}
+        names = {row.case for row in script.CASES}
         assert "order 2: the seed-1 eig-survey panel's 13 direct-path cells" in names
         assert "order 2: the seed-1 eig-survey panel's 2 palindromic Cauchy n=4 cells" in names
         assert "order 2: the seed-1 eig-survey panel's 15 cells, every pair 20 times" in names
