@@ -19,7 +19,8 @@ so a row times only the function it names.  A row with a ``record``
 column times the layer on the input stacks its recorder returns: those
 are recorded once, at the base commit, and both commits are timed on
 them, so a change to what the solver hands a private function leaves the
-case's input alone.
+case's input alone.  Each recorded case's stacks are a file of their
+own, which only that case's process loads.
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
 best_of, git_rev}``.  One rep times the whole case after a warm-up call,
@@ -237,9 +238,7 @@ def _merge_passes(passes: int):
 def _one_vector_merge(lib, merge):
     """_dedup on 2000 values 1e-6 apart, all at the vector (1, 1)/sqrt(2):
     every pair lies in every band and the merge is quadratic in the pairs.
-    No solve hands the merge such a stack, so the case builds it rather
-    than record it: every case process loads every recorded stack, so a
-    recorded stack changes the allocator state each other case runs on."""
+    No solve hands the merge such a stack, so the case builds it."""
     stack = (np.arange(2000) * 1e-6, np.full((2000, 2), np.sqrt(0.5)), np.zeros(2000))
     return _merge_passes(1)(lib, merge, [stack])
 
@@ -339,19 +338,32 @@ def _planted_inverse_input(lib):
     return lib.product.shao_product(m, lib.core.DenseTensor.identity(4, 16))
 
 
-def _cli_check(lib, main):
-    """One read and parse of the file, the direct witness, one small write."""
-    tmp = tempfile.TemporaryDirectory()
-    path = Path(tmp.name) / "A.json"
-    path.write_text(lib.serialize.dumps(_centro(4, 16)(lib)) + "\n")
-    sizes = {"order": 4, "dim": 16, "bytes": path.stat().st_size, "calls": 1}
+def _symmetric_centro_matrix(lib):
+    """A cli-json eig input: (E + E^T) / 2 for a 4x4 centro E, drawn from SEED."""
+    e = _centro(2, 4)(lib)
+    return lib.core.scale(lib.core.add(e, lib.core.DenseTensor(e.data.T)), 0.5)
 
-    def fn():
-        # refers to tmp, so the directory lasts as long as the case
-        if main(["check", str(path), "-o", str(Path(tmp.name) / "out.json")]) != 0:
-            raise RuntimeError("check exited nonzero")
 
-    return sizes, fn
+def _on_file(make, calls: int, verb: tuple = ()):
+    """The layer run calls times on the file of the tensor make(lib) builds:
+    fn(file), or with a verb main([verb, file, options, -o out]), which must exit 0."""
+    def build(lib, fn):
+        tmp = tempfile.TemporaryDirectory()
+        tensor = make(lib)
+        path = Path(tmp.name) / "in.json"
+        path.write_text(lib.serialize.dumps(tensor) + "\n")
+        arg = [verb[0], str(path), *verb[1:], "-o", str(path.with_name("out.json"))] if verb else str(path)
+        sizes = {"order": tensor.order, "dim": tensor.dim, "bytes": path.stat().st_size, "calls": calls}
+
+        def run(_files=tmp):
+            # holds tmp, so the directory lasts as long as the case
+            got = [fn(arg) for _ in range(calls)]
+            if verb and any(got):
+                raise RuntimeError(f"{verb[0]} exited nonzero")
+
+        return sizes, run
+
+    return build
 
 
 # layer: "<module>.<name>" of the package, the callable the case times.
@@ -412,7 +424,10 @@ CASES = [
     Case("serialize.read_tensor", "order-4 dim-16 centro tensor file", _read_text(_centro(4, 16), 1)),
     Case("serialize.read_tensor", "cli-json inverse input P, order 4 dim 16", _read_text(_planted_inverse_input, 1)),
     Case("serialize.read_tensor", "order-2 dim-4 centro tensor, 1000 calls", _read_text(_centro(2, 4), 1000)),
-    Case("cli.main", "check -o on an order-4 dim-16 centro tensor file", _cli_check),
+    Case("cli.main", "check -o on an order-4 dim-16 centro tensor file", _on_file(_centro(4, 16), 1, ("check",))),
+    Case("cli.main", "eig -o on a 4x4 symmetric centro matrix file, 200 starts, 100 calls",
+         _on_file(_symmetric_centro_matrix, 100, ("eig", "--starts", "200", "--seed", str(SEED)))),
+    Case("cli._load_tensor", "order-4 dim-16 centro tensor file", _on_file(_centro(4, 16), 1)),
 ]
 
 
@@ -427,18 +442,28 @@ def record(lib, indices=range(len(CASES))) -> dict:
     return {i: CASES[i].record(lib) for i in indices if CASES[i].record}
 
 
+def save_record(recorded: dict, stacks: Path) -> None:
+    """record()'s stacks into the directory `stacks`, one pickle per case,
+    so that a case process loads its own stacks and no other case's."""
+    stacks.mkdir(parents=True, exist_ok=True)
+    for index, case_stacks in recorded.items():
+        (stacks / f"{index}.pickle").write_bytes(pickle.dumps(case_stacks))
+
+
 def measure(indices, stacks: Path) -> list:
     """Time the CASES at these indices in turn, each the best of its calls
-    after a warm-up; recorded cases take their input from the file `stacks`,
-    a pickled record() made at the base commit."""
+    after a warm-up; a recorded case takes its input from its file in the
+    directory `stacks`, written by save_record at the base commit."""
     import centrotensor as lib  # the package on sys.path: in a child, the commit being timed
 
-    recorded = pickle.loads(stacks.read_bytes())
     out = []
     for index in indices:
         layer, case, build, recorder = CASES[index]
         fn = layer_callable(lib, layer)
-        sizes, run = build(lib, fn, recorded[index]) if recorder else build(lib, fn)
+        if recorder:
+            sizes, run = build(lib, fn, pickle.loads((stacks / f"{index}.pickle").read_bytes()))
+        else:
+            sizes, run = build(lib, fn)
         calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(run))))  # the warm-up
         best = min(_timed(run) for _ in range(calls))
         out.append({"layer": layer, "case": case, "sizes": sizes, "s": best, "best_of": calls})
@@ -488,7 +513,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=7)
     # case indices timed in this process; none given times every case
     parser.add_argument("--measure", nargs="*", type=int, help=argparse.SUPPRESS)
-    # the recorded input stacks --measure reads, and the file --record writes them to
+    # the directory of recorded input stacks --measure reads and --record writes
     parser.add_argument("--stacks", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -500,7 +525,7 @@ def main(argv=None) -> int:
     if args.record is not None:
         import centrotensor as lib
 
-        args.record.write_bytes(pickle.dumps(record(lib)))
+        save_record(record(lib), args.record)
         return 0
     if not (args.base and args.head):
         parser.error("--base and --head are required")
@@ -522,7 +547,7 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
             trees[rev] = tree / "src"
         # the input stacks of the recorded cases, from the base commit
-        stacks = Path(tmp) / "stacks.pickle"
+        stacks = Path(tmp) / "stacks"
         _run_child(next(iter(trees.values())), ["--record", str(stacks)])
         # one process per case and rep, the commits alternating
         runs = {(rev, i): [] for rev in trees for i in range(len(CASES))}

@@ -12,11 +12,19 @@ its result maps to.
 
 Input paths accept "-" for stdin.  Every verb that draws randomness
 takes its seed from --seed alone: a non-negative integer, default 0.
+
+main builds its argument parser once per process, at its first call, and
+reuses it: parse_args keeps its state per call and every default is a
+module constant.  A tensor file is read as bytes and handed to
+serialize.read_tensor, which decodes only what its number kernel does not
+take, as a text-mode read would; stdin and Cauchy spec files are read as
+text.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,19 +35,19 @@ from .product import exchange_matrix, shao_product
 from .structure import decompose, random_structured
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _read_json(path: str):
-    return serialize.loads(_read_text(path))
+    if path == "-":
+        return serialize.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as handle:
+        return serialize.loads(handle.read())
 
 
 def _load_tensor(path: str) -> DenseTensor:
-    return serialize.read_tensor(_read_text(path))
+    if path == "-":
+        return serialize.read_tensor(sys.stdin.read())
+    # the reader decodes a file's bytes only where its kernel does not take them
+    with open(path, "rb") as handle:
+        return serialize.read_tensor(handle.read())
 
 
 def _seed(text: str) -> int:
@@ -189,10 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built at its first call: parse_args keeps its
+    state per call, and every default is a module constant."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)

@@ -40,14 +40,21 @@ tables are built at the kernel's first write.  Zero is ``0`` or ``-0``.
 Any other value (exponent notation, subnormals, inf, nan) gets the
 per-item "%.17g", spliced in at its position.
 
-``read_tensor`` reads a tensor text to the bits and errors of
-``tensor_from_obj(loads(text))``, by one of three paths.
+``read_tensor`` reads a tensor text (``str``) or a file's ``bytes`` to
+the bits and errors of ``tensor_from_obj(loads(text))``, ``text`` being
+what a text-mode ``open(path, encoding="utf-8")`` would read, by one of
+three paths.  Bytes reach the kernel undecoded; those that leave it are
+decoded as that read decodes them, UTF-8 with universal newlines, so a
+``UnicodeDecodeError`` and every ``loads`` position are that read's.
 
-* A text of at least ``_KERNEL_MIN_CHARS`` (10,000) characters in the
-  writer's layout -- ``{"order": <int>, "dim": <int>, "entries": [...]}``
-  with ", " between the entries and only JSON whitespace around it, all
-  ASCII -- goes through ``_read_entries``, a numpy kernel, the mirror of
-  ``_format_floats``.  It finds the commas once and reads each
+* A text of at least ``_KERNEL_MIN_CHARS`` (10,000) characters or bytes
+  in the writer's layout -- ``{"order": <int>, "dim": <int>, "entries":
+  [...]}`` with ", " between the entries and only JSON whitespace around
+  it, all ASCII -- goes through ``_read_entries``, a numpy kernel, the
+  mirror of ``_format_floats``.  A ``str`` is encoded to its ASCII bytes
+  once; bytes are read as they are, since a newline's form (CR, LF or
+  CRLF) can stand only in the whitespace around the document, where it
+  changes nothing.  The kernel finds the commas once and reads each
   single-digit token (every ``0`` of a sparse file) from its byte.  The
   other tokens go in blocks of ``_BLOCK``, each as the 24 bytes that end
   at its last byte, three uint64 words: the point is found and squeezed
@@ -333,8 +340,8 @@ def tensor_from_obj(obj) -> DenseTensor:
 # layout up to the first entry; JSON number literals, which float() reads
 # as json does; and texts too short for the kernel to pay.
 _WINDOW = 24
-_TENSOR_HEAD = re.compile(r'[ \t\n\r]*\{"order": ([1-9][0-9]{0,17}), "dim": ([1-9][0-9]{0,17}), "entries": \[')
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_TENSOR_HEAD = re.compile(rb'[ \t\n\r]*\{"order": ([1-9][0-9]{0,17}), "dim": ([1-9][0-9]{0,17}), "entries": \[')
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _KERNEL_MIN_CHARS = 10_000
 # The shortest float sequence the writer's kernel formats faster than "%".
 _KERNEL_MIN_FLOATS = 192
@@ -431,18 +438,21 @@ def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarra
     return values, ok
 
 
-def _read_entries(text: str):
-    """(order, dim, entries) of a tensor text in the writer's layout, or
-    None where the text takes loads (see the module docstring)."""
-    head = _TENSOR_HEAD.match(text)
-    if head is None or not text.isascii():
+def _read_entries(data):
+    """(order, dim, entries) of a tensor text (str) or file (bytes) in the
+    writer's layout, or None where it takes loads (see the module docstring)."""
+    if not data.isascii():
         return None
-    end = len(text)
-    while text[end - 1] in " \t\n\r":
+    data = data if isinstance(data, bytes) else data.encode("ascii")
+    head = _TENSOR_HEAD.match(data)
+    if head is None:
+        return None
+    end = len(data)
+    while data[end - 1] in b" \t\n\r":
         end -= 1
-    if text[end - 2 : end] != "]}":
+    if data[end - 2 : end] != b"]}":
         return None
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    buf = np.frombuffer(data, np.uint8)
     lo, hi = head.end(), end - 2
     commas = np.flatnonzero(buf[lo:hi] == 44)
     commas += lo
@@ -472,21 +482,26 @@ def _read_entries(text: str):
         entries[at], ok = _read_block(windows, buf, starts[at], lengths[at])
         per_item += at[~ok].tolist()
     for i in per_item:
-        token = text[starts[i] : starts[i] + lengths[i]]
+        token = data[starts[i] : starts[i] + lengths[i]]
         if not _JSON_NUMBER.fullmatch(token) or (
-            not any(c in token for c in ".eE") and len(token.lstrip("-")) > 18
+            not any(c in token for c in b".eE") and len(token.lstrip(b"-")) > 18
         ):
             return None
         entries[i] = float(token)
     return int(head[1]), int(head[2]), entries
 
 
-def read_tensor(text: str) -> DenseTensor:
-    """The tensor of a JSON text, bit for bit ``tensor_from_obj(loads(text))``
-    with the same errors; the writer's own layout takes a number kernel."""
-    got = _read_entries(text) if len(text) >= _KERNEL_MIN_CHARS else None
+def read_tensor(data) -> DenseTensor:
+    """The tensor of a JSON text, or of a file's bytes, bit for bit
+    ``tensor_from_obj(loads(text))`` with the same errors; the writer's own
+    layout takes a number kernel.  Bytes that leave the kernel are decoded
+    as a text-mode ``open`` reads them: UTF-8, universal newlines."""
+    got = _read_entries(data) if len(data) >= _KERNEL_MIN_CHARS else None
     if got is None:
-        return tensor_from_obj(loads(text))
+        if isinstance(data, bytes):
+            # what open(path, encoding="utf-8").read() gives: universal newlines
+            data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return tensor_from_obj(loads(data))
     # the array is the reader's own, so it is checked and adopted, not copied
     return DenseTensor._from_flat(*got)
 

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +45,15 @@ class TestRecordedStacks:
 
         script = load_script()
         (index,) = [i for i, row in enumerate(script.CASES) if row.case.startswith("27-cell panel, converged")]
-        path = tmp_path / "stacks.pickle"
+        path = tmp_path / "stacks"
         base = script.record(centrotensor, [index])
-        path.write_bytes(pickle.dumps(base))
+        script.save_record(base, path)
         # a head whose solver hands the merge other stacks: every matrix of
         # the panel takes the multistart path
         monkeypatch.setattr(eigen, "ORDER2_GAP", np.inf)
         own = script.record(centrotensor, [index])[index]
         assert len(own) != len(base[index])
-        # measure reads the file, so its sizes are the base stacks'
+        # measure reads the case's file, so its sizes are the base stacks'
         (row,) = script.measure([index], path)
         assert row["sizes"]["stacks"] == len(base[index])
         assert row["sizes"]["pairs"] == sum(len(stack[0]) for stack in base[index])
@@ -81,15 +80,29 @@ class TestCommandLine:
 
     def test_record_then_measure_prints_one_row_a_case(self, tmp_path, capsys):
         script = load_script()
-        stacks = tmp_path / "stacks.pickle"
+        stacks = tmp_path / "stacks"
         assert script.main(["--record", str(stacks)]) == 0
         recorded = case_index(script, "zero tensor dim 2, 2000 starts")
         plain = case_index(script, "order-2 dim-4 centro tensor, 1000 calls")
+        # one file per recorded case, none for a plain one
+        assert sorted(p.name for p in stacks.iterdir()) == sorted(
+            f"{i}.pickle" for i, row in enumerate(script.CASES) if row.record
+        )
         capsys.readouterr()
         assert script.main(["--measure", str(recorded), str(plain), "--stacks", str(stacks)]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["case"] for r in rows] == [script.CASES[recorded].case, script.CASES[plain].case]
         assert rows[0]["sizes"]["pairs"] == 2000
+
+    def test_file_cases_read_no_stacks(self, tmp_path):
+        # plain cases: measure opens no stacks file for them
+        script = load_script()
+        eig = case_index(script, "eig -o on a 4x4 symmetric centro matrix file, 200 starts, 100 calls")
+        (load,) = [i for i, row in enumerate(script.CASES) if row.layer == "cli._load_tensor"]
+        rows = script.measure([eig, load], tmp_path / "none")
+        assert [r["layer"] for r in rows] == ["cli.main", "cli._load_tensor"]
+        assert [r["sizes"]["calls"] for r in rows] == [100, 1]
+        assert not (tmp_path / "none").exists()
 
     def test_rows_go_to_the_one_layer_record(self):
         script = load_script()

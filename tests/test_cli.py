@@ -20,7 +20,7 @@ from centrotensor import (
     random_structured,
 )
 import centrotensor
-from centrotensor import core
+from centrotensor import cli, core
 from centrotensor.cli import main
 from centrotensor.serialize import dumps, tensor_to_obj
 
@@ -843,6 +843,45 @@ class TestOutputFile:
 def test_usage_error_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()
+
+
+class TestOneParser:
+    """main builds its parser once per process and reuses it."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert main(["gen", "--dim", "2"]) == 0
+        assert main(["verify-all", "--trials", "0"]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+
+    # verbs that set the options the probes leave at their defaults
+    SET = (["eig", "{sym}", "--starts", "7", "--seed", "3", "--tol", "1e-9"],
+           ["verify-all", "--seed", "2", "--trials", "1"])
+    PROBES = {
+        "help": ["--help"],
+        "verb-help": ["eig", "--help"],
+        "usage-error": ["eig", "--starts"],
+        "eig-defaults": ["eig", "{sym}"],
+        "verify-all-defaults": ["verify-all"],
+    }
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_a_reused_parser_prints_as_a_fresh_one(self, probe, sym_file, capsys):
+        def argv(words):
+            return [w.format(sym=sym_file) for w in words]
+
+        cli._parser.cache_clear()
+        fresh = run(capsys, argv(self.PROBES[probe]))
+        parser = cli._parser()
+        for words in self.SET:
+            assert run(capsys, argv(words))[0] == 0
+        assert run(capsys, argv(self.PROBES[probe])) == fresh
+        assert cli._parser() is parser
+        assert fresh[0] == (2 if probe == "usage-error" else 0)
 
 
 # sha256 of stdout for fixed inputs, recorded before poly_eval, the

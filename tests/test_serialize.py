@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from centrotensor import DenseTensor, check_structure
-from centrotensor import serialize
+from centrotensor import DenseTensor, check_structure, random_structured
+from centrotensor import cli, serialize
 from centrotensor.serialize import dumps, loads, read_tensor, spec_from_obj, tensor_from_obj, tensor_to_obj
 
 from oracles import format_value_oracle
@@ -368,24 +368,26 @@ def kernel_always(monkeypatch):
 @pytest.mark.usefixtures("kernel_always")
 class TestTensorReader:
     """read_tensor against tensor_from_obj(loads(text)), bit for bit and
-    error for error."""
+    error for error, on the text and on its UTF-8 bytes (a file's read)."""
 
     @staticmethod
     def assert_reads_alike(text, kernel=True):
-        assert (serialize._read_entries(text) is not None) is kernel
         expected = tensor_from_obj(loads(text))
-        got = read_tensor(text)
-        assert got.data.shape == expected.data.shape
-        assert np.array_equal(got.entries.view(np.int64), expected.entries.view(np.int64))
+        for data in (text, text.encode("utf-8")):
+            assert (serialize._read_entries(data) is not None) is kernel
+            got = read_tensor(data)
+            assert got.data.shape == expected.data.shape
+            assert np.array_equal(got.entries.view(np.int64), expected.entries.view(np.int64))
 
     @staticmethod
     def assert_fails_alike(text):
         with pytest.raises(ValueError) as expected:
             tensor_from_obj(loads(text))
-        with pytest.raises(ValueError) as got:
-            read_tensor(text)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        for data in (text, text.encode("utf-8")):
+            with pytest.raises(ValueError) as got:
+                read_tensor(data)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
@@ -487,12 +489,14 @@ class TestTensorReader:
     )
     def test_other_layouts_take_loads(self, text):
         assert serialize._read_entries(text) is None
+        assert serialize._read_entries(text.encode("utf-8")) is None
         try:
             expected = tensor_from_obj(loads(text))
         except ValueError:
             self.assert_fails_alike(text)
         else:
             assert read_tensor(text).data.tobytes() == expected.data.tobytes()
+            assert read_tensor(text.encode("utf-8")).data.tobytes() == expected.data.tobytes()
 
     def test_whitespace_around_the_document(self):
         self.assert_reads_alike(' \t\r\n{"order": 1, "dim": 2, "entries": [1.5, -2]}\n\r\t ')
@@ -523,9 +527,9 @@ class TestTensorReader:
         except ValueError:
             self.assert_fails_alike(text)
         else:
-            got = read_tensor(text)
-            assert got.data.shape == expected.data.shape
-            assert got.data.tobytes() == expected.data.tobytes()
+            for got in (read_tensor(text), read_tensor(text.encode("utf-8"))):
+                assert got.data.shape == expected.data.shape
+                assert got.data.tobytes() == expected.data.tobytes()
 
     def test_document_errors_match(self):
         from test_cli_fuzz import CENTRO, _malformed_documents
@@ -594,3 +598,48 @@ class TestFileRoundTrip:
         text = dumps(tensor_to_obj(tensor))
         assert text == '{"order": 2, "dim": 2, "entries": [0, -0, 4.9406564584124654e-324, -1.6999999999999999e+308]}'
         assert tensor_from_obj(loads(text)).data.tobytes() == tensor.data.tobytes()
+
+
+def _text_mode_load(path):
+    """cli._load_tensor as a text-mode read of the file, the reference for
+    its bytes read."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return read_tensor(handle.read())
+
+
+def _writer_file(edit) -> bytes:
+    """The file the gen verb writes for an order-4 dim-16 centro tensor
+    (1.4 MB), passed through edit."""
+    return edit((dumps(random_structured(4, 16, "centro", seed=0)) + "\n").encode())
+
+
+class TestFileReads:
+    """cli reads a tensor file as bytes: its stdout, stderr and exit code
+    are those of a text-mode read of the same file."""
+
+    # name -> the file's bytes, the exit code and a part of stderr or stdout
+    FILES = {
+        # a bytes read that kept the CRLFs would put the error at char 44
+        "compact-crlf-syntax-error": (
+            lambda: b'{"order":1,\r\n"dim":3,\r\n"entries":[0.5,0.125,,1.5]}\r\n', 2, "(char 42)"),
+        "bom": (lambda: _writer_file(lambda w: b"\xef\xbb\xbf" + w), 2, "Unexpected UTF-8 BOM"),
+        "0xff-at-50000": (lambda: _writer_file(lambda w: w[:50_000] + b"\xff" + w[50_001:]), 2,
+                          "can't decode byte 0xff in position 50000"),
+        "writer-crlf-end": (lambda: _writer_file(lambda w: w[:-1] + b"\r\n"), 0, '"centrosymmetric"'),
+        "empty": (lambda: b"", 2, "(char 0)"),
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_check_reads_as_a_text_mode_read(self, name, tmp_path, capsys, monkeypatch):
+        make, code, shown = self.FILES[name]
+        path = tmp_path / "A.json"
+        path.write_bytes(make())
+
+        def check():
+            return (cli.main(["check", str(path)]), *capsys.readouterr())
+
+        got = check()
+        monkeypatch.setattr(cli, "_load_tensor", _text_mode_load)
+        assert got == check()
+        assert got[0] == code
+        assert shown in got[1] + got[2]
