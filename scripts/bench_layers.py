@@ -119,9 +119,9 @@ def _solve_args(cells) -> list:
     return [(c.tensor, 200, c.solve_seed) for c in cells]
 
 
-def _observed(lib, name: str, note, run) -> list:
-    """note(*args) of each eigen.<name> call during run(), leaving out None."""
-    original = getattr(lib.eigen, name)
+def _observed(module, name: str, note, run) -> list:
+    """note(*args) of each module.<name> call during run(), leaving out None."""
+    original = getattr(module, name)
     notes = []
 
     def observing(*args):
@@ -130,17 +130,17 @@ def _observed(lib, name: str, note, run) -> list:
             notes.append(got)
         return original(*args)
 
-    setattr(lib.eigen, name, observing)
+    setattr(module, name, observing)
     try:
         run()
     finally:
-        setattr(lib.eigen, name, original)
+        setattr(module, name, original)
     return notes
 
 
 def _residual_work(lib, fn) -> dict:
     """Calls and rows of eigen._stacked_residual in one untimed run of fn."""
-    rows = _observed(lib, "_stacked_residual", lambda data, zs: len(zs), fn)
+    rows = _observed(lib.eigen, "_stacked_residual", lambda data, zs: len(zs), fn)
     return {"residual_calls": len(rows), "residual_rows": sum(rows)}
 
 
@@ -202,6 +202,24 @@ def _contraction(sizes: dict, jacobian: bool = False):
     return build
 
 
+def _screen(sizes: dict):
+    """The line search's screen on `stack` Newton states of the centro tensor
+    of this order and dim: unit rows with lambda 0 plus normal steps drawn
+    from SEED, each best its row's own max|F|."""
+    def build(lib, screen):
+        n, rows = sizes["dim"], sizes["stack"]
+        data = _centro(sizes["order"], n)(lib).data
+        rng = np.random.default_rng(SEED)
+        z = np.zeros((rows, n + 1))
+        z[:, :n] = rng.normal(size=(rows, n))
+        z[:, :n] /= np.linalg.norm(z[:, :n], axis=1)[:, None]
+        step = rng.normal(size=(rows, n + 1))
+        best = np.abs(lib.eigen._stacked_residual(data, z)).max(axis=1)
+        return sizes, _calls(screen, [(z, step, best)] * sizes["calls"])
+
+    return build
+
+
 def _singular_newton_stacks(lib) -> list:
     """The Newton stacks of one 200-start solve of an order-4 palindromic
     Cauchy tensor that hold an exactly singular system."""
@@ -210,7 +228,7 @@ def _singular_newton_stacks(lib) -> list:
     def singular(jac, rhs):
         return _copied(jac, rhs) if np.any(np.linalg.slogdet(jac)[0] == 0) else None
 
-    return _observed(lib, "_newton_steps", singular, lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED))
+    return _observed(lib.eigen, "_newton_steps", singular, lambda: lib.eigen.solve_eigen(pal, starts=200, seed=SEED))
 
 
 def _newton_steps(lib, steps, recorded):
@@ -222,7 +240,7 @@ def _newton_steps(lib, steps, recorded):
 def _merge_stacks(solves):
     """A recorder of the stacks that solve_eigen on each argument tuple of
     solves(lib) hands eigen._dedup."""
-    return lambda lib: _observed(lib, "_dedup", _copied, _calls(lib.eigen.solve_eigen, solves(lib)))
+    return lambda lib: _observed(lib.eigen, "_dedup", _copied, _calls(lib.eigen.solve_eigen, solves(lib)))
 
 
 def _merge_passes(passes: int):
@@ -243,11 +261,17 @@ def _one_vector_merge(lib, merge):
     return _merge_passes(1)(lib, merge, [stack])
 
 
+def _verdict_calls(lib, run) -> int:
+    """Calls of structure.check_structure in one untimed run()."""
+    return len(_observed(lib.structure, "check_structure", lambda *args: 1, run))
+
+
 def _reflect_pair(lib, reflect):
     mirror = _centro(4, 4)(lib)
     pairs = lib.eigen.solve_eigen(mirror, starts=200, seed=SEED).pairs
+    run = _calls(reflect, [(mirror, p) for _ in range(20) for p in pairs])
     sizes = {"order": 4, "dim": 4, "pairs": len(pairs), "calls": 20 * len(pairs)}
-    return sizes, _calls(reflect, [(mirror, p) for _ in range(20) for p in pairs])
+    return {**sizes, "verdict_calls": _verdict_calls(lib, run)}, run
 
 
 def _reflect_order2(lib, reflect):
@@ -260,8 +284,9 @@ def _reflect_order2(lib, reflect):
         for p in result.pairs
         if c.kind != "skew" or abs(p.value) > survey.ZERO_VALUE
     ]
+    run = _calls(reflect, [(t, p, survey.REFLECT_TOL) for _ in range(20) for t, p in pairs])
     sizes = {"order": 2, "dims": [2, 4], "pairs": len(pairs), "calls": 20 * len(pairs)}
-    return sizes, _calls(reflect, [(t, p, survey.REFLECT_TOL) for _ in range(20) for t, p in pairs])
+    return {**sizes, "verdict_calls": _verdict_calls(lib, run)}, run
 
 
 def _on_witness_inputs(calls: int, data: bool = False):
@@ -390,6 +415,9 @@ CASES = [
          _contraction({"order": 5, "dim": 8, "count": 3, "stack": 50, "calls": 20}, jacobian=True)),
     Case("core.contract_trailing", "m=4 n=4 S=200",
          _contraction({"order": 4, "dim": 4, "count": 3, "stack": 200, "calls": 200})),
+    Case("eigen._open_trials", "m=4 n=4 S=8", _screen({"order": 4, "dim": 4, "stack": 8, "calls": 1000})),
+    Case("eigen._open_trials", "m=4 n=4 S=200", _screen({"order": 4, "dim": 4, "stack": 200, "calls": 200})),
+    Case("eigen._open_trials", "m=5 n=8 S=50", _screen({"order": 5, "dim": 8, "stack": 50, "calls": 200})),
     Case("eigen._newton_steps", "palindromic Cauchy m=4 n=4, singular stacks", _newton_steps,
          _singular_newton_stacks),
     Case("eigen._dedup", "27-cell panel, converged stacks, 5 passes", _merge_passes(5),

@@ -231,9 +231,23 @@ MUTANTS = [
     Mutant(
         "the line search without its first-hit filter",
         "src/centrotensor/eigen.py",
-        "            hits = hits[np.unique(rows[hits], return_index=True)[1]]\n",
+        "            hits = hits[first]\n",
         "            pass\n",
         ("tests/test_eigen.py::TestAgainstLoopOracle::test_same_pair_set_and_converged_count",),
+    ),
+    Mutant(
+        "the screen without its rounding slack",
+        "src/centrotensor/eigen.py",
+        "n * 2.0**-50 * (sq + 1.0 + best)",
+        "0.0 * (sq + 1.0 + best)",
+        ("tests/test_eigen.py::TestOpenTrials::test_rows_within_ulps_of_best[8]",),
+    ),
+    Mutant(
+        "one reflection sign for every tensor",
+        "src/centrotensor/structure.py",
+        "    sign = _SIGNS.get(a)\n",
+        "    sign = next(iter(_SIGNS.values()), None)\n",
+        ("tests/test_eigen.py::TestReflectPair::test_alternating_centro_and_skew_keep_their_signs",),
     ),
     Mutant(
         "the product-parity check's tolerance raised to 1e-6",

@@ -30,24 +30,27 @@ Contents:
   squares while the rest stay stacked.  Damping stays per start, and
   only trials that can be accepted are contracted: F's last entry
   |x|^2 - 1 needs no contraction, so it is computed for the full step
-  and all its halvings of every start, and each trial whose |x|^2 - 1
-  is not below that start's best max|F| is closed (_open_trials).  The
-  first open damping of every start is contracted in one stacked call,
-  the next open ones of the starts it failed in calls of as many rows as
-  LINE_SEARCH_ENTRIES (rows times n^(m-1)) holds, and each start takes
-  its first accepted damping.  A row's contraction does not depend on
-  the stack it is in (see core._BLOCK_ROWS), so neither the grouping of
-  the trials nor the other starts change a start's bits.  Componentwise
-  powers are left-to-right products (_power), not libm pow: orders up to
-  3 keep the bits x ** k gave, orders 4 and 5 can differ in the last
-  bits.  Starts leave the active stack as they converge, stall, take a
-  non-finite step or run out of iterations; SolverStats counts each way.
-  Converged pairs joined by a chain of close pairs are one pair, whatever
-  their order, and the kept pairs are classified as one stack.  The
-  Newton path and the order-2 direct path build their EigenSet in one
-  place, _solved,
+  and all its halvings of every start in one stacked pass, components
+  outermost, and each trial whose |x|^2 - 1 is not below that start's
+  best max|F| is closed (_open_trials).  The first open damping of every
+  start is contracted in one stacked call, the next open ones of the
+  starts it failed in calls of as many rows as LINE_SEARCH_ENTRIES (rows
+  times n^(m-1)) holds, and each start takes its first accepted damping:
+  a call's trials come in start order, so a start's first hit is a hit
+  whose start differs from the one before.  A row's contraction does not
+  depend on the stack it is in (see core._BLOCK_ROWS), so neither the
+  grouping of the trials nor the other starts change a start's bits.
+  Componentwise powers are left-to-right products (_power), not libm
+  pow: orders up to 3 keep the bits x ** k gave, orders 4 and 5 can
+  differ in the last bits.  Starts leave the active stack as they
+  converge, stall, take a non-finite step or run out of iterations;
+  SolverStats counts each way.  Converged pairs joined by a chain of
+  close pairs are one pair, whatever their order, and the kept pairs are
+  classified as one stack.  The Newton path and the order-2 direct path
+  build their EigenSet in one place, _solved,
 * reflection of a pair through the exchange matrix: for a centro tensor
-  (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is.
+  (lambda, Jx) is again a pair, for a skew tensor (-lambda, Jx) is; the
+  sign is read once per tensor (structure.reflection_sign).
 
 Beyond simple-spectrum matrices the solver gives no completeness
 guarantee: multistart Newton can miss pairs, which is why EigenSet
@@ -381,7 +384,7 @@ _DAMPS = 0.5 ** np.arange(_HALVINGS + 1)
 # one open damping of each start; a later one as many of each start's next
 # open dampings as the budget holds (at least one), so it bounds work as
 # well as memory: open dampings past a start's first accepted one are
-# evaluated for nothing.
+# evaluated for nothing.  It bounds the screen's trial stack too.
 LINE_SEARCH_ENTRIES = 2**16
 
 
@@ -391,25 +394,33 @@ def _open_trials(z: np.ndarray, step: np.ndarray, best: np.ndarray) -> np.ndarra
 
     F's last entry |x|^2 - 1 needs no contraction, and max|F| is at least
     its magnitude, so a trial whose |x|^2 - 1 is not below best cannot be
-    accepted.  The trial's components and their squares are the bits the
-    search contracts, but here the squares are summed one component at a
-    time, while _stacked_residual's np.sum may add them in another order
-    (numpy adds 8 or more pairwise).  Two orders of n nonnegative terms
-    differ by at most about 2(n-1) units of rounding (2^-53) of the sum,
-    and the subtraction of 1 and the comparison round once each, so a
-    trial stays open unless |x|^2 - 1 clears best by the slack
+    accepted.  The trials' components and their squares, the bits the
+    search contracts, fill one C-contiguous (n, dampings, starts) stack,
+    components outermost, and its sum over the components adds one
+    (dampings, starts) slice at a time, in component order (numpy adds
+    pairwise only along the innermost axis of a reduction, so the layout
+    fixes the order).  _stacked_residual's np.sum may add them in another
+    order (numpy adds 8 or more pairwise).  Two orders of n nonnegative
+    terms differ by at most about 2(n-1) units of rounding (2^-53) of the
+    sum, and the subtraction of 1 and the comparison round once each, so
+    a trial stays open unless |x|^2 - 1 clears best by the slack
     n * 2^-50 * (|x|^2 + 1 + best), four times all of that.  A trial whose
-    |x|^2 overflows is closed: its residual cannot beat best either.
+    |x|^2 overflows is closed: its residual cannot beat best either.  The
+    stack holds as many starts at a time as LINE_SEARCH_ENTRIES allows (at
+    least one), so the screen's memory past its (dampings, starts) arrays
+    stays within that budget; a start's bits do not depend on its block.
     """
     n = z.shape[1] - 1
-    sq, xj = np.zeros((2, len(z), _DAMPS.size))
-    for j in range(n):
-        np.multiply(_DAMPS, step[:, j, None], out=xj)
-        xj += z[:, j, None]
-        xj *= xj
-        sq += xj
-    best = best[:, None]
-    return np.abs(sq - 1.0) < best + n * 2.0**-50 * (sq + 1.0 + best)
+    sq = np.empty((_DAMPS.size, len(z)))
+    rows = max(1, LINE_SEARCH_ENTRIES // (n * _DAMPS.size))
+    for lo in range(0, len(z), rows):
+        block = slice(lo, lo + rows)
+        xs = np.empty((n, _DAMPS.size, len(z[block])))
+        np.multiply(step.T[:n, None, block], _DAMPS[:, None], out=xs)
+        xs += z.T[:n, None, block]
+        xs *= xs
+        xs.sum(axis=0, out=sq[:, block])
+    return (np.abs(sq - 1.0) < best + n * 2.0**-50 * (sq + 1.0 + best)).T
 
 
 # Entry budget of one stacked comparison of the merge: its rows times n,
@@ -598,9 +609,10 @@ def solve_eigen(
     Raises ResourceLimitError, before any start is drawn, when the
     contractions (core._stack_entries, which bounds every array of
     core.contract_trailing), the Jacobian stack or the line search's
-    screen (_open_trials, 2 * _DAMPS.size entries a start) would hold
-    more than core.DEFAULT_ENTRY_CAP entries; the line search's calls
-    after the first of each step hold at most LINE_SEARCH_ENTRIES entries.
+    screen (_open_trials: its sums and mask, 2 * _DAMPS.size entries a
+    start) would hold more than core.DEFAULT_ENTRY_CAP entries; the
+    screen's trial stack and the line search's calls after the first of
+    each step hold at most LINE_SEARCH_ENTRIES entries.
     The check counts these Newton arrays at order 2 too, where the direct
     path holds none of them: it runs before np.linalg.eig picks the path,
     and a repeated eigenvalue sends an order-2 solve to Newton, so one
@@ -653,7 +665,8 @@ def _start_rows(seed, starts: int, n: int):
 
 
 def _unit_rows(xs: np.ndarray) -> np.ndarray:
-    return xs / np.linalg.norm(xs, axis=1)[:, None]
+    """Each row over its Euclidean norm, summed as np.linalg.norm(xs, axis=1) sums it."""
+    return xs / np.sqrt(np.add.reduce(xs * xs, axis=1))[:, None]
 
 
 def _jacobians(jac_tensor: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -690,7 +703,7 @@ def _damped_step(data: np.ndarray, z: np.ndarray, step: np.ndarray, best: np.nda
     chunk_rows = max(1, LINE_SEARCH_ENTRIES // n ** (m - 1))
     opened = _open_trials(z, step, best)
     taken, fs = np.zeros(len(z), dtype=bool), np.empty_like(z)
-    pending = np.flatnonzero(opened.any(axis=1))
+    pending = opened.any(axis=1).nonzero()[0]
     take = 1
     while pending.size:
         # each pending row's next `take` open dampings, in damping order;
@@ -707,14 +720,17 @@ def _damped_step(data: np.ndarray, z: np.ndarray, step: np.ndarray, best: np.nda
         z_new = z[rows] + _DAMPS[cols, None] * step[rows]
         f_new = _stacked_residual(data, z_new)
         norm_new = np.abs(f_new).max(axis=1)
-        hits = np.flatnonzero(norm_new < best[rows])
+        hits = (norm_new < best[rows]).nonzero()[0]
         if take > 1:
-            # the first trial of each row that beats its best wins
-            hits = hits[np.unique(rows[hits], return_index=True)[1]]
+            # the first trial of each row that beats its best wins: rows
+            # ascend, so it is each hit whose row differs from the last one's
+            first = np.ones(hits.size, dtype=bool)
+            np.not_equal(rows[hits[1:]], rows[hits[:-1]], out=first[1:])
+            hits = hits[first]
         won = rows[hits]
         taken[won], opened[won] = True, False
         z[won], fs[won], best[won] = z_new[hits], f_new[hits], norm_new[hits]
-        pending = np.flatnonzero(opened.any(axis=1))
+        pending = opened.any(axis=1).nonzero()[0]
         take = max(1, chunk_rows // max(1, pending.size))
     return taken, z, fs, best
 
@@ -784,8 +800,11 @@ def reflect_pair(a: DenseTensor, pair: EigenPair, tol: float = DEFAULT_SOLVER_TO
     """Mirror an eigenpair through the exchange matrix.
 
     For a centro tensor the reflected vector keeps the eigenvalue; for a
-    skew tensor it carries the negated one.  The returned pair is
-    re-verified, and a failure raises ConsistencyError since it would
+    skew tensor it carries the negated one.  The sign comes from
+    structure.reflection_sign, which scans each tensor once, so
+    reflecting every pair of a solve pays one structure verdict; a tensor
+    that is neither centro nor skew raises ValueError.  The returned pair
+    is re-verified, and a failure raises ConsistencyError since it would
     contradict an identity that holds exactly in real arithmetic.
     """
     tol = check_tolerance(tol)

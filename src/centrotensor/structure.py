@@ -53,6 +53,7 @@ stay finite for any finite tensor.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,11 @@ _BLOCK = 2**15
 # Relative per-sample bound of verify_poly_reflection: f(x) and f(Jx) sum
 # the same products in different orders, so they agree only to rounding.
 _POLY_TOL = 1e-10
+
+# The reflection sign of each tensor reflection_sign has read, keyed by the
+# tensor: a DenseTensor is read-only and hashes by identity, and an entry
+# goes when its tensor does.
+_SIGNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -334,15 +340,23 @@ def reflection_sign(a: DenseTensor) -> float:
 
     Reversing every index multiplies A by this sign, so f(Jx) = sign * f(x)
     and (sign * lambda, Jx) is an eigenpair whenever (lambda, x) is.  The
-    sign is read from check_structure at the default tolerance; a tensor
-    that is neither raises ValueError.
+    sign is read from check_structure at the default tolerance, once per
+    tensor: A is read-only, so its verdict cannot change, and later calls
+    look the sign up in a map keyed weakly by A, which mutates nothing of
+    A and does not keep it alive.  A tensor that is neither raises
+    ValueError, on every call, as its verdict is not kept.
     """
-    report = check_structure(a)
-    if report.is_centro:
-        return 1.0
-    if report.is_skew:
-        return -1.0
-    raise ValueError("tensor is neither centro nor skew")
+    sign = _SIGNS.get(a)
+    if sign is None:
+        report = check_structure(a)
+        if report.is_centro:
+            sign = 1.0
+        elif report.is_skew:
+            sign = -1.0
+        else:
+            raise ValueError("tensor is neither centro nor skew")
+        _SIGNS[a] = sign
+    return sign
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -14,7 +14,7 @@ import numpy as np
 
 from centrotensor.cauchy import NEAR_ZERO_FACTOR, CauchySpecError
 from centrotensor.core import DenseTensor, check_entry_count, entry_scale
-from centrotensor.eigen import DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL, ORDER2_GAP
+from centrotensor.eigen import _DAMPS, DEDUP_VALUE_TOL, DEDUP_VECTOR_TOL, ORDER2_GAP
 from centrotensor.structure import BOTH, CENTRO, NEITHER, SKEW, StructureReport
 
 
@@ -361,6 +361,25 @@ def loop_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             steps[k] = np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]
     return steps
+
+
+def loop_open_trials(z: np.ndarray, step: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """The line search's screen summed one vector component at a time on
+    (starts, dampings) arrays: which trials z[s] + _DAMPS[k] * step[s] have
+    ||x|^2 - 1| below best[s] by more than the slack
+    n * 2^-50 * (|x|^2 + 1 + best[s]).
+
+    The component loop the library's one stacked pass replaced.
+    """
+    n = z.shape[1] - 1
+    sq, xj = np.zeros((2, len(z), _DAMPS.size))
+    for j in range(n):
+        np.multiply(_DAMPS, step[:, j, None], out=xj)
+        xj += z[:, j, None]
+        xj *= xj
+        sq += xj
+    best = best[:, None]
+    return np.abs(sq - 1.0) < best + n * 2.0**-50 * (sq + 1.0 + best)
 
 
 def loop_validate_spec(spec) -> None:

@@ -27,8 +27,8 @@ from centrotensor import (
     residual,
     solve_eigen,
 )
-from centrotensor import core, eigen
-from oracles import component_dedup, loop_newton_steps, loop_solve_eigen
+from centrotensor import core, eigen, structure
+from oracles import component_dedup, loop_newton_steps, loop_open_trials, loop_solve_eigen
 
 
 ORACLE_CELLS = [
@@ -673,6 +673,32 @@ class TestReflectPair:
                 assert mirrored.value == -pair.value
                 assert mirrored.residual <= 1e-10
 
+    def test_every_pair_of_one_solve_pays_one_verdict(self, monkeypatch):
+        a = random_structured(3, 4, "centro", seed=34)
+        pairs = solve_eigen(a, starts=200, seed=3).pairs
+        assert len(pairs) > 1
+        calls, check = [], structure.check_structure
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "check_structure", counted)
+        for pair in pairs:
+            assert reflect_pair(a, pair).value == pair.value
+        assert calls == [a]
+
+    def test_alternating_centro_and_skew_keep_their_signs(self):
+        # eigenvalues 3 and 1, and +-sqrt(3)
+        centro = DenseTensor(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        skew = DenseTensor(np.array([[2.0, 1.0], [-1.0, -2.0]]))
+        centro_pair = solve_eigen(centro, starts=10, seed=0).pairs[-1]
+        skew_pair = solve_eigen(skew, starts=10, seed=0).pairs[-1]
+        assert centro_pair.value > 2.0 and skew_pair.value > 1.0
+        for _ in range(3):
+            assert reflect_pair(centro, centro_pair).value == centro_pair.value
+            assert reflect_pair(skew, skew_pair).value == -skew_pair.value
+
 
 class TestCauchyEigenvectorSymmetry:
     @pytest.mark.parametrize("order", [2, 3, 4])
@@ -985,24 +1011,24 @@ class TestOpenTrials:
         assert not opened[last > best[:, None] * (1 + 1e-12) + 1e-12].any()
         return opened
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_random_rows(self, m, n):
+    @staticmethod
+    def _random_panel(m, n):
+        """Random rows of an order-m dim-n centro tensor, and bests at, above
+        and below each start's own trial residuals."""
         rng = np.random.default_rng(10 * m + n)
         data = random_structured(m, n, "centro", seed=m + n).data
         z = rng.normal(size=(60, n + 1)) * rng.uniform(0.1, 2.0, size=(60, 1))
         step = rng.normal(size=(60, n + 1)) * rng.uniform(0.01, 3.0, size=(60, 1))
         full, _ = trial_norms(data, z, step)
-        # best at, above and below each start's own trial residuals
-        for best in (full[:, 0], full.min(axis=1), np.median(full, axis=1), 2 * full.max(axis=1)):
-            self._assert_sound(data, z, step, best)
+        bests = (full[:, 0], full.min(axis=1), np.median(full, axis=1), 2 * full.max(axis=1))
+        return data, z, step, bests
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_rows_within_ulps_of_best(self, n):
-        # On the zero tensor with lambda = 0, max|F| is ||x|^2 - 1| as
-        # np.sum gives it, so best a few ulps either side of a trial's
-        # ||x|^2 - 1| puts that trial right at the screen's edge; |x|^2
-        # above and below 1 gives both signs of |x|^2 - 1.
+    @staticmethod
+    def _edge_panel(n):
+        """Rows on the zero tensor with lambda = 0, where max|F| is ||x|^2 - 1|
+        as np.sum gives it, and bests a few ulps either side of one trial's
+        ||x|^2 - 1|, which put that trial right at the screen's edge; |x|^2
+        above and below 1 gives both signs of |x|^2 - 1."""
         rng = np.random.default_rng(n)
         data = np.zeros((n,) * 3)
         z = rng.normal(size=(400, n + 1)) * rng.uniform(0.3, 1.5, size=(400, 1))
@@ -1012,8 +1038,41 @@ class TestOpenTrials:
         gaps = np.sum(all_trials(z, step)[..., :n] ** 2, axis=2) - 1.0
         assert (gaps > 0).any() and (gaps < 0).any()
         edge = last[np.arange(len(z)), rng.integers(0, eigen._DAMPS.size, size=len(z))]
-        for best in ulp_steps(edge, [-3, -1, 0, 1, 2, 3]).T:
+        return data, z, step, ulp_steps(edge, [-3, -1, 0, 1, 2, 3]).T
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_rows(self, m, n):
+        data, z, step, bests = self._random_panel(m, n)
+        for best in bests:
             self._assert_sound(data, z, step, best)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_within_ulps_of_best(self, n):
+        data, z, step, bests = self._edge_panel(n)
+        for best in bests:
+            self._assert_sound(data, z, step, best)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_rows_match_the_loop_oracle(self, m, n):
+        _, z, step, bests = self._random_panel(m, n)
+        for best in bests:
+            assert np.array_equal(eigen._open_trials(z, step, best), loop_open_trials(z, step, best))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_within_ulps_of_best_match_the_loop_oracle(self, n):
+        _, z, step, bests = self._edge_panel(n)
+        for best in bests:
+            assert np.array_equal(eigen._open_trials(z, step, best), loop_open_trials(z, step, best))
+
+    @pytest.mark.parametrize("budget", [1, 7 * 8 * 17])
+    def test_blocks_of_starts_change_no_bit(self, budget, monkeypatch):
+        # one start, or seven, per block of the screen's trial stack
+        _, z, step, bests = self._edge_panel(8)
+        monkeypatch.setattr(eigen, "LINE_SEARCH_ENTRIES", budget)
+        for best in bests:
+            assert np.array_equal(eigen._open_trials(z, step, best), loop_open_trials(z, step, best))
 
     @pytest.mark.parametrize(
         "tensor",

@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -376,6 +378,39 @@ def test_reflection_sign_is_silent_when_a_deviation_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert structure.reflection_sign(DenseTensor([[1e308, 1e308], [-1e308, -1e308]])) == -1.0
+
+
+class TestReflectionSignMap:
+    """reflection_sign scans each tensor once; check_structure scans every call."""
+
+    def test_the_map_holds_no_tensor_alive(self):
+        a = random_structured(3, 3, "skew", seed=33)
+        assert structure.reflection_sign(a) == -1.0
+        assert a in structure._SIGNS
+        gone = weakref.ref(a)
+        del a
+        gc.collect()
+        assert gone() is None
+        # a dead key's entry leaves the map with its tensor
+        assert all(key() is not None for key in list(structure._SIGNS.data))
+
+    def test_a_tensor_that_is_neither_raises_on_every_call(self, monkeypatch):
+        a = random_structured(2, 3, "general", seed=3)
+        scans, compare = [], structure._compare
+        monkeypatch.setattr(structure, "_compare", lambda *args: scans.append(1) or compare(*args))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="neither centro nor skew"):
+                structure.reflection_sign(a)
+        assert a not in structure._SIGNS
+        assert len(scans) == 3
+
+    def test_check_structure_still_scans_every_call(self, monkeypatch):
+        a = random_structured(3, 3, "centro", seed=33)
+        structure.reflection_sign(a)
+        scans, compare = [], structure._compare
+        monkeypatch.setattr(structure, "_compare", lambda *args: scans.append(1) or compare(*args))
+        assert check_structure(a) == check_structure(a)
+        assert len(scans) == 2
 
 
 class TestEntryCap:
