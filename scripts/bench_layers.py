@@ -157,10 +157,15 @@ def _witness_inputs(lib) -> list:
     ]
 
 
+def _structured(kind: str, order: int, dim: int):
+    """A maker of the random_structured tensor of this kind, order and dim,
+    drawn from SEED; order 4, dim 16 is the size of the cli-json benchmark's
+    inputs."""
+    return lambda lib: lib.structure.random_structured(order, dim, kind, seed=SEED)
+
+
 def _centro(order: int, dim: int):
-    """A maker of the centro tensor of this order and dim, drawn from SEED;
-    order 4, dim 16 is the size of the cli-json benchmark's inputs."""
-    return lambda lib: lib.structure.random_structured(order, dim, "centro", seed=SEED)
+    return _structured("centro", order, dim)
 
 
 def _solves(cells, **sizes):
@@ -311,6 +316,12 @@ def _cli_witness(lib, witness):
     return {"order": 4, "dim": 16, "calls": 20}, _calls(witness, [(_centro(4, 16)(lib),)] * 20)
 
 
+def _decompose_general(lib, decompose):
+    """An order-4 dim-40 general tensor, the size of the dense-kernels
+    benchmark's general decompose input, alone."""
+    return {"order": 4, "dim": 40, "calls": 5}, _calls(decompose, [(_structured("general", 4, 40)(lib),)] * 5)
+
+
 def _exchange_products(lib, shao):
     inputs = _witness_inputs(lib)
     exchange = {t.dim: lib.product.exchange_matrix(t.dim) for t in inputs}
@@ -437,6 +448,7 @@ CASES = [
     Case("structure.check_via_J", _CLI_WITNESS, _cli_witness),
     Case("structure.check_commutation", _CLI_WITNESS, _cli_witness),
     Case("structure.decompose", _WITNESSES, _on_witness_inputs(5)),
+    Case("structure.decompose", "order-4 dim-40 general, 5 calls", _decompose_general),
     Case("core.entry_scale", _WITNESSES, _on_witness_inputs(20)),
     Case("product.shao_product", "A*J and J*A, order 4, dims 36/38/40", _exchange_products),
     Case("product.shao_product", "centro*skew, order 3, dim 26", _dense_product),
@@ -449,7 +461,12 @@ CASES = [
          _dumps(_centro(4, 16), 1, as_obj=True)),
     Case("serialize.dumps", "tensor_to_obj of an order-2 dim-16 centro tensor (256-float list), 1000 calls",
          _dumps(_centro(2, 16), 1000, as_obj=True)),
+    Case("serialize.dumps", "order-4 dim-16 general DenseTensor", _dumps(_structured("general", 4, 16), 1)),
+    Case("serialize.dumps", "order-4 dim-16 skew DenseTensor", _dumps(_structured("skew", 4, 16), 1)),
     Case("serialize.read_tensor", "order-4 dim-16 centro tensor file", _read_text(_centro(4, 16), 1)),
+    Case("serialize.read_tensor", "order-4 dim-16 general tensor file",
+         _read_text(_structured("general", 4, 16), 1)),
+    Case("serialize.read_tensor", "order-4 dim-16 skew tensor file", _read_text(_structured("skew", 4, 16), 1)),
     Case("serialize.read_tensor", "cli-json inverse input P, order 4 dim 16", _read_text(_planted_inverse_input, 1)),
     Case("serialize.read_tensor", "order-2 dim-4 centro tensor, 1000 calls", _read_text(_centro(2, 4), 1000)),
     Case("cli.main", "check -o on an order-4 dim-16 centro tensor file", _on_file(_centro(4, 16), 1, ("check",))),

@@ -39,6 +39,8 @@ _DIRECT = "tests/test_eigen.py::TestOrder2DirectPath::"
 _READER = "tests/test_serialize.py::TestTensorReader::"
 _MERGE = "tests/test_eigen.py::TestMergeAgainstLoop::"
 _SUITE = "tests/test_suite.py::"
+_MIRROR_WRITER = "tests/test_serialize.py::TestMirroredWriter::"
+_MIRROR_READER = "tests/test_serialize.py::TestMirroredReader::"
 
 MUTANTS = [
     Mutant(
@@ -122,6 +124,44 @@ MUTANTS = [
         "if np.any(digit > 9):",
         "if False:",
         (_READER + "test_non_numbers_fail_as_loads_does",),
+    ),
+    Mutant(
+        "the mirrored back half keeps the front's sign",
+        "src/centrotensor/serialize.py",
+        "    if flip:\n        out[:, 0] ^= _SIGN_BYTE\n",
+        "    if False:\n        out[:, 0] ^= _SIGN_BYTE\n",
+        (_MIRROR_WRITER + "test_text_is_the_per_item_join[193-skew]",
+         _MIRROR_WRITER + "test_specials_at_mirrored_positions[skew]"),
+    ),
+    Mutant(
+        "the reader's mirrored back half keeps the front's sign",
+        "src/centrotensor/serialize.py",
+        "-entries[at] if negate else entries[at]",
+        "entries[at]",
+        (_MIRROR_READER + "test_reads_as_loads[193-skew]",),
+    ),
+    Mutant(
+        "the reader mirrors without comparing bytes",
+        "src/centrotensor/serialize.py",
+        "    return not np.any(differ & np.take(_reader_tables()[0], size, axis=1).T)\n",
+        "    return True\n",
+        (_MIRROR_READER + "test_an_edited_back_token[one-digit-centro]",
+         _MIRROR_READER + "test_an_edited_back_token[one-digit-skew]"),
+    ),
+    Mutant(
+        "decompose's skew mirror as -(h - hr)",
+        "src/centrotensor/structure.py",
+        "np.subtract(hr[:k], h[:k], out=",
+        "np.negative(h[:k] - hr[:k], out=",
+        ("tests/test_structure.py::TestMirroredSplit::"
+         "test_an_equal_pair_has_a_positive_zero_skew_part_at_both_ends[default-4]",),
+    ),
+    Mutant(
+        "materialize mirrors a non-palindromic c",
+        "src/centrotensor/cauchy.py",
+        "bits[0] == bits[-1] and np.array_equal(bits, bits[::-1])",
+        "bits[0] == bits[-1]",
+        ("tests/test_cauchy.py::TestPalindromicBuild::test_bits_and_errors_of_the_full_build[default-c6-3]",),
     ),
     Mutant(
         "the CLI's usage errors exiting 1, not 2",

@@ -16,6 +16,16 @@ held a candidate are searched for bad reciprocals.  Errors keep one
 priority: the first near-zero multiset, then the first index whose sum
 has no finite reciprocal, then the first sum that overflowed.
 
+When c is a bitwise palindrome, row R-1-r of the R = n^(m-1) rows is
+row r reversed, bit for bit, so only the rows r < ceil(R/2) are
+computed and scanned, and the others are filled from them block by
+block.  A front half that held no candidate makes every entry a finite
+nonzero reciprocal.  One that held a candidate has the back half
+computed and scanned as well: a multiset sorted in the back half
+mirrors one of the front whose sum adds the same terms in another
+order, which may round to the other side of the threshold.  The
+outermost pair of c rejects most other vectors in one comparison.
+
 Structure facts encoded here: the tensor is centrosymmetric exactly when
 c is a palindrome, skew-centrosymmetric (even n only) exactly when c is
 an anti-palindrome, and there is no odd-dimension skew case because the
@@ -118,6 +128,25 @@ def _check_multisets(c: np.ndarray, index: tuple, threshold: float) -> None:
         )
 
 
+def _row_blocks(start: int, stop: int, step: int):
+    """(first, stop) of each block of `step` rows from start to stop."""
+    return [(first, min(first + step, stop)) for first in range(start, stop, step)]
+
+
+def _fill_block(block, lead, c, bound: float, threshold: float, shape: tuple, first: int, suspects: list) -> None:
+    """Write the reciprocals of lead[r] + c into the rows of block, whose
+    first row is row `first` of the result, after the multiset scan of
+    its candidates; a block that held one appends its row range to suspects."""
+    np.add(lead[:, None], c, out=block)
+    low, high = float(block.min()), float(block.max())
+    if not (bound <= low and high < np.inf or -np.inf < low and high <= -bound):
+        flat = np.flatnonzero(((block < bound) & (block > -bound)) | ~np.isfinite(block))
+        if flat.size:
+            _check_multisets(c, np.unravel_index(first * c.size + flat, shape), threshold)
+            suspects.append((first, first + len(block)))
+    np.divide(1.0, block, out=block)
+
+
 def materialize(spec: CauchySpec) -> DenseTensor:
     """Build the dense tensor of reciprocals of m-fold component sums.
 
@@ -131,7 +160,8 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     overflowed sum where another order of the same terms cancels to 0.
 
     Only the result is allocated at full size (see the module docstring).
-    Row r of the result gets lead[r] + c, left to right.  Every block is
+    Row r of the result gets lead[r] + c, left to right; for a palindromic
+    c, the back half of the rows is the front half's mirror.  Every block is
     scanned before a reciprocal is judged, and then only the blocks that
     held a candidate are searched: an entry that is not finite marks a
     sum with no finite reciprocal, and an entry of 0 a sum that
@@ -150,24 +180,31 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     lead = _lead_sums(spec)
     out = np.empty((lead.size, n))
     step = max(1, _BLOCK // n)
-    suspects = []  # first rows of the blocks that held a candidate
+    bits = c.view(np.uint64)
+    # rows past the front half mirror it when c is a bitwise palindrome
+    mirrored = bits[0] == bits[-1] and np.array_equal(bits, bits[::-1])
+    front = lead.size - lead.size // 2 if mirrored else lead.size
+    suspects = []  # the row ranges of the blocks that held a candidate
     with np.errstate(divide="ignore", over="ignore"):
-        for row in range(0, lead.size, step):
-            block = out[row : row + step]
-            np.add(lead[row : row + step, None], c, out=block)
-            low, high = float(block.min()), float(block.max())
-            if not (bound <= low and high < np.inf or -np.inf < low and high <= -bound):
-                flat = np.flatnonzero(((block < bound) & (block > -bound)) | ~np.isfinite(block))
-                if flat.size:
-                    _check_multisets(c, np.unravel_index(row * n + flat, shape), threshold)
-                    suspects.append(row)
-            np.divide(1.0, block, out=block)
+        for first, stop in _row_blocks(0, front, step):
+            _fill_block(out[first:stop], lead[first:stop], c, bound, threshold, shape, first, suspects)
+        if mirrored and not suspects:
+            # every entry is a finite nonzero reciprocal, and row R-1-r is row
+            # r reversed: lead[R-1-r] sums the same components in the same order
+            flat, size = out.reshape(-1), out.size
+            for first, stop in _row_blocks(0, lead.size // 2, step):
+                flat[size - stop * n : size - first * n] = flat[first * n : stop * n][::-1]
+        else:
+            # a candidate's multiset may first appear sorted in the back half
+            # under a sum of its terms in another order, so scan it as well
+            for first, stop in _row_blocks(front, lead.size, step):
+                _fill_block(out[first:stop], lead[first:stop], c, bound, threshold, shape, first, suspects)
         for problem in ("has no finite reciprocal", "is not finite"):
-            for row in suspects:
-                block = out[row : row + step]
+            for first, stop in suspects:
+                block = out[first:stop]
                 bad = block == 0 if problem == "is not finite" else ~np.isfinite(block)
                 if bad.any():
-                    k = row * n + int(np.argmax(bad))
+                    k = first * n + int(np.argmax(bad))
                     index = tuple(int(i) + 1 for i in np.unravel_index(k, shape))
                     raise CauchySpecError(
                         f"index sum {float(lead[k // n] + c[k % n])!r} at index {index} "

@@ -40,6 +40,16 @@ tables are built at the kernel's first write.  Zero is ``0`` or ``-0``.
 Any other value (exponent notation, subnormals, inf, nan) gets the
 per-item "%.17g", spliced in at its position.
 
+A mirrored sequence, each pair (q, N-1-q) of entries bitwise equal
+(centrosymmetric) or different in the sign bit alone (skew), an odd N's
+middle entry paired with itself, is formatted half.  The outermost pair
+says which of the two to test, so any other sequence costs one
+comparison before its full pass; the test runs block by block.  The
+kernel formats the front ceil(N/2) entries, and each back block is the
+rows of a front block's proper pairs in reverse order, with the sign
+byte toggled for skew; a per-item marker row takes the "%.17g" of its
+own back entry instead.  The text is that of the full pass.
+
 ``read_tensor`` reads a tensor text (``str``) or a file's ``bytes`` to
 the bits and errors of ``tensor_from_obj(loads(text))``, ``text`` being
 what a text-mode ``open(path, encoding="utf-8")`` would read, by one of
@@ -76,6 +86,20 @@ decoded as that read decodes them, UTF-8 with universal newlines, so a
   and 64-bit integer steps are the same on every platform.  The sign is
   applied last, so ``-0`` and ``-0.0`` give -0.0.  Zeros skip the rounding
   step.
+
+  A mirrored text is parsed half.  The kernel compares the outermost
+  pair of the multi-byte tokens first: they must stand at positions q
+  and N-1-q with the same magnitude bytes, and their leading ``-`` says
+  whether every pair's signs are to be equal or different.  Then each
+  block of pairs is compared -- positions, magnitude lengths, signs and
+  the 24-byte windows masked to the magnitude -- and a block that
+  matches reads only its front tokens; its back tokens are filled after
+  the reading, by copy or by negation.  From the first block that does
+  not match, every token is read.  Single-digit tokens keep their
+  one-byte path, and an odd count's middle token is read.  A back token
+  whose magnitude and ``-`` agree with its twin's is a JSON number
+  exactly when its twin is, and reads to its twin's value or the
+  negation of it, since the sign is applied last.
 * A token that is a JSON number but not in the kernel's form (an
   exponent, more than 18 digits, more than 24 bytes, an exact tie or a
   value just below a power of two) is read by ``float(token)``, which is
@@ -165,6 +189,9 @@ def _tables() -> tuple:
 
 _ZERO_ROW = 2 * 21 * 17  # then the rows of -0 and the marker
 _MARK_ROW = _ZERO_ROW + 2
+# a float64's sign bit; what toggles a row's sign byte between "-" and NUL
+_SIGN_BIT = np.uint64(1 << 63)
+_SIGN_BYTE = np.uint64(45)
 
 
 def _scaled(a, a_hi, a_lo, x):
@@ -182,8 +209,10 @@ def _exponent_step(p, e):
     return high.astype(np.intp) - low
 
 
-def _format_block(v: np.ndarray) -> str:
-    """The entries of v as "%.17g" text, each followed by ", "."""
+def _block_rows(v: np.ndarray) -> tuple:
+    """The entries of v as 48-byte rows of "%.17g" text, each followed by
+    ", " and padded with NUL, as an (len(v), 6) uint64 array, and each
+    entry's row template (_MARK_ROW for a value written per item)."""
     digit_groups, group_zeros, templates, digit_masks = _tables()
     mag = np.abs(v)
     window = (mag >= 1e-4) & (mag < 1e17)
@@ -223,6 +252,11 @@ def _format_block(v: np.ndarray) -> str:
     out = np.take(digit_groups, groups)
     out &= np.take(digit_masks, row, axis=0)
     out |= np.take(templates, row, axis=0)
+    return out, row
+
+
+def _rows_text(out: np.ndarray, row: np.ndarray, v: np.ndarray) -> str:
+    """The text of _block_rows' rows, v's per-item values spliced in at the markers."""
     text = out.tobytes().translate(None, b"\0").decode("ascii")
     per_item = v[row == _MARK_ROW]
     if per_item.size:
@@ -232,14 +266,63 @@ def _format_block(v: np.ndarray) -> str:
     return text
 
 
+def _format_block(v: np.ndarray) -> str:
+    """The entries of v as "%.17g" text, each followed by ", "."""
+    return _rows_text(*_block_rows(v), v)
+
+
+def _mirror_flip(bits: np.ndarray):
+    """0 where every pair (q, N-1-q) of these float64 bits is equal, the
+    sign bit where every pair differs in it alone, else None.  The outermost
+    pair decides which to test, so most other arrays cost one comparison."""
+    n, half = bits.size, bits.size // 2
+    if not half:
+        return None
+    flip = bits[0] ^ bits[-1]
+    if flip != 0 and flip != _SIGN_BIT:
+        return None
+    for i in range(0, half, _BLOCK):
+        j = min(i + _BLOCK, half)
+        if np.any(bits[i:j] ^ bits[n - j : n - i][::-1] != flip):
+            return None
+    return flip
+
+
+def _format_pairs(values: np.ndarray, start: int, flip) -> tuple:
+    """The text of the front block of a mirrored sequence that starts at
+    entry `start`, and that of its back block: the rows of the block's
+    proper pairs reversed, a skew mirror's sign bytes toggled except a
+    per-item marker's, whose value is written from its back entry."""
+    n = len(values)
+    v = values[start : min(start + _BLOCK, n - n // 2)]
+    out, row = _block_rows(v)
+    front = _rows_text(out, row, v)
+    k = min(len(v), n // 2 - start)
+    out, row = out[:k], row[:k]
+    if flip:
+        out[:, 0] ^= _SIGN_BYTE
+        out[row == _MARK_ROW, 0] ^= _SIGN_BYTE
+    return front, _rows_text(out[::-1], row[::-1], values[n - start - k : n - start])
+
+
 def _format_floats(values) -> str:
     """``", ".join("%.17g" % v for v in values)`` for a 1-D float64 array or
     a list of floats: one ``%`` pass below _KERNEL_MIN_FLOATS entries, where
-    the kernel's fixed cost does not pay, and the kernel from there on."""
-    if len(values) < _KERNEL_MIN_FLOATS:
-        return ", ".join(["%.17g"] * len(values)) % tuple(values)
+    the kernel's fixed cost does not pay, and the kernel from there on.
+    The kernel formats only the front half of a mirrored sequence (see
+    the module docstring)."""
+    n = len(values)
+    if n < _KERNEL_MIN_FLOATS:
+        return ", ".join(["%.17g"] * n) % tuple(values)
+    values = np.asarray(values)
+    flip = _mirror_flip(values.view(np.uint64))
     with np.errstate(all="ignore"):
-        blocks = [_format_block(np.asarray(values[i : i + _BLOCK])) for i in range(0, len(values), _BLOCK)]
+        if flip is None:
+            blocks = [_format_block(values[i : i + _BLOCK]) for i in range(0, n, _BLOCK)]
+        else:
+            pairs = [_format_pairs(values, i, flip) for i in range(0, n - n // 2, _BLOCK)]
+            blocks = [front for front, _ in pairs] + [back for _, back in pairs[::-1]]
+            del pairs  # which would hold the last block past its trimmed copy
     if blocks:
         blocks[-1] = blocks[-1][:-2]
     return "".join(blocks)
@@ -377,13 +460,13 @@ def _reader_tables():
             np.array([5**k << 9 for k in range(23)], np.int64), np.arange(1084, 1061, -1, dtype=np.uint64))
 
 
-def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
-    """The tokens of at least two bytes at these starts and lengths as
-    floats, and a mask of the ones the kernel read; the others hold +-0."""
+def _read_block(rows: np.ndarray, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The tokens of at least two bytes at these starts and lengths, whose
+    windows are rows, as floats, and a mask of the ones the kernel read;
+    the others hold +-0."""
     last, below, column_of, fives, shifts = _reader_tables()
     ends = starts + lengths
     length = np.minimum(lengths, _WINDOW)
-    rows = windows[ends - _WINDOW]
     # word w of each row in row w, so every step is a flat uint64 op
     words = rows.view(np.uint64).T.copy()
     # p = the point's column + 1 (0 without a point); several points sum to
@@ -438,6 +521,41 @@ def _read_block(windows, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarra
     return values, ok
 
 
+def _outer_flip(data: bytes, starts, lengths, rest):
+    """False where the outermost tokens of two bytes or more, at the token
+    indices rest[0] and rest[-1], pair up as (q, N-1-q) with the same
+    magnitude and sign, True where their signs differ, else None."""
+    if len(rest) < 2:
+        return None
+    a, b = rest[0], rest[-1]
+    neg_a, neg_b = data[starts[a]] == 45, data[starts[b]] == 45
+    magnitude_a = data[starts[a] + neg_a : starts[a] + lengths[a]]
+    if a + b != len(starts) - 1 or magnitude_a != data[starts[b] + neg_b : starts[b] + lengths[b]]:
+        return None
+    return neg_a != neg_b
+
+
+def _tokens(windows, starts, lengths, at) -> tuple:
+    """The tokens at these indices: the indices, starts, lengths and windows."""
+    at_starts, at_lengths = starts[at], lengths[at]
+    return at, at_starts, at_lengths, windows[at_starts + at_lengths - _WINDOW]
+
+
+def _twins(buf, front: tuple, back: tuple, count: int, negate: bool) -> bool:
+    """Whether each of the front tokens and the back token of its place
+    (both as _tokens gives them) stand at mirrored positions q and
+    count-1-q with the same magnitude and the same sign (negate False) or
+    the other (negate True)."""
+    (front, starts, lengths, rows), (back, twin_starts, twin_lengths, twin_rows) = front, back
+    negative, twin_negative = buf[starts] == 45, buf[twin_starts] == 45
+    size = lengths - negative
+    if (np.any(front + back != count - 1) or np.any((negative != twin_negative) != negate)
+            or np.any(size != twin_lengths - twin_negative) or np.any(size > _WINDOW)):
+        return False
+    differ = rows.view(np.uint64) ^ twin_rows.view(np.uint64)
+    return not np.any(differ & np.take(_reader_tables()[0], size, axis=1).T)
+
+
 def _read_entries(data):
     """(order, dim, entries) of a tensor text (str) or file (bytes) in the
     writer's layout, or None where it takes loads (see the module docstring)."""
@@ -476,11 +594,26 @@ def _read_entries(data):
     # token starts past the head's 24 characters
     windows = sliding_window_view(buf, _WINDOW)
     rest = np.flatnonzero(~single)
-    per_item = []
-    for i in range(0, len(rest), _BLOCK):
-        at = rest[i : i + _BLOCK]
-        entries[at], ok = _read_block(windows, buf, starts[at], lengths[at])
-        per_item += at[~ok].tolist()
+    negate = _outer_flip(data, starts, lengths, rest)
+    mirrored = negate is not None
+    pairs = len(rest) // 2 if mirrored else 0
+    per_item, twins = [], []
+    for i in range(0, len(rest) - pairs, _BLOCK):
+        todo = [_tokens(windows, starts, lengths, rest[i : min(i + _BLOCK, len(rest) - pairs)])]
+        # the mirrors of this block's proper pairs: filled from their twins
+        # where every pair matches, else read, and then every later block too
+        k = min(len(todo[0][0]), pairs - i)
+        if k > 0:
+            front = tuple(part[:k] for part in todo[0])
+            back = _tokens(windows, starts, lengths, rest[::-1][i : i + k])
+            mirrored = mirrored and _twins(buf, front, back, len(starts), negate)
+            if mirrored:
+                twins.append(front[0])
+            else:
+                todo.append(back)
+        for at, at_starts, at_lengths, rows in todo:
+            entries[at], ok = _read_block(rows, buf, at_starts, at_lengths)
+            per_item += at[~ok].tolist()
     for i in per_item:
         token = data[starts[i] : starts[i] + lengths[i]]
         if not _JSON_NUMBER.fullmatch(token) or (
@@ -488,6 +621,8 @@ def _read_entries(data):
         ):
             return None
         entries[i] = float(token)
+    for at in twins:
+        entries[len(entries) - 1 - at] = -entries[at] if negate else entries[at]
     return int(head[1]), int(head[2]), entries
 
 

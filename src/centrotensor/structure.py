@@ -283,19 +283,28 @@ def decompose(a: DenseTensor) -> Decomposition:
     construction; they reconstruct A up to one rounding step.  Halving
     before adding keeps both parts finite for any finite A, and gives
     the bits of (A +- A^rev)/2 wherever that sum neither overflows nor
-    goes subnormal.  The split is written block by block, so the two
-    parts are its only full-size allocations, and the halves of finite
-    entries are finite, so neither part is scanned again.
+    goes subnormal.  Each pair (q, N-1-q) of flat entries is split once,
+    from its halves h = a_q/2 and hr = a_{N-1-q}/2: entry q of the parts
+    is h + hr and h - hr, and entry N-1-q a copy of h + hr (which is
+    hr + h) and hr - h, not -(h - hr), which would turn a +0.0 into -0.0.
+    The split is written block by block, so the two parts are its only
+    full-size allocations, and the halves of finite entries are finite,
+    so neither part is scanned again.
     """
-    flat, rev = a.entries, a.entries[::-1]
-    centro, skew = np.empty(flat.size), np.empty(flat.size)
-    half, half_rev = np.empty(min(flat.size, _BLOCK)), np.empty(min(flat.size, _BLOCK))
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        h = np.multiply(flat[block], 0.5, out=half[: flat[block].size])
-        hr = np.multiply(rev[block], 0.5, out=half_rev[: h.size])
-        np.add(h, hr, out=centro[block])
-        np.subtract(h, hr, out=skew[block])
+    flat, size = a.entries, a.entries.size
+    centro, skew = np.empty(size), np.empty(size)
+    half, half_rev = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
+    front = size - size // 2
+    for start in range(0, front, _BLOCK):
+        stop = min(start + _BLOCK, front)
+        h = np.multiply(flat[start:stop], 0.5, out=half[: stop - start])
+        hr = np.multiply(flat[size - stop : size - start][::-1], 0.5, out=half_rev[: stop - start])
+        np.add(h, hr, out=centro[start:stop])
+        np.subtract(h, hr, out=skew[start:stop])
+        # the mirrors of this block's proper pairs (an odd N's middle entry is its own)
+        k = min(stop, size // 2) - start
+        centro[size - start - k : size - start] = centro[start : start + k][::-1]
+        np.subtract(hr[:k], h[:k], out=skew[size - start - k : size - start][::-1])
     shape = a.data.shape
     return Decomposition(DenseTensor._adopt(centro.reshape(shape)), DenseTensor._adopt(skew.reshape(shape)))
 

@@ -455,3 +455,51 @@ class TestPalindromize:
     def test_output_is_symmetric(self, rng):
         c = palindromize(rng.uniform(-2, 2, size=7))
         assert np.array_equal(c, c[::-1])
+
+
+# Palindromic vectors, whose rows past the front half are mirrored, and
+# vectors with equal ends that are not palindromes, which are built in full.
+PALINDROME_CASES = [
+    ([1.5], 3),
+    ([0.5, 0.5], 4),
+    ([0.5, 1.5, 0.5], 1),
+    ([0.5, 1.5, 0.5], 3),
+    ([0.7, 1.9, 1.9, 0.7], 4),
+    ([0.3, 1.1, 2.0, 1.1, 0.3], 5),
+    ([1.0, 2.0, 3.0, 1.0], 3),
+    ([0.5, 1.0, 0.25, 2.0, 0.5], 4),
+    # near-zero multisets, zero sums and overflow in a palindrome
+    ([1.0, -1.0, -1.0, 1.0], 2),
+    ([1.0, -0.5, 0.25, -0.5, 1.0], 3),
+    ([-0.4780985174267056, 0.15936617247557022, -0.4780985174267056], 8),
+    ([1e308, -1e308, -1e308, 1e308], 4),
+    ([6e307, 6e307, 6e307], 8),
+    ([0.3e308, 0.36e308, 0.3e308], 5),
+]
+
+
+class TestPalindromicBuild:
+    """materialize of a palindromic c computes ceil(R/2) of its R rows and
+    mirrors the others: the bits and errors of the whole-array build."""
+
+    @pytest.mark.parametrize("c,m", PALINDROME_CASES)
+    def test_bits_and_errors_of_the_full_build(self, c, m, blocks):
+        spec = CauchySpec(np.array(c), m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = build_outcome(full_materialize, spec)
+        assert build_outcome(materialize, spec) == expected
+
+    def test_random_palindromes(self, rng, blocks):
+        for spec in random_specs(rng):
+            spec = CauchySpec(palindromize(spec.generating), spec.order)
+            assert build_outcome(materialize, spec) == build_outcome(full_materialize, spec)
+
+    @pytest.mark.parametrize("c,m,rows", [
+        ([0.7, 1.9, 1.9, 0.7], 4, 32), ([0.5, 1.5, 0.5], 4, 14), ([0.5, 1.0, 1.5, 0.5], 3, 16),
+    ])
+    def test_rows_computed(self, monkeypatch, c, m, rows):
+        computed = []
+        fill = cauchy._fill_block
+        monkeypatch.setattr(cauchy, "_fill_block", lambda block, *rest: computed.append(len(block)) or fill(block, *rest))
+        materialize(CauchySpec(np.array(c), m))
+        assert sum(computed) == rows

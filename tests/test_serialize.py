@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 import tracemalloc
 
@@ -643,3 +644,169 @@ class TestFileReads:
         assert got == check()
         assert got[0] == code
         assert shown in got[1] + got[2]
+
+
+# Mirrored sequences: each pair (q, N-1-q) equal (centro) or differing in the
+# sign bit alone (skew), an odd N's middle entry paired with itself.
+MIRROR_LENGTHS = [1, 2, 3, 191, 192, 193, 2 * serialize._BLOCK - 1, 2 * serialize._BLOCK, 2 * serialize._BLOCK + 1]
+PER_ITEM = [1e-7, -1e-7, 1e17, 5e-324, -1e-310, 2.2250738585072014e-308, 1.7e308]
+
+
+def mirrored(front, kind: str) -> np.ndarray:
+    """The sequence whose back half is front's first half reversed, negated
+    (the sign bit toggled, NaN too) for skew."""
+    values = np.array(front, dtype=float)
+    half = values.size // 2
+    back = values[:half][::-1]
+    values[values.size - half :] = -back if kind == "skew" else back
+    return values
+
+
+def mirror_panel(rng, length: int, kind: str, zero_pairs: bool = True) -> np.ndarray:
+    """Mirrored values of this length: random magnitudes, per-item values
+    and, unless zero_pairs is False, signed zeros at mirrored positions,
+    and a skew middle entry of +-0."""
+    values = rng.normal(size=length) * 10.0 ** rng.integers(-6, 18, length)
+    for value in PER_ITEM + ([0.0, -0.0] if zero_pairs else []):
+        values[rng.integers(length)] = value
+    values = mirrored(values, kind)
+    if kind == "skew" and length % 2:
+        values[length // 2] = rng.choice([0.0, -0.0])
+    return values
+
+
+# a back-half token's edits: one digit, its "-" alone, and other tokens
+BACK_TOKEN_EDITS = {
+    "one-digit": lambda t: re.sub("[1-9]", lambda d: str(int(d[0]) % 9 + 1), t, count=1),
+    "sign": lambda t: t[1:] if t.startswith("-") else "-" + t,
+    "zero": lambda t: "0",
+    "minus-zero": lambda t: "-0",
+    "longer": lambda t: t + "5" if "." in t else t + ".5",
+    "not-a-number": lambda t: "1.5.",
+    "leading-zero": lambda t: "01",
+}
+
+
+def multi_byte_tokens(text: str) -> int:
+    return sum(len(token) > 1 for token in text[text.index("[") + 1 : text.index("]")].split(", "))
+
+
+@pytest.mark.usefixtures("writer_kernel_always")
+class TestMirroredWriter:
+    """A mirrored float sequence is written as the per-item writer writes it,
+    and only its front ceil(N/2) entries are formatted."""
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    @pytest.mark.parametrize("length", MIRROR_LENGTHS)
+    def test_text_is_the_per_item_join(self, rng, kind, length):
+        values = mirror_panel(rng, length, kind)
+        for sequence in (values, values.tolist()):
+            assert dumps(sequence) == format_value_oracle(values)
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    def test_specials_at_mirrored_positions(self, kind):
+        values = mirrored(np.concatenate([SPECIALS, [1e-7, 1e17, 0.5]]), kind)
+        assert dumps(values) == format_value_oracle(values)
+
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_pairs(self, pair):
+        values = np.full(7, 0.25)
+        values[[0, -1]] = pair
+        values[[2, -3]] = pair[::-1]
+        assert dumps(values) == format_value_oracle(values)
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    def test_one_unmatched_pair_writes_every_entry(self, rng, kind):
+        values = mirror_panel(rng, 2 * serialize._BLOCK + 1, kind)
+        values[-5000] = np.nextafter(values[-5000], np.inf)
+        assert dumps(values) == format_value_oracle(values)
+
+    @pytest.mark.parametrize("kind,formatted", [("centro", 32768), ("skew", 32768), ("general", 65536)])
+    def test_formats_the_front_half_of_a_mirrored_tensor(self, monkeypatch, kind, formatted):
+        tensor = random_structured(4, 16, kind, seed=0)
+        counts = []
+        rows = serialize._block_rows
+        monkeypatch.setattr(serialize, "_block_rows", lambda v: counts.append(len(v)) or rows(v))
+        assert dumps(tensor) == format_value_oracle(tensor_to_obj(tensor))
+        assert sum(counts) == formatted
+
+
+@pytest.mark.usefixtures("kernel_always")
+class TestMirroredReader:
+    """A mirrored tensor text is read to the bits and errors of loads, and
+    only the front tokens of its mirrored multi-byte pairs are parsed.  A
+    skew text's zero pairs, "0" and "-0", are one and two bytes, so its
+    panels leave them out where the mirrored path is to be taken."""
+
+    @staticmethod
+    def edited(text: str, edits: dict) -> str:
+        """text with the entry tokens at these indices replaced."""
+        start, end = text.index("[") + 1, text.index("]")
+        tokens = text[start:end].split(", ")
+        for index, edit in edits.items():
+            tokens[index] = edit(tokens[index])
+        return text[:start] + ", ".join(tokens) + text[end:]
+
+    @staticmethod
+    def parsed(monkeypatch, text: str) -> int:
+        """The tokens _read_block parses in one read of text's bytes."""
+        tokens = []
+        block = serialize._read_block
+        monkeypatch.setattr(serialize, "_read_block", lambda rows, buf, starts, lengths:
+                            tokens.append(len(starts)) or block(rows, buf, starts, lengths))
+        read_tensor(text.encode())
+        monkeypatch.setattr(serialize, "_read_block", block)
+        return sum(tokens)
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    @pytest.mark.parametrize("length", MIRROR_LENGTHS)
+    def test_reads_as_loads(self, monkeypatch, rng, kind, length):
+        text = writer_text(mirror_panel(rng, length, kind, zero_pairs=kind == "centro"))
+        TestTensorReader.assert_reads_alike(text)
+        k = multi_byte_tokens(text)
+        assert self.parsed(monkeypatch, text) == (k if k < 2 else -(-k // 2))
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    def test_zero_pairs(self, monkeypatch, rng, kind):
+        # a skew pair of zeros, "0" and "-0", stands at no mirrored position
+        # of the multi-byte tokens, so every token is parsed
+        text = writer_text(mirror_panel(rng, 2 * serialize._BLOCK + 1, kind))
+        TestTensorReader.assert_reads_alike(text)
+        k = multi_byte_tokens(text)
+        assert self.parsed(monkeypatch, text) == (-(-k // 2) if kind == "centro" else k)
+
+    @pytest.mark.parametrize("kind", ["centro", "skew"])
+    @pytest.mark.parametrize("edit", BACK_TOKEN_EDITS)
+    def test_an_edited_back_token(self, monkeypatch, rng, kind, edit):
+        length = 2 * serialize._BLOCK + 1
+        text = writer_text(mirror_panel(rng, length, kind, zero_pairs=False))
+        assert self.parsed(monkeypatch, text) == -(-multi_byte_tokens(text) // 2)
+        for index in (length - 1, length - 3000, length // 2 + 1):
+            edited = self.edited(text, {index: BACK_TOKEN_EDITS[edit]})
+            if edit in ("not-a-number", "leading-zero"):
+                TestTensorReader.assert_fails_alike(edited)
+            else:
+                TestTensorReader.assert_reads_alike(edited)
+
+    @pytest.mark.parametrize("pair", [("0", "-0"), ("-0", "0"), ("-0", "-0"), ("0.5", "-0.5"), ("1", "-1")])
+    @pytest.mark.parametrize("at", [0, 10])
+    def test_zero_and_single_digit_pairs(self, pair, at):
+        # one pair of the outermost or of an inner position, among "0.25"s
+        tokens = ["0.25"] * 300
+        tokens[at], tokens[-1 - at] = pair
+        TestTensorReader.assert_reads_alike(tokens_text(tokens))
+        tokens[150] = "-0.25"
+        TestTensorReader.assert_reads_alike(tokens_text(tokens))
+
+    @pytest.mark.parametrize("kind", ["centro", "skew", "general"])
+    def test_parses_the_front_half_of_a_mirrored_file(self, monkeypatch, kind):
+        text = dumps(random_structured(4, 16, kind, seed=0)) + "\n"
+        tokens = []
+        block = serialize._read_block
+        monkeypatch.setattr(serialize, "_read_block", lambda rows, buf, starts, lengths:
+                            tokens.append(len(starts)) or block(rows, buf, starts, lengths))
+        got = read_tensor(text.encode())
+        assert got.data.tobytes() == tensor_from_obj(loads(text)).data.tobytes()
+        k = multi_byte_tokens(text)
+        assert k == 65536
+        assert sum(tokens) == (k if kind == "general" else -(-k // 2))

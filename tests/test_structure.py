@@ -592,3 +592,60 @@ class TestHadamardParity:
             b = random_structured(order, dim, kind_b, rng)
             report = check_structure(hadamard(a, b), 1e-12)
             assert report.is_centro if expect_centro else report.is_skew
+
+
+def _halves_split(a):
+    """(A + A^rev)/2 and (A - A^rev)/2 as sums of the halves A/2 and A^rev/2,
+    whole-array: the split decompose makes once per pair (q, N-1-q)."""
+    half, half_rev = a.entries * 0.5, a.entries[::-1] * 0.5
+    return half + half_rev, half - half_rev
+
+
+# orders 1-5, odd and even entry counts, and 2 _BLOCK +- 1 entries
+_SPLIT_PANEL = (
+    [(1, d) for d in (1, 2, 3, 2 * structure._BLOCK - 1, 2 * structure._BLOCK, 2 * structure._BLOCK + 1)]
+    + [(m, d) for m in (2, 3, 4, 5) for d in (1, 2, 3, 4, 5)]
+    + [(2, 41), (3, 20), (3, 17), (4, 16), (5, 9)]
+)
+
+
+class TestMirroredSplit:
+    """decompose gives the bits of (A +- A^rev)/2 taken as halves, splitting
+    each pair once, at the default block size and at blocks of five entries."""
+
+    @pytest.fixture(params=["default", "blocks-of-5"])
+    def block(self, request, monkeypatch):
+        if request.param == "blocks-of-5":
+            monkeypatch.setattr(structure, "_BLOCK", 5)
+
+    @pytest.mark.parametrize("order,dim", _SPLIT_PANEL)
+    @pytest.mark.parametrize("kind", ["general", "centro", "skew"])
+    def test_bits_of_the_halves(self, block, order, dim, kind):
+        a = random_structured(order, dim, kind, seed=order * 100 + dim)
+        flat = a.entries.copy()
+        rng = np.random.default_rng(dim)
+        # signed zeros, and pairs equal to their mirror
+        flat[rng.integers(flat.size, size=3)] = (0.0, -0.0, -0.0)
+        q = rng.integers(flat.size, size=3)
+        flat[flat.size - 1 - q] = flat[q]
+        a = DenseTensor.from_entries(order, dim, flat)
+        parts = decompose(a)
+        centro, skew = _halves_split(a)
+        assert parts.centro.entries.tobytes() == centro.tobytes()
+        assert parts.skew.entries.tobytes() == skew.tobytes()
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_an_equal_pair_has_a_positive_zero_skew_part_at_both_ends(self, block, size):
+        flat = np.arange(1.0, size + 1.0)
+        flat[0] = flat[-1] = 0.75
+        skew = decompose(DenseTensor.from_entries(1, size, flat)).skew.entries
+        assert skew[0] == skew[-1] == 0.0
+        assert not np.signbit(skew[0]) and not np.signbit(skew[-1])
+
+    def test_skew_input_with_a_signed_zero_middle(self, block):
+        for middle in (0.0, -0.0):
+            flat = np.array([0.5, -0.25, middle, 0.25, -0.5])
+            parts = decompose(DenseTensor.from_entries(1, 5, flat))
+            centro, skew = _halves_split(DenseTensor.from_entries(1, 5, flat))
+            assert parts.centro.entries.tobytes() == centro.tobytes()
+            assert parts.skew.entries.tobytes() == skew.tobytes()
