@@ -159,9 +159,23 @@ MUTANTS = [
     Mutant(
         "materialize mirrors a non-palindromic c",
         "src/centrotensor/cauchy.py",
-        "bits[0] == bits[-1] and np.array_equal(bits, bits[::-1])",
-        "bits[0] == bits[-1]",
+        "_mirror_flip(c.view(np.uint64), _BLOCK) == 0",
+        "c[0] == c[-1]",
         ("tests/test_cauchy.py::TestPalindromicBuild::test_bits_and_errors_of_the_full_build[default-c6-3]",),
+    ),
+    Mutant(
+        "materialize mirrors an anti-palindromic c, taking the sign-bit flip",
+        "src/centrotensor/cauchy.py",
+        "_mirror_flip(c.view(np.uint64), _BLOCK) == 0",
+        "_mirror_flip(c.view(np.uint64), _BLOCK) is not None",
+        ("tests/test_cauchy.py::TestPalindromicBuild::test_an_anti_palindrome_is_built_in_full[default]",),
+    ),
+    Mutant(
+        "the pair walk counts an odd size's middle entry as a proper pair",
+        "src/centrotensor/core.py",
+        "min(start + block, size // 2) - start",
+        "min(start + block, (size + 1) // 2) - start",
+        ("tests/test_core.py::TestMirrorPairing::test_blocks_visit_each_position_once[2]",),
     ),
     Mutant(
         "the CLI's usage errors exiting 1, not 2",

@@ -6,25 +6,27 @@ sum of c vanishes; construction scans every multiset of m components and
 fails loudly on a (near-)zero sum instead of emitting huge entries.
 
 materialize allocates only its result at full size.  It takes the
-(m-1)-fold leading sums once (1/n of the result), then walks the result
-in one loop over blocks of structure._BLOCK entries (whole rows of n):
-it adds the last component into the block, a min and a max clear the
-block of candidates (sums within a rounding margin of the threshold, or
-not finite) or one stacked sum tests their sorted multisets, and the
-reciprocals are taken in place.  After the loop, only the blocks that
-held a candidate are searched for bad reciprocals.  Errors keep one
-priority: the first near-zero multiset, then the first index whose sum
-has no finite reciprocal, then the first sum that overflowed.
+(m-1)-fold leading sums once (1/n of the result), then walks the R =
+n^(m-1) rows of the result in blocks of structure._BLOCK entries (whole
+rows of n), the front ceil(R/2) rows first and then the back ones, each
+in row order (the blocks of core._pair_blocks and their mirrors).  Each
+block gets the last component added in, a min and a max clear it of
+candidates (sums within a rounding margin of the threshold, or not
+finite) or one stacked sum tests their sorted multisets, and its
+reciprocals are taken in place.  Then only the blocks that held a
+candidate are searched for bad reciprocals.  Errors keep one priority:
+the first near-zero multiset, then the first index whose sum has no
+finite reciprocal, then the first sum that overflowed.
 
-When c is a bitwise palindrome, row R-1-r of the R = n^(m-1) rows is
-row r reversed, bit for bit, so only the rows r < ceil(R/2) are
-computed and scanned, and the others are filled from them block by
-block.  A front half that held no candidate makes every entry a finite
-nonzero reciprocal.  One that held a candidate has the back half
-computed and scanned as well: a multiset sorted in the back half
-mirrors one of the front whose sum adds the same terms in another
-order, which may round to the other side of the threshold.  The
-outermost pair of c rejects most other vectors in one comparison.
+When c is a bitwise palindrome (core._mirror_flip gives 0), row R-1-r
+is row r reversed, bit for bit, so the back rows are filled from the
+front ones block by block instead, provided the front held no
+candidate: then every entry is a finite nonzero reciprocal.  A front
+that held one has the back rows computed and scanned as well: a
+multiset sorted in the back half mirrors one of the front whose sum
+adds the same terms in another order, which may round to the other side
+of the threshold.  The outermost pair of c rejects most other vectors
+in one comparison.
 
 Structure facts encoded here: the tensor is centrosymmetric exactly when
 c is a palindrome, skew-centrosymmetric (even n only) exactly when c is
@@ -41,7 +43,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, _check_integer, check_entry_count, entry_scale
+from .core import DenseTensor, DomainError, _check_integer, _mirror_flip, _pair_blocks, check_entry_count, entry_scale
 from .product import _exchange_left, _exchange_right
 from .structure import _BLOCK, _compare, check_structure, default_tolerance
 
@@ -128,11 +130,6 @@ def _check_multisets(c: np.ndarray, index: tuple, threshold: float) -> None:
         )
 
 
-def _row_blocks(start: int, stop: int, step: int):
-    """(first, stop) of each block of `step` rows from start to stop."""
-    return [(first, min(first + step, stop)) for first in range(start, stop, step)]
-
-
 def _fill_block(block, lead, c, bound: float, threshold: float, shape: tuple, first: int, suspects: list) -> None:
     """Write the reciprocals of lead[r] + c into the rows of block, whose
     first row is row `first` of the result, after the multiset scan of
@@ -179,26 +176,23 @@ def materialize(spec: CauchySpec) -> DenseTensor:
     bound = threshold + 4 * spec.order**2 * np.finfo(float).eps * scale
     lead = _lead_sums(spec)
     out = np.empty((lead.size, n))
-    step = max(1, _BLOCK // n)
-    bits = c.view(np.uint64)
-    # rows past the front half mirror it when c is a bitwise palindrome
-    mirrored = bits[0] == bits[-1] and np.array_equal(bits, bits[::-1])
-    front = lead.size - lead.size // 2 if mirrored else lead.size
+    blocks = _pair_blocks(lead.size, max(1, _BLOCK // n))
     suspects = []  # the row ranges of the blocks that held a candidate
     with np.errstate(divide="ignore", over="ignore"):
-        for first, stop in _row_blocks(0, front, step):
+        for first, stop, _ in blocks:
             _fill_block(out[first:stop], lead[first:stop], c, bound, threshold, shape, first, suspects)
-        if mirrored and not suspects:
-            # every entry is a finite nonzero reciprocal, and row R-1-r is row
-            # r reversed: lead[R-1-r] sums the same components in the same order
-            flat, size = out.reshape(-1), out.size
-            for first, stop in _row_blocks(0, lead.size // 2, step):
-                flat[size - stop * n : size - first * n] = flat[first * n : stop * n][::-1]
-        else:
-            # a candidate's multiset may first appear sorted in the back half
-            # under a sum of its terms in another order, so scan it as well
-            for first, stop in _row_blocks(front, lead.size, step):
-                _fill_block(out[first:stop], lead[first:stop], c, bound, threshold, shape, first, suspects)
+        # the back rows, in row order: row R-1-r is row r reversed when c is a
+        # bitwise palindrome, as lead[R-1-r] sums the same components in the
+        # same order; otherwise, or when the front held a candidate (whose
+        # multiset may first appear sorted in the back half under a sum of its
+        # terms in another order), they are computed and scanned
+        mirrored = not suspects and _mirror_flip(c.view(np.uint64), _BLOCK) == 0
+        for first, _, k in blocks[::-1]:
+            rows = slice(lead.size - first - k, lead.size - first)
+            if mirrored:
+                out[rows] = out[first : first + k, ::-1][::-1]
+            elif k:
+                _fill_block(out[rows], lead[rows], c, bound, threshold, shape, rows.start, suspects)
         for problem in ("has no finite reciprocal", "is not finite"):
             for first, stop in suspects:
                 block = out[first:stop]

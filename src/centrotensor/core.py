@@ -207,10 +207,17 @@ def _check_vector(a: DenseTensor, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _as_vector(x) -> np.ndarray:
+    """x as a float array, raising ValueError unless it is 1-D."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"1-D vector required, got shape {x.shape}")
+    return x
+
+
 def flip_vector(x) -> np.ndarray:
     """Reverse the component order of a vector. Exact involution."""
-    x = np.asarray(x, dtype=float)
-    return x[::-1].copy()
+    return _as_vector(x)[::-1].copy()
 
 
 def reverse_tensor(a: DenseTensor) -> DenseTensor:
@@ -220,6 +227,37 @@ def reverse_tensor(a: DenseTensor) -> DenseTensor:
     reversal of the entry array, so this is a bit-identical involution.
     """
     return DenseTensor._adopt(a.entries[::-1].copy().reshape(a.data.shape))
+
+
+def _pair_blocks(size: int, block: int) -> list:
+    """The mirror pairing of `size` flat entries, in blocks of `block`.
+
+    Reversal pairs entry q with entry size-1-q, and an odd size's middle
+    entry with itself.  Each block [start, stop) of the front ceil(size/2)
+    positions comes as (start, stop, k): its first k positions are proper
+    pairs, whose mirrors are the positions [size-start-k, size-start) read
+    backwards; a block holding the middle entry has one position more.
+    """
+    front = size - size // 2
+    return [(start, min(start + block, front), min(start + block, size // 2) - start)
+            for start in range(0, front, block)]
+
+
+def _mirror_flip(bits: np.ndarray, block: int):
+    """0 where every pair (q, N-1-q) of these float64 bits is equal, the
+    sign bit where every pair differs in it alone, else None.  The outermost
+    pair decides which to test, so most other arrays cost one comparison;
+    the rest are compared in the blocks of _pair_blocks."""
+    n = bits.size
+    if n < 2:
+        return None
+    flip = bits[0] ^ bits[-1]
+    if flip != 0 and flip != np.uint64(1 << 63):
+        return None
+    for start, _, k in _pair_blocks(n, block):
+        if np.any(bits[start : start + k] ^ bits[n - start - k : n - start][::-1] != flip):
+            return None
+    return flip
 
 
 def apply(a: DenseTensor, x) -> np.ndarray:

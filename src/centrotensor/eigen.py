@@ -184,9 +184,11 @@ class EigenSet:
 def residual(a: DenseTensor, value: float, x) -> float:
     """Max componentwise deviation of A x^{m-1} from value * x^{[m-1]}.
 
-    A zero or non-finite vector, or a non-finite value, raises ValueError.
+    x must be one vector of length dim, not a stack of them.  A vector of
+    another shape, a zero or non-finite vector, or a non-finite value,
+    raises ValueError.
     """
-    x = _finite_vector(x, "eigenvector")
+    x = _finite_vector(core._check_vector(a, x), "eigenvector")
     if not math.isfinite(value):
         raise ValueError(f"eigenvalue must be finite, got {value!r}")
     x = core._check_stack(a, x)
@@ -219,8 +221,8 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _finite_vector(x, what: str) -> np.ndarray:
-    """x as a float array; a zero or non-finite vector raises ValueError."""
-    x = np.asarray(x, dtype=float)
+    """x as a float array; one that is not 1-D, zero or not finite raises ValueError."""
+    x = core._as_vector(x)
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     if not x.any():
@@ -248,8 +250,8 @@ def classify_vector(x) -> str:
     """Symmetry class of a vector under component reversal.
 
     Tests Jx = x, Jx = -x, then J|x| = |x|, in that priority, each to
-    within the fixed DEFAULT_CLASS_TOL.  A zero or non-finite vector
-    raises ValueError.
+    within the fixed DEFAULT_CLASS_TOL.  A vector that is not 1-D, zero or
+    not finite raises ValueError.
     """
     return _classify_rows(_finite_vector(x, "classified vector")[None, :])[0]
 
@@ -257,9 +259,9 @@ def classify_vector(x) -> str:
 def normalize_eigenvector(x) -> np.ndarray:
     """Unit Euclidean norm, first significant component positive.
 
-    A zero or non-finite vector raises ValueError.
+    A vector that is not 1-D, zero or not finite raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
+    x = core._as_vector(x)
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.linalg.norm(x))
     if not 0.0 < nrm < math.inf:

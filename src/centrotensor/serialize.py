@@ -41,14 +41,14 @@ Any other value (exponent notation, subnormals, inf, nan) gets the
 per-item "%.17g", spliced in at its position.
 
 A mirrored sequence, each pair (q, N-1-q) of entries bitwise equal
-(centrosymmetric) or different in the sign bit alone (skew), an odd N's
-middle entry paired with itself, is formatted half.  The outermost pair
-says which of the two to test, so any other sequence costs one
-comparison before its full pass; the test runs block by block.  The
-kernel formats the front ceil(N/2) entries, and each back block is the
-rows of a front block's proper pairs in reverse order, with the sign
-byte toggled for skew; a per-item marker row takes the "%.17g" of its
-own back entry instead.  The text is that of the full pass.
+(centrosymmetric) or different in the sign bit alone (skew) as
+``core._mirror_flip`` tests it, is formatted half, in the blocks of
+``core._pair_blocks``.  The outermost pair says which of the two to
+test, so any other sequence costs one comparison before its full pass.
+The kernel formats each front block, and its back block is the rows of
+the block's proper pairs in reverse order, with the sign byte toggled
+for skew; a per-item marker row takes the "%.17g" of its own back entry
+instead.  The text is that of the full pass.
 
 ``read_tensor`` reads a tensor text (``str``) or a file's ``bytes`` to
 the bits and errors of ``tensor_from_obj(loads(text))``, ``text`` being
@@ -87,19 +87,21 @@ decoded as that read decodes them, UTF-8 with universal newlines, so a
   applied last, so ``-0`` and ``-0.0`` give -0.0.  Zeros skip the rounding
   step.
 
-  A mirrored text is parsed half.  The kernel compares the outermost
-  pair of the multi-byte tokens first: they must stand at positions q
-  and N-1-q with the same magnitude bytes, and their leading ``-`` says
-  whether every pair's signs are to be equal or different.  Then each
-  block of pairs is compared -- positions, magnitude lengths, signs and
-  the 24-byte windows masked to the magnitude -- and a block that
-  matches reads only its front tokens; its back tokens are filled after
-  the reading, by copy or by negation.  From the first block that does
-  not match, every token is read.  Single-digit tokens keep their
-  one-byte path, and an odd count's middle token is read.  A back token
-  whose magnitude and ``-`` agree with its twin's is a JSON number
-  exactly when its twin is, and reads to its twin's value or the
-  negation of it, since the sign is applied last.
+  The multi-byte tokens of every text are read in the front blocks of
+  ``core._pair_blocks`` and their back blocks, so a mirrored text is
+  parsed half.  The outermost pair decides first: the two tokens must
+  stand at positions q and N-1-q with the same magnitude bytes, and
+  their leading ``-`` says whether every pair's signs are to be equal
+  or different.  Then each front block is compared with its back block
+  -- positions, magnitude lengths, signs and the 24-byte windows masked
+  to the magnitude -- and a back block that matches is not parsed; its
+  tokens are filled after the reading, by copy or by negation.  Where
+  the outermost pair does not match, and from the first block that does
+  not, both blocks are read.  Single-digit tokens keep their one-byte
+  path, and an odd count's middle token is read.  A back token whose
+  magnitude and ``-`` agree with its twin's is a JSON number exactly
+  when its twin is, and reads to its twin's value or the negation of
+  it, since the sign is applied last.
 * A token that is a JSON number but not in the kernel's form (an
   exponent, more than 18 digits, more than 24 bytes, an exact tie or a
   value just below a power of two) is read by ``float(token)``, which is
@@ -126,7 +128,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import CauchySpec
-from .core import DenseTensor
+from .core import DenseTensor, _mirror_flip, _pair_blocks
 
 __all__ = ["dumps", "loads", "read_tensor", "tensor_to_obj", "tensor_from_obj", "spec_from_obj"]
 
@@ -189,8 +191,7 @@ def _tables() -> tuple:
 
 _ZERO_ROW = 2 * 21 * 17  # then the rows of -0 and the marker
 _MARK_ROW = _ZERO_ROW + 2
-# a float64's sign bit; what toggles a row's sign byte between "-" and NUL
-_SIGN_BIT = np.uint64(1 << 63)
+# what toggles a row's sign byte between "-" and NUL
 _SIGN_BYTE = np.uint64(45)
 
 
@@ -271,38 +272,20 @@ def _format_block(v: np.ndarray) -> str:
     return _rows_text(*_block_rows(v), v)
 
 
-def _mirror_flip(bits: np.ndarray):
-    """0 where every pair (q, N-1-q) of these float64 bits is equal, the
-    sign bit where every pair differs in it alone, else None.  The outermost
-    pair decides which to test, so most other arrays cost one comparison."""
-    n, half = bits.size, bits.size // 2
-    if not half:
-        return None
-    flip = bits[0] ^ bits[-1]
-    if flip != 0 and flip != _SIGN_BIT:
-        return None
-    for i in range(0, half, _BLOCK):
-        j = min(i + _BLOCK, half)
-        if np.any(bits[i:j] ^ bits[n - j : n - i][::-1] != flip):
-            return None
-    return flip
-
-
-def _format_pairs(values: np.ndarray, start: int, flip) -> tuple:
-    """The text of the front block of a mirrored sequence that starts at
-    entry `start`, and that of its back block: the rows of the block's
-    proper pairs reversed, a skew mirror's sign bytes toggled except a
-    per-item marker's, whose value is written from its back entry."""
-    n = len(values)
-    v = values[start : min(start + _BLOCK, n - n // 2)]
+def _format_pairs(values: np.ndarray, start: int, stop: int, k: int, flip) -> tuple:
+    """The text of the front block [start, stop) of a mirrored sequence, k
+    of whose entries are proper pairs (see core._pair_blocks), and that of
+    its back block: the rows of those pairs reversed, a skew mirror's sign
+    bytes toggled except a per-item marker's, whose value is written from
+    its back entry."""
+    v = values[start:stop]
     out, row = _block_rows(v)
     front = _rows_text(out, row, v)
-    k = min(len(v), n // 2 - start)
     out, row = out[:k], row[:k]
     if flip:
         out[:, 0] ^= _SIGN_BYTE
         out[row == _MARK_ROW, 0] ^= _SIGN_BYTE
-    return front, _rows_text(out[::-1], row[::-1], values[n - start - k : n - start])
+    return front, _rows_text(out[::-1], row[::-1], values[len(values) - start - k : len(values) - start])
 
 
 def _format_floats(values) -> str:
@@ -315,14 +298,15 @@ def _format_floats(values) -> str:
     if n < _KERNEL_MIN_FLOATS:
         return ", ".join(["%.17g"] * n) % tuple(values)
     values = np.asarray(values)
-    flip = _mirror_flip(values.view(np.uint64))
+    flip = _mirror_flip(values.view(np.uint64), _BLOCK)
     with np.errstate(all="ignore"):
         if flip is None:
             blocks = [_format_block(values[i : i + _BLOCK]) for i in range(0, n, _BLOCK)]
         else:
-            pairs = [_format_pairs(values, i, flip) for i in range(0, n - n // 2, _BLOCK)]
-            blocks = [front for front, _ in pairs] + [back for _, back in pairs[::-1]]
-            del pairs  # which would hold the last block past its trimmed copy
+            # rebinding blocks drops the pairs, which would hold the last
+            # block past its trimmed copy
+            blocks = [_format_pairs(values, *block, flip) for block in _pair_blocks(n, _BLOCK)]
+            blocks = [front for front, _ in blocks] + [back for _, back in blocks[::-1]]
     if blocks:
         blocks[-1] = blocks[-1][:-2]
     return "".join(blocks)
@@ -596,22 +580,16 @@ def _read_entries(data):
     rest = np.flatnonzero(~single)
     negate = _outer_flip(data, starts, lengths, rest)
     mirrored = negate is not None
-    pairs = len(rest) // 2 if mirrored else 0
     per_item, twins = [], []
-    for i in range(0, len(rest) - pairs, _BLOCK):
-        todo = [_tokens(windows, starts, lengths, rest[i : min(i + _BLOCK, len(rest) - pairs)])]
+    for start, stop, k in _pair_blocks(len(rest), _BLOCK):
+        front = _tokens(windows, starts, lengths, rest[start:stop])
         # the mirrors of this block's proper pairs: filled from their twins
         # where every pair matches, else read, and then every later block too
-        k = min(len(todo[0][0]), pairs - i)
-        if k > 0:
-            front = tuple(part[:k] for part in todo[0])
-            back = _tokens(windows, starts, lengths, rest[::-1][i : i + k])
-            mirrored = mirrored and _twins(buf, front, back, len(starts), negate)
-            if mirrored:
-                twins.append(front[0])
-            else:
-                todo.append(back)
-        for at, at_starts, at_lengths, rows in todo:
+        back = _tokens(windows, starts, lengths, rest[len(rest) - start - k : len(rest) - start][::-1])
+        mirrored = mirrored and _twins(buf, tuple(part[:k] for part in front), back, len(starts), negate)
+        if mirrored:
+            twins.append(front[0][:k])
+        for at, at_starts, at_lengths, rows in [front] if mirrored else [front, back]:
             entries[at], ok = _read_block(rows, buf, at_starts, at_lengths)
             per_item += at[~ok].tolist()
     for i in per_item:

@@ -46,8 +46,9 @@ whole rows at a time while a row fits in a block, pieces of a row past
 that.  A pair of at most _BLOCK entries is one block.  Max and first
 argmax are exact, so a report is the one full-size arrays give.  A
 deviation that overflows is inf, and the report says so.
-decompose walks the same blocks, halving before it adds, so its parts
-stay finite for any finite tensor.
+decompose walks blocks of _BLOCK entries too, the front blocks of
+core._pair_blocks and their mirrors, halving before it adds, so its
+parts stay finite for any finite tensor.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import numpy as np
 from .core import (
     DenseTensor,
     _check_cap,
+    _pair_blocks,
     _stack_entries,
     add,
     check_count,
@@ -284,7 +286,8 @@ def decompose(a: DenseTensor) -> Decomposition:
     before adding keeps both parts finite for any finite A, and gives
     the bits of (A +- A^rev)/2 wherever that sum neither overflows nor
     goes subnormal.  Each pair (q, N-1-q) of flat entries is split once,
-    from its halves h = a_q/2 and hr = a_{N-1-q}/2: entry q of the parts
+    in the blocks of core._pair_blocks, from its halves h = a_q/2 and
+    hr = a_{N-1-q}/2: entry q of the parts
     is h + hr and h - hr, and entry N-1-q a copy of h + hr (which is
     hr + h) and hr - h, not -(h - hr), which would turn a +0.0 into -0.0.
     The split is written block by block, so the two parts are its only
@@ -294,15 +297,12 @@ def decompose(a: DenseTensor) -> Decomposition:
     flat, size = a.entries, a.entries.size
     centro, skew = np.empty(size), np.empty(size)
     half, half_rev = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
-    front = size - size // 2
-    for start in range(0, front, _BLOCK):
-        stop = min(start + _BLOCK, front)
+    for start, stop, k in _pair_blocks(size, _BLOCK):
         h = np.multiply(flat[start:stop], 0.5, out=half[: stop - start])
         hr = np.multiply(flat[size - stop : size - start][::-1], 0.5, out=half_rev[: stop - start])
         np.add(h, hr, out=centro[start:stop])
         np.subtract(h, hr, out=skew[start:stop])
         # the mirrors of this block's proper pairs (an odd N's middle entry is its own)
-        k = min(stop, size // 2) - start
         centro[size - start - k : size - start] = centro[start : start + k][::-1]
         np.subtract(hr[:k], h[:k], out=skew[size - start - k : size - start][::-1])
     shape = a.data.shape
@@ -331,10 +331,11 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
 
 
 def palindromize(c) -> np.ndarray:
-    """Mirror the first half of a vector onto the second, making Jc = c."""
+    """Mirror the first half of the flat (row-major) entries onto the second,
+    making Jc = c for a vector and a centrosymmetric array of any shape."""
     out = np.asarray(c, dtype=float).copy()
-    half = out.size // 2
-    out[out.size - half :] = out[:half][::-1]
+    flat, half = out.reshape(-1), out.size // 2
+    flat[out.size - half :] = flat[:half][::-1]
     return out
 
 

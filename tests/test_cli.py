@@ -20,9 +20,10 @@ from centrotensor import (
     random_structured,
 )
 import centrotensor
-from centrotensor import cli, core
+from centrotensor import cli, core, serialize
 from centrotensor.cli import main
 from centrotensor.serialize import dumps, tensor_to_obj
+from oracles import format_value_oracle
 
 
 def write_tensor(path, tensor):
@@ -308,6 +309,43 @@ class TestNegativeZeroThroughFiles:
             code, _, _ = run(capsys, [*argv, "-o", str(out)])
             assert code == 0
             assert out.read_text() == dumps(want) + "\n", argv[0]
+
+
+class TestMirroredFiles:
+    """Files the mirrored writer writes and the mirrored reader reads, end to
+    end through the verbs: each file holds the per-item "%.17g" text of its
+    entries."""
+
+    @staticmethod
+    def assert_per_item_text(path):
+        data = path.read_text(encoding="utf-8")
+        # parse_int keeps the sign of a bare -0
+        assert data == format_value_oracle(json.loads(data, parse_int=float)) + "\n", path.name
+
+    def test_skew_decompose_and_palindromic_cauchy_files(self, tmp_path, capsys):
+        # order 3 dim 5 (125 entries) takes the plain writer and json's parser;
+        # order 4 dim 5 (625 entries, 12 kB, a signed-zero middle entry) takes
+        # both kernels and their mirrored paths
+        for order in (3, 4):
+            tensor, parts = tmp_path / f"S{order}.json", tmp_path / f"D{order}.json"
+            code, _, _ = run(capsys, ["gen", "--order", str(order), "--dim", "5", "--kind", "skew",
+                                      "--seed", "0", "-o", str(tensor)])
+            assert code == 0
+            code, out, _ = run(capsys, ["check", str(tensor)])
+            assert (code, json.loads(out)["verdict"]) == (0, "skew-centrosymmetric")
+            code, _, _ = run(capsys, ["decompose", str(tensor), "-o", str(parts)])
+            assert code == 0
+            for path in (tensor, parts):
+                self.assert_per_item_text(path)
+        middle = json.loads((tmp_path / "S4.json").read_text())["entries"][312]
+        assert middle == 0
+        assert len((tmp_path / "S4.json").read_bytes()) >= serialize._KERNEL_MIN_CHARS
+        spec, built = tmp_path / "spec.json", tmp_path / "C.json"
+        spec.write_text('{"order": 4, "generating": [0.5, 1.25, 2.0, 0.75, 2.0, 1.25, 0.5]}\n')
+        code, _, _ = run(capsys, ["cauchy", str(spec), "-o", str(built)])
+        assert code == 0
+        self.assert_per_item_text(built)
+
 
 # finite tensors whose A + rev(A) or A - rev(A) overflows
 NEAR_LIMIT = {

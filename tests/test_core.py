@@ -253,6 +253,51 @@ class TestFlipReverse:
         x = np.asarray(comps)
         assert np.array_equal(flip_vector(flip_vector(x)), x)
 
+    @pytest.mark.parametrize("x", [np.array(1.0), np.ones((2, 3)), np.ones((3, 1)), [[1.0, 2.0]]])
+    def test_flip_rejects_what_is_not_1d(self, x):
+        with pytest.raises(ValueError, match=r"^1-D vector required, got shape \(.*\)$"):
+            flip_vector(x)
+
+
+class TestMirrorPairing:
+    """core._pair_blocks walks the pairing (q, N-1-q) of flat entries, and
+    core._mirror_flip tests it bitwise."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+    def test_blocks_visit_each_position_once(self, block):
+        for size in range(3 * block + 3):
+            seen = np.zeros(size, int)
+            blocks = core._pair_blocks(size, block)
+            for start, stop, k in blocks:
+                assert 0 < stop - start <= block and 0 <= k <= stop - start
+                seen[start:stop] += 1
+                seen[size - start - k : size - start] += 1
+            assert seen.tolist() == [1] * size
+            # the blocks tile the front ceil(size/2) positions in order, and
+            # only an odd size's middle entry is no proper pair
+            assert [b[0] for b in blocks] == list(range(0, size - size // 2, block))
+            assert sum(stop - start - k for start, stop, k in blocks) == size % 2
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 8, 9])
+    def test_mirror_flip(self, rng, block, size):
+        values = rng.normal(size=size)
+        half = size // 2
+        centro, skew = values.copy(), values.copy()
+        centro[size - half :] = values[:half][::-1]
+        skew[size - half :] = -values[:half][::-1]
+        sign = np.uint64(1 << 63)
+        for array, want in ((centro, 0), (skew, sign)):
+            got = core._mirror_flip(array.view(np.uint64), block)
+            assert got == (want if size > 1 else None)
+            for q in range(half):
+                # a one-bit change at either end of any pair breaks it
+                edited = array.copy()
+                edited[size - 1 - q] = np.nextafter(edited[size - 1 - q], np.inf)
+                assert core._mirror_flip(edited.view(np.uint64), block) is None
+        # signed zeros are told apart by their bits
+        assert core._mirror_flip(np.array([0.0, 1.0, -0.0]).view(np.uint64), block) == sign
+
 
 class TestApply:
     def test_identity_action(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from functools import reduce
@@ -185,6 +186,15 @@ class TestResidual:
         with pytest.raises(ValueError, match="vector of length 2 required, got shape"):
             residual(sym_matrix, 1.0, x)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (3, 2), ()])
+    def test_stack_of_vectors_rejected(self, sym_matrix, shape):
+        # rows of the right length once passed, as the largest residual of the stack
+        with pytest.raises(ValueError, match=rf"^vector of length 2 required, got shape {re.escape(str(shape))}$"):
+            residual(sym_matrix, 1.0, np.ones(shape))
+        dim3 = random_structured(3, 3, "centro", seed=0)
+        with pytest.raises(ValueError, match=r"^vector of length 3 required, got shape \(2, 3\)$"):
+            residual(dim3, 1.0, np.ones((2, 3)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_or_vector_rejected(self, sym_matrix, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -230,6 +240,10 @@ class TestPower:
         assert eigen._power(self.ENTRIES, 1) is self.ENTRIES
 
 
+# vectors that are not 1-D: scalars, stacks of rows and columns
+NOT_1D = [np.array(1.0), 2.0, np.ones((2, 2)), np.ones((1, 2)), np.ones((2, 1)), [[1.0, -1.0]]]
+
+
 class TestClassifyVector:
     def test_examples(self):
         assert classify_vector([1.0, 2.0, 1.0]) == SYMMETRIC
@@ -253,6 +267,11 @@ class TestClassifyVector:
     def test_non_finite_vector_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             classify_vector([bad, 1.0])
+
+    @pytest.mark.parametrize("x", NOT_1D)
+    def test_what_is_not_1d_rejected(self, x):
+        with pytest.raises(ValueError, match=rf"^1-D vector required, got shape {re.escape(str(np.shape(x)))}$"):
+            classify_vector(x)
 
 
 class TestNormalize:
@@ -278,6 +297,11 @@ class TestNormalize:
     def test_sign_follows_first_significant_component(self):
         assert normalize_eigenvector([1e-11, -2.0]).tolist() == [-5e-12, 1.0]
         assert normalize_eigenvector([0.0, 0.0, 4.0]).tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("x", NOT_1D)
+    def test_what_is_not_1d_rejected(self, x):
+        with pytest.raises(ValueError, match=rf"^1-D vector required, got shape {re.escape(str(np.shape(x)))}$"):
+            normalize_eigenvector(x)
 
 
 class TestClosedFormDim2:
@@ -645,6 +669,12 @@ class TestReflectPair:
             pair = EigenPair(3.0, np.array(x), 0.0, SYMMETRIC)
             with pytest.raises(ValueError, match=r"^vector of length 2 required, got shape \(1, \d\)$"):
                 reflect_pair(sym_matrix, pair)
+
+    @pytest.mark.parametrize("x", NOT_1D)
+    def test_vector_that_is_not_1d_rejected(self, sym_matrix, x):
+        pair = EigenPair(3.0, np.asarray(x), 0.0, SYMMETRIC)
+        with pytest.raises(ValueError, match=rf"^1-D vector required, got shape {re.escape(str(np.shape(x)))}$"):
+            reflect_pair(sym_matrix, pair)
 
     def test_fake_pair_fails_loudly(self, sym_matrix):
         fake = EigenPair(5.0, np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5]), 0.0, NEITHER_CLASS)
