@@ -3,44 +3,48 @@
 
     python3 scripts/bench_layers.py --base HEAD --head worktree --reps 11
 
-Each commit is exported with ``git archive`` into a temporary directory
-and timed with one BLAS thread, each case in its own fresh Python process
-that builds only that case's inputs, so no case runs on the allocator
-state that other cases left.  The two commits alternate case by case, so
-that a drift in machine speed hits both alike.
-``--head worktree`` times the checked-out ``src/`` with its uncommitted
-changes instead, recorded as ``<HEAD>-dirty``.  Both commits must be
-f2f8568 or later (``serialize.read_tensor``, ``serialize.dumps`` of a
-``DenseTensor``).
+Each commit's ``src/`` is exported with ``git archive`` into a temporary
+directory.  Each case runs in a fresh Python process of its own, so no
+case runs on the allocator state that other cases left, with one BLAS
+thread.  That process loads both commits' packages side by side, under two
+module names, builds the case's inputs once per commit and times the two
+commits alternately rep by rep, so that a drift in machine speed hits
+both alike; it prints one row per commit.  ``--head worktree`` times the
+checked-out ``src/`` with its uncommitted changes instead, recorded as
+``<HEAD>-dirty``.  Both commits must be f2f8568 or later
+(``serialize.read_tensor``, ``serialize.dumps`` of a ``DenseTensor``).
 
 The cases are the rows of CASES.  A row names the layer it times, as
 ``<module>.<name>`` of the package, and its build is handed that callable,
 so a row times only the function it names.  A row with a ``record``
-column times the layer on the input stacks its recorder returns: those
-are recorded once, at the base commit, and both commits are timed on
-them, so a change to what the solver hands a private function leaves the
-case's input alone.  Each recorded case's stacks are a file of their
-own, which only that case's process loads.
+column times the layer on the input stacks its recorder returns: the
+case process records them once, at the base commit, before it times
+anything, and both commits are timed on them, so a change to what the
+solver hands a private function leaves the case's input alone.  The
+eig-survey cells some cases use are built by bench/eig_survey.py with the
+base commit's package; the head commit's layers read only their entries.
+A build whose input reaches ``serialize`` makes it with each commit's own
+package, since the writer tests ``isinstance(value, DenseTensor)``.
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
-best_of, git_rev}``.  One rep times the whole case after a warm-up call,
-as the best of as many calls as fit in BEST_OF_S (at most BEST_OF_MAX),
-and ``best_of`` is the fewest calls any rep took: a case of about 10 ms
-varies call to call by more than the 15% change it should resolve, so it
-takes the best of 30 calls, while a case over BEST_OF_S takes one.
-``best_s`` and ``median_s`` are over the reps' figures.  The new rows are
-merged into RECORD, a JSON array written one row per line: a row with the
-same ``git_rev``, layer and case is replaced where it stands, and the
-others are appended.
+best_of, git_rev}``.  One rep times the whole case as the best of as many
+calls as fit in BEST_OF_S of the slower commit's warm-up call (at most
+BEST_OF_MAX), the same count at both commits, since the best of fewer
+calls reads slower; ``best_of`` is that count: a case of about 10 ms varies
+call to call by more than the 15% change it should resolve, so it takes
+the best of 30 calls, while a case over BEST_OF_S takes one.  ``best_s``
+and ``median_s`` are over the reps' figures.  The new rows are merged
+into RECORD, a JSON array written one row per line: a row with the same
+``git_rev``, layer and case is replaced where it stands, and the others
+are appended.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
+import importlib.util
 import json
 import os
-import pickle
 import statistics
 import subprocess
 import sys
@@ -71,9 +75,9 @@ def _calls(fn, args: list):
 
 
 def _eig_survey():
-    """bench/eig_survey.py, imported only inside a case: it imports the
-    centrotensor on sys.path, which in a child is the commit being timed and
-    in the parent process none."""
+    """bench/eig_survey.py, imported only inside a case: it builds its cells
+    with the package named centrotensor, which in a case process is the base
+    commit's."""
     bench = str(ROOT / "bench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -482,54 +486,53 @@ def layer_callable(lib, layer: str):
     return getattr(importlib.import_module(f"{lib.__name__}.{module}"), name)
 
 
-def record(lib, indices=range(len(CASES))) -> dict:
-    """The input stacks of each recorded case among `indices` (all by default), by case index."""
-    return {i: CASES[i].record(lib) for i in indices if CASES[i].record}
-
-
-def save_record(recorded: dict, stacks: Path) -> None:
-    """record()'s stacks into the directory `stacks`, one pickle per case,
-    so that a case process loads its own stacks and no other case's."""
-    stacks.mkdir(parents=True, exist_ok=True)
-    for index, case_stacks in recorded.items():
-        (stacks / f"{index}.pickle").write_bytes(pickle.dumps(case_stacks))
-
-
-def measure(indices, stacks: Path) -> list:
-    """Time the CASES at these indices in turn, each the best of its calls
-    after a warm-up; a recorded case takes its input from its file in the
-    directory `stacks`, written by save_record at the base commit."""
-    import centrotensor as lib  # the package on sys.path: in a child, the commit being timed
-
-    out = []
-    for index in indices:
-        layer, case, build, recorder = CASES[index]
-        fn = layer_callable(lib, layer)
-        if recorder:
-            sizes, run = build(lib, fn, pickle.loads((stacks / f"{index}.pickle").read_bytes()))
-        else:
-            sizes, run = build(lib, fn)
-        calls = min(BEST_OF_MAX, max(1, int(BEST_OF_S / _timed(run))))  # the warm-up
-        best = min(_timed(run) for _ in range(calls))
-        out.append({"layer": layer, "case": case, "sizes": sizes, "s": best, "best_of": calls})
-    return out
-
-
-def _run_child(src: Path, args: list) -> str:
-    """This script run with args in a fresh process against the library in src; its stdout."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, __file__, *args],
-        env=env, cwd=src.parent, stdout=subprocess.PIPE, text=True, check=True,
+def load_tree(name: str, src: Path):
+    """The centrotensor package in the directory src, loaded as the module
+    `name`.  The package imports its own modules relatively, so packages
+    loaded under two names share no module state."""
+    package = Path(src) / "centrotensor"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
     )
-    return proc.stdout
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    return lib
 
 
-def _child(src: Path, index: int, stacks: Path) -> dict:
-    """Case `index` timed in a fresh process against the library in src."""
-    (row,) = json.loads(_run_child(src, ["--measure", str(index), "--stacks", str(stacks)]))
-    return row
+def time_case(index: int, libs: list, reps: int) -> list:
+    """Case `index` timed at each package of libs, the base commit's first:
+    one row per package, in that order.
+
+    The case is built once per package, and each package makes one
+    warm-up call; the slowest sets the calls of every rep at every
+    package.  A recorded case's stacks are recorded once, at libs[0],
+    and every package is timed on them.  Rep r times the packages in
+    order when r is even and in reverse when it is odd.
+    """
+    layer, case, build, recorder = CASES[index]
+    stacks = (recorder(libs[0]),) if recorder else ()
+    cases = [build(lib, layer_callable(lib, layer), *stacks) for lib in libs]
+    # the best of fewer calls reads slower, so every package takes the count of the slowest warm-up
+    calls = min(BEST_OF_MAX, *(max(1, int(BEST_OF_S / _timed(run))) for _, run in cases))
+    times = [[] for _ in libs]
+    for rep in range(reps):
+        for k in sorted(range(len(libs)), reverse=rep % 2 == 1):
+            times[k].append(min(_timed(cases[k][1]) for _ in range(calls)))
+    return [{"layer": layer, "case": case, "sizes": sizes, "seed": SEED, "best_s": min(t),
+             "median_s": statistics.median(t), "reps": reps, "best_of": calls}
+            for (sizes, _), t in zip(cases, times)]
+
+
+def _run_case(index: int, trees: list, reps: int) -> list:
+    """time_case's rows for case `index` at the packages in trees, from a
+    fresh process with one BLAS thread."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, __file__, "--case", str(index), *map(str, trees), "--reps", str(reps)]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    print(f"case {index + 1}/{len(CASES)} done", file=sys.stderr, flush=True)
+    return json.loads(proc.stdout)
 
 
 def merge_records(path: Path, records: list) -> list:
@@ -551,65 +554,48 @@ def record_text(rows: list) -> str:
     return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="parent commit")
-    parser.add_argument("--head", help="changed commit")
+    parser.add_argument("--head", help="changed commit, or worktree")
     parser.add_argument("--reps", type=int, default=7)
-    # case indices timed in this process; none given times every case
-    parser.add_argument("--measure", nargs="*", type=int, help=argparse.SUPPRESS)
-    # the directory of recorded input stacks --measure reads and --record writes
-    parser.add_argument("--stacks", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.measure is not None:
-        if args.stacks is None:
-            parser.error("--measure requires --stacks")
-        print(json.dumps(measure(args.measure or range(len(CASES)), args.stacks)))
-        return 0
-    if args.record is not None:
-        import centrotensor as lib
+    # a case process: the case index and the base and head src directories
+    parser.add_argument("--case", nargs=3, help=argparse.SUPPRESS)
+    return parser
 
-        save_record(record(lib), args.record)
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
+    if args.case:
+        index, *trees = args.case
+        libs = [load_tree(f"centrotensor_{side}", src) for side, src in zip(("base", "head"), trees)]
+        # bench/eig_survey.py builds its cells with the package named centrotensor
+        sys.modules["centrotensor"] = libs[0]
+        print(json.dumps(time_case(int(index), libs, args.reps)))
         return 0
     if not (args.base and args.head):
         parser.error("--base and --head are required")
 
-    records = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for name in (args.base, args.head):
-            commit = "HEAD" if name == "worktree" else name
-            rev = subprocess.run(["git", "rev-parse", "--short", commit], cwd=ROOT, check=True,
-                                 stdout=subprocess.PIPE, text=True).stdout.strip()
+            rev = subprocess.run(["git", "rev-parse", "--short", "HEAD" if name == "worktree" else name],
+                                 cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
             if name == "worktree":
                 trees[rev + "-dirty"] = ROOT / "src"
                 continue
-            tree = Path(tmp) / rev
-            tree.mkdir()
-            archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
+            archive = subprocess.run(["git", "archive", f"--prefix={rev}/", rev, "src"], cwd=ROOT, check=True,
                                      stdout=subprocess.PIPE).stdout
-            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-            trees[rev] = tree / "src"
-        # the input stacks of the recorded cases, from the base commit
-        stacks = Path(tmp) / "stacks"
-        _run_child(next(iter(trees.values())), ["--record", str(stacks)])
-        # one process per case and rep, the commits alternating
-        runs = {(rev, i): [] for rev in trees for i in range(len(CASES))}
-        for rep in range(args.reps):
-            order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
-            for i in range(len(CASES)):
-                for rev in order:
-                    runs[rev, i].append(_child(trees[rev], i, stacks))
-            print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr, flush=True)
-    for (rev, _), per_rep in runs.items():
-        times = [r["s"] for r in per_rep]
-        records.append({
-            "layer": per_rep[0]["layer"], "case": per_rep[0]["case"], "sizes": per_rep[0]["sizes"],
-            "seed": SEED, "best_s": min(times), "median_s": statistics.median(times),
-            "reps": len(times), "best_of": min(r["best_of"] for r in per_rep),
-            "git_rev": rev,
-        })
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            trees[rev] = Path(tmp) / rev / "src"
+        if len(trees) < 2:
+            parser.error(f"--base and --head are both {rev}")
+        # one process per case, which prints the case's row at each commit
+        rows = [_run_case(index, list(trees.values()), args.reps) for index in range(len(CASES))]
+    records = [{**case_rows[k], "git_rev": rev} for k, rev in enumerate(trees) for case_rows in rows]
     RECORD.write_text(record_text(merge_records(RECORD, records)))
     for rec in records:
         print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "

@@ -118,7 +118,7 @@ def _exchange_left(data: np.ndarray) -> np.ndarray:
 def _exchange_right(data: np.ndarray) -> np.ndarray:
     """A*J's entries as an (n, n^(m-1)) view of A's: each row's flat trailing entries reversed."""
     if data.ndim < 2:
-        raise ValueError("left operand must have order >= 2")
+        raise ValueError(f"the exchange action A*J needs a tensor of order >= 2, got order {data.ndim}")
     return data.reshape(data.shape[0], -1)[:, ::-1]
 
 

@@ -1,11 +1,18 @@
 import importlib.util
+import itertools
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+SRC = SCRIPT.parent.parent / "src"
+_TREE_NAMES = itertools.count()
 
 
 def load_script():
@@ -38,25 +45,31 @@ class TestMergeRecords:
         ]
 
 
-class TestRecordedStacks:
-    def test_both_commits_are_timed_on_the_base_stacks(self, tmp_path, monkeypatch):
-        import centrotensor
-        from centrotensor import eigen
+@pytest.fixture
+def trees():
+    """A loader of a src directory's package under a fresh module name; the
+    modules it loaded leave sys.modules after the test."""
+    names = []
 
-        script = load_script()
-        (index,) = [i for i, row in enumerate(script.CASES) if row.case.startswith("27-cell panel, converged")]
-        path = tmp_path / "stacks"
-        base = script.record(centrotensor, [index])
-        script.save_record(base, path)
-        # a head whose solver hands the merge other stacks: every matrix of
-        # the panel takes the multistart path
-        monkeypatch.setattr(eigen, "ORDER2_GAP", np.inf)
-        own = script.record(centrotensor, [index])[index]
-        assert len(own) != len(base[index])
-        # measure reads the case's file, so its sizes are the base stacks'
-        (row,) = script.measure([index], path)
-        assert row["sizes"]["stacks"] == len(base[index])
-        assert row["sizes"]["pairs"] == sum(len(stack[0]) for stack in base[index])
+    def load(script, src):
+        names.append(f"centrotensor_tree_{next(_TREE_NAMES)}")
+        return script.load_tree(names[-1], src)
+
+    yield load
+    for key in [k for k in sys.modules if k.split(".")[0] in names]:
+        del sys.modules[key]
+
+
+def head_without_direct_path(tmp_path):
+    """A copy of src whose solver sends every order-2 matrix to the multistart
+    path, so it hands eigen._dedup other stacks than src's does."""
+    package = tmp_path / "src" / "centrotensor"
+    shutil.copytree(SRC / "centrotensor", package, ignore=shutil.ignore_patterns("__pycache__"))
+    eigen = package / "eigen.py"
+    text = eigen.read_text()
+    assert text.count("\nORDER2_GAP = 1e-6\n") == 1
+    eigen.write_text(text.replace("\nORDER2_GAP = 1e-6\n", '\nORDER2_GAP = float("inf")\n'))
+    return package.parent
 
 
 def case_index(script, case):
@@ -64,45 +77,134 @@ def case_index(script, case):
     return index
 
 
+class TestCaseProcess:
+    def test_both_commits_are_timed_on_the_base_stacks(self, tmp_path, trees):
+        script = load_script()
+        (index,) = [i for i, row in enumerate(script.CASES) if row.case.startswith("27-cell panel, converged")]
+        head = head_without_direct_path(tmp_path)
+        recorder = script.CASES[index].record
+        base_stacks = recorder(trees(script, SRC))
+        assert len(recorder(trees(script, head))) != len(base_stacks)
+        # the case process records the stacks at the base commit and times both commits on them
+        argv = [sys.executable, str(SCRIPT), "--case", str(index), str(SRC), str(head), "--reps", "1"]
+        out = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True).stdout
+        rows = json.loads(out)
+        case = script.CASES[index].case
+        assert [(r["layer"], r["case"], r["reps"]) for r in rows] == [("eigen._dedup", case, 1)] * 2
+        for row in rows:
+            assert row["sizes"]["stacks"] == len(base_stacks)
+            assert row["sizes"]["pairs"] == sum(len(stack[0]) for stack in base_stacks)
+
+    def test_two_trees_share_no_module_state(self, trees):
+        from centrotensor import eigen
+
+        script = load_script()
+        a, b = trees(script, SRC), trees(script, SRC)
+        assert a.eigen is not b.eigen and a.eigen is not eigen
+        assert a.core.DenseTensor is not b.core.DenseTensor
+        assert a.eigen.core is a.core and b.eigen.core is b.core
+        assert script.layer_callable(a, "eigen._dedup") is a.eigen._dedup
+        assert script.layer_callable(b, "cli.main") is b.cli.main
+        a.eigen.ORDER2_GAP = np.inf
+        assert b.eigen.ORDER2_GAP == eigen.ORDER2_GAP == 1e-6
+
+    def test_plain_cases_give_one_row_per_commit(self, trees):
+        # each commit builds its own input, so the writer's isinstance test
+        # sees its own DenseTensor
+        script = load_script()
+        libs = [trees(script, SRC), trees(script, SRC)]
+        eig = case_index(script, "eig -o on a 4x4 symmetric centro matrix file, 200 starts, 100 calls")
+        dumps = case_index(script, "order-2 dim-4 centro DenseTensor, 1000 calls")
+        (load,) = [i for i, row in enumerate(script.CASES) if row.layer == "cli._load_tensor"]
+        cases = ((eig, "cli.main", 100), (dumps, "serialize.dumps", 1000), (load, "cli._load_tensor", 1))
+        for index, layer, calls in cases:
+            rows = script.time_case(index, libs, 2)
+            assert [(r["layer"], r["sizes"]["calls"], r["reps"]) for r in rows] == [(layer, calls, 2)] * 2
+            assert all(0 < r["best_s"] <= r["median_s"] and 1 <= r["best_of"] <= script.BEST_OF_MAX for r in rows)
+            # both commits take the best of as many calls
+            assert rows[0]["best_of"] == rows[1]["best_of"]
+
+    def test_reps_alternate_which_commit_runs_first(self, monkeypatch):
+        script = load_script()
+        ran = []
+
+        def build(lib, fn):
+            def run():
+                ran.append(lib)
+                return {"base": 1 / 64, "head": 1 / 4}[lib]
+
+            return {"calls": 1}, run
+
+        monkeypatch.setattr(script, "CASES", [script.Case("eigen.solve_eigen", "one call", build)])
+        monkeypatch.setattr(script, "layer_callable", lambda lib, layer: None)
+        # a run takes the time it returns: 1 s fits 64 base calls (30 at most) and 4 head calls
+        monkeypatch.setattr(script, "_timed", lambda run: run())
+        monkeypatch.setattr(script, "BEST_OF_S", 1.0)
+        rows = script.time_case(0, ["base", "head"], 4)
+        # the two warm-ups, then base first in even reps and head first in
+        # odd ones, each the best of the slower warm-up's 4 calls
+        rep_pair = ["base"] * 4 + ["head"] * 4 + ["head"] * 4 + ["base"] * 4
+        assert ran == ["base", "head"] + rep_pair * 2
+        assert [(r["reps"], r["best_of"], r["best_s"]) for r in rows] == [(4, 4, 1 / 64), (4, 4, 1 / 4)]
+
+
 class TestCommandLine:
-    def test_measure_without_stacks_exits_2(self):
+    def test_base_and_head_are_required(self):
         with pytest.raises(SystemExit) as exit_info:
-            load_script().main(["--measure", "0"])
+            load_script().main([])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_1_exits_2(self, reps, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            load_script().main(["--base", "HEAD", "--head", "worktree", "--reps", reps])
+        assert exit_info.value.code == 2
+        assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
+
     def test_out_is_refused(self, tmp_path, capsys):
-        # a --measure that would get past parsing fails on the missing stacks file instead
-        argv = ["--measure", "0", "--stacks", str(tmp_path / "none"), "--out", str(tmp_path / "BENCH_x.json")]
+        argv = ["--base", "HEAD", "--head", "worktree", "--out", str(tmp_path / "BENCH_x.json")]
         with pytest.raises(SystemExit) as exit_info:
             load_script().main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --out" in capsys.readouterr().err
 
-    def test_record_then_measure_prints_one_row_a_case(self, tmp_path, capsys):
-        script = load_script()
-        stacks = tmp_path / "stacks"
-        assert script.main(["--record", str(stacks)]) == 0
-        recorded = case_index(script, "zero tensor dim 2, 2000 starts")
-        plain = case_index(script, "order-2 dim-4 centro tensor, 1000 calls")
-        # one file per recorded case, none for a plain one
-        assert sorted(p.name for p in stacks.iterdir()) == sorted(
-            f"{i}.pickle" for i, row in enumerate(script.CASES) if row.record
-        )
-        capsys.readouterr()
-        assert script.main(["--measure", str(recorded), str(plain), "--stacks", str(stacks)]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert [r["case"] for r in rows] == [script.CASES[recorded].case, script.CASES[plain].case]
-        assert rows[0]["sizes"]["pairs"] == 2000
+    @staticmethod
+    def fake_subprocess(script, monkeypatch, cases):
+        """git rev-parse names abc1234, git archive and tar do nothing, and a
+        case process, noted in cases, prints a row per commit."""
+        def run(argv, **kwargs):
+            if argv[0] != sys.executable:
+                return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n" if "rev-parse" in argv else b"")
+            cases.append((argv[2:], kwargs["env"]["OPENBLAS_NUM_THREADS"]))
+            layer, case = script.CASES[int(argv[3])][:2]
+            rows = [{"layer": layer, "case": case, "best_s": s, "median_s": s} for s in (1.0, 2.0)]
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(rows))
 
-    def test_file_cases_read_no_stacks(self, tmp_path):
-        # plain cases: measure opens no stacks file for them
-        script = load_script()
-        eig = case_index(script, "eig -o on a 4x4 symmetric centro matrix file, 200 starts, 100 calls")
-        (load,) = [i for i, row in enumerate(script.CASES) if row.layer == "cli._load_tensor"]
-        rows = script.measure([eig, load], tmp_path / "none")
-        assert [r["layer"] for r in rows] == ["cli.main", "cli._load_tensor"]
-        assert [r["sizes"]["calls"] for r in rows] == [100, 1]
-        assert not (tmp_path / "none").exists()
+        monkeypatch.setattr(script, "subprocess", SimpleNamespace(run=run, PIPE=subprocess.PIPE))
+
+    def test_one_commit_twice_exits_2(self, capsys, monkeypatch):
+        script, cases = load_script(), []
+        self.fake_subprocess(script, monkeypatch, cases)
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(["--base", "HEAD", "--head", "main"])
+        assert exit_info.value.code == 2
+        assert "--base and --head are both abc1234" in capsys.readouterr().err
+        assert cases == []
+
+    def test_a_run_starts_one_process_per_case(self, tmp_path, monkeypatch):
+        script, cases = load_script(), []
+        self.fake_subprocess(script, monkeypatch, cases)
+        monkeypatch.setattr(script, "RECORD", tmp_path / "BENCH.json")
+        assert script.main(["--base", "HEAD", "--head", "worktree", "--reps", "3"]) == 0
+        assert len(cases) == len(script.CASES)
+        for index, (args, threads) in enumerate(cases):
+            assert args[:2] == ["--case", str(index)] and args[4:] == ["--reps", "3"]
+            assert Path(args[2]).name == "src" and args[3] == str(SRC)
+            assert threads == "1"
+        rows = json.loads(script.RECORD.read_text())
+        expected = [(rev, row.layer, row.case, s) for rev, s in (("abc1234", 1.0), ("abc1234-dirty", 2.0))
+                    for row in script.CASES]
+        assert [(r["git_rev"], r["layer"], r["case"], r["best_s"]) for r in rows] == expected
 
     def test_rows_go_to_the_one_layer_record(self):
         script = load_script()

@@ -429,6 +429,11 @@ class TestExchangeProductCheck:
         with pytest.raises(CauchySpecError):
             cauchy_check_JC(CauchySpec(np.array([1.0, -1.0]), 2))
 
+    def test_order_one_spec_names_the_exchange_action(self):
+        message = "the exchange action A*J needs a tensor of order >= 2, got order 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cauchy_check_JC(CauchySpec(np.array([1.0, 2.0, 1.0]), 1))
+
 
 class TestEquivalenceChain:
     def test_predicates_match_tensor_verdicts(self, rng):

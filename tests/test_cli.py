@@ -132,6 +132,16 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "/does/not/exist.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["sandwich", "commutation"])
+    def test_order_one_exchange_views_exit_2(self, method, tmp_path, capsys):
+        # the product's A*J view names itself, not shao_product's left operand
+        path = tmp_path / "v.json"
+        path.write_text('{"order": 1, "dim": 3, "entries": [1.0, 2.0, 1.0]}')
+        code, out, err = run(capsys, ["check", str(path), "--method", method])
+        assert code == 2
+        assert out == ""
+        assert err == "error: the exchange action A*J needs a tensor of order >= 2, got order 1\n"
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
