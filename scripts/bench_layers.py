@@ -1,42 +1,42 @@
 #!/usr/bin/env python3
-"""Time library layers at two commits and merge the rows into BENCH_layers.json.
+"""Time library layers at a base commit and in the checked-out tree, into BENCH_layers.json.
 
-    python3 scripts/bench_layers.py --base HEAD --head worktree --reps 11
+    python3 scripts/bench_layers.py --base HEAD --reps 11
 
-Each commit's ``src/`` is exported with ``git archive`` into a temporary
-directory.  Each case runs in a fresh Python process of its own, so no
-case runs on the allocator state that other cases left, with one BLAS
-thread.  That process loads both commits' packages side by side, under two
-module names, builds the case's inputs once per commit and times the two
-commits alternately rep by rep, so that a drift in machine speed hits
-both alike; it prints one row per commit.  ``--head worktree`` times the
-checked-out ``src/`` with its uncommitted changes instead, recorded as
-``<HEAD>-dirty``.  Both commits must be f2f8568 or later
-(``serialize.read_tensor``, ``serialize.dumps`` of a ``DenseTensor``).
+The base commit's ``src/`` is exported with ``git archive`` into a
+temporary directory; the head is the checked-out ``src/`` with its
+uncommitted changes, recorded as ``<HEAD>-dirty``.  The base must be
+f2f8568 or later (``serialize.read_tensor``, ``serialize.dumps`` of a
+``DenseTensor``).  Each case runs in a fresh Python process of its own,
+so no case runs on the allocator state that other cases left, with one
+BLAS thread.  That process loads both trees' packages side by side, under
+two module names, builds the case's inputs once per tree and times the
+two trees alternately rep by rep, so that a drift in machine speed hits
+both alike; it prints one row per tree.
 
 The cases are the rows of CASES.  A row names the layer it times, as
 ``<module>.<name>`` of the package, and its build is handed that callable,
 so a row times only the function it names.  A row with a ``record``
 column times the layer on the input stacks its recorder returns: the
 case process records them once, at the base commit, before it times
-anything, and both commits are timed on them, so a change to what the
+anything, and both trees are timed on them, so a change to what the
 solver hands a private function leaves the case's input alone.  The
 eig-survey cells some cases use are built by bench/eig_survey.py with the
-base commit's package; the head commit's layers read only their entries.
-A build whose input reaches ``serialize`` makes it with each commit's own
+base commit's package; the head's layers read only their entries.
+A build whose input reaches ``serialize`` makes it with each tree's own
 package, since the writer tests ``isinstance(value, DenseTensor)``.
 
 A record is ``{layer, case, sizes, seed, best_s, median_s, reps,
 best_of, git_rev}``.  One rep times the whole case as the best of as many
-calls as fit in BEST_OF_S of the slower commit's warm-up call (at most
-BEST_OF_MAX), the same count at both commits, since the best of fewer
+calls as fit in BEST_OF_S of the slower tree's warm-up call (at most
+BEST_OF_MAX), the same count for both trees, since the best of fewer
 calls reads slower; ``best_of`` is that count: a case of about 10 ms varies
 call to call by more than the 15% change it should resolve, so it takes
 the best of 30 calls, while a case over BEST_OF_S takes one.  ``best_s``
-and ``median_s`` are over the reps' figures.  The new rows are merged
-into RECORD, a JSON array written one row per line: a row with the same
-``git_rev``, layer and case is replaced where it stands, and the others
-are appended.
+and ``median_s`` are over the reps' figures.  A run rewrites RECORD whole
+as its one comparison, a row per case at the base and then at the head,
+written as a JSON array with one row per line; earlier comparisons stay
+in git history (``git show <rev>:BENCH_layers.json``).
 """
 
 from __future__ import annotations
@@ -535,20 +535,6 @@ def _run_case(index: int, trees: list, reps: int) -> list:
     return json.loads(proc.stdout)
 
 
-def merge_records(path: Path, records: list) -> list:
-    """The rows of `path`, if it exists, with `records` merged in.
-
-    A row with the git_rev, layer and case of a new one is replaced where
-    it stands; the other new rows follow in their order.
-    """
-    def key(rec):
-        return rec["git_rev"], rec["layer"], rec["case"]
-
-    new = {key(rec): rec for rec in records}
-    old = json.loads(path.read_text()) if path.exists() else []
-    return [new.pop(key(rec), rec) for rec in old] + list(new.values())
-
-
 def record_text(rows: list) -> str:
     """rows as one JSON array, one compact row per line."""
     return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
@@ -556,8 +542,7 @@ def record_text(rows: list) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", help="parent commit")
-    parser.add_argument("--head", help="changed commit, or worktree")
+    parser.add_argument("--base", help="parent commit, timed against the checked-out src/")
     parser.add_argument("--reps", type=int, default=7)
     # a case process: the case index and the base and head src directories
     parser.add_argument("--case", nargs=3, help=argparse.SUPPRESS)
@@ -576,27 +561,25 @@ def main(argv=None) -> int:
         sys.modules["centrotensor"] = libs[0]
         print(json.dumps(time_case(int(index), libs, args.reps)))
         return 0
-    if not (args.base and args.head):
-        parser.error("--base and --head are required")
+    if not args.base:
+        parser.error("--base is required")
+    revs = []
+    for name in (args.base, "HEAD"):
+        proc = subprocess.run(["git", "rev-parse", "--short", name], cwd=ROOT,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        if proc.returncode:
+            parser.error(f"{name}: {proc.stderr.strip()}")
+        revs.append(proc.stdout.strip())
+    base, head = revs
 
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for name in (args.base, args.head):
-            rev = subprocess.run(["git", "rev-parse", "--short", "HEAD" if name == "worktree" else name],
-                                 cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
-            if name == "worktree":
-                trees[rev + "-dirty"] = ROOT / "src"
-                continue
-            archive = subprocess.run(["git", "archive", f"--prefix={rev}/", rev, "src"], cwd=ROOT, check=True,
-                                     stdout=subprocess.PIPE).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            trees[rev] = Path(tmp) / rev / "src"
-        if len(trees) < 2:
-            parser.error(f"--base and --head are both {rev}")
-        # one process per case, which prints the case's row at each commit
-        rows = [_run_case(index, list(trees.values()), args.reps) for index in range(len(CASES))]
-    records = [{**case_rows[k], "git_rev": rev} for k, rev in enumerate(trees) for case_rows in rows]
-    RECORD.write_text(record_text(merge_records(RECORD, records)))
+        archive = subprocess.run(["git", "archive", f"--prefix={base}/", base, "src"], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        # one process per case, which prints the case's row at the base and at the head
+        rows = [_run_case(index, [Path(tmp) / base / "src", ROOT / "src"], args.reps) for index in range(len(CASES))]
+    records = [{**case_rows[k], "git_rev": rev} for k, rev in enumerate((base, head + "-dirty")) for case_rows in rows]
+    RECORD.write_text(record_text(records))
     for rec in records:
         print(f"{rec['git_rev']}  {rec['layer']:30s} {rec['case']:45s} "
               f"best {rec['best_s'] * 1e3:9.3f} ms  median {rec['median_s'] * 1e3:9.3f} ms")

@@ -46,13 +46,18 @@ def probe(order, dim, rng, samples, starts):
     return fmin, lam_min, shift
 
 
-def main():
+def nan_cell(reduce, values, width):
+    """reduce(values) for a NaN-skipping numpy reducer, or '-' when every value is NaN or there are none."""
+    return f"{'-':>{width}}" if np.all(np.isnan(values)) else f"{reduce(values):>{width}.4f}"
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=8, help="tensors per cell")
     parser.add_argument("--samples", type=int, default=400, help="unit vectors per tensor")
     parser.add_argument("--starts", type=int, default=30)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     print(f"{'m':>2} {'n':>2} {'definite':>9} {'min f':>10} {'min lambda':>11} {'avg shift':>10}")
@@ -68,10 +73,9 @@ def main():
                     shifts.append(shift)
                 if fmin > 0.0:
                     definite += 1
-            avg_shift = f"{np.nanmean(shifts):>10.4f}" if shifts else f"{'-':>10}"
             print(
                 f"{order:>2} {dim:>2} {definite:>6}/{args.trials:<2} "
-                f"{np.min(fmins):>10.4f} {np.nanmin(lmins):>11.4f} {avg_shift}"
+                f"{np.min(fmins):>10.4f} {nan_cell(np.nanmin, lmins, 11)} {nan_cell(np.nanmean, shifts, 10)}"
             )
 
 

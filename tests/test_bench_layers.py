@@ -22,29 +22,6 @@ def load_script():
     return module
 
 
-def row(rev, layer, case, best):
-    return {"layer": layer, "case": case, "best_s": best, "git_rev": rev}
-
-
-class TestMergeRecords:
-    def test_missing_file_takes_the_new_rows(self, tmp_path):
-        rows = [row("a", "x", "1", 1.0), row("b", "x", "1", 2.0)]
-        assert load_script().merge_records(tmp_path / "BENCH.json", rows) == rows
-
-    def test_replaces_matching_rows_in_place_and_appends_the_rest(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        old = [row("a", "x", "1", 1.0), row("a", "y", "1", 2.0), row("b", "x", "1", 3.0)]
-        path.write_text(json.dumps(old))
-        new = [row("b", "x", "1", 4.0), row("a", "x", "2", 5.0), row("c", "x", "1", 6.0)]
-        assert load_script().merge_records(path, new) == [
-            row("a", "x", "1", 1.0),
-            row("a", "y", "1", 2.0),
-            row("b", "x", "1", 4.0),
-            row("a", "x", "2", 5.0),
-            row("c", "x", "1", 6.0),
-        ]
-
-
 @pytest.fixture
 def trees():
     """A loader of a src directory's package under a fresh module name; the
@@ -149,7 +126,7 @@ class TestCaseProcess:
 
 
 class TestCommandLine:
-    def test_base_and_head_are_required(self):
+    def test_base_is_required(self):
         with pytest.raises(SystemExit) as exit_info:
             load_script().main([])
         assert exit_info.value.code == 2
@@ -157,22 +134,31 @@ class TestCommandLine:
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_1_exits_2(self, reps, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            load_script().main(["--base", "HEAD", "--head", "worktree", "--reps", reps])
+            load_script().main(["--base", "HEAD", "--reps", reps])
         assert exit_info.value.code == 2
         assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
 
     def test_out_is_refused(self, tmp_path, capsys):
-        argv = ["--base", "HEAD", "--head", "worktree", "--out", str(tmp_path / "BENCH_x.json")]
+        argv = ["--base", "HEAD", "--out", str(tmp_path / "BENCH_x.json")]
         with pytest.raises(SystemExit) as exit_info:
             load_script().main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --out" in capsys.readouterr().err
 
+    def test_head_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            load_script().main(["--base", "HEAD", "--head", "worktree"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --head worktree" in capsys.readouterr().err
+
     @staticmethod
-    def fake_subprocess(script, monkeypatch, cases):
-        """git rev-parse names abc1234, git archive and tar do nothing, and a
-        case process, noted in cases, prints a row per commit."""
+    def fake_subprocess(script, monkeypatch, cases, unknown=()):
+        """git rev-parse names abc1234, or fails on a name in unknown, git
+        archive and tar do nothing, and a case process, noted in cases,
+        prints a row per commit."""
         def run(argv, **kwargs):
+            if "rev-parse" in argv and argv[-1] in unknown:
+                return subprocess.CompletedProcess(argv, 128, stdout="", stderr="fatal: Needed a single revision\n")
             if argv[0] != sys.executable:
                 return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n" if "rev-parse" in argv else b"")
             cases.append((argv[2:], kwargs["env"]["OPENBLAS_NUM_THREADS"]))
@@ -182,20 +168,20 @@ class TestCommandLine:
 
         monkeypatch.setattr(script, "subprocess", SimpleNamespace(run=run, PIPE=subprocess.PIPE))
 
-    def test_one_commit_twice_exits_2(self, capsys, monkeypatch):
+    def test_an_unknown_base_exits_2_with_gits_message(self, capsys, monkeypatch):
         script, cases = load_script(), []
-        self.fake_subprocess(script, monkeypatch, cases)
+        self.fake_subprocess(script, monkeypatch, cases, unknown=("nosuchrev",))
         with pytest.raises(SystemExit) as exit_info:
-            script.main(["--base", "HEAD", "--head", "main"])
+            script.main(["--base", "nosuchrev"])
         assert exit_info.value.code == 2
-        assert "--base and --head are both abc1234" in capsys.readouterr().err
+        assert "nosuchrev: fatal: Needed a single revision" in capsys.readouterr().err
         assert cases == []
 
     def test_a_run_starts_one_process_per_case(self, tmp_path, monkeypatch):
         script, cases = load_script(), []
         self.fake_subprocess(script, monkeypatch, cases)
         monkeypatch.setattr(script, "RECORD", tmp_path / "BENCH.json")
-        assert script.main(["--base", "HEAD", "--head", "worktree", "--reps", "3"]) == 0
+        assert script.main(["--base", "HEAD", "--reps", "3"]) == 0
         assert len(cases) == len(script.CASES)
         for index, (args, threads) in enumerate(cases):
             assert args[:2] == ["--case", str(index)] and args[4:] == ["--reps", "3"]
@@ -205,6 +191,20 @@ class TestCommandLine:
         expected = [(rev, row.layer, row.case, s) for rev, s in (("abc1234", 1.0), ("abc1234-dirty", 2.0))
                     for row in script.CASES]
         assert [(r["git_rev"], r["layer"], r["case"], r["best_s"]) for r in rows] == expected
+
+    def test_a_run_rewrites_the_record_as_its_one_comparison(self, tmp_path, monkeypatch):
+        script, cases = load_script(), []
+        self.fake_subprocess(script, monkeypatch, cases)
+        monkeypatch.setattr(script, "RECORD", tmp_path / "BENCH.json")
+        old = [{"layer": row.layer, "case": row.case, "best_s": 9.0, "git_rev": rev}
+               for rev in ("abc1234", "abc1234-dirty", "0123456") for row in script.CASES]
+        script.RECORD.write_text(script.record_text(old))
+        for _ in range(2):
+            assert script.main(["--base", "HEAD", "--reps", "1"]) == 0
+            rows = json.loads(script.RECORD.read_text())
+            assert len(rows) == 2 * len(script.CASES)
+            assert {r["git_rev"] for r in rows} == {"abc1234", "abc1234-dirty"}
+            assert all(r["best_s"] in (1.0, 2.0) for r in rows)
 
     def test_rows_go_to_the_one_layer_record(self):
         script = load_script()
@@ -221,21 +221,27 @@ class TestCaseTable:
             assert callable(script.layer_callable(centrotensor, row.layer)), row.layer
 
     def test_no_two_rows_share_a_key(self):
-        # merge_records keys rows by (git_rev, layer, case): a shared key
-        # would replace one case's row with another's
+        # a record's rows are told apart by (git_rev, layer, case): a shared
+        # key would make two cases' rows indistinguishable
         keys = [(row.layer, row.case) for row in load_script().CASES]
         assert len(set(keys)) == len(keys)
 
 
 class TestRecordLayout:
-    FIELDS = {"layer", "case", "sizes", "seed", "best_s", "median_s", "reps", "git_rev"}
+    FIELDS = {"layer", "case", "sizes", "seed", "best_s", "median_s", "reps", "best_of", "git_rev"}
 
     def test_record_is_one_array_of_complete_rows(self):
         rows = json.loads(load_script().RECORD.read_text())
         assert isinstance(rows, list) and rows
         for row in rows:
-            # best_of is optional: the oldest rows predate it
-            assert self.FIELDS <= set(row) <= self.FIELDS | {"best_of"}, row
+            assert set(row) == self.FIELDS, row
+
+    def test_record_holds_one_comparison(self):
+        rows = json.loads(load_script().RECORD.read_text())
+        revs = {row["git_rev"] for row in rows}
+        assert len(revs) == 2 and sum(rev.endswith("-dirty") for rev in revs) == 1, revs
+        keys = [(row["git_rev"], row["layer"], row["case"]) for row in rows]
+        assert len(set(keys)) == len(keys)
 
     def test_record_keeps_one_row_per_line(self):
         script = load_script()
