@@ -41,6 +41,7 @@ _MERGE = "tests/test_eigen.py::TestMergeAgainstLoop::"
 _SUITE = "tests/test_suite.py::"
 _MIRROR_WRITER = "tests/test_serialize.py::TestMirroredWriter::"
 _MIRROR_READER = "tests/test_serialize.py::TestMirroredReader::"
+_SCALE = "tests/test_structure.py::TestScaleFromTheScan::"
 
 MUTANTS = [
     Mutant(
@@ -400,6 +401,33 @@ MUTANTS = [
         "DEFAULT_TOL_FACTOR = 1e-12\n",
         "DEFAULT_TOL_FACTOR = 1e-10\n",
         ("tests/test_cauchy.py::TestPredicatesAgainstOracle::test_random_vectors_at_their_own_deviation",),
+    ),
+    Mutant(
+        "the witnesses read the scale off a scan that is only near centro",
+        "src/centrotensor/structure.py",
+        "if c_max == 0.0 else",
+        "if c_max <= DEFAULT_TOL_FACTOR else",
+        (_SCALE + "test_tolerance_is_the_default_to_the_bit[near centro at the largest entry-check_structure]",),
+    ),
+    Mutant(
+        "the witnesses' scale from the scan not halved",
+        "src/centrotensor/structure.py",
+        "scale = s_max / 2 if c_max == 0.0 else c_max / 2 if",
+        "scale = s_max if c_max == 0.0 else c_max if",
+        (
+            _SCALE + "test_tolerance_is_the_default_to_the_bit[exact centro, max 7.5-check_structure]",
+            _SCALE + "test_tolerance_is_the_default_to_the_bit[exact skew, odd N, max 7.5-check_commutation]",
+        ),
+    ),
+    Mutant(
+        "the witnesses keep an overflowing scale from the scan",
+        "src/centrotensor/structure.py",
+        "max(1.0, scale) if math.isfinite(scale) else default_tolerance(a)",
+        "max(1.0, scale)",
+        (
+            _SCALE + "test_tolerance_is_the_default_to_the_bit[centro past DBL_MAX/2-check_via_J]",
+            _SCALE + "test_entry_scale_runs_only_where_the_scan_cannot_tell[general-1-check_structure]",
+        ),
     ),
     Mutant(
         "the polynomial reflection's sample bound raised to 1e-6",

@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import DenseTensor, DomainError, _check_integer, _mirror_flip, _pair_blocks, check_entry_count, entry_scale
 from .product import _exchange_left, _exchange_right
-from .structure import _BLOCK, _compare, check_structure, default_tolerance
+from .structure import _BLOCK, _compare, check_structure
 
 __all__ = [
     "CauchySpecError",
@@ -232,9 +232,8 @@ def cauchy_check_JC(spec: CauchySpec) -> bool:
     cauchy_is_centro on every valid spec.
     """
     c_tensor = materialize(spec)
-    tol = default_tolerance(c_tensor)
     c, rows = c_tensor.data, c_tensor.data.reshape(spec.dim, -1)
     return all(
-        _compare(view.reshape(rows.shape), rows, tol).is_centro
+        _compare(view.reshape(rows.shape), rows, None, c_tensor).is_centro
         for view in (_exchange_left(c), _exchange_right(c))
     )

@@ -407,14 +407,17 @@ def entry_scale(a: DenseTensor) -> float:
 
 
 def check_tolerance(value, name: str = "tol") -> float:
-    """Return a tolerance as a float, raising ValueError unless it is finite and >= 0."""
+    """Return a tolerance as a float, raising ValueError unless it is finite and >= 0.
+
+    -0.0 is returned as +0.0, so a report never shows a negative zero.
+    """
     try:
         tol = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not np.isfinite(tol) or tol < 0:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
-    return tol
+    return tol + 0.0
 
 
 def _check_integer(value, name: str) -> int:

@@ -8,7 +8,14 @@ entries, so a vector is just an order-1 tensor; palindromize mirrors both.
 
 Floating-point verdicts need a declared tolerance rule: every check here
 compares deviations against an absolute tolerance that defaults to
-1e-12 * max(1, largest entry magnitude).
+1e-12 * max(1, largest entry magnitude).  The three witnesses read that
+magnitude off their own scan when A is exactly centro or skew, and
+otherwise from core.entry_scale: their pair x, y covers every entry of
+A, so where max|x - y| is 0, x = y and |x + y| = |2x| exactly (doubling
+is exact, subnormals included), and max|x + y| / 2 is the largest
+magnitude; where max|x + y| is 0 the same holds with the signs swapped.
+A doubled entry that overflows leaves that deviation inf, and the
+witness reads the magnitude from entry_scale.
 
 Each witness reduces to comparing two same-size arrays x and y: the
 centro deviation |x - y| and the skew deviation |x + y|.  The three pairs
@@ -164,22 +171,28 @@ def default_tolerance(a: DenseTensor) -> float:
     return DEFAULT_TOL_FACTOR * entry_scale(a)
 
 
-def _tolerance(a: DenseTensor, tol) -> float:
-    """The checked tolerance, or the default one."""
-    return default_tolerance(a) if tol is None else check_tolerance(tol)
-
-
-def _compare(x: np.ndarray, y: np.ndarray, tol: float, shape: tuple | None = None) -> StructureReport:
+def _compare(x: np.ndarray, y: np.ndarray, tol: float | None = None, a: DenseTensor | None = None) -> StructureReport:
     """Classify by the deviations |x - y| (centro) and |x + y| (skew).
 
     x and y have one shape, 1-D or 2-D, and either may be a strided view,
     such as another array's entries reversed; they are read in C order.
-    worst_index unravels the flat offset over shape, by default x's; a
-    witness passes the leading part of its pair and the tensor's shape.
-    The deviations stream through _deviations, which keeps each one's
-    max and first argmax, so the report is the one full-size arrays give.
+    a is the tensor they are read from, over whose shape worst_index
+    unravels the flat offset (over x's without it); a witness passes the
+    leading part of its pair.  The deviations stream through _deviations,
+    which keeps each one's max and first argmax, so the report is the
+    one full-size arrays give.
+
+    A given tol is the witness's checked one.  Without one, x and y must
+    hold every entry of a between them, and the tolerance is
+    default_tolerance(a) to the bit.  When one deviation is exactly 0,
+    x = +-y and the other is twice the largest magnitude, so its half is
+    the scale (see the module docstring); otherwise, or when that double
+    overflowed, default_tolerance reads a again.
     """
     c_max, c_at, s_max, s_at = _deviations(x, y)
+    if tol is None:
+        scale = s_max / 2 if c_max == 0.0 else c_max / 2 if s_max == 0.0 else math.inf
+        tol = DEFAULT_TOL_FACTOR * max(1.0, scale) if math.isfinite(scale) else default_tolerance(a)
     c_ok, s_ok = c_max <= tol, s_max <= tol
     if c_ok and s_ok:
         # max(|x - y|, |x + y|) first peaks at the earlier first argmax of
@@ -196,7 +209,7 @@ def _compare(x: np.ndarray, y: np.ndarray, tol: float, shape: tuple | None = Non
         verdict, worst, at = NEITHER, s_max, s_at
     # unravel the flat offset 1-based; np.unravel_index costs more on a few entries
     index = []
-    for size in reversed(x.shape if shape is None else shape):
+    for size in reversed(x.shape if a is None else a.data.shape):
         at, i = divmod(at, size)
         index.append(i + 1)
     return StructureReport(verdict, worst, tuple(reversed(index)), tol)
@@ -240,10 +253,10 @@ def check_structure(a: DenseTensor, tol: float | None = None) -> StructureReport
     backwards: the deviations read the same backwards, so the first
     maximum lies there (see the module docstring).
     """
-    tol = _tolerance(a, tol)
+    tol = tol if tol is None else check_tolerance(tol)
     flat = a.entries
     half = (flat.size + 1) // 2
-    return _compare(flat[:half], flat[::-1][:half], tol, a.data.shape)
+    return _compare(flat[:half], flat[::-1][:half], tol, a)
 
 
 def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
@@ -257,10 +270,10 @@ def check_via_J(a: DenseTensor, tol: float | None = None) -> StructureReport:
     the same backwards (see the module docstring).  Order 1 is a
     ValueError, as for A*J.
     """
-    tol = _tolerance(a, tol)
+    tol = tol if tol is None else check_tolerance(tol)
     jaj = _exchange_left(_exchange_right(a.data)).reshape(-1)
     half = (jaj.size + 1) // 2
-    return _compare(jaj[:half], a.entries[:half], tol, a.data.shape)
+    return _compare(jaj[:half], a.entries[:half], tol, a)
 
 
 def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureReport:
@@ -271,11 +284,11 @@ def check_commutation(a: DenseTensor, tol: float | None = None) -> StructureRepo
     compared, since the deviations read the same backwards (see the
     module docstring).  Order 1 is a ValueError, as for A*J.
     """
-    tol = _tolerance(a, tol)
+    tol = tol if tol is None else check_tolerance(tol)
     aj = _exchange_right(a.data)
     ja = _exchange_left(a.data).reshape(aj.shape)
     half = (a.dim + 1) // 2
-    return _compare(aj[:half], ja[:half], tol, a.data.shape)
+    return _compare(aj[:half], ja[:half], tol, a)
 
 
 def decompose(a: DenseTensor) -> Decomposition:

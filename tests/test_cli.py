@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,13 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "tol" in err
+
+    @pytest.mark.parametrize("method", ["direct", "sandwich", "commutation"])
+    def test_negative_zero_tolerance_is_reported_as_zero(self, method, sym_file, capsys):
+        code, out, _ = run(capsys, ["check", sym_file, "--method", method, "--tol", "-0.0"])
+        assert code == 0
+        assert '"tolerance_used": 0}' in out
+        assert math.copysign(1.0, json.loads(out)["tolerance_used"]) == 1.0
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, ["check", "/does/not/exist.json"])

@@ -307,6 +307,83 @@ class TestOneBlockCompare:
             assert structure._compare(x, y, tol) == want, tol
 
 
+def _mirrored(order, dim, front, sign=1.0):
+    """The tensor whose first floor(N/2) flat entries are front's, mirrored
+    onto the back times sign; an odd N's centre entry is front's next one."""
+    flat = np.zeros(dim**order)
+    half = flat.size // 2
+    flat[: flat.size - half] = front
+    flat[flat.size - half :] = sign * flat[:half][::-1]
+    return DenseTensor.from_entries(order, dim, flat)
+
+
+_BIG = 0.75 * np.finfo(float).max  # doubling it overflows
+
+# Each case names its default-tolerance verdict.  The exactly centro or
+# skew ones read the scale off the scan; the others fall back to
+# default_tolerance, some with a deviation that overflows.
+_SCALE_CASES = {
+    "exact centro, max 7.5": (lambda: _mirrored(3, 4, np.linspace(-7.5, 3.0, 32)), CENTRO),
+    "exact skew, odd N, max 7.5": (lambda: _mirrored(3, 5, np.r_[np.linspace(3.0, -7.5, 62), 0.0], -1.0), SKEW),
+    "zero": (lambda: DenseTensor.zeros(3, 3), BOTH),
+    "centro past DBL_MAX/2": (lambda: _mirrored(2, 2, [_BIG, 1.0]), CENTRO),
+    "skew past DBL_MAX/2": (lambda: _mirrored(2, 3, [1.0, -_BIG, 2.0, 0.0, 0.0], -1.0), SKEW),
+    # both, as every deviation is far below the tolerance
+    "centro, subnormal only": (lambda: _mirrored(2, 3, [5e-324, -1e-320, 0.0, 2e-322, 7e-323]), BOTH),
+    "skew, subnormal only": (lambda: _mirrored(2, 2, [5e-324, -1e-320], -1.0), BOTH),
+    "+0.0 and -0.0 pairs": (lambda: DenseTensor.from_entries(2, 2, [0.0, -0.0, 0.0, -0.0]), BOTH),
+    "odd-N skew, centre within the tolerance": (
+        lambda: _mirrored(3, 3, np.r_[np.linspace(-4.0, 4.0, 13), 1e-12], -1.0), SKEW),
+    "odd-N skew, centre past the tolerance": (
+        lambda: _mirrored(3, 3, np.r_[np.linspace(-4.0, 4.0, 13), 2.0], -1.0), NEITHER),
+    # the largest entry off its mirror by less than the tolerance
+    "near centro at the largest entry": (lambda: DenseTensor.from_entries(2, 2, [3.0 + 5e-13, 1.0, 1.0, 3.0]), CENTRO),
+    "general": (lambda: DenseTensor(6.0 * random_structured(3, 4, "general", seed=8).data), NEITHER),
+    "dim 1": (lambda: DenseTensor.from_entries(3, 1, [-4.0]), CENTRO),
+    "dim 1, -0.0": (lambda: DenseTensor.from_entries(2, 1, [-0.0]), BOTH),
+    "order 1, centro": (lambda: DenseTensor.from_entries(1, 3, [3.0, -2.0, 3.0]), CENTRO),
+    "order 1, skew": (lambda: DenseTensor.from_entries(1, 4, [3.0, -2.0, 2.0, -3.0]), SKEW),
+}
+
+# the exchange witnesses refuse order 1
+_SCALE_PANEL = [
+    (case, witness)
+    for case, (build, _) in _SCALE_CASES.items()
+    for witness in ("check_structure", "check_via_J", "check_commutation")
+    if witness == "check_structure" or build().order > 1
+]
+
+
+class TestScaleFromTheScan:
+    """Without a tol, each witness uses default_tolerance(A) to the bit, and reads
+    its scale off its own scan when A is exactly centro or skew."""
+
+    @pytest.mark.parametrize("case,witness", _SCALE_PANEL)
+    def test_tolerance_is_the_default_to_the_bit(self, case, witness):
+        build, verdict = _SCALE_CASES[case]
+        a = build()
+        report = getattr(structure, witness)(a)
+        assert float.hex(report.tolerance_used) == float.hex(structure.default_tolerance(a))
+        assert report.verdict == verdict
+        with np.errstate(over="ignore"):
+            assert report == full_structure_report(*_witness_operands(witness, a.data), report.tolerance_used)
+
+    @pytest.mark.parametrize("witness", ["check_structure", "check_via_J", "check_commutation"])
+    @pytest.mark.parametrize(
+        "case,calls",
+        [("exact centro, max 7.5", 0), ("exact skew, odd N, max 7.5", 0), ("zero", 0),
+         ("centro past DBL_MAX/2", 1), ("general", 1)],
+    )
+    def test_entry_scale_runs_only_where_the_scan_cannot_tell(self, case, calls, witness, monkeypatch):
+        a = _SCALE_CASES[case][0]()
+        scans, entry_scale = [], structure.entry_scale
+        monkeypatch.setattr(structure, "entry_scale", lambda t: scans.append(1) or entry_scale(t))
+        getattr(structure, witness)(a)
+        assert len(scans) == calls
+        getattr(structure, witness)(a, 1e-9)
+        assert len(scans) == calls
+
+
 class TestRandomStructured:
     def test_same_seed_is_identical(self):
         a = random_structured(3, 4, "skew", seed=99)
