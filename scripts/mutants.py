@@ -142,6 +142,13 @@ MUTANTS = [
         (_MIRROR_READER + "test_reads_as_loads[193-skew]",),
     ),
     Mutant(
+        "the reader's sign relation ignores the outermost pair, so every pair must have equal signs",
+        "src/centrotensor/serialize.py",
+        "negate = mirrored and (data[starts[rest[0]]] == 45) != (data[starts[rest[-1]]] == 45)",
+        "negate = False",
+        (_MIRROR_READER + "test_parses_the_front_half_of_a_mirrored_file[skew]",),
+    ),
+    Mutant(
         "the reader mirrors without comparing bytes",
         "src/centrotensor/serialize.py",
         "    return not np.any(differ & np.take(_reader_tables()[0], size, axis=1).T)\n",

@@ -43,7 +43,8 @@ from functools import reduce
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, _check_integer, _mirror_flip, _pair_blocks, check_entry_count, entry_scale
+from .core import (DenseTensor, DomainError, _check_integer, _mirror_flip, _pair_blocks, _real_copy, check_entry_count,
+                   entry_scale)
 from .product import _exchange_left, _exchange_right
 from .structure import _BLOCK, _compare, check_structure
 
@@ -76,7 +77,7 @@ class CauchySpec:
 
     def __post_init__(self):
         # a copy, so that no caller's array (or view of one) changes the spec
-        c = np.array(self.generating, dtype=float)
+        c = _real_copy(self.generating, "generating vector")
         if c.ndim != 1 or c.size < 1:
             raise ValueError("generating vector must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):

@@ -95,7 +95,7 @@ class DenseTensor:
     def __post_init__(self):
         if np.ndim(self.data) < 1:
             raise ValueError("tensor order must be at least 1")
-        arr = np.array(self.data, dtype=float, order="C")
+        arr = _real_copy(self.data, "tensor entries")
         _check_data(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -128,7 +128,7 @@ class DenseTensor:
     @classmethod
     def from_entries(cls, order: int, dim: int, entries) -> "DenseTensor":
         """The tensor with these row-major entries, from a copy of them."""
-        return cls._from_flat(order, dim, np.array(entries, dtype=float, order="C"))
+        return cls._from_flat(order, dim, _real_copy(entries, "tensor entries"))
 
     @classmethod
     def _from_flat(cls, order: int, dim: int, flat: np.ndarray) -> "DenseTensor":
@@ -182,6 +182,16 @@ def _all_finite(arr: np.ndarray) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         total = arr.sum()
     return bool(np.isfinite(total) or np.all(np.isfinite(arr)))
+
+
+def _real_copy(values, what: str) -> np.ndarray:
+    """A fresh C-ordered float copy of values, raising ValueError on complex
+    input, whose imaginary parts numpy would drop with only a warning (an
+    array) or refuse with a TypeError (a list)."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.array(values, dtype=float, order="C")
 
 
 def _check_data(arr: np.ndarray) -> None:

@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .core import DenseTensor, DomainError, _all_finite, check_entry_count, entry_scale
+from .core import DenseTensor, DomainError, _all_finite, check_entry_count, check_order, entry_scale
 
 __all__ = [
     "shao_product",
@@ -133,10 +133,11 @@ def product_parity(kind_a: str, kind_b: str, m: int) -> str:
     """Structure kind of the product of a kind_a tensor (order m) by a kind_b tensor.
 
     centro*centro is centro for every order; the three mixed/skew cases
-    alternate with the parity of m.
+    alternate with the parity of m, which must be a valid order.
     """
     if kind_a not in _KINDS or kind_b not in _KINDS:
         raise ValueError(f"kinds must be one of {_KINDS}")
+    m = check_order(m)
     if kind_a == "centro" and kind_b == "centro":
         return "centro"
     if kind_a == "skew" and kind_b == "centro":

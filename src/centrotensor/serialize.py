@@ -89,15 +89,15 @@ decoded as that read decodes them, UTF-8 with universal newlines, so a
 
   The multi-byte tokens of every text are read in the front blocks of
   ``core._pair_blocks`` and their back blocks, so a mirrored text is
-  parsed half.  The outermost pair decides first: the two tokens must
-  stand at positions q and N-1-q with the same magnitude bytes, and
-  their leading ``-`` says whether every pair's signs are to be equal
-  or different.  Then each front block is compared with its back block
-  -- positions, magnitude lengths, signs and the 24-byte windows masked
-  to the magnitude -- and a back block that matches is not parsed; its
-  tokens are filled after the reading, by copy or by negation.  Where
-  the outermost pair does not match, and from the first block that does
-  not, both blocks are read.  Single-digit tokens keep their one-byte
+  parsed half.  The leading ``-`` of the outermost pair's two tokens
+  says whether every pair's signs are to be equal or different.  Each
+  front block is compared with its back block -- positions q and N-1-q,
+  magnitude lengths, signs and the 24-byte windows masked to the
+  magnitude -- and the first block's comparison takes in the outermost
+  pair itself.  A back block that matches is not parsed: once its front
+  block is read, per-item tokens included, its tokens are filled by copy
+  or by negation.  From the first block that does not match, both
+  blocks are read.  Single-digit tokens keep their one-byte
   path, and an odd count's middle token is read.  A back token whose
   magnitude and ``-`` agree with its twin's is a JSON number exactly
   when its twin is, and reads to its twin's value or the negation of
@@ -505,20 +505,6 @@ def _read_block(rows: np.ndarray, buf: np.ndarray, starts: np.ndarray, lengths: 
     return values, ok
 
 
-def _outer_flip(data: bytes, starts, lengths, rest):
-    """False where the outermost tokens of two bytes or more, at the token
-    indices rest[0] and rest[-1], pair up as (q, N-1-q) with the same
-    magnitude and sign, True where their signs differ, else None."""
-    if len(rest) < 2:
-        return None
-    a, b = rest[0], rest[-1]
-    neg_a, neg_b = data[starts[a]] == 45, data[starts[b]] == 45
-    magnitude_a = data[starts[a] + neg_a : starts[a] + lengths[a]]
-    if a + b != len(starts) - 1 or magnitude_a != data[starts[b] + neg_b : starts[b] + lengths[b]]:
-        return None
-    return neg_a != neg_b
-
-
 def _tokens(windows, starts, lengths, at) -> tuple:
     """The tokens at these indices: the indices, starts, lengths and windows."""
     at_starts, at_lengths = starts[at], lengths[at]
@@ -578,29 +564,28 @@ def _read_entries(data):
     # token starts past the head's 24 characters
     windows = sliding_window_view(buf, _WINDOW)
     rest = np.flatnonzero(~single)
-    negate = _outer_flip(data, starts, lengths, rest)
-    mirrored = negate is not None
-    per_item, twins = [], []
+    # the outermost pair's signs say whether every pair's are to be equal or
+    # different; the first block's twin test checks that pair with the rest
+    mirrored = len(rest) > 1
+    negate = mirrored and (data[starts[rest[0]]] == 45) != (data[starts[rest[-1]]] == 45)
     for start, stop, k in _pair_blocks(len(rest), _BLOCK):
         front = _tokens(windows, starts, lengths, rest[start:stop])
         # the mirrors of this block's proper pairs: filled from their twins
         # where every pair matches, else read, and then every later block too
         back = _tokens(windows, starts, lengths, rest[len(rest) - start - k : len(rest) - start][::-1])
         mirrored = mirrored and _twins(buf, tuple(part[:k] for part in front), back, len(starts), negate)
-        if mirrored:
-            twins.append(front[0][:k])
         for at, at_starts, at_lengths, rows in [front] if mirrored else [front, back]:
             entries[at], ok = _read_block(rows, buf, at_starts, at_lengths)
-            per_item += at[~ok].tolist()
-    for i in per_item:
-        token = data[starts[i] : starts[i] + lengths[i]]
-        if not _JSON_NUMBER.fullmatch(token) or (
-            not any(c in token for c in b".eE") and len(token.lstrip(b"-")) > 18
-        ):
-            return None
-        entries[i] = float(token)
-    for at in twins:
-        entries[len(entries) - 1 - at] = -entries[at] if negate else entries[at]
+            for i in at[~ok].tolist():
+                token = data[starts[i] : starts[i] + lengths[i]]
+                if not _JSON_NUMBER.fullmatch(token) or (
+                    not any(c in token for c in b".eE") and len(token.lstrip(b"-")) > 18
+                ):
+                    return None
+                entries[i] = float(token)
+        if mirrored:
+            at = front[0][:k]
+            entries[len(entries) - 1 - at] = -entries[at] if negate else entries[at]
     return int(head[1]), int(head[2]), entries
 
 

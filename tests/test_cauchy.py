@@ -68,6 +68,15 @@ class TestSpecValidation:
             with pytest.raises(CauchySpecError, match="below threshold 1e-14"):
                 materialize(spec)
 
+    @pytest.mark.parametrize("form", [np.array, list], ids=["array", "list"])
+    def test_rejects_a_complex_vector(self, form):
+        # numpy would drop an array's imaginary parts with a ComplexWarning
+        # and refuse a list of complex values with a TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^generating vector must be real, got complex values$"):
+                CauchySpec(form([1.0, 2 + 1j, 1.0]), 2)
+
     def test_accepts_positive_vector(self):
         materialize(CauchySpec(np.array([0.5, 1.5, 2.5]), 3))
 

@@ -102,6 +102,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DenseTensor(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("form", [np.array, lambda a: a.tolist()], ids=["array", "list"])
+    @pytest.mark.parametrize("build", [DenseTensor, lambda entries: DenseTensor.from_entries(2, 2, entries)],
+                             ids=["constructor", "from_entries"])
+    def test_rejects_complex_entries(self, form, build):
+        # numpy would drop an array's imaginary parts with a ComplexWarning
+        # and refuse a list of complex values with a TypeError
+        entries = np.array([1 + 5j, 2, 2, 1 - 7j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^tensor entries must be real, got complex values$"):
+                build(form(entries))
+
     def test_from_entries_rejects_dim_zero(self):
         with pytest.raises(ValueError, match=r"^tensor must be hypercubic, got shape \(0, 0\)$"):
             DenseTensor.from_entries(2, 0, [])

@@ -254,6 +254,12 @@ class TestParityTable:
         with pytest.raises(ValueError):
             product_parity("general", "centro", 2)
 
+    @pytest.mark.parametrize("kinds", [("centro", "centro"), ("centro", "skew"), ("skew", "skew")])
+    @pytest.mark.parametrize("m", [0, -1, 1.5, True, 65])
+    def test_rejects_an_invalid_order(self, kinds, m):
+        with pytest.raises(ValueError, match="order"):
+            product_parity(*kinds, m)
+
     def test_closure_on_random_draws(self, rng):
         kinds = ("centro", "skew")
         for _ in range(50):

@@ -687,6 +687,28 @@ BACK_TOKEN_EDITS = {
 }
 
 
+# magnitudes of 24 bytes, which fill a token's window, and of 27 bytes
+WINDOW_WIDE = "0." + "1" * 22
+PAST_WINDOW = "0.1234567890123456789012345"
+# entry tokens and how many of them the reader parses: the outermost pair of
+# multi-byte tokens sets the sign relation that the first block's twin test
+# checks, that pair included
+OUTERMOST_PAIRS = {
+    "no-multi-byte-token": (["1", "0", "0", "7"], 0),
+    "one-multi-byte-token": (["3", "-0.25", "3"], 1),
+    "two-skew-twins": (["0.25", "0", "-0.25"], 1),
+    "two-centro-twins": (["-0.25", "-0.25"], 1),
+    "two-unequal": (["0.25", "0.5"], 2),
+    "two-unmirrored": (["0.25", "0.25", "0"], 2),
+    "window-wide-centro": ([WINDOW_WIDE, "0.5", "0.25", "0.5", WINDOW_WIDE], 3),
+    "window-wide-skew": (["-" + WINDOW_WIDE, "0.5", "0.25", "-0.5", WINDOW_WIDE], 3),
+    "past-window-centro": ([PAST_WINDOW, "0.5", "0.25", "0.5", PAST_WINDOW], 5),
+    "past-window-skew": (["-" + PAST_WINDOW, "0.5", "0.25", "-0.5", PAST_WINDOW], 5),
+    "skew-outermost-centro-inner": (["0.25", "0.5", "0.75", "0.5", "-0.25"], 5),
+    "centro-outermost-skew-inner": (["0.25", "0.5", "0.75", "-0.5", "0.25"], 5),
+}
+
+
 def multi_byte_tokens(text: str) -> int:
     return sum(len(token) > 1 for token in text[text.index("[") + 1 : text.index("]")].split(", "))
 
@@ -797,6 +819,22 @@ class TestMirroredReader:
         TestTensorReader.assert_reads_alike(tokens_text(tokens))
         tokens[150] = "-0.25"
         TestTensorReader.assert_reads_alike(tokens_text(tokens))
+
+    @pytest.mark.parametrize("case", OUTERMOST_PAIRS)
+    def test_the_outermost_pair_sets_the_sign_relation(self, monkeypatch, case):
+        tokens, parsed = OUTERMOST_PAIRS[case]
+        text = tokens_text(tokens)
+        TestTensorReader.assert_reads_alike(text)
+        assert self.parsed(monkeypatch, text) == parsed
+
+    @pytest.mark.parametrize("token", ["1.5.", "01", "1234567890123456789", "-1234567890123456789"])
+    def test_outermost_twins_that_leave_the_kernel(self, token):
+        # a front token that only loads reads sends the whole text there
+        text = tokens_text([token, "0.5", "0.25", "0.5", token])
+        if token in ("1.5.", "01"):
+            TestTensorReader.assert_fails_alike(text)
+        else:
+            TestTensorReader.assert_reads_alike(text, kernel=False)
 
     @pytest.mark.parametrize("kind", ["centro", "skew", "general"])
     def test_parses_the_front_half_of_a_mirrored_file(self, monkeypatch, kind):

@@ -1,7 +1,8 @@
 """The CI workflow names tests and script options that tier-1 can check:
-the 2-BLAS-thread rerun selects its tests by name with -k, and the script
-smoke runs scripts/bench_layers.py with its options, so a renamed test or
-flag would drop out of CI or fail only there."""
+the 2-BLAS-thread rerun selects its tests by name with -k, the arm64 job
+names a test class by node id, and the script smoke runs
+scripts/bench_layers.py with its options, so a renamed test or flag would
+drop out of CI or fail only there."""
 
 import importlib.util
 import re
@@ -22,6 +23,14 @@ def test_two_thread_rerun_selects_defined_tests():
     for name in names:
         pattern = rf"^\s*(def|class) {re.escape(name)}\b"
         assert any(re.search(pattern, text, re.MULTILINE) for text in sources), name
+
+
+def test_node_ids_name_defined_tests():
+    node_ids = re.findall(r"(tests/\w+\.py)::(\w+)", WORKFLOW.read_text())
+    assert node_ids
+    for path, name in node_ids:
+        pattern = rf"^\s*(def|class) {re.escape(name)}\b"
+        assert re.search(pattern, (ROOT / path).read_text(), re.MULTILINE), f"{path}::{name}"
 
 
 def test_bench_layers_runs_pass_defined_options():
