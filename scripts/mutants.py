@@ -42,6 +42,7 @@ _SUITE = "tests/test_suite.py::"
 _MIRROR_WRITER = "tests/test_serialize.py::TestMirroredWriter::"
 _MIRROR_READER = "tests/test_serialize.py::TestMirroredReader::"
 _SCALE = "tests/test_structure.py::TestScaleFromTheScan::"
+_API = "tests/test_api.py::"
 
 MUTANTS = [
     Mutant(
@@ -497,6 +498,30 @@ MUTANTS = [
         "if pair.residual > 1e-12 * entry_scale(b)",
         "if pair.residual > 1e-8 * entry_scale(b)",
         (_SUITE + "test_closed_form_dim3_residual_tolerance_is_1e_12[past]",),
+    ),
+    Mutant(
+        "the array reader keeping complex input",
+        "src/centrotensor/core.py",
+        "    if np.iscomplexobj(values):\n"
+        '        raise ValueError(f"{what} must be real, got complex values")\n',
+        "",
+        (_API + "test_complex_vector_is_refused[list-poly_eval]",),
+    ),
+    Mutant(
+        "the vector reader without its finiteness test",
+        "src/centrotensor/core.py",
+        "    if not np.isfinite(x).all():\n"
+        '        raise ValueError(f"{what} must be finite")\n',
+        "",
+        (_API + "test_non_finite_vector_is_refused[nan-poly_eval]",),
+    ),
+    Mutant(
+        "apply without its finiteness test",
+        "src/centrotensor/core.py",
+        "    if not np.isfinite(x).all():\n"
+        '        raise ValueError("vector must be finite")\n',
+        "",
+        (_API + "test_non_finite_vector_is_refused[nan-apply]",),
     ),
 ]
 

@@ -43,7 +43,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import (DenseTensor, DomainError, _check_integer, _mirror_flip, _pair_blocks, _real_copy, check_entry_count,
+from .core import (DenseTensor, DomainError, _mirror_flip, _pair_blocks, _real, check_entry_count, check_order,
                    entry_scale)
 from .product import _exchange_left, _exchange_right
 from .structure import _BLOCK, _compare, check_structure
@@ -77,14 +77,12 @@ class CauchySpec:
 
     def __post_init__(self):
         # a copy, so that no caller's array (or view of one) changes the spec
-        c = _real_copy(self.generating, "generating vector")
+        c = _real(self.generating, "generating vector").copy()
         if c.ndim != 1 or c.size < 1:
             raise ValueError("generating vector must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValueError("generating vector must be finite")
-        order = _check_integer(self.order, "order")
-        if order < 1:
-            raise ValueError("order must be positive")
+        order = check_order(self.order)
         c.flags.writeable = False
         object.__setattr__(self, "generating", c)
         object.__setattr__(self, "order", order)

@@ -95,7 +95,7 @@ class DenseTensor:
     def __post_init__(self):
         if np.ndim(self.data) < 1:
             raise ValueError("tensor order must be at least 1")
-        arr = _real_copy(self.data, "tensor entries")
+        arr = _real(self.data, "tensor entries").copy()
         _check_data(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -128,7 +128,7 @@ class DenseTensor:
     @classmethod
     def from_entries(cls, order: int, dim: int, entries) -> "DenseTensor":
         """The tensor with these row-major entries, from a copy of them."""
-        return cls._from_flat(order, dim, _real_copy(entries, "tensor entries"))
+        return cls._from_flat(order, dim, _real(entries, "tensor entries").copy())
 
     @classmethod
     def _from_flat(cls, order: int, dim: int, flat: np.ndarray) -> "DenseTensor":
@@ -158,12 +158,13 @@ class DenseTensor:
 
     @classmethod
     def diagonal(cls, order: int, diag) -> "DenseTensor":
-        """diag[i] where all indices equal i, 0 elsewhere; dim is len(diag)."""
-        dim = len(diag)
+        """diag[i] where all indices equal i, 0 elsewhere; dim is len(diag),
+        which must be a real finite vector."""
+        diag = _as_vector(diag, what="tensor entries")
+        dim = diag.size
         check_entry_count(order, dim)
         data = np.zeros((dim,) * order)
         data[(np.arange(dim),) * order] = diag
-        _check_data(data)
         return cls._adopt(data)
 
     @classmethod
@@ -184,14 +185,14 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(total) or np.all(np.isfinite(arr)))
 
 
-def _real_copy(values, what: str) -> np.ndarray:
-    """A fresh C-ordered float copy of values, raising ValueError on complex
-    input, whose imaginary parts numpy would drop with only a warning (an
-    array) or refuse with a TypeError (a list)."""
+def _real(values, what: str) -> np.ndarray:
+    """values as a float64 array, uncopied when it is one, raising ValueError
+    on complex input, whose imaginary parts numpy would drop with only a
+    warning (an array) or refuse with a TypeError (a list)."""
     values = np.asarray(values)
     if np.iscomplexobj(values):
         raise ValueError(f"{what} must be real, got complex values")
-    return np.array(values, dtype=float, order="C")
+    return values.astype(float, copy=False)
 
 
 def _check_data(arr: np.ndarray) -> None:
@@ -210,18 +211,16 @@ def _check_same_shape(a: DenseTensor, b: DenseTensor):
         )
 
 
-def _check_vector(a: DenseTensor, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != a.dim:
-        raise ValueError(f"vector of length {a.dim} required, got shape {x.shape}")
-    return x
-
-
-def _as_vector(x) -> np.ndarray:
-    """x as a float array, raising ValueError unless it is 1-D."""
-    x = np.asarray(x, dtype=float)
+def _as_vector(x, dim=None, what: str = "vector") -> np.ndarray:
+    """x as a float array (see _real), raising ValueError unless it is 1-D,
+    of length dim when dim is given, and finite."""
+    x = _real(x, what)
+    if dim is not None and x.shape != (dim,):
+        raise ValueError(f"vector of length {dim} required, got shape {x.shape}")
     if x.ndim != 1:
         raise ValueError(f"1-D vector required, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
     return x
 
 
@@ -275,18 +274,22 @@ def apply(a: DenseTensor, x) -> np.ndarray:
 
     x may also be a stack of vectors of shape (S, n); row s of the result
     is then A x_s^{m-1}.  A stack whose contraction would hold more than
-    DEFAULT_ENTRY_CAP entries (see _stack_entries) is a ResourceLimitError.
+    DEFAULT_ENTRY_CAP entries (see _stack_entries) is a ResourceLimitError;
+    a complex or non-finite entry of x is a ValueError.
     """
     x = _check_stack(a, x)
+    if not np.isfinite(x).all():
+        raise ValueError("vector must be finite")
     return contract_trailing(a.data, x.reshape(-1, a.dim), a.order - 1).reshape(x.shape)
 
 
 def _check_stack(a: DenseTensor, x) -> np.ndarray:
-    """x as a float array after apply's checks: order >= 2, and x one vector
-    of length dim or a stack of them within the cap."""
+    """x as a float array (see _real) after apply's shape checks: order >= 2,
+    and x one vector of length dim or a stack of them within the cap.  apply
+    tests finiteness itself; eigen's callers have read x finite already."""
     if a.order < 2:
         raise ValueError("apply requires tensor order >= 2")
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "vector")
     if x.ndim not in (1, 2) or x.shape[-1] != a.dim:
         raise ValueError(f"vector of length {a.dim} required, got shape {x.shape}")
     if x.ndim == 2:
@@ -363,8 +366,8 @@ def _stack_entries(rows: int, order: int, dim: int) -> int:
 
 
 def poly_eval(a: DenseTensor, x) -> float:
-    """Evaluate the homogeneous form sum a[i1..im] x_i1...x_im."""
-    x = _check_vector(a, x)
+    """Evaluate the homogeneous form sum a[i1..im] x_i1...x_im at a real finite x."""
+    x = _as_vector(x, a.dim)
     return float(contract_trailing(a.data, x[None, :], a.order)[0])
 
 

@@ -188,7 +188,7 @@ def residual(a: DenseTensor, value: float, x) -> float:
     another shape, a zero or non-finite vector, or a non-finite value,
     raises ValueError.
     """
-    x = _finite_vector(core._check_vector(a, x), "eigenvector")
+    x = _finite_vector(x, "eigenvector", a.dim)
     if not math.isfinite(value):
         raise ValueError(f"eigenvalue must be finite, got {value!r}")
     x = core._check_stack(a, x)
@@ -220,11 +220,9 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _finite_vector(x, what: str) -> np.ndarray:
-    """x as a float array; one that is not 1-D, zero or not finite raises ValueError."""
-    x = core._as_vector(x)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite")
+def _finite_vector(x, what: str, dim=None) -> np.ndarray:
+    """core._as_vector(x, dim, what), raising ValueError also on a zero vector."""
+    x = core._as_vector(x, dim, what)
     if not x.any():
         raise ValueError(f"{what} must be nonzero")
     return x
@@ -261,7 +259,7 @@ def normalize_eigenvector(x) -> np.ndarray:
 
     A vector that is not 1-D, zero or not finite raises ValueError.
     """
-    x = core._as_vector(x)
+    x = core._as_vector(x, what="normalized vector")
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.linalg.norm(x))
     if not 0.0 < nrm < math.inf:

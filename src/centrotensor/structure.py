@@ -70,6 +70,7 @@ from .core import (
     DenseTensor,
     _check_cap,
     _pair_blocks,
+    _real,
     _stack_entries,
     add,
     check_count,
@@ -345,8 +346,9 @@ def random_structured(order: int, dim: int, kind: str = "general", seed=0) -> De
 
 def palindromize(c) -> np.ndarray:
     """Mirror the first half of the flat (row-major) entries onto the second,
-    making Jc = c for a vector and a centrosymmetric array of any shape."""
-    out = np.asarray(c, dtype=float).copy()
+    making Jc = c for a vector and a centrosymmetric array of any shape.
+    c must be real (see core._real); its mirror is a float copy."""
+    out = _real(c, "palindromized values").copy()
     flat, half = out.reshape(-1), out.size // 2
     flat[out.size - half :] = flat[:half][::-1]
     return out

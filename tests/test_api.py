@@ -1,5 +1,6 @@
 """The public surface and the input contract shared by every module."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -9,20 +10,27 @@ import centrotensor
 from centrotensor import (
     CauchySpec,
     DenseTensor,
+    apply,
     cauchy_check_JC,
     cauchy_is_centro,
     cauchy_is_skew,
     check_commutation,
     check_structure,
     check_via_J,
+    classify_vector,
     closed_form_dim2,
     diagonal_left_inverse,
     exchange_matrix,
+    flip_vector,
     materialize,
+    normalize_eigenvector,
+    palindromize,
+    poly_eval,
     random_structured,
     recover_order2_left_inverse,
     recover_order2_right_inverse,
     reflect_pair,
+    residual,
     shao_product,
     verify_all,
     verify_poly_reflection,
@@ -107,6 +115,47 @@ TOLERANCE_TAKERS = {
 def test_invalid_tolerance_is_rejected(call, tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         call(tol)
+
+
+# Each call takes one vector of length CENTRO.dim (palindromize an array of
+# any shape), read as float64 by core._real: complex values are refused
+# rather than dropped with a warning, and a vector that enters arithmetic
+# (every one but palindromize's) must be finite.
+VECTOR_TAKERS = {
+    "apply": lambda x: apply(CENTRO, x),
+    "poly_eval": lambda x: poly_eval(CENTRO, x),
+    "residual": lambda x: residual(CENTRO, PAIR.value, x),
+    "classify_vector": classify_vector,
+    "normalize_eigenvector": normalize_eigenvector,
+    "flip_vector": flip_vector,
+    "reflect_pair": lambda x: reflect_pair(CENTRO, dataclasses.replace(PAIR, vector=x)),
+    "diagonal": lambda x: DenseTensor.diagonal(3, x),
+    "palindromize": palindromize,
+}
+FINITE_VECTOR_TAKERS = {name: call for name, call in VECTOR_TAKERS.items() if name != "palindromize"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", VECTOR_TAKERS.values(), ids=VECTOR_TAKERS.keys())
+@pytest.mark.parametrize("form", [np.array, list], ids=["array", "list"])
+def test_complex_vector_is_refused(call, form):
+    with pytest.raises(ValueError, match="^[a-z ]+ must be real, got complex values$"):
+        call(form([1.0, 2.0 + 1.0j]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", FINITE_VECTOR_TAKERS.values(), ids=FINITE_VECTOR_TAKERS.keys())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_vector_is_refused(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call([bad, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diag", [2.0, np.ones((2, 2))], ids=["scalar", "2-D"])
+def test_diagonal_that_is_not_a_vector_is_refused(diag):
+    with pytest.raises(ValueError, match=r"^1-D vector required, got shape \("):
+        DenseTensor.diagonal(3, diag)
 
 
 TRIAL_COUNT_TAKERS = {

@@ -743,6 +743,14 @@ class TestCauchyVerb:
         assert out == ""
         assert "exceeds the limit of 64" in err and "Traceback" not in err
 
+    def test_order_65_spec_exits_2_in_check_mode(self, tmp_path, capsys):
+        # the check builds no tensor, so the spec itself must refuse the order
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"order": 65, "generating": [1.0, 2.0, 1.0]}')
+        code, out, err = run(capsys, ["cauchy", str(spec_path), "--mode", "check"])
+        assert (code, out) == (2, "")
+        assert "error: order 65 exceeds the limit of 64 axes" in err and "Traceback" not in err
+
     def test_oversized_tensor_is_refused_before_building(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"order": 40, "generating": [1.0, 2.0]}')
